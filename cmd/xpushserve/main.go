@@ -6,7 +6,7 @@
 // Usage:
 //
 //	xpushserve [-addr :9310] [-metrics-addr :9311] [-debug-addr addr]
-//	           [-queries filters.txt] [-backend engine|pool|sharded]
+//	           [-queries filters.txt] [-backend engine|pool]
 //	           [-workers n] [-policy drop-oldest|drop-newest|block|disconnect]
 //	           [-queue-depth 128] [-block-deadline 1s]
 //	           [-max-conns 0] [-max-doc-bytes 0] [-read-timeout 0]
@@ -176,8 +176,8 @@ func buildConfig(args []string) (server.Config, options, error) {
 	traceSlow := fs.Duration("trace-slow", 0, "capture every document slower than this end to end, regardless of sampling (0 disables)")
 	traceOut := fs.String("trace-out", "", "write retained traces as a Chrome trace_event file on shutdown (view at ui.perfetto.dev)")
 	queriesPath := fs.String("queries", "", "file with one initial XPath filter per line (warms the machine)")
-	backend := fs.String("backend", "engine", "filter backend: engine, pool, or sharded")
-	workers := fs.Int("workers", 0, "pool workers / shard count (0 = GOMAXPROCS)")
+	backend := fs.String("backend", "engine", "filter backend: engine or pool")
+	workers := fs.Int("workers", 0, "pool workers (0 = GOMAXPROCS)")
 	policy := fs.String("policy", "drop-newest", "slow-subscriber backpressure: drop-oldest, drop-newest, block, or disconnect")
 	queueDepth := fs.Int("queue-depth", 128, "per-subscriber delivery queue bound")
 	blockDeadline := fs.Duration("block-deadline", time.Second, "max publisher wait for queue space under -policy block")
@@ -204,7 +204,6 @@ func buildConfig(args []string) (server.Config, options, error) {
 	dtdPath := fs.String("dtd", "", "DTD file (enables -order and -train)")
 	strict := fs.Bool("strict", false, "reject mixed element/text content")
 	maxStates := fs.Int("maxstates", 0, "flush lazily built state tables past this count (0 = unlimited)")
-	noDedup := fs.Bool("no-dedup", false, "disable workload deduplication: compile every subscription as its own machine query")
 	consolidateLayers := fs.Int("consolidate-layers", 0, "consolidate the engine past this many COW layers (0 = 32, negative disables)")
 	consolidateRemoved := fs.Int("consolidate-removed", 0, "consolidate the engine past this many removed query slots (0 = 256, negative disables)")
 	version := fs.Bool("version", false, "print version and exit")
@@ -276,7 +275,6 @@ func buildConfig(args []string) (server.Config, options, error) {
 		SnapshotPath:       *snapshot,
 		SnapshotInterval:   *snapshotInterval,
 		AsyncPublishWindow: *publishWindow,
-		DedupDisabled:      *noDedup,
 		ConsolidateLayers:  *consolidateLayers,
 		ConsolidateRemoved: *consolidateRemoved,
 	}

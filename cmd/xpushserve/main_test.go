@@ -114,8 +114,10 @@ func TestBuildConfigErrors(t *testing.T) {
 	if _, _, err := buildConfig([]string{"-policy", "bogus"}); err == nil {
 		t.Error("bogus policy accepted")
 	}
-	if _, _, err := buildConfig([]string{"-backend", "bogus"}); err == nil {
-		t.Error("bogus backend accepted")
+	for _, b := range []string{"bogus", "sharded"} {
+		if _, _, err := buildConfig([]string{"-backend", b}); err == nil {
+			t.Errorf("backend %q accepted", b)
+		}
 	}
 	if _, _, err := buildConfig([]string{"-queries", "/nonexistent.txt"}); err == nil {
 		t.Error("missing queries file accepted")

@@ -8,14 +8,14 @@ import (
 )
 
 // Copy-on-write workload derivation. A broker serving live traffic cannot
-// mutate the engine its publishers are filtering on: AddQueries appends to
-// the layer list mid-iteration and RemoveQuery flips the removed mask that
-// match assembly reads. WithQueries and WithoutQuery instead derive a new
-// Engine that SHARES the receiver's warm machine layers (the lazily built
-// state tables are the expensive part) while leaving the receiver
-// completely untouched, so a server can build the next workload generation
-// off to the side and swap an atomic pointer — publishers either see the
-// old engine or the new one, never a half-updated workload.
+// mutate the engine its publishers are filtering on: the driver iterates
+// the layer list on every event and match assembly reads the removed mask.
+// WithQueries and WithoutQuery instead derive a new Engine that SHARES the
+// receiver's warm machine layers (the lazily built state tables are the
+// expensive part) while leaving the receiver completely untouched, so a
+// server can build the next workload generation off to the side and swap an
+// atomic pointer — publishers either see the old engine or the new one,
+// never a half-updated workload.
 //
 // Sharing rules: the receiver and the derived engine reference the same
 // machine layers, and a machine processes one stream at a time, so the two
@@ -51,9 +51,10 @@ func (e *Engine) WithQueries(queries []string) (*Engine, error) {
 	return n, nil
 }
 
-// WithoutQuery returns a new engine with filter i marked removed (its
-// states are physically removed at the next Consolidate, as with
-// RemoveQuery). The receiver is not modified; machine layers are shared.
+// WithoutQuery returns a new engine that stops reporting filter i. Indexes
+// of other filters are unchanged; the filter's states are physically
+// removed at the next Consolidated. The receiver is not modified; machine
+// layers are shared.
 func (e *Engine) WithoutQuery(i int) (*Engine, error) {
 	if i < 0 || i >= len(e.removed) {
 		return nil, fmt.Errorf("xpushstream: no query %d", i)
@@ -82,8 +83,9 @@ func (e *Engine) derive(extra int) *Engine {
 }
 
 // Consolidated returns a fresh engine with all layers recompiled into one
-// machine and removed filters physically dropped — Consolidate's "brute
-// force" rebuild, but copy-on-write: the receiver keeps serving its layered
+// machine and removed filters physically dropped — the paper's "brute
+// force" update path, applied on the operator's schedule rather than per
+// insertion, and copy-on-write: the receiver keeps serving its layered
 // workload untouched while the caller swaps in the compacted engine. The
 // returned mapping translates the receiver's filter indexes to the new
 // engine's (-1 for removed filters), so a broker can remap its fan-out
@@ -136,7 +138,7 @@ func (e *Engine) Queries() []string {
 }
 
 // Removed returns a copy of the removed-filter mask: Removed()[i] reports
-// whether filter i has been unregistered with RemoveQuery/WithoutQuery.
+// whether filter i has been unregistered with WithoutQuery.
 func (e *Engine) Removed() []bool {
 	return append([]bool(nil), e.removed...)
 }

@@ -3,7 +3,13 @@ package xpushstream
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/naive"
+	"repro/internal/workload"
+	"repro/internal/xpath"
 )
 
 // TestWithQueriesAddsLayer: deriving with extra filters keeps existing
@@ -156,5 +162,132 @@ func TestWorkloadSnapshotRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := OpenWorkloadSnapshot(bytes.NewReader(trunc), Config{}); err == nil {
 		t.Error("truncated snapshot opened")
+	}
+}
+
+// TestCOWRandomizedDifferential walks a seeded random sequence of
+// WithQueries / WithoutQuery / Consolidated derivations and, after every
+// step, checks the derived engine's match sets on generated documents
+// against a fresh Compile of the live filter set and against the DOM
+// oracle. It covers what the fixed cases above cannot: long derivation
+// chains, removals spread over many layers, and index remapping across
+// repeated consolidations.
+func TestCOWRandomizedDifferential(t *testing.T) {
+	ds := datagen.ProteinLike()
+	pool := workload.Generate(ds, workload.Params{
+		Seed: 18, NumQueries: 300, MeanPreds: 3, NestedPredProb: 0.3,
+		WildcardProb: 0.1, DescendantProb: 0.2, OrProb: 0.2, NotProb: 0.1,
+	})
+	gen := datagen.NewGenerator(ds, 1800)
+	docs := make([][]byte, 5)
+	for i := range docs {
+		docs[i] = gen.GenerateDocument()
+	}
+	steps := 300
+	if testing.Short() {
+		steps = 100 // the race run: ~25 ms a step there
+	}
+	for _, topDown := range []bool{false, true} {
+		t.Run(fmt.Sprintf("topdown=%v", topDown), func(t *testing.T) {
+			cfg := Config{TopDownPruning: topDown}
+			r := rand.New(rand.NewSource(18))
+			e, err := Compile(nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// slots[i] is the pool filter behind engine index i, -1 once
+			// removed; live lists the indexes still >= 0.
+			var slots, live []int
+			matched, deepest := 0, 0
+			for step := 0; step < steps; step++ {
+				op := "add"
+				switch x := r.Intn(100); {
+				case x < 40 && len(live) > 0:
+					op = "remove"
+					i := live[r.Intn(len(live))]
+					if e, err = e.WithoutQuery(i); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					slots[i] = -1
+				case x < 55:
+					op = "consolidate"
+					var mapping []int
+					if e, mapping, err = e.Consolidated(); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					if len(mapping) != len(slots) || e.NumQueries() != len(live) || e.NumLayers() != 1 {
+						t.Fatalf("step %d: mapping over %d slots, %d queries, %d layers; want %d, %d, 1",
+							step, len(mapping), e.NumQueries(), e.NumLayers(), len(slots), len(live))
+					}
+					next := make([]int, len(live))
+					for old, idx := range mapping {
+						if slots[old] < 0 {
+							if idx != -1 {
+								t.Fatalf("step %d: removed slot %d mapped to %d", step, old, idx)
+							}
+							continue
+						}
+						next[idx] = slots[old]
+					}
+					slots = next
+				default:
+					var qs []string
+					for n := 1 + r.Intn(2); n > 0; n-- {
+						p := r.Intn(len(pool))
+						qs = append(qs, pool[p].String())
+						slots = append(slots, p)
+					}
+					if e, err = e.WithQueries(qs); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+				}
+
+				live = live[:0]
+				var texts []string
+				var filters []*xpath.Filter
+				for i, p := range slots {
+					if p >= 0 {
+						live = append(live, i)
+						texts = append(texts, pool[p].String())
+						filters = append(filters, pool[p])
+					}
+				}
+				if e.NumLayers() > deepest {
+					deepest = e.NumLayers()
+				}
+				fresh, err := Compile(texts, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle := naive.NewEngine(filters)
+				for di, doc := range docs {
+					got, err := e.FilterDocument(doc)
+					if err != nil {
+						t.Fatalf("step %d (%s) doc %d: %v", step, op, di, err)
+					}
+					matched += len(got)
+					fm, err := fresh.FilterDocument(doc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					om, err := oracle.FilterDocument(doc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// fresh and oracle number the live filters densely.
+					want := make([]int, len(fm))
+					for i, m := range fm {
+						want[i] = live[m]
+					}
+					if fmt.Sprint(fm) != fmt.Sprint(om) || fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("step %d (%s, %d layers, %d live of %d) doc %d:\n derived %v\n fresh   %v = %v\n oracle  %v",
+							step, op, e.NumLayers(), len(live), len(slots), di, got, fm, want, om)
+					}
+				}
+			}
+			if matched == 0 || deepest < 4 {
+				t.Fatalf("vacuous walk: %d matches compared, deepest chain %d layers", matched, deepest)
+			}
+		})
 	}
 }

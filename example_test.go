@@ -45,19 +45,21 @@ func ExampleEngine_FilterBytes() {
 	// 1
 }
 
-// Inserting subscriptions into a live engine without discarding its warm
-// state (the paper's layered-machine update path).
-func ExampleEngine_AddQueries() {
+// Inserting subscriptions without discarding the engine's warm state (the
+// paper's layered-machine update path): the derived engine shares the
+// receiver's machine and adds one small layer.
+func ExampleEngine_WithQueries() {
 	engine, err := xpushstream.Compile([]string{`/m[v=1]`}, xpushstream.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := engine.AddQueries([]string{`/m[v=2]`}); err != nil {
+	next, err := engine.WithQueries([]string{`/m[v=2]`})
+	if err != nil {
 		log.Fatal(err)
 	}
-	matches, _ := engine.FilterDocument([]byte(`<m><v>2</v></m>`))
-	fmt.Println(matches, engine.NumLayers())
-	// Output: [1] 2
+	matches, _ := next.FilterDocument([]byte(`<m><v>2</v></m>`))
+	fmt.Println(matches, next.NumLayers(), engine.NumLayers())
+	// Output: [1] 2 1
 }
 
 // Using a DTD to enable the order optimization and synthetic training.

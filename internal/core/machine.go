@@ -134,7 +134,7 @@ const StatsWindow = 64
 // counters holds the machine's runtime counters. Increments happen only on
 // the machine's single filtering goroutine, but they are atomic so that
 // Stats can be read concurrently (e.g. a /metrics scrape of a live broker,
-// or Pool/ShardedEngine aggregation) without a data race.
+// or Pool aggregation) without a data race.
 type counters struct {
 	bstates, tstates atomic.Int64
 	bstateAFASum     atomic.Int64

@@ -137,9 +137,8 @@ func Drive(events []Event, h Handler) {
 	}
 }
 
-// Collector is a Handler that records the events it receives: used by the
-// sharded engine to parse each document once, and in tests for differential
-// comparison of parsers.
+// Collector is a Handler that records the events it receives, for
+// differential comparison of parsers in tests.
 type Collector struct {
 	Events []Event
 }

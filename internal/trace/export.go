@@ -111,7 +111,7 @@ func (r *Recorder) Handler() http.Handler {
 // ("X" complete events, microsecond timestamps), loadable in
 // chrome://tracing and https://ui.perfetto.dev. Each trace becomes one
 // process (pid = trace id) and each span track one thread, so concurrent
-// delivery/shard spans render as parallel rows.
+// delivery spans render as parallel rows.
 func WriteChrome(w io.Writer, traces []*Ctx) error {
 	var base time.Time
 	for _, c := range traces {

@@ -61,7 +61,7 @@ type Attr struct {
 // Span is one named stage of a traced document's lifecycle. Start and End
 // are nanosecond offsets from the trace start; End < 0 marks a span still
 // open (it is closed at trace completion). Track separates concurrently
-// running spans (per-subscriber delivery, per-shard filtering) into
+// running spans (per-subscriber delivery, per-node gate fan-out) into
 // parallel rows for the Chrome exporter.
 type Span struct {
 	Name   string
@@ -200,7 +200,7 @@ func (c *Ctx) SetAttr(id SpanID, key string, val int64) {
 }
 
 // SetTrack assigns a span to a render track (Chrome tid). Concurrent spans
-// (per-subscriber delivery, per-shard filtering) on distinct tracks render
+// (per-subscriber delivery, per-node gate fan-out) on distinct tracks render
 // as parallel rows instead of malformed nesting.
 func (c *Ctx) SetTrack(id SpanID, track int32) {
 	if c == nil || id < 0 {

@@ -18,8 +18,17 @@ import (
 // Subscriptions are addressed by their own uint64 id so one owner can hold
 // several subscriptions to the same filter.
 //
-// O is the subscription owner type (a broker connection, typically). All
-// methods are safe for concurrent use; Fanout takes a single read lock so
+// O is the subscription owner type (a broker connection, typically).
+//
+// Concurrency contract: every method takes the registry's lock, so each
+// call is atomic on its own, but a key is only valid until the last
+// subscription on it is released. The control-plane calls (Resolve,
+// Register, Pin, Subscribe, Unsubscribe, UnsubscribeOwner) must therefore
+// be serialised by the caller, as the server does with its ctl mutex:
+// otherwise one goroutine's Unsubscribe can free the entry between another
+// goroutine's Resolve and its Subscribe, which panics on the unknown key.
+// Fanout, OwnerSubs and the read-only accessors may run concurrently with
+// the control plane and with each other; Fanout takes a single read lock so
 // the hot match path never blocks on subscribe churn for long.
 type Dedup[O comparable] struct {
 	mu      sync.RWMutex

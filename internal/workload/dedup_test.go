@@ -122,9 +122,14 @@ func TestDedupFanoutSkipsUnknownKeys(t *testing.T) {
 	}
 }
 
+// TestDedupConcurrentChurn follows the registry's concurrency contract:
+// control-plane calls are serialised by one mutex (the server's ctl), while
+// Fanout runs outside it, concurrently with everyone else's churn and on
+// keys that may have been released meanwhile.
 func TestDedupConcurrentChurn(t *testing.T) {
 	d := NewDedup[int]()
 	const owners = 8
+	var ctl sync.Mutex
 	var wg sync.WaitGroup
 	for o := 0; o < owners; o++ {
 		wg.Add(1)
@@ -132,17 +137,23 @@ func TestDedupConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				canon := fmt.Sprintf("/q%d", i%5)
+				ctl.Lock()
 				key, ok := d.Resolve(canon)
 				if !ok {
 					key = d.Register(canon, true)
 				}
 				sub, _ := d.Subscribe(key, owner, i%2 == 0)
+				ctl.Unlock()
 				d.Fanout([]uint64{key}, func(uint64, bool, int, uint64, int, bool) {})
 				if i%3 == 0 {
+					ctl.Lock()
 					d.Unsubscribe(sub, owner)
+					ctl.Unlock()
 				}
 			}
+			ctl.Lock()
 			d.UnsubscribeOwner(owner)
+			ctl.Unlock()
 		}(o)
 	}
 	wg.Wait()

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func TestAddQueries(t *testing.T) {
+func TestWithQueriesKeepsWarmBase(t *testing.T) {
 	e, err := Compile([]string{"/m[v=1]"}, Config{TopDownPruning: true})
 	if err != nil {
 		t.Fatal(err)
@@ -17,7 +17,8 @@ func TestAddQueries(t *testing.T) {
 	}
 	baseStates := e.Stats().States
 
-	if err := e.AddQueries([]string{"/m[v=2]", "/m[w=3]"}); err != nil {
+	e, err = e.WithQueries([]string{"/m[v=2]", "/m[w=3]"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if e.NumQueries() != 3 || e.NumLayers() != 2 {
@@ -40,38 +41,43 @@ func TestAddQueries(t *testing.T) {
 	}
 }
 
-func TestAddQueriesErrors(t *testing.T) {
+func TestWithQueriesErrors(t *testing.T) {
 	e, err := Compile([]string{"/a"}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddQueries([]string{"not xpath"}); err == nil {
+	if _, err := e.WithQueries([]string{"not xpath"}); err == nil {
 		t.Error("bad added query must fail")
 	}
 	if e.NumQueries() != 1 || e.NumLayers() != 1 {
 		t.Error("failed add must not change the engine")
 	}
-	if err := e.AddQueries(nil); err != nil {
-		t.Errorf("empty add: %v", err)
+	n, err := e.WithQueries(nil)
+	if err != nil {
+		t.Fatalf("empty add: %v", err)
+	}
+	if n.NumQueries() != 1 || n.NumLayers() != 1 {
+		t.Errorf("empty add grew the engine: queries=%d layers=%d", n.NumQueries(), n.NumLayers())
 	}
 }
 
-func TestRemoveQuery(t *testing.T) {
+func TestWithoutQuery(t *testing.T) {
 	e, err := Compile([]string{"/m[v=1]", "/m[v=1 or v=2]", "//m"}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RemoveQuery(1); err != nil {
+	n, err := e.WithoutQuery(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.FilterDocument([]byte("<m><v>1</v></m>"))
+	got, err := n.FilterDocument([]byte("<m><v>1</v></m>"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got) != "[0 2]" {
 		t.Fatalf("matches = %v", got)
 	}
-	if err := e.RemoveQuery(99); err == nil {
+	if _, err := n.WithoutQuery(99); err == nil {
 		t.Error("out-of-range removal must fail")
 	}
 }
@@ -81,35 +87,43 @@ func TestConsolidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddQueries([]string{"/m[v=2]"}); err != nil {
+	if e, err = e.WithQueries([]string{"/m[v=2]"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddQueries([]string{"/m[v=3]", "/m[v=4]"}); err != nil {
+	if e, err = e.WithQueries([]string{"/m[v=3]", "/m[v=4]"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RemoveQuery(1); err != nil {
+	if e, err = e.WithoutQuery(1); err != nil {
 		t.Fatal(err)
 	}
-	mapping, err := e.Consolidate()
+	c, mapping, err := e.Consolidated()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(mapping) != "[0 -1 1 2]" {
 		t.Fatalf("mapping = %v", mapping)
 	}
-	if e.NumLayers() != 1 || e.NumQueries() != 3 {
-		t.Fatalf("layers=%d queries=%d", e.NumLayers(), e.NumQueries())
+	if c.NumLayers() != 1 || c.NumQueries() != 3 {
+		t.Fatalf("layers=%d queries=%d", c.NumLayers(), c.NumQueries())
 	}
-	got, err := e.FilterDocument([]byte("<m><v>3</v></m>"))
+	got, err := c.FilterDocument([]byte("<m><v>3</v></m>"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got) != "[1]" { // /m[v=3] is index 1 after compaction
 		t.Fatalf("matches = %v", got)
 	}
-	got, _ = e.FilterDocument([]byte("<m><v>2</v></m>"))
+	got, _ = c.FilterDocument([]byte("<m><v>2</v></m>"))
 	if len(got) != 0 {
 		t.Fatalf("removed filter still fires: %v", got)
+	}
+	// The receiver keeps its layers, its indexes and its mask.
+	if e.NumLayers() != 3 || e.NumQueries() != 4 {
+		t.Fatalf("receiver changed: layers=%d queries=%d", e.NumLayers(), e.NumQueries())
+	}
+	got, _ = e.FilterDocument([]byte("<m><v>3</v></m>"))
+	if fmt.Sprint(got) != "[2]" {
+		t.Fatalf("receiver matches = %v", got)
 	}
 }
 
@@ -118,7 +132,7 @@ func TestLayeredStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddQueries([]string{"/m[v=2]"}); err != nil {
+	if e, err = e.WithQueries([]string{"/m[v=2]"}); err != nil {
 		t.Fatal(err)
 	}
 	var per []string
@@ -146,7 +160,7 @@ func TestLayeredTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddQueries([]string{"/m[v=2]"}); err != nil {
+	if e, err = e.WithQueries([]string{"/m[v=2]"}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := e.FilterDocument([]byte("<m><v>2</v></m>"))
@@ -206,7 +220,7 @@ func TestEngineSnapshot(t *testing.T) {
 
 	// Mismatched layer structure is rejected.
 	layered, _ := Compile(queries[:2], Config{TopDownPruning: true})
-	_ = layered.AddQueries(queries[2:])
+	layered, _ = layered.WithQueries(queries[2:])
 	if err := layered.ReadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("layer mismatch must be rejected")
 	}

@@ -29,13 +29,13 @@ type (
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
 // StatsSource is anything that can report engine statistics: *Engine,
-// *Pool, *ShardedEngine, or a caller-supplied closure (see StatsFunc).
+// *Pool, or a caller-supplied closure (see StatsFunc).
 type StatsSource interface {
 	Stats() Stats
 }
 
-// StatsFunc adapts a function to StatsSource (e.g. to take a lock around an
-// engine that is concurrently mutated with AddQueries).
+// StatsFunc adapts a function to StatsSource (e.g. to read whichever
+// engine generation a copy-on-write swap last published).
 type StatsFunc func() Stats
 
 // Stats implements StatsSource.

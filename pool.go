@@ -13,8 +13,8 @@ import (
 // Pool parallelises filtering over documents: n cloned engines consume a
 // shared document queue, giving near-linear throughput scaling for streams
 // of independent documents. This is the recommended multicore deployment —
-// the warm machine's O(1)-per-event cost makes workload sharding
-// (ShardedEngine) pointless, but documents are embarrassingly parallel.
+// the warm machine's O(1)-per-event cost makes workload sharding pointless
+// (EXPERIMENTS.md), but documents are embarrassingly parallel.
 //
 // Clones do not share lazily built state: each worker warms up
 // independently (or restore a shared snapshot into each clone before
@@ -51,10 +51,7 @@ func NewPool(e *Engine, n int) (*Pool, error) {
 // single-reader shape. Do not run it concurrently with FilterStream, which
 // takes over every worker.
 func (p *Pool) FilterDocument(doc []byte) ([]int, error) {
-	e := <-p.free
-	matches, err := e.FilterDocument(doc)
-	p.free <- e
-	return matches, err
+	return p.FilterDocumentTraced(doc, nil, TraceRoot)
 }
 
 // Size returns the worker count.

@@ -66,28 +66,6 @@ func TestPoolStatsConcurrentWithFilterStream(t *testing.T) {
 	}
 }
 
-func TestShardedStatsConcurrentWithFilterDocument(t *testing.T) {
-	sh, err := CompileSharded([]string{"/m[v=1]", "/m[v=2]", "//m[w>3]", "/m"}, Config{TopDownPruning: true}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	scrapeWhile(done, &wg, sh.Stats)
-	doc := []byte("<m><v>2</v><w>9</w></m>")
-	for i := 0; i < 500; i++ {
-		got, err := sh.FilterDocument(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 3 {
-			t.Fatalf("matches = %v", got)
-		}
-	}
-	close(done)
-	wg.Wait()
-}
-
 func TestEngineStatsConcurrentWithFilterStream(t *testing.T) {
 	e, err := Compile([]string{"/m[v=1]", "//m[w>3]"}, Config{})
 	if err != nil {

@@ -103,22 +103,11 @@ type machineSnapshot struct {
 	Events        int64   `json:"events"`
 	Matches       int64   `json:"matches"`
 
-	PoolSize int             `json:"pool_size,omitempty"`
-	Shards   []shardSnapshot `json:"shards,omitempty"`
+	PoolSize int `json:"pool_size,omitempty"`
 
 	DurablePumps int `json:"durable_pumps"`
 
 	Trace traceSnapshot `json:"trace"`
-}
-
-// shardSnapshot is one shard's slice of the sharded backend.
-type shardSnapshot struct {
-	Shard    int     `json:"shard"`
-	Queries  int     `json:"queries"`
-	States   int     `json:"states"`
-	HitRatio float64 `json:"hit_ratio"`
-	Flushes  int64   `json:"flushes"`
-	Matches  int64   `json:"matches"`
 }
 
 type traceSnapshot struct {
@@ -173,18 +162,6 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
 	}
 	if c.pool != nil {
 		snap.PoolSize = c.pool.Size()
-	}
-	if c.sharded != nil {
-		for i, ss := range c.sharded.ShardStats() {
-			snap.Shards = append(snap.Shards, shardSnapshot{
-				Shard:    i,
-				Queries:  c.sharded.ShardQueries(i),
-				States:   ss.States,
-				HitRatio: ss.HitRatio,
-				Flushes:  ss.Flushes,
-				Matches:  ss.Matches,
-			})
-		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

@@ -285,20 +285,7 @@ func (cn *conn) pump(name string, start uint64) {
 // matchDurable filters one replayed document and returns the matched filter
 // ids that belong to cn's durable subscriptions.
 func (s *Server) matchDurable(cn *conn, doc []byte, tc *trace.Ctx, parent trace.SpanID) ([]uint64, error) {
-	var (
-		c       *core
-		matches []int
-		err     error
-	)
-	if cc := s.cur.Load(); cc.concurrent() {
-		c = cc
-		matches, err = cc.filterDocument(doc, tc, parent)
-	} else {
-		s.pubMu.Lock()
-		c = s.cur.Load()
-		matches, err = c.filterDocument(doc, tc, parent)
-		s.pubMu.Unlock()
-	}
+	c, matches, err := s.filter(doc, tc, parent)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -185,12 +186,14 @@ func TestParsePolicy(t *testing.T) {
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Error("ParsePolicy accepted an unknown policy")
 	}
-	for _, s := range []string{"engine", "pool", "sharded"} {
+	for _, s := range []string{"engine", "pool"} {
 		if _, err := ParseBackend(s); err != nil {
 			t.Errorf("ParseBackend(%q): %v", s, err)
 		}
 	}
-	if _, err := ParseBackend("bogus"); err == nil {
-		t.Error("ParseBackend accepted an unknown backend")
+	for _, s := range []string{"bogus", "sharded"} {
+		if _, err := ParseBackend(s); err == nil || !strings.Contains(err.Error(), "want engine or pool") {
+			t.Errorf("ParseBackend(%q) = %v, want an error naming engine and pool", s, err)
+		}
 	}
 }

@@ -35,24 +35,25 @@ const (
 	// BackendPool runs publishes concurrently on a pool of engine clones
 	// (documents are embarrassingly parallel). Subscription changes
 	// rebuild the pool, so it fits mostly-static workloads under heavy
-	// publish traffic.
+	// publish traffic. It exists because the engine backend filters one
+	// document at a time: with 64 preloaded filters and one pipelined
+	// publisher (window 64, Workers 2, 2 vCPU, protein documents) the pool
+	// ran 19.6-20.5k docs/s against the engine's 12.6-15.6k, while a
+	// SUBSCRIBE of a new filter at 200+ filters cost 85 ms against 0.33 ms.
+	// It goes when the engine backend is itself concurrent (ROADMAP item 5).
 	BackendPool Backend = "pool"
-	// BackendSharded partitions the workload across shards that filter
-	// each document in parallel — for huge cold workloads (see the
-	// ShardedEngine caveats). Subscription changes recompile the shards.
-	BackendSharded Backend = "sharded"
 )
 
 // ParseBackend validates a backend name from configuration.
 func ParseBackend(s string) (Backend, error) {
 	switch b := Backend(s); b {
-	case BackendEngine, BackendPool, BackendSharded:
+	case BackendEngine, BackendPool:
 		return b, nil
 	case "":
 		return BackendEngine, nil
 	}
-	return "", fmt.Errorf("server: unknown backend %q (want %s, %s, or %s)",
-		s, BackendEngine, BackendPool, BackendSharded)
+	return "", fmt.Errorf("server: unknown backend %q (want %s or %s)",
+		s, BackendEngine, BackendPool)
 }
 
 // Config configures a Server. The zero value listens on a random loopback
@@ -83,7 +84,7 @@ type Config struct {
 
 	// Backend selects the filtering deployment ("" = BackendEngine).
 	Backend Backend
-	// Workers sets the pool size / shard count (<= 0 = GOMAXPROCS).
+	// Workers sets the pool size (<= 0 = GOMAXPROCS).
 	Workers int
 	// Engine is the compile configuration for the filter workload.
 	Engine xpushstream.Config
@@ -130,8 +131,9 @@ type Config struct {
 
 	// DedupDisabled turns off workload-level query deduplication: every
 	// subscription compiles its own machine query as in pre-dedup
-	// brokers. Only for A/B benchmarking and debugging — zipfian
-	// workloads cost dramatically more this way.
+	// brokers. It is the reference side of TestDedupDifferentialMatchSets
+	// and nothing else sets it: no flag or environment variable reaches
+	// it, and zipfian workloads cost dramatically more this way.
 	DedupDisabled bool
 	// ConsolidateLayers triggers engine-layer consolidation on the swap
 	// path once the copy-on-write engine exceeds this many layers
@@ -216,40 +218,15 @@ type core struct {
 	removed []bool         // engine index -> released (engine skips these)
 	keyIdx  map[uint64]int // live registry key -> engine index
 
-	engine  *xpushstream.Engine        // BackendEngine
-	pool    *xpushstream.Pool          // BackendPool
-	sharded *xpushstream.ShardedEngine // BackendSharded
+	engine *xpushstream.Engine // BackendEngine
+	pool   *xpushstream.Pool   // BackendPool
 }
-
-// filterDocument runs one document through the core's backend. For the
-// engine and sharded backends the caller must hold the server's publish
-// lock (they process one stream at a time); the pool backend is internally
-// concurrent. tc is nil for untraced documents (the common case) and
-// selects the backend's plain filtering path.
-func (c *core) filterDocument(doc []byte, tc *trace.Ctx, parent trace.SpanID) ([]int, error) {
-	switch {
-	case c.pool != nil:
-		return c.pool.FilterDocumentTraced(doc, tc, parent)
-	case c.sharded != nil:
-		return c.sharded.FilterDocumentTraced(doc, tc, parent)
-	default:
-		return c.engine.FilterDocumentTraced(doc, tc, parent)
-	}
-}
-
-// concurrent reports whether filterDocument may be called without the
-// publish lock.
-func (c *core) concurrent() bool { return c.pool != nil }
 
 func (c *core) stats() xpushstream.Stats {
-	switch {
-	case c.pool != nil:
+	if c.pool != nil {
 		return c.pool.Stats()
-	case c.sharded != nil:
-		return c.sharded.Stats()
-	default:
-		return c.engine.Stats()
 	}
+	return c.engine.Stats()
 }
 
 // liveQueries counts engine slots that are still routable.
@@ -277,9 +254,10 @@ type Server struct {
 	tracer   *trace.Recorder // nil when tracing is disabled
 
 	// ctl serializes control-plane changes (subscribe/unsubscribe/
-	// checkpoint); pubMu serializes filtering for the single-stream
-	// backends. They are independent: a subscription change builds the
-	// next core without stalling publishes on the current one.
+	// checkpoint); pubMu serializes filtering on the engine backend (an
+	// engine processes one stream at a time). They are independent: a
+	// subscription change builds the next core without stalling publishes
+	// on the current one.
 	ctl   sync.Mutex
 	pubMu sync.Mutex
 	cur   atomic.Pointer[core]
@@ -450,7 +428,7 @@ func (s *Server) bootCore() (*core, error) {
 		seen[cq] = len(canon)
 		canon = append(canon, cq)
 	}
-	c, err := s.buildCore(canon, make([]bool, len(canon)), nil)
+	c, err := s.buildCore(canon)
 	if err != nil {
 		return nil, err
 	}
@@ -480,55 +458,24 @@ func (s *Server) indexBootCore(c *core) {
 	s.markAnalysisDirty()
 }
 
-// buildCore compiles a workload of canonical filter texts for the
-// configured backend. For the engine backend, derived is used when non-nil
-// (the copy-on-write fast path); the pool and sharded backends always
-// recompile. keys/keyIdx are left for the caller to assign.
-func (s *Server) buildCore(canon []string, removed []bool, derived *xpushstream.Engine) (*core, error) {
-	c := &core{canon: canon, removed: removed}
-	switch s.cfg.Backend {
-	case BackendPool:
-		e, err := s.compileWithRemoved(canon, removed)
-		if err != nil {
-			return nil, err
-		}
-		c.pool, err = xpushstream.NewPool(e, s.cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-	case BackendSharded:
-		var err error
-		c.sharded, err = xpushstream.CompileSharded(canon, s.cfg.Engine, s.cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		if derived != nil {
-			c.engine = derived
-			break
-		}
-		e, err := s.compileWithRemoved(canon, removed)
-		if err != nil {
-			return nil, err
-		}
-		c.engine = e
-	}
-	return c, nil
-}
-
-func (s *Server) compileWithRemoved(queries []string, removed []bool) (*xpushstream.Engine, error) {
-	e, err := xpushstream.Compile(queries, s.cfg.Engine)
+// buildCore compiles a workload of canonical filter texts, none of them
+// removed, for the configured backend. keys/keyIdx are left for the caller
+// to assign.
+func (s *Server) buildCore(canon []string) (*core, error) {
+	c := &core{canon: canon, removed: make([]bool, len(canon))}
+	e, err := xpushstream.Compile(canon, s.cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range removed {
-		if r {
-			if err := e.RemoveQuery(i); err != nil {
-				return nil, err
-			}
-		}
+	if s.cfg.Backend != BackendPool {
+		c.engine = e
+		return c, nil
 	}
-	return e, nil
+	c.pool, err = xpushstream.NewPool(e, s.cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // Addr returns the data-plane listen address.
@@ -697,16 +644,16 @@ func (s *Server) subscribe(cn *conn, query string, durable bool) (uint64, error)
 		}
 	}
 	cur := s.cur.Load()
-	var derived *xpushstream.Engine
-	if s.cfg.Backend == BackendEngine {
-		derived, err = cur.engine.WithQueries([]string{canon})
-		if err != nil {
-			return 0, err
-		}
-	}
 	canons := append(append(make([]string, 0, len(cur.canon)+1), cur.canon...), canon)
-	removed := append(append(make([]bool, 0, len(canons)), cur.removed...), false)
-	next, err := s.buildCore(canons, removed, derived)
+	var next *core
+	if s.cfg.Backend == BackendPool {
+		// The pool recompiles; its cores never carry removed slots
+		// (coreWithoutKeys compacts them away).
+		next, err = s.buildCore(canons)
+	} else {
+		next = &core{canon: canons, removed: append(append(make([]bool, 0, len(canons)), cur.removed...), false)}
+		next.engine, err = cur.engine.WithQueries([]string{canon})
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -768,7 +715,7 @@ func (s *Server) releaseKeys(keys []uint64) {
 
 // coreWithoutKeys builds the next core with the given registry keys'
 // filters removed. The engine backend masks them copy-on-write; the pool
-// and sharded backends recompile the compacted workload.
+// backend recompiles the compacted workload.
 func (s *Server) coreWithoutKeys(cur *core, keys []uint64) (*core, error) {
 	if s.cfg.Backend == BackendEngine {
 		derived := cur.engine
@@ -795,7 +742,7 @@ func (s *Server) coreWithoutKeys(cur *core, keys []uint64) (*core, error) {
 		c := &core{canon: cur.canon, keys: ks, removed: removed, keyIdx: keyIdx, engine: derived}
 		return c, nil
 	}
-	// Recompiling backends: compact the workload instead of masking.
+	// The pool recompiles: compact the workload instead of masking.
 	drop := make(map[uint64]bool, len(keys))
 	for _, key := range keys {
 		drop[key] = true
@@ -809,7 +756,7 @@ func (s *Server) coreWithoutKeys(cur *core, keys []uint64) (*core, error) {
 		canon = append(canon, cur.canon[i])
 		ks = append(ks, key)
 	}
-	next, err := s.buildCore(canon, make([]bool, len(canon)), nil)
+	next, err := s.buildCore(canon)
 	if err != nil {
 		return nil, err
 	}
@@ -839,8 +786,9 @@ func (s *Server) maybeConsolidate(c *core) *core {
 	}
 	// The recompile below runs inline on the subscribe/unsubscribe swap
 	// path and is the source of the multi-second SUBSCRIBE stalls ROADMAP
-	// item 3 documents; the in-progress gauge and duration histogram make
-	// the stall attributable from metrics alone.
+	// item 1 ("subscribe never waits on a rebuild") documents; the
+	// in-progress gauge and duration histogram make the stall attributable
+	// from metrics alone.
 	s.consolidating.Add(1)
 	t0 := time.Now()
 	e, mapping, err := c.engine.Consolidated()
@@ -961,7 +909,7 @@ func (s *Server) publish(doc []byte, remoteID uint64) (int, error) {
 		// below has run (they deliver independently of the queues).
 		defer s.walBroadcast()
 	}
-	c, matches, err := s.filter(doc, tc)
+	c, matches, err := s.filter(doc, tc, trace.Root)
 	if err != nil {
 		s.mPublishErrs.Inc()
 		return 0, err
@@ -980,17 +928,21 @@ func (s *Server) beginPublishTrace(remoteID uint64) *trace.Ctx {
 }
 
 // filter runs one document through the current workload generation and
-// returns that generation plus the matched filter ids.
-func (s *Server) filter(doc []byte, tc *trace.Ctx) (*core, []int, error) {
-	if cc := s.cur.Load(); cc.concurrent() {
-		matches, err := cc.filterDocument(doc, tc, trace.Root)
-		return cc, matches, err
+// returns that generation plus the matched engine indexes. Publishes and
+// durable replays both come through here; spans hang off parent. tc is nil
+// for untraced documents (the common case) and records nothing. The pool
+// is internally concurrent; an engine processes one stream at a time, so
+// filtering on it holds the publish lock.
+func (s *Server) filter(doc []byte, tc *trace.Ctx, parent trace.SpanID) (*core, []int, error) {
+	if c := s.cur.Load(); c.pool != nil {
+		matches, err := c.pool.FilterDocumentTraced(doc, tc, parent)
+		return c, matches, err
 	}
-	lspan := tc.StartSpan("publish_lock", trace.Root)
+	lspan := tc.StartSpan("publish_lock", parent)
 	s.pubMu.Lock()
 	tc.EndSpan(lspan)
 	c := s.cur.Load() // reload under the lock: always the freshest generation
-	matches, err := c.filterDocument(doc, tc, trace.Root)
+	matches, err := c.engine.FilterDocumentTraced(doc, tc, parent)
 	s.pubMu.Unlock()
 	return c, matches, err
 }
@@ -1089,7 +1041,7 @@ func (s *Server) publishAsyncStaged(doc []byte, pend PendingAppend, remoteID uin
 		}
 		defer s.walBroadcast()
 	}
-	c, matches, ferr := s.filter(doc, tc)
+	c, matches, ferr := s.filter(doc, tc, trace.Root)
 	if pend != nil {
 		wspan := tc.StartSpan("wal_append", trace.Root)
 		_, aerr := pend.Wait()
@@ -1194,7 +1146,6 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serve runs one connection's frame loop until error or close.
 func (s *Server) maxPayload() int { return s.cfg.maxDocBytes() }
 
 // healthStatus backs /healthz: not-ok while draining, and degraded when the
@@ -1212,6 +1163,7 @@ func (s *Server) healthStatus() (bool, string) {
 	return true, "ok"
 }
 
+// serve runs one connection's frame loop until error or close.
 func (cn *conn) serve() {
 	defer cn.teardown()
 	s := cn.s

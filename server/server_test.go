@@ -255,7 +255,7 @@ func TestMetricsAndHealth(t *testing.T) {
 	}
 }
 
-// TestUnsubscribeStopsDeliveries is the RemoveQuery regression: after
+// TestUnsubscribeStopsDeliveries is the filter-removal regression: after
 // UNSUBSCRIBE, the removed filter stops matching (through the engine's
 // removed mask, not just the delivery table) while the connection's other
 // filter keeps delivering.
@@ -284,7 +284,7 @@ func TestUnsubscribeStopsDeliveries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The publish match count drops to 1: the removed filter is masked in
-	// the engine itself (Engine.RemoveQuery semantics through the server).
+	// the engine itself (Engine.WithoutQuery semantics through the server).
 	if n, err := pub.Publish(doc); err != nil || n != 1 {
 		t.Fatalf("publish after unsubscribe: n=%d err=%v, want 1 match", n, err)
 	}
@@ -507,28 +507,6 @@ func TestSnapshotWarmStart(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("publish on warm-started broker: n=%d err=%v, want 2 matches", n, err)
 	}
-}
-
-// TestShardedBackendRoutes smoke-tests the sharded deployment end to end.
-func TestShardedBackendRoutes(t *testing.T) {
-	srv := startServer(t, server.Config{Backend: server.BackendSharded, Workers: 2, Policy: server.Block})
-	col := newCollector()
-	sub := dialSub(t, srv.Addr(), col)
-	ids := make([]uint64, 3)
-	for i, q := range []string{`//m[v = 1]`, `//m[v = 2]`, `//m`} {
-		id, err := sub.Subscribe(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
-	pub := dialSub(t, srv.Addr(), nil)
-	if n, err := pub.Publish([]byte(`<m><v>2</v></m>`)); err != nil || n != 2 {
-		t.Fatalf("publish: n=%d err=%v, want 2", n, err)
-	}
-	waitFor(t, "sharded delivery", func() bool {
-		return col.idCount(ids[1]) == 1 && col.idCount(ids[2]) == 1 && col.idCount(ids[0]) == 0
-	})
 }
 
 // TestPingAndReadTimeout: PING keeps an idle control connection alive and

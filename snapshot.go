@@ -87,7 +87,7 @@ func (e *Engine) WriteWorkloadSnapshot(w io.Writer) error {
 
 // OpenWorkloadSnapshot reads a snapshot written by WriteWorkloadSnapshot
 // and returns a warm engine: the recorded workload is recompiled layer by
-// layer (Compile for the base, AddQueries per insertion layer, so the layer
+// layer (Compile for the base, WithQueries per insertion layer, so the layer
 // structure matches the snapshot exactly) under cfg, and the persisted
 // machine state is restored into it. cfg must equal the configuration the
 // snapshot was taken under.
@@ -142,7 +142,7 @@ func OpenWorkloadSnapshot(r io.Reader, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("xpushstream: recompiling snapshot workload: %w", err)
 	}
 	for _, lq := range layers[1:] {
-		if err := e.AddQueries(lq); err != nil {
+		if e, err = e.WithQueries(lq); err != nil {
 			return nil, fmt.Errorf("xpushstream: recompiling snapshot layer: %w", err)
 		}
 	}

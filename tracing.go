@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sax"
 	"repro/internal/trace"
 )
 
@@ -94,62 +93,10 @@ func (d *byteDriver) traceEndDocument(matches int) {
 	tc.EndSpan(sp)
 }
 
-// FilterBytesTraced is FilterBytes with span recording: each document in
-// data gets a "filter" child span of parent on tc, carrying machine
-// telemetry attributes (states created, table flushes, match count, event
-// count) and per-layer child spans. A nil tc selects the plain path — call
-// sites thread the context unconditionally.
-func (e *Engine) FilterBytesTraced(data []byte, tc *TraceCtx, parent TraceSpanID, onDocument func(matches []int)) error {
-	if tc == nil {
-		return e.FilterBytes(data, onDocument)
-	}
-	e.bytes.Add(int64(len(data)))
-	e.drv.e = e
-	e.drv.onDocument = onDocument
-	e.drv.tc = tc
-	e.drv.tcParent = parent
-	err := e.bscan.Parse(data, &e.drv)
-	e.drv.onDocument = nil
-	e.drv.tc = nil
-	if err != nil {
-		return err
-	}
-	for _, m := range e.layers {
-		if err := m.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// FilterDocumentTraced is FilterDocument with span recording (see
-// FilterBytesTraced). A nil tc selects the plain path.
-func (e *Engine) FilterDocumentTraced(doc []byte, tc *TraceCtx, parent TraceSpanID) ([]int, error) {
-	if tc == nil {
-		return e.FilterDocument(doc)
-	}
-	var out []int
-	var n int
-	err := e.FilterBytesTraced(doc, tc, parent, func(matches []int) {
-		n++
-		out = append(out[:0], matches...)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if n != 1 {
-		return nil, errExpectOneDocument(n)
-	}
-	return out, nil
-}
-
 // FilterDocumentTraced filters on an idle worker, recording the wait for a
 // free engine as a "pool_wait" span and the filtering itself through the
-// worker's traced path. A nil tc selects the plain path.
+// worker's traced path. A nil tc records nothing.
 func (p *Pool) FilterDocumentTraced(doc []byte, tc *TraceCtx, parent TraceSpanID) ([]int, error) {
-	if tc == nil {
-		return p.FilterDocument(doc)
-	}
 	wait := tc.StartSpan("pool_wait", parent)
 	e := <-p.free
 	tc.EndSpan(wait)
@@ -157,49 +104,3 @@ func (p *Pool) FilterDocumentTraced(doc []byte, tc *TraceCtx, parent TraceSpanID
 	p.free <- e
 	return matches, err
 }
-
-// FilterDocumentTraced is ShardedEngine.FilterDocument with span recording:
-// the single parse gets a "parse" span and each shard's filtering a
-// per-shard span on its own render track (shards run concurrently). A nil
-// tc selects the plain path.
-func (s *ShardedEngine) FilterDocumentTraced(doc []byte, tc *TraceCtx, parent TraceSpanID) ([]int, error) {
-	return s.filterDocument(doc, tc, parent)
-}
-
-// shardSpanNames mirrors layerSpanNames for shard spans.
-var shardSpanNames = [...]string{
-	"shard0", "shard1", "shard2", "shard3", "shard4", "shard5", "shard6", "shard7",
-}
-
-func shardSpanName(sh int) string {
-	if sh < len(shardSpanNames) {
-		return shardSpanNames[sh]
-	}
-	return "shardN"
-}
-
-// traceShard wraps one shard's filtering in a span on its own track.
-func (s *ShardedEngine) traceShard(sh int, tc *TraceCtx, parent TraceSpanID, events []sax.Event) ([]int, error) {
-	sp := tc.StartSpan(shardSpanName(sh), parent)
-	if tc != nil && len(s.shards) > 1 {
-		tc.SetTrack(sp, tc.NextTrack())
-	}
-	local, err := s.shards[sh].filterParsedDocument(events)
-	tc.SetAttr(sp, "shard", int64(sh))
-	tc.SetAttr(sp, "matches", int64(len(local)))
-	tc.EndSpan(sp)
-	return local, err
-}
-
-// ShardStats returns each shard's engine statistics, for live machine
-// introspection (/debug/machine reports per-shard state counts and sizes).
-func (s *ShardedEngine) ShardStats() []Stats {
-	out := make([]Stats, len(s.shards))
-	for i, e := range s.shards {
-		out[i] = e.Stats()
-	}
-	return out
-}
-
-// ShardQueries returns the number of queries assigned to shard sh.
-func (s *ShardedEngine) ShardQueries(sh int) int { return len(s.mapping[sh]) }

@@ -157,11 +157,12 @@ func (d *DTD) MaxDepth(cap int) int { return d.d.MaxDepth(cap) }
 // Engine is a compiled filter workload. An Engine processes one stream at a
 // time (it is not safe for concurrent use); use Clone for parallel streams.
 //
-// Filters can be added after compilation with AddQueries: following the
+// An Engine's workload never changes. WithQueries, WithoutQuery and
+// Consolidated (cow.go) derive the next engine instead: following the
 // layering approach sketched in the paper's conclusion, new filters form a
 // small additional machine run in lockstep with the base machine, so the
-// warmed-up base is not discarded. Consolidate merges all layers back into
-// one machine.
+// warmed-up base is not discarded, and Consolidated merges all layers back
+// into one machine.
 type Engine struct {
 	queries []string
 	filters []*xpath.Filter
@@ -247,75 +248,8 @@ func (e *Engine) buildMachine(filters []*xpath.Filter) (*core.Machine, error) {
 	return m, nil
 }
 
-// AddQueries inserts filters into a live engine without discarding the
-// lazily built state of the existing machine (the insertion path of the
-// paper's Sec. 8): the new filters compile into an additional small machine
-// that runs in lockstep with the previous layers. The new filters' indexes
-// start at the previous NumQueries. Engines with many accumulated layers
-// slow down linearly in the layer count; call Consolidate to merge them.
-func (e *Engine) AddQueries(queries []string) error {
-	if len(queries) == 0 {
-		return nil
-	}
-	filters, err := parseQueries(queries, len(e.queries))
-	if err != nil {
-		return err
-	}
-	m, err := e.buildMachine(filters)
-	if err != nil {
-		return err
-	}
-	e.layerOff = append(e.layerOff, len(e.queries))
-	e.layers = append(e.layers, m)
-	e.queries = append(e.queries, queries...)
-	e.filters = append(e.filters, filters...)
-	e.removed = append(e.removed, make([]bool, len(queries))...)
-	return nil
-}
-
-// RemoveQuery stops reporting a filter. Indexes of other filters are
-// unchanged; the filter's states are physically removed at the next
-// Consolidate.
-func (e *Engine) RemoveQuery(i int) error {
-	if i < 0 || i >= len(e.removed) {
-		return fmt.Errorf("xpushstream: no query %d", i)
-	}
-	e.removed[i] = true
-	return nil
-}
-
 // NumLayers reports how many machines the engine currently runs per event.
 func (e *Engine) NumLayers() int { return len(e.layers) }
-
-// Consolidate recompiles all layers (minus removed filters) into a single
-// fresh machine — the paper's "brute force" update path, applied on the
-// operator's schedule rather than per insertion. Filter indexes are
-// compacted; the mapping from old to new indexes is returned (-1 for
-// removed filters).
-func (e *Engine) Consolidate() ([]int, error) {
-	mapping := make([]int, len(e.filters))
-	var queries []string
-	var filters []*xpath.Filter
-	for i := range e.filters {
-		if e.removed[i] {
-			mapping[i] = -1
-			continue
-		}
-		mapping[i] = len(filters)
-		queries = append(queries, e.queries[i])
-		filters = append(filters, e.filters[i])
-	}
-	m, err := e.buildMachine(filters)
-	if err != nil {
-		return nil, err
-	}
-	e.queries = queries
-	e.filters = filters
-	e.layers = []*core.Machine{m}
-	e.layerOff = []int{0}
-	e.removed = make([]bool, len(filters))
-	return mapping, nil
-}
 
 // Clone returns an independent engine over the same workload and
 // configuration, for filtering a second stream in parallel.
@@ -338,9 +272,15 @@ func (e *Engine) Query(i int) string { return e.queries[i] }
 // FilterDocument processes one XML document and returns the sorted indexes
 // of the filters that match it.
 func (e *Engine) FilterDocument(doc []byte) ([]int, error) {
+	return e.FilterDocumentTraced(doc, nil, TraceRoot)
+}
+
+// FilterDocumentTraced is FilterDocument with span recording (see
+// FilterBytesTraced).
+func (e *Engine) FilterDocumentTraced(doc []byte, tc *TraceCtx, parent TraceSpanID) ([]int, error) {
 	var out []int
 	var n int
-	err := e.FilterBytes(doc, func(matches []int) {
+	err := e.FilterBytesTraced(doc, tc, parent, func(matches []int) {
 		n++
 		out = append(out[:0], matches...)
 	})
@@ -348,13 +288,9 @@ func (e *Engine) FilterDocument(doc []byte) ([]int, error) {
 		return nil, err
 	}
 	if n != 1 {
-		return nil, errExpectOneDocument(n)
+		return nil, fmt.Errorf("xpushstream: FilterDocument expects exactly one document, got %d", n)
 	}
 	return out, nil
-}
-
-func errExpectOneDocument(n int) error {
-	return fmt.Errorf("xpushstream: FilterDocument expects exactly one document, got %d", n)
 }
 
 // FilterStream processes a stream of concatenated XML documents, invoking
@@ -398,7 +334,7 @@ type byteDriver struct {
 	scratch    []int
 	docStart   time.Time
 
-	// Tracing state, set only by FilterBytesTraced for sampled documents.
+	// Tracing state, non-nil only for sampled documents.
 	// The common untraced case pays exactly one nil check per event method;
 	// the traced path times each layer's event handling into layerNS and
 	// synthesizes per-layer child spans at the document boundary (see
@@ -487,12 +423,23 @@ func (d *byteDriver) EndDocument() {
 // FilterBytes is FilterStream over a byte slice. All layers run in lockstep
 // off a single parse of the stream.
 func (e *Engine) FilterBytes(data []byte, onDocument func(matches []int)) error {
+	return e.FilterBytesTraced(data, nil, TraceRoot, onDocument)
+}
+
+// FilterBytesTraced is FilterBytes with span recording: each document in
+// data gets a "filter" child span of parent on tc, carrying machine
+// telemetry attributes (states created, table flushes, match count, event
+// count) and per-layer child spans. A nil tc records nothing — call sites
+// thread the context unconditionally.
+func (e *Engine) FilterBytesTraced(data []byte, tc *TraceCtx, parent TraceSpanID, onDocument func(matches []int)) error {
 	e.bytes.Add(int64(len(data)))
 	e.drv.e = e
 	e.drv.onDocument = onDocument
-	e.drv.tc = nil
+	e.drv.tc = tc
+	e.drv.tcParent = parent
 	err := e.bscan.Parse(data, &e.drv)
 	e.drv.onDocument = nil
+	e.drv.tc = nil
 	if err != nil {
 		return err
 	}
@@ -502,32 +449,6 @@ func (e *Engine) FilterBytes(data []byte, onDocument func(matches []int)) error 
 		}
 	}
 	return nil
-}
-
-// filterParsedDocument drives the pre-parsed events of exactly one document
-// through all layers and returns the global match indexes. It lets the
-// sharded engine parse each document once instead of once per shard.
-func (e *Engine) filterParsedDocument(events []sax.Event) ([]int, error) {
-	start := time.Now()
-	for _, m := range e.layers {
-		sax.Drive(events, m)
-	}
-	e.lat.Observe(time.Since(start).Seconds())
-	var out []int
-	for li, m := range e.layers {
-		if err := m.Err(); err != nil {
-			return nil, err
-		}
-		off := e.layerOff[li]
-		for _, o := range m.Results() {
-			idx := off + int(o)
-			if !e.removed[idx] {
-				out = append(out, idx)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out, nil
 }
 
 // PrecomputeEager materialises every accessible machine state ahead of any
