@@ -183,17 +183,25 @@ func (c *Client) roundTrip(typ byte, payload []byte) (server.Frame, error) {
 		defer t.Stop()
 		timeout = t.C
 	}
+	var f server.Frame
 	select {
-	case f := <-c.resp:
-		if f.Type == server.FrameErr {
-			return f, fmt.Errorf("client: server error: %s", f.Payload)
-		}
-		return f, nil
+	case f = <-c.resp:
 	case <-c.done:
-		return server.Frame{}, fmt.Errorf("client: connection closed: %w", c.err())
+		// A server that answers and then closes (an oversized frame, say)
+		// leaves both channels ready and select picks either: the reply the
+		// read loop queued before it saw the close still counts.
+		select {
+		case f = <-c.resp:
+		default:
+			return server.Frame{}, fmt.Errorf("client: connection closed: %w", c.err())
+		}
 	case <-timeout:
 		return server.Frame{}, fmt.Errorf("client: request timed out after %v", c.opt.Timeout)
 	}
+	if f.Type == server.FrameErr {
+		return f, fmt.Errorf("client: server error: %s", f.Payload)
+	}
+	return f, nil
 }
 
 // Subscribe registers an XPath filter and returns its server-assigned
@@ -451,8 +459,12 @@ func (p *Pipeline) handleAcks(acks []server.PubAck) {
 // settle records one document's outcome: releases its window slot, latches
 // the first error, and wakes Close when the window drains. notify gates the
 // onResult callback (write failures already returned the error to the
-// caller directly).
+// caller directly); it runs before the document leaves the in-flight count,
+// so Close returns only after every callback has.
 func (p *Pipeline) settle(r PublishResult, notify bool) {
+	if notify && p.onResult != nil {
+		p.onResult(r)
+	}
 	p.mu.Lock()
 	if p.inflight > 0 {
 		p.inflight--
@@ -471,9 +483,6 @@ func (p *Pipeline) settle(r PublishResult, notify bool) {
 		case p.signal <- struct{}{}:
 		default:
 		}
-	}
-	if notify && p.onResult != nil {
-		p.onResult(r)
 	}
 }
 

@@ -204,8 +204,7 @@ func buildConfig(args []string) (server.Config, options, error) {
 	dtdPath := fs.String("dtd", "", "DTD file (enables -order and -train)")
 	strict := fs.Bool("strict", false, "reject mixed element/text content")
 	maxStates := fs.Int("maxstates", 0, "flush lazily built state tables past this count (0 = unlimited)")
-	consolidateLayers := fs.Int("consolidate-layers", 0, "consolidate the engine past this many COW layers (0 = 32, negative disables)")
-	consolidateRemoved := fs.Int("consolidate-removed", 0, "consolidate the engine past this many removed query slots (0 = 256, negative disables)")
+	consolidateRemoved := fs.Int("consolidate-removed", 0, "compact the engine in the background past this many removed query slots (0 = 256, negative disables)")
 	version := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
 		return server.Config{}, options{}, err
@@ -275,7 +274,6 @@ func buildConfig(args []string) (server.Config, options, error) {
 		SnapshotPath:       *snapshot,
 		SnapshotInterval:   *snapshotInterval,
 		AsyncPublishWindow: *publishWindow,
-		ConsolidateLayers:  *consolidateLayers,
 		ConsolidateRemoved: *consolidateRemoved,
 	}
 	opts := options{drain: *drainTimeout, traceOut: *traceOut}

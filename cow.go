@@ -22,15 +22,46 @@ import (
 // engines must not filter concurrently. The intended pattern is a swap:
 // once the derived engine is published, the old one is retired (in-flight
 // documents on it may finish first — they only touch layers both engines
-// share, under the caller's filtering serialization).
+// share, under the caller's filtering serialization). Deriving itself reads
+// only what no engine ever writes after construction (filter texts, parsed
+// filters, the removed mask) and builds fresh machines, so WithQueries,
+// WithoutQuery and Consolidated may run while the receiver — or an engine
+// derived from it — is filtering on another goroutine; the broker's
+// background compaction relies on that. The stream byte count and latency
+// histogram are one atomic block shared by the whole lineage, so Stats on
+// any generation reads what the workload has filtered so far and a swap
+// never makes those totals step back.
+
+// tierFanout is k of the size-tiered merge rule: a trailing layer is merged
+// into the one before it while it holds at least 1/k of that layer's
+// filters. 2 would be the binary-counter rule; 4 trades a little more
+// recompiling for fewer layers, and EXPERIMENTS.md has the numbers that
+// chose it.
+const tierFanout = 4
 
 // WithQueries returns a new engine whose workload is the receiver's plus
-// the given filters, compiled as one additional machine layer (the paper's
+// the given filters, compiled as an additional machine layer (the paper's
 // layered insertion path, Sec. 8). The receiver is not modified and keeps
-// serving its current workload; the shared base layers stay warm. The new
-// filters' indexes start at the receiver's NumQueries. See the package
-// comment on cow.go for the sharing rules.
+// serving its current workload; the base layer stays warm. The new filters'
+// indexes start at the receiver's NumQueries, and no existing index moves.
+//
+// Depth is bounded by a size-tiered merge of the layers above the base: the
+// new filters absorb the trailing layer while they hold at least
+// 1/tierFanout of its filters, repeatedly, and the absorbed range is
+// compiled as one machine from the already-parsed filters. Every pair of
+// adjacent tail layers therefore differs in size by more than tierFanout,
+// so NumLayers is at most log_tierFanout(NumQueries) + 2, each filter is
+// recompiled O(log n) times over a run of insertions, and every merge is
+// small. The base machine (layer 0) is never recompiled here — that is
+// Consolidated's job, on the caller's schedule. See the comment at the top
+// of cow.go for the sharing rules.
 func (e *Engine) WithQueries(queries []string) (*Engine, error) {
+	return e.withQueries(queries, true)
+}
+
+// withQueries is WithQueries with the tier rule optional: a workload
+// snapshot rebuilds its recorded layer partition verbatim (tier false).
+func (e *Engine) withQueries(queries []string, tier bool) (*Engine, error) {
 	filters, err := parseQueries(queries, len(e.queries))
 	if err != nil {
 		return nil, err
@@ -39,22 +70,28 @@ func (e *Engine) WithQueries(queries []string) (*Engine, error) {
 	if len(queries) == 0 {
 		return n, nil
 	}
-	m, err := e.buildMachine(filters)
-	if err != nil {
-		return nil, err
-	}
-	n.layerOff = append(n.layerOff, len(e.queries))
-	n.layers = append(n.layers, m)
 	n.queries = append(n.queries, queries...)
 	n.filters = append(n.filters, filters...)
 	n.removed = append(n.removed, make([]bool, len(queries))...)
+	// The new layer covers filters[lo:] and replaces layers[keep:].
+	keep, lo := len(e.layers), len(e.queries)
+	for tier && keep > 1 && (len(n.filters)-lo)*tierFanout >= lo-e.layerOff[keep-1] {
+		keep--
+		lo = e.layerOff[keep]
+	}
+	m, err := e.buildMachine(n.filters[lo:])
+	if err != nil {
+		return nil, err
+	}
+	n.layerOff = append(n.layerOff[:keep], lo)
+	n.layers = append(n.layers[:keep], m)
 	return n, nil
 }
 
 // WithoutQuery returns a new engine that stops reporting filter i. Indexes
-// of other filters are unchanged; the filter's states are physically
-// removed at the next Consolidated. The receiver is not modified; machine
-// layers are shared.
+// of other filters are unchanged; the filter keeps its slot (a tier merge
+// recompiles it along with its neighbours) until the next Consolidated
+// drops it. The receiver is not modified; machine layers are shared.
 func (e *Engine) WithoutQuery(i int) (*Engine, error) {
 	if i < 0 || i >= len(e.removed) {
 		return nil, fmt.Errorf("xpushstream: no query %d", i)
@@ -66,9 +103,9 @@ func (e *Engine) WithoutQuery(i int) (*Engine, error) {
 
 // derive makes a shallow copy of the engine: fresh slice headers (with
 // spare capacity for extra more queries) over copied contents, shared
-// machine layers, and carried-over stream counters.
+// machine layers and shared stream counters.
 func (e *Engine) derive(extra int) *Engine {
-	n := &Engine{cfg: e.cfg}
+	n := &Engine{cfg: e.cfg, ctr: e.ctr}
 	n.queries = make([]string, len(e.queries), len(e.queries)+extra)
 	copy(n.queries, e.queries)
 	n.filters = make([]*xpath.Filter, len(e.filters), len(e.filters)+extra)
@@ -77,8 +114,6 @@ func (e *Engine) derive(extra int) *Engine {
 	n.layerOff = append(make([]int, 0, len(e.layerOff)+1), e.layerOff...)
 	n.removed = make([]bool, len(e.removed), len(e.removed)+extra)
 	copy(n.removed, e.removed)
-	n.bytes.Store(e.bytes.Load())
-	n.lat.CopyFrom(&e.lat)
 	return n
 }
 
@@ -92,7 +127,9 @@ func (e *Engine) derive(extra int) *Engine {
 // routing in the same swap.
 //
 // The consolidated machine starts cold (lazily built states are not
-// carried over); counters and latency history are.
+// carried over, and the per-machine counters restart with it); the stream
+// byte count and latency history are shared with the receiver, so what the
+// receiver filters while the caller prepares the swap is not lost.
 func (e *Engine) Consolidated() (*Engine, []int, error) {
 	mapping := make([]int, len(e.filters))
 	var queries []string
@@ -106,7 +143,7 @@ func (e *Engine) Consolidated() (*Engine, []int, error) {
 		queries = append(queries, e.queries[i])
 		filters = append(filters, e.filters[i])
 	}
-	n := &Engine{cfg: e.cfg, queries: queries, filters: filters}
+	n := &Engine{cfg: e.cfg, queries: queries, filters: filters, ctr: e.ctr}
 	m, err := n.buildMachine(filters)
 	if err != nil {
 		return nil, nil, err
@@ -114,9 +151,16 @@ func (e *Engine) Consolidated() (*Engine, []int, error) {
 	n.layers = []*core.Machine{m}
 	n.layerOff = []int{0}
 	n.removed = make([]bool, len(filters))
-	n.bytes.Store(e.bytes.Load())
-	n.lat.CopyFrom(&e.lat)
 	return n, mapping, nil
+}
+
+// TailQueries reports how many filter slots sit in the layers above the
+// base machine — what WithQueries has added since the last Consolidated.
+func (e *Engine) TailQueries() int {
+	if len(e.layers) < 2 {
+		return 0
+	}
+	return len(e.filters) - e.layerOff[1]
 }
 
 // ApproxMemoryBytes estimates the memory held by the engine's machine

@@ -3,7 +3,9 @@ package xpushstream
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"repro/internal/datagen"
@@ -92,6 +94,51 @@ func TestWithoutQueryMasks(t *testing.T) {
 	}
 }
 
+// TestDerivedEnginesShareStreamTotals: the byte count and latency histogram
+// follow the workload through every derivation, whichever generation
+// filtered the document — a document the receiver filters after a
+// Consolidated() was taken from it (the broker's compaction window) is in
+// the consolidated engine's totals, and a Clone starts its own.
+func TestDerivedEnginesShareStreamTotals(t *testing.T) {
+	base, err := Compile([]string{`//m[a = 1]`}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := []byte(`<m><a>1</a></m>`)
+	added, err := base.WithQueries([]string{`//m[b = 2]`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	masked, err := added.WithoutQuery(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compacted, _, err := masked.Consolidated()
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone, err := base.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineage := []*Engine{base, added, masked, compacted}
+	for i, e := range lineage {
+		if _, err := e.FilterDocument(doc); err != nil {
+			t.Fatal(err)
+		}
+		for j, o := range lineage {
+			st := o.Stats()
+			if st.Bytes != int64((i+1)*len(doc)) || st.FilterLatency.Count != uint64(i+1) {
+				t.Fatalf("after generation %d filtered, generation %d reads %d bytes, %d documents timed; want %d, %d",
+					i, j, st.Bytes, st.FilterLatency.Count, (i+1)*len(doc), i+1)
+			}
+		}
+	}
+	if st := clone.Stats(); st.Bytes != 0 || st.FilterLatency.Count != 0 {
+		t.Errorf("clone started with the lineage's totals: %d bytes, %d documents timed", st.Bytes, st.FilterLatency.Count)
+	}
+}
+
 // TestWorkloadSnapshotRoundTrip: a multi-layer workload with a removed
 // filter round-trips through the self-describing snapshot, restoring
 // queries, the removed mask, and the warm machine state.
@@ -171,7 +218,9 @@ func TestWorkloadSnapshotRejectsGarbage(t *testing.T) {
 // against a fresh Compile of the live filter set and against the DOM
 // oracle. It covers what the fixed cases above cannot: long derivation
 // chains, removals spread over many layers, and index remapping across
-// repeated consolidations.
+// repeated consolidations. It also holds the tier rule to its two
+// invariants after every step: depth stays within the logarithmic bound, and
+// no surviving filter's index, text or mask bit moves across a tier merge.
 func TestCOWRandomizedDifferential(t *testing.T) {
 	ds := datagen.ProteinLike()
 	pool := workload.Generate(ds, workload.Params{
@@ -198,7 +247,7 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 			// slots[i] is the pool filter behind engine index i, -1 once
 			// removed; live lists the indexes still >= 0.
 			var slots, live []int
-			matched, deepest := 0, 0
+			matched, deepest, merges := 0, 0, 0
 			for step := 0; step < steps; step++ {
 				op := "add"
 				switch x := r.Intn(100); {
@@ -237,8 +286,29 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 						qs = append(qs, pool[p].String())
 						slots = append(slots, p)
 					}
+					before := e.NumLayers()
 					if e, err = e.WithQueries(qs); err != nil {
 						t.Fatalf("step %d: %v", step, err)
+					}
+					if e.NumLayers() <= before {
+						merges++
+					}
+				}
+				if n := e.NumQueries(); n > 0 {
+					bound := int(math.Ceil(math.Log(float64(n))/math.Log(tierFanout))) + 2
+					if e.NumLayers() > bound {
+						t.Fatalf("step %d (%s): %d layers over %d filters, bound %d", step, op, e.NumLayers(), n, bound)
+					}
+				}
+				if e.NumQueries() != len(slots) {
+					t.Fatalf("step %d (%s): %d engine slots, want %d", step, op, e.NumQueries(), len(slots))
+				}
+				for i, rm := range e.Removed() {
+					// Pool texts repeat across slots, so the text check alone
+					// would miss a swap of equal filters; the match-set
+					// comparison below catches that.
+					if p := slots[i]; rm != (p < 0) || (p >= 0 && e.Query(i) != pool[p].String()) {
+						t.Fatalf("step %d (%s): slot %d moved: removed=%v text %q", step, op, i, rm, e.Query(i))
 					}
 				}
 
@@ -285,9 +355,120 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 					}
 				}
 			}
-			if matched == 0 || deepest < 4 {
-				t.Fatalf("vacuous walk: %d matches compared, deepest chain %d layers", matched, deepest)
+			if matched == 0 || deepest < 3 || merges == 0 {
+				t.Fatalf("vacuous walk: %d matches compared, deepest chain %d layers, %d tier merges", matched, deepest, merges)
 			}
 		})
+	}
+}
+
+// layerSizes is the engine's layer partition as filter counts.
+func layerSizes(e *Engine) []int {
+	sizes := make([]int, len(e.layerOff))
+	for i, lo := range e.layerOff {
+		hi := len(e.filters)
+		if i+1 < len(e.layerOff) {
+			hi = e.layerOff[i+1]
+		}
+		sizes[i] = hi - lo
+	}
+	return sizes
+}
+
+// TestTieredWorkloadSnapshotRoundTrip: an engine grown one filter at a time
+// (so its tail is whatever partition the tier rule left) with masked filters
+// in several layers round-trips through the workload snapshot with the same
+// partition, state count and match sets. OpenWorkloadSnapshot must rebuild
+// the recorded partition, not re-tier it: the machine state is per layer.
+func TestTieredWorkloadSnapshotRoundTrip(t *testing.T) {
+	ds := datagen.ProteinLike()
+	pool := workload.Generate(ds, workload.Params{Seed: 19, NumQueries: 48, MeanPreds: 2, DescendantProb: 0.2})
+	gen := datagen.NewGenerator(ds, 1900)
+	docs := make([][]byte, 8)
+	for i := range docs {
+		docs[i] = gen.GenerateDocument()
+	}
+	e, err := Compile([]string{pool[0].String(), pool[1].String(), pool[2].String()}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 3; i < len(pool); i++ {
+		if e, err = e.WithQueries([]string{pool[i].String()}); err != nil {
+			t.Fatal(err)
+		}
+		if i%5 == 0 {
+			if e, err = e.WithoutQuery(i - 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if e.NumLayers() < 3 {
+		t.Fatalf("tiered engine has %d layers, want a multi-layer tail", e.NumLayers())
+	}
+	want := make([]string, len(docs))
+	for i, doc := range docs {
+		m, err := e.FilterDocument(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = fmt.Sprint(m)
+	}
+	var buf bytes.Buffer
+	if err := e.WriteWorkloadSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := OpenWorkloadSnapshot(&buf, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(layerSizes(restored)), fmt.Sprint(layerSizes(e)); got != want {
+		t.Fatalf("restored partition %s, want %s", got, want)
+	}
+	if fmt.Sprint(restored.Removed()) != fmt.Sprint(e.Removed()) {
+		t.Fatal("restored removed mask differs")
+	}
+	if got, want := restored.Stats().States, e.Stats().States; got != want {
+		t.Errorf("restored %d states, want %d", got, want)
+	}
+	for i, doc := range docs {
+		m, err := restored.FilterDocument(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(m) != want[i] {
+			t.Errorf("doc %d: restored matches %v, want %s", i, m, want[i])
+		}
+	}
+	if got, want := restored.Stats().States, e.Stats().States; got != want {
+		t.Errorf("restored engine built states on seen documents: %d, want %d", got, want)
+	}
+}
+
+// TestOpenParentThreeLayerSnapshot: a snapshot written before the tier rule
+// existed — layers of 2, 1 and 1 filters, which WithQueries would now merge —
+// still opens with its recorded partition and warm state. The file was
+// written by the PR 18 tree: Compile of two filters, two single-filter
+// WithQueries, filter 1 masked, ten documents filtered.
+func TestOpenParentThreeLayerSnapshot(t *testing.T) {
+	f, err := os.Open("testdata/pr18_three_layers.xpw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	e, err := OpenWorkloadSnapshot(f, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(layerSizes(e)); got != "[2 1 1]" {
+		t.Fatalf("partition %s, want [2 1 1]", got)
+	}
+	if got := fmt.Sprint(e.Removed()); got != "[false true false false]" {
+		t.Fatalf("removed mask %s", got)
+	}
+	if got := e.Stats().States; got != 13 {
+		t.Errorf("restored %d states, want the 13 the file was written with", got)
+	}
+	if m, err := e.FilterDocument([]byte(`<m><v>3</v><w>7</w></m>`)); err != nil || fmt.Sprint(m) != "[0 3]" {
+		t.Fatalf("matches = %v err=%v, want [0 3]", m, err)
 	}
 }

@@ -45,6 +45,29 @@ func zipfDocs(n, distinct int) [][]byte {
 	return docs
 }
 
+// zipfDedup runs the subscriptions through the broker's dedup path:
+// canonicalize, register, subscribe; only first-seen canonical filters
+// become machine queries (unique, with keys[i] the registry key of
+// unique[i]).
+func zipfDedup(b *testing.B, texts []string) (reg *workload.Dedup[int], unique []string, keys []uint64) {
+	b.Helper()
+	reg = workload.NewDedup[int]()
+	for i, q := range texts {
+		canon, err := xpath.Canonicalize(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		key, ok := reg.Resolve(canon)
+		if !ok {
+			key = reg.Register(canon, true)
+			keys = append(keys, key)
+			unique = append(unique, canon)
+		}
+		reg.Subscribe(key, i, false)
+	}
+	return reg, unique, keys
+}
+
 // runZipfianFilter measures docs/sec over the doc set plus per-subscription
 // delivery accounting through the registry fan-out (nil reg = naive: every
 // machine match already is a subscription).
@@ -84,20 +107,24 @@ func runZipfianFilter(b *testing.B, e *Engine, reg *workload.Dedup[int], keys []
 	}
 }
 
-// BenchmarkZipfianSubscribers is the workload-deduplication headline number:
-// 50k zipfian subscriptions over 1k distinct filters, filtered through the
-// broker's actual subscribe path — one COW machine layer per compiled query.
+// BenchmarkZipfianSubscribers filters 50k zipfian subscriptions over 1k
+// distinct filters through engines built the way the broker's subscribe path
+// builds them — one WithQueries per compiled query.
 //
 //   - naive is the pre-dedup broker: every subscription compiles its own
-//     machine query, so every document crosses 50k layers.
+//     machine query.
 //   - dedup compiles one query per canonical filter and fans matches out
-//     through the refcount registry: ~1k layers do the SAX work, the
-//     per-subscription cost collapses to an O(matches) map walk.
-//   - dedup+consolidated adds the PR's consolidation pass (the steady state
-//     a churning broker converges to): all unique queries in one layer.
+//     through the refcount registry; the per-subscription cost is an
+//     O(matches) map walk.
+//   - dedup+consolidated folds the unique queries into one machine.
 //
-// All sides report docs/sec including per-subscription delivery accounting;
-// scripts/bench_gate.sh gates dedup at >= 5x naive.
+// All sides report docs/sec including per-subscription delivery accounting.
+// When WithQueries added one layer per call, naive crossed 50k machines per
+// document (~21 docs/sec against ~2.8k deduped). With the size-tiered merge
+// it crosses seven, and one machine shares the states of identical
+// filters, so the three arms filter at the same speed (EXPERIMENTS.md has
+// the table). What deduplication still buys is everything proportional to
+// the number of compiled queries — BenchmarkZipfianCompaction.
 func BenchmarkZipfianSubscribers(b *testing.B) {
 	const (
 		subscribers = 50_000
@@ -107,8 +134,8 @@ func BenchmarkZipfianSubscribers(b *testing.B) {
 	texts := zipfWorkload(subscribers, distinct)
 	docs := zipfDocs(ndocs, distinct)
 
-	// layered replays the broker's subscribe path: one engine layer per
-	// query batch, exactly what WithQueries produces per subscribe.
+	// layered replays the broker's subscribe path: one WithQueries per
+	// compiled query.
 	layered := func(qs []string) *Engine {
 		e, err := Compile(qs[:1], Config{})
 		if err != nil {
@@ -122,28 +149,11 @@ func BenchmarkZipfianSubscribers(b *testing.B) {
 		return e
 	}
 
-	// Dedup setup once, shared by both dedup variants: canonicalize,
-	// register, subscribe; compile only first-seen canonical filters.
-	reg := workload.NewDedup[int]()
-	var unique []string
-	keys := make([]uint64, 0, distinct)
-	for i, q := range texts {
-		canon, err := xpath.Canonicalize(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		key, ok := reg.Resolve(canon)
-		if !ok {
-			key = reg.Register(canon, true)
-			keys = append(keys, key)
-			unique = append(unique, canon)
-		}
-		reg.Subscribe(key, i, false)
-	}
+	reg, unique, keys := zipfDedup(b, texts)
 
 	// Built on first use and kept across the harness's b.N trials: 50k
-	// derivations each copy the query list, the broker's real cost of
-	// subscribing without dedup but not what this benchmark times.
+	// derivations each copy the query list and tier-merge, the broker's real
+	// cost of subscribing without dedup but not what this benchmark times.
 	var naive *Engine
 	b.Run("naive", func(b *testing.B) {
 		if naive == nil {
@@ -163,4 +173,45 @@ func BenchmarkZipfianSubscribers(b *testing.B) {
 		}
 		runZipfianFilter(b, e, reg, keys, docs)
 	})
+}
+
+// BenchmarkZipfianCompaction prices what workload deduplication buys on the
+// same 50k-subscription workload now that filtering speed no longer depends
+// on it: the cost of everything proportional to the number of compiled
+// machine queries. Each arm times one Consolidated() — the recompile the
+// broker's background compaction runs per 32 new filters, and the work of a
+// cold boot — and reports the machine memory after the document set has
+// warmed it: naive holds one machine query per subscription, dedup one per
+// canonical filter. scripts/bench_gate.sh gates dedup at >= 5x cheaper to
+// compact.
+func BenchmarkZipfianCompaction(b *testing.B) {
+	texts := zipfWorkload(50_000, 1_000)
+	docs := zipfDocs(256, 1_000)
+	_, unique, _ := zipfDedup(b, texts)
+	for _, arm := range []struct {
+		name    string
+		queries []string
+	}{{"naive", texts}, {"dedup", unique}} {
+		b.Run(arm.name, func(b *testing.B) {
+			e, err := Compile(arm.queries, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if e, _, err = e.Consolidated(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			for _, d := range docs {
+				if _, err := e.FilterDocument(d); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/compaction")
+			b.ReportMetric(float64(e.ApproxMemoryBytes())/(1<<20), "machine-MiB")
+			b.ReportMetric(float64(len(arm.queries)), "queries")
+		})
+	}
 }

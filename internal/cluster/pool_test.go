@@ -72,10 +72,10 @@ func TestPoolHealthTransitions(t *testing.T) {
 	})
 	defer p.Close()
 
+	// The pool marks a node up after OnUp returns (and down before OnDown
+	// fires), so the up state is waited for, not read once.
 	ev.waitFor(t, "initial connect", func(ups, _ int) bool { return ups >= 1 })
-	if !p.Up(addr) {
-		t.Fatal("node not marked up after OnUp")
-	}
+	waitUntil(t, "node marked up after OnUp", func() bool { return p.Up(addr) })
 	if c, ok := p.Get(addr); !ok {
 		t.Fatal("Get returned no connection for an up node")
 	} else if err := c.Ping(); err != nil {
@@ -101,10 +101,10 @@ func TestPoolHealthTransitions(t *testing.T) {
 	defer srv2.Close()
 	ev.waitFor(t, "reconnect", func(ups, _ int) bool { return ups >= 2 })
 
-	snap := p.Snapshot()
-	if len(snap) != 1 || snap[0].Node != addr || !snap[0].Up || snap[0].Reconnects < 2 {
-		t.Fatalf("snapshot = %+v, want up with >=2 connects", snap)
-	}
+	waitUntil(t, "snapshot up with >=2 connects", func() bool {
+		snap := p.Snapshot()
+		return len(snap) == 1 && snap[0].Node == addr && snap[0].Up && snap[0].Reconnects >= 2
+	})
 }
 
 // TestPoolProbeAcceleratesDetection: with a long ping interval, a Probe

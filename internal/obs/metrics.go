@@ -104,20 +104,6 @@ func bucketIndex(v float64) int {
 	return numBuckets
 }
 
-// CopyFrom replaces h's contents with src's current observations. Like
-// Snapshot, the per-field reads are individually atomic but not globally
-// consistent; concurrent observations on src may be partially reflected.
-// Used to carry a latency history into a derived engine (see
-// Engine.WithQueries).
-func (h *Histogram) CopyFrom(src *Histogram) {
-	for i := range src.buckets {
-		h.buckets[i].Store(src.buckets[i].Load())
-	}
-	h.count.Store(src.count.Load())
-	h.sumBits.Store(src.sumBits.Load())
-	h.maxBits.Store(src.maxBits.Load())
-}
-
 // Snapshot returns a consistent-enough copy of the histogram for encoding
 // or quantile estimation. (Counts are read bucket-by-bucket without a
 // global lock; concurrent observations may skew a snapshot by a few

@@ -117,8 +117,10 @@ func TestConsolidate(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("removed filter still fires: %v", got)
 	}
-	// The receiver keeps its layers, its indexes and its mask.
-	if e.NumLayers() != 3 || e.NumQueries() != 4 {
+	// The receiver keeps its layers (base + one tail layer: the two-filter
+	// insertion absorbed the one-filter layer before it), its indexes and
+	// its mask.
+	if e.NumLayers() != 2 || e.NumQueries() != 4 {
 		t.Fatalf("receiver changed: layers=%d queries=%d", e.NumLayers(), e.NumQueries())
 	}
 	got, _ = e.FilterDocument([]byte("<m><v>3</v></m>"))

@@ -19,10 +19,13 @@
 # BenchmarkWALAppendBatched's concurrent appenders, pinning the group-commit
 # mechanism itself independent of the network stack.
 #
-# Gate 4 (workload deduplication ratio): runs BenchmarkZipfianSubscribers
-# and fails if the deduplicated workload is not at least DEDUP_BUDGET (5th
-# arg, default 5) times faster than the naive one-query-per-subscription
-# path.
+# Gate 4 (workload deduplication ratio): runs BenchmarkZipfianCompaction
+# and fails if one Consolidated() of the deduplicated workload (~1k machine
+# queries) is not at least DEDUP_BUDGET (5th arg, default 3) times cheaper
+# than one of the naive one-query-per-subscription workload (50k). Until
+# WithQueries merged tail layers the gate compared filtering speed (50k
+# layers against 1k, >= 5x); the two now filter alike, and what dedup buys
+# is the cost of everything proportional to the number of compiled queries.
 #
 # Gate 5 (open-loop delivery latency): runs the xpushload smoke scenario
 # against a real broker (or reuses a report at $XPUSHLOAD_SMOKE_JSON, e.g.
@@ -117,23 +120,25 @@ awk -v a="$walways" -v i="$winterval" -v budget="$RATIO_BUDGET" 'BEGIN {
 }'
 
 # Gate 4 (workload deduplication ratio): 50k zipfian subscriptions over 1k
-# distinct filters, deduped vs naive (one machine query per subscription,
-# the pre-dedup broker's subscribe path). Sharing must buy at least
-# DEDUP_BUDGET x docs/sec; in practice the ratio tracks the ~50x sharing
-# factor, so 5x leaves ample noise headroom while still catching a dedup
-# layer that silently stops coalescing.
-DEDUP_BUDGET="${5:-5}"
-zipf=$(go test -run=NONE -bench='BenchmarkZipfianSubscribers/(naive|dedup)$' -benchtime=1s .)
+# distinct filters, the recompile a background compaction (or a cold boot)
+# runs on the deduplicated workload vs on one machine query per
+# subscription. Measured 5.7-9x on the 2-vCPU dev VM (naive 180-250 ms,
+# dedup 28-32 ms; a ~25 ms share of both is the value index over the same
+# 1k constants, which is why it is not the 50x sharing factor), so 3x leaves
+# noise headroom while still catching a dedup layer that silently stops
+# coalescing (ratio 1).
+DEDUP_BUDGET="${5:-3}"
+zipf=$(go test -run=NONE -bench='BenchmarkZipfianCompaction/(naive|dedup)$' -benchtime=1s -count=3 .)
 echo "$zipf"
-zn=$(echo "$zipf" | awk '/ZipfianSubscribers\/naive/ { for (i = 1; i < NF; i++) if ($(i+1) == "docs/sec") print $i }' | tail -1)
-zd=$(echo "$zipf" | awk '/ZipfianSubscribers\/dedup/ { for (i = 1; i < NF; i++) if ($(i+1) == "docs/sec") print $i }' | tail -1)
+zn=$(echo "$zipf" | awk '/ZipfianCompaction\/naive/ { for (i = 1; i < NF; i++) if ($(i+1) == "ms/compaction" && (m == "" || $i < m)) m = $i } END { print m }')
+zd=$(echo "$zipf" | awk '/ZipfianCompaction\/dedup/ { for (i = 1; i < NF; i++) if ($(i+1) == "ms/compaction" && (m == "" || $i < m)) m = $i } END { print m }')
 if [ -z "$zn" ] || [ -z "$zd" ]; then
-  echo "bench_gate: zipfian subscriber benchmark produced no docs/sec metric" >&2
+  echo "bench_gate: zipfian compaction benchmark produced no ms/compaction metric" >&2
   exit 2
 fi
 awk -v n="$zn" -v d="$zd" -v budget="$DEDUP_BUDGET" 'BEGIN {
-  ratio = d / n
-  printf "bench_gate: zipfian 50k-subscriber workload naive %.0f docs/sec, deduped %.0f (%.1fx faster, budget %sx)\n",
+  ratio = n / d
+  printf "bench_gate: zipfian 50k-subscriber workload, one compaction: naive %.1f ms, deduped %.1f ms (best of 3; %.1fx cheaper, budget %sx)\n",
     n, d, ratio, budget
   if (ratio < budget) {
     print "bench_gate: FAIL — workload deduplication no longer pays for itself on the zipfian workload" > "/dev/stderr"

@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"testing"
 	"time"
@@ -9,12 +10,32 @@ import (
 	"repro/server"
 )
 
-// stormSnapshot is the slice of /debug/machine this test cares about.
+// stormSnapshot is the slice of /debug/machine these tests care about.
 type stormSnapshot struct {
+	Queries        int   `json:"queries"`
 	Layers         int   `json:"layers"`
+	TailFilters    int   `json:"tail_filters"`
 	RemovedSlots   int   `json:"removed_slots"`
 	Consolidations int64 `json:"consolidations"`
+	Compacting     bool  `json:"compaction_in_progress"`
 	MemoryBytes    int64 `json:"memory_bytes"`
+}
+
+func machineSnapshot(t testing.TB, srv *server.Server) stormSnapshot {
+	t.Helper()
+	var snap stormSnapshot
+	getJSON(t, "http://"+srv.DebugAddr()+"/debug/machine", &snap)
+	return snap
+}
+
+// checkDepthBound holds one snapshot to the tier rule's invariant: adjacent
+// tail layers differ in size by more than 2x, so a tail of n filters has at
+// most log2(n)+1 layers, plus the base.
+func checkDepthBound(t testing.TB, snap stormSnapshot) {
+	t.Helper()
+	if bound := 1 + bits.Len(uint(snap.TailFilters)); snap.Layers > bound {
+		t.Errorf("%d layers over a tail of %d filters, bound %d", snap.Layers, snap.TailFilters, bound)
+	}
 }
 
 // medianPublishLatency publishes the doc n times and returns the median
@@ -37,26 +58,18 @@ func medianPublishLatency(t *testing.T, pub interface {
 }
 
 // TestConsolidationStormKeepsMachineFlat is the regression test for layer
-// accumulation: a long subscribe/unsubscribe storm of unique filters would,
-// without consolidation, pile up one COW layer per subscribe and one removed
-// slot per unsubscribe, growing both memory and per-document latency without
-// bound. With the consolidation thresholds wired into the swap path, the
-// machine must stay flat: layers and removed slots bounded near the
-// thresholds, memory flat, and median publish latency in the same regime at
-// the end of the storm as at the start.
+// accumulation: a long subscribe/unsubscribe storm of unique filters adds a
+// tail slot per subscribe and a removed slot per unsubscribe. With no knob
+// set, the tier rule must keep the depth logarithmic in the tail at every
+// sample, and the background compaction must keep the tail, the removed
+// slots, memory and median publish latency in the same regime at the end of
+// the storm as a third of the way in.
 func TestConsolidationStormKeepsMachineFlat(t *testing.T) {
-	srv := startServer(t, server.Config{
-		DebugAddr:          "127.0.0.1:0",
-		ConsolidateLayers:  8,
-		ConsolidateRemoved: 8,
-	})
-	base := "http://" + srv.DebugAddr()
+	srv := startServer(t, server.Config{DebugAddr: "127.0.0.1:0"})
 	cn := dialSub(t, srv.Addr(), newCollector())
 	pub := dialSub(t, srv.Addr(), nil)
 	doc := []byte("<storm><q>0</q></storm>")
 
-	// Warm up past the first few subscribes so both latency samples see a
-	// machine with some queries in it.
 	const window = 4
 	var active []uint64
 	subscribe := func(i int) {
@@ -72,48 +85,46 @@ func TestConsolidationStormKeepsMachineFlat(t *testing.T) {
 			active = active[1:]
 		}
 	}
-	for i := 0; i < 2*window; i++ {
+	// The storm: 600 unique-filter subscribe/unsubscribe cycles. Unshared
+	// filters defeat dedup on purpose — every cycle costs a real tail slot
+	// plus a removed slot, so only compaction keeps the machine small. The
+	// bounds leave room for what a storm at full speed adds while one
+	// compaction is in flight; a machine that is not compacted blows through
+	// them by the middle of the storm.
+	const storm, slack = 600, 192
+	var early time.Duration
+	var earlyMem, lateMem int64
+	for i := 0; i < storm; i++ {
 		subscribe(i)
-	}
-	early := medianPublishLatency(t, pub, doc, 30)
-	var earlySnap stormSnapshot
-	getJSON(t, base+"/debug/machine", &earlySnap)
-
-	// The storm: 300 unique-filter subscribe/unsubscribe cycles. Unshared
-	// filters defeat dedup on purpose — every cycle costs a real COW layer
-	// plus a removed slot, so only consolidation keeps the machine small.
-	const storm = 300
-	for i := 2 * window; i < 2*window+storm; i++ {
-		subscribe(i)
+		if i%10 != 9 {
+			continue
+		}
+		snap := machineSnapshot(t, srv)
+		checkDepthBound(t, snap)
+		if snap.Queries > slack || snap.RemovedSlots > slack {
+			t.Fatalf("cycle %d: %d slots, %d removed; the storm is outrunning compaction", i, snap.Queries, snap.RemovedSlots)
+		}
+		switch {
+		case i < storm/3:
+			earlyMem = max(earlyMem, snap.MemoryBytes)
+		case i >= 2*storm/3:
+			lateMem = max(lateMem, snap.MemoryBytes)
+		}
+		if i == storm/3-1 {
+			early = medianPublishLatency(t, pub, doc, 30)
+		}
 	}
 	late := medianPublishLatency(t, pub, doc, 30)
-	var lateSnap stormSnapshot
-	getJSON(t, base+"/debug/machine", &lateSnap)
-
-	if lateSnap.Consolidations == 0 {
-		t.Fatal("storm never triggered a consolidation")
+	if snap := machineSnapshot(t, srv); snap.Consolidations == 0 {
+		t.Fatal("storm never triggered a compaction")
 	}
-	// The thresholds bound the machine: one consolidation window of slack on
-	// top of the configured limits.
-	if lateSnap.Layers > 2*8 {
-		t.Errorf("layers = %d after storm, want <= %d (threshold 8)", lateSnap.Layers, 2*8)
-	}
-	if lateSnap.RemovedSlots > 2*8 {
-		t.Errorf("removed slots = %d after storm, want <= %d (threshold 8)", lateSnap.RemovedSlots, 2*8)
-	}
-	// Memory flat: the live working set is `window` queries throughout, so
-	// post-storm memory must stay within a small factor of the early
-	// snapshot instead of growing with the 300 retired layers. The factor
-	// absorbs where each snapshot lands in the consolidation cycle (one cold
-	// layer right after a rebuild vs several warm ones right before); an
-	// unconsolidated 300-layer machine would sit ~40x above the early
-	// snapshot and keep growing with the storm.
-	if earlySnap.MemoryBytes > 0 && lateSnap.MemoryBytes > 12*earlySnap.MemoryBytes {
-		t.Errorf("memory grew %d -> %d bytes across the storm; not flat",
-			earlySnap.MemoryBytes, lateSnap.MemoryBytes)
+	// Memory flat: the peak over the last third of the storm against the
+	// peak over the first third, both taken across whole compaction cycles.
+	if lateMem > 2*earlyMem {
+		t.Errorf("peak memory grew %d -> %d bytes across the storm; not flat", earlyMem, lateMem)
 	}
 	// Latency flat: generous factor — loopback noise is real — but far below
-	// the ~40x a 300-layer machine would cost.
+	// what 400 more layers would cost.
 	if late > 25*early {
 		t.Errorf("median publish latency grew %v -> %v across the storm; not flat", early, late)
 	}

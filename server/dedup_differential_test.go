@@ -31,7 +31,10 @@ var diffGroups = [][]string{
 
 // randomDiffDoc emits a document that matches a random subset of diffGroups.
 func randomDiffDoc(r *rand.Rand) []byte {
-	switch r.Intn(5) {
+	switch r.Intn(6) {
+	case 5:
+		// One of the per-round private filters (/a[u=N]) may be live.
+		return []byte(fmt.Sprintf("<a><u>%d</u></a>", r.Intn(20)))
 	case 0:
 		vals := []string{"x", "y", "z"}
 		return []byte(fmt.Sprintf("<a><b>%s</b><c>%s</c></a>",
@@ -96,6 +99,8 @@ type diffSide struct {
 	// active[i] lists subscriber i's live subscription ids, in subscribe
 	// order, so both sides can unsubscribe "the same" subscription.
 	active [][]uint64
+	// private[i] is subscriber i's current private-filter subscription.
+	private []uint64
 }
 
 func newDiffSide(t *testing.T, cfg server.Config, nsubs int) *diffSide {
@@ -113,6 +118,7 @@ func newDiffSide(t *testing.T, cfg server.Config, nsubs int) *diffSide {
 		t.Cleanup(func() { c.Close() })
 		s.subs = append(s.subs, c)
 		s.active = append(s.active, nil)
+		s.private = append(s.private, 0)
 	}
 	s.pub = dialSub(t, addr, nil)
 	return s
@@ -133,9 +139,10 @@ func TestDedupDifferentialMatchSets(t *testing.T) {
 	)
 	r := rand.New(rand.NewSource(7))
 
-	// Aggressive consolidation thresholds so the deduped side consolidates
-	// mid-churn — the differential check then also covers index remapping.
-	ded := newDiffSide(t, server.Config{ConsolidateLayers: 4, ConsolidateRemoved: 4}, nsubs)
+	// A removed-slot bound this low makes the deduped side compact in the
+	// background mid-churn — the differential check then also covers index
+	// remapping and the re-apply of what changed during a compaction.
+	ded := newDiffSide(t, server.Config{ConsolidateRemoved: 1, DebugAddr: "127.0.0.1:0"}, nsubs)
 	naive := newDiffSide(t, server.Config{DedupDisabled: true}, nsubs)
 
 	wantTotal := 0
@@ -152,6 +159,22 @@ func TestDedupDifferentialMatchSets(t *testing.T) {
 					s.active[i] = append(s.active[i][:k:k], s.active[i][k+1:]...)
 				}
 			}
+			// Replace this subscriber's private filter: a text no one else
+			// uses, so every round is a real first-compile and, from the
+			// second round on, a real last-release — the slots the
+			// background compaction exists to fold away.
+			for _, s := range []*diffSide{ded, naive} {
+				id, err := s.subs[i].Subscribe(fmt.Sprintf("/a[u=%d]", round*nsubs+i))
+				if err != nil {
+					t.Fatalf("subscribe private filter: %v", err)
+				}
+				if round > 0 {
+					if err := s.subs[i].Unsubscribe(s.private[i]); err != nil {
+						t.Fatalf("unsubscribe private filter: %v", err)
+					}
+				}
+				s.private[i] = id
+			}
 			// Add one or two fresh subscriptions drawn from the variant pools.
 			for n := 1 + r.Intn(2); n > 0; n-- {
 				g := diffGroups[r.Intn(len(diffGroups))]
@@ -165,6 +188,7 @@ func TestDedupDifferentialMatchSets(t *testing.T) {
 				}
 			}
 		}
+		checkDepthBound(t, machineSnapshot(t, ded.srv))
 		for d := 0; d < docs; d++ {
 			doc := randomDiffDoc(r)
 			nd, err := ded.pub.Publish(doc)
@@ -218,6 +242,16 @@ func TestDedupDifferentialMatchSets(t *testing.T) {
 				t.Fatalf("subscriber %d filter %d: dedup count %d, naive %d", i, id, n, nIDs[id])
 			}
 		}
+	}
+
+	// Compactions fired and kept the dead slots down. The last one may still
+	// be in flight when the churn ends.
+	waitFor(t, "compaction to settle", func() bool {
+		snap := machineSnapshot(t, ded.srv)
+		return !snap.Compacting && snap.RemovedSlots <= 1
+	})
+	if snap := machineSnapshot(t, ded.srv); snap.Consolidations == 0 {
+		t.Fatal("the churn never triggered a compaction")
 	}
 
 	// The whole point: the deduplicated broker compiled fewer machine

@@ -285,7 +285,7 @@ func (cn *conn) pump(name string, start uint64) {
 // matchDurable filters one replayed document and returns the matched filter
 // ids that belong to cn's durable subscriptions.
 func (s *Server) matchDurable(cn *conn, doc []byte, tc *trace.Ctx, parent trace.SpanID) ([]uint64, error) {
-	c, matches, err := s.filter(doc, tc, parent)
+	c, matches, err := s.filter(doc, false, tc, parent)
 	if err != nil {
 		return nil, err
 	}

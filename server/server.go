@@ -135,14 +135,12 @@ type Config struct {
 	// and nothing else sets it: no flag or environment variable reaches
 	// it, and zipfian workloads cost dramatically more this way.
 	DedupDisabled bool
-	// ConsolidateLayers triggers engine-layer consolidation on the swap
-	// path once the copy-on-write engine exceeds this many layers
-	// (0 = default 32, negative = never). Consolidation recompiles the
-	// workload into one machine, dropping removed filters; the rebuilt
-	// machine starts cold and re-warms lazily.
-	ConsolidateLayers int
-	// ConsolidateRemoved triggers consolidation once this many removed
-	// filter slots have accumulated (0 = default 256, negative = never).
+	// ConsolidateRemoved triggers a background compaction once this many
+	// removed filter slots have accumulated (0 = default 256, negative =
+	// never). Compaction recompiles the live workload into one machine off
+	// the publish and subscribe paths, warms it on recent documents and
+	// swaps it in (compact.go); it also runs, whatever this is set to, when
+	// the layers above the base machine outgrow compactTailFilters.
 	ConsolidateRemoved int
 
 	// SnapshotPath enables warm-start: on boot, if the file exists, the
@@ -178,13 +176,6 @@ func (c *Config) asyncPublishWindow() int {
 	return 256
 }
 
-func (c *Config) consolidateLayers() int {
-	if c.ConsolidateLayers != 0 {
-		return c.ConsolidateLayers
-	}
-	return 32
-}
-
 func (c *Config) consolidateRemoved() int {
 	if c.ConsolidateRemoved != 0 {
 		return c.ConsolidateRemoved
@@ -205,7 +196,8 @@ const deadKey = ^uint64(0)
 // consolidation) build the next core off to the side and atomically swap
 // the pointer (copy-on-write), so the publish path never observes a
 // half-updated workload — it either filters on the old generation or the
-// new one.
+// new one. Between compactions engine indexes never move: subscribes append
+// slots, releases mask them.
 //
 // Who subscribes to a filter lives in the server's dedup registry, not
 // here: subscriber fan-out changes on every subscribe/unsubscribe, while a
@@ -254,13 +246,19 @@ type Server struct {
 	tracer   *trace.Recorder // nil when tracing is disabled
 
 	// ctl serializes control-plane changes (subscribe/unsubscribe/
-	// checkpoint); pubMu serializes filtering on the engine backend (an
-	// engine processes one stream at a time). They are independent: a
+	// compaction swap); pubMu serializes filtering on the engine backend
+	// (an engine processes one stream at a time). They are independent: a
 	// subscription change builds the next core without stalling publishes
 	// on the current one.
 	ctl   sync.Mutex
 	pubMu sync.Mutex
 	cur   atomic.Pointer[core]
+
+	// Background compaction (compact.go): compactKick wakes the one
+	// compaction goroutine, recent holds the documents it warms a new base
+	// machine on (guarded by pubMu).
+	compactKick chan struct{}
+	recent      docRing
 
 	// subs is the workload dedup registry: canonical filter -> one
 	// compiled machine query + the fan-out set of subscriptions sharing
@@ -288,9 +286,11 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[*conn]struct{}
 
-	wg       sync.WaitGroup
-	ckStop   chan struct{}
-	ckWG     sync.WaitGroup
+	wg sync.WaitGroup
+	// stop ends the background goroutines (checkpoint loop, compaction);
+	// bgWG waits for them.
+	stop     chan struct{}
+	bgWG     sync.WaitGroup
 	closeOne sync.Once
 
 	// prof is the per-query cost profiler, fed only by traced documents
@@ -299,8 +299,9 @@ type Server struct {
 	prof *queryProfiler
 
 	// Metrics.
-	consolidations atomic.Int64 // engine-layer consolidations applied on the swap path
-	consolidating  atomic.Int64 // consolidations currently recompiling (in-progress gauge)
+	consolidations atomic.Int64 // background compactions swapped in
+	consolidating  atomic.Int64 // 1 while a compaction is in flight (in-progress gauge)
+	tierMerges     atomic.Int64 // tail layers absorbed by WithQueries' tier rule on subscribe
 	pumpsActive    atomic.Int64 // running durable pump goroutines
 	mPublishes     *obs.Counter
 	mPublishErrs   *obs.Counter
@@ -312,7 +313,9 @@ type Server struct {
 	deliverLat     obs.Histogram
 	subLat         obs.Histogram // SUBSCRIBE round-trip handling latency
 	unsubLat       obs.Histogram // UNSUBSCRIBE round-trip handling latency
-	consolidateLat obs.Histogram // duration of each workload consolidation
+	consolidateLat obs.Histogram // duration of each compaction, pin to swap
+	phaseLat       [len(compactPhases)]obs.Histogram
+	mCompactFails  *obs.Counter
 }
 
 // New compiles (or warm-starts) the workload, starts the listeners, and
@@ -335,13 +338,15 @@ func New(cfg Config) (*Server, error) {
 		conns:    map[*conn]struct{}{},
 		reg:      obs.NewRegistry(),
 		tracer:   trace.New(cfg.TraceSample, cfg.TraceSlow),
-		ckStop:   make(chan struct{}),
+		stop:     make(chan struct{}),
 		wal:      cfg.WAL,
 		cursors:  cfg.Cursors,
 		durables: map[string]*conn{},
 		walNote:  make(chan struct{}),
 		subs:     workload.NewDedup[*conn](),
 		anDirty:  true,
+
+		compactKick: make(chan struct{}, 1),
 	}
 	if s.tracer.Enabled() {
 		s.prof = newQueryProfiler(profilerMaxQueries)
@@ -384,8 +389,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
+	if cfg.Backend == BackendEngine {
+		s.bgWG.Add(1)
+		go s.compactLoop()
+	}
 	if cfg.SnapshotPath != "" && cfg.SnapshotInterval > 0 {
-		s.ckWG.Add(1)
+		s.bgWG.Add(1)
 		go s.checkpointLoop()
 	}
 	return s, nil
@@ -558,7 +567,19 @@ func (s *Server) registerMetrics() {
 		return int64(s.subs.Hits())
 	})
 	s.reg.GaugeFunc("xpush_workload_subsumed_pairs", "filter pairs the Theorem 6.1 analysis proves subsumed among unique queries (-1 = workload too large to analyze)", s.subsumedPairs)
-	s.reg.CounterFunc("xpushserve_consolidations_total", "engine-layer consolidations applied on the swap path", s.consolidations.Load)
+	s.reg.CounterFunc("xpushserve_consolidations_total", "background compactions swapped in (tail layers and removed slots folded into a new base machine)", s.consolidations.Load)
+	s.mCompactFails = s.reg.Counter("xpushserve_consolidation_failures_total", "background compactions abandoned on a compile or re-apply error (the current workload generation is kept)")
+	s.reg.CounterFunc("xpushserve_tier_merges_total", "tail layers absorbed into a larger one by the size-tiered merge on subscribe", s.tierMerges.Load)
+	s.reg.GaugeFunc("xpushserve_engine_layers", "machines the current workload generation runs per SAX event (base plus tail layers)", func() float64 {
+		if e := s.cur.Load().engine; e != nil {
+			return float64(e.NumLayers())
+		}
+		return 1 // each pool worker runs one machine
+	})
+	s.reg.GaugeFunc("xpushserve_engine_removed_slots", "released filter slots still compiled into the current workload generation", func() float64 {
+		c := s.cur.Load()
+		return float64(len(c.removed) - c.liveQueries())
+	})
 	s.reg.GaugeFunc("xpushserve_queue_depth", "queued deliveries summed over subscribers", func() float64 {
 		s.connMu.Lock()
 		defer s.connMu.Unlock()
@@ -574,8 +595,9 @@ func (s *Server) registerMetrics() {
 	s.reg.HistogramFunc("xpushserve_delivery_latency_histogram_seconds",
 		"publish-to-DELIVER-write latency (log buckets)", s.deliverLat.Snapshot)
 	// Control-plane stall instrumentation: subscribe/unsubscribe round-trip
-	// handling time (frame parse through reply write) plus the consolidation
-	// gauge/histogram, so the ROADMAP stall bottlenecks are measurable.
+	// handling time (frame parse through reply write) plus the compaction
+	// gauge/histograms, so a control-plane stall is attributable from
+	// metrics alone.
 	s.reg.SummaryFunc("xpushserve_subscribe_latency_seconds",
 		"SUBSCRIBE round-trip handling latency quantiles (includes durable subscribes)", []float64{0.5, 0.9, 0.99},
 		s.subLat.Snapshot)
@@ -587,14 +609,23 @@ func (s *Server) registerMetrics() {
 	s.reg.HistogramFunc("xpushserve_unsubscribe_latency_histogram_seconds",
 		"UNSUBSCRIBE round-trip handling latency (log buckets)", s.unsubLat.Snapshot)
 	s.reg.GaugeFunc("xpushserve_consolidation_in_progress",
-		"workload consolidations currently recompiling on the swap path", func() float64 {
+		"1 while the background compaction goroutine is building, warming or swapping a new base machine", func() float64 {
 			return float64(s.consolidating.Load())
 		})
 	s.reg.SummaryFunc("xpushserve_consolidation_duration_seconds",
-		"duration of each workload consolidation recompile", []float64{0.5, 0.9, 0.99},
+		"duration of each background compaction, pin to swap", []float64{0.5, 0.9, 0.99},
 		s.consolidateLat.Snapshot)
 	s.reg.HistogramFunc("xpushserve_consolidation_duration_histogram_seconds",
-		"duration of each workload consolidation recompile (log buckets)", s.consolidateLat.Snapshot)
+		"duration of each background compaction, pin to swap (log buckets)", s.consolidateLat.Snapshot)
+	s.reg.SummaryVecFunc("xpushserve_consolidation_phase_duration_seconds",
+		"background compaction time by phase: compile (recompile off to the side), train (warm on recent documents), swap (re-apply the delta under the control lock)", []float64{0.5, 0.9, 0.99},
+		func() []obs.LabeledSnapshot {
+			out := make([]obs.LabeledSnapshot, len(compactPhases))
+			for i, ph := range compactPhases {
+				out[i] = obs.LabeledSnapshot{Labels: `phase="` + ph + `"`, Snap: s.phaseLat[i].Snapshot()}
+			}
+			return out
+		})
 	if s.prof != nil {
 		s.registerProfilerMetrics()
 	}
@@ -644,31 +675,54 @@ func (s *Server) subscribe(cn *conn, query string, durable bool) (uint64, error)
 		}
 	}
 	cur := s.cur.Load()
-	canons := append(append(make([]string, 0, len(cur.canon)+1), cur.canon...), canon)
-	var next *core
+	next := &core{}
 	if s.cfg.Backend == BackendPool {
 		// The pool recompiles; its cores never carry removed slots
 		// (coreWithoutKeys compacts them away).
-		next, err = s.buildCore(canons)
+		next, err = s.buildCore(append(append(make([]string, 0, len(cur.canon)+1), cur.canon...), canon))
 	} else {
-		next = &core{canon: canons, removed: append(append(make([]bool, 0, len(canons)), cur.removed...), false)}
 		next.engine, err = cur.engine.WithQueries([]string{canon})
 	}
 	if err != nil {
 		return 0, err
 	}
-	key := s.subs.Register(canon, !s.cfg.DedupDisabled)
-	idx := len(canons) - 1
-	next.keys = append(append(make([]uint64, 0, len(canons)), cur.keys...), key)
-	next.keyIdx = make(map[uint64]int, len(cur.keyIdx)+1)
-	for k, v := range cur.keyIdx {
-		next.keyIdx[k] = v
+	if next.engine != nil {
+		s.tierMerges.Add(int64(cur.engine.NumLayers() + 1 - next.engine.NumLayers()))
 	}
-	next.keyIdx[key] = idx
+	key := s.subs.Register(canon, !s.cfg.DedupDisabled)
+	next.appendSlots(cur, []string{canon}, []uint64{key})
 	subID, _ := s.subs.Subscribe(key, cn, durable)
 	s.markAnalysisDirty()
-	s.cur.Store(s.maybeConsolidate(next))
+	s.swap(next)
 	return subID, nil
+}
+
+// appendSlots fills c's routing columns with cur's plus one live slot per
+// (canon, key) pair: c's engine is cur's with exactly those filters added.
+func (c *core) appendSlots(cur *core, canons []string, keys []uint64) {
+	n := len(cur.canon) + len(canons)
+	c.canon = append(append(make([]string, 0, n), cur.canon...), canons...)
+	c.keys = append(append(make([]uint64, 0, n), cur.keys...), keys...)
+	c.removed = append(append(make([]bool, 0, n), cur.removed...), make([]bool, len(canons))...)
+	c.keyIdx = make(map[uint64]int, len(cur.keyIdx)+len(keys))
+	for k, v := range cur.keyIdx {
+		c.keyIdx[k] = v
+	}
+	for i, key := range keys {
+		c.keyIdx[key] = len(cur.canon) + i
+	}
+}
+
+// swap publishes the next workload generation and wakes the compaction
+// goroutine when it has outgrown its bounds. Callers hold ctl.
+func (s *Server) swap(next *core) {
+	s.cur.Store(next)
+	if s.needsCompaction(next) {
+		select {
+		case s.compactKick <- struct{}{}:
+		default: // a wake-up is already pending
+		}
+	}
 }
 
 // unsubscribe detaches one subscription; only the owning connection may
@@ -701,7 +755,7 @@ func (s *Server) unsubscribeConn(cn *conn) {
 // keys and swaps in the next core. Callers hold ctl; the registry entries
 // are already gone, so on a rebuild error the old core is kept — its extra
 // compiled filters still match, but fan-out finds no subscribers and skips
-// them (they are reaped by a later successful swap or consolidation).
+// them (they are reaped by a later successful swap or compaction).
 func (s *Server) releaseKeys(keys []uint64) {
 	cur := s.cur.Load()
 	next, err := s.coreWithoutKeys(cur, keys)
@@ -710,7 +764,7 @@ func (s *Server) releaseKeys(keys []uint64) {
 		return
 	}
 	s.markAnalysisDirty()
-	s.cur.Store(s.maybeConsolidate(next))
+	s.swap(next)
 }
 
 // coreWithoutKeys builds the next core with the given registry keys'
@@ -766,57 +820,6 @@ func (s *Server) coreWithoutKeys(cur *core, keys []uint64) (*core, error) {
 		next.keyIdx[key] = i
 	}
 	return next, nil
-}
-
-// maybeConsolidate applies engine-layer consolidation on the swap path when
-// the copy-on-write derivation chain has accumulated enough layers or
-// removed slots: the whole live workload is recompiled into one machine and
-// the registry keys are remapped to the compacted indexes. Without this,
-// subscribe/unsubscribe churn grows the layer list and the removed mask
-// forever, and every published document pays for the dead weight.
-func (s *Server) maybeConsolidate(c *core) *core {
-	if c.engine == nil {
-		return c
-	}
-	maxLayers, maxRemoved := s.cfg.consolidateLayers(), s.cfg.consolidateRemoved()
-	nRemoved := len(c.removed) - c.liveQueries()
-	if (maxLayers <= 0 || c.engine.NumLayers() <= maxLayers) &&
-		(maxRemoved <= 0 || nRemoved <= maxRemoved) {
-		return c
-	}
-	// The recompile below runs inline on the subscribe/unsubscribe swap
-	// path and is the source of the multi-second SUBSCRIBE stalls ROADMAP
-	// item 1 ("subscribe never waits on a rebuild") documents; the
-	// in-progress gauge and duration histogram make the stall attributable
-	// from metrics alone.
-	s.consolidating.Add(1)
-	t0 := time.Now()
-	e, mapping, err := c.engine.Consolidated()
-	s.consolidateLat.Observe(time.Since(t0).Seconds())
-	s.consolidating.Add(-1)
-	if err != nil {
-		s.logf("consolidate: %v", err)
-		return c
-	}
-	n := &core{
-		canon:   make([]string, e.NumQueries()),
-		keys:    make([]uint64, e.NumQueries()),
-		removed: make([]bool, e.NumQueries()),
-		keyIdx:  make(map[uint64]int, e.NumQueries()),
-		engine:  e,
-	}
-	for old, idx := range mapping {
-		if idx < 0 {
-			continue
-		}
-		n.canon[idx] = c.canon[old]
-		n.keys[idx] = c.keys[old]
-		n.keyIdx[n.keys[idx]] = idx
-	}
-	s.consolidations.Add(1)
-	s.logf("consolidated workload: %d layers, %d removed slots -> 1 layer, %d filters",
-		c.engine.NumLayers(), nRemoved, e.NumQueries())
-	return n
 }
 
 // markAnalysisDirty invalidates the cached subsumption-pair metric after
@@ -909,7 +912,7 @@ func (s *Server) publish(doc []byte, remoteID uint64) (int, error) {
 		// below has run (they deliver independently of the queues).
 		defer s.walBroadcast()
 	}
-	c, matches, err := s.filter(doc, tc, trace.Root)
+	c, matches, err := s.filter(doc, true, tc, trace.Root)
 	if err != nil {
 		s.mPublishErrs.Inc()
 		return 0, err
@@ -932,8 +935,11 @@ func (s *Server) beginPublishTrace(remoteID uint64) *trace.Ctx {
 // durable replays both come through here; spans hang off parent. tc is nil
 // for untraced documents (the common case) and records nothing. The pool
 // is internally concurrent; an engine processes one stream at a time, so
-// filtering on it holds the publish lock.
-func (s *Server) filter(doc []byte, tc *trace.Ctx, parent trace.SpanID) (*core, []int, error) {
+// filtering on it holds the publish lock. published marks a document fresh
+// off a PUBLISH frame: its payload is never written again, so the
+// compaction ring may keep a reference to it (a replayed document sits in
+// the log reader's reused buffer).
+func (s *Server) filter(doc []byte, published bool, tc *trace.Ctx, parent trace.SpanID) (*core, []int, error) {
 	if c := s.cur.Load(); c.pool != nil {
 		matches, err := c.pool.FilterDocumentTraced(doc, tc, parent)
 		return c, matches, err
@@ -943,6 +949,9 @@ func (s *Server) filter(doc []byte, tc *trace.Ctx, parent trace.SpanID) (*core, 
 	tc.EndSpan(lspan)
 	c := s.cur.Load() // reload under the lock: always the freshest generation
 	matches, err := c.engine.FilterDocumentTraced(doc, tc, parent)
+	if published && err == nil {
+		s.recent.add(doc)
+	}
 	s.pubMu.Unlock()
 	return c, matches, err
 }
@@ -1041,7 +1050,7 @@ func (s *Server) publishAsyncStaged(doc []byte, pend PendingAppend, remoteID uin
 		}
 		defer s.walBroadcast()
 	}
-	c, matches, ferr := s.filter(doc, tc, trace.Root)
+	c, matches, ferr := s.filter(doc, true, tc, trace.Root)
 	if pend != nil {
 		wspan := tc.StartSpan("wal_append", trace.Root)
 		_, aerr := pend.Wait()
@@ -1148,6 +1157,13 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) maxPayload() int { return s.cfg.maxDocBytes() }
 
+// An oversized frame's payload is discarded before the connection closes
+// (see serve), up to these bounds; past them the peer sees a reset.
+const (
+	discardMaxBytes = 16 << 20
+	discardTimeout  = 250 * time.Millisecond
+)
+
 // healthStatus backs /healthz: not-ok while draining, and degraded when the
 // WAL has latched a persistent storage failure (appends fail fast then —
 // the broker answers but cannot accept durable publishes).
@@ -1178,8 +1194,14 @@ func (cn *conn) serve() {
 			var big *ErrFrameTooLarge
 			if errors.As(err, &big) {
 				// The oversized payload was not consumed; the stream is
-				// desynchronized. Report and close.
+				// desynchronized. Report and close — but closing a socket
+				// with unread bytes queued makes the kernel answer with a
+				// reset, which destroys the ERR frame on its way to the
+				// peer. So first discard what was declared (type byte
+				// included), bounded in bytes and in time.
 				cn.writeFrame(FrameErr, []byte(big.Error()))
+				cn.nc.SetReadDeadline(time.Now().Add(discardTimeout))
+				io.CopyN(io.Discard, cn.br, min(int64(big.Size)+1, discardMaxBytes))
 			}
 			return
 		}
@@ -1608,7 +1630,7 @@ func (s *Server) Checkpoint() error {
 }
 
 func (s *Server) checkpointLoop() {
-	defer s.ckWG.Done()
+	defer s.bgWG.Done()
 	t := time.NewTicker(s.cfg.SnapshotInterval)
 	defer t.Stop()
 	for {
@@ -1617,7 +1639,7 @@ func (s *Server) checkpointLoop() {
 			if err := s.Checkpoint(); err != nil {
 				s.logf("checkpoint: %v", err)
 			}
-		case <-s.ckStop:
+		case <-s.stop:
 			return
 		}
 	}
@@ -1631,8 +1653,7 @@ func (s *Server) checkpointLoop() {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.ln.Close()
-	s.closeOne.Do(func() { close(s.ckStop) })
-	s.ckWG.Wait()
+	s.closeOne.Do(func() { close(s.stop) })
 
 	s.connMu.Lock()
 	conns := make([]*conn, 0, len(s.conns))
@@ -1660,6 +1681,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		cn.close()
 	}
 	s.wg.Wait()
+	// A compaction in flight finishes the phase it is in and is then
+	// discarded; once the background goroutines are gone neither a swap nor
+	// a periodic checkpoint can race the final checkpoint.
+	s.bgWG.Wait()
 	if s.cfg.SnapshotPath != "" && s.cfg.Backend == BackendEngine {
 		if err := s.Checkpoint(); err != nil {
 			s.logf("final checkpoint: %v", err)

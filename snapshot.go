@@ -87,9 +87,10 @@ func (e *Engine) WriteWorkloadSnapshot(w io.Writer) error {
 
 // OpenWorkloadSnapshot reads a snapshot written by WriteWorkloadSnapshot
 // and returns a warm engine: the recorded workload is recompiled layer by
-// layer (Compile for the base, WithQueries per insertion layer, so the layer
-// structure matches the snapshot exactly) under cfg, and the persisted
-// machine state is restored into it. cfg must equal the configuration the
+// layer (Compile for the base, then one machine per recorded tail layer with
+// the tier rule off, so the partition matches the snapshot exactly whatever
+// rule produced it) under cfg, and the persisted machine state is restored
+// into it. cfg must equal the configuration the
 // snapshot was taken under.
 func OpenWorkloadSnapshot(r io.Reader, cfg Config) (*Engine, error) {
 	var magic [8]byte
@@ -142,7 +143,7 @@ func OpenWorkloadSnapshot(r io.Reader, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("xpushstream: recompiling snapshot workload: %w", err)
 	}
 	for _, lq := range layers[1:] {
-		if e, err = e.WithQueries(lq); err != nil {
+		if e, err = e.withQueries(lq, false); err != nil {
 			return nil, fmt.Errorf("xpushstream: recompiling snapshot layer: %w", err)
 		}
 	}

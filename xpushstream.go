@@ -161,8 +161,9 @@ func (d *DTD) MaxDepth(cap int) int { return d.d.MaxDepth(cap) }
 // Consolidated (cow.go) derive the next engine instead: following the
 // layering approach sketched in the paper's conclusion, new filters form a
 // small additional machine run in lockstep with the base machine, so the
-// warmed-up base is not discarded, and Consolidated merges all layers back
-// into one machine.
+// warmed-up base is not discarded. WithQueries merges those small machines
+// among themselves size-tiered, so there are O(log n) of them, and
+// Consolidated merges all layers back into one machine.
 type Engine struct {
 	queries []string
 	filters []*xpath.Filter
@@ -173,16 +174,23 @@ type Engine struct {
 	layerOff []int
 	removed  []bool
 
-	// Runtime observability: stream bytes and per-document filter
-	// latency. Atomic/lock-free so Stats can be scraped while a stream is
-	// being filtered.
-	bytes atomic.Int64
-	lat   obs.Histogram
+	// Runtime observability, shared by pointer with every engine derived
+	// from this one (cow.go): the counters follow the workload across
+	// generations, so a swap to a derived engine never drops a count.
+	ctr *streamCounters
 
 	// Reusable byte-level scanner and event fan-out for FilterBytes; kept
 	// on the engine so their buffers stay warm across documents.
 	bscan sax.ByteScanner
 	drv   byteDriver
+}
+
+// streamCounters are an engine lineage's stream bytes and per-document
+// filter latency. Atomic/lock-free so Stats can be scraped while a stream
+// is being filtered.
+type streamCounters struct {
+	bytes atomic.Int64
+	lat   obs.Histogram
 }
 
 // Compile parses and compiles a workload of XPath filters. The returned
@@ -192,7 +200,7 @@ func Compile(queries []string, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{queries: append([]string(nil), queries...), filters: filters, cfg: cfg}
+	e := &Engine{queries: append([]string(nil), queries...), filters: filters, cfg: cfg, ctr: new(streamCounters)}
 	m, err := e.buildMachine(filters)
 	if err != nil {
 		return nil, err
@@ -402,7 +410,7 @@ func (d *byteDriver) EndDocument() {
 	for _, m := range d.e.layers {
 		m.EndDocument()
 	}
-	d.e.lat.Observe(time.Since(d.docStart).Seconds())
+	d.e.ctr.lat.Observe(time.Since(d.docStart).Seconds())
 	d.scratch = d.scratch[:0]
 	for li, m := range d.e.layers {
 		off := d.e.layerOff[li]
@@ -432,7 +440,7 @@ func (e *Engine) FilterBytes(data []byte, onDocument func(matches []int)) error 
 // count) and per-layer child spans. A nil tc records nothing — call sites
 // thread the context unconditionally.
 func (e *Engine) FilterBytesTraced(data []byte, tc *TraceCtx, parent TraceSpanID, onDocument func(matches []int)) error {
-	e.bytes.Add(int64(len(data)))
+	e.ctr.bytes.Add(int64(len(data)))
 	e.drv.e = e
 	e.drv.onDocument = onDocument
 	e.drv.tc = tc
@@ -532,7 +540,7 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 		return err
 	}
 	if n := binary.LittleEndian.Uint64(hdr[:]); n != uint64(len(e.layers)) {
-		return fmt.Errorf("xpushstream: snapshot has %d layers, engine has %d (Consolidate before snapshotting, or rebuild the same layer structure)", n, len(e.layers))
+		return fmt.Errorf("xpushstream: snapshot has %d layers, engine has %d (snapshot a Consolidated engine, or use WriteWorkloadSnapshot/OpenWorkloadSnapshot, which record and rebuild the layer partition)", n, len(e.layers))
 	}
 	for _, m := range e.layers {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -578,8 +586,8 @@ func (e *Engine) Stats() Stats {
 			out.WindowDocuments = s.WindowDocs
 		}
 	}
-	out.Bytes = e.bytes.Load()
-	out.FilterLatency = e.lat.Snapshot()
+	out.Bytes = e.ctr.bytes.Load()
+	out.FilterLatency = e.ctr.lat.Snapshot()
 	finishStats(&out, sizeSum)
 	return out
 }
