@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"sort"
 	"testing"
 
 	"repro/internal/datagen"
@@ -303,6 +304,14 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 				if e.NumQueries() != len(slots) {
 					t.Fatalf("step %d (%s): %d engine slots, want %d", step, op, e.NumQueries(), len(slots))
 				}
+				// EndDocument concatenates the layers' results without
+				// sorting: that needs offsets that never decrease (an
+				// empty base layer shares its offset with the next).
+				for li := 1; li < len(e.layerOff); li++ {
+					if e.layerOff[li] < e.layerOff[li-1] {
+						t.Fatalf("step %d (%s): layer offsets %v decrease", step, op, e.layerOff)
+					}
+				}
 				for i, rm := range e.Removed() {
 					// Pool texts repeat across slots, so the text check alone
 					// would miss a swap of equal filters; the match-set
@@ -336,6 +345,9 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 						t.Fatalf("step %d (%s) doc %d: %v", step, op, di, err)
 					}
 					matched += len(got)
+					if !sort.IntsAreSorted(got) {
+						t.Fatalf("step %d (%s, %d layers) doc %d: unsorted matches %v", step, op, e.NumLayers(), di, got)
+					}
 					fm, err := fresh.FilterDocument(doc)
 					if err != nil {
 						t.Fatal(err)

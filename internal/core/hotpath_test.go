@@ -138,6 +138,12 @@ func TestTab64MatchesMap(t *testing.T) {
 		if seen[k] != v {
 			t.Fatalf("each() saw %d for %#x, want %d", seen[k], k, v)
 		}
+		if got, ok := tab.get(k); !ok || got != v {
+			t.Fatalf("after growth get(%#x) = (%d,%v), want %d", k, got, ok, v)
+		}
+	}
+	if got, want := tab.memBytes(), int64(16*len(tab.slots)); got != want {
+		t.Fatalf("memBytes = %d, want 16 B per slot = %d", got, want)
 	}
 }
 
@@ -193,6 +199,40 @@ func TestTabEMatchesMap(t *testing.T) {
 	})
 	if n != len(ref) {
 		t.Fatalf("each() visited %d entries, want %d", n, len(ref))
+	}
+}
+
+// TestTabEEarlyListsSurviveGrowth: the early lists live outside the slots, so
+// doubling the table rehashes 24-byte records and leaves every list where it
+// was, still reachable from its key.
+func TestTabEEarlyListsSurviveGrowth(t *testing.T) {
+	var tab tabE
+	const withEarly = 10
+	for i := int32(0); i < withEarly; i++ {
+		tab.put(packPop(i, 1, 2), entry{state: i, early: []int32{i, i + 100}})
+	}
+	slots, lists := len(tab.slots), len(tab.lists)
+	for i := int32(0); i < 5000; i++ {
+		tab.put(packValue(i, int64(i)<<32|7), entry{state: -i})
+	}
+	if len(tab.slots) <= slots {
+		t.Fatalf("table did not grow: %d slots", len(tab.slots))
+	}
+	if len(tab.lists) != lists {
+		t.Fatalf("growth moved the early lists: %d lists, had %d", len(tab.lists), lists)
+	}
+	for i := int32(0); i < withEarly; i++ {
+		e, ok := tab.get(packPop(i, 1, 2))
+		if !ok || e.state != i || !equalIDs(e.early, []int32{i, i + 100}) {
+			t.Fatalf("after growth get(%d) = (%v,%v)", i, e, ok)
+		}
+	}
+	if e, ok := tab.get(packValue(4999, int64(4999)<<32|7)); !ok || e.state != -4999 || e.early != nil {
+		t.Fatalf("entry without early oids = (%v,%v)", e, ok)
+	}
+	want := int64(24*len(tab.slots)) + 24 + withEarly*(24+2*4) // lists[0] is the "none" placeholder
+	if got := tab.memBytes(); got != want {
+		t.Fatalf("memBytes = %d, want 24 B per slot + the lists = %d", got, want)
 	}
 }
 

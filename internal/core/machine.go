@@ -174,8 +174,11 @@ type entry struct {
 	early []int32
 }
 
+// frame is one open element on the machine's stack: the parent's states and
+// content flags to restore at the close tag, and the element's own symbol.
 type frame struct {
 	qt, qb       int32
+	sym          int32
 	sawText      bool
 	sawElemChild bool
 }
@@ -489,7 +492,7 @@ func (m *Machine) startElement(sym int32) {
 		}
 		m.cur.sawElemChild = true
 	}
-	m.stack = append(m.stack, frame{qt: m.qt, qb: m.qb, sawText: m.cur.sawText, sawElemChild: m.cur.sawElemChild})
+	m.stack = append(m.stack, frame{qt: m.qt, qb: m.qb, sym: sym, sawText: m.cur.sawText, sawElemChild: m.cur.sawElemChild})
 	m.cur = frame{}
 	if m.opts.TopDown {
 		m.qt = m.pushState(m.qt, sym)
@@ -612,9 +615,16 @@ func (m *Machine) EndElement(name string) {
 	m.endElement(m.afa.Syms.InputSym(name))
 }
 
-// EndElementBytes implements sax.BytesHandler.
-func (m *Machine) EndElementBytes(name []byte) {
-	m.endElement(m.afa.Syms.InputSymBytes(name))
+// EndElementBytes implements sax.BytesHandler. The name is not looked up a
+// second time: sax.ByteScanner rejects a close tag that does not repeat the
+// open tag's name, so the symbol stacked by StartElementBytes is the one
+// the name would resolve to.
+func (m *Machine) EndElementBytes([]byte) {
+	sym := int32(0) // unused on an empty stack, which endElement ignores
+	if n := len(m.stack); n > 0 {
+		sym = m.stack[n-1].sym
+	}
+	m.endElement(sym)
 }
 
 func (m *Machine) endElement(sym int32) {

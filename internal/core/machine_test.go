@@ -11,6 +11,7 @@ import (
 	"repro/internal/afa"
 	"repro/internal/dtd"
 	"repro/internal/naive"
+	"repro/internal/sax"
 	"repro/internal/xpath"
 )
 
@@ -644,16 +645,16 @@ func writeTestAtom(r *rand.Rand, sb *strings.Builder, depth int) {
 
 func randomTestDoc(r *rand.Rand) string {
 	var sb strings.Builder
-	writeTestElement(r, &sb, 3)
+	writeTestElement(r, &sb, testLabels, 3)
 	return sb.String()
 }
 
-func writeTestElement(r *rand.Rand, sb *strings.Builder, depth int) {
-	name := testLabels[r.Intn(len(testLabels))]
+func writeTestElement(r *rand.Rand, sb *strings.Builder, labels []string, depth int) {
+	name := labels[r.Intn(len(labels))]
 	sb.WriteByte('<')
 	sb.WriteString(name)
 	for i := r.Intn(3); i > 0; i-- {
-		fmt.Fprintf(sb, ` %s="%d"`, testLabels[r.Intn(len(testLabels))], r.Intn(5))
+		fmt.Fprintf(sb, ` %s="%d"`, labels[r.Intn(len(labels))], r.Intn(5))
 	}
 	if depth == 0 || r.Intn(6) == 0 {
 		sb.WriteString("/>")
@@ -670,10 +671,74 @@ func writeTestElement(r *rand.Rand, sb *strings.Builder, depth int) {
 	default:
 		n := 1 + r.Intn(3)
 		for i := 0; i < n; i++ {
-			writeTestElement(r, sb, depth-1)
+			writeTestElement(r, sb, labels, depth-1)
 		}
 	}
 	fmt.Fprintf(sb, "</%s>", name)
+}
+
+// TestBytePathMatchesHandlerPath: the byte path takes an element's symbol
+// from the machine's stack at the close tag, the string Handler path looks
+// the name up again. On documents full of labels no filter mentions (which
+// collapse to SymOtherElem / SymOtherAttr) both must walk the same states
+// and report what the DOM oracle reports, under all 16 combinations of the
+// four optimisation flags.
+func TestBytePathMatchesHandlerPath(t *testing.T) {
+	labels := append([]string{"u", "unknown", "a1", "zz"}, testLabels...)
+	r := rand.New(rand.NewSource(20))
+	trials := 40
+	if testing.Short() {
+		trials = 10
+	}
+	for trial := 0; trial < trials; trial++ {
+		filters := make([]*xpath.Filter, 1+r.Intn(6))
+		for i := range filters {
+			filters[i] = randomTestFilter(r)
+		}
+		oracle := naive.NewEngine(filters)
+		docs := make([][]byte, 4)
+		for i := range docs {
+			var sb strings.Builder
+			writeTestElement(r, &sb, labels, 3)
+			docs[i] = []byte(sb.String())
+		}
+		for flags := 0; flags < 16; flags++ {
+			opts := Options{TopDown: flags&1 != 0, Early: flags&4 != 0, PrecomputeValues: flags&8 != 0}
+			if flags&2 != 0 {
+				opts.Order = dtd.EmptyOrder()
+			}
+			machine := func() *Machine {
+				a, err := afa.Compile(filters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return New(a, opts)
+			}
+			byBytes, byStrings := machine(), machine()
+			for _, doc := range docs {
+				want, err := oracle.FilterDocument(doc)
+				if err != nil {
+					t.Fatalf("oracle on %s: %v", doc, err)
+				}
+				got, err := byBytes.FilterDocument(doc)
+				if err != nil {
+					t.Fatalf("flags %04b: byte path on %s: %v", flags, doc, err)
+				}
+				if err := sax.Parse(doc, byStrings); err != nil {
+					t.Fatalf("flags %04b: handler path on %s: %v", flags, doc, err)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(byStrings.Results()) != fmt.Sprint(want) {
+					t.Fatalf("flags %04b on %s (filters %v)\n bytes:   %v\n strings: %v\n oracle:  %v",
+						flags, doc, filters, got, byStrings.Results(), want)
+				}
+				sb, ss := byBytes.Stats(), byStrings.Stats()
+				if sb.BStates != ss.BStates || sb.TStates != ss.TStates || sb.Lookups != ss.Lookups || sb.Hits != ss.Hits {
+					t.Fatalf("flags %04b on %s: the paths walked different machines\n bytes:   %+v\n strings: %+v",
+						flags, doc, sb, ss)
+				}
+			}
+		}
+	}
 }
 
 func TestApproxMemoryBytes(t *testing.T) {
@@ -682,8 +747,10 @@ func TestApproxMemoryBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	mem := m.ApproxMemoryBytes()
-	if mem <= 0 {
-		t.Fatalf("memory estimate = %d", mem)
+	// The pop and value tables hold 16 slots of 24 B, the add table 16 of
+	// 16 B, the intern index 16 of 12 B, and the interned states 21 ids.
+	if want := int64(2*16*24 + 16*16 + 16*12 + 21*4); mem != want {
+		t.Fatalf("memory estimate = %d, want %d", mem, want)
 	}
 	// Growing the machine grows the estimate.
 	if _, err := m.FilterDocument([]byte(`<a c="9"><b>1</b></a>`)); err != nil {

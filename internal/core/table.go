@@ -37,19 +37,23 @@ func packAdd(qbs, qaux int32) uint64 {
 	return uint64(uint32(qbs))<<32 | uint64(uint32(qaux))
 }
 
-// tab64 maps a packed uint64 key to an int32 state id.
+// tab64 maps a packed uint64 key to an int32 state id. Key and value share
+// one 16-byte slot, so a probe reads one cache line.
 type tab64 struct {
-	keys []uint64
-	vals []int32
-	n    int
+	slots []slot64
+	n     int
+}
+
+type slot64 struct {
+	key uint64
+	val int32
 }
 
 func (t *tab64) init(n int) {
-	t.keys = make([]uint64, n)
-	t.vals = make([]int32, n)
+	t.slots = make([]slot64, n)
 	t.n = 0
-	for i := range t.keys {
-		t.keys[i] = emptyKey64
+	for i := range t.slots {
+		t.slots[i].key = emptyKey64
 	}
 }
 
@@ -57,27 +61,27 @@ func (t *tab64) get(key uint64) (int32, bool) {
 	if t.n == 0 {
 		return 0, false
 	}
-	mask := uint64(len(t.keys) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for i := mix64(key) & mask; ; i = (i + 1) & mask {
-		k := t.keys[i]
-		if k == key {
-			return t.vals[i], true
+		s := &t.slots[i]
+		if s.key == key {
+			return s.val, true
 		}
-		if k == emptyKey64 {
+		if s.key == emptyKey64 {
 			return 0, false
 		}
 	}
 }
 
 func (t *tab64) put(key uint64, val int32) {
-	if len(t.keys) == 0 {
+	if len(t.slots) == 0 {
 		t.init(tabMinSlots)
-	} else if (t.n+1)*4 > len(t.keys)*3 {
-		old := *t
-		t.init(len(t.keys) * 2)
-		for i, k := range old.keys {
-			if k != emptyKey64 {
-				t.set(k, old.vals[i])
+	} else if (t.n+1)*4 > len(t.slots)*3 {
+		old := t.slots
+		t.init(len(old) * 2)
+		for _, s := range old {
+			if s.key != emptyKey64 {
+				t.set(s.key, s.val)
 			}
 		}
 	}
@@ -86,16 +90,15 @@ func (t *tab64) put(key uint64, val int32) {
 
 // set inserts or overwrites without growth checks.
 func (t *tab64) set(key uint64, val int32) {
-	mask := uint64(len(t.keys) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for i := mix64(key) & mask; ; i = (i + 1) & mask {
-		k := t.keys[i]
-		if k == key {
-			t.vals[i] = val
+		s := &t.slots[i]
+		if s.key == key {
+			s.val = val
 			return
 		}
-		if k == emptyKey64 {
-			t.keys[i] = key
-			t.vals[i] = val
+		if s.key == emptyKey64 {
+			*s = slot64{key: key, val: val}
 			t.n++
 			return
 		}
@@ -104,16 +107,16 @@ func (t *tab64) set(key uint64, val int32) {
 
 // each visits all entries in unspecified order.
 func (t *tab64) each(f func(key uint64, val int32)) {
-	for i, k := range t.keys {
-		if k != emptyKey64 {
-			f(k, t.vals[i])
+	for _, s := range t.slots {
+		if s.key != emptyKey64 {
+			f(s.key, s.val)
 		}
 	}
 }
 
 func (t *tab64) len() int { return t.n }
 
-func (t *tab64) memBytes() int64 { return int64(len(t.keys)) * 12 }
+func (t *tab64) memBytes() int64 { return int64(len(t.slots)) * 16 }
 
 // key128 is a two-word key for the transitions whose inputs exceed 64 bits
 // (pop: two states + symbol; value: state + interval id). lo is never
@@ -134,78 +137,96 @@ func packValue(qt int32, interval int64) key128 {
 func (k key128) hash() uint64 { return mix64(k.lo ^ mix64(k.hi)) }
 
 // tabE maps a key128 to an entry (resulting state + early-fired filter
-// oids).
+// oids). Key and state share one 24-byte slot; the early lists, empty on
+// almost every transition, live out of line in lists and the slot holds an
+// index into it, so growth moves slots and never a list.
 type tabE struct {
-	keys   []key128
-	states []int32
-	early  [][]int32
-	n      int
+	slots []slotE
+	lists [][]int32 // lists[0] is unused: index 0 means no early oids
+	n     int
+}
+
+type slotE struct {
+	key   key128
+	state int32
+	early int32 // index into lists; 0 = none
 }
 
 func (t *tabE) init(n int) {
-	t.keys = make([]key128, n)
-	t.states = make([]int32, n)
-	t.early = make([][]int32, n)
+	t.slots = make([]slotE, n)
 	t.n = 0
-	for i := range t.keys {
-		t.keys[i].lo = emptyKey64
+	for i := range t.slots {
+		t.slots[i].key.lo = emptyKey64
 	}
+}
+
+func (t *tabE) entry(s *slotE) entry {
+	e := entry{state: s.state}
+	if s.early != 0 {
+		e.early = t.lists[s.early]
+	}
+	return e
 }
 
 func (t *tabE) get(key key128) (entry, bool) {
 	if t.n == 0 {
 		return entry{}, false
 	}
-	mask := uint64(len(t.keys) - 1)
+	mask := uint64(len(t.slots) - 1)
 	for i := key.hash() & mask; ; i = (i + 1) & mask {
-		k := t.keys[i]
-		if k == key {
-			return entry{state: t.states[i], early: t.early[i]}, true
+		s := &t.slots[i]
+		if s.key == key {
+			return t.entry(s), true
 		}
-		if k.lo == emptyKey64 {
+		if s.key.lo == emptyKey64 {
 			return entry{}, false
 		}
 	}
 }
 
 func (t *tabE) put(key key128, e entry) {
-	if len(t.keys) == 0 {
+	if len(t.slots) == 0 {
 		t.init(tabMinSlots)
-	} else if (t.n+1)*4 > len(t.keys)*3 {
-		old := *t
-		t.init(len(t.keys) * 2)
-		for i, k := range old.keys {
-			if k.lo != emptyKey64 {
-				t.set(k, entry{state: old.states[i], early: old.early[i]})
+	} else if (t.n+1)*4 > len(t.slots)*3 {
+		old := t.slots
+		t.init(len(old) * 2)
+		for _, s := range old {
+			if s.key.lo != emptyKey64 {
+				*t.slot(s.key) = s
 			}
 		}
 	}
-	t.set(key, e)
+	s := t.slot(key)
+	s.key, s.state, s.early = key, e.state, 0
+	if len(e.early) > 0 {
+		if len(t.lists) == 0 {
+			t.lists = append(t.lists, nil)
+		}
+		s.early = int32(len(t.lists))
+		t.lists = append(t.lists, e.early)
+	}
 }
 
-func (t *tabE) set(key key128, e entry) {
-	mask := uint64(len(t.keys) - 1)
+// slot returns the slot holding key, claiming an empty one (and counting
+// it) when the key is new; the caller fills it in. There is always room.
+func (t *tabE) slot(key key128) *slotE {
+	mask := uint64(len(t.slots) - 1)
 	for i := key.hash() & mask; ; i = (i + 1) & mask {
-		k := t.keys[i]
-		if k == key {
-			t.states[i] = e.state
-			t.early[i] = e.early
-			return
+		s := &t.slots[i]
+		if s.key == key {
+			return s
 		}
-		if k.lo == emptyKey64 {
-			t.keys[i] = key
-			t.states[i] = e.state
-			t.early[i] = e.early
+		if s.key.lo == emptyKey64 {
 			t.n++
-			return
+			return s
 		}
 	}
 }
 
 func (t *tabE) each(f func(key key128, e entry)) {
-	for i, k := range t.keys {
-		if k.lo != emptyKey64 {
-			f(k, entry{state: t.states[i], early: t.early[i]})
+	for i := range t.slots {
+		if s := &t.slots[i]; s.key.lo != emptyKey64 {
+			f(s.key, t.entry(s))
 		}
 	}
 }
@@ -213,9 +234,9 @@ func (t *tabE) each(f func(key key128, e entry)) {
 func (t *tabE) len() int { return t.n }
 
 func (t *tabE) memBytes() int64 {
-	b := int64(len(t.keys)) * 44 // 16B key + 4B state + 24B slice header
-	for _, e := range t.early {
-		b += 4 * int64(len(e))
+	b := int64(len(t.slots)) * 24 // 16B key + 4B state + 4B list index
+	for _, e := range t.lists {
+		b += 24 + 4*int64(len(e)) // slice header + oids
 	}
 	return b
 }

@@ -3,7 +3,9 @@ package predindex
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -126,58 +128,181 @@ func TestIntervalKeyConsistency(t *testing.T) {
 	}
 }
 
+// bruteForce evaluates every predicate directly: the reference Match and the
+// interval partition are checked against.
+type testPred struct {
+	id int32
+	op xmlval.Op
+	c  xmlval.Const
+}
+
+func bruteForce(preds []testPred, v xmlval.Value) []int32 {
+	var want []int32
+	for _, p := range preds {
+		if xmlval.Eval(p.op, v, p.c) {
+			want = append(want, p.id)
+		}
+	}
+	slices.Sort(want)
+	return slices.Compact(want)
+}
+
 // TestBruteForceProperty cross-checks the index against direct evaluation of
-// every predicate on random values.
+// every predicate on random values: constants, values that miss every
+// constant (below, between and above them, in both domains) and
+// whitespace-padded text. Values sharing an IntervalKey must share their
+// relational satisfied set, the contract the machine's value table rests on.
 func TestBruteForceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	ops := []xmlval.Op{xmlval.OpEq, xmlval.OpNe, xmlval.OpLt, xmlval.OpLe, xmlval.OpGt, xmlval.OpGe}
 	words := []string{"", "a", "ab", "abc", "b", "hello", "m", "zz"}
-	for trial := 0; trial < 60; trial++ {
+	// No constant equals any of these; they sort below, between and above
+	// the words ("\x01" < "a" < "aa" < "ab" < ... < "zz" < "zzz").
+	misses := []string{"\x01", "A", "aa", "aba", "abd", "c", "hellp", "n", "z", "zzz", "~"}
+	for trial := 0; trial < 120; trial++ {
 		b := NewBuilder()
-		type pred struct {
-			op xmlval.Op
-			c  xmlval.Const
-		}
-		var preds []pred
+		var preds []testPred
 		n := 1 + r.Intn(40)
+		// A third of the trials have equality-only string constants (no
+		// ordered list: every miss is one gap), a third string-function
+		// free (so the whole Match is interval-cacheable).
+		eqOnlyStrings := trial%3 == 0
+		noFuncs := trial%3 == 1
 		for i := 0; i < n; i++ {
-			var p pred
-			switch r.Intn(6) {
+			// Ids repeat now and then: an id fires when any of its
+			// predicates holds.
+			p := testPred{id: int32(i)}
+			if i > 0 && r.Intn(8) == 0 {
+				p.id = int32(r.Intn(i))
+			}
+			k := r.Intn(6)
+			if noFuncs && k < 2 {
+				k = 2
+			}
+			switch k {
 			case 0:
-				p = pred{xmlval.OpContains, xmlval.StringConst(words[1+r.Intn(len(words)-1)])}
+				p.op, p.c = xmlval.OpContains, xmlval.StringConst(words[1+r.Intn(len(words)-1)])
 			case 1:
-				p = pred{xmlval.OpStartsWith, xmlval.StringConst(words[1+r.Intn(len(words)-1)])}
+				p.op, p.c = xmlval.OpStartsWith, xmlval.StringConst(words[1+r.Intn(len(words)-1)])
 			case 2:
-				p = pred{ops[r.Intn(len(ops))], xmlval.StringConst(words[r.Intn(len(words))])}
+				op := ops[r.Intn(len(ops))]
+				if eqOnlyStrings {
+					op = ops[r.Intn(2)]
+				}
+				p.op, p.c = op, xmlval.StringConst(words[r.Intn(len(words))])
 			case 3:
-				p = pred{xmlval.OpExists, xmlval.Const{}}
+				p.op = xmlval.OpExists
 			default:
-				p = pred{ops[r.Intn(len(ops))], xmlval.NumberConst(float64(r.Intn(10) - 5))}
+				p.op, p.c = ops[r.Intn(len(ops))], xmlval.NumberConst(float64(r.Intn(10)-5))
 			}
 			preds = append(preds, p)
-			b.Add(int32(i), p.op, p.c)
+			b.Add(p.id, p.op, p.c)
 		}
 		ix := b.Build()
-		for probe := 0; probe < 50; probe++ {
+		byKey := map[int64]string{}
+		for probe := 0; probe < 80; probe++ {
 			var v xmlval.Value
-			if r.Intn(2) == 0 {
+			switch r.Intn(5) {
+			case 0:
 				v = xmlval.FromNumber(float64(r.Intn(14)-7) / 2)
-			} else {
+			case 1:
+				v = xmlval.FromNumber(float64(r.Intn(40)-20) + 0.25) // misses every numeric constant
+			case 2:
 				v = xmlval.New(words[r.Intn(len(words))])
-			}
-			var want []int32
-			for i, p := range preds {
-				if xmlval.Eval(p.op, v, p.c) {
-					want = append(want, int32(i))
+			case 3:
+				v = xmlval.New(misses[r.Intn(len(misses))])
+			default:
+				pad := []string{" ", "\n\t", "  "}
+				text := words[r.Intn(len(words))]
+				if r.Intn(2) == 0 {
+					text = strconv.Itoa(r.Intn(10) - 5)
 				}
+				v = xmlval.New(pad[r.Intn(len(pad))] + text + pad[r.Intn(len(pad))])
 			}
+			want := bruteForce(preds, v)
 			got := ix.Match(v)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("trial %d: Match(%q) = %v, want %v (preds %v)",
 					trial, v.Text, got, want, preds)
 			}
+			rel := fmt.Sprint(ix.matchRelational(v))
+			key := ix.IntervalKey(v)
+			if prev, ok := byKey[key]; ok && prev != rel {
+				t.Fatalf("trial %d: IntervalKey %#x covers %q with set %s and an earlier value with set %s (preds %v)",
+					trial, key, v.Text, rel, prev, preds)
+			}
+			byKey[key] = rel
 		}
 	}
+}
+
+// TestRepresentativesCoverEveryKey: the values the machine precomputes over
+// must reach every interval a lookup can return, so a warm value table has
+// no row left to build.
+func TestRepresentativesCoverEveryKey(t *testing.T) {
+	b := NewBuilder()
+	for i, c := range []string{"b", "d", "f", "h"} {
+		op := xmlval.OpEq
+		if i == 2 {
+			op = xmlval.OpLt // "f" is the only ordered string constant
+		}
+		b.Add(int32(i), op, xmlval.StringConst(c))
+	}
+	b.Add(10, xmlval.OpEq, xmlval.NumberConst(1))
+	b.Add(11, xmlval.OpGe, xmlval.NumberConst(5))
+	b.Add(12, xmlval.OpNe, xmlval.NumberConst(9))
+	ix := b.Build()
+	keys := map[int64]bool{}
+	for _, v := range ix.Representatives() {
+		keys[ix.IntervalKey(v)] = true
+	}
+	for _, text := range []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "", "0", "1", "3", "5", "7", "9", "11"} {
+		if v := xmlval.New(text); !v.IsNum && !keys[ix.IntervalKey(v)] {
+			t.Errorf("no representative shares the interval of %q", text)
+		}
+	}
+	// Two string gaps: below "f" and above it.
+	gaps := map[int]bool{}
+	for _, text := range []string{"a", "c", "e", "g", "i"} {
+		gaps[ix.strInterval(text)] = true
+	}
+	if len(gaps) != 2 {
+		t.Errorf("string misses fall into %d gaps, want 2 (one ordered constant)", len(gaps))
+	}
+}
+
+// FuzzStrInterval checks the string side of the partition against direct
+// evaluation: whatever the constants, their operators and the probe, Match
+// is what xmlval.Eval says, and two probes with one interval id agree.
+func FuzzStrInterval(f *testing.F) {
+	f.Add("a\x00b\x00c", []byte{0, 2, 1}, "b", "bb")
+	f.Add("m", []byte{3}, "a", "z")
+	f.Add("\x00x", []byte{0, 5}, "", " x ")
+	f.Add("k1\x00k2\x00k3\x00k4", []byte{0, 0, 1, 0}, "k0", "k5")
+	f.Fuzz(func(t *testing.T, consts string, opBytes []byte, a, b string) {
+		bd := NewBuilder()
+		var preds []testPred
+		for i, c := range strings.Split(consts, "\x00") {
+			if i >= len(opBytes) || i >= 64 {
+				break
+			}
+			p := testPred{int32(i), xmlval.Op(opBytes[i] % 6), xmlval.StringConst(c)}
+			preds = append(preds, p)
+			bd.Add(p.id, p.op, p.c)
+		}
+		ix := bd.Build()
+		va, vb := xmlval.New(a), xmlval.New(b)
+		for _, v := range []xmlval.Value{va, vb} {
+			if got, want := ix.Match(v), bruteForce(preds, v); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("Match(%q) = %v, want %v (preds %v)", v.Text, got, want, preds)
+			}
+		}
+		if ix.strInterval(va.Trimmed()) == ix.strInterval(vb.Trimmed()) &&
+			fmt.Sprint(ix.Match(va)) != fmt.Sprint(ix.Match(vb)) {
+			t.Fatalf("%q and %q share interval %d but not their satisfied set (preds %v)",
+				a, b, ix.strInterval(va.Trimmed()), preds)
+		}
+	})
 }
 
 func TestIntervalCacheReuse(t *testing.T) {
