@@ -193,6 +193,7 @@ func remapped(c *core, e *xpushstream.Engine, mapping []int) *core {
 		keys:    make([]uint64, e.NumQueries()),
 		removed: make([]bool, e.NumQueries()),
 		keyIdx:  make(map[uint64]int, e.NumQueries()),
+		keyHW:   c.keyHW,
 		engine:  e,
 	}
 	for old, idx := range mapping {

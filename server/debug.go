@@ -108,6 +108,10 @@ type machineSnapshot struct {
 	PoolSize int `json:"pool_size,omitempty"`
 
 	DurablePumps int `json:"durable_pumps"`
+	// Replayed documents routed from the publish-time match journal, and
+	// those the pumps had to filter again (0 and 0 without a WAL).
+	JournalHits   int64 `json:"journal_hits"`
+	JournalMisses int64 `json:"journal_misses"`
 
 	Trace traceSnapshot `json:"trace"`
 }
@@ -152,6 +156,9 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
 			SlowNS:      s.tracer.SlowThreshold().Nanoseconds(),
 			Stats:       s.tracer.Stats(),
 		},
+	}
+	if j := s.journal; j != nil {
+		snap.JournalHits, snap.JournalMisses = j.hits.Load(), j.missTotal()
 	}
 	s.connMu.Lock()
 	snap.Connections = len(s.conns)

@@ -110,8 +110,9 @@ func (s *Server) walBroadcast() {
 // subscribeDurable registers a durable filter for cn under name and returns
 // the filter id plus the offset replay resumes from. Durable subscribers are
 // not fed from delivery queues: a per-connection pump reads the log from the
-// persisted cursor, re-filters each document through the current engine, and
-// writes DeliverAt frames paced by the TCP connection itself — nothing is
+// persisted cursor, routes each document by what it matched at publish (the
+// match journal; an engine pass where the journal cannot answer, see pump),
+// and writes DeliverAt frames paced by the TCP connection itself — nothing is
 // ever dropped, only delayed (at-least-once; Ack advances the cursor).
 //
 // A name identifies one logical subscriber: reconnecting under a live name
@@ -181,9 +182,32 @@ func (s *Server) subscribeDurable(cn *conn, name, xpath string) (id, resume uint
 }
 
 // pump is the durable delivery loop: replay from start, then follow the live
-// tail. Each replayed document gets its own "replay" trace (under the same
-// sampling rules as publishes) covering the log read, the re-filter, and the
-// frame write, with the cursor's distance from the log head as replay_lag.
+// tail. A document is routed from the match journal (journal.go) — what the
+// machine matched when it was published — and only filtered again when the
+// journal cannot answer for this connection:
+//
+//   - hit: the entry was filtered on a core whose keyHW reaches the
+//     connection's durKeyHW, i.e. on a workload that already held every
+//     filter the connection subscribes to durably, so the journaled keys
+//     resolved through the registry (which skips what has been unsubscribed
+//     since) are exactly what filtering on the current workload would give.
+//     No engine call, no publish lock.
+//   - not yet journaled: the record is readable as soon as its batch commits,
+//     before the publisher that owns it has journaled it. The pump flushes
+//     what it has staged and parks until the next walBroadcast — which a
+//     publish fires after its put — rather than filtering the document a
+//     second time just because it got there first. It parks at most
+//     journalWait per record: a record no publish of this process will ever
+//     journal (written into the log from outside) is then filtered here, so
+//     the pump cannot park forever.
+//   - miss (the ring has lapped this offset, the record predates this
+//     process, or the connection holds a filter newer than the entry's
+//     workload): the engine pass, on the current workload.
+//
+// Each replayed document gets its own "replay" trace (under the same sampling
+// rules as publishes) covering the log read, the journal lookup or the
+// filter pass, and the frame write, with the cursor's distance from the log
+// head as replay_lag.
 func (cn *conn) pump(name string, start uint64) {
 	defer cn.pumpWG.Done()
 	s := cn.s
@@ -200,19 +224,27 @@ func (cn *conn) pump(name string, start uint64) {
 	// tail (or every pumpFlushEvery frames mid-replay), so a burst of
 	// replayed documents shares one flush instead of paying one per frame.
 	unflushed := 0
+	flush := func() bool {
+		if unflushed == 0 {
+			return true
+		}
+		unflushed = 0
+		if werr := cn.flushFrames(); werr != nil {
+			s.logf("durable %q: flush: %v", name, werr)
+			cn.close()
+			return false
+		}
+		return true
+	}
+	var keys []uint64 // journaled keys of the document in hand, reused
 	for {
 		ch := s.walChan() // before Next: see walChan
 		t0 := time.Now()
 		off, doc, err := r.Next()
 		switch {
 		case err == io.EOF:
-			if unflushed > 0 {
-				unflushed = 0
-				if werr := cn.flushFrames(); werr != nil {
-					s.logf("durable %q: flush: %v", name, werr)
-					cn.close()
-					return
-				}
+			if !flush() {
+				return
 			}
 			select {
 			case <-ch:
@@ -248,17 +280,37 @@ func (cn *conn) pump(name string, start uint64) {
 		if next := s.wal.NextOffset(); next > off {
 			tc.SetAttr(trace.Root, "replay_lag", int64(next-(off+1)))
 		}
-		ids, err := s.matchDurable(cn, doc, tc, trace.Root)
-		if err != nil {
-			// The document is already accepted into the log; a filter error
-			// here (e.g. malformed XML vs a stricter engine config) must not
-			// wedge the stream.
-			s.logf("durable %q: filter error at offset %d: %v", name, off, err)
+		var ids []uint64
+		hit := false
+		if s.journal != nil {
+			jspan := tc.StartSpan("journal", trace.Root)
+			var st journalState
+			var ok bool
+			if keys, st, ok = cn.awaitJournal(off, keys, ch, flush); !ok {
+				tc.Finish()
+				return
+			}
+			s.journal.count(st)
+			if hit = st == journalHit; hit {
+				ids = s.durableSubs(cn, keys, tc)
+				tc.SetAttr(jspan, "keys", int64(len(keys)))
+				tc.SetAttr(jspan, "hit", 1)
+			} else {
+				tc.SetAttr(jspan, "hit", 0)
+			}
+			tc.EndSpan(jspan)
+		}
+		if !hit {
+			if ids, err = s.matchDurable(cn, doc, tc, trace.Root); err != nil {
+				// The document is already accepted into the log; a filter
+				// error here (e.g. malformed XML vs a stricter engine config)
+				// must not wedge the stream.
+				s.logf("durable %q: filter error at offset %d: %v", name, off, err)
+			}
 		}
 		if len(ids) > 0 {
-			payload := AppendDeliverAtPayloadTrace(make([]byte, 0, 20+8*len(ids)+len(doc)), off, ids, doc, tc.TraceID())
 			wspan := tc.StartSpan("deliver_write", trace.Root)
-			werr := cn.writeFrameBuffered(FrameDeliverAt, payload)
+			werr := cn.writeDeliverAtBuffered(off, ids, doc, tc.TraceID())
 			if unflushed++; werr == nil && unflushed >= pumpFlushEvery {
 				unflushed = 0
 				werr = cn.flushFrames()
@@ -282,30 +334,65 @@ func (cn *conn) pump(name string, start uint64) {
 	}
 }
 
-// matchDurable filters one replayed document and returns the matched filter
-// ids that belong to cn's durable subscriptions.
+// awaitJournal looks the record at off up in the match journal for cn,
+// parking while the publisher that owns it has not journaled it yet (see
+// pump). ch is a walChan grabbed before the caller read the record; flush
+// sends what the pump has staged before it parks. The keys of a hit are
+// appended to keys[:0]. ok is false when the pump has to exit: it was stopped
+// while parked, or flush failed.
+func (cn *conn) awaitJournal(off uint64, keys []uint64, ch <-chan struct{}, flush func() bool) (_ []uint64, st journalState, ok bool) {
+	s := cn.s
+	var deadline time.Time
+	for {
+		if keys, st = s.journal.get(off, cn.durKeyHW.Load(), keys); st != journalNotYet {
+			return keys, st, true
+		}
+		if deadline.IsZero() {
+			deadline = time.Now().Add(journalWait)
+		}
+		wait := time.Until(deadline)
+		if wait <= 0 {
+			return keys, journalTimeout, true
+		}
+		if !flush() {
+			return keys, st, false
+		}
+		timer := time.NewTimer(wait)
+		select {
+		case <-ch:
+		case <-timer.C:
+		case <-cn.pumpStop:
+			timer.Stop()
+			return keys, st, false
+		}
+		timer.Stop()
+		ch = s.walChan() // before the next look, as before Next in pump
+	}
+}
+
+// matchDurable is the replay's engine pass: it filters one document on the
+// current workload and returns the matched filter ids that belong to cn's
+// durable subscriptions.
 func (s *Server) matchDurable(cn *conn, doc []byte, tc *trace.Ctx, parent trace.SpanID) ([]uint64, error) {
 	c, matches, err := s.filter(doc, false, tc, parent)
 	if err != nil {
 		return nil, err
 	}
-	if len(matches) == 0 {
-		return nil, nil
+	return s.durableSubs(cn, c.matchKeys(matches), tc), nil
+}
+
+// durableSubs resolves the registry keys a replayed document matched —
+// journaled at publish, or fresh from the engine pass — to cn's durable
+// subscription ids. Traced replays feed the per-query profiler's replay
+// column: which canonical queries the pump keeps delivering documents for.
+func (s *Server) durableSubs(cn *conn, keys []uint64, tc *trace.Ctx) []uint64 {
+	if len(keys) == 0 {
+		return nil
 	}
-	keys := make([]uint64, 0, len(matches))
-	for _, m := range matches {
-		keys = append(keys, c.keys[m])
-	}
-	// Traced replays feed the per-query profiler's replay column: which
-	// canonical queries the pump keeps re-filtering documents for.
 	if tc != nil && s.prof != nil {
-		canons := make([]string, 0, len(matches))
-		for _, m := range matches {
-			canons = append(canons, c.canon[m])
-		}
-		s.prof.observeReplay(keys, canons)
+		s.prof.observeReplay(keys, s.cur.Load().canonsOf(keys))
 	}
-	return s.subs.OwnerSubs(keys, cn, true), nil
+	return s.subs.OwnerSubs(keys, cn, true)
 }
 
 // handleAck persists an advanced cursor. Acks carry no response frame, so
@@ -428,11 +515,23 @@ func (s *Server) registerDurableMetrics() {
 		}
 	}
 	s.reg.GaugeVecFunc("xpush_durable_pump_docs_scanned_total",
-		"log records read and re-filtered by each durable subscriber's replay pump",
+		"log records each durable subscriber's replay pump read and routed (from the match journal, or by an engine pass on a journal miss)",
 		pumpVec(func(cn *conn) int64 { return cn.pumpScanned.Load() }))
 	s.reg.GaugeVecFunc("xpush_durable_pump_deliveries_total",
 		"DELIVERAT frames each durable subscriber's replay pump wrote",
 		pumpVec(func(cn *conn) int64 { return cn.pumpDelivered.Load() }))
+	if j := s.journal; j != nil {
+		s.reg.CounterFunc("xpushserve_durable_journal_hits_total",
+			"replayed log records routed from the publish-time match journal, without an engine pass", j.hits.Load)
+		s.reg.GaugeVecFunc("xpushserve_durable_journal_misses_total",
+			"replayed log records the match journal could not answer, filtered again by the pump: lapped (the ring has moved past the offset), preboot (logged by an earlier process), new_filter (the subscriber holds a filter newer than the workload the record was filtered on), timeout (no publish journaled the record in time)", func() []obs.Labeled {
+				out := make([]obs.Labeled, len(journalMissReasons))
+				for i, reason := range journalMissReasons {
+					out[i] = obs.Labeled{Labels: `reason="` + reason + `"`, Value: float64(j.misses[i].Load())}
+				}
+				return out
+			})
+	}
 	s.reg.GaugeFunc("xpushserve_acked_offset_min", "lowest persisted cursor among connected durable subscribers", func() float64 {
 		s.durMu.Lock()
 		defer s.durMu.Unlock()

@@ -18,6 +18,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -307,6 +308,41 @@ func ParseDeliverAtPayloadTrace(p []byte) (offset uint64, filters []uint64, doc 
 	offset = binary.BigEndian.Uint64(p[:8])
 	filters, doc, traceID, err = ParseDeliverPayloadTrace(p[8:])
 	return offset, filters, doc, traceID, err
+}
+
+// writeDeliverFrame writes one whole Deliver frame — or, for typ
+// FrameDeliverAt, a DeliverAt frame at offset — into w: the bytes of
+// WriteFrame(w, typ, Append{Deliver,DeliverAt}PayloadTrace(...)), without
+// assembling the payload first. Everything ahead of the document is built in
+// w's own free space; the document is written from where it lies.
+func writeDeliverFrame(w *bufio.Writer, typ byte, offset uint64, filters []uint64, doc []byte, traceID uint64) error {
+	n := 1 + 4 + 8*len(filters) + len(doc)
+	count := uint32(len(filters))
+	if typ == FrameDeliverAt {
+		n += 8
+	}
+	if traceID != 0 {
+		n += 8
+		count |= deliverTraceFlag
+	}
+	// Appending past the free space reallocates, and Write takes either.
+	b := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(n))
+	b = append(b, typ)
+	if typ == FrameDeliverAt {
+		b = binary.BigEndian.AppendUint64(b, offset)
+	}
+	b = binary.BigEndian.AppendUint32(b, count)
+	for _, f := range filters {
+		b = binary.BigEndian.AppendUint64(b, f)
+	}
+	if traceID != 0 {
+		b = binary.BigEndian.AppendUint64(b, traceID)
+	}
+	if _, err := w.Write(b); err != nil {
+		return err
+	}
+	_, err := w.Write(doc)
+	return err
 }
 
 // AppendPublishAsyncPayload encodes a PublishAsync payload: the client's

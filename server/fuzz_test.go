@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -21,6 +22,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(ok.Bytes(), 1<<16)
 	ok.Reset()
 	WriteFrame(&ok, FrameDeliverAt, AppendDeliverAtPayload(nil, 7, []uint64{1, 2}, []byte(`<a/>`)))
+	f.Add(ok.Bytes(), 1<<16)
+	ok.Reset()
+	WriteFrame(&ok, FrameDeliver, AppendDeliverPayloadTrace(nil, []uint64{3}, []byte(`<b/>`), 9))
 	f.Add(ok.Bytes(), 1<<16)
 
 	// Hostile corpus: zero length, length < 1 via underflow, oversized
@@ -73,9 +77,32 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		// The typed payload parsers must not panic on arbitrary payloads.
 		ParseUint64(fr.Payload)
-		ParseDeliverPayload(fr.Payload)
-		ParseDeliverAtPayload(fr.Payload)
 		ParseSubscribeDurablePayload(fr.Payload)
+		// Whatever parses as a delivery, the broker's direct frame writer
+		// must encode to the very bytes the payload builders give, through
+		// a writer with room for the header and through one without.
+		sameFrame := func(typ byte, off uint64, ids []uint64, doc []byte, traceID uint64, payload []byte) {
+			var want bytes.Buffer
+			WriteFrame(&want, typ, payload)
+			for _, size := range []int{16, 4096} {
+				var got bytes.Buffer
+				w := bufio.NewWriterSize(&got, size)
+				w.WriteString("x") // frames rarely start at an empty buffer
+				if err := writeDeliverFrame(w, typ, off, ids, doc, traceID); err != nil {
+					t.Fatalf("writeDeliverFrame: %v", err)
+				}
+				w.Flush()
+				if !bytes.Equal(got.Bytes()[1:], want.Bytes()) {
+					t.Fatalf("frame 0x%02x through a %d-byte writer:\n got  %x\n want %x", typ, size, got.Bytes()[1:], want.Bytes())
+				}
+			}
+		}
+		if ids, doc, traceID, err := ParseDeliverPayloadTrace(fr.Payload); err == nil {
+			sameFrame(FrameDeliver, 0, ids, doc, traceID, AppendDeliverPayloadTrace(nil, ids, doc, traceID))
+		}
+		if off, ids, doc, traceID, err := ParseDeliverAtPayloadTrace(fr.Payload); err == nil {
+			sameFrame(FrameDeliverAt, off, ids, doc, traceID, AppendDeliverAtPayloadTrace(nil, off, ids, doc, traceID))
+		}
 	})
 }
 

@@ -209,6 +209,13 @@ type core struct {
 	keys    []uint64       // engine index -> stable registry key (deadKey when removed)
 	removed []bool         // engine index -> released (engine skips these)
 	keyIdx  map[uint64]int // live registry key -> engine index
+	// keyHW is 1 + the largest registry key this generation or any before it
+	// has held. Keys are handed out in increasing order and a key stays in
+	// every generation from its swap to its last release, so a generation
+	// holds every filter that is still live and has a key below its keyHW:
+	// its matches answer for a subscriber whose keys are all below it (the
+	// match journal's usability rule, see conn.pump).
+	keyHW uint64
 
 	engine *xpushstream.Engine // BackendEngine
 	pool   *xpushstream.Pool   // BackendPool
@@ -219,6 +226,31 @@ func (c *core) stats() xpushstream.Stats {
 		return c.pool.Stats()
 	}
 	return c.engine.Stats()
+}
+
+// matchKeys translates matched engine indexes of this generation to their
+// stable registry keys.
+func (c *core) matchKeys(matches []int) []uint64 {
+	if len(matches) == 0 {
+		return nil
+	}
+	keys := make([]uint64, len(matches))
+	for i, m := range matches {
+		keys[i] = c.keys[m]
+	}
+	return keys
+}
+
+// canonsOf returns the canonical text behind each registry key, "" for a key
+// this generation no longer holds (the profiler's index-aligned column).
+func (c *core) canonsOf(keys []uint64) []string {
+	canons := make([]string, len(keys))
+	for i, key := range keys {
+		if idx, ok := c.keyIdx[key]; ok {
+			canons[i] = c.canon[idx]
+		}
+	}
+	return canons
 }
 
 // liveQueries counts engine slots that are still routable.
@@ -282,6 +314,7 @@ type Server struct {
 	durables map[string]*conn // durable name -> owning connection
 	noteMu   sync.Mutex
 	walNote  chan struct{} // closed-and-replaced on every append
+	journal  *journal      // publish-time matches by log offset (journal.go)
 
 	connMu sync.Mutex
 	conns  map[*conn]struct{}
@@ -320,7 +353,12 @@ type Server struct {
 
 // New compiles (or warm-starts) the workload, starts the listeners, and
 // returns a serving broker.
-func New(cfg Config) (*Server, error) {
+func New(cfg Config) (*Server, error) { return newServer(cfg, journalSlots) }
+
+// newServer is New with the match journal's size as a parameter: tests pass
+// 0 to get the engine pass on every replay (the reference side of
+// TestJournalMatchesEnginePass) or a small ring to lap it cheaply.
+func newServer(cfg Config, slots int) (*Server, error) {
 	if cfg.Backend == "" {
 		cfg.Backend = BackendEngine
 	}
@@ -350,6 +388,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if s.tracer.Enabled() {
 		s.prof = newQueryProfiler(profilerMaxQueries)
+	}
+	if s.wal != nil && slots > 0 {
+		s.journal = newJournal(slots, s.wal.NextOffset())
 	}
 	c, err := s.bootCore()
 	if err != nil {
@@ -463,6 +504,7 @@ func (s *Server) indexBootCore(c *core) {
 		s.subs.Pin(key)
 		c.keys[i] = key
 		c.keyIdx[key] = i
+		c.keyHW = max(c.keyHW, key+1)
 	}
 	s.markAnalysisDirty()
 }
@@ -671,6 +713,7 @@ func (s *Server) subscribe(cn *conn, query string, durable bool) (uint64, error)
 		if key, ok := s.subs.Resolve(canon); ok {
 			// Dedup hit: the canonical filter is already a machine query.
 			subID, _ := s.subs.Subscribe(key, cn, durable)
+			cn.noteSubscribed(key, durable)
 			return subID, nil
 		}
 	}
@@ -692,9 +735,19 @@ func (s *Server) subscribe(cn *conn, query string, durable bool) (uint64, error)
 	key := s.subs.Register(canon, !s.cfg.DedupDisabled)
 	next.appendSlots(cur, []string{canon}, []uint64{key})
 	subID, _ := s.subs.Subscribe(key, cn, durable)
+	cn.noteSubscribed(key, durable)
 	s.markAnalysisDirty()
 	s.swap(next)
 	return subID, nil
+}
+
+// noteSubscribed raises durKeyHW over a durable subscription's registry key.
+// Callers hold ctl, so raises do not race each other; the pump reads it
+// without ctl.
+func (cn *conn) noteSubscribed(key uint64, durable bool) {
+	if durable && key >= cn.durKeyHW.Load() {
+		cn.durKeyHW.Store(key + 1)
+	}
 }
 
 // appendSlots fills c's routing columns with cur's plus one live slot per
@@ -708,8 +761,10 @@ func (c *core) appendSlots(cur *core, canons []string, keys []uint64) {
 	for k, v := range cur.keyIdx {
 		c.keyIdx[k] = v
 	}
+	c.keyHW = cur.keyHW
 	for i, key := range keys {
 		c.keyIdx[key] = len(cur.canon) + i
+		c.keyHW = max(c.keyHW, key+1)
 	}
 }
 
@@ -793,7 +848,7 @@ func (s *Server) coreWithoutKeys(cur *core, keys []uint64) (*core, error) {
 			ks[idx] = deadKey
 			delete(keyIdx, key)
 		}
-		c := &core{canon: cur.canon, keys: ks, removed: removed, keyIdx: keyIdx, engine: derived}
+		c := &core{canon: cur.canon, keys: ks, removed: removed, keyIdx: keyIdx, keyHW: cur.keyHW, engine: derived}
 		return c, nil
 	}
 	// The pool recompiles: compact the workload instead of masking.
@@ -815,6 +870,7 @@ func (s *Server) coreWithoutKeys(cur *core, keys []uint64) (*core, error) {
 		return nil, err
 	}
 	next.keys = ks
+	next.keyHW = cur.keyHW
 	next.keyIdx = make(map[uint64]int, len(ks))
 	for i, key := range ks {
 		next.keyIdx[key] = i
@@ -895,30 +951,40 @@ func (s *Server) publish(doc []byte, remoteID uint64) (int, error) {
 	tc := s.beginPublishTrace(remoteID)
 	defer tc.Finish()
 	tc.SetAttr(trace.Root, "doc_bytes", int64(len(doc)))
+	var off uint64
 	if s.wal != nil {
-		wspan := tc.StartSpan("wal_append", trace.Root)
 		var err error
-		if tl, ok := s.wal.(docLogTraced); ok {
-			_, err = tl.AppendTraced(doc, tc, wspan)
-		} else {
-			_, err = s.wal.Append(doc)
-		}
-		tc.EndSpan(wspan)
-		if err != nil {
+		if off, err = s.walAppend(doc, tc); err != nil {
 			s.mPublishErrs.Inc()
 			return 0, fmt.Errorf("server: wal append: %w", err)
 		}
-		// Wake the durable pumps parked at the old tail once the fan-out
-		// below has run (they deliver independently of the queues).
+		// Wake the durable pumps parked at the old tail once the journal
+		// entry and the fan-out below are in place (they deliver
+		// independently of the queues).
 		defer s.walBroadcast()
 	}
 	c, matches, err := s.filter(doc, true, tc, trace.Root)
+	keys := c.matchKeys(matches)
+	// Also after a filter error, with no keys: the record stands in the log,
+	// and a pump meeting it must learn that it matched nothing.
+	s.journal.put(off, c.keyHW, keys)
 	if err != nil {
 		s.mPublishErrs.Inc()
 		return 0, err
 	}
 	s.mPublishes.Inc()
-	return s.fanout(c, matches, doc, tc), nil
+	return s.fanout(c, keys, doc, tc), nil
+}
+
+// walAppend appends doc to the log under a "wal_append" span (with the fsync
+// wait as a child span when the log records one) and returns its offset.
+func (s *Server) walAppend(doc []byte, tc *trace.Ctx) (uint64, error) {
+	wspan := tc.StartSpan("wal_append", trace.Root)
+	defer tc.EndSpan(wspan)
+	if tl, ok := s.wal.(docLogTraced); ok {
+		return tl.AppendTraced(doc, tc, wspan)
+	}
+	return s.wal.Append(doc)
 }
 
 // beginPublishTrace starts the publish trace: locally sampled for direct
@@ -931,14 +997,15 @@ func (s *Server) beginPublishTrace(remoteID uint64) *trace.Ctx {
 }
 
 // filter runs one document through the current workload generation and
-// returns that generation plus the matched engine indexes. Publishes and
-// durable replays both come through here; spans hang off parent. tc is nil
-// for untraced documents (the common case) and records nothing. The pool
-// is internally concurrent; an engine processes one stream at a time, so
-// filtering on it holds the publish lock. published marks a document fresh
-// off a PUBLISH frame: its payload is never written again, so the
-// compaction ring may keep a reference to it (a replayed document sits in
-// the log reader's reused buffer).
+// returns that generation plus the matched engine indexes. Publishes come
+// through here, and the durable replays the match journal cannot answer
+// (conn.pump); spans hang off parent. tc is nil for untraced documents (the
+// common case) and records nothing. The pool is internally concurrent; an
+// engine processes one stream at a time, so filtering on it holds the
+// publish lock. published marks a document fresh off a PUBLISH frame: its
+// payload is never written again, so the compaction ring may keep a
+// reference to it (a replayed document sits in the log reader's reused
+// buffer).
 func (s *Server) filter(doc []byte, published bool, tc *trace.Ctx, parent trace.SpanID) (*core, []int, error) {
 	if c := s.cur.Load(); c.pool != nil {
 		matches, err := c.pool.FilterDocumentTraced(doc, tc, parent)
@@ -956,23 +1023,18 @@ func (s *Server) filter(doc []byte, published bool, tc *trace.Ctx, parent trace.
 	return c, matches, err
 }
 
-// fanout resolves matched engine indexes through the dedup registry's
-// fan-out sets and enqueues one delivery per matched subscriber. c must be
-// the generation the matches were computed on: its keys column translates
-// that generation's engine indexes to stable registry keys, so a match
-// computed on an older core still routes correctly after consolidation.
-// The returned count is the number of matched subscriptions (pinned boot
-// filters with no subscribers count once each — the pre-dedup publish
-// contract).
-func (s *Server) fanout(c *core, matches []int, doc []byte, tc *trace.Ctx) int {
-	if len(matches) == 0 {
+// fanout resolves matched registry keys through the dedup registry's fan-out
+// sets and enqueues one delivery per matched subscriber. keys are stable
+// across generations (core.matchKeys translated them on c, the generation
+// the document was filtered on), so a match computed on an older core still
+// routes correctly after consolidation. The returned count is the number of
+// matched subscriptions (pinned boot filters with no subscribers count once
+// each — the pre-dedup publish contract).
+func (s *Server) fanout(c *core, keys []uint64, doc []byte, tc *trace.Ctx) int {
+	if len(keys) == 0 {
 		return 0
 	}
 	now := time.Now()
-	keys := make([]uint64, 0, len(matches))
-	for _, m := range matches {
-		keys = append(keys, c.keys[m])
-	}
 	// Group the matched subscription ids by owning subscriber; each
 	// subscriber gets one delivery per document regardless of how many of
 	// its subscriptions matched.
@@ -981,12 +1043,8 @@ func (s *Server) fanout(c *core, matches []int, doc []byte, tc *trace.Ctx) int {
 	// each fanned-out subscription below increments its key's fan-out count.
 	// Untraced documents (tc == nil) never touch the profiler.
 	if tc != nil && s.prof != nil {
-		canons := make([]string, 0, len(matches))
-		for _, m := range matches {
-			canons = append(canons, c.canon[m])
-		}
 		durNS, states, _ := tc.SpanCost("filter", "states_created")
-		s.prof.observeFilter(keys, canons, durNS, states)
+		s.prof.observeFilter(keys, c.canonsOf(keys), durNS, states)
 	}
 	count := 0
 	var single *conn // fast path: all matches belong to one subscriber
@@ -1035,44 +1093,46 @@ func (s *Server) publishAsyncStaged(doc []byte, pend PendingAppend, remoteID uin
 	tc := s.beginPublishTrace(remoteID)
 	defer tc.Finish()
 	tc.SetAttr(trace.Root, "doc_bytes", int64(len(doc)))
+	var off uint64
 	if s.wal != nil && pend == nil {
-		wspan := tc.StartSpan("wal_append", trace.Root)
 		var err error
-		if tl, ok := s.wal.(docLogTraced); ok {
-			_, err = tl.AppendTraced(doc, tc, wspan)
-		} else {
-			_, err = s.wal.Append(doc)
-		}
-		tc.EndSpan(wspan)
-		if err != nil {
+		if off, err = s.walAppend(doc, tc); err != nil {
 			s.mPublishErrs.Inc()
 			return 0, fmt.Errorf("server: wal append: %w", err)
 		}
-		defer s.walBroadcast()
 	}
 	c, matches, ferr := s.filter(doc, true, tc, trace.Root)
+	keys := c.matchKeys(matches)
+	var aerr error
 	if pend != nil {
 		wspan := tc.StartSpan("wal_append", trace.Root)
-		_, aerr := pend.Wait()
+		off, aerr = pend.Wait()
 		tc.EndSpan(wspan)
 		if bs, ok := pend.(interface{ BatchSize() int }); ok {
 			tc.SetAttr(wspan, "batch_size", int64(bs.BatchSize()))
 		}
-		if aerr != nil {
-			// The publish is rejected even though it was filtered: the
-			// document is not durable, so fanning it out would deliver a
-			// document that a crash could un-accept.
-			s.mPublishErrs.Inc()
-			return 0, fmt.Errorf("server: wal append: %w", aerr)
-		}
+	}
+	if s.wal != nil && (aerr == nil || off > 0) {
+		// The record stands in the log — also beside an error, when Wait
+		// still names an offset (wal.Pending.Wait: the batch failed its
+		// fsync and could not be truncated away), and after a filter error
+		// (no keys then). Journal what it matched, then wake the pumps.
+		s.journal.put(off, c.keyHW, keys)
 		defer s.walBroadcast()
+	}
+	if aerr != nil {
+		// The publish is rejected even though it was filtered: the
+		// document is not durable, so fanning it out would deliver a
+		// document that a crash could un-accept.
+		s.mPublishErrs.Inc()
+		return 0, fmt.Errorf("server: wal append: %w", aerr)
 	}
 	if ferr != nil {
 		s.mPublishErrs.Inc()
 		return 0, ferr
 	}
 	s.mPublishes.Inc()
-	return s.fanout(c, matches, doc, tc), nil
+	return s.fanout(c, keys, doc, tc), nil
 }
 
 func (s *Server) enqueue(cn *conn, d delivery) {
@@ -1117,9 +1177,13 @@ type conn struct {
 	pumpWG   sync.WaitGroup
 	pumpOff  atomic.Uint64 // next offset the pump will replay (lag gauge)
 	acked    atomic.Uint64 // persisted cursor (monotonic)
+	// durKeyHW is 1 + the largest registry key any durable subscription of
+	// this connection has had: a journal entry answers for the connection
+	// only when it was filtered on a core whose keyHW reaches it.
+	durKeyHW atomic.Uint64
 
 	// Per-pump replay throughput (exported per durable name): log records
-	// the pump has read and re-filtered, and DeliverAt frames it wrote.
+	// the pump has read and routed, and DeliverAt frames it wrote.
 	pumpScanned   atomic.Int64
 	pumpDelivered atomic.Int64
 
@@ -1338,20 +1402,20 @@ func (cn *conn) writeFrame(typ byte, payload []byte) error {
 	return cn.bw.Flush()
 }
 
-// writeFrameBuffered writes a frame into the connection's buffered writer
-// without flushing; the caller coalesces a burst of frames under one
-// flushFrames. Used by the durable pump — the bufio layer still flushes on
-// its own when the 64KB buffer fills.
-func (cn *conn) writeFrameBuffered(typ byte, payload []byte) error {
+// writeDeliverAtBuffered writes a DeliverAt frame into the connection's
+// buffered writer without flushing; the durable pump coalesces a burst of
+// frames under one flushFrames — the bufio layer still flushes on its own
+// when the 64KB buffer fills.
+func (cn *conn) writeDeliverAtBuffered(off uint64, ids []uint64, doc []byte, traceID uint64) error {
 	cn.wmu.Lock()
 	defer cn.wmu.Unlock()
 	if t := cn.s.cfg.WriteTimeout; t > 0 {
 		cn.nc.SetWriteDeadline(time.Now().Add(t))
 	}
-	return WriteFrame(cn.bw, typ, payload)
+	return writeDeliverFrame(cn.bw, FrameDeliverAt, off, ids, doc, traceID)
 }
 
-// flushFrames flushes frames staged by writeFrameBuffered.
+// flushFrames flushes frames staged by writeDeliverAtBuffered.
 func (cn *conn) flushFrames() error {
 	cn.wmu.Lock()
 	defer cn.wmu.Unlock()
@@ -1546,8 +1610,7 @@ func (cn *conn) deliverBatch(ds []delivery) bool {
 			tc.SetAttr(wspan, "filters", int64(len(d.filters)))
 		}
 		if werr == nil {
-			payload := AppendDeliverPayloadTrace(make([]byte, 0, 12+8*len(d.filters)+len(d.doc)), d.filters, d.doc, traceID)
-			werr = WriteFrame(cn.bw, FrameDeliver, payload)
+			werr = writeDeliverFrame(cn.bw, FrameDeliver, 0, d.filters, d.doc, traceID)
 		}
 		tc.EndSpan(wspan)
 	}

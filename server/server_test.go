@@ -224,7 +224,14 @@ func TestMetricsAndHealth(t *testing.T) {
 	}
 	waitFor(t, "deliveries", func() bool { return col.count() == 5 })
 
-	text := scrape(t, srv.MetricsAddr())
+	// The broker counts a batch of deliveries after flushing it, so the
+	// client can hold all five documents before the counters say so.
+	var text string
+	waitFor(t, "the delivery counters", func() bool {
+		text = scrape(t, srv.MetricsAddr())
+		return strings.Contains(text, "xpushserve_deliveries_total 5") &&
+			strings.Contains(text, "xpushserve_delivery_latency_seconds_count 5")
+	})
 	for _, want := range []string{
 		"xpush_documents_total 5",
 		"xpushserve_publishes_total 5",

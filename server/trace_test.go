@@ -267,8 +267,11 @@ func spanNames(tr *jsonTrace) []string {
 }
 
 // TestDurableTracedReplay: the durable pump's replay path produces "replay"
-// traces (log read, re-filter, DELIVERAT write) with a replay_lag attribute,
-// and the delivery frame carries the trace id.
+// traces (log read, journal lookup or filter pass, DELIVERAT write) with a
+// replay_lag attribute, and the delivery frame carries the trace id. A
+// document the broker filtered at publish is routed from the match journal
+// and carries no filter span; after a restart the same record predates the
+// process, misses, and is filtered by the pump.
 func TestDurableTracedReplay(t *testing.T) {
 	dir := t.TempDir()
 	l, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Fsync: wal.FsyncNever})
@@ -280,62 +283,98 @@ func TestDurableTracedReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := startServer(t, server.Config{
+	cfg := server.Config{
 		DebugAddr:   "127.0.0.1:0",
 		TraceSample: 1,
 		WAL:         server.WrapWAL(l),
 		Cursors:     cs,
-	})
-
-	col := &traceCollector{}
-	sub, err := client.Dial(srv.Addr(), client.Options{Timeout: 5 * time.Second, OnDeliver: col.deliver})
-	if err != nil {
-		t.Fatal(err)
 	}
-	t.Cleanup(func() { sub.Close() })
-	if _, _, err := sub.SubscribeDurable("tracer", `//order[total > 1000]`); err != nil {
-		t.Fatal(err)
-	}
-	pub := dialSub(t, srv.Addr(), nil)
-	if _, err := pub.Publish([]byte(`<order><total>9000</total></order>`)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "durable traced delivery", func() bool { return col.count() >= 1 })
-	traceID := col.traceID(0)
-	if traceID == 0 {
-		t.Fatal("durable delivery carried no trace id with sampling at 1/1")
-	}
-
-	base := "http://" + srv.DebugAddr()
-	var got *jsonTrace
-	waitFor(t, "replay trace in /debug/traces", func() bool {
-		var p tracesPayload
-		getJSON(t, base+"/debug/traces", &p)
-		for i := range p.Traces {
-			if p.Traces[i].ID == traceID {
-				got = &p.Traces[i]
-				return true
+	// replayTrace subscribes under the durable name, waits for offset 0 to
+	// arrive and returns its replay trace.
+	replayTrace := func(srv *server.Server) *jsonTrace {
+		t.Helper()
+		col := &traceCollector{}
+		sub, err := client.Dial(srv.Addr(), client.Options{Timeout: 5 * time.Second, OnDeliver: col.deliver})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sub.Close() })
+		if _, _, err := sub.SubscribeDurable("tracer", `//order[total > 1000]`); err != nil {
+			t.Fatal(err)
+		}
+		if l.NextOffset() == 0 {
+			pub := dialSub(t, srv.Addr(), nil)
+			if _, err := pub.Publish([]byte(`<order><total>9000</total></order>`)); err != nil {
+				t.Fatal(err)
 			}
 		}
-		return false
-	})
-	if got.Kind != "replay" {
-		t.Fatalf("trace %d kind = %q, want replay", got.ID, got.Kind)
+		waitFor(t, "durable traced delivery", func() bool { return col.count() >= 1 })
+		traceID := col.traceID(0)
+		if traceID == 0 {
+			t.Fatal("durable delivery carried no trace id with sampling at 1/1")
+		}
+		var got *jsonTrace
+		waitFor(t, "replay trace in /debug/traces", func() bool {
+			var p tracesPayload
+			getJSON(t, "http://"+srv.DebugAddr()+"/debug/traces", &p)
+			for i := range p.Traces {
+				if p.Traces[i].ID == traceID {
+					got = &p.Traces[i]
+					return true
+				}
+			}
+			return false
+		})
+		if got.Kind != "replay" {
+			t.Fatalf("trace %d kind = %q, want replay", got.ID, got.Kind)
+		}
+		for _, name := range []string{"log_read", "journal", "deliver_write"} {
+			if got.span(name) == nil {
+				t.Errorf("replay trace has no %q span; spans: %v", name, spanNames(got))
+			}
+		}
+		root := got.span("replay")
+		if root == nil {
+			t.Fatalf("no root span; spans: %v", spanNames(got))
+		}
+		if _, ok := root.attr("replay_lag"); !ok {
+			t.Error("replay trace has no replay_lag attr")
+		}
+		if off, ok := root.attr("offset"); !ok || off != 0 {
+			t.Errorf("replay trace offset attr = %d (present=%v), want 0", off, ok)
+		}
+		return got
 	}
-	for _, name := range []string{"log_read", "filter", "deliver_write"} {
-		if got.span(name) == nil {
-			t.Errorf("replay trace has no %q span; spans: %v", name, spanNames(got))
+
+	srv := startServer(t, cfg)
+	hit := replayTrace(srv)
+	if hit.span("filter") != nil {
+		t.Errorf("a journal hit ran the filter; spans: %v", spanNames(hit))
+	}
+	if j := hit.span("journal"); j != nil {
+		if v, ok := j.attr("hit"); !ok || v != 1 {
+			t.Errorf("journal span hit attr = %d (present=%v), want 1", v, ok)
+		}
+		if v, ok := j.attr("keys"); !ok || v != 1 {
+			t.Errorf("journal span keys attr = %d (present=%v), want 1", v, ok)
 		}
 	}
-	root := got.span("replay")
-	if root == nil {
-		t.Fatalf("no root span; spans: %v", spanNames(got))
+
+	// The journaled keys keep feeding /debug/queries' replay column.
+	if q := getQueries(t, srv.DebugAddr()); len(q.Queries) != 1 || q.Queries[0].ReplayDocs != 1 || !strings.Contains(q.Queries[0].Query, "order") {
+		t.Errorf("/debug/queries after a journal hit = %+v, want one query with replay_docs 1", q.Queries)
 	}
-	if _, ok := root.attr("replay_lag"); !ok {
-		t.Error("replay trace has no replay_lag attr")
+
+	// Nothing was acked: a new process replays offset 0 from the same log.
+	srv.Close()
+	miss := replayTrace(startServer(t, cfg))
+	if miss.span("filter") == nil {
+		t.Errorf("a journal miss did not run the filter; spans: %v", spanNames(miss))
 	}
-	if off, ok := root.attr("offset"); !ok || off != 0 {
-		t.Errorf("replay trace offset attr = %d (present=%v), want 0", off, ok)
+	if j := miss.span("journal"); j != nil {
+		if v, ok := j.attr("hit"); !ok || v != 0 {
+			t.Errorf("journal span hit attr = %d (present=%v), want 0", v, ok)
+		}
 	}
 }
 
