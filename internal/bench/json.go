@@ -45,8 +45,7 @@ type jsonReport struct {
 }
 
 // WriteJSON dumps every cached sweep and any abstract-claim results as one
-// indented JSON document, for diffing runs across commits (see
-// BENCH_PR2.json).
+// indented JSON document, for diffing runs across commits.
 func (r *Runner) WriteJSON(w io.Writer) error {
 	rep := jsonReport{
 		Dataset: r.DS.Name,

@@ -227,7 +227,8 @@ func (g *Gate) acceptLoop() {
 		g.wg.Add(1)
 		go func() {
 			defer g.wg.Done()
-			cn.serve()
+			cn.ss.Serve()
+			cn.teardown()
 			g.mu.Lock()
 			delete(g.conns, cn)
 			g.mu.Unlock()

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"repro/client"
 	"repro/internal/trace"
@@ -51,17 +49,16 @@ func (ds *downstream) mapIDs(nodeIDs []uint64) []uint64 {
 	return out
 }
 
-// gconn is one subscriber connection terminated at the gate.
+// gconn is one subscriber connection terminated at the gate: the
+// server.Session that speaks the protocol on it, and the routing state behind
+// the session's handler methods (Subscribe ... Publish, Ack).
 type gconn struct {
 	g  *Gate
-	nc net.Conn
-	bw *bufio.Writer
-
-	wmu sync.Mutex // serializes writes (serve loop, downstream read loops, ack writer)
+	ss *server.Session
 
 	// opMu serializes routing operations — subscribe, unsubscribe,
-	// reroute — which perform node round trips. The serve loop holds it for
-	// its own routing ops; reroute goroutines contend with it.
+	// reroute — which perform node round trips. The session's read loop holds
+	// it for its own routing ops; reroute goroutines contend with it.
 	opMu sync.Mutex
 
 	mu     sync.Mutex
@@ -81,157 +78,41 @@ type gconn struct {
 	durSet  bool // true once a durable delivery has been forwarded
 	durLo   uint64
 	durHi   uint64
-
-	async     *gateAsync
-	asyncOnce sync.Once
-}
-
-// gateAsync is the per-subscriber pipelined-publish state: a window
-// semaphore bounding in-flight documents, worker goroutines running the
-// fan-out, and a single ack writer coalescing outcomes into PUBACKS frames.
-type gateAsync struct {
-	sem   chan struct{}
-	acks  chan server.PubAck
-	wg    sync.WaitGroup
-	ackWG sync.WaitGroup
 }
 
 func newGconn(g *Gate, nc net.Conn) *gconn {
-	return &gconn{
+	cn := &gconn{
 		g:    g,
-		nc:   nc,
-		bw:   bufio.NewWriterSize(nc, 64<<10),
 		subs: map[uint64]*gateSub{},
 		dss:  map[string]*downstream{},
 	}
-}
-
-func (cn *gconn) writeFrame(typ byte, payload []byte) error {
-	cn.wmu.Lock()
-	defer cn.wmu.Unlock()
-	if err := server.WriteFrame(cn.bw, typ, payload); err != nil {
-		return err
+	maxDoc := g.cfg.Client.MaxDocBytes
+	if maxDoc <= 0 {
+		maxDoc = 64 << 20
 	}
-	return cn.bw.Flush()
+	cn.ss = server.NewSession(nc, cn, server.SessionOptions{
+		MaxPayload: maxDoc,
+		Window:     g.cfg.publishWindow(),
+		SubLat:     &g.subLat,
+		UnsubLat:   &g.unsubLat,
+		ErrPrefix:  "xpushgate",
+	})
+	return cn
 }
 
-// reply writes OK(v) or Err(err).
-func (cn *gconn) reply(v uint64, err error) error {
-	if err != nil {
-		return cn.writeFrame(server.FrameErr, []byte(err.Error()))
-	}
-	return cn.writeFrame(server.FrameOK, server.AppendUint64(nil, v))
+// StagePublish has nothing to keep in frame order: the whole publish is the
+// fan-out.
+func (cn *gconn) StagePublish([]byte) (server.PendingAppend, error) { return nil, nil }
+
+func (cn *gconn) Publish(doc []byte, traceID uint64, _ server.PendingAppend) (int, error) {
+	return cn.g.fanPublish(doc, traceID)
 }
 
-func (cn *gconn) maxDocBytes() int {
-	if cn.g.cfg.Client.MaxDocBytes > 0 {
-		return cn.g.cfg.Client.MaxDocBytes
-	}
-	return 64 << 20
-}
-
-// serve is the subscriber connection's read loop.
-func (cn *gconn) serve() {
-	defer cn.teardown()
-	br := bufio.NewReaderSize(cn.nc, 64<<10)
-	for {
-		f, err := server.ReadFrame(br, cn.maxDocBytes())
-		if err != nil {
-			return
-		}
-		// A set trace-flag bit on a publish frame marks an 8-byte trace-id
-		// prefix (same encoding the broker accepts); strip it here so the
-		// dispatch below sees the base type and a plain payload.
-		typ := f.Type
-		var remoteID uint64
-		if typ&server.FrameTraceFlag != 0 {
-			switch base := typ &^ server.FrameTraceFlag; base {
-			case server.FramePublish, server.FramePublishAsync:
-				var terr error
-				remoteID, f.Payload, terr = server.SplitTracedPayload(f.Payload)
-				if terr != nil {
-					cn.writeFrame(server.FrameErr, []byte(terr.Error()))
-					return
-				}
-				typ = base
-			}
-		}
-		switch typ {
-		case server.FramePing:
-			if cn.writeFrame(server.FramePong, nil) != nil {
-				return
-			}
-		case server.FrameSubscribe:
-			t0 := time.Now()
-			id, err := cn.subscribe(string(f.Payload))
-			werr := cn.reply(id, err)
-			cn.g.subLat.Observe(time.Since(t0).Seconds())
-			if werr != nil {
-				return
-			}
-		case server.FrameSubscribeDurable:
-			t0 := time.Now()
-			name, query, err := server.ParseSubscribeDurablePayload(f.Payload)
-			var id, resume uint64
-			if err == nil {
-				id, resume, err = cn.subscribeDurable(name, query)
-			}
-			if err != nil {
-				cn.g.subLat.Observe(time.Since(t0).Seconds())
-				if cn.writeFrame(server.FrameErr, []byte(err.Error())) != nil {
-					return
-				}
-				continue
-			}
-			payload := server.AppendUint64(server.AppendUint64(nil, id), resume)
-			werr := cn.writeFrame(server.FrameOK, payload)
-			cn.g.subLat.Observe(time.Since(t0).Seconds())
-			if werr != nil {
-				return
-			}
-		case server.FrameUnsubscribe:
-			t0 := time.Now()
-			id, err := server.ParseUint64(f.Payload)
-			if err == nil {
-				err = cn.unsubscribe(id)
-			}
-			werr := cn.reply(id, err)
-			cn.g.unsubLat.Observe(time.Since(t0).Seconds())
-			if werr != nil {
-				return
-			}
-		case server.FrameAck:
-			off, err := server.ParseUint64(f.Payload)
-			if err != nil {
-				return
-			}
-			cn.handleAck(off)
-		case server.FramePublish:
-			n, err := cn.g.fanPublish(f.Payload, remoteID)
-			if cn.reply(uint64(n), err) != nil {
-				return
-			}
-		case server.FramePublishAsync:
-			seq, doc, err := server.ParsePublishAsyncPayload(f.Payload)
-			if err != nil {
-				cn.writeFrame(server.FrameErr, []byte(err.Error()))
-				return
-			}
-			cn.publishAsync(seq, doc, remoteID)
-		default:
-			// Mirror the broker's protocol hygiene: name the violation in a
-			// terminal PROTO_ERR, then close.
-			cn.writeFrame(server.FrameProtoErr, []byte(fmt.Sprintf("xpushgate: unknown frame type 0x%02x", f.Type)))
-			return
-		}
-	}
-}
-
-// subscribe routes an ephemeral subscription to the ring owner of its
+// Subscribe routes an ephemeral subscription to the ring owner of its
 // canonical filter text. Owners whose downstream dial fails are skipped
 // (clockwise walk), so a dead-but-not-yet-proven node does not fail the
 // subscribe.
-func (cn *gconn) subscribe(query string) (uint64, error) {
+func (cn *gconn) Subscribe(query string) (uint64, error) {
 	canon, err := xpath.Canonicalize(query)
 	if err != nil {
 		return 0, fmt.Errorf("xpushgate: %w", err)
@@ -249,10 +130,10 @@ func (cn *gconn) subscribe(query string) (uint64, error) {
 	return cn.registerLocked(&gateSub{query: canon, routeKey: canon, node: node, nodeID: nodeID}, ds), nil
 }
 
-// subscribeDurable routes a durable subscription by its name, so the
+// SubscribeDurable routes a durable subscription by its name, so the
 // name's replay cursor stays on one node across the subscriber's
 // reconnects (while membership is stable).
-func (cn *gconn) subscribeDurable(name, query string) (id, resume uint64, err error) {
+func (cn *gconn) SubscribeDurable(name, query string) (id, resume uint64, err error) {
 	canon, err := xpath.Canonicalize(query)
 	if err != nil {
 		return 0, 0, fmt.Errorf("xpushgate: %w", err)
@@ -390,10 +271,10 @@ func (cn *gconn) registerLocked(sub *gateSub, ds *downstream) uint64 {
 	return sub.id
 }
 
-// unsubscribe removes a gate subscription, forwarding the unsubscribe to
+// Unsubscribe removes a gate subscription, forwarding the unsubscribe to
 // its node (tolerating a dead downstream — the node-side subscription died
 // with the connection).
-func (cn *gconn) unsubscribe(id uint64) error {
+func (cn *gconn) Unsubscribe(id uint64) error {
 	cn.opMu.Lock()
 	defer cn.opMu.Unlock()
 	cn.mu.Lock()
@@ -442,16 +323,12 @@ func (cn *gconn) forwardDeliver(ds *downstream, d client.Delivery) {
 	sp := tc.StartSpan("merge_write "+ds.node, trace.Root)
 	tc.SetTrack(sp, tc.NextTrack())
 	tc.SetAttr(sp, "filters", int64(len(gids)))
-	var payload []byte
 	typ := server.FrameDeliver
 	if d.Durable {
 		cn.noteDurableDelivery(ds.node, d.Offset)
 		typ = server.FrameDeliverAt
-		payload = server.AppendDeliverAtPayloadTrace(nil, d.Offset, gids, d.Doc, d.TraceID)
-	} else {
-		payload = server.AppendDeliverPayloadTrace(nil, gids, d.Doc, d.TraceID)
 	}
-	if cn.writeFrame(typ, payload) == nil {
+	if cn.ss.WriteDeliver(typ, d.Offset, gids, d.Doc, d.TraceID, true) == nil {
 		cn.g.mDeliveriesFwd.Inc()
 	}
 	tc.EndSpan(sp)
@@ -478,11 +355,11 @@ func (cn *gconn) noteDurableDelivery(node string, off uint64) {
 	}
 }
 
-// handleAck forwards a durable ack to the owning node iff its offset is
+// Ack forwards a durable ack to the owning node iff its offset is
 // inside the window forwarded from that node; stale offsets (from before a
 // failover, in the old node's offset space) are dropped so they cannot
 // fast-forward the new node's cursor.
-func (cn *gconn) handleAck(off uint64) {
+func (cn *gconn) Ack(off uint64) {
 	cn.durMu.Lock()
 	node := cn.durNode
 	ok := cn.durSet && off >= cn.durLo && off <= cn.durHi
@@ -586,83 +463,17 @@ func (cn *gconn) dropSubLocked(sub *gateSub) {
 	cn.g.logf("cluster: dropped subscription %d (%s): no surviving node", sub.id, sub.query)
 }
 
-// ensureAsync lazily creates the pipelined-publish state and its ack writer.
-func (cn *gconn) ensureAsync() *gateAsync {
-	cn.asyncOnce.Do(func() {
-		w := cn.g.cfg.publishWindow()
-		a := &gateAsync{sem: make(chan struct{}, w), acks: make(chan server.PubAck, w)}
-		cn.async = a
-		a.ackWG.Add(1)
-		go cn.ackLoop(a)
-	})
-	return cn.async
-}
+// shutdown force-closes the subscriber socket; teardown, which follows the
+// session's Serve, does the rest.
+func (cn *gconn) shutdown() { cn.ss.Close() }
 
-// publishAsync runs on the serve loop: acquire a window slot and hand the
-// fan-out to a worker so the loop keeps parsing frames.
-func (cn *gconn) publishAsync(seq uint64, doc []byte, remoteID uint64) {
-	a := cn.ensureAsync()
-	a.sem <- struct{}{}
-	d := append([]byte(nil), doc...) // frame buffer is reused by the reader
-	a.wg.Add(1)
-	go func() {
-		defer a.wg.Done()
-		defer func() { <-a.sem }()
-		n, err := cn.g.fanPublish(d, remoteID)
-		ack := server.PubAck{Seq: seq, Matches: uint64(n)}
-		if err != nil {
-			ack.Err = err.Error()
-		}
-		a.acks <- ack
-	}()
-}
-
-// maxGatePubAckBatch bounds outcomes per PUBACKS frame (mirrors the broker).
-const maxGatePubAckBatch = 512
-
-// ackLoop coalesces publish outcomes into PUBACKS frames, one writer per
-// connection. On a write error it keeps draining so workers never block.
-func (cn *gconn) ackLoop(a *gateAsync) {
-	defer a.ackWG.Done()
-	var batch []server.PubAck
-	var buf []byte
-	dead := false
-	for ack := range a.acks {
-		batch = append(batch[:0], ack)
-	fill:
-		for len(batch) < maxGatePubAckBatch {
-			select {
-			case more, ok := <-a.acks:
-				if !ok {
-					break fill
-				}
-				batch = append(batch, more)
-			default:
-				break fill
-			}
-		}
-		if dead {
-			continue
-		}
-		buf = server.AppendPubAcksPayload(buf[:0], batch)
-		if cn.writeFrame(server.FramePubAcks, buf) != nil {
-			dead = true
-			cn.nc.Close()
-		}
-	}
-}
-
-// shutdown force-closes the subscriber socket; the serve loop's teardown
-// does the rest.
-func (cn *gconn) shutdown() { cn.nc.Close() }
-
-// teardown runs when the serve loop exits: close the subscriber socket and
+// teardown runs when the session ends: close the subscriber socket and
 // every downstream (node-side teardown unsubscribes server-side), release
 // live-key counts, and stop the async machinery. It takes opMu so an
 // in-flight reroute finishes its accounting before the final snapshot —
 // otherwise both paths would decrement the same subscription's live-key.
 func (cn *gconn) teardown() {
-	cn.nc.Close() // unblock any in-flight write before waiting on opMu
+	cn.ss.Close() // unblock any in-flight write before waiting on opMu
 	cn.opMu.Lock()
 	defer cn.opMu.Unlock()
 	cn.mu.Lock()
@@ -675,7 +486,6 @@ func (cn *gconn) teardown() {
 	subs := cn.subs
 	cn.subs = map[uint64]*gateSub{}
 	cn.mu.Unlock()
-	cn.nc.Close()
 	for _, ds := range dss {
 		ds.c.Close()
 	}
@@ -683,9 +493,5 @@ func (cn *gconn) teardown() {
 		cn.g.liveKeys[sub.node].Add(-1)
 		cn.g.mSubs.Add(-1)
 	}
-	if cn.async != nil {
-		cn.async.wg.Wait()
-		close(cn.async.acks)
-		cn.async.ackWG.Wait()
-	}
+	cn.ss.StopAsync()
 }

@@ -9,10 +9,9 @@ import (
 	"strings"
 )
 
-// BenchPhase is one phase of a run rendered for the BENCH_PR*.json
-// trajectory: flat numeric keys (microseconds) so shell gates can extract
-// a quantile with grep/awk, matching how scripts/bench_gate.sh reads the
-// other trajectory files.
+// BenchPhase is one phase of a run rendered for xpushload's -json report:
+// flat numeric keys (microseconds) so shell gates can extract a quantile with
+// grep/awk, which is how scripts/bench_gate.sh reads the smoke reports.
 type BenchPhase struct {
 	Name string `json:"name"`
 	Note string `json:"note,omitempty"`
@@ -60,8 +59,8 @@ type BenchWorkload struct {
 	DurableConns int     `json:"durable_connections"`
 }
 
-// BenchReport is the top-level document, shaped like the repo's
-// BENCH_PR*.json files ({title, command, cpu, goos, goarch, benchmarks}).
+// BenchReport is the top-level document ({title, command, cpu, goos, goarch,
+// benchmarks}).
 type BenchReport struct {
 	Title      string        `json:"title"`
 	Command    string        `json:"command"`

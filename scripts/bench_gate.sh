@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # bench_gate.sh — performance gates for the broker's hot paths.
 #
-# Usage: scripts/bench_gate.sh [baseline.json] [budget-pct] [benchtime] [ratio-budget] [dedup-budget]
+# Usage: scripts/bench_gate.sh [benchtime] [ratio-budget] [dedup-budget]
 #
-# Gate 1 (regression vs baseline): runs BenchmarkServeLoopback (tracing
-# compiled in but disabled) and fails if docs/sec drops more than BUDGET_PCT
-# versus the baseline file's BenchmarkServeLoopback entry. Benchmarks on
-# shared CI runners are noisy, so the default budget is deliberately loose
-# (25%); locally, 5% with -benchtime=3s is realistic.
+# Every gate compares two readings of the same run on the same machine, or a
+# latency against a loose absolute budget; throughput against a recorded
+# baseline is benchmark/'s job, so there is no gate 1 (DESIGN.md and README
+# cite the others by number).
 #
 # Gate 2 (durability-cost ratio): runs the pipelined durable loopback
 # benchmark under fsync=always and fsync=interval and fails if always is
@@ -21,7 +20,7 @@
 #
 # Gate 4 (workload deduplication ratio): runs BenchmarkZipfianCompaction
 # and fails if one Consolidated() of the deduplicated workload (~1k machine
-# queries) is not at least DEDUP_BUDGET (5th arg, default 3) times cheaper
+# queries) is not at least DEDUP_BUDGET (3rd arg, default 3) times cheaper
 # than one of the naive one-query-per-subscription workload (50k). Until
 # WithQueries merged tail layers the gate compared filtering speed (50k
 # layers against 1k, >= 5x); the two now filter alike, and what dedup buys
@@ -42,39 +41,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE="${1:-BENCH_PR4.json}"
-BUDGET_PCT="${2:-25}"
-BENCHTIME="${3:-2s}"
-RATIO_BUDGET="${4:-4}"
-
-base=$(awk '
-  /"name": "BenchmarkServeLoopback"/ { found = 1 }
-  found && /"docs_per_sec"/ {
-    gsub(/[^0-9.]/, "", $2); print $2; exit
-  }' "$BASELINE")
-if [ -z "$base" ]; then
-  echo "bench_gate: no BenchmarkServeLoopback docs_per_sec in $BASELINE" >&2
-  exit 2
-fi
-
-out=$(go test -run=NONE -bench='BenchmarkServeLoopback$' -benchtime="$BENCHTIME" -count=3 ./server/)
-echo "$out"
-best=$(echo "$out" | awk '/docs\/sec/ { for (i = 1; i < NF; i++) if ($(i+1) == "docs/sec" && $i > m) m = $i } END { print m }')
-if [ -z "$best" ] || [ "$best" = "0" ]; then
-  echo "bench_gate: benchmark produced no docs/sec metric" >&2
-  exit 2
-fi
-
-awk -v base="$base" -v best="$best" -v budget="$BUDGET_PCT" 'BEGIN {
-  floor = base * (1 - budget / 100)
-  printf "bench_gate: baseline %.0f docs/sec, best of 3 runs %.0f, floor %.0f (-%s%%)\n",
-    base, best, floor, budget
-  if (best < floor) {
-    print "bench_gate: FAIL — tracing-disabled loopback throughput regressed past the budget" > "/dev/stderr"
-    exit 1
-  }
-  print "bench_gate: OK"
-}'
+BENCHTIME="${1:-2s}"
+RATIO_BUDGET="${2:-4}"
 
 # Gate 2: pipelined durable loopback, fsync=always within RATIO_BUDGET of
 # fsync=interval.
@@ -127,7 +95,7 @@ awk -v a="$walways" -v i="$winterval" -v budget="$RATIO_BUDGET" 'BEGIN {
 # 1k constants, which is why it is not the 50x sharing factor), so 3x leaves
 # noise headroom while still catching a dedup layer that silently stops
 # coalescing (ratio 1).
-DEDUP_BUDGET="${5:-3}"
+DEDUP_BUDGET="${3:-3}"
 zipf=$(go test -run=NONE -bench='BenchmarkZipfianCompaction/(naive|dedup)$' -benchtime=1s -count=3 .)
 echo "$zipf"
 zn=$(echo "$zipf" | awk '/ZipfianCompaction\/naive/ { for (i = 1; i < NF; i++) if ($(i+1) == "ms/compaction" && (m == "" || $i < m)) m = $i } END { print m }')

@@ -158,8 +158,8 @@ func (s *Server) subscribeDurable(cn *conn, name, xpath string) (id, resume uint
 	if prev := s.durables[name]; prev != nil && prev != cn {
 		// Takeover: the newest session wins; the previous connection tears
 		// down asynchronously in its own serve goroutine.
-		s.logf("durable %q taken over by %s", name, cn.nc.RemoteAddr())
-		prev.close()
+		s.logf("durable %q taken over by %s", name, cn.ss.RemoteAddr())
+		prev.ss.Close()
 	}
 	s.durables[name] = cn
 	s.durMu.Unlock()
@@ -180,6 +180,10 @@ func (s *Server) subscribeDurable(cn *conn, name, xpath string) (id, resume uint
 	go cn.pump(name, resume)
 	return id, resume, nil
 }
+
+// pumpFlushEvery bounds how many DeliverAt frames the durable pump stages
+// between explicit flushes while replaying a backlog.
+const pumpFlushEvery = 64
 
 // pump is the durable delivery loop: replay from start, then follow the live
 // tail. A document is routed from the match journal (journal.go) — what the
@@ -216,7 +220,7 @@ func (cn *conn) pump(name string, start uint64) {
 	r, err := s.wal.OpenReader(start)
 	if err != nil {
 		s.logf("durable %q: open reader: %v", name, err)
-		cn.close()
+		cn.ss.Close()
 		return
 	}
 	defer r.Close()
@@ -229,9 +233,9 @@ func (cn *conn) pump(name string, start uint64) {
 			return true
 		}
 		unflushed = 0
-		if werr := cn.flushFrames(); werr != nil {
+		if werr := cn.ss.Flush(); werr != nil {
 			s.logf("durable %q: flush: %v", name, werr)
-			cn.close()
+			cn.ss.Close()
 			return false
 		}
 		return true
@@ -260,13 +264,13 @@ func (cn *conn) pump(name string, start uint64) {
 			r.Close()
 			if r, err = s.wal.OpenReader(first); err != nil {
 				s.logf("durable %q: reopen reader: %v", name, err)
-				cn.close()
+				cn.ss.Close()
 				return
 			}
 			continue
 		case err != nil:
 			s.logf("durable %q: log read: %v", name, err)
-			cn.close()
+			cn.ss.Close()
 			return
 		}
 		cn.pumpScanned.Add(1)
@@ -310,10 +314,10 @@ func (cn *conn) pump(name string, start uint64) {
 		}
 		if len(ids) > 0 {
 			wspan := tc.StartSpan("deliver_write", trace.Root)
-			werr := cn.writeDeliverAtBuffered(off, ids, doc, tc.TraceID())
+			werr := cn.ss.WriteDeliver(FrameDeliverAt, off, ids, doc, tc.TraceID(), false)
 			if unflushed++; werr == nil && unflushed >= pumpFlushEvery {
 				unflushed = 0
-				werr = cn.flushFrames()
+				werr = cn.ss.Flush()
 			}
 			tc.EndSpan(wspan)
 			if werr != nil {
@@ -323,7 +327,7 @@ func (cn *conn) pump(name string, start uint64) {
 				// reconnect, instead of silently stopping deliveries.
 				s.logf("durable %q: write at offset %d: %v", name, off, werr)
 				tc.Finish()
-				cn.close()
+				cn.ss.Close()
 				return
 			}
 			s.mDurDeliver.Inc()
@@ -395,16 +399,16 @@ func (s *Server) durableSubs(cn *conn, keys []uint64, tc *trace.Ctx) []uint64 {
 	return s.subs.OwnerSubs(keys, cn, true)
 }
 
-// handleAck persists an advanced cursor. Acks carry no response frame, so
+// Ack persists an advanced cursor. Acks carry no response frame, so
 // problems are logged rather than reported (a lost ack only widens the
 // at-least-once redelivery window).
-func (cn *conn) handleAck(off uint64) {
+func (cn *conn) Ack(off uint64) {
 	s := cn.s
 	cn.mu.Lock()
 	name := cn.durName
 	cn.mu.Unlock()
 	if name == "" || s.cursors == nil {
-		s.logf("ignoring ACK(%d) from non-durable connection %s", off, cn.nc.RemoteAddr())
+		s.logf("ignoring ACK(%d) from non-durable connection %s", off, cn.ss.RemoteAddr())
 		return
 	}
 	next := off + 1
