@@ -6,8 +6,8 @@
 // Usage:
 //
 //	xpushserve [-addr :9310] [-metrics-addr :9311] [-debug-addr addr]
-//	           [-queries filters.txt] [-backend engine|pool]
-//	           [-workers n] [-policy drop-oldest|drop-newest|block|disconnect]
+//	           [-queries filters.txt]
+//	           [-policy drop-oldest|drop-newest|block|disconnect]
 //	           [-queue-depth 128] [-block-deadline 1s]
 //	           [-max-conns 0] [-max-doc-bytes 0] [-read-timeout 0]
 //	           [-write-timeout 0] [-snapshot state.xpw] [-snapshot-interval 0]
@@ -96,8 +96,8 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	logger.Printf("serving on %s (backend=%s policy=%s queue-depth=%d)",
-		srv.Addr(), cfg.Backend, cfg.Policy, cfg.QueueDepth)
+	logger.Printf("serving on %s (policy=%s queue-depth=%d)",
+		srv.Addr(), cfg.Policy, cfg.QueueDepth)
 	if srv.MetricsAddr() != "" {
 		logger.Printf("metrics on http://%s/metrics", srv.MetricsAddr())
 	}
@@ -176,8 +176,6 @@ func buildConfig(args []string) (server.Config, options, error) {
 	traceSlow := fs.Duration("trace-slow", 0, "capture every document slower than this end to end, regardless of sampling (0 disables)")
 	traceOut := fs.String("trace-out", "", "write retained traces as a Chrome trace_event file on shutdown (view at ui.perfetto.dev)")
 	queriesPath := fs.String("queries", "", "file with one initial XPath filter per line (warms the machine)")
-	backend := fs.String("backend", "engine", "filter backend: engine or pool")
-	workers := fs.Int("workers", 0, "pool workers (0 = GOMAXPROCS)")
 	policy := fs.String("policy", "drop-newest", "slow-subscriber backpressure: drop-oldest, drop-newest, block, or disconnect")
 	queueDepth := fs.Int("queue-depth", 128, "per-subscriber delivery queue bound")
 	blockDeadline := fs.Duration("block-deadline", time.Second, "max publisher wait for queue space under -policy block")
@@ -214,10 +212,6 @@ func buildConfig(args []string) (server.Config, options, error) {
 	}
 
 	pol, err := server.ParsePolicy(*policy)
-	if err != nil {
-		return server.Config{}, options{}, err
-	}
-	bk, err := server.ParseBackend(*backend)
 	if err != nil {
 		return server.Config{}, options{}, err
 	}
@@ -260,8 +254,6 @@ func buildConfig(args []string) (server.Config, options, error) {
 		DebugAddr:          *debugAddr,
 		TraceSample:        *traceSample,
 		TraceSlow:          *traceSlow,
-		Backend:            bk,
-		Workers:            *workers,
 		Engine:             ecfg,
 		InitialQueries:     initial,
 		Policy:             pol,

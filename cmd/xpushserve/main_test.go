@@ -18,9 +18,6 @@ func TestBuildConfigDefaults(t *testing.T) {
 	if cfg.Addr != ":9310" || cfg.MetricsAddr != ":9311" {
 		t.Errorf("addrs = %q, %q", cfg.Addr, cfg.MetricsAddr)
 	}
-	if cfg.Backend != server.BackendEngine {
-		t.Errorf("backend = %q", cfg.Backend)
-	}
 	if cfg.Policy != server.DropNewest {
 		t.Errorf("policy = %q", cfg.Policy)
 	}
@@ -45,8 +42,6 @@ func TestBuildConfigFull(t *testing.T) {
 		"-addr", "127.0.0.1:0",
 		"-metrics-addr", "",
 		"-queries", queries,
-		"-backend", "pool",
-		"-workers", "3",
 		"-policy", "block",
 		"-queue-depth", "64",
 		"-block-deadline", "250ms",
@@ -59,9 +54,6 @@ func TestBuildConfigFull(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cfg.Backend != server.BackendPool || cfg.Workers != 3 {
-		t.Errorf("backend = %q workers=%d", cfg.Backend, cfg.Workers)
 	}
 	if cfg.Policy != server.Block || cfg.QueueDepth != 64 || cfg.BlockDeadline != 250*time.Millisecond {
 		t.Errorf("policy = %q/%d/%v", cfg.Policy, cfg.QueueDepth, cfg.BlockDeadline)
@@ -114,9 +106,10 @@ func TestBuildConfigErrors(t *testing.T) {
 	if _, _, err := buildConfig([]string{"-policy", "bogus"}); err == nil {
 		t.Error("bogus policy accepted")
 	}
-	for _, b := range []string{"bogus", "sharded"} {
-		if _, _, err := buildConfig([]string{"-backend", b}); err == nil {
-			t.Errorf("backend %q accepted", b)
+	// The pool backend and its sizing flag are removed, not deprecated.
+	for _, args := range [][]string{{"-backend", "engine"}, {"-workers", "2"}} {
+		if _, _, err := buildConfig(args); err == nil {
+			t.Errorf("removed flag %v accepted", args)
 		}
 	}
 	if _, _, err := buildConfig([]string{"-queries", "/nonexistent.txt"}); err == nil {

@@ -17,17 +17,15 @@ import (
 // atomic pointer — publishers either see the old engine or the new one,
 // never a half-updated workload.
 //
-// Sharing rules: the receiver and the derived engine reference the same
-// machine layers, and a machine processes one stream at a time, so the two
-// engines must not filter concurrently. The intended pattern is a swap:
-// once the derived engine is published, the old one is retired (in-flight
-// documents on it may finish first — they only touch layers both engines
-// share, under the caller's filtering serialization). Deriving itself reads
-// only what no engine ever writes after construction (filter texts, parsed
-// filters, the removed mask) and builds fresh machines, so WithQueries,
-// WithoutQuery and Consolidated may run while the receiver — or an engine
-// derived from it — is filtering on another goroutine; the broker's
-// background compaction relies on that. The stream byte count and latency
+// The receiver and the derived engine reference the same machine layers, and
+// a machine serves any number of concurrent documents, each on its own
+// cursor (core.Machine): a publish still running on the previous generation
+// and one on the new may overlap, and so may WithQueries, WithoutQuery and
+// Consolidated with either — deriving reads only what no engine writes after
+// construction (filter texts, parsed filters, the removed mask) and builds
+// fresh machines. Every layer above the base is guarded by the base
+// machine's lock (core.Machine.StackOn): every engine that runs a tail layer
+// runs the base it was stacked on too. The stream byte count and latency
 // histogram are one atomic block shared by the whole lineage, so Stats on
 // any generation reads what the workload has filtered so far and a swap
 // never makes those totals step back.
@@ -53,8 +51,7 @@ const tierFanout = 4
 // so NumLayers is at most log_tierFanout(NumQueries) + 2, each filter is
 // recompiled O(log n) times over a run of insertions, and every merge is
 // small. The base machine (layer 0) is never recompiled here — that is
-// Consolidated's job, on the caller's schedule. See the comment at the top
-// of cow.go for the sharing rules.
+// Consolidated's job, on the caller's schedule.
 func (e *Engine) WithQueries(queries []string) (*Engine, error) {
 	return e.withQueries(queries, true)
 }
@@ -83,6 +80,7 @@ func (e *Engine) withQueries(queries []string, tier bool) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	m.StackOn(e.layers[0])
 	n.layerOff = append(n.layerOff[:keep], lo)
 	n.layers = append(n.layers[:keep], m)
 	return n, nil

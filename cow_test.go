@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/datagen"
@@ -99,7 +100,7 @@ func TestWithoutQueryMasks(t *testing.T) {
 // follow the workload through every derivation, whichever generation
 // filtered the document — a document the receiver filters after a
 // Consolidated() was taken from it (the broker's compaction window) is in
-// the consolidated engine's totals, and a Clone starts its own.
+// the consolidated engine's totals, and a separate Compile starts its own.
 func TestDerivedEnginesShareStreamTotals(t *testing.T) {
 	base, err := Compile([]string{`//m[a = 1]`}, Config{})
 	if err != nil {
@@ -118,7 +119,7 @@ func TestDerivedEnginesShareStreamTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone, err := base.Clone()
+	apart, err := Compile(base.Queries(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +136,8 @@ func TestDerivedEnginesShareStreamTotals(t *testing.T) {
 			}
 		}
 	}
-	if st := clone.Stats(); st.Bytes != 0 || st.FilterLatency.Count != 0 {
-		t.Errorf("clone started with the lineage's totals: %d bytes, %d documents timed", st.Bytes, st.FilterLatency.Count)
+	if st := apart.Stats(); st.Bytes != 0 || st.FilterLatency.Count != 0 {
+		t.Errorf("an engine compiled apart started with the lineage's totals: %d bytes, %d documents timed", st.Bytes, st.FilterLatency.Count)
 	}
 }
 
@@ -222,6 +223,13 @@ func TestWorkloadSnapshotRejectsGarbage(t *testing.T) {
 // repeated consolidations. It also holds the tier rule to its two
 // invariants after every step: depth stays within the logarithmic bound, and
 // no surviving filter's index, text or mask bit moves across a tier merge.
+//
+// All 16 combinations of the four machine flags walk the chain, and every
+// step has a concurrent arm: before the new generation has seen a document,
+// two to four goroutines filter the step's documents at once, on it and on
+// the generation it was derived from, which shares its layers — cold layers
+// filling under one document while another reads, and two generations
+// overlapping as a broker's publishes do across a swap.
 func TestCOWRandomizedDifferential(t *testing.T) {
 	ds := datagen.ProteinLike()
 	pool := workload.Generate(ds, workload.Params{
@@ -237,20 +245,37 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 	if testing.Short() {
 		steps = 100 // the race run: ~25 ms a step there
 	}
-	for _, topDown := range []bool{false, true} {
-		t.Run(fmt.Sprintf("topdown=%v", topDown), func(t *testing.T) {
-			cfg := Config{TopDownPruning: topDown}
+	for flags := 0; flags < 16; flags++ {
+		cfg := Config{TopDownPruning: flags&1 != 0, EarlyNotification: flags&4 != 0, DisablePrecompute: flags&8 != 0}
+		if flags&2 != 0 {
+			cfg.OrderOptimization, cfg.DTD = true, &DTD{d: ds.DTD}
+		}
+		name := fmt.Sprintf("topdown=%v", cfg.TopDownPruning)
+		steps := steps
+		if flags > 1 {
+			// The two plain walks keep their names and their length; the
+			// other fourteen go a third as far (deep enough for the
+			// vacuity check below), which keeps the package's tests from
+			// starving the timing-sensitive ones that run beside them.
+			name += fmt.Sprintf(",order=%v,early=%v,precompute=%v", cfg.OrderOptimization, cfg.EarlyNotification, !cfg.DisablePrecompute)
+			steps = 100
+		}
+		t.Run(name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(18))
 			e, err := Compile(nil, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			// What the generation a step derives from must answer: the
+			// step before's expectations.
+			var prevWants []string
 			// slots[i] is the pool filter behind engine index i, -1 once
 			// removed; live lists the indexes still >= 0.
 			var slots, live []int
 			matched, deepest, merges := 0, 0, 0
 			for step := 0; step < steps; step++ {
 				op := "add"
+				prev := e
 				switch x := r.Intn(100); {
 				case x < 40 && len(live) > 0:
 					op = "remove"
@@ -339,15 +364,8 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				oracle := naive.NewEngine(filters)
+				wants := make([]string, len(docs))
 				for di, doc := range docs {
-					got, err := e.FilterDocument(doc)
-					if err != nil {
-						t.Fatalf("step %d (%s) doc %d: %v", step, op, di, err)
-					}
-					matched += len(got)
-					if !sort.IntsAreSorted(got) {
-						t.Fatalf("step %d (%s, %d layers) doc %d: unsorted matches %v", step, op, e.NumLayers(), di, got)
-					}
 					fm, err := fresh.FilterDocument(doc)
 					if err != nil {
 						t.Fatal(err)
@@ -356,14 +374,50 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					if fmt.Sprint(fm) != fmt.Sprint(om) {
+						t.Fatalf("step %d (%s) doc %d: fresh %v, oracle %v", step, op, di, fm, om)
+					}
 					// fresh and oracle number the live filters densely.
 					want := make([]int, len(fm))
 					for i, m := range fm {
 						want[i] = live[m]
 					}
-					if fmt.Sprint(fm) != fmt.Sprint(om) || fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("step %d (%s, %d layers, %d live of %d) doc %d:\n derived %v\n fresh   %v = %v\n oracle  %v",
-							step, op, e.NumLayers(), len(live), len(slots), di, got, fm, want, om)
+					wants[di] = fmt.Sprint(want)
+				}
+
+				var wg sync.WaitGroup
+				for g := 0; g < 2+step%3; g++ {
+					on, onWant := e, wants
+					if g%2 == 1 && prevWants != nil {
+						on, onWant = prev, prevWants
+					}
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for i := range docs {
+							di := (i + g) % len(docs)
+							got, err := on.FilterDocument(docs[di])
+							if err != nil || fmt.Sprint(got) != onWant[di] {
+								t.Errorf("step %d (%s) goroutine %d, doc %d on the %d-layer generation (current: %v): %v, err %v; want %s",
+									step, op, g, di, on.NumLayers(), on == e, got, err, onWant[di])
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
+				if t.Failed() {
+					t.FailNow()
+				}
+				prevWants = wants
+				for di, doc := range docs {
+					got, err := e.FilterDocument(doc)
+					if err != nil {
+						t.Fatalf("step %d (%s) doc %d: %v", step, op, di, err)
+					}
+					matched += len(got)
+					if !sort.IntsAreSorted(got) || fmt.Sprint(got) != wants[di] {
+						t.Fatalf("step %d (%s, %d layers, %d live of %d) doc %d:\n derived %v\n want    %s",
+							step, op, e.NumLayers(), len(live), len(slots), di, got, wants[di])
 					}
 				}
 			}

@@ -12,6 +12,7 @@ import (
 // debugging, teaching, and the xpushdump tool; combine with PrecomputeEager
 // to see the complete machine of a small workload.
 func (m *Machine) DumpTables(w io.Writer) error {
+	defer m.exclusive()() // the Tvalue and Taccept sections fill what they print
 	fmt.Fprintf(w, "bottom-up states (%d):\n", len(m.bsets))
 	for i, set := range m.bsets {
 		fmt.Fprintf(w, "  q%-4d = %v\n", i, set)

@@ -26,6 +26,7 @@ import (
 // reachable set depends on the document structure (exactly the paper's
 // observation that TD defeats precomputation).
 func (m *Machine) PrecomputeEager(maxStates int) (int, error) {
+	defer m.exclusive()()
 	if m.opts.TopDown {
 		return 0, fmt.Errorf("xpush: eager construction requires the basic (non-top-down) machine")
 	}

@@ -77,7 +77,10 @@ type Options struct {
 	// MaxStates, when positive, caps the number of interned bottom-up
 	// states: at the next document boundary past the cap, all lazily
 	// built states and tables are flushed ("equivalent to flushing an
-	// entire cache", Sec. 8). Zero means unlimited.
+	// entire cache", Sec. 8). Zero means unlimited. A flush invalidates
+	// every state id, so it waits for a boundary at which no other
+	// document is in flight on the machine; until then the tables
+	// overshoot the cap by what the documents in flight add.
 	MaxStates int
 }
 
@@ -103,6 +106,10 @@ type Stats struct {
 	MixedContentEvents int64
 	// Flushes counts MaxStates cache flushes.
 	Flushes int64
+	// ExclusiveDocs counts the documents that took the write lock (a table
+	// miss, a string-function predicate, a flush) and ran alone from there
+	// on; the other Docs ran on shared, read-locked tables throughout.
+	ExclusiveDocs int64
 
 	// Windowed series over the most recent WindowDocs documents (at most
 	// StatsWindow). They expose the machine's warm-up trajectory — the
@@ -131,10 +138,9 @@ func (s Stats) WindowHitRatio() float64 {
 // windowed Stats series.
 const StatsWindow = 64
 
-// counters holds the machine's runtime counters. Increments happen only on
-// the machine's single filtering goroutine, but they are atomic so that
-// Stats can be read concurrently (e.g. a /metrics scrape of a live broker,
-// or Pool aggregation) without a data race.
+// counters holds the machine's runtime counters. Every cursor adds to them
+// (per document, not per event — see pendEvents) and Stats reads them
+// concurrently (e.g. a /metrics scrape of a live broker), so they are atomic.
 type counters struct {
 	bstates, tstates atomic.Int64
 	bstateAFASum     atomic.Int64
@@ -143,6 +149,7 @@ type counters struct {
 	matches          atomic.Int64
 	mixed            atomic.Int64
 	flushes          atomic.Int64
+	exclusive        atomic.Int64
 }
 
 // winSample is a snapshot of the cumulative counters taken at a document
@@ -183,10 +190,36 @@ type frame struct {
 	sawElemChild bool
 }
 
-// Machine is a lazy XPush machine. It implements both sax.Handler and
-// sax.BytesHandler (the byte path avoids a string allocation per event); one
-// Machine serves one stream (it is not safe for concurrent use).
+// Machine is a lazy XPush machine: the warm tables (shared) plus one cursor
+// over them. It implements both sax.Handler and sax.BytesHandler (the byte
+// path avoids a string allocation per event). One Machine value serves one
+// stream at a time; any number of them — New's and the cursors ForkStack
+// makes from it — filter documents concurrently over the same tables.
+//
+// Locking is per document (DESIGN.md "One machine, many cursors"):
+// StartDocument takes the read lock, and a warm document reads tables and
+// writes only its cursor. The first probe that misses trades the read lock
+// for the write lock (upgrade) and the rest of that document runs alone;
+// EndDocument releases whichever is held. State ids index the append-only
+// bsets/tsets, so a cursor's ids stay valid while it waits for the write
+// lock; only a MaxStates flush invalidates them (Options.MaxStates).
 type Machine struct {
+	*shared
+	cursor
+}
+
+// shared is what every cursor over one machine reads, and writes only under
+// mu's write lock.
+type shared struct {
+	// mu guards every field below down to scratch2. A layer stacked on a
+	// base machine (StackOn) uses the base's lock: with a lock per layer, two
+	// documents upgrading on different layers would wait on each other's
+	// read locks.
+	mu *sync.RWMutex
+	// inflight counts the documents that may hold state ids, for the flush;
+	// kept only under a MaxStates cap.
+	inflight atomic.Int32
+
 	afa   *afa.AFA
 	opts  Options
 	ev    *afa.Evaluator
@@ -216,23 +249,49 @@ type Machine struct {
 	earlyOn     bool
 	trueTermAll []int32
 
-	// Run state.
+	// Miss-path scratch: used only while computing a transition, i.e. under
+	// the write lock.
+	scratch  []int32
+	scratch2 []int32
+
+	ctr counters
+
+	// Document-boundary samples for the windowed Stats series, guarded by
+	// winMu (written once per document, read by Stats).
+	winMu   sync.Mutex
+	win     [StatsWindow]winSample
+	winLen  int
+	winHead int // next write position
+}
+
+// stream is the lock state of one document stream, shared by its cursors on
+// the layers of a stack: the lock is taken when the first of them enters a
+// document and dropped when the last one leaves.
+type stream struct {
+	in   int  // cursors inside a document
+	excl bool // the write lock is held (the read lock otherwise, while in > 0)
+}
+
+// cursor is one stream's position in the machine: everything the event loop
+// writes on a table hit.
+type cursor struct {
+	st      *stream
 	qt, qb  int32
 	stack   []frame
 	cur     frame // flags of the current element
 	matched []bool
 	results []int32
-	inDoc   bool
+	inDoc   bool // between StartDocument and Release: counted in st.in
 	err     error
 
-	ctr      counters
 	training bool
 
 	// Per-event counters are batched in plain locals and flushed to the
 	// atomics at document boundaries: an atomic RMW per SAX event would
-	// dominate the O(1) per-event work the tables buy. Stats() read
-	// between document boundaries lags by at most one document's worth of
-	// events/lookups/hits; the concurrent-read guarantee is unchanged.
+	// dominate the O(1) per-event work the tables buy, and would bounce a
+	// cache line between concurrent cursors. Stats() read between document
+	// boundaries lags by at most the in-flight documents' worth of
+	// events/lookups/hits.
 	pendEvents  int64
 	pendLookups int64
 	pendHits    int64
@@ -242,19 +301,9 @@ type Machine struct {
 	// documents.
 	bscan sax.ByteScanner
 
-	// Document-boundary samples for the windowed Stats series, guarded by
-	// winMu (written once per document, read by Stats).
-	winMu   sync.Mutex
-	win     [StatsWindow]winSample
-	winLen  int
-	winHead int // next write position
-
 	// OnDocument, when set, receives the sorted oids of matching filters
 	// at every endDocument.
 	OnDocument func(matches []int32)
-
-	scratch  []int32
-	scratch2 []int32
 }
 
 // New builds a lazy XPush machine for a compiled AFA. The machine takes
@@ -263,12 +312,13 @@ func New(a *afa.AFA, opts Options) *Machine {
 	if opts.Early {
 		opts.TopDown = true // required for correctness (Sec. 5)
 	}
-	m := &Machine{
-		afa:     a,
-		opts:    opts,
-		ev:      a.NewEvaluator(),
-		matched: make([]bool, len(a.Queries)),
-	}
+	m := &Machine{shared: &shared{
+		mu:   new(sync.RWMutex),
+		afa:  a,
+		opts: opts,
+		ev:   a.NewEvaluator(),
+	}}
+	m.cursor = newCursor(m.shared, new(stream))
 	b := predindex.NewBuilder()
 	a.EachLeafTerminal(func(s int32, op xmlval.Op, c xmlval.Const) {
 		b.Add(s, op, c)
@@ -286,12 +336,82 @@ func New(a *afa.AFA, opts Options) *Machine {
 	m.earlyOn = opts.Early
 	m.needIsect = opts.Early && a.HasDescendant()
 	m.trueTermAll = a.TrueTerminals()
+	defer m.exclusive()()
 	m.reset()
 	return m
 }
 
+func newCursor(sh *shared, st *stream) cursor {
+	return cursor{st: st, matched: make([]bool, len(sh.afa.Queries))}
+}
+
+// ForkStack returns a fresh cursor over each of the given machines — a base
+// and the layers stacked on it (StackOn), or a single machine — for one more
+// concurrent stream. The cursors share one lock state: drive them in
+// lockstep, every event to each in order.
+func ForkStack(layers []*Machine) []*Machine {
+	st := new(stream)
+	out := make([]*Machine, len(layers))
+	for i, m := range layers {
+		out[i] = &Machine{shared: m.shared, cursor: newCursor(m.shared, st)}
+	}
+	return out
+}
+
+// StackOn makes m a layer over base: from here on m's tables are guarded by
+// base's lock, and m must only run in a stack that base is part of. Call it
+// before m is shared.
+func (m *Machine) StackOn(base *Machine) { m.mu = base.mu }
+
+// upgrade is called after a table probe missed, before the transition is
+// computed and stored. Unless the stream holds the write lock already, it
+// trades its read lock for it and reports true: another document may have
+// stored the entry meanwhile, so the caller probes once more.
+func (m *Machine) upgrade() bool {
+	if m.st.excl {
+		return false
+	}
+	m.mu.RUnlock()
+	m.mu.Lock()
+	m.st.excl = true
+	m.ctr.exclusive.Add(1)
+	return true
+}
+
+// exclusive takes the write lock for filling tables outside any document
+// (the machine's own stream must not be inside one) and returns the unlock.
+func (m *Machine) exclusive() (unlock func()) {
+	m.mu.Lock()
+	m.st.excl = true
+	return func() { m.st.excl = false; m.mu.Unlock() }
+}
+
+// Release leaves the current document, dropping the stream's lock with its
+// last cursor. EndDocument calls it; whoever drives the machine calls it
+// after a parse that failed, which ends a stream mid-document with the lock
+// still held. Outside a document it does nothing.
+func (m *Machine) Release() {
+	if !m.inDoc {
+		return
+	}
+	m.inDoc = false
+	if m.opts.MaxStates > 0 {
+		m.inflight.Add(-1)
+	}
+	if m.st.in--; m.st.in > 0 {
+		return
+	}
+	if m.st.excl {
+		m.st.excl = false
+		m.mu.Unlock()
+	} else {
+		m.mu.RUnlock()
+	}
+}
+
 // reset drops all lazily built states and tables (the cache-flush of
-// Sec. 8's update discussion and of the MaxStates cap).
+// Sec. 8's update discussion and of the MaxStates cap). It invalidates every
+// state id: callers hold the write lock with no other document in flight.
 func (m *Machine) reset() {
 	m.bsets = [][]int32{nil}
 	m.bintern = internTab{}
@@ -348,6 +468,7 @@ func (m *Machine) Stats() Stats {
 		Matches:            m.ctr.matches.Load(),
 		MixedContentEvents: m.ctr.mixed.Load(),
 		Flushes:            m.ctr.flushes.Load(),
+		ExclusiveDocs:      m.ctr.exclusive.Load(),
 	}
 	m.winMu.Lock()
 	if m.winLen > 0 {
@@ -452,10 +573,23 @@ func (m *Machine) flushPending() {
 
 // StartDocument implements sax.Handler.
 func (m *Machine) StartDocument() {
+	m.Release() // a stream whose last document failed to parse
 	m.flushPending()
-	if m.opts.MaxStates > 0 && len(m.bsets) > m.opts.MaxStates {
-		m.reset()
-		m.ctr.flushes.Add(1)
+	if m.st.in == 0 {
+		m.mu.RLock()
+	}
+	m.st.in++
+	m.inDoc = true
+	if m.opts.MaxStates > 0 {
+		if len(m.bsets) > m.opts.MaxStates {
+			// Under the write lock no other document is reading; one parked
+			// in its own upgrade still holds ids, and puts the flush off.
+			if m.upgrade(); len(m.bsets) > m.opts.MaxStates && m.inflight.Load() == 0 {
+				m.reset()
+				m.ctr.flushes.Add(1)
+			}
+		}
+		m.inflight.Add(1)
 	}
 	if !m.training {
 		m.sampleWindow()
@@ -467,7 +601,6 @@ func (m *Machine) StartDocument() {
 		m.matched[i] = false
 	}
 	m.results = m.results[:0]
-	m.inDoc = true
 	m.pendEvents++
 	m.ctr.docs.Add(1)
 }
@@ -504,9 +637,11 @@ func (m *Machine) startElement(sym int32) {
 func (m *Machine) pushState(qt, sym int32) int32 {
 	key := packPush(qt, sym)
 	m.pendLookups++
-	if id, ok := m.pushTab.get(key); ok {
-		m.pendHits++
-		return id
+	for retry := true; retry; retry = m.upgrade() {
+		if id, ok := m.pushTab.get(key); ok {
+			m.pendHits++
+			return id
+		}
 	}
 	m.scratch = m.scratch[:0]
 	for _, s := range m.tsets[qt] {
@@ -546,16 +681,24 @@ func (m *Machine) text(v xmlval.Value) {
 // whose predicate holds on v (restricted to enabled states under top-down
 // pruning).
 func (m *Machine) valueState(qt int32, v xmlval.Value) int32 {
+	// contains/starts-with depend on the text, not its interval: with any in
+	// the workload every value state is computed afresh (and index.Match
+	// fills an unsynchronised cache), so its documents run exclusive from
+	// their first text node on.
 	cacheable := !m.index.HasStringFuncs()
 	var key key128
 	if cacheable {
 		key = packValue(qt, m.index.IntervalKey(v))
 		m.pendLookups++
-		if e, ok := m.valueTab.get(key); ok {
-			m.pendHits++
-			m.recordEarly(e.early)
-			return e.state
+		for retry := true; retry; retry = m.upgrade() {
+			if e, ok := m.valueTab.get(key); ok {
+				m.pendHits++
+				m.recordEarly(e.early)
+				return e.state
+			}
 		}
+	} else {
+		m.upgrade()
 	}
 	ids := m.index.Match(v)
 	if m.opts.TopDown {
@@ -651,10 +794,12 @@ func (m *Machine) endElement(sym int32) {
 func (m *Machine) popState(qb, qt, sym int32) int32 {
 	key := packPop(qb, qt, sym)
 	m.pendLookups++
-	if e, ok := m.popTab.get(key); ok {
-		m.pendHits++
-		m.recordEarly(e.early)
-		return e.state
+	for retry := true; retry; retry = m.upgrade() {
+		if e, ok := m.popTab.get(key); ok {
+			m.pendHits++
+			m.recordEarly(e.early)
+			return e.state
+		}
 	}
 	evaled := m.ev.Eval(m.bsets[qb], m.ttOf[qt])
 	res := m.afa.DeltaInv(evaled, sym, m.scratch[:0])
@@ -694,9 +839,11 @@ func (m *Machine) popState(qb, qt, sym int32) int32 {
 func (m *Machine) intersectState(qaux, qt int32) int32 {
 	key := packAdd(qaux, qt)
 	m.pendLookups++
-	if id, ok := m.sectTab.get(key); ok {
-		m.pendHits++
-		return id
+	for retry := true; retry; retry = m.upgrade() {
+		if id, ok := m.sectTab.get(key); ok {
+			m.pendHits++
+			return id
+		}
 	}
 	out := intersectSorted(m.bsets[qaux], m.tsets[qt], m.scratch[:0])
 	m.scratch = out
@@ -716,9 +863,11 @@ func (m *Machine) addStates(qbs, qaux int32) int32 {
 	}
 	key := packAdd(qbs, qaux)
 	m.pendLookups++
-	if id, ok := m.addTab.get(key); ok {
-		m.pendHits++
-		return id
+	for retry := true; retry; retry = m.upgrade() {
+		if id, ok := m.addTab.get(key); ok {
+			m.pendHits++
+			return id
+		}
 	}
 	b := m.bsets[qbs]
 	add := m.bsets[qaux]
@@ -741,7 +890,6 @@ func (m *Machine) addStates(qbs, qaux int32) int32 {
 // EndDocument implements sax.Handler (taccept plus early matches).
 func (m *Machine) EndDocument() {
 	m.pendEvents++
-	m.inDoc = false
 	for _, q := range m.acceptOf(m.qb) {
 		if !m.matched[q] {
 			m.matched[q] = true
@@ -751,6 +899,7 @@ func (m *Machine) EndDocument() {
 	slices.Sort(m.results)
 	m.ctr.matches.Add(int64(len(m.results)))
 	m.flushPending()
+	m.Release()
 	if m.OnDocument != nil && !m.training {
 		m.OnDocument(m.results)
 	}
@@ -762,8 +911,10 @@ func (m *Machine) acceptOf(qb int32) []int32 {
 	if qb == 0 {
 		return nil
 	}
-	if acc := m.baccept[qb]; acc != nil {
-		return acc
+	for retry := true; retry; retry = m.upgrade() {
+		if acc := m.baccept[qb]; acc != nil {
+			return acc
+		}
 	}
 	m.scratch = intersectSorted(m.bsets[qb], m.afa.Initials(), m.scratch[:0])
 	acc := make([]int32, 0, len(m.scratch))
@@ -792,19 +943,25 @@ func (m *Machine) mixedContent() {
 // machine's reusable byte scanner, so a warmed machine runs the whole
 // document without heap allocation.
 func (m *Machine) Run(data []byte) error {
-	err := m.bscan.Parse(data, m)
-	m.flushPending()
+	err := m.parse(data)
 	if err != nil {
 		return err
 	}
 	return m.err
 }
 
+// parse runs data through the machine's own scanner and cursor.
+func (m *Machine) parse(data []byte) error {
+	err := m.bscan.Parse(data, m)
+	m.Release() // a parse error ends the stream mid-document
+	m.flushPending()
+	return err
+}
+
 // FilterDocument processes a single document and returns the sorted oids of
 // matching filters.
 func (m *Machine) FilterDocument(data []byte) ([]int32, error) {
-	err := m.bscan.Parse(data, m)
-	m.flushPending()
+	err := m.parse(data)
 	if err != nil {
 		return nil, err
 	}
@@ -819,17 +976,18 @@ func (m *Machine) FilterDocument(data []byte) ([]int32, error) {
 // Train runs the machine over training data (Sec. 5): states created here
 // persist, warming the caches, but lookup statistics and document counters
 // are reset afterwards so subsequent measurements reflect the warmed
-// machine.
+// machine. The training documents lock like any others, so cursors may keep
+// filtering meanwhile; what they count up to the reset is dropped with it.
 func (m *Machine) Train(data []byte) error {
 	m.training = true
-	err := m.bscan.Parse(data, m)
+	err := m.parse(data)
 	m.training = false
-	m.flushPending()
 	m.ctr.lookups.Store(0)
 	m.ctr.hits.Store(0)
 	m.ctr.docs.Store(0)
 	m.ctr.events.Store(0)
 	m.ctr.matches.Store(0)
+	m.ctr.exclusive.Store(0)
 	m.winMu.Lock()
 	m.winLen, m.winHead = 0, 0
 	m.winMu.Unlock()
@@ -857,6 +1015,8 @@ func dedupSorted(ids []int32) []int32 {
 // It backs the paper's observation that total memory grows slightly above
 // linearly with the workload (Figs. 6 + 7 combined).
 func (m *Machine) ApproxMemoryBytes() int64 {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	var b int64
 	b += 4 * m.ctr.bstateAFASum.Load() // bottom-up state arrays
 	for _, t := range m.tsets {

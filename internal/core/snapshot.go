@@ -103,6 +103,8 @@ func (sr *snapReader) ids() []int32 {
 // WriteSnapshot serialises the machine's interned states and transition
 // tables.
 func (m *Machine) WriteSnapshot(w io.Writer) error {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	sw := &snapWriter{w: bufio.NewWriter(w)}
 	sw.u64(snapshotMagic)
 	sw.u64(m.Fingerprint())
@@ -155,8 +157,8 @@ func (m *Machine) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot restores a snapshot into a machine built from the same
-// workload and options, replacing any lazily built state. The machine must
-// not be mid-document.
+// workload and options, replacing any lazily built state — and with it every
+// state id, like a flush: no cursor of the machine may be mid-document.
 func (m *Machine) ReadSnapshot(r io.Reader) error {
 	if m.inDoc {
 		return fmt.Errorf("xpush: cannot load a snapshot mid-document")
@@ -303,6 +305,8 @@ func (m *Machine) ReadSnapshot(r io.Reader) error {
 	}
 
 	// Install: rebuild intern indexes and derived caches.
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.bsets = bsets
 	m.bintern = internTab{}
 	m.baccept = make([][]int32, len(bsets))

@@ -101,16 +101,6 @@ func Parse(data []byte, h Handler) error {
 	return NewScanner(data).Run(h)
 }
 
-// ParseReader buffers a reader fully, then parses it. Streams of unbounded
-// length should be chunked at document boundaries by the caller.
-func ParseReader(r io.Reader, h Handler) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	return Parse(data, h)
-}
-
 // scan consumes input until at least one event is queued or input ends.
 func (s *Scanner) scan() error {
 	for s.qhead >= len(s.queue) {

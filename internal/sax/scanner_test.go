@@ -197,16 +197,6 @@ func TestScannerPull(t *testing.T) {
 	}
 }
 
-func TestParseReader(t *testing.T) {
-	var c Collector
-	if err := ParseReader(strings.NewReader(`<a>1</a>`), &c); err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Events) != 5 {
-		t.Fatalf("events = %d", len(c.Events))
-	}
-}
-
 func TestIsAttr(t *testing.T) {
 	if !IsAttr("@c") || IsAttr("c") || IsAttr("") {
 		t.Error("IsAttr misclassifies")

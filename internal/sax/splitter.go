@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"io"
-	"sync/atomic"
 )
 
 // Splitter incrementally cuts a possibly unbounded reader into complete XML
@@ -18,18 +17,7 @@ type Splitter struct {
 	buf bytes.Buffer
 	// MaxDocBytes bounds a single document (0 = 64 MiB default).
 	MaxDocBytes int
-
-	// Stream counters, atomic so a monitoring goroutine can read them
-	// while the split loop runs.
-	docs, bytesRead atomic.Int64
 }
-
-// DocsRead returns the number of complete documents returned so far.
-func (s *Splitter) DocsRead() int64 { return s.docs.Load() }
-
-// BytesRead returns the number of input bytes consumed into completed
-// documents (including inter-document whitespace).
-func (s *Splitter) BytesRead() int64 { return s.bytesRead.Load() }
 
 // NewSplitter wraps a reader.
 func NewSplitter(r io.Reader) *Splitter {
@@ -87,8 +75,6 @@ func (s *Splitter) Next() ([]byte, error) {
 			}
 		}
 		if started && depth == 0 {
-			s.docs.Add(1)
-			s.bytesRead.Add(int64(s.buf.Len()))
 			// Trim inter-document whitespace carried in from before
 			// this document's first tag.
 			return bytes.TrimLeft(s.buf.Bytes(), " \t\r\n"), nil

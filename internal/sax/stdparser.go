@@ -78,12 +78,3 @@ func StdParse(data []byte, h Handler) error {
 	}
 	return nil
 }
-
-// StdParseReader is StdParse over an io.Reader.
-func StdParseReader(r io.Reader, h Handler) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	return StdParse(data, h)
-}

@@ -87,15 +87,12 @@ func TestPoolStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(base, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(base, 3)
 	stream := strings.Repeat("<d><x/></d>", 300)
 	if err := pool.FilterStream(strings.NewReader(stream), func(Result) {}); err != nil {
 		t.Fatal(err)
 	}
-	s := pool.Stats()
+	s := base.Stats()
 	if s.Documents != 300 {
 		t.Errorf("documents = %d", s.Documents)
 	}

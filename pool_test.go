@@ -2,15 +2,10 @@ package xpushstream
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/bench"
-	"repro/internal/datagen"
-	"repro/internal/workload"
 )
 
 func TestPoolMatchesSequential(t *testing.T) {
@@ -29,13 +24,7 @@ func TestPoolMatchesSequential(t *testing.T) {
 		}
 		want = append(want, fmt.Sprint(m))
 	}
-	pool, err := NewPool(base, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pool.Size() != 4 {
-		t.Fatalf("size = %d", pool.Size())
-	}
+	pool := NewPool(base, 4)
 	got := make([]string, len(want))
 	var mu sync.Mutex
 	err = pool.FilterStream(strings.NewReader(stream.String()), func(r Result) {
@@ -62,10 +51,7 @@ func TestPoolErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(base, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(base, 2)
 	// Malformed stream: splitter error.
 	err = pool.FilterStream(strings.NewReader("<a/><broken"), func(Result) {})
 	if err == nil {
@@ -78,10 +64,7 @@ func TestPoolStopsSubmittingAfterFirstError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(base, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(base, 1)
 	// A poisoned document mid-stream: the splitter sees balanced tag depth
 	// and hands it over as a complete document, but the scanner rejects
 	// the mismatched end tag. Everything after it must not be filtered.
@@ -122,10 +105,7 @@ func TestPoolAllDocumentsSeen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(base, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(base, 3)
 	var stream strings.Builder
 	const n = 1000
 	for i := 0; i < n; i++ {
@@ -152,10 +132,10 @@ func TestPoolAllDocumentsSeen(t *testing.T) {
 	}
 }
 
-// TestPoolFilterDocument: the request/response entry point agrees with the
-// sequential engine under concurrent callers.
-func TestPoolFilterDocument(t *testing.T) {
-	base, err := Compile([]string{"/m[v=1]", "/m[v=2]", "//m[w>3]"}, Config{})
+// TestEngineFilterDocumentConcurrent: the request/response entry point
+// agrees with a sequential run under concurrent callers on one engine.
+func TestEngineFilterDocumentConcurrent(t *testing.T) {
+	e, err := Compile([]string{"/m[v=1]", "/m[v=2]", "//m[w>3]"}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,15 +143,11 @@ func TestPoolFilterDocument(t *testing.T) {
 	want := make([]string, len(docs))
 	for i := range docs {
 		docs[i] = []byte(fmt.Sprintf("<m><v>%d</v><w>%d</w></m>", i%4, i%6))
-		m, err := base.FilterDocument(docs[i])
+		m, err := e.FilterDocument(docs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = fmt.Sprint(m)
-	}
-	pool, err := NewPool(base, 4)
-	if err != nil {
-		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, len(docs))
@@ -179,13 +155,13 @@ func TestPoolFilterDocument(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m, err := pool.FilterDocument(docs[i])
+			m, err := e.FilterDocument(docs[i])
 			if err != nil {
 				errs <- err
 				return
 			}
 			if got := fmt.Sprint(m); got != want[i] {
-				errs <- fmt.Errorf("doc %d: pool %s vs sequential %s", i, got, want[i])
+				errs <- fmt.Errorf("doc %d: concurrent %s vs sequential %s", i, got, want[i])
 			}
 		}(i)
 	}
@@ -193,41 +169,5 @@ func TestPoolFilterDocument(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-func BenchmarkPoolThroughput(b *testing.B) {
-	ds := datagen.ProteinLike()
-	filters := workload.Generate(ds, bench.WorkloadParams(59, 2000, 5))
-	queries := make([]string, len(filters))
-	for i, f := range filters {
-		queries[i] = f.Source
-	}
-	base, err := Compile(queries, Config{TopDownPruning: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := datagen.NewGenerator(ds, 60).GenerateBytes(1 << 20)
-	// Scaling needs cores: on GOMAXPROCS=1 the extra workers are pure
-	// scheduling overhead.
-	b.Logf("GOMAXPROCS=%d", runtime.GOMAXPROCS(0))
-	for _, n := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", n), func(b *testing.B) {
-			pool, err := NewPool(base, n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Warm every worker.
-			if err := pool.FilterStream(strings.NewReader(string(data)), func(Result) {}); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := pool.FilterStream(strings.NewReader(string(data)), func(Result) {}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -42,13 +42,10 @@ func TestPoolStatsConcurrentWithFilterStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool(base, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewPool(base, 4)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	scrapeWhile(done, &wg, pool.Stats)
+	scrapeWhile(done, &wg, base.Stats)
 	stream := buildStream(400)
 	for pass := 0; pass < 3; pass++ {
 		if err := pool.FilterStream(strings.NewReader(stream), func(Result) {}); err != nil {
@@ -57,7 +54,7 @@ func TestPoolStatsConcurrentWithFilterStream(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	st := pool.Stats()
+	st := base.Stats()
 	if st.Documents != 3*400 {
 		t.Errorf("documents = %d", st.Documents)
 	}

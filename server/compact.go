@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync"
 	"time"
 
 	xpushstream "repro"
@@ -12,7 +13,7 @@ import (
 // themselves), a release masks a slot. What those leave behind — a tail that
 // keeps growing, dead slots that are still compiled in — is folded into a new
 // base machine here, by one goroutine, off both the control lock and the
-// publish lock:
+// publish path:
 //
 //  1. pin the current core and recompile its live filters into one machine
 //     (Engine.Consolidated reads only immutable engine state, so publishers
@@ -53,6 +54,7 @@ var compactPhases = [...]string{"compile", "train", "swap"}
 // PUBLISH payload is never written after its frame was read, and holding it
 // costs at most ringBytes beyond what the delivery queues already pin.
 type docRing struct {
+	mu    sync.Mutex // publishers add concurrently
 	docs  [ringDocs][]byte
 	next  int // slot the next document overwrites: the oldest
 	bytes int
@@ -62,6 +64,8 @@ func (r *docRing) add(doc []byte) {
 	if len(doc) > ringBytes {
 		return
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.bytes += len(doc) - len(r.docs[r.next])
 	r.docs[r.next] = doc
 	r.next = (r.next + 1) % ringDocs
@@ -73,12 +77,16 @@ func (r *docRing) add(doc []byte) {
 	}
 }
 
+// held returns a copy of the ring's slots.
+func (r *docRing) held() [ringDocs][]byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.docs
+}
+
 // needsCompaction reports whether c has outgrown the bounds the compaction
 // goroutine holds the workload to.
 func (s *Server) needsCompaction(c *core) bool {
-	if c.engine == nil {
-		return false
-	}
 	if c.engine.TailQueries() > compactTailFilters {
 		return true
 	}
@@ -165,11 +173,8 @@ func (s *Server) compact() bool {
 // until a pass creates no machine state. A document that fails to parse
 // ends the warm-up early; the machine stays valid, only colder.
 func (s *Server) warm(e *xpushstream.Engine) {
-	s.pubMu.Lock()
-	docs := s.recent.docs
-	s.pubMu.Unlock()
 	var data []byte
-	for _, d := range docs {
+	for _, d := range s.recent.held() {
 		data = append(data, d...)
 	}
 	if len(data) == 0 {

@@ -18,7 +18,7 @@ import (
 const deadKey = ^uint64(0)
 
 // core is one immutable generation of the broker's workload: the compiled
-// backend plus the engine-index -> registry-key translation. Workload
+// engine plus the engine-index -> registry-key translation. Workload
 // changes (first compile of a canonical filter, last release, layer
 // consolidation) build the next core off to the side and atomically swap
 // the pointer (copy-on-write), so the publish path never observes a
@@ -44,15 +44,7 @@ type core struct {
 	// match journal's usability rule, see conn.pump).
 	keyHW uint64
 
-	engine *xpushstream.Engine // BackendEngine
-	pool   *xpushstream.Pool   // BackendPool
-}
-
-func (c *core) stats() xpushstream.Stats {
-	if c.pool != nil {
-		return c.pool.Stats()
-	}
-	return c.engine.Stats()
+	engine *xpushstream.Engine
 }
 
 // matchKeys translates matched engine indexes of this generation to their
@@ -98,7 +90,7 @@ func (c *core) liveQueries() int {
 // subscribers, and a later subscriber to the same canonical filter rides
 // the already-warm machine query.
 func (s *Server) bootCore() (*core, error) {
-	if s.cfg.SnapshotPath != "" && s.cfg.Backend == BackendEngine {
+	if s.cfg.SnapshotPath != "" {
 		if f, err := os.Open(s.cfg.SnapshotPath); err == nil {
 			defer f.Close()
 			e, err := xpushstream.OpenWorkloadSnapshot(bufio.NewReader(f), s.cfg.Engine)
@@ -128,10 +120,11 @@ func (s *Server) bootCore() (*core, error) {
 		seen[cq] = true
 		canon = append(canon, cq)
 	}
-	c, err := s.buildCore(canon)
+	e, err := xpushstream.Compile(canon, s.cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
+	c := &core{canon: canon, removed: make([]bool, len(canon)), engine: e}
 	s.indexBootCore(c)
 	return c, nil
 }
@@ -157,26 +150,6 @@ func (s *Server) indexBootCore(c *core) {
 		c.keyHW = max(c.keyHW, key+1)
 	}
 	s.markAnalysisDirty()
-}
-
-// buildCore compiles a workload of canonical filter texts, none of them
-// removed, for the configured backend. keys/keyIdx are left for the caller
-// to assign.
-func (s *Server) buildCore(canon []string) (*core, error) {
-	c := &core{canon: canon, removed: make([]bool, len(canon))}
-	e, err := xpushstream.Compile(canon, s.cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
-	if s.cfg.Backend != BackendPool {
-		c.engine = e
-		return c, nil
-	}
-	c.pool, err = xpushstream.NewPool(e, s.cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // subscribe registers one filter for cn and returns its subscription id
@@ -205,19 +178,10 @@ func (s *Server) subscribe(cn *conn, query string, durable bool) (uint64, error)
 	}
 	cur := s.cur.Load()
 	next := &core{}
-	if s.cfg.Backend == BackendPool {
-		// The pool recompiles; its cores never carry removed slots
-		// (coreWithoutKeys compacts them away).
-		next, err = s.buildCore(append(append(make([]string, 0, len(cur.canon)+1), cur.canon...), canon))
-	} else {
-		next.engine, err = cur.engine.WithQueries([]string{canon})
-	}
-	if err != nil {
+	if next.engine, err = cur.engine.WithQueries([]string{canon}); err != nil {
 		return 0, err
 	}
-	if next.engine != nil {
-		s.tierMerges.Add(int64(cur.engine.NumLayers() + 1 - next.engine.NumLayers()))
-	}
+	s.tierMerges.Add(int64(cur.engine.NumLayers() + 1 - next.engine.NumLayers()))
 	key := s.subs.Register(canon, true)
 	next.appendSlots(cur, []string{canon}, []uint64{key})
 	subID, _ := s.subs.Subscribe(key, cn, durable)
@@ -300,59 +264,30 @@ func (s *Server) releaseKeys(keys []uint64) {
 }
 
 // coreWithoutKeys builds the next core with the given registry keys'
-// filters removed. The engine backend masks them copy-on-write; the pool
-// backend recompiles the compacted workload.
+// filters masked, copy-on-write.
 func (s *Server) coreWithoutKeys(cur *core, keys []uint64) (*core, error) {
-	if s.cfg.Backend == BackendEngine {
-		derived := cur.engine
-		removed := append([]bool(nil), cur.removed...)
-		ks := append([]uint64(nil), cur.keys...)
-		keyIdx := make(map[uint64]int, len(cur.keyIdx))
-		for k, v := range cur.keyIdx {
-			keyIdx[k] = v
-		}
-		for _, key := range keys {
-			idx, ok := keyIdx[key]
-			if !ok {
-				continue
-			}
-			var err error
-			derived, err = derived.WithoutQuery(idx)
-			if err != nil {
-				return nil, err
-			}
-			removed[idx] = true
-			ks[idx] = deadKey
-			delete(keyIdx, key)
-		}
-		c := &core{canon: cur.canon, keys: ks, removed: removed, keyIdx: keyIdx, keyHW: cur.keyHW, engine: derived}
-		return c, nil
+	derived := cur.engine
+	removed := append([]bool(nil), cur.removed...)
+	ks := append([]uint64(nil), cur.keys...)
+	keyIdx := make(map[uint64]int, len(cur.keyIdx))
+	for k, v := range cur.keyIdx {
+		keyIdx[k] = v
 	}
-	// The pool recompiles: compact the workload instead of masking.
-	drop := make(map[uint64]bool, len(keys))
 	for _, key := range keys {
-		drop[key] = true
-	}
-	var canon []string
-	var ks []uint64
-	for i, key := range cur.keys {
-		if cur.removed[i] || drop[key] {
+		idx, ok := keyIdx[key]
+		if !ok {
 			continue
 		}
-		canon = append(canon, cur.canon[i])
-		ks = append(ks, key)
+		var err error
+		derived, err = derived.WithoutQuery(idx)
+		if err != nil {
+			return nil, err
+		}
+		removed[idx] = true
+		ks[idx] = deadKey
+		delete(keyIdx, key)
 	}
-	next, err := s.buildCore(canon)
-	if err != nil {
-		return nil, err
-	}
-	next.keys = ks
-	next.keyHW = cur.keyHW
-	next.keyIdx = make(map[uint64]int, len(ks))
-	for i, key := range ks {
-		next.keyIdx[key] = i
-	}
-	return next, nil
+	return &core{canon: cur.canon, keys: ks, removed: removed, keyIdx: keyIdx, keyHW: cur.keyHW, engine: derived}, nil
 }
 
 // markAnalysisDirty invalidates the cached subsumption-pair metric after

@@ -74,7 +74,6 @@ func (s *Server) handleQueries(w http.ResponseWriter, _ *http.Request) {
 // machineSnapshot is the /debug/machine payload: one consistent look at the
 // live filter machine, the workload, and the delivery plane.
 type machineSnapshot struct {
-	Backend Backend `json:"backend"`
 	// Queries counts engine slots (including removed-but-unconsolidated
 	// ones); UniqueQueries the live compiled machine queries in the dedup
 	// registry; Subscriptions the subscriber fan-out riding on them. With
@@ -84,12 +83,12 @@ type machineSnapshot struct {
 	Subscriptions  int    `json:"subscriptions"`
 	DedupHits      uint64 `json:"dedup_hits"`
 	SubsumedPairs  int    `json:"subsumed_pairs"` // -1 = workload too large to analyze
-	Layers         int    `json:"layers,omitempty"`
+	Layers         int    `json:"layers"`
 	TailFilters    int    `json:"tail_filters"` // slots in the layers above the base machine
 	RemovedSlots   int    `json:"removed_slots"`
 	Consolidations int64  `json:"consolidations"`
 	Compacting     bool   `json:"compaction_in_progress"`
-	MemoryBytes    int64  `json:"memory_bytes,omitempty"`
+	MemoryBytes    int64  `json:"memory_bytes"`
 	Connections    int    `json:"connections"`
 	ConnsRejected  int64  `json:"conns_rejected"`
 	QueueDepth     int    `json:"queue_depth"`
@@ -104,8 +103,9 @@ type machineSnapshot struct {
 	Documents     int64   `json:"documents"`
 	Events        int64   `json:"events"`
 	Matches       int64   `json:"matches"`
-
-	PoolSize int `json:"pool_size,omitempty"`
+	// ExclusiveDocuments of Documents took a machine's write lock (a table
+	// miss); the rest were filtered on shared tables, in parallel.
+	ExclusiveDocuments int64 `json:"exclusive_documents"`
 
 	DurablePumps int `json:"durable_pumps"`
 	// Replayed documents routed from the publish-time match journal, and
@@ -125,17 +125,19 @@ type traceSnapshot struct {
 
 func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
 	c := s.cur.Load()
-	st := c.stats()
+	st := c.engine.Stats()
 	snap := machineSnapshot{
-		Backend:        s.cfg.Backend,
 		Queries:        len(c.canon),
 		UniqueQueries:  s.subs.UniqueQueries(),
 		Subscriptions:  s.subs.Subscriptions(),
 		DedupHits:      s.subs.Hits(),
 		SubsumedPairs:  int(s.subsumedPairs()),
+		Layers:         c.engine.NumLayers(),
+		TailFilters:    c.engine.TailQueries(),
 		RemovedSlots:   len(c.removed) - c.liveQueries(),
 		Consolidations: s.consolidations.Load(),
 		Compacting:     s.consolidating.Load() != 0,
+		MemoryBytes:    c.engine.ApproxMemoryBytes(),
 		ConnsRejected:  s.mConnReject.Value(),
 
 		States:        st.States,
@@ -148,6 +150,8 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
 		Documents:     st.Documents,
 		Events:        st.Events,
 		Matches:       st.Matches,
+
+		ExclusiveDocuments: st.ExclusiveDocuments,
 
 		DurablePumps: int(s.pumpsActive.Load()),
 		Trace: traceSnapshot{
@@ -166,22 +170,6 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
 		snap.QueueDepth += cn.queueDepth()
 	}
 	s.connMu.Unlock()
-	if c.engine != nil {
-		snap.Layers = c.engine.NumLayers()
-		snap.TailFilters = c.engine.TailQueries()
-		// Unlike the atomic counters behind stats(), the size estimate
-		// walks the machines' tables, which a document being filtered is
-		// growing: read it between documents. Publishers wait out the
-		// walk (12 µs at 2000 filters / 12.6k states, a quarter of one
-		// document's filter time), so a polling loop costs them that per
-		// poll and no more.
-		s.pubMu.Lock()
-		snap.MemoryBytes = c.engine.ApproxMemoryBytes()
-		s.pubMu.Unlock()
-	}
-	if c.pool != nil {
-		snap.PoolSize = c.pool.Size()
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

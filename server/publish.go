@@ -104,27 +104,19 @@ func (s *Server) beginPublishTrace(remoteID uint64) *trace.Ctx {
 // filter runs one document through the current workload generation and
 // returns that generation plus the matched engine indexes. Publishes come
 // through here, and the durable replays the match journal cannot answer
-// (conn.pump); spans hang off parent. tc is nil for untraced documents (the
-// common case) and records nothing. The pool is internally concurrent; an
-// engine processes one stream at a time, so filtering on it holds the
-// publish lock. published marks a document fresh off a PUBLISH frame: its
-// payload is never written again, so the compaction ring may keep a
+// (conn.pump), from as many goroutines as there are; spans hang off parent.
+// tc is nil for untraced documents (the common case) and records nothing.
+// The generation is always fresh enough: a SUBSCRIBE swaps it in before its
+// reply is written. published marks a document fresh off a PUBLISH frame:
+// its payload is never written again, so the compaction ring may keep a
 // reference to it (a replayed document sits in the log reader's reused
 // buffer).
 func (s *Server) filter(doc []byte, published bool, tc *trace.Ctx, parent trace.SpanID) (*core, []int, error) {
-	if c := s.cur.Load(); c.pool != nil {
-		matches, err := c.pool.FilterDocumentTraced(doc, tc, parent)
-		return c, matches, err
-	}
-	lspan := tc.StartSpan("publish_lock", parent)
-	s.pubMu.Lock()
-	tc.EndSpan(lspan)
-	c := s.cur.Load() // reload under the lock: always the freshest generation
+	c := s.cur.Load()
 	matches, err := c.engine.FilterDocumentTraced(doc, tc, parent)
 	if published && err == nil {
 		s.recent.add(doc)
 	}
-	s.pubMu.Unlock()
 	return c, matches, err
 }
 

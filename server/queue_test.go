@@ -1,7 +1,6 @@
 package server
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -185,15 +184,5 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Error("ParsePolicy accepted an unknown policy")
-	}
-	for _, s := range []string{"engine", "pool"} {
-		if _, err := ParseBackend(s); err != nil {
-			t.Errorf("ParseBackend(%q): %v", s, err)
-		}
-	}
-	for _, s := range []string{"bogus", "sharded"} {
-		if _, err := ParseBackend(s); err == nil || !strings.Contains(err.Error(), "want engine or pool") {
-			t.Errorf("ParseBackend(%q) = %v, want an error naming engine and pool", s, err)
-		}
 	}
 }

@@ -19,42 +19,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Backend selects the filtering deployment behind the broker.
-type Backend string
-
-const (
-	// BackendEngine is a single shared engine: publishes are serialized,
-	// subscription changes are cheap copy-on-write layer derivations that
-	// keep the warm machine state (the default, and the only backend that
-	// supports snapshot checkpoints).
-	BackendEngine Backend = "engine"
-	// BackendPool runs publishes concurrently on a pool of engine clones
-	// (documents are embarrassingly parallel). Subscription changes
-	// rebuild the pool, so it fits mostly-static workloads under heavy
-	// publish traffic. It exists because the engine backend filters one
-	// document at a time: with 64 preloaded filters and one pipelined
-	// publisher (window 64, Workers 2, 2 vCPU, protein documents) the pool
-	// ran 19.6-20.5k docs/s against the engine's 12.6-15.6k, while a
-	// SUBSCRIBE of a new filter at 200+ filters cost 85 ms against 0.33 ms.
-	// It goes when the engine backend is itself concurrent (ROADMAP item 5).
-	BackendPool Backend = "pool"
-)
-
-// ParseBackend validates a backend name from configuration.
-func ParseBackend(s string) (Backend, error) {
-	switch b := Backend(s); b {
-	case BackendEngine, BackendPool:
-		return b, nil
-	case "":
-		return BackendEngine, nil
-	}
-	return "", fmt.Errorf("server: unknown backend %q (want %s or %s)",
-		s, BackendEngine, BackendPool)
-}
-
 // Config configures a Server. The zero value listens on a random loopback
-// port with the engine backend, drop-newest backpressure, and no metrics
-// endpoint.
+// port with drop-newest backpressure and no metrics endpoint.
 type Config struct {
 	// Addr is the data-plane listen address ("" = 127.0.0.1:0).
 	Addr string
@@ -78,10 +44,6 @@ type Config struct {
 	// disabled and the publish hot path stays zero-allocation.
 	TraceSlow time.Duration
 
-	// Backend selects the filtering deployment ("" = BackendEngine).
-	Backend Backend
-	// Workers sets the pool size (<= 0 = GOMAXPROCS).
-	Workers int
 	// Engine is the compile configuration for the filter workload.
 	Engine xpushstream.Config
 	// InitialQueries is the boot workload (e.g. for warm-start
@@ -134,8 +96,8 @@ type Config struct {
 	ConsolidateRemoved int
 
 	// SnapshotPath enables warm-start: on boot, if the file exists, the
-	// workload and machine state are restored from it (engine backend
-	// only); Checkpoint and Shutdown write it.
+	// workload and machine state are restored from it; Checkpoint and
+	// Shutdown write it.
 	SnapshotPath string
 	// SnapshotInterval enables periodic checkpoints (0 = only on
 	// Shutdown).
@@ -190,17 +152,16 @@ type Server struct {
 	tracer   *trace.Recorder // nil when tracing is disabled
 
 	// ctl serializes control-plane changes (subscribe/unsubscribe/
-	// compaction swap); pubMu serializes filtering on the engine backend
-	// (an engine processes one stream at a time). They are independent: a
-	// subscription change builds the next core without stalling publishes
-	// on the current one.
-	ctl   sync.Mutex
-	pubMu sync.Mutex
-	cur   atomic.Pointer[core]
+	// compaction swap). Publishes take no server lock: they filter on
+	// whichever generation cur holds, concurrently (the engine is safe for
+	// that), so a subscription change builds the next core without stalling
+	// them.
+	ctl sync.Mutex
+	cur atomic.Pointer[core]
 
 	// Background compaction (compact.go): compactKick wakes the one
 	// compaction goroutine, recent holds the documents it warms a new base
-	// machine on (guarded by pubMu).
+	// machine on.
 	compactKick chan struct{}
 	recent      docRing
 
@@ -271,16 +232,10 @@ func New(cfg Config) (*Server, error) { return newServer(cfg, journalSlots) }
 // 0 to get the engine pass on every replay (the reference side of
 // TestJournalMatchesEnginePass) or a small ring to lap it cheaply.
 func newServer(cfg Config, slots int) (*Server, error) {
-	if cfg.Backend == "" {
-		cfg.Backend = BackendEngine
-	}
 	if cfg.Policy == "" {
 		cfg.Policy = DropNewest
 	}
 	if _, err := ParsePolicy(string(cfg.Policy)); err != nil {
-		return nil, err
-	}
-	if _, err := ParseBackend(string(cfg.Backend)); err != nil {
 		return nil, err
 	}
 	s := &Server{
@@ -342,10 +297,8 @@ func newServer(cfg Config, slots int) (*Server, error) {
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	if cfg.Backend == BackendEngine {
-		s.bgWG.Add(1)
-		go s.compactLoop()
-	}
+	s.bgWG.Add(1)
+	go s.compactLoop()
 	if cfg.SnapshotPath != "" && cfg.SnapshotInterval > 0 {
 		s.bgWG.Add(1)
 		go s.checkpointLoop()
@@ -365,7 +318,7 @@ func (s *Server) MetricsAddr() string {
 }
 
 // Stats returns the current workload generation's engine statistics.
-func (s *Server) Stats() xpushstream.Stats { return s.cur.Load().stats() }
+func (s *Server) Stats() xpushstream.Stats { return s.cur.Load().engine.Stats() }
 
 // Registry exposes the server's metric registry so embedders (like
 // examples/netrouter) can add their own series next to the built-ins.
@@ -391,7 +344,7 @@ func (s *Server) logf(format string, args ...any) {
 
 func (s *Server) registerMetrics() {
 	xpushstream.RegisterMetrics(s.reg, "xpush", xpushstream.StatsFunc(func() xpushstream.Stats {
-		return s.cur.Load().stats()
+		return s.cur.Load().engine.Stats()
 	}))
 	s.mPublishes = s.reg.Counter("xpushserve_publishes_total", "documents published to the broker")
 	s.mPublishErrs = s.reg.Counter("xpushserve_publish_errors_total", "rejected or failed publishes")
@@ -437,10 +390,7 @@ func (s *Server) registerMetrics() {
 	s.mCompactFails = s.reg.Counter("xpushserve_consolidation_failures_total", "background compactions abandoned on a compile or re-apply error (the current workload generation is kept)")
 	s.reg.CounterFunc("xpushserve_tier_merges_total", "tail layers absorbed into a larger one by the size-tiered merge on subscribe", s.tierMerges.Load)
 	s.reg.GaugeFunc("xpushserve_engine_layers", "machines the current workload generation runs per SAX event (base plus tail layers)", func() float64 {
-		if e := s.cur.Load().engine; e != nil {
-			return float64(e.NumLayers())
-		}
-		return 1 // each pool worker runs one machine
+		return float64(s.cur.Load().engine.NumLayers())
 	})
 	s.reg.GaugeFunc("xpushserve_engine_removed_slots", "released filter slots still compiled into the current workload generation", func() float64 {
 		c := s.cur.Load()
@@ -557,22 +507,15 @@ func (s *Server) healthStatus() (bool, string) {
 	return true, "ok"
 }
 
-// Checkpoint writes a workload snapshot (engine backend only) so the next
-// boot starts with a warm machine. The write happens under the publish
-// lock against an in-memory buffer; disk I/O is outside the lock.
+// Checkpoint writes a workload snapshot so the next boot starts with a warm
+// machine. The machines are read (under their read locks, beside publishes)
+// into an in-memory buffer; disk I/O holds no lock.
 func (s *Server) Checkpoint() error {
 	if s.cfg.SnapshotPath == "" {
 		return fmt.Errorf("server: no SnapshotPath configured")
 	}
-	c := s.cur.Load()
-	if c.engine == nil {
-		return fmt.Errorf("server: checkpoints require the engine backend")
-	}
 	var buf bytes.Buffer
-	s.pubMu.Lock()
-	err := c.engine.WriteWorkloadSnapshot(&buf)
-	s.pubMu.Unlock()
-	if err != nil {
+	if err := s.cur.Load().engine.WriteWorkloadSnapshot(&buf); err != nil {
 		return err
 	}
 	return xpushstream.WriteFileAtomic(s.cfg.SnapshotPath, func(w io.Writer) error {
@@ -637,7 +580,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// discarded; once the background goroutines are gone neither a swap nor
 	// a periodic checkpoint can race the final checkpoint.
 	s.bgWG.Wait()
-	if s.cfg.SnapshotPath != "" && s.cfg.Backend == BackendEngine {
+	if s.cfg.SnapshotPath != "" {
 		if err := s.Checkpoint(); err != nil {
 			s.logf("final checkpoint: %v", err)
 		}

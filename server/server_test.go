@@ -313,15 +313,15 @@ func TestUnsubscribeStopsDeliveries(t *testing.T) {
 // TestSubscriptionChurn drives SUBSCRIBE/UNSUBSCRIBE concurrently with
 // document flow: the copy-on-write engine swap must keep every publish on a
 // consistent workload generation (run with -race), and the stable audit
-// subscriber must see every document under the block policy.
+// subscriber must see every document under the block policy. With two
+// publishers, documents are filtered concurrently on the one engine, across
+// the generations the churner swaps in.
 func TestSubscriptionChurn(t *testing.T) {
-	for _, backend := range []server.Backend{server.BackendEngine, server.BackendPool} {
-		t.Run(string(backend), func(t *testing.T) {
+	for _, publishers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("publishers=%d", publishers), func(t *testing.T) {
 			srv := startServer(t, server.Config{
 				Policy:     server.Block,
 				QueueDepth: 512,
-				Backend:    backend,
-				Workers:    2,
 			})
 			audit := newCollector()
 			cAudit := dialSub(t, srv.Addr(), audit)
@@ -332,22 +332,24 @@ func TestSubscriptionChurn(t *testing.T) {
 			const docsN = 120
 			const churnN = 40
 			var wg sync.WaitGroup
-			errs := make(chan error, 2)
-			wg.Add(2)
-			go func() { // publisher
-				defer wg.Done()
-				pub := dialSub(t, srv.Addr(), nil)
-				for i := 0; i < docsN; i++ {
-					doc := fmt.Sprintf(`<m><v>%d</v></m>`, i)
-					if n, err := pub.Publish([]byte(doc)); err != nil {
-						errs <- fmt.Errorf("publish %d: %w", i, err)
-						return
-					} else if n < 1 {
-						errs <- fmt.Errorf("publish %d: audit filter did not match", i)
-						return
+			errs := make(chan error, 1+publishers)
+			wg.Add(1 + publishers)
+			for p := 0; p < publishers; p++ {
+				go func(p int) { // publisher: every publishers-th document
+					defer wg.Done()
+					pub := dialSub(t, srv.Addr(), nil)
+					for i := p; i < docsN; i += publishers {
+						doc := fmt.Sprintf(`<m><v>%d</v></m>`, i)
+						if n, err := pub.Publish([]byte(doc)); err != nil {
+							errs <- fmt.Errorf("publish %d: %w", i, err)
+							return
+						} else if n < 1 {
+							errs <- fmt.Errorf("publish %d: audit filter did not match", i)
+							return
+						}
 					}
-				}
-			}()
+				}(p)
+			}
 			go func() { // churner
 				defer wg.Done()
 				churn := dialSub(t, srv.Addr(), newCollector())

@@ -214,15 +214,14 @@ func TestTracedLoopbackEndToEnd(t *testing.T) {
 
 	// /debug/machine serves a live snapshot.
 	var m struct {
-		Backend string `json:"backend"`
-		Queries int    `json:"queries"`
-		States  int    `json:"states"`
+		Queries int `json:"queries"`
+		States  int `json:"states"`
 		Trace   struct {
 			Enabled bool `json:"enabled"`
 		} `json:"trace"`
 	}
 	getJSON(t, base+"/debug/machine", &m)
-	if m.Backend != "engine" || m.Queries != 1 || m.States == 0 || !m.Trace.Enabled {
+	if m.Queries != 1 || m.States == 0 || !m.Trace.Enabled {
 		t.Errorf("machine snapshot: %+v", m)
 	}
 

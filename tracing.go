@@ -62,24 +62,25 @@ func sumCounters(layers []*core.Machine) (c [4]int64) {
 // machine-counter baselines for the end-of-document deltas.
 func (d *byteDriver) traceStartDocument() {
 	d.tcSpan = d.tc.StartSpan("filter", d.tcParent)
-	if cap(d.layerNS) < len(d.e.layers) {
-		d.layerNS = make([]int64, len(d.e.layers))
+	if cap(d.layerNS) < len(d.layers) {
+		d.layerNS = make([]int64, len(d.layers))
 	}
-	d.layerNS = d.layerNS[:len(d.e.layers)]
+	d.layerNS = d.layerNS[:len(d.layers)]
 	for i := range d.layerNS {
 		d.layerNS[i] = 0
 	}
-	d.ctrBase = sumCounters(d.e.layers)
+	d.ctrBase = sumCounters(d.layers)
 }
 
 // traceEndDocument closes the filter span: machine telemetry deltas become
-// span attributes, and each layer's accumulated event time becomes a child
+// span attributes (the machines' counters are shared, so documents filtered
+// concurrently with this one are in its deltas too), and each layer's accumulated event time becomes a child
 // span (stacked sequentially — layers run in lockstep per event, so the
 // per-layer times are exclusive and sum to the machine portion of the
 // filter span).
 func (d *byteDriver) traceEndDocument(matches int) {
 	tc, sp := d.tc, d.tcSpan
-	now := sumCounters(d.e.layers)
+	now := sumCounters(d.layers)
 	tc.SetAttr(sp, "states_created", now[0]-d.ctrBase[0])
 	tc.SetAttr(sp, "table_flushes", now[1]-d.ctrBase[1])
 	tc.SetAttr(sp, "matches", int64(matches))
@@ -91,16 +92,4 @@ func (d *byteDriver) traceEndDocument(matches int) {
 		cur += ns
 	}
 	tc.EndSpan(sp)
-}
-
-// FilterDocumentTraced filters on an idle worker, recording the wait for a
-// free engine as a "pool_wait" span and the filtering itself through the
-// worker's traced path. A nil tc records nothing.
-func (p *Pool) FilterDocumentTraced(doc []byte, tc *TraceCtx, parent TraceSpanID) ([]int, error) {
-	wait := tc.StartSpan("pool_wait", parent)
-	e := <-p.free
-	tc.EndSpan(wait)
-	matches, err := e.FilterDocumentTraced(doc, tc, parent)
-	p.free <- e
-	return matches, err
 }

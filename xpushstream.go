@@ -36,6 +36,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -82,7 +83,8 @@ type Config struct {
 	StrictMixedContent bool
 	// MaxStates caps the lazily built state tables; past the cap the
 	// tables are flushed at the next document boundary (bounded-memory
-	// operation on infinite streams). Zero means unlimited.
+	// operation on infinite streams) at which no other document is in
+	// flight on the machine. Zero means unlimited.
 	MaxStates int
 }
 
@@ -109,6 +111,11 @@ type Stats struct {
 	MixedContentEvents int64
 	// Flushes counts MaxStates cache flushes.
 	Flushes int64
+	// ExclusiveDocuments counts the documents that took a machine's write
+	// lock — a table miss, or a contains/starts-with predicate — and ran
+	// one at a time from there on; the rest ran on shared tables, in
+	// parallel. On a warm static workload it stops growing.
+	ExclusiveDocuments int64
 	// Bytes counts stream bytes processed.
 	Bytes int64
 	// FilterLatency is a snapshot of the per-document filter-latency
@@ -153,8 +160,14 @@ func (d *DTD) IsRecursive() bool { return d.d.IsRecursive() }
 // DTDs).
 func (d *DTD) MaxDepth(cap int) int { return d.d.MaxDepth(cap) }
 
-// Engine is a compiled filter workload. An Engine processes one stream at a
-// time (it is not safe for concurrent use); use Clone for parallel streams.
+// Engine is a compiled filter workload. The filtering calls (FilterBytes,
+// FilterDocument, FilterStream, FilterStreaming and their variants) are safe
+// for concurrent use, on one engine and across engines derived from one
+// another, which share machine layers: each call runs on a cursor of its own
+// over the one set of warm tables, in parallel while the tables answer and
+// one at a time where a document has to fill them. Stats, WriteSnapshot and
+// ApproxMemoryBytes may run beside them; Train, PrecomputeEager and
+// ReadSnapshot are set-up calls, one at a time per engine lineage.
 //
 // An Engine's workload never changes. WithQueries, WithoutQuery and
 // Consolidated (cow.go) derive the next engine instead: following the
@@ -178,10 +191,23 @@ type Engine struct {
 	// generations, so a swap to a derived engine never drops a count.
 	ctr *streamCounters
 
-	// Reusable byte-level scanner and event fan-out for FilterBytes; kept
-	// on the engine so their buffers stay warm across documents.
-	bscan sax.ByteScanner
-	drv   byteDriver
+	// free holds the idle drivers: a filtering call takes one, or makes
+	// one, and puts it back with its buffers warm, so there are as many as
+	// calls have ever overlapped on this engine.
+	freeMu sync.Mutex
+	free   []*byteDriver
+}
+
+// driver takes an idle driver off the free list, or makes one.
+func (e *Engine) driver() *byteDriver {
+	e.freeMu.Lock()
+	defer e.freeMu.Unlock()
+	if n := len(e.free); n > 0 {
+		d := e.free[n-1]
+		e.free = e.free[:n-1]
+		return d
+	}
+	return &byteDriver{e: e, layers: core.ForkStack(e.layers)}
 }
 
 // streamCounters are an engine lineage's stream bytes and per-document
@@ -258,18 +284,6 @@ func (e *Engine) buildMachine(filters []*xpath.Filter) (*core.Machine, error) {
 // NumLayers reports how many machines the engine currently runs per event.
 func (e *Engine) NumLayers() int { return len(e.layers) }
 
-// Clone returns an independent engine over the same workload and
-// configuration, for filtering a second stream in parallel.
-func (e *Engine) Clone() (*Engine, error) {
-	queries := append([]string(nil), e.queries...)
-	c, err := Compile(queries, e.cfg)
-	if err != nil {
-		return nil, err
-	}
-	copy(c.removed, e.removed)
-	return c, nil
-}
-
 // NumQueries returns the workload size.
 func (e *Engine) NumQueries() int { return len(e.filters) }
 
@@ -330,13 +344,15 @@ func (e *Engine) FilterStreamingLimit(r io.Reader, maxDocBytes int, onDocument f
 	})
 }
 
-// byteDriver fans the byte-level SAX events of a stream to every machine
-// layer and emits the combined match set at each document boundary. It is
-// the zero-copy counterpart of the former per-Event dispatch loop: element
-// and attribute names flow from the input buffer to the machines' symbol
-// interner without a string allocation per event.
+// byteDriver is what one filtering call needs to itself: a byte scanner and
+// a cursor on every machine layer. It fans the scanner's events to the
+// cursors and emits the combined match set at each document boundary; names
+// flow from the input buffer to the machines' symbol interner without a
+// string allocation per event.
 type byteDriver struct {
 	e          *Engine
+	scan       sax.ByteScanner
+	layers     []*core.Machine // cursors, one per e.layers
 	onDocument func(matches []int)
 	scratch    []int
 	docStart   time.Time
@@ -358,19 +374,19 @@ func (d *byteDriver) StartDocument() {
 	if d.tc != nil {
 		d.traceStartDocument()
 	}
-	for _, m := range d.e.layers {
+	for _, m := range d.layers {
 		m.StartDocument()
 	}
 }
 
 func (d *byteDriver) StartElementBytes(name []byte) {
 	if d.tc == nil {
-		for _, m := range d.e.layers {
+		for _, m := range d.layers {
 			m.StartElementBytes(name)
 		}
 		return
 	}
-	for li, m := range d.e.layers {
+	for li, m := range d.layers {
 		t0 := time.Now()
 		m.StartElementBytes(name)
 		d.layerNS[li] += time.Since(t0).Nanoseconds()
@@ -379,12 +395,12 @@ func (d *byteDriver) StartElementBytes(name []byte) {
 
 func (d *byteDriver) TextBytes(data []byte) {
 	if d.tc == nil {
-		for _, m := range d.e.layers {
+		for _, m := range d.layers {
 			m.TextBytes(data)
 		}
 		return
 	}
-	for li, m := range d.e.layers {
+	for li, m := range d.layers {
 		t0 := time.Now()
 		m.TextBytes(data)
 		d.layerNS[li] += time.Since(t0).Nanoseconds()
@@ -393,12 +409,12 @@ func (d *byteDriver) TextBytes(data []byte) {
 
 func (d *byteDriver) EndElementBytes(name []byte) {
 	if d.tc == nil {
-		for _, m := range d.e.layers {
+		for _, m := range d.layers {
 			m.EndElementBytes(name)
 		}
 		return
 	}
-	for li, m := range d.e.layers {
+	for li, m := range d.layers {
 		t0 := time.Now()
 		m.EndElementBytes(name)
 		d.layerNS[li] += time.Since(t0).Nanoseconds()
@@ -406,14 +422,14 @@ func (d *byteDriver) EndElementBytes(name []byte) {
 }
 
 func (d *byteDriver) EndDocument() {
-	for _, m := range d.e.layers {
+	for _, m := range d.layers {
 		m.EndDocument()
 	}
 	d.e.ctr.lat.Observe(time.Since(d.docStart).Seconds())
 	// Each machine reports sorted oids and layerOff never decreases from one
 	// layer to the next, so the concatenation is already sorted.
 	d.scratch = d.scratch[:0]
-	for li, m := range d.e.layers {
+	for li, m := range d.layers {
 		off := d.e.layerOff[li]
 		for _, o := range m.Results() {
 			idx := off + int(o)
@@ -441,22 +457,26 @@ func (e *Engine) FilterBytes(data []byte, onDocument func(matches []int)) error 
 // thread the context unconditionally.
 func (e *Engine) FilterBytesTraced(data []byte, tc *TraceCtx, parent TraceSpanID, onDocument func(matches []int)) error {
 	e.ctr.bytes.Add(int64(len(data)))
-	e.drv.e = e
-	e.drv.onDocument = onDocument
-	e.drv.tc = tc
-	e.drv.tcParent = parent
-	err := e.bscan.Parse(data, &e.drv)
-	e.drv.onDocument = nil
-	e.drv.tc = nil
+	d := e.driver()
+	d.onDocument, d.tc, d.tcParent = onDocument, tc, parent
+	err := d.scan.Parse(data, d)
+	d.onDocument, d.tc = nil, nil
+	var strict error
+	for _, m := range d.layers {
+		m.Release() // a parse error ends the stream mid-document
+		if strict == nil {
+			strict = m.Err()
+		}
+	}
+	if strict == nil { // a strict-mode error sticks to its cursor: drop it
+		e.freeMu.Lock()
+		e.free = append(e.free, d)
+		e.freeMu.Unlock()
+	}
 	if err != nil {
 		return err
 	}
-	for _, m := range e.layers {
-		if err := m.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return strict
 }
 
 // PrecomputeEager materialises every accessible machine state ahead of any
@@ -577,6 +597,7 @@ func (e *Engine) Stats() Stats {
 		out.Matches += s.Matches
 		out.MixedContentEvents += s.MixedContentEvents
 		out.Flushes += s.Flushes
+		out.ExclusiveDocuments += s.ExclusiveDocs
 		out.WindowLookups += s.WindowLookups
 		out.WindowHits += s.WindowHits
 		out.WindowStatesAdded += s.WindowStatesAdded

@@ -172,23 +172,6 @@ func TestValidateQuery(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	e, err := Compile([]string{"/a[b=1]"}, Config{TopDownPruning: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := e.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := []byte("<a><b>1</b></a>")
-	r1, _ := e.FilterDocument(doc)
-	r2, _ := c.FilterDocument(doc)
-	if fmt.Sprint(r1) != "[0]" || fmt.Sprint(r2) != "[0]" {
-		t.Errorf("clone disagrees: %v vs %v", r1, r2)
-	}
-}
-
 func TestStatsAndTraining(t *testing.T) {
 	d, err := ParseDTD(orderDTD)
 	if err != nil {
