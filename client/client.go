@@ -6,6 +6,7 @@ package client
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -69,6 +70,7 @@ type Client struct {
 
 	reqMu sync.Mutex // serializes request/response round-trips
 	wmu   sync.Mutex
+	wbuf  []byte // guarded by wmu: the frame being written (see writeFrame)
 	resp  chan server.Frame
 
 	done    chan struct{} // closed when the read loop exits
@@ -87,6 +89,11 @@ func Dial(addr string, opt Options) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(nc, opt), nil
+}
+
+// newClient runs a client over an established connection.
+func newClient(nc net.Conn, opt Options) *Client {
 	c := &Client{
 		nc:   nc,
 		opt:  opt,
@@ -94,7 +101,7 @@ func Dial(addr string, opt Options) (*Client, error) {
 		done: make(chan struct{}),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // readLoop routes incoming frames: DELIVER to the handler, everything else
@@ -102,6 +109,7 @@ func Dial(addr string, opt Options) (*Client, error) {
 func (c *Client) readLoop() {
 	defer close(c.done)
 	br := bufio.NewReaderSize(c.nc, 64<<10)
+	var acks []server.PubAck // reused across PUBACKS frames
 	for {
 		f, err := server.ReadFrame(br, c.opt.maxDocBytes())
 		if err != nil {
@@ -149,7 +157,8 @@ func (c *Client) readLoop() {
 			p := c.pipe
 			c.pipeMu.Unlock()
 			if p != nil {
-				if acks, err := server.ParsePubAcksPayload(f.Payload); err == nil {
+				var err error
+				if acks, err = server.AppendDecodePubAcks(acks[:0], f.Payload); err == nil {
 					p.handleAcks(acks)
 				}
 			}
@@ -162,8 +171,32 @@ func (c *Client) readLoop() {
 	}
 }
 
-// roundTrip sends one request frame and waits for its response.
-func (c *Client) roundTrip(typ byte, payload []byte) (server.Frame, error) {
+// maxKeptWriteBuf bounds the frame buffer a client keeps between writes; a
+// larger frame's buffer is dropped once it is sent.
+const maxKeptWriteBuf = 1 << 20
+
+// writeFrame sends one frame in a single Write: the header, the 8-byte
+// words (a trace id, a sequence number, an offset or an id) and then body,
+// assembled in the client's reused buffer under wmu.
+func (c *Client) writeFrame(typ byte, body []byte, words ...uint64) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	b := binary.BigEndian.AppendUint32(c.wbuf[:0], uint32(1+8*len(words)+len(body)))
+	b = append(b, typ)
+	for _, w := range words {
+		b = binary.BigEndian.AppendUint64(b, w)
+	}
+	b = append(b, body...)
+	if cap(b) <= maxKeptWriteBuf {
+		c.wbuf = b
+	}
+	_, err := c.nc.Write(b)
+	return err
+}
+
+// roundTrip sends one request frame (see writeFrame) and waits for its
+// response.
+func (c *Client) roundTrip(typ byte, body []byte, words ...uint64) (server.Frame, error) {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
 	// Drop any stale response left by a timed-out predecessor.
@@ -171,10 +204,7 @@ func (c *Client) roundTrip(typ byte, payload []byte) (server.Frame, error) {
 	case <-c.resp:
 	default:
 	}
-	c.wmu.Lock()
-	err := server.WriteFrame(c.nc, typ, payload)
-	c.wmu.Unlock()
-	if err != nil {
+	if err := c.writeFrame(typ, body, words...); err != nil {
 		return server.Frame{}, err
 	}
 	var timeout <-chan time.Time
@@ -245,14 +275,12 @@ func (c *Client) SubscribeDurable(name, xpath string) (id, resume uint64, err er
 // (no response frame), so calling Ack from inside OnDeliver is safe — it
 // cannot deadlock against the read loop.
 func (c *Client) Ack(offset uint64) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return server.WriteFrame(c.nc, server.FrameAck, server.AppendUint64(nil, offset))
+	return c.writeFrame(server.FrameAck, nil, offset)
 }
 
 // Unsubscribe removes a filter previously registered on this connection.
 func (c *Client) Unsubscribe(id uint64) error {
-	_, err := c.roundTrip(server.FrameUnsubscribe, server.AppendUint64(nil, id))
+	_, err := c.roundTrip(server.FrameUnsubscribe, nil, id)
 	return err
 }
 
@@ -267,12 +295,13 @@ func (c *Client) Publish(doc []byte) (int, error) {
 // trace stitches across process hops. A zero traceID sends the plain,
 // byte-identical PUBLISH frame.
 func (c *Client) PublishTraced(doc []byte, traceID uint64) (int, error) {
-	typ, payload := server.FramePublish, doc
+	var f server.Frame
+	var err error
 	if traceID != 0 {
-		typ |= server.FrameTraceFlag
-		payload = server.AppendTracedPayload(make([]byte, 0, 8+len(doc)), traceID, doc)
+		f, err = c.roundTrip(server.FramePublish|server.FrameTraceFlag, doc, traceID)
+	} else {
+		f, err = c.roundTrip(server.FramePublish, doc)
 	}
-	f, err := c.roundTrip(typ, payload)
 	if err != nil {
 		return 0, err
 	}
@@ -427,17 +456,13 @@ func (p *Pipeline) PublishTraced(doc []byte, traceID uint64) (uint64, error) {
 	p.inflight++
 	p.mu.Unlock()
 
-	typ := server.FramePublishAsync
-	var payload []byte
+	// A traced frame carries the trace id ahead of the sequence number.
+	var err error
 	if traceID != 0 {
-		typ |= server.FrameTraceFlag
-		payload = server.AppendPublishAsyncPayload(server.AppendUint64(make([]byte, 0, 16+len(doc)), traceID), seq, doc)
+		err = p.c.writeFrame(server.FramePublishAsync|server.FrameTraceFlag, doc, traceID, seq)
 	} else {
-		payload = server.AppendPublishAsyncPayload(nil, seq, doc)
+		err = p.c.writeFrame(server.FramePublishAsync, doc, seq)
 	}
-	p.c.wmu.Lock()
-	err := server.WriteFrame(p.c.nc, typ, payload)
-	p.c.wmu.Unlock()
 	if err != nil {
 		p.settle(PublishResult{Seq: seq, Err: err}, false)
 		return seq, err

@@ -355,8 +355,12 @@ func (r *Recorder) SlowThreshold() time.Duration {
 
 // Begin starts a trace for the next document, or returns nil when this
 // document is not recorded (recorder disabled, or not head-sampled with
-// tail capture off). kind names the root span.
+// tail capture off). kind names the root span. A disabled recorder returns
+// before reading the clock.
 func (r *Recorder) Begin(kind string) *Ctx {
+	if r == nil {
+		return nil
+	}
 	return r.BeginAt(kind, time.Now())
 }
 

@@ -206,6 +206,21 @@ func (d *Dedup[O]) Fanout(keys []uint64, visit func(key uint64, pinned bool, nsu
 	}
 }
 
+// SubscriptionsOn returns how many subscriptions are attached to the given
+// keys: what a Fanout over them visits, less the subscriber-less pins. A
+// caller sizes its fan-out buffers with it.
+func (d *Dedup[O]) SubscriptionsOn(keys []uint64) int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	n := 0
+	for _, key := range keys {
+		if e := d.byKey[key]; e != nil {
+			n += len(e.subs)
+		}
+	}
+	return n
+}
+
 // OwnerSubs returns the subscription ids owner holds on the given keys,
 // filtered to durable or ephemeral subscriptions.
 func (d *Dedup[O]) OwnerSubs(keys []uint64, owner O, durable bool) []uint64 {

@@ -93,7 +93,7 @@ func TestConsolidationStormKeepsMachineFlat(t *testing.T) {
 	// them by the middle of the storm.
 	const storm, slack = 600, 192
 	var early time.Duration
-	var earlyMem, lateMem int64
+	var slotMem, lateMem int64
 	for i := 0; i < storm; i++ {
 		subscribe(i)
 		if i%10 != 9 {
@@ -106,7 +106,7 @@ func TestConsolidationStormKeepsMachineFlat(t *testing.T) {
 		}
 		switch {
 		case i < storm/3:
-			earlyMem = max(earlyMem, snap.MemoryBytes)
+			slotMem = max(slotMem, snap.MemoryBytes/int64(max(snap.Queries, 1)))
 		case i >= 2*storm/3:
 			lateMem = max(lateMem, snap.MemoryBytes)
 		}
@@ -118,10 +118,13 @@ func TestConsolidationStormKeepsMachineFlat(t *testing.T) {
 	if snap := machineSnapshot(t, srv); snap.Consolidations == 0 {
 		t.Fatal("storm never triggered a compaction")
 	}
-	// Memory flat: the peak over the last third of the storm against the
-	// peak over the first third, both taken across whole compaction cycles.
-	if lateMem > 2*earlyMem {
-		t.Errorf("peak memory grew %d -> %d bytes across the storm; not flat", earlyMem, lateMem)
+	// Memory flat: the peak over the last third of the storm fits in what the
+	// slack's slots hold at the first third's bytes per slot. The bound is in
+	// slots because a sample that lands mid-compaction legitimately holds
+	// twice the slots of one that does not; an uncompacted machine reaches
+	// ~storm slots, over three times the bound.
+	if bound := slotMem * slack; lateMem > bound {
+		t.Errorf("peak memory %d bytes late in the storm exceeds %d slots at %d bytes each; not flat", lateMem, slack, slotMem)
 	}
 	// Latency flat: generous factor — loopback noise is real — but far below
 	// what 400 more layers would cost.

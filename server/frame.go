@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Frame layout: a 4-byte big-endian length n (covering the type byte and
@@ -121,7 +122,8 @@ type Frame struct {
 }
 
 // ErrFrameTooLarge reports a frame whose declared payload exceeds the
-// reader's limit. The frame has not been consumed from the stream.
+// reader's limit. Its 5-byte header (length and type) has been consumed from
+// the stream; its payload has not.
 type ErrFrameTooLarge struct {
 	Size, Limit int
 }
@@ -130,30 +132,27 @@ func (e *ErrFrameTooLarge) Error() string {
 	return fmt.Sprintf("server: frame payload %d bytes exceeds limit %d", e.Size, e.Limit)
 }
 
-// ReadFrame reads one frame from r. A frame whose payload would exceed
+// ReadFrame reads one frame from r: the length and type in one read, then
+// the payload into a slice of its own. A frame whose payload would exceed
 // maxPayload returns *ErrFrameTooLarge without consuming the payload, so
 // the caller can decide between discarding and closing.
 func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
-	var hdr [4]byte
+	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr[:4])
 	if n == 0 {
 		return Frame{}, fmt.Errorf("server: zero-length frame")
 	}
 	if int64(n-1) > int64(maxPayload) {
 		return Frame{}, &ErrFrameTooLarge{Size: int(n - 1), Limit: maxPayload}
 	}
-	var t [1]byte
-	if _, err := io.ReadFull(r, t[:]); err != nil {
-		return Frame{}, err
-	}
 	payload := make([]byte, n-1)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return Frame{}, err
 	}
-	return Frame{Type: t[0], Payload: payload}, nil
+	return Frame{Type: hdr[4], Payload: payload}, nil
 }
 
 // WriteFrame writes one frame. Callers interleaving writers on a shared
@@ -409,12 +408,19 @@ func AppendPubAcksPayload(dst []byte, acks []PubAck) []byte {
 
 // ParsePubAcksPayload decodes a PubAcks payload.
 func ParsePubAcksPayload(p []byte) ([]PubAck, error) {
+	return AppendDecodePubAcks(nil, p)
+}
+
+// AppendDecodePubAcks decodes a PubAcks payload, appending its entries to
+// dst, so a reader that decodes frame after frame can reuse one slice. On
+// error it returns nil.
+func AppendDecodePubAcks(dst []PubAck, p []byte) ([]PubAck, error) {
 	if len(p) < 4 {
 		return nil, fmt.Errorf("server: short pub-acks payload")
 	}
 	n := binary.BigEndian.Uint32(p[:4])
 	p = p[4:]
-	acks := make([]PubAck, 0, min(int(n), 1024))
+	acks := slices.Grow(dst, min(int(n), 1024))
 	for i := uint32(0); i < n; i++ {
 		if len(p) < 9 {
 			return nil, fmt.Errorf("server: pub-acks payload truncated (entry %d)", i)

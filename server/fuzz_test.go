@@ -31,6 +31,7 @@ func FuzzReadFrame(f *testing.F) {
 	// length, truncated payload, truncated header.
 	f.Add([]byte{0, 0, 0, 0}, 1<<16)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, 1<<16)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, FramePublish, 'x'}, 1<<16)
 	f.Add([]byte{0, 0, 0, 10, FramePublish, 'x'}, 1<<16)
 	f.Add([]byte{0, 0}, 1<<16)
 	f.Add([]byte{0, 0, 0, 2, FramePublish, 'x', 'x', 'x'}, 4)
@@ -45,11 +46,11 @@ func FuzzReadFrame(f *testing.F) {
 			var big *ErrFrameTooLarge
 			if errors.As(err, &big) {
 				// The oversized frame must not have been consumed past its
-				// header, and the reported size must exceed the limit.
+				// 5-byte header, and the reported size must exceed the limit.
 				if big.Size <= big.Limit {
 					t.Fatalf("ErrFrameTooLarge with size %d <= limit %d", big.Size, big.Limit)
 				}
-				if r.Len() != len(data)-4 {
+				if r.Len() != len(data)-5 {
 					t.Fatalf("oversized frame consumed payload bytes: %d left of %d", r.Len(), len(data))
 				}
 			}

@@ -95,7 +95,7 @@ func (s *Server) walAppend(doc []byte, tc *trace.Ctx) (uint64, error) {
 // beginPublishTrace starts the publish trace: locally sampled for direct
 // publishes, unconditional under the carried id for remote-traced ones.
 func (s *Server) beginPublishTrace(remoteID uint64) *trace.Ctx {
-	if remoteID != 0 {
+	if remoteID != 0 && s.tracer.Enabled() {
 		return s.tracer.BeginRemote("publish", remoteID, time.Now())
 	}
 	return s.tracer.Begin("publish")
@@ -143,10 +143,15 @@ func (s *Server) fanout(c *core, keys []uint64, doc []byte, tc *trace.Ctx) int {
 		durNS, states, _ := tc.SpanCost("filter", "states_created")
 		s.prof.observeFilter(keys, c.canonsOf(keys), durNS, states)
 	}
+	// The matched subscription ids land in one array sized from the
+	// registry's counts, allocated at the first delivery (a document that
+	// only durable subscriptions match needs none); owners[i] is the
+	// subscriber of ids[i], kept only once a second subscriber shows up.
 	count := 0
-	var single *conn // fast path: all matches belong to one subscriber
-	var singleIDs []uint64
-	var perConn map[*conn][]uint64
+	total := s.subs.SubscriptionsOn(keys)
+	var ids []uint64
+	var first *conn
+	var owners []*conn
 	s.subs.Fanout(keys, func(key uint64, _ bool, nsubs int, subID uint64, owner *conn, durable bool) {
 		count++
 		if tc != nil && s.prof != nil {
@@ -157,28 +162,54 @@ func (s *Server) fanout(c *core, keys []uint64, doc []byte, tc *trace.Ctx) int {
 			// delivered by the owner's WAL pump.
 			return
 		}
-		switch {
-		case single == nil && perConn == nil:
-			single = owner
-			singleIDs = append(singleIDs, subID)
-		case perConn == nil && owner == single:
-			singleIDs = append(singleIDs, subID)
-		default:
-			if perConn == nil {
-				perConn = map[*conn][]uint64{single: singleIDs}
-				single = nil
+		if first == nil {
+			first = owner
+			ids = make([]uint64, 0, total)
+		} else if owners == nil && owner != first {
+			owners = make([]*conn, len(ids), cap(ids))
+			for i := range owners {
+				owners[i] = first
 			}
-			perConn[owner] = append(perConn[owner], subID)
+		}
+		ids = append(ids, subID)
+		if owners != nil {
+			owners = append(owners, owner)
 		}
 	})
-	if single != nil {
-		s.enqueue(single, delivery{doc: doc, filters: singleIDs, enq: now, tc: tc})
+	if owners == nil {
+		if first != nil {
+			s.enqueue(first, delivery{doc: doc, filters: ids, enq: now, tc: tc})
+		}
+		return count
 	}
-	for owner, ids := range perConn {
-		s.enqueue(owner, delivery{doc: doc, filters: ids, enq: now, tc: tc})
+	// Several subscribers: regroup the ids by owner into one array, each
+	// subscriber's list a contiguous run of it.
+	runs := make(map[*conn]idRun)
+	for _, o := range owners {
+		r := runs[o]
+		r.hi++
+		runs[o] = r
+	}
+	at := 0
+	for o, r := range runs {
+		runs[o] = idRun{at, at}
+		at += r.hi
+	}
+	grouped := make([]uint64, len(ids))
+	for i, o := range owners {
+		r := runs[o]
+		grouped[r.hi] = ids[i]
+		r.hi++
+		runs[o] = r
+	}
+	for o, r := range runs {
+		s.enqueue(o, delivery{doc: doc, filters: grouped[r.lo:r.hi:r.hi], enq: now, tc: tc})
 	}
 	return count
 }
+
+// idRun is one subscriber's run [lo, hi) of the regrouped fan-out ids.
+type idRun struct{ lo, hi int }
 
 func (s *Server) enqueue(cn *conn, d delivery) {
 	q := cn.queue()

@@ -82,12 +82,17 @@ type Session struct {
 
 	// Pipelined-publish state, created by the read loop on the first
 	// PUBLISH_ASYNC. sem is the in-flight window: the read loop acquires it,
-	// so a client overrunning the window is paced by TCP backpressure. acks
-	// carries publish outcomes to the one ack-writer goroutine.
-	sem   chan struct{}
-	acks  chan PubAck
-	wg    sync.WaitGroup // in-flight publish workers
-	ackWG sync.WaitGroup // the ack-writer goroutine
+	// so a client overrunning the window is paced by TCP backpressure. jobs
+	// hands staged publishes to the parked workers (unbuffered: a send
+	// succeeds at once only if a worker is idle); workers counts them (read
+	// loop only). acks carries publish outcomes to the one ack-writer
+	// goroutine.
+	sem     chan struct{}
+	jobs    chan asyncJob
+	workers int
+	acks    chan PubAck
+	wg      sync.WaitGroup // the publish workers
+	ackWG   sync.WaitGroup // the ack-writer goroutine
 
 	closeOnce sync.Once
 }
@@ -112,11 +117,17 @@ func (ss *Session) Close() {
 // Serve runs the frame loop until a read error, a write error, a protocol
 // violation or Close.
 func (ss *Session) Serve() {
+	armed := false // whether the idle read deadline is set on the socket
 	for {
+		// The idle deadline is re-armed per frame while it applies and
+		// cleared once when it stops applying; otherwise the socket is left
+		// alone.
 		if ss.opt.ReadTimeout > 0 && ss.nsubs == 0 {
 			ss.nc.SetReadDeadline(time.Now().Add(ss.opt.ReadTimeout))
-		} else {
+			armed = true
+		} else if armed {
 			ss.nc.SetReadDeadline(time.Time{})
+			armed = false
 		}
 		f, err := ReadFrame(ss.br, ss.opt.MaxPayload)
 		if err != nil {
@@ -126,11 +137,11 @@ func (ss *Session) Serve() {
 				// desynchronized. Report and close — but closing a socket
 				// with unread bytes queued makes the kernel answer with a
 				// reset, which destroys the ERR frame on its way to the
-				// peer. So first discard what was declared (type byte
-				// included), bounded in bytes and in time.
+				// peer. So first discard what was declared, bounded in
+				// bytes and in time.
 				ss.writeFrame(FrameErr, []byte(big.Error()))
 				ss.nc.SetReadDeadline(time.Now().Add(discardTimeout))
-				io.CopyN(io.Discard, ss.br, min(int64(big.Size)+1, discardMaxBytes))
+				io.CopyN(io.Discard, ss.br, min(int64(big.Size), discardMaxBytes))
 			}
 			return
 		}
@@ -281,13 +292,28 @@ func (ss *Session) WriteDeliver(typ byte, offset uint64, filters []uint64, doc [
 // Flush sends the frames WriteDeliver has staged.
 func (ss *Session) Flush() error { return ss.write(true, nil) }
 
+// asyncJob is one staged PUBLISH_ASYNC on its way to a worker.
+type asyncJob struct {
+	seq     uint64
+	doc     []byte
+	traceID uint64
+	staged  PendingAppend
+}
+
 // publishAsync runs on the read loop: it takes a window slot, lets the
 // handler stage the document in frame order, and hands the publish and its
-// ack to a worker, so the read loop is already parsing the next frame. (On the broker that decoupling is what feeds multi-record
-// group-commit batches: without it each publish would seal a batch of one.)
+// ack to a worker, so the read loop is already parsing the next frame. (On
+// the broker that decoupling is what feeds multi-record group-commit
+// batches: without it each publish would seal a batch of one.)
+//
+// Workers persist for the session. An idle one takes the job; when none is,
+// a new one starts, so a worker waiting on a group commit never delays the
+// next document's filtering. The window bounds the jobs in flight, so at
+// most Window workers ever start.
 func (ss *Session) publishAsync(seq uint64, doc []byte, traceID uint64) {
 	if ss.acks == nil {
 		ss.sem = make(chan struct{}, ss.opt.Window)
+		ss.jobs = make(chan asyncJob)
 		ss.acks = make(chan PubAck, ss.opt.Window)
 		ss.ackWG.Add(1)
 		go ss.ackLoop()
@@ -299,17 +325,37 @@ func (ss *Session) publishAsync(seq uint64, doc []byte, traceID uint64) {
 		ss.acks <- PubAck{Seq: seq, Err: err.Error()}
 		return
 	}
-	ss.wg.Add(1)
-	go func() {
-		defer ss.wg.Done()
-		defer func() { <-ss.sem }()
-		n, err := ss.h.Publish(doc, traceID, staged)
-		ack := PubAck{Seq: seq, Matches: uint64(n)}
+	j := asyncJob{seq: seq, doc: doc, traceID: traceID, staged: staged}
+	select {
+	case ss.jobs <- j:
+		return
+	default:
+	}
+	if ss.workers < ss.opt.Window {
+		ss.workers++
+		ss.wg.Add(1)
+		go ss.worker(j)
+		return
+	}
+	// All Window workers exist and at most Window-1 other publishes hold a
+	// slot, so one worker has finished its job and is about to park.
+	ss.jobs <- j
+}
+
+// worker runs publishes until StopAsync closes the job channel. It queues a
+// publish's ack before freeing its window slot, so a stalled ack writer
+// stalls the window rather than growing a backlog.
+func (ss *Session) worker(j asyncJob) {
+	defer ss.wg.Done()
+	for ok := true; ok; j, ok = <-ss.jobs {
+		n, err := ss.h.Publish(j.doc, j.traceID, j.staged)
+		ack := PubAck{Seq: j.seq, Matches: uint64(n)}
 		if err != nil {
 			ack.Err = err.Error()
 		}
 		ss.acks <- ack
-	}()
+		<-ss.sem
+	}
 }
 
 // ackLoop is the per-connection ack writer: it blocks for one outcome, then
@@ -346,12 +392,14 @@ func (ss *Session) ackLoop() {
 	}
 }
 
-// StopAsync waits out in-flight pipelined publishes and stops the ack
-// writer. Call it after Serve has returned, so no new publish can arrive.
+// StopAsync waits out in-flight pipelined publishes and stops the workers
+// and the ack writer. Call it after Serve has returned, so no new publish
+// can arrive.
 func (ss *Session) StopAsync() {
 	if ss.acks == nil {
 		return
 	}
+	close(ss.jobs)
 	ss.wg.Wait()
 	close(ss.acks)
 	ss.ackWG.Wait()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -217,6 +218,87 @@ func TestSessionStagePublishInFrameOrder(t *testing.T) {
 			t.Fatalf("seq %d: matches %d, error %q", a.Seq, a.Matches, a.Err)
 		}
 	}
+}
+
+// publishWorkers counts the goroutines running a session's publish worker.
+func publishWorkers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("server.(*Session).worker("))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestSessionWorkerSetPipelined: a few hundred pipelined publishes are each
+// acked exactly once, the session never runs more publish workers than its
+// window, and once StopAsync returns every goroutine it started is gone.
+func TestSessionWorkerSetPipelined(t *testing.T) {
+	const n, window = 400, 8
+	base := runtime.NumGoroutine()
+	var mu sync.Mutex
+	maxWorkers := 0
+	h := &fakeHandler{publish: func(doc []byte) (int, error) {
+		i, _ := strconv.Atoi(string(doc))
+		if i%25 == 0 {
+			mu.Lock()
+			maxWorkers = max(maxWorkers, publishWorkers())
+			mu.Unlock()
+		}
+		time.Sleep(time.Duration(i%5) * 50 * time.Microsecond)
+		return i, nil
+	}}
+	peer, nc := net.Pipe()
+	ss := server.NewSession(nc, h, server.SessionOptions{
+		MaxPayload: 1 << 20, Window: window, ErrPrefix: "test",
+		SubLat: &obs.Histogram{}, UnsubLat: &obs.Histogram{},
+	})
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		ss.Serve()
+	}()
+	docs := make([]string, n)
+	for i := range docs {
+		docs[i] = strconv.Itoa(i)
+	}
+	go peer.Write(publishAsyncFrames(docs...))
+	acks := readAcks(t, peer, n)
+
+	seen := make([]bool, n)
+	for _, a := range acks {
+		if a.Seq >= n || seen[a.Seq] {
+			t.Fatalf("seq %d acked twice or never sent", a.Seq)
+		}
+		seen[a.Seq] = true
+		if a.Err != "" || a.Matches != a.Seq {
+			t.Fatalf("seq %d: matches %d, error %q", a.Seq, a.Matches, a.Err)
+		}
+	}
+	if len(acks) != n {
+		t.Fatalf("%d acks, want %d", len(acks), n)
+	}
+	mu.Lock()
+	if maxWorkers > window || maxWorkers == 0 {
+		t.Errorf("%d publish workers seen at once, want 1..%d", maxWorkers, window)
+	}
+	mu.Unlock()
+	if w := publishWorkers(); w == 0 || w > window {
+		t.Errorf("%d publish workers parked after the burst, want 1..%d", w, window)
+	}
+
+	peer.Close()
+	within(t, "Serve to return", served)
+	ss.StopAsync()
+	ss.Close()
+	if w := publishWorkers(); w != 0 {
+		t.Fatalf("%d publish workers left after StopAsync", w)
+	}
+	waitFor(t, "the goroutine count to return to its baseline", func() bool {
+		return runtime.NumGoroutine() <= base
+	})
 }
 
 // TestSessionIdleReadDeadline: the read deadline applies only while the
