@@ -41,8 +41,8 @@ func TestWithQueriesAddsLayer(t *testing.T) {
 	}
 
 	// The receiver is unchanged: same query set, same matches.
-	if got := base.Queries(); len(got) != 1 {
-		t.Fatalf("receiver now has %d queries, want 1", len(got))
+	if got := base.NumQueries(); got != 1 {
+		t.Fatalf("receiver now has %d queries, want 1", got)
 	}
 	if m, err := base.FilterDocument(doc); err != nil || len(m) != 1 {
 		t.Fatalf("receiver after derive: matches=%v err=%v", m, err)
@@ -65,7 +65,7 @@ func TestWithQueriesBadFilter(t *testing.T) {
 	if _, err := base.WithQueries([]string{`//a[`}); err == nil {
 		t.Fatal("deriving with a malformed filter succeeded")
 	}
-	if len(base.Queries()) != 1 {
+	if base.NumQueries() != 1 {
 		t.Error("failed derive mutated the receiver")
 	}
 }
@@ -88,11 +88,24 @@ func TestWithoutQueryMasks(t *testing.T) {
 	if m, err := base.FilterDocument(doc); err != nil || len(m) != 2 {
 		t.Fatalf("receiver matches = %v err=%v, want both", m, err)
 	}
-	if rm := next.Removed(); !rm[0] || rm[1] {
-		t.Errorf("derived removed mask = %v, want [true false]", rm)
+	if got, masked := fmt.Sprint(next.IDs()), fmt.Sprint(next.MaskedIDs()); got != "[1]" || masked != "[0]" {
+		t.Errorf("derived ids %s, masked %s; want [1], [0]", got, masked)
 	}
 	if _, err := next.WithoutQuery(99); err == nil {
 		t.Error("removing an out-of-range filter succeeded")
+	}
+	// Masking again, or masking a filter Consolidated dropped, changes
+	// nothing.
+	again, err := next.WithoutQuery(0)
+	if err != nil || again.NumMasked() != 1 {
+		t.Fatalf("masking a masked filter: %d masked, err %v", again.NumMasked(), err)
+	}
+	compacted, _, err := next.Consolidated()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err = compacted.WithoutQuery(0); err != nil || again.NumMasked() != 0 || fmt.Sprint(again.IDs()) != "[1]" {
+		t.Fatalf("masking a dropped filter: ids %v, %d masked, err %v", again.IDs(), again.NumMasked(), err)
 	}
 }
 
@@ -119,7 +132,7 @@ func TestDerivedEnginesShareStreamTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	apart, err := Compile(base.Queries(), Config{})
+	apart, err := Compile([]string{base.Query(0)}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,17 +186,16 @@ func TestWorkloadSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := restored.Queries(), e.Queries(); len(got) != len(want) {
-		t.Fatalf("restored %d queries, want %d", len(got), len(want))
-	} else {
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("query %d: got %q, want %q", i, got[i], want[i])
-			}
+	if got, want := restored.NumQueries(), e.NumQueries(); got != want {
+		t.Fatalf("restored %d queries, want %d", got, want)
+	}
+	for id := 0; id < e.NumQueries(); id++ {
+		if got, want := restored.Query(id), e.Query(id); got != want {
+			t.Errorf("query %d: got %q, want %q", id, got, want)
 		}
 	}
-	if rm := restored.Removed(); !rm[1] || rm[0] || rm[2] {
-		t.Errorf("restored removed mask = %v, want only filter 1 masked", rm)
+	if got := fmt.Sprint(restored.MaskedIDs()); got != "[1]" {
+		t.Errorf("restored masked ids = %s, want only filter 1 masked", got)
 	}
 	if got := restored.Stats().States; got != warm.States {
 		t.Errorf("restored %d states, want %d", got, warm.States)
@@ -219,10 +231,11 @@ func TestWorkloadSnapshotRejectsGarbage(t *testing.T) {
 // step, checks the derived engine's match sets on generated documents
 // against a fresh Compile of the live filter set and against the DOM
 // oracle. It covers what the fixed cases above cannot: long derivation
-// chains, removals spread over many layers, and index remapping across
-// repeated consolidations. It also holds the tier rule to its two
-// invariants after every step: depth stays within the logarithmic bound, and
-// no surviving filter's index, text or mask bit moves across a tier merge.
+// chains, removals spread over many layers, and ids carried across repeated
+// consolidations. It also holds the engine to its invariants after every
+// step: depth stays within the tier rule's logarithmic bound, NumQueries
+// never decreases, Consolidated keeps every live id (its mapping is the
+// identity on them), and no surviving filter's id, text or mask bit moves.
 //
 // All 16 combinations of the four machine flags walk the chain, and every
 // step has a concurrent arm: before the new generation has seen a document,
@@ -269,9 +282,9 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 			// What the generation a step derives from must answer: the
 			// step before's expectations.
 			var prevWants []string
-			// slots[i] is the pool filter behind engine index i, -1 once
-			// removed; live lists the indexes still >= 0.
-			var slots, live []int
+			// byID[id] is the pool filter behind filter id, -1 once removed;
+			// live lists the ids still >= 0.
+			var byID, live []int
 			matched, deepest, merges := 0, 0, 0
 			for step := 0; step < steps; step++ {
 				op := "add"
@@ -279,38 +292,36 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 				switch x := r.Intn(100); {
 				case x < 40 && len(live) > 0:
 					op = "remove"
-					i := live[r.Intn(len(live))]
-					if e, err = e.WithoutQuery(i); err != nil {
+					id := live[r.Intn(len(live))]
+					if e, err = e.WithoutQuery(id); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
-					slots[i] = -1
+					byID[id] = -1
 				case x < 55:
 					op = "consolidate"
 					var mapping []int
 					if e, mapping, err = e.Consolidated(); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
-					if len(mapping) != len(slots) || e.NumQueries() != len(live) || e.NumLayers() != 1 {
-						t.Fatalf("step %d: mapping over %d slots, %d queries, %d layers; want %d, %d, 1",
-							step, len(mapping), e.NumQueries(), e.NumLayers(), len(slots), len(live))
+					if len(mapping) != len(byID) || e.NumMasked() != 0 || e.NumLayers() != 1 {
+						t.Fatalf("step %d: mapping over %d ids, %d masked, %d layers; want %d, 0, 1",
+							step, len(mapping), e.NumMasked(), e.NumLayers(), len(byID))
 					}
-					next := make([]int, len(live))
-					for old, idx := range mapping {
-						if slots[old] < 0 {
-							if idx != -1 {
-								t.Fatalf("step %d: removed slot %d mapped to %d", step, old, idx)
-							}
-							continue
+					for id, to := range mapping {
+						want := -1
+						if byID[id] >= 0 {
+							want = id
 						}
-						next[idx] = slots[old]
+						if to != want {
+							t.Fatalf("step %d: id %d mapped to %d, want %d", step, id, to, want)
+						}
 					}
-					slots = next
 				default:
 					var qs []string
 					for n := 1 + r.Intn(2); n > 0; n-- {
 						p := r.Intn(len(pool))
 						qs = append(qs, pool[p].String())
-						slots = append(slots, p)
+						byID = append(byID, p)
 					}
 					before := e.NumLayers()
 					if e, err = e.WithQueries(qs); err != nil {
@@ -320,14 +331,14 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 						merges++
 					}
 				}
-				if n := e.NumQueries(); n > 0 {
+				if n := len(e.filters); n > 0 {
 					bound := int(math.Ceil(math.Log(float64(n))/math.Log(tierFanout))) + 2
 					if e.NumLayers() > bound {
 						t.Fatalf("step %d (%s): %d layers over %d filters, bound %d", step, op, e.NumLayers(), n, bound)
 					}
 				}
-				if e.NumQueries() != len(slots) {
-					t.Fatalf("step %d (%s): %d engine slots, want %d", step, op, e.NumQueries(), len(slots))
+				if e.NumQueries() != len(byID) || e.NumQueries() < prev.NumQueries() {
+					t.Fatalf("step %d (%s): NumQueries %d after %d, want %d", step, op, e.NumQueries(), prev.NumQueries(), len(byID))
 				}
 				// EndDocument concatenates the layers' results without
 				// sorting: that needs offsets that never decrease (an
@@ -337,24 +348,31 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 						t.Fatalf("step %d (%s): layer offsets %v decrease", step, op, e.layerOff)
 					}
 				}
-				for i, rm := range e.Removed() {
-					// Pool texts repeat across slots, so the text check alone
-					// would miss a swap of equal filters; the match-set
-					// comparison below catches that.
-					if p := slots[i]; rm != (p < 0) || (p >= 0 && e.Query(i) != pool[p].String()) {
-						t.Fatalf("step %d (%s): slot %d moved: removed=%v text %q", step, op, i, rm, e.Query(i))
+				// Every id keeps its filter: the engine reports exactly the
+				// ids still live, each with its text. Pool texts repeat, so
+				// the text check alone would miss a swap of equal filters;
+				// the match-set comparison below catches that.
+				live = live[:0]
+				for id, p := range byID {
+					if p >= 0 {
+						live = append(live, id)
+						if e.Query(id) != pool[p].String() {
+							t.Fatalf("step %d (%s): filter %d moved: text %q", step, op, id, e.Query(id))
+						}
 					}
 				}
+				if got := e.IDs(); fmt.Sprint(got) != fmt.Sprint(live) {
+					t.Fatalf("step %d (%s): ids %v, want %v", step, op, got, live)
+				}
+				if op == "consolidate" && fmt.Sprint(prev.IDs()) != fmt.Sprint(live) {
+					t.Fatalf("step %d: Consolidated changed the ids %v to %v", step, prev.IDs(), live)
+				}
 
-				live = live[:0]
 				var texts []string
 				var filters []*xpath.Filter
-				for i, p := range slots {
-					if p >= 0 {
-						live = append(live, i)
-						texts = append(texts, pool[p].String())
-						filters = append(filters, pool[p])
-					}
+				for _, id := range live {
+					texts = append(texts, pool[byID[id]].String())
+					filters = append(filters, pool[byID[id]])
 				}
 				if e.NumLayers() > deepest {
 					deepest = e.NumLayers()
@@ -417,7 +435,7 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 					matched += len(got)
 					if !sort.IntsAreSorted(got) || fmt.Sprint(got) != wants[di] {
 						t.Fatalf("step %d (%s, %d layers, %d live of %d) doc %d:\n derived %v\n want    %s",
-							step, op, e.NumLayers(), len(live), len(slots), di, got, wants[di])
+							step, op, e.NumLayers(), len(live), len(byID), di, got, wants[di])
 					}
 				}
 			}
@@ -430,13 +448,10 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 
 // layerSizes is the engine's layer partition as filter counts.
 func layerSizes(e *Engine) []int {
-	sizes := make([]int, len(e.layerOff))
-	for i, lo := range e.layerOff {
-		hi := len(e.filters)
-		if i+1 < len(e.layerOff) {
-			hi = e.layerOff[i+1]
-		}
-		sizes[i] = hi - lo
+	sizes := make([]int, len(e.layers))
+	for li := range sizes {
+		lo, hi := e.layerSlots(li)
+		sizes[li] = hi - lo
 	}
 	return sizes
 }
@@ -490,8 +505,8 @@ func TestTieredWorkloadSnapshotRoundTrip(t *testing.T) {
 	if got, want := fmt.Sprint(layerSizes(restored)), fmt.Sprint(layerSizes(e)); got != want {
 		t.Fatalf("restored partition %s, want %s", got, want)
 	}
-	if fmt.Sprint(restored.Removed()) != fmt.Sprint(e.Removed()) {
-		t.Fatal("restored removed mask differs")
+	if fmt.Sprint(restored.MaskedIDs()) != fmt.Sprint(e.MaskedIDs()) || fmt.Sprint(restored.IDs()) != fmt.Sprint(e.IDs()) {
+		t.Fatal("restored ids or mask differ")
 	}
 	if got, want := restored.Stats().States, e.Stats().States; got != want {
 		t.Errorf("restored %d states, want %d", got, want)
@@ -528,8 +543,8 @@ func TestOpenParentThreeLayerSnapshot(t *testing.T) {
 	if got := fmt.Sprint(layerSizes(e)); got != "[2 1 1]" {
 		t.Fatalf("partition %s, want [2 1 1]", got)
 	}
-	if got := fmt.Sprint(e.Removed()); got != "[false true false false]" {
-		t.Fatalf("removed mask %s", got)
+	if got, masked := fmt.Sprint(e.IDs()), fmt.Sprint(e.MaskedIDs()); got != "[0 2 3]" || masked != "[1]" || e.NumQueries() != 4 {
+		t.Fatalf("ids %s, masked %s, %d ids handed out; want [0 2 3], [1], 4", got, masked, e.NumQueries())
 	}
 	if got := e.Stats().States; got != 13 {
 		t.Errorf("restored %d states, want the 13 the file was written with", got)

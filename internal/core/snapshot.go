@@ -85,6 +85,8 @@ func (sr *snapReader) u64() uint64 {
 
 func (sr *snapReader) i32() int32 { return int32(uint32(sr.u64())) }
 
+// ids reads a length-prefixed id list. It grows the list as ids arrive, so
+// a corrupt length costs what the input holds, not what it claims.
 func (sr *snapReader) ids() []int32 {
 	n := sr.u64()
 	if sr.err != nil || n > 1<<28 {
@@ -93,9 +95,22 @@ func (sr *snapReader) ids() []int32 {
 		}
 		return nil
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = sr.i32()
+	out := make([]int32, 0, min(n, 64))
+	for ; n > 0 && sr.err == nil; n-- {
+		out = append(out, sr.i32())
+	}
+	return out
+}
+
+// sets reads a count-prefixed list of id lists, grown as they arrive.
+func (sr *snapReader) sets() [][]int32 {
+	n := sr.u64()
+	if sr.err == nil && (n == 0 || n > 1<<28) {
+		sr.err = fmt.Errorf("xpush: corrupt snapshot (%d states)", n)
+	}
+	var out [][]int32
+	for ; n > 0 && sr.err == nil; n-- {
+		out = append(out, sr.ids())
 	}
 	return out
 }
@@ -171,137 +186,64 @@ func (m *Machine) ReadSnapshot(r io.Reader) error {
 		return fmt.Errorf("xpush: snapshot fingerprint mismatch (different workload or options)")
 	}
 
-	nB := sr.u64()
-	if sr.err != nil || nB == 0 || nB > 1<<28 {
-		return fmt.Errorf("xpush: corrupt snapshot: %v", sr.err)
-	}
-	bsets := make([][]int32, nB)
-	for i := range bsets {
-		bsets[i] = sr.ids()
-	}
-	nT := sr.u64()
-	if sr.err != nil || nT == 0 || nT > 1<<28 {
-		return fmt.Errorf("xpush: corrupt snapshot: %v", sr.err)
-	}
-	tsets := make([][]int32, nT)
-	for i := range tsets {
-		tsets[i] = sr.ids()
-	}
-	type i32Rec struct {
-		a, b, c int32
-		val     int32
-	}
-	type entryRec struct {
-		a, b, c  int32
-		interval uint64
-		e        entry
-	}
-	pushRecs := make([]i32Rec, 0)
-	for i, n := uint64(0), sr.u64(); i < n && sr.err == nil; i++ {
-		pushRecs = append(pushRecs, i32Rec{a: sr.i32(), b: sr.i32(), val: sr.i32()})
-	}
-	popRecs := make([]entryRec, 0)
-	for i, n := uint64(0), sr.u64(); i < n && sr.err == nil; i++ {
-		r := entryRec{a: sr.i32(), b: sr.i32(), c: sr.i32()}
-		r.e.state = sr.i32()
-		r.e.early = sr.ids()
-		if len(r.e.early) == 0 {
-			r.e.early = nil
-		}
-		popRecs = append(popRecs, r)
-	}
-	addRecs := make([]i32Rec, 0)
-	for i, n := uint64(0), sr.u64(); i < n && sr.err == nil; i++ {
-		addRecs = append(addRecs, i32Rec{a: sr.i32(), b: sr.i32(), val: sr.i32()})
-	}
-	valueRecs := make([]entryRec, 0)
-	for i, n := uint64(0), sr.u64(); i < n && sr.err == nil; i++ {
-		r := entryRec{a: sr.i32()}
-		r.interval = sr.u64()
-		r.e.state = sr.i32()
-		r.e.early = sr.ids()
-		if len(r.e.early) == 0 {
-			r.e.early = nil
-		}
-		valueRecs = append(valueRecs, r)
-	}
-	sectRecs := make([]i32Rec, 0)
-	for i, n := uint64(0), sr.u64(); i < n && sr.err == nil; i++ {
-		sectRecs = append(sectRecs, i32Rec{a: sr.i32(), b: sr.i32(), val: sr.i32()})
-	}
-	if sr.err != nil {
-		return fmt.Errorf("xpush: corrupt snapshot: %v", sr.err)
-	}
-
-	// Validate state references before installing.
-	checkB := func(id int32) error {
-		if id < 0 || int(id) >= len(bsets) {
-			return fmt.Errorf("xpush: corrupt snapshot: bottom-up state %d out of range", id)
-		}
-		return nil
-	}
-	checkT := func(id int32) error {
-		if id < 0 || int(id) >= len(tsets) {
-			return fmt.Errorf("xpush: corrupt snapshot: top-down state %d out of range", id)
-		}
-		return nil
-	}
-	nStates := int32(m.afa.NumStates())
-	for _, set := range bsets {
-		for _, s := range set {
-			if s < 0 || s >= nStates {
-				return fmt.Errorf("xpush: corrupt snapshot: AFA state %d out of range", s)
+	// The tables are read into fresh ones, every state, AFA state and filter
+	// id checked against its range on the way; nothing is installed unless
+	// the whole snapshot reads clean.
+	bsets := sr.sets()
+	tsets := sr.sets()
+	nB, nT := len(bsets), len(tsets)
+	inRange := func(n int, ids ...int32) {
+		for _, id := range ids {
+			if sr.err == nil && (id < 0 || int(id) >= n) {
+				sr.err = fmt.Errorf("id %d out of range [0, %d)", id, n)
 			}
 		}
 	}
-	for _, r := range pushRecs {
-		if err := checkT(r.a); err != nil {
-			return err
-		}
-		if err := checkT(r.val); err != nil {
-			return err
+	for _, sets := range [][][]int32{bsets, tsets} {
+		for _, set := range sets {
+			inRange(m.afa.NumStates(), set...)
 		}
 	}
-	for _, r := range popRecs {
-		if err := checkB(r.a); err != nil {
-			return err
+	entryOf := func() entry {
+		e := entry{state: sr.i32(), early: sr.ids()}
+		inRange(nB, e.state)
+		inRange(len(m.afa.Queries), e.early...)
+		if len(e.early) == 0 {
+			e.early = nil
 		}
-		if err := checkT(r.b); err != nil {
-			return err
-		}
-		if err := checkB(r.e.state); err != nil {
-			return err
-		}
+		return e
 	}
-	for _, r := range addRecs {
-		if err := checkB(r.a); err != nil {
-			return err
-		}
-		if err := checkB(r.b); err != nil {
-			return err
-		}
-		if err := checkB(r.val); err != nil {
-			return err
-		}
+	var pushTab, addTab, sectTab tab64
+	var popTab, valueTab tabE
+	for i, n := uint64(0), sr.u64(); i < n && sr.err == nil; i++ {
+		qt, sym, to := sr.i32(), sr.i32(), sr.i32()
+		inRange(nT, qt, to)
+		pushTab.put(packPush(qt, sym), to)
 	}
-	for _, r := range valueRecs {
-		if err := checkT(r.a); err != nil {
-			return err
-		}
-		if err := checkB(r.e.state); err != nil {
-			return err
-		}
+	for i, n := uint64(0), sr.u64(); i < n && sr.err == nil; i++ {
+		qb, qt, sym := sr.i32(), sr.i32(), sr.i32()
+		inRange(nB, qb)
+		inRange(nT, qt)
+		popTab.put(packPop(qb, qt, sym), entryOf())
 	}
-	for _, r := range sectRecs {
-		if err := checkB(r.a); err != nil {
-			return err
-		}
-		if err := checkT(r.b); err != nil {
-			return err
-		}
-		if err := checkB(r.val); err != nil {
-			return err
-		}
+	for i, n := uint64(0), sr.u64(); i < n && sr.err == nil; i++ {
+		qbs, qaux, to := sr.i32(), sr.i32(), sr.i32()
+		inRange(nB, qbs, qaux, to)
+		addTab.put(packAdd(qbs, qaux), to)
+	}
+	for i, n := uint64(0), sr.u64(); i < n && sr.err == nil; i++ {
+		qt, interval := sr.i32(), sr.u64()
+		inRange(nT, qt)
+		valueTab.put(packValue(qt, int64(interval)), entryOf())
+	}
+	for i, n := uint64(0), sr.u64(); i < n && sr.err == nil; i++ {
+		qaux, qt, to := sr.i32(), sr.i32(), sr.i32()
+		inRange(nB, qaux, to)
+		inRange(nT, qt)
+		sectTab.put(packAdd(qaux, qt), to)
+	}
+	if sr.err != nil {
+		return fmt.Errorf("xpush: corrupt snapshot: %v", sr.err)
 	}
 
 	// Install: rebuild intern indexes and derived caches.
@@ -333,26 +275,7 @@ func (m *Machine) ReadSnapshot(r io.Reader) error {
 		// TrueTerminal.
 		m.ttOf[0] = m.trueTermAll
 	}
-	m.pushTab = tab64{}
-	for _, r := range pushRecs {
-		m.pushTab.put(packPush(r.a, r.b), r.val)
-	}
-	m.popTab = tabE{}
-	for _, r := range popRecs {
-		m.popTab.put(packPop(r.a, r.b, r.c), r.e)
-	}
-	m.addTab = tab64{}
-	for _, r := range addRecs {
-		m.addTab.put(packAdd(r.a, r.b), r.val)
-	}
-	m.valueTab = tabE{}
-	for _, r := range valueRecs {
-		m.valueTab.put(packValue(r.a, int64(r.interval)), r.e)
-	}
-	m.sectTab = tab64{}
-	for _, r := range sectRecs {
-		m.sectTab.put(packAdd(r.a, r.b), r.val)
-	}
+	m.pushTab, m.popTab, m.addTab, m.valueTab, m.sectTab = pushTab, popTab, addTab, valueTab, sectTab
 	m.qt, m.qb = 0, 0
 	m.stack = m.stack[:0]
 	return nil

@@ -10,8 +10,8 @@ import (
 )
 
 // BenchPhase is one phase of a run rendered for xpushload's -json report:
-// flat numeric keys (microseconds) so shell gates can extract a quantile with
-// grep/awk, which is how scripts/bench_gate.sh reads the smoke reports.
+// flat numeric keys (microseconds), so a shell script can extract a quantile
+// with grep/awk.
 type BenchPhase struct {
 	Name string `json:"name"`
 	Note string `json:"note,omitempty"`

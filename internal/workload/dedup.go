@@ -12,9 +12,9 @@ import (
 // query, later ones only bump the fan-out set, and the machine query is
 // released only when the last subscription (and any boot-time pin) is gone.
 //
-// Entries are addressed by a stable uint64 key that survives engine layer
-// consolidation (which renumbers engine indexes); the broker keeps the
-// key -> engine-index mapping alongside its immutable workload generation.
+// Entries are addressed by a stable uint64 key; a broker registers each
+// entry under the engine's id for its filter (RegisterKey), which survives
+// layer consolidation, so a match needs no translation to find its entry.
 // Subscriptions are addressed by their own uint64 id so one owner can hold
 // several subscriptions to the same filter.
 //
@@ -23,8 +23,9 @@ import (
 // Concurrency contract: every method takes the registry's lock, so each
 // call is atomic on its own, but a key is only valid until the last
 // subscription on it is released. The control-plane calls (Resolve,
-// Register, Pin, Subscribe, Unsubscribe, UnsubscribeOwner) must therefore
-// be serialised by the caller, as the server does with its ctl mutex:
+// Register, RegisterKey, Pin, Subscribe, Unsubscribe, UnsubscribeOwner) must
+// therefore be serialised by the caller, as the server does with its ctl
+// mutex (Register also relies on it to pick its key before it locks):
 // otherwise one goroutine's Unsubscribe can free the entry between another
 // goroutine's Resolve and its Subscribe, which panics on the unknown key.
 // Fanout, OwnerSubs and the read-only accessors may run concurrently with
@@ -75,15 +76,25 @@ func (d *Dedup[O]) Resolve(canon string) (uint64, bool) {
 	return e.key, true
 }
 
-// Register creates a new entry for canon and returns its stable key. The
-// caller compiles the machine query first and registers on success. With
-// shared=false the entry is not indexed by canonical text, so later
-// subscriptions never coalesce onto it — the naive, dedup-disabled mode.
+// Register creates a new entry for canon under the next key above every key
+// registered so far and returns the key (see RegisterKey).
 func (d *Dedup[O]) Register(canon string, shared bool) uint64 {
+	return d.RegisterKey(d.nextKey, canon, shared)
+}
+
+// RegisterKey creates a new entry for canon under key, which must not be
+// live, and returns the key. The caller compiles the machine query first and
+// registers on success; a broker passes the engine's filter id, so the key
+// is the id the engine reports. With shared=false the entry is not indexed
+// by canonical text, so later subscriptions never coalesce onto it — the
+// naive, dedup-disabled mode.
+func (d *Dedup[O]) RegisterKey(key uint64, canon string, shared bool) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	key := d.nextKey
-	d.nextKey++
+	if d.byKey[key] != nil {
+		panic(fmt.Sprintf("workload: RegisterKey on live key %d", key))
+	}
+	d.nextKey = max(d.nextKey, key+1)
 	e := &dedupEntry[O]{canon: canon, key: key, shared: shared, subs: make(map[uint64]dedupSub[O])}
 	d.byKey[key] = e
 	if shared {

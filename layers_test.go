@@ -100,25 +100,34 @@ func TestConsolidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(mapping) != "[0 -1 1 2]" {
+	// Ids survive consolidation: the mapping is the identity on the live
+	// ones, and id 1 is not handed out again.
+	if fmt.Sprint(mapping) != "[0 -1 2 3]" {
 		t.Fatalf("mapping = %v", mapping)
 	}
-	if c.NumLayers() != 1 || c.NumQueries() != 3 {
-		t.Fatalf("layers=%d queries=%d", c.NumLayers(), c.NumQueries())
+	if c.NumLayers() != 1 || c.NumQueries() != 4 || fmt.Sprint(c.IDs()) != "[0 2 3]" {
+		t.Fatalf("layers=%d queries=%d ids=%v", c.NumLayers(), c.NumQueries(), c.IDs())
 	}
 	got, err := c.FilterDocument([]byte("<m><v>3</v></m>"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(got) != "[1]" { // /m[v=3] is index 1 after compaction
+	if fmt.Sprint(got) != "[2]" { // /m[v=3] keeps id 2
 		t.Fatalf("matches = %v", got)
+	}
+	next, err := c.WithQueries([]string{"/m[v=5]"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(next.IDs()) != "[0 2 3 4]" {
+		t.Fatalf("after consolidation WithQueries gave ids %v, want [0 2 3 4]", next.IDs())
 	}
 	got, _ = c.FilterDocument([]byte("<m><v>2</v></m>"))
 	if len(got) != 0 {
 		t.Fatalf("removed filter still fires: %v", got)
 	}
 	// The receiver keeps its layers (base + one tail layer: the two-filter
-	// insertion absorbed the one-filter layer before it), its indexes and
+	// insertion absorbed the one-filter layer before it), its ids and
 	// its mask.
 	if e.NumLayers() != 2 || e.NumQueries() != 4 {
 		t.Fatalf("receiver changed: layers=%d queries=%d", e.NumLayers(), e.NumQueries())

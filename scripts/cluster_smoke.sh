@@ -9,8 +9,7 @@
 # Usage: scripts/cluster_smoke.sh [json-out]
 #
 # The JSON report is left at json-out (default /tmp/xpushgate_smoke.json)
-# so bench_gate.sh's gated-latency gate can reuse it instead of paying for
-# a second run.
+# for inspection.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

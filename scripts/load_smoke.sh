@@ -7,8 +7,7 @@
 # Usage: scripts/load_smoke.sh [json-out]
 #
 # The JSON report is left at json-out (default /tmp/xpushload_smoke.json)
-# so bench_gate.sh's open-loop latency gate can reuse it instead of paying
-# for a second run.
+# for inspection.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

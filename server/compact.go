@@ -15,20 +15,18 @@ import (
 // base machine here, by one goroutine, off both the control lock and the
 // publish path:
 //
-//  1. pin the current core and recompile its live filters into one machine
-//     (Engine.Consolidated reads only immutable engine state, so publishers
-//     keep filtering on the pinned generation and subscribers keep deriving
-//     from it meanwhile);
+//  1. pin the current generation and recompile its live filters into one
+//     machine (Engine.Consolidated reads only immutable engine state, so
+//     publishers keep filtering on the pinned generation and subscribers keep
+//     deriving from it meanwhile; every filter keeps its id);
 //  2. warm the new machine on the last published documents until a pass adds
 //     no states, so publishers never meet a cold base;
-//  3. re-apply what changed since the pin — filters added after it become
-//     one WithQueries layer, filters released after it are masked through
-//     the consolidation mapping — remap the routing columns and, under ctl,
-//     swap.
+//  3. re-apply what changed since the pin — the filters added after it become
+//     one WithQueries layer, which gives them the ids they already have, and
+//     what was masked is masked again by id — and, under ctl, swap.
 //
-// Engine indexes move only in step 3, under ctl, and only this goroutine
-// moves them; between two compactions every core's columns are a prefix of
-// the next one's, which is what makes the delta in step 3 two index ranges.
+// Ids never move, so nothing that holds one (the registry, the match
+// journal, a publish in flight on an older generation) is touched.
 
 // compactTailFilters is how many filter slots the layers above the base
 // machine may hold before a compaction folds them into it. It trades
@@ -84,14 +82,14 @@ func (r *docRing) held() [ringDocs][]byte {
 	return r.docs
 }
 
-// needsCompaction reports whether c has outgrown the bounds the compaction
+// needsCompaction reports whether e has outgrown the bounds the compaction
 // goroutine holds the workload to.
-func (s *Server) needsCompaction(c *core) bool {
-	if c.engine.TailQueries() > compactTailFilters {
+func (s *Server) needsCompaction(e *xpushstream.Engine) bool {
+	if e.TailQueries() > compactTailFilters {
 		return true
 	}
 	maxRemoved := s.cfg.consolidateRemoved()
-	return maxRemoved > 0 && len(c.removed)-c.liveQueries() > maxRemoved
+	return maxRemoved > 0 && e.NumMasked() > maxRemoved
 }
 
 // compactLoop is the compaction goroutine: at most one compaction is ever in
@@ -121,8 +119,8 @@ func (s *Server) stopping() bool {
 }
 
 // compact runs one compaction and reports whether a new base was swapped in.
-// On any failure, and when the server is shutting down, the current core
-// stays.
+// On any failure, and when the server is shutting down, the current
+// generation stays.
 func (s *Server) compact() bool {
 	s.consolidating.Store(1)
 	defer s.consolidating.Store(0)
@@ -133,7 +131,7 @@ func (s *Server) compact() bool {
 	}
 	pinned := s.cur.Load()
 	t0 := time.Now()
-	e, mapping, err := pinned.engine.Consolidated()
+	e, _, err := pinned.Consolidated()
 	t1 := time.Now()
 	s.phaseLat[0].Observe(t1.Sub(t0).Seconds())
 	if err != nil {
@@ -146,7 +144,6 @@ func (s *Server) compact() bool {
 	t2 := time.Now()
 	s.phaseLat[1].Observe(t2.Sub(t1).Seconds())
 
-	base := remapped(pinned, e, mapping)
 	// Re-apply what changed since the pin, under ctl so nothing changes
 	// meanwhile: the delta of one recompile is a handful of filters.
 	s.ctl.Lock()
@@ -155,7 +152,7 @@ func (s *Server) compact() bool {
 		return false
 	}
 	cur := s.cur.Load()
-	next, err := s.reapplied(base, pinned, cur)
+	next, err := caughtUp(e, pinned, cur)
 	if err != nil {
 		return failed("re-applying changes since the pin", err)
 	}
@@ -164,8 +161,8 @@ func (s *Server) compact() bool {
 	s.phaseLat[2].Observe(now.Sub(t2).Seconds())
 	s.consolidateLat.Observe(now.Sub(t0).Seconds())
 	s.consolidations.Add(1)
-	s.logf("compacted workload: %d layers, %d slots -> %d layers, %d slots in %v",
-		cur.engine.NumLayers(), len(cur.canon), next.engine.NumLayers(), len(next.canon), now.Sub(t0))
+	s.logf("compacted workload: %d layers, %d masked -> %d layers, %d masked in %v",
+		cur.NumLayers(), cur.NumMasked(), next.NumLayers(), next.NumMasked(), now.Sub(t0))
 	return true
 }
 
@@ -190,59 +187,19 @@ func (s *Server) warm(e *xpushstream.Engine) {
 	}
 }
 
-// remapped is c with its engine replaced by e, c's consolidation: live slots
-// move to their mapped indexes, removed ones are gone.
-func remapped(c *core, e *xpushstream.Engine, mapping []int) *core {
-	n := &core{
-		canon:   make([]string, e.NumQueries()),
-		keys:    make([]uint64, e.NumQueries()),
-		removed: make([]bool, e.NumQueries()),
-		keyIdx:  make(map[uint64]int, e.NumQueries()),
-		keyHW:   c.keyHW,
-		engine:  e,
+// caughtUp carries the control-plane changes made since the pin over to
+// base, the pinned generation's consolidation: the filters cur added since —
+// ids pinned.NumQueries() up to cur.NumQueries(), masked ones included — are
+// added in id order as one layer, which gives them the same ids, and every
+// id cur has masked is masked.
+func caughtUp(base, pinned, cur *xpushstream.Engine) (*xpushstream.Engine, error) {
+	var added []string
+	for id := pinned.NumQueries(); id < cur.NumQueries(); id++ {
+		added = append(added, cur.Query(id))
 	}
-	for old, idx := range mapping {
-		if idx < 0 {
-			continue
-		}
-		n.canon[idx] = c.canon[old]
-		n.keys[idx] = c.keys[old]
-		n.keyIdx[n.keys[idx]] = idx
+	next, err := base.WithQueries(added)
+	if err != nil {
+		return nil, err
 	}
-	return n
-}
-
-// reapplied carries the control-plane changes made between two generations
-// of the same numbering, from and its descendant cur, over to base, which
-// holds from's live filters under another numbering: slots cur appended and
-// still holds live are added as one layer, slots of from that cur has masked
-// since are masked by registry key.
-func (s *Server) reapplied(base, from, cur *core) (*core, error) {
-	var canons []string
-	var keys []uint64
-	for i := len(from.canon); i < len(cur.canon); i++ {
-		if !cur.removed[i] {
-			canons = append(canons, cur.canon[i])
-			keys = append(keys, cur.keys[i])
-		}
-	}
-	if len(canons) > 0 {
-		next := &core{}
-		var err error
-		if next.engine, err = base.engine.WithQueries(canons); err != nil {
-			return nil, err
-		}
-		next.appendSlots(base, canons, keys)
-		base = next
-	}
-	var released []uint64
-	for i := range from.canon {
-		if cur.removed[i] && !from.removed[i] {
-			released = append(released, from.keys[i])
-		}
-	}
-	if len(released) == 0 {
-		return base, nil
-	}
-	return s.coreWithoutKeys(base, released)
+	return next.WithoutQuery(cur.MaskedIDs()...)
 }

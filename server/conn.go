@@ -33,7 +33,7 @@ type conn struct {
 	acked    atomic.Uint64 // persisted cursor (monotonic)
 	// durKeyHW is 1 + the largest registry key any durable subscription of
 	// this connection has had: a journal entry answers for the connection
-	// only when it was filtered on a core whose keyHW reaches it.
+	// only when it was filtered on a generation whose keyHW reaches it.
 	durKeyHW atomic.Uint64
 
 	// Per-pump replay throughput (exported per durable name): log records

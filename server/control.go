@@ -1,7 +1,7 @@
 package server
 
-// The control plane: workload generations (core), the boot workload, and the
-// dedup registry + copy-on-write swaps behind subscribe and unsubscribe.
+// The control plane: workload generations, the boot workload, and the dedup
+// registry + copy-on-write swaps behind subscribe and unsubscribe.
 
 import (
 	"bufio"
@@ -13,83 +13,53 @@ import (
 	"repro/internal/xpath"
 )
 
-// deadKey marks a removed engine slot in core.keys: it is never registered
-// in the dedup registry, so fan-out lookups skip it.
-const deadKey = ^uint64(0)
-
-// core is one immutable generation of the broker's workload: the compiled
-// engine plus the engine-index -> registry-key translation. Workload
-// changes (first compile of a canonical filter, last release, layer
-// consolidation) build the next core off to the side and atomically swap
-// the pointer (copy-on-write), so the publish path never observes a
-// half-updated workload — it either filters on the old generation or the
-// new one. Between compactions engine indexes never move: subscribes append
-// slots, releases mask them.
+// Workload generations: s.cur holds the engine publishers filter on, one
+// immutable generation of the broker's workload. Workload changes (first
+// compile of a canonical filter, last release, compaction) derive the next
+// engine off to the side and atomically swap the pointer (copy-on-write), so
+// the publish path never observes a half-updated workload — it either
+// filters on the old generation or the new one.
 //
-// Who subscribes to a filter lives in the server's dedup registry, not
-// here: subscriber fan-out changes on every subscribe/unsubscribe, while a
-// core only changes when the set of unique machine queries does. keys gives
-// each engine slot a stable identity across consolidations, so matches
-// computed on an older generation still resolve to the right subscribers.
-type core struct {
-	canon   []string       // engine index -> canonical filter text
-	keys    []uint64       // engine index -> stable registry key (deadKey when removed)
-	removed []bool         // engine index -> released (engine skips these)
-	keyIdx  map[uint64]int // live registry key -> engine index
-	// keyHW is 1 + the largest registry key this generation or any before it
-	// has held. Keys are handed out in increasing order and a key stays in
-	// every generation from its swap to its last release, so a generation
-	// holds every filter that is still live and has a key below its keyHW:
-	// its matches answer for a subscriber whose keys are all below it (the
-	// match journal's usability rule, see conn.pump).
-	keyHW uint64
+// The engine's filter ids are the dedup registry's keys: a filter is
+// registered under the id the engine gave it, and an id never moves or comes
+// back, Consolidated included, so matches computed on any generation name
+// their registry entries directly. Who subscribes to a filter lives in the
+// registry, not in the engine: subscriber fan-out changes on every
+// subscribe/unsubscribe, while the engine only changes when the set of
+// unique machine queries does.
+//
+// A generation's NumQueries is its keyHW: every key below it was handed out
+// by that generation or an ancestor, and an id leaves the workload only
+// after its key was released, so a generation holds every live filter with
+// a key below its NumQueries. Its matches therefore answer for a subscriber
+// whose keys are all below it (the match journal's usability rule, see
+// conn.pump).
 
-	engine *xpushstream.Engine
+// bootEngine builds the boot workload (openBoot) and registers and pins each
+// of its filters under its engine id: pinned entries stay compiled (and keep
+// counting as publish matches) with zero subscribers, and a later subscriber
+// to the same canonical filter rides the already-warm machine query.
+func (s *Server) bootEngine() (*xpushstream.Engine, error) {
+	e, err := s.openBoot()
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range e.IDs() {
+		// A snapshot can hold duplicate texts (one written before the
+		// registry deduplicated); only the first copy of each canonical form
+		// is shared, the rest stay private slots.
+		q := e.Query(id)
+		_, taken := s.subs.Resolve(q)
+		s.subs.Pin(s.subs.RegisterKey(uint64(id), q, !taken))
+	}
+	s.markAnalysisDirty()
+	return e, nil
 }
 
-// matchKeys translates matched engine indexes of this generation to their
-// stable registry keys.
-func (c *core) matchKeys(matches []int) []uint64 {
-	if len(matches) == 0 {
-		return nil
-	}
-	keys := make([]uint64, len(matches))
-	for i, m := range matches {
-		keys[i] = c.keys[m]
-	}
-	return keys
-}
-
-// canonsOf returns the canonical text behind each registry key, "" for a key
-// this generation no longer holds (the profiler's index-aligned column).
-func (c *core) canonsOf(keys []uint64) []string {
-	canons := make([]string, len(keys))
-	for i, key := range keys {
-		if idx, ok := c.keyIdx[key]; ok {
-			canons[i] = c.canon[idx]
-		}
-	}
-	return canons
-}
-
-// liveQueries counts engine slots that are still routable.
-func (c *core) liveQueries() int {
-	n := 0
-	for _, r := range c.removed {
-		if !r {
-			n++
-		}
-	}
-	return n
-}
-
-// bootCore builds the boot workload: from the snapshot file when warm-start
-// is configured and the file exists, otherwise from InitialQueries. Every
-// boot filter is registered and pinned in the dedup registry: pinned
-// entries stay compiled (and keep counting as publish matches) with zero
-// subscribers, and a later subscriber to the same canonical filter rides
-// the already-warm machine query.
-func (s *Server) bootCore() (*core, error) {
+// openBoot compiles the boot workload: from the snapshot file when
+// warm-start is configured and the file exists, otherwise from
+// InitialQueries, canonicalized, with duplicates collapsed onto one filter.
+func (s *Server) openBoot() (*xpushstream.Engine, error) {
 	if s.cfg.SnapshotPath != "" {
 		if f, err := os.Open(s.cfg.SnapshotPath); err == nil {
 			defer f.Close()
@@ -97,16 +67,11 @@ func (s *Server) bootCore() (*core, error) {
 			if err != nil {
 				return nil, fmt.Errorf("server: warm-start from %s: %w", s.cfg.SnapshotPath, err)
 			}
-			q := e.Queries()
 			s.logf("warm-start: restored %d filters, %d machine states from %s",
-				len(q), e.Stats().States, s.cfg.SnapshotPath)
-			c := &core{canon: q, removed: e.Removed(), engine: e}
-			s.indexBootCore(c)
-			return c, nil
+				len(e.IDs()), e.Stats().States, s.cfg.SnapshotPath)
+			return e, nil
 		}
 	}
-	// Collapse duplicate boot filters onto one engine slot, canonicalizing
-	// each.
 	var canon []string
 	seen := map[string]bool{}
 	for _, q := range s.cfg.InitialQueries {
@@ -114,52 +79,22 @@ func (s *Server) bootCore() (*core, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: initial query %q: %w", q, err)
 		}
-		if seen[cq] {
-			continue
+		if !seen[cq] {
+			seen[cq] = true
+			canon = append(canon, cq)
 		}
-		seen[cq] = true
-		canon = append(canon, cq)
 	}
-	e, err := xpushstream.Compile(canon, s.cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
-	c := &core{canon: canon, removed: make([]bool, len(canon)), engine: e}
-	s.indexBootCore(c)
-	return c, nil
-}
-
-// indexBootCore assigns registry keys to a boot core's engine slots and
-// pins the live ones.
-func (s *Server) indexBootCore(c *core) {
-	c.keys = make([]uint64, len(c.canon))
-	c.keyIdx = make(map[uint64]int, len(c.canon))
-	for i, q := range c.canon {
-		if c.removed[i] {
-			c.keys[i] = deadKey
-			continue
-		}
-		// A snapshot can hold duplicate texts (one written before the
-		// registry deduplicated); only the first copy of each canonical form
-		// is shared, the rest stay private slots.
-		_, taken := s.subs.Resolve(q)
-		key := s.subs.Register(q, !taken)
-		s.subs.Pin(key)
-		c.keys[i] = key
-		c.keyIdx[key] = i
-		c.keyHW = max(c.keyHW, key+1)
-	}
-	s.markAnalysisDirty()
+	return xpushstream.Compile(canon, s.cfg.Engine)
 }
 
 // subscribe registers one filter for cn and returns its subscription id
 // (ids are never reused). The filter is canonicalized and looked up in the
 // dedup registry: when an equivalent filter is already compiled, the
-// subscription only joins its fan-out set — no engine derivation, no core
-// swap. Only the first subscription to a new canonical filter compiles a
-// machine query (and only the last release frees it). Durable filters are
-// excluded from queue fan-out: the owner's WAL pump delivers them (see
-// subscribeDurable).
+// subscription only joins its fan-out set — no engine derivation, no swap.
+// Only the first subscription to a new canonical filter compiles a machine
+// query, registered under the id the engine gives it (and only the last
+// release frees it). Durable filters are excluded from queue fan-out: the
+// owner's WAL pump delivers them (see subscribeDurable).
 func (s *Server) subscribe(cn *conn, query string, durable bool) (uint64, error) {
 	canon, err := xpath.Canonicalize(query)
 	if err != nil {
@@ -177,13 +112,12 @@ func (s *Server) subscribe(cn *conn, query string, durable bool) (uint64, error)
 		return subID, nil
 	}
 	cur := s.cur.Load()
-	next := &core{}
-	if next.engine, err = cur.engine.WithQueries([]string{canon}); err != nil {
+	next, err := cur.WithQueries([]string{canon})
+	if err != nil {
 		return 0, err
 	}
-	s.tierMerges.Add(int64(cur.engine.NumLayers() + 1 - next.engine.NumLayers()))
-	key := s.subs.Register(canon, true)
-	next.appendSlots(cur, []string{canon}, []uint64{key})
+	s.tierMerges.Add(int64(cur.NumLayers() + 1 - next.NumLayers()))
+	key := s.subs.RegisterKey(uint64(cur.NumQueries()), canon, true)
 	subID, _ := s.subs.Subscribe(key, cn, durable)
 	cn.noteSubscribed(key, durable)
 	s.markAnalysisDirty()
@@ -191,27 +125,9 @@ func (s *Server) subscribe(cn *conn, query string, durable bool) (uint64, error)
 	return subID, nil
 }
 
-// appendSlots fills c's routing columns with cur's plus one live slot per
-// (canon, key) pair: c's engine is cur's with exactly those filters added.
-func (c *core) appendSlots(cur *core, canons []string, keys []uint64) {
-	n := len(cur.canon) + len(canons)
-	c.canon = append(append(make([]string, 0, n), cur.canon...), canons...)
-	c.keys = append(append(make([]uint64, 0, n), cur.keys...), keys...)
-	c.removed = append(append(make([]bool, 0, n), cur.removed...), make([]bool, len(canons))...)
-	c.keyIdx = make(map[uint64]int, len(cur.keyIdx)+len(keys))
-	for k, v := range cur.keyIdx {
-		c.keyIdx[k] = v
-	}
-	c.keyHW = cur.keyHW
-	for i, key := range keys {
-		c.keyIdx[key] = len(cur.canon) + i
-		c.keyHW = max(c.keyHW, key+1)
-	}
-}
-
 // swap publishes the next workload generation and wakes the compaction
 // goroutine when it has outgrown its bounds. Callers hold ctl.
-func (s *Server) swap(next *core) {
+func (s *Server) swap(next *xpushstream.Engine) {
 	s.cur.Store(next)
 	if s.needsCompaction(next) {
 		select {
@@ -247,47 +163,19 @@ func (s *Server) unsubscribeConn(cn *conn) {
 	}
 }
 
-// releaseKeys removes the machine queries behind fully-released registry
-// keys and swaps in the next core. Callers hold ctl; the registry entries
-// are already gone, so on a rebuild error the old core is kept — its extra
+// releaseKeys masks the machine queries behind fully-released registry keys
+// and swaps in the next generation. Callers hold ctl; the registry entries
+// are already gone, so on an error the old generation is kept — its extra
 // compiled filters still match, but fan-out finds no subscribers and skips
-// them (they are reaped by a later successful swap or compaction).
+// them.
 func (s *Server) releaseKeys(keys []uint64) {
-	cur := s.cur.Load()
-	next, err := s.coreWithoutKeys(cur, keys)
+	next, err := s.cur.Load().WithoutQuery(convertIDs[int](keys)...)
 	if err != nil {
 		s.logf("release queries: %v", err)
 		return
 	}
 	s.markAnalysisDirty()
 	s.swap(next)
-}
-
-// coreWithoutKeys builds the next core with the given registry keys'
-// filters masked, copy-on-write.
-func (s *Server) coreWithoutKeys(cur *core, keys []uint64) (*core, error) {
-	derived := cur.engine
-	removed := append([]bool(nil), cur.removed...)
-	ks := append([]uint64(nil), cur.keys...)
-	keyIdx := make(map[uint64]int, len(cur.keyIdx))
-	for k, v := range cur.keyIdx {
-		keyIdx[k] = v
-	}
-	for _, key := range keys {
-		idx, ok := keyIdx[key]
-		if !ok {
-			continue
-		}
-		var err error
-		derived, err = derived.WithoutQuery(idx)
-		if err != nil {
-			return nil, err
-		}
-		removed[idx] = true
-		ks[idx] = deadKey
-		delete(keyIdx, key)
-	}
-	return &core{canon: cur.canon, keys: ks, removed: removed, keyIdx: keyIdx, keyHW: cur.keyHW, engine: derived}, nil
 }
 
 // markAnalysisDirty invalidates the cached subsumption-pair metric after

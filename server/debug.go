@@ -60,7 +60,7 @@ func (s *Server) handleQueries(w http.ResponseWriter, _ *http.Request) {
 		enc.Encode(queriesSnapshot{Queries: []QueryCost{}})
 		return
 	}
-	entries, other, overflow := s.prof.snapshot(s.subs.Canons())
+	entries, other, overflow := s.prof.snapshot()
 	enc.Encode(queriesSnapshot{
 		Enabled:  true,
 		Tracked:  len(entries),
@@ -74,7 +74,7 @@ func (s *Server) handleQueries(w http.ResponseWriter, _ *http.Request) {
 // machineSnapshot is the /debug/machine payload: one consistent look at the
 // live filter machine, the workload, and the delivery plane.
 type machineSnapshot struct {
-	// Queries counts engine slots (including removed-but-unconsolidated
+	// Queries counts compiled filters (including removed-but-unconsolidated
 	// ones); UniqueQueries the live compiled machine queries in the dedup
 	// registry; Subscriptions the subscriber fan-out riding on them. With
 	// deduplication, Subscriptions >> UniqueQueries on zipfian workloads.
@@ -124,20 +124,20 @@ type traceSnapshot struct {
 }
 
 func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
-	c := s.cur.Load()
-	st := c.engine.Stats()
+	e := s.cur.Load()
+	st := e.Stats()
 	snap := machineSnapshot{
-		Queries:        len(c.canon),
+		Queries:        len(e.IDs()) + e.NumMasked(),
 		UniqueQueries:  s.subs.UniqueQueries(),
 		Subscriptions:  s.subs.Subscriptions(),
 		DedupHits:      s.subs.Hits(),
 		SubsumedPairs:  int(s.subsumedPairs()),
-		Layers:         c.engine.NumLayers(),
-		TailFilters:    c.engine.TailQueries(),
-		RemovedSlots:   len(c.removed) - c.liveQueries(),
+		Layers:         e.NumLayers(),
+		TailFilters:    e.TailQueries(),
+		RemovedSlots:   e.NumMasked(),
 		Consolidations: s.consolidations.Load(),
 		Compacting:     s.consolidating.Load() != 0,
-		MemoryBytes:    c.engine.ApproxMemoryBytes(),
+		MemoryBytes:    e.ApproxMemoryBytes(),
 		ConnsRejected:  s.mConnReject.Value(),
 
 		States:        st.States,

@@ -190,7 +190,7 @@ const pumpFlushEvery = 64
 // machine matched when it was published — and only filtered again when the
 // journal cannot answer for this connection:
 //
-//   - hit: the entry was filtered on a core whose keyHW reaches the
+//   - hit: the entry was filtered on a generation whose keyHW reaches the
 //     connection's durKeyHW, i.e. on a workload that already held every
 //     filter the connection subscribes to durably, so the journaled keys
 //     resolved through the registry (which skips what has been unsubscribed
@@ -378,11 +378,11 @@ func (cn *conn) awaitJournal(off uint64, keys []uint64, ch <-chan struct{}, flus
 // current workload and returns the matched filter ids that belong to cn's
 // durable subscriptions.
 func (s *Server) matchDurable(cn *conn, doc []byte, tc *trace.Ctx, parent trace.SpanID) ([]uint64, error) {
-	c, matches, err := s.filter(doc, false, tc, parent)
+	_, matches, err := s.filter(doc, false, tc, parent)
 	if err != nil {
 		return nil, err
 	}
-	return s.durableSubs(cn, c.matchKeys(matches), tc), nil
+	return s.durableSubs(cn, convertIDs[uint64](matches), tc), nil
 }
 
 // durableSubs resolves the registry keys a replayed document matched —
@@ -394,7 +394,7 @@ func (s *Server) durableSubs(cn *conn, keys []uint64, tc *trace.Ctx) []uint64 {
 		return nil
 	}
 	if tc != nil && s.prof != nil {
-		s.prof.observeReplay(keys, s.cur.Load().canonsOf(keys))
+		s.prof.observeReplay(keys, queryText(s.cur.Load()))
 	}
 	return s.subs.OwnerSubs(keys, cn, true)
 }

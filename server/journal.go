@@ -40,10 +40,10 @@ var journalMissReasons = [...]string{"lapped", "preboot", "new_filter", "timeout
 // journal is the publish-time match journal: for each of the newest
 // journalSlots log offsets, the registry keys the machine matched when the
 // document was published, so a durable pump routes a replayed document with
-// a lookup instead of a second engine pass. It holds registry keys, never
-// engine indexes, so entries stay valid across subscribes, releases and
-// compaction swaps. It lives in memory only: after a restart every retained
-// record is journalPreboot.
+// a lookup instead of a second engine pass. Registry keys are filter ids,
+// which no generation renumbers, so entries stay valid across subscribes,
+// releases and compaction swaps. It lives in memory only: after a restart
+// every retained record is journalPreboot.
 type journal struct {
 	boot uint64 // the log's NextOffset when the server started
 
@@ -54,9 +54,10 @@ type journal struct {
 	misses [len(journalMissReasons)]atomic.Int64
 }
 
-// journalSlot is one remembered record. keyHW is the keyHW of the core the
-// document was filtered on (see core.keyHW): the entry answers for every
-// registry key below it. keys is reused from one occupant to the next.
+// journalSlot is one remembered record. keyHW is the keyHW (NumQueries) of
+// the generation the document was filtered on (control.go): the entry
+// answers for every registry key below it. keys is reused from one occupant
+// to the next.
 type journalSlot struct {
 	set   bool
 	off   uint64

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	xpushstream "repro"
 	"repro/internal/obs"
 )
 
@@ -37,8 +38,9 @@ const (
 )
 
 // queryCost accumulates one canonical key's traced totals. canon is
-// captured at first observation so the ranking stays resolvable after the
-// last subscriber unsubscribes and the key leaves the dedup registry.
+// captured at first observation, from the generation the document was
+// filtered on, so the ranking stays resolvable after the last subscriber
+// unsubscribes and the filter leaves the workload.
 type queryCost struct {
 	canon      string
 	filterNS   int64 // cumulative filter span time of matched traced docs
@@ -63,10 +65,16 @@ func newQueryProfiler(maxQueries int) *queryProfiler {
 	return &queryProfiler{entries: make(map[uint64]*queryCost), max: maxQueries}
 }
 
+// queryText resolves a registry key to its canonical text on e, the
+// generation a document was filtered on ("" once e no longer holds it).
+func queryText(e *xpushstream.Engine) func(key uint64) string {
+	return func(key uint64) string { return e.Query(int(key)) }
+}
+
 // get returns the key's cost cell, or the other bucket once the table is at
-// its cardinality cap. canon is stored on first sight of the key (an empty
-// canon never overwrites a stored one). Callers hold p.mu.
-func (p *queryProfiler) get(key uint64, canon string) *queryCost {
+// its cardinality cap. A new cell takes its text from canon (nil: none).
+// Callers hold p.mu.
+func (p *queryProfiler) get(key uint64, canon func(uint64) string) *queryCost {
 	if e, ok := p.entries[key]; ok {
 		return e
 	}
@@ -74,24 +82,24 @@ func (p *queryProfiler) get(key uint64, canon string) *queryCost {
 		p.overflow++
 		return &p.other
 	}
-	e := &queryCost{canon: canon}
+	e := &queryCost{}
+	if canon != nil {
+		e.canon = canon(key)
+	}
 	p.entries[key] = e
 	return e
 }
 
 // observeFilter charges one traced document's filter cost to every matched
-// key (see the attribution rule above). canons carries the matched keys'
-// canonical text, index-aligned with keys; deadKey slots are skipped.
-func (p *queryProfiler) observeFilter(keys []uint64, canons []string, filterNS, states int64) {
+// key (see the attribution rule above). canon resolves a key's canonical
+// text; it is asked once per key, at first sight.
+func (p *queryProfiler) observeFilter(keys []uint64, canon func(uint64) string, filterNS, states int64) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	for i, key := range keys {
-		if key == deadKey {
-			continue
-		}
-		e := p.get(key, canons[i])
+	for _, key := range keys {
+		e := p.get(key, canon)
 		e.matches++
 		e.filterNS += filterNS
 		e.states += states
@@ -103,27 +111,24 @@ func (p *queryProfiler) observeFilter(keys []uint64, canons []string, filterNS, 
 // The entry always exists already: fanout observation follows an
 // observeFilter of the same key set within the same document.
 func (p *queryProfiler) observeFanout(key uint64, n int64) {
-	if p == nil || key == deadKey {
+	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	p.get(key, "").fanout += n
+	p.get(key, nil).fanout += n
 	p.mu.Unlock()
 }
 
 // observeReplay counts one durable replay-pump document against every key
 // it matched — the per-query view of ROADMAP's replay-lag bottleneck.
-// canons is index-aligned with keys, as in observeFilter.
-func (p *queryProfiler) observeReplay(keys []uint64, canons []string) {
+// canon resolves text as in observeFilter.
+func (p *queryProfiler) observeReplay(keys []uint64, canon func(uint64) string) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	for i, key := range keys {
-		if key == deadKey {
-			continue
-		}
-		p.get(key, canons[i]).replayDocs++
+	for _, key := range keys {
+		p.get(key, canon).replayDocs++
 	}
 	p.mu.Unlock()
 }
@@ -139,14 +144,10 @@ type QueryCost struct {
 	ReplayDocs    int64   `json:"replay_docs"`
 }
 
-func costToJSON(key uint64, c *queryCost, canons map[uint64]string) QueryCost {
-	q := c.canon
-	if q == "" {
-		q = canons[key]
-	}
+func costToJSON(key uint64, c *queryCost) QueryCost {
 	return QueryCost{
 		Key:           key,
-		Query:         q,
+		Query:         c.canon,
 		FilterSeconds: float64(c.filterNS) / 1e9,
 		StatesCreated: c.states,
 		Matches:       c.matches,
@@ -157,17 +158,16 @@ func costToJSON(key uint64, c *queryCost, canons map[uint64]string) QueryCost {
 
 // snapshot returns the tracked entries ranked by cumulative filter time
 // (ties: matches, then key), the other bucket, and the overflow count.
-// canons resolves keys to canonical text (nil skips resolution).
-func (p *queryProfiler) snapshot(canons map[uint64]string) (entries []QueryCost, other QueryCost, overflow int64) {
+func (p *queryProfiler) snapshot() (entries []QueryCost, other QueryCost, overflow int64) {
 	if p == nil {
 		return nil, QueryCost{}, 0
 	}
 	p.mu.Lock()
 	entries = make([]QueryCost, 0, len(p.entries))
 	for key, c := range p.entries {
-		entries = append(entries, costToJSON(key, c, canons))
+		entries = append(entries, costToJSON(key, c))
 	}
-	other = costToJSON(0, &p.other, nil)
+	other = costToJSON(0, &p.other)
 	other.Query = "other"
 	overflow = p.overflow
 	p.mu.Unlock()
@@ -187,7 +187,7 @@ func (p *queryProfiler) snapshot(canons map[uint64]string) (entries []QueryCost,
 // profilerTop returns the top-K ranked entries plus the other bucket, the
 // labeled-metrics view of the table.
 func (s *Server) profilerTop() ([]QueryCost, QueryCost) {
-	entries, other, _ := s.prof.snapshot(s.subs.Canons())
+	entries, other, _ := s.prof.snapshot()
 	if len(entries) > profilerTopK {
 		// Everything past the top K folds into the exported other bucket so
 		// the label cardinality stays bounded no matter the workload.

@@ -6,15 +6,21 @@ import (
 	"repro/internal/trace"
 )
 
+// texts is a key -> canonical text resolver over a fixed table.
+func texts(m map[uint64]string) func(uint64) string {
+	return func(key uint64) string { return m[key] }
+}
+
 func TestProfilerSnapshotRanking(t *testing.T) {
 	p := newQueryProfiler(0)
-	p.observeFilter([]uint64{1, 2}, []string{"//a", "//b"}, 100, 5)
-	p.observeFilter([]uint64{2}, []string{"//b"}, 300, 7)
+	canon := texts(map[uint64]string{1: "//a", 2: "//b"})
+	p.observeFilter([]uint64{1, 2}, canon, 100, 5)
+	p.observeFilter([]uint64{2}, canon, 300, 7)
 	p.observeFanout(2, 3)
-	p.observeReplay([]uint64{1}, []string{"//a"})
-	// nil canons map: resolution must come from the text captured at first
-	// observation, which survives the key leaving the dedup registry.
-	entries, other, overflow := p.snapshot(nil)
+	p.observeReplay([]uint64{1}, canon)
+	// Resolution comes from the text captured at first observation, which
+	// survives the key leaving the dedup registry.
+	entries, other, overflow := p.snapshot()
 	if overflow != 0 {
 		t.Fatalf("overflow = %d, want 0", overflow)
 	}
@@ -39,11 +45,11 @@ func TestProfilerSnapshotRanking(t *testing.T) {
 
 func TestProfilerCardinalityCap(t *testing.T) {
 	p := newQueryProfiler(2)
-	p.observeFilter([]uint64{1}, []string{"//a"}, 10, 0)
-	p.observeFilter([]uint64{2}, []string{"//b"}, 10, 0)
-	p.observeFilter([]uint64{3, 4}, []string{"//c", "//d"}, 10, 0) // past the cap: both fold into other
-	p.observeFilter([]uint64{deadKey}, []string{"//x"}, 10, 0)
-	entries, other, overflow := p.snapshot(nil)
+	canon := texts(map[uint64]string{1: "//a", 2: "//b", 3: "//c", 4: "//d"})
+	p.observeFilter([]uint64{1}, canon, 10, 0)
+	p.observeFilter([]uint64{2}, canon, 10, 0)
+	p.observeFilter([]uint64{3, 4}, canon, 10, 0) // past the cap: both fold into other
+	entries, other, overflow := p.snapshot()
 	if len(entries) != 2 {
 		t.Fatalf("len(entries) = %d, want 2 (cap)", len(entries))
 	}
@@ -61,7 +67,7 @@ func TestProfilerCardinalityCap(t *testing.T) {
 func TestUntracedProfilerZeroAllocs(t *testing.T) {
 	var p *queryProfiler
 	keys := []uint64{1, 2, 3}
-	canons := []string{"//a", "//b", "//c"}
+	canons := texts(map[uint64]string{1: "//a", 2: "//b", 3: "//c"})
 	if n := testing.AllocsPerRun(100, func() {
 		p.observeFilter(keys, canons, 10, 5)
 		p.observeFanout(1, 1)
@@ -87,7 +93,7 @@ func TestUntracedProfilerZeroAllocs(t *testing.T) {
 func TestWarmProfilerZeroAllocs(t *testing.T) {
 	p := newQueryProfiler(8)
 	keys := []uint64{1, 2}
-	canons := []string{"//a", "//b"}
+	canons := texts(map[uint64]string{1: "//a", 2: "//b"})
 	p.observeFilter(keys, canons, 10, 5)
 	p.observeReplay(keys, canons)
 	if n := testing.AllocsPerRun(100, func() {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"time"
 
+	xpushstream "repro"
 	"repro/internal/trace"
 )
 
@@ -47,8 +48,8 @@ func (s *Server) publish(doc []byte, pend PendingAppend, remoteID uint64) (int, 
 			return 0, fmt.Errorf("server: wal append: %w", err)
 		}
 	}
-	c, matches, ferr := s.filter(doc, true, tc, trace.Root)
-	keys := c.matchKeys(matches)
+	e, matches, ferr := s.filter(doc, true, tc, trace.Root)
+	keys := convertIDs[uint64](matches)
 	var aerr error
 	if pend != nil {
 		wspan := tc.StartSpan("wal_append", trace.Root)
@@ -62,8 +63,9 @@ func (s *Server) publish(doc []byte, pend PendingAppend, remoteID uint64) (int, 
 		// The record stands in the log — also beside an error, when Wait
 		// still names an offset (wal.Pending.Wait: the batch failed its
 		// fsync and could not be truncated away), and after a filter error
-		// (no keys then). Journal what it matched, then wake the pumps.
-		s.journal.put(off, c.keyHW, keys)
+		// (no keys then). Journal what it matched under the generation's
+		// keyHW (control.go), then wake the pumps.
+		s.journal.put(off, uint64(e.NumQueries()), keys)
 		defer s.walBroadcast()
 	}
 	if aerr != nil {
@@ -78,7 +80,20 @@ func (s *Server) publish(doc []byte, pend PendingAppend, remoteID uint64) (int, 
 		return 0, ferr
 	}
 	s.mPublishes.Inc()
-	return s.fanout(c, keys, doc, tc), nil
+	return s.fanout(e, keys, doc, tc), nil
+}
+
+// convertIDs converts between engine filter ids and registry keys, which are
+// the same numbers (control.go).
+func convertIDs[To, From int | uint64](ids []From) []To {
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]To, len(ids))
+	for i, id := range ids {
+		out[i] = To(id)
+	}
+	return out
 }
 
 // walAppend appends doc to the log under a "wal_append" span (with the fsync
@@ -102,7 +117,7 @@ func (s *Server) beginPublishTrace(remoteID uint64) *trace.Ctx {
 }
 
 // filter runs one document through the current workload generation and
-// returns that generation plus the matched engine indexes. Publishes come
+// returns that generation plus the matched filter ids. Publishes come
 // through here, and the durable replays the match journal cannot answer
 // (conn.pump), from as many goroutines as there are; spans hang off parent.
 // tc is nil for untraced documents (the common case) and records nothing.
@@ -111,23 +126,22 @@ func (s *Server) beginPublishTrace(remoteID uint64) *trace.Ctx {
 // its payload is never written again, so the compaction ring may keep a
 // reference to it (a replayed document sits in the log reader's reused
 // buffer).
-func (s *Server) filter(doc []byte, published bool, tc *trace.Ctx, parent trace.SpanID) (*core, []int, error) {
-	c := s.cur.Load()
-	matches, err := c.engine.FilterDocumentTraced(doc, tc, parent)
+func (s *Server) filter(doc []byte, published bool, tc *trace.Ctx, parent trace.SpanID) (*xpushstream.Engine, []int, error) {
+	e := s.cur.Load()
+	matches, err := e.FilterDocumentTraced(doc, tc, parent)
 	if published && err == nil {
 		s.recent.add(doc)
 	}
-	return c, matches, err
+	return e, matches, err
 }
 
 // fanout resolves matched registry keys through the dedup registry's fan-out
-// sets and enqueues one delivery per matched subscriber. keys are stable
-// across generations (core.matchKeys translated them on c, the generation
-// the document was filtered on), so a match computed on an older core still
-// routes correctly after consolidation. The returned count is the number of
-// matched subscriptions (pinned boot filters with no subscribers count once
-// each — the pre-dedup publish contract).
-func (s *Server) fanout(c *core, keys []uint64, doc []byte, tc *trace.Ctx) int {
+// sets and enqueues one delivery per matched subscriber. Keys are filter ids,
+// which no generation renumbers, so a match computed on e, an older
+// generation, still routes correctly after a swap. The returned count is the
+// number of matched subscriptions (pinned boot filters with no subscribers
+// count once each — the pre-dedup publish contract).
+func (s *Server) fanout(e *xpushstream.Engine, keys []uint64, doc []byte, tc *trace.Ctx) int {
 	if len(keys) == 0 {
 		return 0
 	}
@@ -141,7 +155,7 @@ func (s *Server) fanout(c *core, keys []uint64, doc []byte, tc *trace.Ctx) int {
 	// Untraced documents (tc == nil) never touch the profiler.
 	if tc != nil && s.prof != nil {
 		durNS, states, _ := tc.SpanCost("filter", "states_created")
-		s.prof.observeFilter(keys, c.canonsOf(keys), durNS, states)
+		s.prof.observeFilter(keys, queryText(e), durNS, states)
 	}
 	// The matched subscription ids land in one array sized from the
 	// registry's counts, allocated at the first delivery (a document that

@@ -139,7 +139,7 @@ func (c *Config) consolidateRemoved() int {
 var errDraining = errors.New("server: draining")
 
 // Server is the broker: it owns the listener, the subscription table, the
-// copy-on-write filter core, and the per-subscriber delivery queues.
+// copy-on-write filter engine, and the per-subscriber delivery queues.
 type Server struct {
 	cfg Config
 
@@ -154,10 +154,10 @@ type Server struct {
 	// ctl serializes control-plane changes (subscribe/unsubscribe/
 	// compaction swap). Publishes take no server lock: they filter on
 	// whichever generation cur holds, concurrently (the engine is safe for
-	// that), so a subscription change builds the next core without stalling
-	// them.
+	// that), so a subscription change derives the next engine without
+	// stalling them (control.go).
 	ctl sync.Mutex
-	cur atomic.Pointer[core]
+	cur atomic.Pointer[xpushstream.Engine]
 
 	// Background compaction (compact.go): compactKick wakes the one
 	// compaction goroutine, recent holds the documents it warms a new base
@@ -167,8 +167,9 @@ type Server struct {
 
 	// subs is the workload dedup registry: canonical filter -> one
 	// compiled machine query + the fan-out set of subscriptions sharing
-	// it. Subscriptions to an already-compiled filter only touch the
-	// registry — no core swap, no engine derivation.
+	// it, keyed by the engine's filter id. Subscriptions to an
+	// already-compiled filter only touch the registry — no swap, no engine
+	// derivation.
 	subs *workload.Dedup[*conn]
 
 	// Workload-analysis metric cache (Theorem 6.1 subsumption pairs over
@@ -259,11 +260,11 @@ func newServer(cfg Config, slots int) (*Server, error) {
 	if s.wal != nil && slots > 0 {
 		s.journal = newJournal(slots, s.wal.NextOffset())
 	}
-	c, err := s.bootCore()
+	e, err := s.bootEngine()
 	if err != nil {
 		return nil, err
 	}
-	s.cur.Store(c)
+	s.cur.Store(e)
 	s.registerMetrics()
 
 	addr := cfg.Addr
@@ -318,7 +319,7 @@ func (s *Server) MetricsAddr() string {
 }
 
 // Stats returns the current workload generation's engine statistics.
-func (s *Server) Stats() xpushstream.Stats { return s.cur.Load().engine.Stats() }
+func (s *Server) Stats() xpushstream.Stats { return s.cur.Load().Stats() }
 
 // Registry exposes the server's metric registry so embedders (like
 // examples/netrouter) can add their own series next to the built-ins.
@@ -344,7 +345,7 @@ func (s *Server) logf(format string, args ...any) {
 
 func (s *Server) registerMetrics() {
 	xpushstream.RegisterMetrics(s.reg, "xpush", xpushstream.StatsFunc(func() xpushstream.Stats {
-		return s.cur.Load().engine.Stats()
+		return s.cur.Load().Stats()
 	}))
 	s.mPublishes = s.reg.Counter("xpushserve_publishes_total", "documents published to the broker")
 	s.mPublishErrs = s.reg.Counter("xpushserve_publish_errors_total", "rejected or failed publishes")
@@ -390,11 +391,10 @@ func (s *Server) registerMetrics() {
 	s.mCompactFails = s.reg.Counter("xpushserve_consolidation_failures_total", "background compactions abandoned on a compile or re-apply error (the current workload generation is kept)")
 	s.reg.CounterFunc("xpushserve_tier_merges_total", "tail layers absorbed into a larger one by the size-tiered merge on subscribe", s.tierMerges.Load)
 	s.reg.GaugeFunc("xpushserve_engine_layers", "machines the current workload generation runs per SAX event (base plus tail layers)", func() float64 {
-		return float64(s.cur.Load().engine.NumLayers())
+		return float64(s.cur.Load().NumLayers())
 	})
 	s.reg.GaugeFunc("xpushserve_engine_removed_slots", "released filter slots still compiled into the current workload generation", func() float64 {
-		c := s.cur.Load()
-		return float64(len(c.removed) - c.liveQueries())
+		return float64(s.cur.Load().NumMasked())
 	})
 	s.reg.GaugeFunc("xpushserve_queue_depth", "queued deliveries summed over subscribers", func() float64 {
 		s.connMu.Lock()
@@ -515,7 +515,7 @@ func (s *Server) Checkpoint() error {
 		return fmt.Errorf("server: no SnapshotPath configured")
 	}
 	var buf bytes.Buffer
-	if err := s.cur.Load().engine.WriteWorkloadSnapshot(&buf); err != nil {
+	if err := s.cur.Load().WriteWorkloadSnapshot(&buf); err != nil {
 		return err
 	}
 	return xpushstream.WriteFileAtomic(s.cfg.SnapshotPath, func(w io.Writer) error {

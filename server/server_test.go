@@ -2,11 +2,14 @@ package server_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -515,6 +518,95 @@ func TestSnapshotWarmStart(t *testing.T) {
 	n, err := pub2.Publish([]byte(`<m><v>3</v></m>`))
 	if err != nil || n != 2 {
 		t.Fatalf("publish on warm-started broker: n=%d err=%v, want 2 matches", n, err)
+	}
+
+	// A checkpoint taken after churn and compactions holds a workload with
+	// holes (ids compaction dropped) and masks (ids released since): a broker
+	// restarted from it, with the same filters subscribed again, routes the
+	// same documents to the same subscriptions.
+	cfg.DebugAddr = "127.0.0.1:0"
+	cfg.SnapshotPath = t.TempDir() + "/churn.xpw"
+	srv3 := startServer(t, cfg)
+	churn := dialSub(t, srv3.Addr(), nil)
+	type churnSub struct{ id, i uint64 }
+	var churned []churnSub
+	last := 0
+	for i := 0; machineSnapshot(t, srv3).Consolidations < 2; i++ {
+		last = i
+		id, err := churn.Subscribe(fmt.Sprintf("/probe[q=%d]", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if churned = append(churned, churnSub{id, uint64(i)}); i%3 == 0 {
+			if err := churn.Unsubscribe(churned[0].id); err != nil {
+				t.Fatal(err)
+			}
+			churned = churned[1:]
+		}
+		if i > 2000 {
+			t.Fatal("no compaction after 2000 unique subscribes")
+		}
+	}
+	waitFor(t, "compaction to settle", func() bool { return !machineSnapshot(t, srv3).Compacting })
+	masked := int(churned[0].i) // released after the last compaction: masked in the snapshot
+	if err := churn.Unsubscribe(churned[0].id); err != nil {
+		t.Fatal(err)
+	}
+	// The subscriber rides a boot filter and new ones; the probes hit
+	// churned filters, live and released.
+	filters := []string{`//m[v > 1]`, `//m[w = 2]`, "/other[q=7]", "/other[q=8]"}
+	other := func(i int) []byte { return []byte(fmt.Sprintf("<other><q>%d</q></other>", i)) }
+	docs := [][]byte{[]byte(`<m><v>3</v><w>2</w></m>`), []byte(`<m><w>2</w></m>`), other(7), other(8), other(9),
+		probeDoc(0), probeDoc(masked), probeDoc(masked + 1), probeDoc(last)}
+	route := func(srv *server.Server) []string {
+		col := newCollector()
+		sub := dialSub(t, srv.Addr(), col)
+		text := map[uint64]string{}
+		for _, q := range filters {
+			id, err := sub.Subscribe(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text[id] = q
+		}
+		pub := dialSub(t, srv.Addr(), nil)
+		var got []string
+		for _, doc := range docs {
+			n, err := pub.Publish(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, fmt.Sprintf("%s matched %d", doc, n))
+		}
+		waitFor(t, "deliveries", func() bool { return col.count() == 4 })
+		col.mu.Lock()
+		defer col.mu.Unlock()
+		for id, n := range col.ids {
+			got = append(got, fmt.Sprintf("%s delivered %d", text[id], n))
+		}
+		sort.Strings(got)
+		return got
+	}
+	before := route(srv3)
+	if err := srv3.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Shutdown would write a checkpoint without the live subscriptions;
+	// restart from a copy of this one.
+	snap, err := os.ReadFile(cfg.SnapshotPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(snap, []byte("XPWSNAP2")) {
+		t.Fatalf("checkpoint starts %q, want the version 2 magic", snap[:8])
+	}
+	cfg.SnapshotPath = t.TempDir() + "/copy.xpw"
+	if err := os.WriteFile(cfg.SnapshotPath, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv3.Close()
+	if after := route(startServer(t, cfg)); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("restarted broker routes\n %v\nwant\n %v", after, before)
 	}
 }
 

@@ -19,7 +19,7 @@
 //	        `//order[customer/country = "US" and total > 100]`,
 //	}, xpushstream.Config{})
 //	...
-//	matches, err := engine.FilterDocument(xmlBytes) // -> filter indexes
+//	matches, err := engine.FilterDocument(xmlBytes) // -> filter ids
 //
 // The supported XPath fragment (Fig. 1 of the paper) is
 //
@@ -33,9 +33,9 @@ package xpushstream
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -176,15 +176,26 @@ func (d *DTD) MaxDepth(cap int) int { return d.d.MaxDepth(cap) }
 // warmed-up base is not discarded. WithQueries merges those small machines
 // among themselves size-tiered, so there are O(log n) of them, and
 // Consolidated merges all layers back into one machine.
+//
+// Every filter has an id, the oid of the paper's accept sets. Compile numbers
+// its filters 0..n-1 and WithQueries continues from NumQueries; an id never
+// changes and is never handed out again, across WithoutQuery and
+// Consolidated too, so a caller may key its own tables by it.
 type Engine struct {
+	// One slot per compiled filter, in id order: slot s holds filter ids[s],
+	// masked when removed[s]. ids ascend, so an id's slot is a binary search
+	// away.
 	queries []string
 	filters []*xpath.Filter
+	ids     []int
+	removed []bool
+	masked  int // slots with removed set
+	nextID  int // the id the next added filter gets: the lineage's high-water mark
 	cfg     Config
-	// layers[i] filters report oids offset by layerOff[i]. Layer 0 is
-	// the base machine.
+	// layers[i] filters report oids offset by layerOff[i]: oid o of layer i
+	// is slot layerOff[i]+o. Layer 0 is the base machine.
 	layers   []*core.Machine
 	layerOff []int
-	removed  []bool
 
 	// Runtime observability, shared by pointer with every engine derived
 	// from this one (cow.go): the counters follow the workload across
@@ -218,22 +229,31 @@ type streamCounters struct {
 	lat   obs.Histogram
 }
 
-// Compile parses and compiles a workload of XPath filters. The returned
-// engine reports matches as indexes into the queries slice.
+// Compile parses and compiles a workload of XPath filters. queries[i] gets
+// id i, so the returned engine reports matches as indexes into queries.
 func Compile(queries []string, cfg Config) (*Engine, error) {
 	filters, err := parseQueries(queries, 0)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{queries: append([]string(nil), queries...), filters: filters, cfg: cfg, ctr: new(streamCounters)}
+	e := &Engine{queries: append([]string(nil), queries...), filters: filters, ids: idRange(0, len(queries)),
+		removed: make([]bool, len(filters)), nextID: len(queries), cfg: cfg, ctr: new(streamCounters)}
 	m, err := e.buildMachine(filters)
 	if err != nil {
 		return nil, err
 	}
 	e.layers = []*core.Machine{m}
 	e.layerOff = []int{0}
-	e.removed = make([]bool, len(filters))
 	return e, nil
+}
+
+// idRange returns the ids lo, lo+1, ..., lo+n-1.
+func idRange(lo, n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = lo + i
+	}
+	return ids
 }
 
 func parseQueries(queries []string, base int) ([]*xpath.Filter, error) {
@@ -284,14 +304,23 @@ func (e *Engine) buildMachine(filters []*xpath.Filter) (*core.Machine, error) {
 // NumLayers reports how many machines the engine currently runs per event.
 func (e *Engine) NumLayers() int { return len(e.layers) }
 
-// NumQueries returns the workload size.
-func (e *Engine) NumQueries() int { return len(e.filters) }
+// NumQueries returns the id high-water mark: how many ids the engine and its
+// ancestors have handed out, which is the workload size until WithoutQuery
+// and Consolidated drop a filter. The next filter WithQueries adds gets this
+// id.
+func (e *Engine) NumQueries() int { return e.nextID }
 
-// Query returns the i-th filter's source text.
-func (e *Engine) Query(i int) string { return e.queries[i] }
+// Query returns the source text of filter id, masked or not, or "" when the
+// engine holds no such filter (never added, or dropped by Consolidated).
+func (e *Engine) Query(id int) string {
+	if s, ok := slices.BinarySearch(e.ids, id); ok {
+		return e.queries[s]
+	}
+	return ""
+}
 
-// FilterDocument processes one XML document and returns the sorted indexes
-// of the filters that match it.
+// FilterDocument processes one XML document and returns the sorted ids of
+// the filters that match it.
 func (e *Engine) FilterDocument(doc []byte) ([]int, error) {
 	return e.FilterDocumentTraced(doc, nil, TraceRoot)
 }
@@ -315,7 +344,7 @@ func (e *Engine) FilterDocumentTraced(doc []byte, tc *TraceCtx, parent TraceSpan
 }
 
 // FilterStream processes a stream of concatenated XML documents, invoking
-// onDocument with the matching filter indexes after each document. The
+// onDocument with the matching filter ids after each document. The
 // matches slice is reused between calls; copy it to retain it.
 func (e *Engine) FilterStream(r io.Reader, onDocument func(matches []int)) error {
 	data, err := io.ReadAll(r)
@@ -426,15 +455,30 @@ func (d *byteDriver) EndDocument() {
 		m.EndDocument()
 	}
 	d.e.ctr.lat.Observe(time.Since(d.docStart).Seconds())
-	// Each machine reports sorted oids and layerOff never decreases from one
-	// layer to the next, so the concatenation is already sorted.
+	// Each machine reports sorted oids, layerOff never decreases from one
+	// layer to the next and ids ascend over slots, so the concatenation is
+	// already sorted.
 	d.scratch = d.scratch[:0]
+	e := d.e
 	for li, m := range d.layers {
-		off := d.e.layerOff[li]
-		for _, o := range m.Results() {
-			idx := off + int(o)
-			if !d.e.removed[idx] {
-				d.scratch = append(d.scratch, idx)
+		res := m.Results()
+		if len(res) == 0 {
+			continue
+		}
+		// A layer whose first and last ids are as far apart as its slots
+		// holds consecutive ids (they ascend): a match's id is its slot plus
+		// a constant, with no load from the id column per match. Only a
+		// consolidated base with holes takes the column.
+		lo, hi := e.layerSlots(li)
+		delta := e.ids[lo] - lo
+		dense := e.ids[hi-1] == hi-1+delta
+		for _, o := range res {
+			switch s := lo + int(o); {
+			case e.removed[s]:
+			case dense:
+				d.scratch = append(d.scratch, s+delta)
+			default:
+				d.scratch = append(d.scratch, e.ids[s])
 			}
 		}
 	}
@@ -527,11 +571,8 @@ func (e *Engine) TrainingData() ([]byte, error) {
 // configuration; load it with ReadSnapshot on an engine compiled from the
 // same queries and Config.
 func (e *Engine) WriteSnapshot(w io.Writer) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(len(e.layers)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
+	sw := &snapWriter{w: w}
+	sw.u64(uint64(len(e.layers)))
 	// Each machine snapshot is length-prefixed: the machine reader buffers
 	// internally and would otherwise consume bytes belonging to the next
 	// layer.
@@ -541,37 +582,30 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 		if err := m.WriteSnapshot(&buf); err != nil {
 			return err
 		}
-		binary.LittleEndian.PutUint64(hdr[:], uint64(buf.Len()))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			return err
-		}
+		sw.u64(uint64(buf.Len()))
+		sw.write(buf.Bytes())
 	}
-	return nil
+	return sw.err
 }
 
 // ReadSnapshot restores machine state persisted by WriteSnapshot into an
 // engine with the same queries, layer structure, and configuration.
 func (e *Engine) ReadSnapshot(r io.Reader) error {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if n, err := readU64(r); err != nil {
 		return err
-	}
-	if n := binary.LittleEndian.Uint64(hdr[:]); n != uint64(len(e.layers)) {
+	} else if n != uint64(len(e.layers)) {
 		return fmt.Errorf("xpushstream: snapshot has %d layers, engine has %d (snapshot a Consolidated engine, or use WriteWorkloadSnapshot/OpenWorkloadSnapshot, which record and rebuild the layer partition)", n, len(e.layers))
 	}
 	for _, m := range e.layers {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		n, err := readU64(r)
+		if err != nil {
 			return err
 		}
-		n := binary.LittleEndian.Uint64(hdr[:])
 		if n > 1<<33 {
 			return fmt.Errorf("xpushstream: corrupt snapshot (layer of %d bytes)", n)
 		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(r, data); err != nil {
+		data, err := readN(r, n)
+		if err != nil {
 			return err
 		}
 		if err := m.ReadSnapshot(bytes.NewReader(data)); err != nil {
@@ -579,6 +613,19 @@ func (e *Engine) ReadSnapshot(r io.Reader) error {
 		}
 	}
 	return nil
+}
+
+// readN reads exactly n bytes into a buffer that grows as they arrive, so a
+// corrupt length prefix costs what the input holds, not what it claims.
+func readN(r io.Reader, n uint64) ([]byte, error) {
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // Stats returns a snapshot of runtime counters, aggregated over layers
