@@ -53,7 +53,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	train := fs.Bool("train", false, "warm the machine with synthetic training data (needs -dtd)")
 	strict := fs.Bool("strict", false, "reject mixed element/text content")
 	maxStates := fs.Int("maxstates", 0, "flush lazily built state tables past this count (0 = unlimited)")
-	maxDocBytes := fs.Int("max-doc-bytes", 0, "per-document size bound in bytes; >0 uses the streaming splitter and rejects oversized documents (0 = unbounded)")
+	maxDocBytes := fs.Int("max-doc-bytes", 0, "per-document size bound in bytes; a larger document fails the stream (0 = the 64 MiB default)")
 	showQueries := fs.Bool("show-queries", false, "print matching filter text instead of indexes")
 	stats := fs.Bool("stats", false, "print machine statistics after the stream")
 	statsFormat := fs.String("stats-format", "text", "stats report format: text, json, or prom (Prometheus text)")
@@ -104,6 +104,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	w := bufio.NewWriter(stdout)
 	defer w.Flush()
+	// The input is read one document at a time, and the output flushed
+	// whenever the tool goes back for more: on an unbounded stream (a pipe)
+	// every document's line is out before the tool waits for the next one.
+	in = flushingReader{in, w}
 	doc := 0
 	onDocument := func(matches []int) {
 		doc++
@@ -121,12 +125,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			fmt.Fprintln(w)
 		}
 	}
-	switch {
-	case *tracePath != "":
-		// Traced runs split the stream per document so each gets its own
-		// trace: a "document" root with the filter span, per-layer timings,
-		// and machine-telemetry attributes. Sampling 1/1 keeps everything
-		// (the recorder ring retains the most recent documents).
+	if *tracePath != "" {
+		// Traced runs give each document its own trace: a "document" root
+		// with the filter span, per-layer timings, and machine-telemetry
+		// attributes. Sampling 1/1 keeps everything (the recorder ring
+		// retains the most recent documents).
 		rec := xpushstream.NewTraceRecorder(1, 0)
 		err = sax.StreamDocumentsLimit(in, *maxDocBytes, func(doc []byte) error {
 			tc := rec.Begin("document")
@@ -137,10 +140,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if err == nil {
 			err = writeTraceFile(rec, *tracePath)
 		}
-	case *maxDocBytes > 0:
+	} else {
 		err = engine.FilterStreamingLimit(in, *maxDocBytes, onDocument)
-	default:
-		err = engine.FilterStream(in, onDocument)
 	}
 	if err != nil {
 		return err
@@ -151,6 +152,19 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// flushingReader flushes w before every read of r.
+type flushingReader struct {
+	r io.Reader
+	w *bufio.Writer
+}
+
+func (f flushingReader) Read(p []byte) (int, error) {
+	if err := f.w.Flush(); err != nil {
+		return 0, err
+	}
+	return f.r.Read(p)
 }
 
 // writeTraceFile dumps the recorder's retained traces in Chrome trace_event

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func writeFile(t *testing.T, name, content string) string {
@@ -192,6 +195,48 @@ func TestRunMaxDocBytes(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "size bound") {
 		t.Errorf("error %q does not mention the size bound", err)
+	}
+}
+
+// TestRunStreamsUnboundedInput: on an input that has not ended (a pipe whose
+// writer is still open) each document's line comes out as soon as the
+// document is in, not at the end of the stream.
+func TestRunStreamsUnboundedInput(t *testing.T) {
+	queries := writeFile(t, "q.txt", "//order[total>100]\n")
+	inR, inW := io.Pipe()
+	outR, outW := io.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		err := run([]string{"-queries", queries}, inR, outW)
+		outW.Close()
+		done <- err
+	}()
+	lines := make(chan string, 4)
+	go func() {
+		sc := bufio.NewScanner(outR)
+		for sc.Scan() {
+			lines <- sc.Text()
+		}
+		close(lines)
+	}()
+	if _, err := io.WriteString(inW, "<order><total>250</total></order>\n"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case line := <-lines:
+		if line != "document 1: 1 match(es) [0]" {
+			t.Fatalf("first line = %q", line)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no output for the first document while the input is still open")
+	}
+	io.WriteString(inW, "<order><total>5</total></order>")
+	inW.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if line := <-lines; line != "document 2: 0 match(es)" {
+		t.Errorf("second line = %q", line)
 	}
 }
 

@@ -140,7 +140,7 @@ func TestBuildConfigWAL(t *testing.T) {
 		t.Fatal("-wal-dir did not wire the WAL and cursor store")
 	}
 	defer opts.wal.Close()
-	if _, err := cfg.WAL.Append([]byte("<x/>")); err != nil {
+	if _, err := cfg.WAL.AppendAsync([]byte("<x/>")).Wait(); err != nil {
 		t.Fatalf("append through wired WAL: %v", err)
 	}
 	if fi, err := os.Stat(filepath.Join(dir, "cursors")); err != nil || !fi.IsDir() {

@@ -248,3 +248,43 @@ func BenchmarkConcurrentFilter(b *testing.B) {
 		})
 	}
 }
+
+// TestEngineFilterDocumentConcurrent: the request/response entry point
+// agrees with a sequential run under concurrent callers on one engine.
+func TestEngineFilterDocumentConcurrent(t *testing.T) {
+	e, err := Compile([]string{"/m[v=1]", "/m[v=2]", "//m[w>3]"}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := make([][]byte, 64)
+	want := make([]string, len(docs))
+	for i := range docs {
+		docs[i] = []byte(fmt.Sprintf("<m><v>%d</v><w>%d</w></m>", i%4, i%6))
+		m, err := e.FilterDocument(docs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = fmt.Sprint(m)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(docs))
+	for i := range docs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m, err := e.FilterDocument(docs[i])
+			if err != nil {
+				errs <- err
+				return
+			}
+			if got := fmt.Sprint(m); got != want[i] {
+				errs <- fmt.Errorf("doc %d: concurrent %s vs sequential %s", i, got, want[i])
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}

@@ -11,7 +11,7 @@ func TestEngineStatsObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := strings.Repeat("<m><v>1</v></m>", 100)
-	if err := e.FilterStream(strings.NewReader(stream), func([]int) {}); err != nil {
+	if err := e.FilterStreaming(strings.NewReader(stream), func([]int) {}); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -79,30 +79,5 @@ func TestRegisterMetricsPrometheusOutput(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q\n%s", want, out)
 		}
-	}
-}
-
-func TestPoolStats(t *testing.T) {
-	base, err := Compile([]string{"//x"}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewPool(base, 3)
-	stream := strings.Repeat("<d><x/></d>", 300)
-	if err := pool.FilterStream(strings.NewReader(stream), func(Result) {}); err != nil {
-		t.Fatal(err)
-	}
-	s := base.Stats()
-	if s.Documents != 300 {
-		t.Errorf("documents = %d", s.Documents)
-	}
-	if s.Matches != 300 {
-		t.Errorf("matches = %d", s.Matches)
-	}
-	if s.FilterLatency.Count != 300 {
-		t.Errorf("latency observations = %d", s.FilterLatency.Count)
-	}
-	if s.Bytes != int64(len(stream)) {
-		t.Errorf("bytes = %d, want %d", s.Bytes, len(stream))
 	}
 }

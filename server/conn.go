@@ -70,30 +70,26 @@ func (cn *conn) SubscribeDurable(name, query string) (id, resume uint64, err err
 
 func (cn *conn) Unsubscribe(id uint64) error { return cn.s.unsubscribe(cn, id) }
 
-// StagePublish runs on the read loop: a pipelined document's WAL append is
-// staged into the open group-commit batch here, which keeps the log in frame
-// order for this connection; Publish awaits the batch after filtering.
+// StagePublish runs on the read loop for every PUBLISH, blocking or
+// pipelined: it rejects what arrives during graceful shutdown, and on a
+// WAL-backed server stages the document's append into the open group-commit
+// batch, which keeps the log in frame order for this connection. Publish
+// awaits the batch after filtering.
 func (cn *conn) StagePublish(doc []byte) (PendingAppend, error) {
 	s := cn.s
 	if s.draining.Load() {
 		s.mPublishErrs.Inc()
 		return nil, errDraining
 	}
-	if al, ok := s.wal.(docLogAsync); ok {
-		return al.AppendAsync(doc), nil
+	if s.wal == nil {
+		return nil, nil
 	}
-	return nil, nil
+	return s.wal.AppendAsync(doc), nil
 }
 
-// Publish rejects what arrives during graceful shutdown — but not a document
-// whose append is already staged — and runs the one publish function.
+// Publish runs the one publish function on a staged document.
 func (cn *conn) Publish(doc []byte, traceID uint64, staged PendingAppend) (int, error) {
-	s := cn.s
-	if staged == nil && s.draining.Load() {
-		s.mPublishErrs.Inc()
-		return 0, errDraining
-	}
-	return s.publish(doc, staged, traceID)
+	return cn.s.publish(doc, staged, traceID)
 }
 
 // noteSubscribed raises durKeyHW over a durable subscription's registry key.

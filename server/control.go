@@ -169,7 +169,11 @@ func (s *Server) unsubscribeConn(cn *conn) {
 // compiled filters still match, but fan-out finds no subscribers and skips
 // them.
 func (s *Server) releaseKeys(keys []uint64) {
-	next, err := s.cur.Load().WithoutQuery(convertIDs[int](keys)...)
+	ids := make([]int, len(keys))
+	for i, k := range keys {
+		ids[i] = int(k)
+	}
+	next, err := s.cur.Load().WithoutQuery(ids...)
 	if err != nil {
 		s.logf("release queries: %v", err)
 		return

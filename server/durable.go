@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	xpushstream "repro"
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/wal"
@@ -16,8 +17,10 @@ import (
 // production implementation is *wal.Log (via WrapWAL); tests inject failing
 // or in-memory logs through the same seam.
 type DocLog interface {
-	// Append stores one document and returns its monotonic offset.
-	Append(doc []byte) (uint64, error)
+	// AppendAsync stages one document into the open group-commit batch and
+	// returns at once; the publish filters the document while the batch
+	// fills and commits, then waits for the outcome (Server.publish).
+	AppendAsync(doc []byte) PendingAppend
 	// OpenReader starts a reader at offset; its Next returns io.EOF at the
 	// committed tail and wal.ErrTruncated below the retained range.
 	OpenReader(offset uint64) (DocReader, error)
@@ -39,26 +42,14 @@ type CursorStore interface {
 	Store(name string, offset uint64) error
 }
 
-// docLogTraced is the optional tracing seam on DocLog: a log implementing
-// it records the fsync wait of a traced append as a child span. The server
-// type-asserts at publish time, so injected test logs without the method
-// still work.
-type docLogTraced interface {
-	AppendTraced(doc []byte, tc *trace.Ctx, parent trace.SpanID) (uint64, error)
-}
-
 // PendingAppend is an append staged into a group-commit batch but not yet
-// committed; Wait blocks for the batch outcome (see wal.Pending).
+// committed (see wal.Pending).
 type PendingAppend interface {
+	// Wait blocks for the batch outcome and returns the record's offset.
 	Wait() (uint64, error)
-}
-
-// docLogAsync is the optional group-commit seam on DocLog: AppendAsync
-// stages the document and returns immediately, letting the publish path
-// overlap filtering with the batch fsync. Asserted at publish time, so
-// injected test logs without the method fall back to the blocking Append.
-type docLogAsync interface {
-	AppendAsync(doc []byte) PendingAppend
+	// BatchSize is how many records shared the batch, once Wait has
+	// returned.
+	BatchSize() int
 }
 
 // docLogHealth is the optional health seam on DocLog: Failed reports a
@@ -69,17 +60,11 @@ type docLogHealth interface {
 
 type walDocLog struct{ l *wal.Log }
 
-func (w walDocLog) Append(doc []byte) (uint64, error)        { return w.l.Append(doc) }
+func (w walDocLog) AppendAsync(doc []byte) PendingAppend     { return w.l.AppendAsync(doc) }
 func (w walDocLog) OpenReader(off uint64) (DocReader, error) { return w.l.OpenReader(off) }
 func (w walDocLog) FirstOffset() uint64                      { return w.l.FirstOffset() }
 func (w walDocLog) NextOffset() uint64                       { return w.l.NextOffset() }
-
-func (w walDocLog) AppendTraced(doc []byte, tc *trace.Ctx, parent trace.SpanID) (uint64, error) {
-	return w.l.AppendTraced(doc, tc, parent)
-}
-
-func (w walDocLog) AppendAsync(doc []byte) PendingAppend { return w.l.AppendAsync(doc) }
-func (w walDocLog) Failed() error                        { return w.l.Failed() }
+func (w walDocLog) Failed() error                            { return w.l.Failed() }
 
 // WrapWAL adapts a *wal.Log to the DocLog seam for Config.WAL.
 func WrapWAL(l *wal.Log) DocLog {
@@ -240,7 +225,7 @@ func (cn *conn) pump(name string, start uint64) {
 		}
 		return true
 	}
-	var keys []uint64 // journaled keys of the document in hand, reused
+	var keys []uint64 // the matched keys of the document in hand, reused
 	for {
 		ch := s.walChan() // before Next: see walChan
 		t0 := time.Now()
@@ -305,12 +290,16 @@ func (cn *conn) pump(name string, start uint64) {
 			tc.EndSpan(jspan)
 		}
 		if !hit {
-			if ids, err = s.matchDurable(cn, doc, tc, trace.Root); err != nil {
+			// The engine pass, on the current workload, into the same buffer.
+			// (doc sits in the log reader's reused buffer, so unlike a
+			// publish it is not handed to the compaction ring.)
+			if keys, err = xpushstream.AppendMatches(s.cur.Load(), keys[:0], doc, tc, trace.Root); err != nil {
 				// The document is already accepted into the log; a filter
 				// error here (e.g. malformed XML vs a stricter engine config)
 				// must not wedge the stream.
 				s.logf("durable %q: filter error at offset %d: %v", name, off, err)
 			}
+			ids = s.durableSubs(cn, keys, tc)
 		}
 		if len(ids) > 0 {
 			wspan := tc.StartSpan("deliver_write", trace.Root)
@@ -372,17 +361,6 @@ func (cn *conn) awaitJournal(off uint64, keys []uint64, ch <-chan struct{}, flus
 		timer.Stop()
 		ch = s.walChan() // before the next look, as before Next in pump
 	}
-}
-
-// matchDurable is the replay's engine pass: it filters one document on the
-// current workload and returns the matched filter ids that belong to cn's
-// durable subscriptions.
-func (s *Server) matchDurable(cn *conn, doc []byte, tc *trace.Ctx, parent trace.SpanID) ([]uint64, error) {
-	_, matches, err := s.filter(doc, false, tc, parent)
-	if err != nil {
-		return nil, err
-	}
-	return s.durableSubs(cn, convertIDs[uint64](matches), tc), nil
 }
 
 // durableSubs resolves the registry keys a replayed document matched —

@@ -314,12 +314,18 @@ type flakyLog struct {
 	fail atomic.Bool
 }
 
-func (f *flakyLog) Append(doc []byte) (uint64, error) {
+func (f *flakyLog) AppendAsync(doc []byte) server.PendingAppend {
 	if f.fail.Load() {
-		return 0, errors.New("injected disk failure")
+		return failedAppend{}
 	}
-	return f.DocLog.Append(doc)
+	return f.DocLog.AppendAsync(doc)
 }
+
+// failedAppend is an append the disk refused.
+type failedAppend struct{}
+
+func (failedAppend) Wait() (uint64, error) { return 0, errors.New("injected disk failure") }
+func (failedAppend) BatchSize() int        { return 1 }
 
 // TestDurableFailingWriter: when the log cannot accept writes, publishes
 // fail cleanly (the error names the WAL) and the broker stays up — pings

@@ -416,7 +416,7 @@ func TestJournalMatchesEnginePass(t *testing.T) {
 }
 
 // standingLog injects the log's "offsets stand" corner through the DocLog
-// seam: while fail is set, a pipelined append lands in the log but its Wait
+// seam: while fail is set, an append lands in the log but its Wait
 // reports an error beside the offset, as wal.Pending.Wait does when a batch
 // fails its fsync and cannot be truncated away.
 type standingLog struct {
@@ -430,10 +430,7 @@ type standingAppend struct {
 }
 
 func (l *standingLog) AppendAsync(doc []byte) server.PendingAppend {
-	inner := l.DocLog.(interface {
-		AppendAsync([]byte) server.PendingAppend
-	})
-	return standingAppend{inner.AppendAsync(doc), l.fail.Load()}
+	return standingAppend{l.DocLog.AppendAsync(doc), l.fail.Load()}
 }
 
 func (p standingAppend) Wait() (uint64, error) {

@@ -1,7 +1,7 @@
 package server
 
-// The data plane: one publish function, the engine pass it shares with
-// durable replay, and fan-out into the subscribers' delivery queues.
+// The data plane: one publish function and fan-out into the subscribers'
+// delivery queues.
 
 import (
 	"fmt"
@@ -13,18 +13,14 @@ import (
 
 // publish filters one document on the current workload generation and fans
 // the matches out to subscriber queues. It returns the matched-subscription
-// count (a boot-pinned filter with no subscribers counts once). On a
-// WAL-backed server the document is in the log before it is fanned out — a
-// failed append rejects the publish, so every accepted document is
-// replayable:
-//
-//   - a blocking PUBLISH (pend == nil) appends here, durably per the fsync
-//     policy, before anything else;
-//   - a pipelined publish was staged into a group-commit batch on the read
-//     loop (pend, from conn.StagePublish). It is filtered FIRST and the batch
-//     outcome awaited after, so the filter work of consecutive pipelined
-//     publishes overlaps the shared batch fsync instead of serializing behind
-//     it.
+// count (a boot-pinned filter with no subscribers counts once). Every publish
+// runs in one order. On a WAL-backed server the session has already staged
+// the document into a group-commit batch (pend, from conn.StagePublish),
+// blocking PUBLISH and pipelined alike: the document is filtered first and
+// the batch outcome awaited after, so the filter work overlaps the batch's
+// fsync, and nothing is journaled or fanned out before the batch is durable.
+// A failed append rejects the publish, so every accepted document is
+// replayable.
 //
 // remoteID is the trace id carried on a FrameTraceFlag-marked publish (0
 // for the plain frames): the upstream hop (an xpushgate) already sampled
@@ -40,40 +36,43 @@ func (s *Server) publish(doc []byte, pend PendingAppend, remoteID uint64) (int, 
 	tc := s.beginPublishTrace(remoteID)
 	defer tc.Finish()
 	tc.SetAttr(trace.Root, "doc_bytes", int64(len(doc)))
-	var off uint64
-	if s.wal != nil && pend == nil {
-		var err error
-		if off, err = s.walAppend(doc, tc); err != nil {
-			s.mPublishErrs.Inc()
-			return 0, fmt.Errorf("server: wal append: %w", err)
-		}
+	// The current generation is fresh enough: a SUBSCRIBE swaps it in before
+	// its reply is written. The engine appends the matched filter ids — the
+	// registry keys — to a buffer on this stack: nothing below keeps them (the
+	// journal and the deliveries copy what they keep). The buffer is small,
+	// and there is no helper frame between here and the engine, because this
+	// runs on the window workers' stacks, which the runtime shrinks while they
+	// park: a deeper path from here to the scanner's innermost call grows
+	// them again after every GC (a few % of the floor's CPU in copystack).
+	e := s.cur.Load()
+	var buf [8]uint64
+	keys, ferr := xpushstream.AppendMatches(e, buf[:0], doc, tc, trace.Root)
+	if ferr == nil {
+		// The payload is the frame's own and never written again, so the
+		// compaction ring may keep a reference to it.
+		s.recent.add(doc)
 	}
-	e, matches, ferr := s.filter(doc, true, tc, trace.Root)
-	keys := convertIDs[uint64](matches)
-	var aerr error
 	if pend != nil {
 		wspan := tc.StartSpan("wal_append", trace.Root)
-		off, aerr = pend.Wait()
+		off, aerr := pend.Wait()
 		tc.EndSpan(wspan)
-		if bs, ok := pend.(interface{ BatchSize() int }); ok {
-			tc.SetAttr(wspan, "batch_size", int64(bs.BatchSize()))
+		tc.SetAttr(wspan, "batch_size", int64(pend.BatchSize()))
+		if aerr == nil || off > 0 {
+			// The record stands in the log — also beside an error, when Wait
+			// still names an offset (wal.Pending.Wait: the batch failed its
+			// fsync and could not be truncated away), and after a filter
+			// error (no keys then). Journal what it matched under the
+			// generation's keyHW (control.go), then wake the pumps.
+			s.journal.put(off, uint64(e.NumQueries()), keys)
+			defer s.walBroadcast()
 		}
-	}
-	if s.wal != nil && (aerr == nil || off > 0) {
-		// The record stands in the log — also beside an error, when Wait
-		// still names an offset (wal.Pending.Wait: the batch failed its
-		// fsync and could not be truncated away), and after a filter error
-		// (no keys then). Journal what it matched under the generation's
-		// keyHW (control.go), then wake the pumps.
-		s.journal.put(off, uint64(e.NumQueries()), keys)
-		defer s.walBroadcast()
-	}
-	if aerr != nil {
-		// The publish is rejected even though it was filtered: the
-		// document is not durable, so fanning it out would deliver a
-		// document that a crash could un-accept.
-		s.mPublishErrs.Inc()
-		return 0, fmt.Errorf("server: wal append: %w", aerr)
+		if aerr != nil {
+			// The publish is rejected even though it was filtered: the
+			// document is not durable, so fanning it out would deliver a
+			// document that a crash could un-accept.
+			s.mPublishErrs.Inc()
+			return 0, fmt.Errorf("server: wal append: %w", aerr)
+		}
 	}
 	if ferr != nil {
 		s.mPublishErrs.Inc()
@@ -83,30 +82,6 @@ func (s *Server) publish(doc []byte, pend PendingAppend, remoteID uint64) (int, 
 	return s.fanout(e, keys, doc, tc), nil
 }
 
-// convertIDs converts between engine filter ids and registry keys, which are
-// the same numbers (control.go).
-func convertIDs[To, From int | uint64](ids []From) []To {
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]To, len(ids))
-	for i, id := range ids {
-		out[i] = To(id)
-	}
-	return out
-}
-
-// walAppend appends doc to the log under a "wal_append" span (with the fsync
-// wait as a child span when the log records one) and returns its offset.
-func (s *Server) walAppend(doc []byte, tc *trace.Ctx) (uint64, error) {
-	wspan := tc.StartSpan("wal_append", trace.Root)
-	defer tc.EndSpan(wspan)
-	if tl, ok := s.wal.(docLogTraced); ok {
-		return tl.AppendTraced(doc, tc, wspan)
-	}
-	return s.wal.Append(doc)
-}
-
 // beginPublishTrace starts the publish trace: locally sampled for direct
 // publishes, unconditional under the carried id for remote-traced ones.
 func (s *Server) beginPublishTrace(remoteID uint64) *trace.Ctx {
@@ -114,25 +89,6 @@ func (s *Server) beginPublishTrace(remoteID uint64) *trace.Ctx {
 		return s.tracer.BeginRemote("publish", remoteID, time.Now())
 	}
 	return s.tracer.Begin("publish")
-}
-
-// filter runs one document through the current workload generation and
-// returns that generation plus the matched filter ids. Publishes come
-// through here, and the durable replays the match journal cannot answer
-// (conn.pump), from as many goroutines as there are; spans hang off parent.
-// tc is nil for untraced documents (the common case) and records nothing.
-// The generation is always fresh enough: a SUBSCRIBE swaps it in before its
-// reply is written. published marks a document fresh off a PUBLISH frame:
-// its payload is never written again, so the compaction ring may keep a
-// reference to it (a replayed document sits in the log reader's reused
-// buffer).
-func (s *Server) filter(doc []byte, published bool, tc *trace.Ctx, parent trace.SpanID) (*xpushstream.Engine, []int, error) {
-	e := s.cur.Load()
-	matches, err := e.FilterDocumentTraced(doc, tc, parent)
-	if published && err == nil {
-		s.recent.add(doc)
-	}
-	return e, matches, err
 }
 
 // fanout resolves matched registry keys through the dedup registry's fan-out

@@ -21,13 +21,14 @@ type SessionHandler interface {
 	SubscribeDurable(name, query string) (id, resume uint64, err error)
 	Unsubscribe(id uint64) error
 	Ack(offset uint64)
-	// StagePublish does the part of a pipelined publish that must keep frame
-	// order (the broker stages the document's log append here); what it
-	// returns goes to Publish. An error rejects the publish there and then.
+	// StagePublish does the part of a publish that must keep frame order
+	// (the broker stages the document's log append here), for PUBLISH and
+	// PUBLISH_ASYNC alike; what it returns goes to Publish. An error rejects
+	// the publish there and then.
 	StagePublish(doc []byte) (staged PendingAppend, err error)
-	// Publish runs inline for PUBLISH, with staged nil, and on a window
-	// worker for PUBLISH_ASYNC. doc is the frame's own payload — nothing
-	// else writes to it — so whatever Publish hands it to may keep it.
+	// Publish runs inline for PUBLISH and on a window worker for
+	// PUBLISH_ASYNC. doc is the frame's own payload — nothing else writes to
+	// it — so whatever Publish hands it to may keep it.
 	Publish(doc []byte, traceID uint64, staged PendingAppend) (matches int, err error)
 }
 
@@ -216,7 +217,13 @@ func (ss *Session) dispatch(f Frame) bool {
 		ss.h.Ack(off)
 		return true
 	case FramePublish:
-		n, err := ss.h.Publish(f.Payload, traceID, nil)
+		// A blocking publish is a pipelined one with a window of one: staged,
+		// then published inline.
+		staged, err := ss.h.StagePublish(f.Payload)
+		var n int
+		if err == nil {
+			n, err = ss.h.Publish(f.Payload, traceID, staged)
+		}
 		return ss.reply(err, uint64(n)) == nil
 	case FramePublishAsync:
 		seq, doc, err := ParsePublishAsyncPayload(f.Payload)

@@ -18,13 +18,22 @@ import (
 )
 
 // fakeHandler is a SessionHandler with no broker behind it. StagePublish
-// records the staged documents in call order; Publish runs publish, or
-// reports zero matches when it is nil.
+// records the staged documents in call order and fails with stageErr when it
+// is set; Publish records what was staged for it and runs publish, or reports
+// zero matches when publish is nil.
 type fakeHandler struct {
-	mu      sync.Mutex
-	staged  []string
-	publish func(doc []byte) (int, error)
+	mu        sync.Mutex
+	staged    []string
+	stageErr  error
+	published []server.PendingAppend
+	publish   func(doc []byte) (int, error)
 }
+
+// fakePending is what fakeHandler stages: the document itself.
+type fakePending string
+
+func (fakePending) Wait() (uint64, error) { return 0, nil }
+func (fakePending) BatchSize() int        { return 1 }
 
 func (h *fakeHandler) Subscribe(string) (uint64, error) { return 1, nil }
 func (h *fakeHandler) SubscribeDurable(string, string) (uint64, uint64, error) {
@@ -35,12 +44,18 @@ func (h *fakeHandler) Ack(uint64)               {}
 
 func (h *fakeHandler) StagePublish(doc []byte) (server.PendingAppend, error) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.staged = append(h.staged, string(doc))
-	h.mu.Unlock()
-	return nil, nil
+	if h.stageErr != nil {
+		return nil, h.stageErr
+	}
+	return fakePending(doc), nil
 }
 
-func (h *fakeHandler) Publish(doc []byte, _ uint64, _ server.PendingAppend) (int, error) {
+func (h *fakeHandler) Publish(doc []byte, _ uint64, staged server.PendingAppend) (int, error) {
+	h.mu.Lock()
+	h.published = append(h.published, staged)
+	h.mu.Unlock()
 	if h.publish == nil {
 		return 0, nil
 	}
@@ -114,6 +129,39 @@ func within(t *testing.T, what string, ch <-chan struct{}) {
 	case <-ch:
 	case <-time.After(5 * time.Second):
 		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// TestSessionBlockingPublishIsStaged: a blocking PUBLISH takes the pipelined
+// order with a window of one — StagePublish, then Publish inline with what was
+// staged — and a staging error is its reply, with no Publish.
+func TestSessionBlockingPublishIsStaged(t *testing.T) {
+	h := &fakeHandler{publish: func([]byte) (int, error) { return 3, nil }}
+	_, peer, _ := pipeSession(t, h, server.SessionOptions{Window: 4})
+	br := bufio.NewReader(peer)
+	publish := func(doc string) server.Frame {
+		t.Helper()
+		go server.WriteFrame(peer, server.FramePublish, []byte(doc))
+		f, err := server.ReadFrame(br, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	f := publish("<a/>")
+	if n, err := server.ParseUint64(f.Payload); f.Type != server.FrameOK || err != nil || n != 3 {
+		t.Fatalf("reply type 0x%02x payload %q, want OK(3)", f.Type, f.Payload)
+	}
+	h.mu.Lock()
+	h.stageErr = fmt.Errorf("staging refused")
+	h.mu.Unlock()
+	if f := publish("<b/>"); f.Type != server.FrameErr || string(f.Payload) != "staging refused" {
+		t.Fatalf("reply type 0x%02x payload %q, want ERR(staging refused)", f.Type, f.Payload)
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if fmt.Sprint(h.staged) != "[<a/> <b/>]" || len(h.published) != 1 || h.published[0] != fakePending("<a/>") {
+		t.Fatalf("staged %q, published with %v; want both staged and only <a/> published with its staged value", h.staged, h.published)
 	}
 }
 

@@ -111,10 +111,11 @@ func (c *traceCollector) traceID(i int) uint64 {
 // TestTracedLoopbackEndToEnd is the tracing acceptance scenario: with
 // sampling at 1/1 over a WAL-backed broker (fsync always), one published
 // document yields a trace whose spans cover every pipeline stage — WAL
-// append with its fsync wait, filtering, queue wait, and the DELIVER write —
-// the client sees the trace id stamped into the delivery frame, and the
-// trace round-trips through /debug/traces, /debug/machine, and the Chrome
-// export.
+// append, filtering, queue wait, and the DELIVER write — the client sees the
+// trace id stamped into the delivery frame, and the trace round-trips through
+// /debug/traces, /debug/machine, and the Chrome export. A blocking and a
+// pipelined PUBLISH take the one publish order, so their traces carry the
+// same wal_append span.
 func TestTracedLoopbackEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	l, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Fsync: wal.FsyncAlways})
@@ -153,22 +154,53 @@ func TestTracedLoopbackEndToEnd(t *testing.T) {
 	if traceID == 0 {
 		t.Fatal("delivery carried no trace id with sampling at 1/1")
 	}
+	pp, err := pub.PublishPipelined(4, func(client.PublishResult) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pp.Publish([]byte(`<order><total>3500</total></order>`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := pp.Close(); err != nil {
+		t.Fatalf("pipelined publish: %v", err)
+	}
+	waitFor(t, "traced pipelined delivery", func() bool { return col.count() >= 2 })
 
-	// The trace completes at the last DELIVER write; poll /debug/traces
-	// until it lands in the ring.
+	// A trace completes at the last DELIVER write; poll /debug/traces until
+	// it lands in the ring.
 	base := "http://" + srv.DebugAddr()
-	var got *jsonTrace
-	waitFor(t, "trace in /debug/traces", func() bool {
-		var p tracesPayload
-		getJSON(t, base+"/debug/traces", &p)
-		for i := range p.Traces {
-			if p.Traces[i].ID == traceID {
-				got = &p.Traces[i]
-				return true
+	traceByID := func(id uint64) *jsonTrace {
+		var got *jsonTrace
+		waitFor(t, "trace in /debug/traces", func() bool {
+			var p tracesPayload
+			getJSON(t, base+"/debug/traces", &p)
+			for i := range p.Traces {
+				if p.Traces[i].ID == id {
+					got = &p.Traces[i]
+					return true
+				}
+			}
+			return false
+		})
+		return got
+	}
+	got := traceByID(traceID)
+	// One wal_append shape: a child of the root carrying the batch size, with
+	// nothing under it, for the blocking and the pipelined publish alike.
+	for _, tr := range []*jsonTrace{got, traceByID(col.traceID(1))} {
+		w := tr.span("wal_append")
+		if w == nil {
+			t.Fatalf("trace %d has no wal_append span; spans: %v", tr.ID, spanNames(tr))
+		}
+		if bs, ok := w.attr("batch_size"); w.Parent != 0 || !ok || bs < 1 {
+			t.Errorf("trace %d: wal_append parent %d, batch_size %d (present=%v); want the root and >= 1", tr.ID, w.Parent, bs, ok)
+		}
+		for _, sp := range tr.Spans {
+			if sp.Name == "fsync_wait" || sp.Parent >= 0 && tr.Spans[sp.Parent].Name == "wal_append" {
+				t.Errorf("trace %d: span %q is an fsync_wait or hangs under wal_append; spans: %v", tr.ID, sp.Name, spanNames(tr))
 			}
 		}
-		return false
-	})
+	}
 	if got.Kind != "publish" || !got.Sampled || got.TotalNS <= 0 {
 		t.Fatalf("trace %d: kind=%q sampled=%v total=%dns", got.ID, got.Kind, got.Sampled, got.TotalNS)
 	}
@@ -177,7 +209,7 @@ func TestTracedLoopbackEndToEnd(t *testing.T) {
 	}
 	// The acceptance bar: at least 5 distinct pipeline stages with non-zero
 	// durations.
-	for _, name := range []string{"publish", "wal_append", "fsync_wait", "filter", "queue_wait", "deliver_write"} {
+	for _, name := range []string{"publish", "wal_append", "filter", "queue_wait", "deliver_write"} {
 		sp := got.span(name)
 		if sp == nil {
 			t.Fatalf("trace %d has no %q span; spans: %v", got.ID, name, spanNames(got))

@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
 const (
@@ -505,24 +504,6 @@ func (l *Log) createSegment(base uint64) error {
 // in the batch.
 func (l *Log) Append(doc []byte) (uint64, error) {
 	return l.AppendAsync(doc).Wait()
-}
-
-// AppendTraced is Append with span recording: when tc is non-nil and the
-// fsync policy is FsyncAlways, the wait for stable storage is recorded as
-// an "fsync_wait" child span of parent, and parent gains a "batch_size"
-// attribute with the number of records that shared the commit (under the
-// other policies the append returns before any sync, so there is no wait
-// to record). A nil tc selects the plain path.
-func (l *Log) AppendTraced(doc []byte, tc *trace.Ctx, parent trace.SpanID) (uint64, error) {
-	p := l.AppendAsync(doc)
-	if l.opt.Fsync != FsyncAlways {
-		return p.Wait()
-	}
-	fsSpan := tc.StartSpan("fsync_wait", parent)
-	off, err := p.Wait()
-	tc.EndSpan(fsSpan)
-	tc.SetAttr(parent, "batch_size", int64(p.BatchSize()))
-	return off, err
 }
 
 // Pending is an in-flight append handed out by AppendAsync: the document

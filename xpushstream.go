@@ -161,7 +161,7 @@ func (d *DTD) IsRecursive() bool { return d.d.IsRecursive() }
 func (d *DTD) MaxDepth(cap int) int { return d.d.MaxDepth(cap) }
 
 // Engine is a compiled filter workload. The filtering calls (FilterBytes,
-// FilterDocument, FilterStream, FilterStreaming and their variants) are safe
+// FilterDocument, AppendMatches, FilterStreaming and their variants) are safe
 // for concurrent use, on one engine and across engines derived from one
 // another, which share machine layers: each call runs on a cursor of its own
 // over the one set of warm tables, in parallel while the tables answer and
@@ -320,38 +320,29 @@ func (e *Engine) Query(id int) string {
 }
 
 // FilterDocument processes one XML document and returns the sorted ids of
-// the filters that match it.
+// the filters that match it (nil when none does).
 func (e *Engine) FilterDocument(doc []byte) ([]int, error) {
-	return e.FilterDocumentTraced(doc, nil, TraceRoot)
+	return AppendMatches[int](e, nil, doc, nil, TraceRoot)
 }
 
-// FilterDocumentTraced is FilterDocument with span recording (see
-// FilterBytesTraced).
-func (e *Engine) FilterDocumentTraced(doc []byte, tc *TraceCtx, parent TraceSpanID) ([]int, error) {
-	var out []int
-	var n int
-	err := e.FilterBytesTraced(doc, tc, parent, func(matches []int) {
-		n++
-		out = append(out[:0], matches...)
-	})
-	if err != nil {
-		return nil, err
+// AppendMatches filters one XML document and appends the sorted ids of the
+// filters that match it to dst, converted to T: a caller that keeps its own
+// buffer, or keys its tables by uint64, gets the accept set with no copy in
+// between and no allocation once dst has the room. Spans are recorded as by
+// FilterBytesTraced. doc must hold exactly one document.
+func AppendMatches[T int | uint64](e *Engine, dst []T, doc []byte, tc *TraceCtx, parent TraceSpanID) ([]T, error) {
+	d, err := e.run(doc, tc, parent, nil)
+	if err == nil && d.docs != 1 {
+		err = fmt.Errorf("xpushstream: expected exactly one document, got %d", d.docs)
 	}
-	if n != 1 {
-		return nil, fmt.Errorf("xpushstream: FilterDocument expects exactly one document, got %d", n)
+	if err == nil {
+		dst = slices.Grow(dst, len(d.scratch))
+		for _, id := range d.scratch {
+			dst = append(dst, T(id))
+		}
 	}
-	return out, nil
-}
-
-// FilterStream processes a stream of concatenated XML documents, invoking
-// onDocument with the matching filter ids after each document. The
-// matches slice is reused between calls; copy it to retain it.
-func (e *Engine) FilterStream(r io.Reader, onDocument func(matches []int)) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return err
-	}
-	return e.FilterBytes(data, onDocument)
+	e.put(d)
+	return dst, err
 }
 
 // FilterStreaming processes a possibly unbounded stream of concatenated XML
@@ -383,7 +374,8 @@ type byteDriver struct {
 	scan       sax.ByteScanner
 	layers     []*core.Machine // cursors, one per e.layers
 	onDocument func(matches []int)
-	scratch    []int
+	scratch    []int // the current document's matches
+	docs       int   // documents the current call has seen
 	docStart   time.Time
 
 	// Tracing state, non-nil only for sampled documents.
@@ -485,11 +477,16 @@ func (d *byteDriver) EndDocument() {
 	if d.tc != nil {
 		d.traceEndDocument(len(d.scratch))
 	}
-	d.onDocument(d.scratch)
+	d.docs++
+	if d.onDocument != nil {
+		d.onDocument(d.scratch)
+	}
 }
 
-// FilterBytes is FilterStream over a byte slice. All layers run in lockstep
-// off a single parse of the stream.
+// FilterBytes processes a byte slice of concatenated XML documents, invoking
+// onDocument with the matching filter ids after each document. The matches
+// slice is reused between calls; copy it to retain it. All layers run in
+// lockstep off a single parse of the stream.
 func (e *Engine) FilterBytes(data []byte, onDocument func(matches []int)) error {
 	return e.FilterBytesTraced(data, nil, TraceRoot, onDocument)
 }
@@ -500,27 +497,40 @@ func (e *Engine) FilterBytes(data []byte, onDocument func(matches []int)) error 
 // count) and per-layer child spans. A nil tc records nothing — call sites
 // thread the context unconditionally.
 func (e *Engine) FilterBytesTraced(data []byte, tc *TraceCtx, parent TraceSpanID, onDocument func(matches []int)) error {
+	d, err := e.run(data, tc, parent, onDocument)
+	e.put(d)
+	return err
+}
+
+// run parses data on an idle driver and returns the driver, holding the last
+// document's matches and the count of documents seen, for the caller to read
+// before it hands the driver back with put.
+func (e *Engine) run(data []byte, tc *TraceCtx, parent TraceSpanID, onDocument func(matches []int)) (*byteDriver, error) {
 	e.ctr.bytes.Add(int64(len(data)))
 	d := e.driver()
-	d.onDocument, d.tc, d.tcParent = onDocument, tc, parent
+	d.onDocument, d.tc, d.tcParent, d.docs = onDocument, tc, parent, 0
 	err := d.scan.Parse(data, d)
 	d.onDocument, d.tc = nil, nil
-	var strict error
 	for _, m := range d.layers {
 		m.Release() // a parse error ends the stream mid-document
-		if strict == nil {
-			strict = m.Err()
+		if err == nil {
+			err = m.Err()
 		}
 	}
-	if strict == nil { // a strict-mode error sticks to its cursor: drop it
-		e.freeMu.Lock()
-		e.free = append(e.free, d)
-		e.freeMu.Unlock()
+	return d, err
+}
+
+// put returns a driver to the free list, unless a strict-mode error stuck to
+// one of its cursors: that one is dropped.
+func (e *Engine) put(d *byteDriver) {
+	for _, m := range d.layers {
+		if m.Err() != nil {
+			return
+		}
 	}
-	if err != nil {
-		return err
-	}
-	return strict
+	e.freeMu.Lock()
+	e.free = append(e.free, d)
+	e.freeMu.Unlock()
 }
 
 // PrecomputeEager materialises every accessible machine state ahead of any

@@ -99,7 +99,7 @@ func TestFilterStream(t *testing.T) {
 	}
 	stream := "<m><v>1</v></m><m><v>2</v></m><m><v>3</v></m>"
 	var per []string
-	err = e.FilterStream(strings.NewReader(stream), func(matches []int) {
+	err = e.FilterStreaming(strings.NewReader(stream), func(matches []int) {
 		per = append(per, fmt.Sprint(matches))
 	})
 	if err != nil {
@@ -295,5 +295,49 @@ func TestDTDHelpers(t *testing.T) {
 	}
 	if _, err := ParseDTD("garbage"); err == nil {
 		t.Error("bad DTD should fail")
+	}
+}
+
+// TestAppendMatchesZeroAllocs pins the one filter call's allocation budget on
+// a warm engine (the engine-level sibling of internal/core's
+// TestWarmRunZeroAllocs): a reused buffer costs nothing, and neither does a
+// nil one on a document nothing matches, the commonest publish on a broker.
+func TestAppendMatchesZeroAllocs(t *testing.T) {
+	e, err := Compile([]string{"/m[v=1]", "/m[v=2]", "//m[w>3]"}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	match := []byte("<m><v>1</v><w>4</w></m>")
+	miss := []byte("<m><v>3</v><w>1</w></m>")
+	for i := 0; i < 5; i++ { // warm the tables and the driver's buffers
+		for _, doc := range [][]byte{match, miss} {
+			if _, err := AppendMatches[uint64](e, nil, doc, nil, TraceRoot); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	buf := make([]uint64, 0, 8)
+	if n := testing.AllocsPerRun(100, func() {
+		buf, err = AppendMatches(e, buf[:0], match, nil, TraceRoot)
+	}); n != 0 || err != nil {
+		t.Errorf("reused buffer: %.1f allocations per document (err %v), want 0", n, err)
+	}
+	if fmt.Sprint(buf) != "[0 2]" {
+		t.Errorf("matches = %v, want [0 2]", buf)
+	}
+	var got []int
+	if n := testing.AllocsPerRun(100, func() {
+		got, err = AppendMatches[int](e, nil, miss, nil, TraceRoot)
+	}); n != 0 || err != nil || got != nil {
+		t.Errorf("nil buffer, no match: %.1f allocations per document, matches %v (err %v), want 0 and nil", n, got, err)
+	}
+
+	// It appends to what dst holds, and takes exactly one document.
+	if got, err := AppendMatches(e, []int{7}, match, nil, TraceRoot); err != nil || fmt.Sprint(got) != "[7 0 2]" {
+		t.Errorf("AppendMatches onto [7] = %v, %v; want [7 0 2]", got, err)
+	}
+	two := append(append([]byte(nil), match...), miss...)
+	if _, err := AppendMatches[int](e, nil, two, nil, TraceRoot); err == nil {
+		t.Error("two documents must be rejected")
 	}
 }
