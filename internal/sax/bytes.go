@@ -2,7 +2,9 @@ package sax
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"unicode/utf8"
 )
 
@@ -172,8 +174,10 @@ func (s *ByteScanner) toBuffered() {
 }
 
 // flushText emits accumulated character data as one TextBytes event,
-// dropping whitespace-only runs (the data model has no mixed content, so
-// inter-element whitespace is insignificant).
+// dropping runs that bytes.TrimSpace empties, i.e. runs of Unicode
+// White_Space (the data model has no mixed content, so inter-element
+// whitespace is insignificant). TrimSpace runs only when the first byte
+// might be trimmed: an ASCII byte outside its six space bytes cannot be.
 func (s *ByteScanner) flushText() {
 	var t []byte
 	switch s.textMode {
@@ -185,7 +189,7 @@ func (s *ByteScanner) flushText() {
 		t = s.textBuf
 	}
 	s.textMode = textNone
-	if len(bytes.TrimSpace(t)) == 0 {
+	if len(t) == 0 || byteClass[t[0]]&mayTrim != 0 && len(bytes.TrimSpace(t)) == 0 {
 		return
 	}
 	s.h.TextBytes(t)
@@ -194,19 +198,19 @@ func (s *ByteScanner) flushText() {
 // textRun consumes character data up to the next '<'.
 func (s *ByteScanner) textRun() error {
 	start := s.pos
-	for s.pos < len(s.data) && s.data[s.pos] != '<' {
-		if s.data[s.pos] == '&' {
-			s.toBuffered()
-			s.textBuf = append(s.textBuf, s.data[start:s.pos]...)
-			r, err := s.entity()
-			if err != nil {
-				return err
-			}
-			s.textBuf = utf8.AppendRune(s.textBuf, r)
-			start = s.pos
-			continue
+	for {
+		s.pos = stopIndex(s.data, s.pos, stopText)
+		if s.pos >= len(s.data) || s.data[s.pos] == '<' {
+			break
 		}
-		s.pos++
+		s.toBuffered()
+		s.textBuf = append(s.textBuf, s.data[start:s.pos]...)
+		r, err := s.entity()
+		if err != nil {
+			return err
+		}
+		s.textBuf = utf8.AppendRune(s.textBuf, r)
+		start = s.pos
 	}
 	s.addTextSegment(start, s.pos)
 	return nil
@@ -349,11 +353,8 @@ func (s *ByteScanner) startTag() error {
 		s.h.StartDocument()
 	}
 	s.flushText()
-	i := s.pos + 1
-	nameStart := i
-	for i < len(s.data) && !isSpace(s.data[i]) && s.data[i] != '>' && s.data[i] != '/' {
-		i++
-	}
+	nameStart := s.pos + 1
+	i := stopIndex(s.data, nameStart, stopName)
 	if i == nameStart {
 		return s.errf("missing element name")
 	}
@@ -364,9 +365,7 @@ func (s *ByteScanner) startTag() error {
 	s.h.StartElementBytes(name)
 	// Attributes.
 	for {
-		for i < len(s.data) && isSpace(s.data[i]) {
-			i++
-		}
+		i = skipSpace(s.data, i)
 		if i >= len(s.data) {
 			return s.errf("unterminated start tag <%s", name)
 		}
@@ -389,45 +388,44 @@ func (s *ByteScanner) startTag() error {
 			return nil
 		}
 		attrStart := i
-		for i < len(s.data) && s.data[i] != '=' && !isSpace(s.data[i]) && s.data[i] != '>' {
-			i++
-		}
+		i = stopIndex(s.data, i, stopAttr)
 		if i >= len(s.data) || s.data[i] != '=' {
 			return s.errf("attribute without value in <%s>", name)
 		}
 		s.attrName = append(s.attrName[:0], '@')
 		s.attrName = append(s.attrName, s.data[attrStart:i]...)
-		i++ // skip '='
-		for i < len(s.data) && isSpace(s.data[i]) {
-			i++
-		}
+		i = skipSpace(s.data, i+1) // past '='
 		if i >= len(s.data) || (s.data[i] != '"' && s.data[i] != '\'') {
 			return s.errf("attribute value must be quoted in <%s>", name)
 		}
 		quote := s.data[i]
+		stop := stopQuot
+		if quote == '\'' {
+			stop = stopApos
+		}
 		i++
 		valStart := i
 		buffered := false
-		for i < len(s.data) && s.data[i] != quote {
-			if s.data[i] == '&' {
-				if !buffered {
-					s.attrVal = s.attrVal[:0]
-					buffered = true
-				}
-				s.attrVal = append(s.attrVal, s.data[valStart:i]...)
-				save := s.pos
-				s.pos = i
-				r, err := s.entity()
-				if err != nil {
-					return err
-				}
-				i = s.pos
-				s.pos = save
-				s.attrVal = utf8.AppendRune(s.attrVal, r)
-				valStart = i
-				continue
+		for {
+			i = stopIndex(s.data, i, stop)
+			if i >= len(s.data) || s.data[i] == quote {
+				break
 			}
-			i++
+			if !buffered {
+				s.attrVal = s.attrVal[:0]
+				buffered = true
+			}
+			s.attrVal = append(s.attrVal, s.data[valStart:i]...)
+			save := s.pos
+			s.pos = i
+			r, err := s.entity()
+			if err != nil {
+				return err
+			}
+			i = s.pos
+			s.pos = save
+			s.attrVal = utf8.AppendRune(s.attrVal, r)
+			valStart = i
 		}
 		if i >= len(s.data) {
 			return s.errf("unterminated attribute value in <%s>", name)
@@ -444,16 +442,27 @@ func (s *ByteScanner) startTag() error {
 	}
 }
 
+// endTag closes the innermost open element. The common case, `</name>`
+// spelling exactly the open tag's name, is recognised by comparing against
+// the open tag's bytes: an open name holds no space, '>' or '/', so the
+// general scan below would stop at the same '>' and accept the same name.
+// Every other close tag takes that scan, which reports the errors.
 func (s *ByteScanner) endTag() error {
-	i := s.pos + 2
-	nameStart := i
+	nameStart := s.pos + 2
+	if n := len(s.stack); n > 0 {
+		top := s.stack[n-1]
+		end := nameStart + top.end - top.start
+		if end < len(s.data) && s.data[end] == '>' &&
+			bytes.Equal(s.data[nameStart:end], s.data[top.start:top.end]) {
+			return s.closeElement(s.data[top.start:top.end], end+1)
+		}
+	}
+	i := nameStart
 	for i < len(s.data) && s.data[i] != '>' && !isSpace(s.data[i]) {
 		i++
 	}
 	name := s.data[nameStart:i]
-	for i < len(s.data) && isSpace(s.data[i]) {
-		i++
-	}
+	i = skipSpace(s.data, i)
 	if i >= len(s.data) || s.data[i] != '>' {
 		return s.errf("unterminated end tag </%s", name)
 	}
@@ -465,13 +474,116 @@ func (s *ByteScanner) endTag() error {
 		return s.errf("mismatched end tag: expected </%s>, got </%s>",
 			s.data[top.start:top.end], name)
 	}
+	return s.closeElement(name, i+1)
+}
+
+// closeElement pops the innermost open element, named name, and resumes
+// scanning at next.
+func (s *ByteScanner) closeElement(name []byte, next int) error {
 	s.flushText()
 	s.stack = s.stack[:len(s.stack)-1]
 	s.h.EndElementBytes(name)
-	s.pos = i + 1
+	s.pos = next
 	if len(s.stack) == 0 {
 		s.inDoc = false
 		s.h.EndDocument()
 	}
 	return nil
+}
+
+// Byte classes. Each stop bit marks the bytes that end one kind of run;
+// mayTrim marks the bytes bytes.TrimSpace might trim when they start a run:
+// its six ASCII space bytes and every byte ≥ 0x80, which may begin a
+// multi-byte White_Space rune such as U+0085 or U+00A0.
+const (
+	stopName uint8 = 1 << iota // start-tag name: space, '>', '/'
+	stopAttr                   // attribute name: space, '=', '>'
+	stopText                   // character data: '<', '&'
+	stopQuot                   // "-quoted attribute value: '"', '&'
+	stopApos                   // '-quoted attribute value: '\'', '&'
+	xmlSpace                   // isSpace: ' ', '\t', '\n', '\r'
+	mayTrim
+)
+
+var byteClass = func() (t [256]uint8) {
+	for _, c := range []byte(" \t\n\r") {
+		t[c] |= stopName | stopAttr | xmlSpace
+	}
+	t['>'] |= stopName | stopAttr
+	t['/'] |= stopName
+	t['='] |= stopAttr
+	t['<'] |= stopText
+	t['&'] |= stopText | stopQuot | stopApos
+	t['"'] |= stopQuot
+	t['\''] |= stopApos
+	for _, c := range []byte(" \t\n\v\f\r") {
+		t[c] |= mayTrim
+	}
+	for c := 0x80; c < 0x100; c++ {
+		t[c] |= mayTrim
+	}
+	return t
+}()
+
+// stopWord is the word-at-a-time form of a stop class: a word holds a stop
+// byte only if one of its bytes equals a or b, or (for classes that stop at
+// space) is below 0x21. lt is 0x21 in every byte for those classes and 0
+// otherwise, which makes the below-test never fire.
+type stopWord struct{ a, b, lt uint64 }
+
+const lanes = 0x0101010101010101
+
+var stopWords = [...]stopWord{
+	{'>' * lanes, '/' * lanes, 0x21 * lanes}, // stopName
+	{'=' * lanes, '>' * lanes, 0x21 * lanes}, // stopAttr
+	{'<' * lanes, '&' * lanes, 0},            // stopText
+	{'"' * lanes, '&' * lanes, 0},            // stopQuot
+	{'\'' * lanes, '&' * lanes, 0},           // stopApos
+}
+
+// stopIndex returns the index of the first byte of b at or after i in class
+// (one of the stop bits), or len(b). It tests eight bytes per step: a word
+// that cannot hold a stop byte is skipped whole, and one that might is
+// classified byte by byte from its first candidate, so a false candidate
+// costs time but never a wrong answer.
+func stopIndex(b []byte, i int, class uint8) int {
+	k := &stopWords[bits.TrailingZeros8(class)]
+	for i+8 <= len(b) {
+		w := binary.LittleEndian.Uint64(b[i:])
+		m := hasZero(w^k.a) | hasZero(w^k.b) | hasLess(w, k.lt)
+		if m == 0 {
+			i += 8
+			continue
+		}
+		// The lowest flagged byte is a true candidate: the word tests
+		// raise false flags only above a byte that really matched.
+		end := i + 8
+		for i += bits.TrailingZeros64(m) >> 3; i < end; i++ {
+			if byteClass[b[i]]&class != 0 {
+				return i
+			}
+		}
+	}
+	for ; i < len(b); i++ {
+		if byteClass[b[i]]&class != 0 {
+			return i
+		}
+	}
+	return len(b)
+}
+
+// hasZero flags (in bit 7 of its byte) the lowest zero byte of w, and
+// possibly bytes above it; it is zero only if w has no zero byte.
+func hasZero(w uint64) uint64 { return (w - lanes) &^ w & (0x80 * lanes) }
+
+// hasLess is hasZero for "byte below n", n ≤ 0x80 broadcast to every byte.
+func hasLess(w, n uint64) uint64 { return (w - n) &^ w & (0x80 * lanes) }
+
+// skipSpace returns the index of the first non-space byte of b at or after
+// i, or len(b).
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && byteClass[b[i]]&xmlSpace != 0 {
+		i++
+	}
+	return i
 }

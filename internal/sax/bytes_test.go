@@ -1,6 +1,8 @@
 package sax
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -98,8 +100,205 @@ func TestByteScannerMatchesScanner(t *testing.T) {
 		`<a><![CDATA[ unterminated`,
 		strings.Repeat("<a>", 600),
 	}
+	corpus = append(corpus, edgeCorpus()...)
+	corpus = append(corpus, runCorpus()...)
 	for _, doc := range corpus {
 		diffEventStreams(t, doc)
+	}
+}
+
+// edgeCorpus holds the hand-written cases for the byte scanner's table and
+// word-at-a-time paths: blank text under bytes.TrimSpace's Unicode rule,
+// entity-dense runs, unusual name bytes, close tags that must leave the
+// open-tag fast path, and deep nesting.
+func edgeCorpus() []string {
+	docs := []string{
+		// Text that TrimSpace empties, or does not, outside the four
+		// bytes the scanner itself treats as space.
+		"<a>\u00a0</a>",
+		"<a>\u0085</a>",
+		"<a>\u2003x\u2003</a>",
+		"<a>\v</a>",
+		"<a>\f1</a>",
+		"<a>\u00a0<![CDATA[\u00a0]]>\u00a0</a>",
+		"<a>\xc2</a>",
+		"<a>\x85</a>",
+		"<a v=\"\u00a0\"/>",
+		// Entity-dense text and attribute values.
+		`<a>&amp;&lt;&gt;&quot;&apos;&#65;&#x42;&amp;x&amp;</a>`,
+		"<a>" + strings.Repeat("&amp;", 13) + "</a>",
+		"<a>" + strings.Repeat("x&lt;", 11) + "y</a>",
+		`<a v="&amp;&lt;&#65;&#x42;&gt;&quot;"/>`,
+		`<a v='&apos;&apos;x&amp;'>&amp;&amp;</a>`,
+		`<a v="` + strings.Repeat("&#x263A;", 7) + `"/>`,
+		`<a v="x&amp`,
+		`<a>x&amp`,
+		// Names holding bytes >= 0x80 and control bytes.
+		"<\u00e9l\u00e8ve>1</\u00e9l\u00e8ve>",
+		"<a\x01b>1</a\x01b>",
+		"<a\x7f/>",
+		"<\xff\xfe>x</\xff\xfe>",
+		"<a\v\fb/>",
+		"<a b\x01c=\"1\" \xc3\xa9=\"2\"/>",
+		"<a\x00>z</a\x00>",
+		// Close tags outside the open-tag fast path.
+		`<a></a >`,
+		"<a></a\t>",
+		`</a >`,
+		`<ab></a>`,
+		`<a></ab>`,
+		`<a></a`,
+		`<a></`,
+		`<a></a/>`,
+		`<a/b></a/b>`,
+		`<abc></ab>c>`,
+		`<a><b></b ></a>`,
+		// Deep nesting with names of varying length.
+		strings.Repeat("<a>", 200) + "z" + strings.Repeat("</a>", 200),
+	}
+	var names []string
+	for i := 0; i < 200; i++ {
+		names = append(names, fmt.Sprintf("n%d", i%13*997))
+	}
+	var deep strings.Builder
+	for _, name := range names {
+		deep.WriteString("<" + name + ` k="` + name + `">`)
+	}
+	deep.WriteString("t")
+	for i := len(names) - 1; i >= 0; i-- {
+		deep.WriteString("</" + names[i] + ">")
+	}
+	return append(docs, deep.String())
+}
+
+// runStops are the bytes that end a run somewhere in the scanner, plus a
+// control byte and a non-ASCII byte, which pass the word tests as false
+// candidates.
+const runStops = "<&>/=\"' \t\x01\xc2"
+
+// runForms place a run ($) as text, an element name, an attribute name and a
+// quoted attribute value.
+var runForms = []string{`<a>$</a>`, `<$/>`, `<$>1</$>`, `<a $="1"/>`, `<a v="$"/>`, `<a v='$'/>`}
+
+// runCorpus returns documents whose text runs, names and attribute values
+// are 1 to 24 bytes long with one of runStops at each position, or none,
+// inside a wrapper whose name length moves the run across all eight offsets
+// of a word.
+func runCorpus() []string {
+	var docs []string
+	for pad := 1; pad <= 8; pad++ {
+		w := strings.Repeat("w", pad)
+		for n := 1; n <= 24; n++ {
+			runs := []string{strings.Repeat("x", n)}
+			for p := 0; p < n; p++ {
+				for _, c := range []byte(runStops) {
+					runs = append(runs, strings.Repeat("x", p)+string(c)+strings.Repeat("x", n-p-1))
+				}
+			}
+			for _, run := range runs {
+				for _, form := range runForms {
+					docs = append(docs, "<"+w+">"+strings.ReplaceAll(form, "$", run)+"</"+w+">")
+				}
+			}
+		}
+	}
+	return docs
+}
+
+// TestStopIndex checks the word-at-a-time stop search against a byte loop
+// over the class table, for every class, every byte value at every position
+// of buffers up to 24 bytes, and every start offset.
+func TestStopIndex(t *testing.T) {
+	classes := []uint8{stopName, stopAttr, stopText, stopQuot, stopApos}
+	buf := make([]byte, 24)
+	for _, class := range classes {
+		for n := 0; n <= len(buf); n++ {
+			for p := 0; p < n; p++ {
+				for c := 0; c < 256; c++ {
+					for k := range buf[:n] {
+						buf[k] = 'x'
+					}
+					buf[p] = byte(c)
+					for i := 0; i <= n; i++ {
+						want := i
+						for want < n && byteClass[buf[want]]&class == 0 {
+							want++
+						}
+						if got := stopIndex(buf[:n], i, class); got != want {
+							t.Fatalf("class %#x, %q from %d: got %d, want %d", class, buf[:n], i, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	// The table itself: each stop class holds exactly the bytes its
+	// comment names.
+	want := map[uint8]string{
+		stopName: " \t\n\r>/",
+		stopAttr: " \t\n\r=>",
+		stopText: "<&",
+		stopQuot: "\"&",
+		stopApos: "'&",
+	}
+	for class, members := range want {
+		for c := 0; c < 256; c++ {
+			if in := byteClass[c]&class != 0; in != strings.ContainsRune(members, rune(c)) || in && c >= 0x80 {
+				t.Errorf("class %#x: byte %#x membership %v", class, c, in)
+			}
+		}
+	}
+	for c := 0; c < 256; c++ {
+		if got := byteClass[c]&xmlSpace != 0; got != isSpace(byte(c)) {
+			t.Errorf("space class: byte %#x membership %v", c, got)
+		}
+		// mayTrim must cover every byte that can start a run
+		// bytes.TrimSpace shortens.
+		if byteClass[c]&mayTrim == 0 && len(bytes.TrimSpace([]byte{byte(c), 'x'})) != 2 {
+			t.Errorf("byte %#x can be trimmed but is not in mayTrim", c)
+		}
+	}
+}
+
+// nopBytes counts events without retaining them.
+type nopBytes struct{ events int }
+
+func (h *nopBytes) StartDocument()                { h.events++ }
+func (h *nopBytes) StartElementBytes(name []byte) { h.events++ }
+func (h *nopBytes) TextBytes(data []byte)         { h.events++ }
+func (h *nopBytes) EndElementBytes(name []byte)   { h.events++ }
+func (h *nopBytes) EndDocument()                  { h.events++ }
+
+// TestByteScannerZeroAllocs pins the scanner's own allocation budget: a
+// reused ByteScanner parses a protein-like document with attributes,
+// entities, CDATA, a comment and a processing instruction without
+// allocating once its buffers have grown.
+func TestByteScannerZeroAllocs(t *testing.T) {
+	doc := []byte(`<?xml version="1.0"?><!-- PIR entry -->
+<ProteinEntry id="CCHU" type='complete'>
+  <header><uid>CCHU</uid><accession>A31764 &amp; A05150</accession><created_date>17-Mar-1987</created_date></header>
+  <protein><name>cytochrome c &lt;human&gt;</name><alt-name note="&quot;cyt c&quot;">CYCS</alt-name></protein>
+  <organism><source>Homo sapiens</source><common>man<![CDATA[ & <woman> ]]>kind</common></organism>
+  <reference><refinfo refid="A31764"><authors><author>Evans, M.J.</author><author>Scarpulla, R.C.</author></authors>
+    <citation>Proc. Natl. Acad. Sci. U.S.A. 85, 9625&#8211;9629, 1988</citation><year>1988</year></refinfo></reference>
+  <sequence length="104" mw="11749">GDVEKGKKIFIMKCSQCHTVEKGGKHKTGPNLHGLFGRKTGQAPGYSYTAANKNKGIIWGEDTLMEYLENPKKYIPGTKMIFVGIKKKEERADLIAYLKKATNE</sequence>
+</ProteinEntry>`)
+	var s ByteScanner
+	var h nopBytes
+	if err := s.Parse(doc, &h); err != nil {
+		t.Fatal(err)
+	}
+	warm := h.events
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Parse(doc, &h); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reused ByteScanner: %v allocs per document, want 0", allocs)
+	}
+	if warm < 50 {
+		t.Fatalf("warm-up parse delivered %d events; the document is not being scanned", warm)
 	}
 }
 
@@ -192,6 +391,7 @@ func FuzzByteScanner(f *testing.F) {
 		"<a>\n  <b> </b>\n</a>",
 		`<a x="1" y="2" z="3">mixed<b/>tail</a>`,
 	}
+	seeds = append(seeds, edgeCorpus()...)
 	for _, s := range seeds {
 		f.Add(s)
 	}

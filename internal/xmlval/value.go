@@ -46,8 +46,10 @@ type Value struct {
 	trimmed string
 }
 
-// New builds a Value from raw text. Leading and trailing XML whitespace is
-// ignored for numeric interpretation but preserved in Text.
+// New builds a Value from raw text. Leading and trailing whitespace is
+// ignored for numeric interpretation but preserved in Text. Whitespace here
+// is strings.TrimSpace's: Unicode White_Space, which besides XML's four
+// space bytes includes \v, \f, U+0085, U+00A0 and U+2000–U+200A.
 func New(text string) Value {
 	t := strings.TrimSpace(text)
 	v := Value{Text: text, trimmed: t}
@@ -62,7 +64,8 @@ func New(text string) Value {
 // byte slice. The Value borrows the buffer: it is only valid until the
 // caller mutates or recycles the slice, so it must be consumed immediately
 // (the machine's per-event predicate evaluation does exactly that). Callers
-// that retain the Value must use New(string(text)) instead.
+// that retain the Value must use New(string(text)) instead. It trims as New
+// does.
 func NewBytes(text []byte) Value {
 	t := byteView(bytes.TrimSpace(text))
 	v := Value{Text: byteView(text), trimmed: t}
@@ -88,7 +91,8 @@ func FromNumber(n float64) Value {
 	return Value{Text: s, trimmed: s, Num: n, IsNum: true}
 }
 
-// Trimmed returns the whitespace-trimmed text form.
+// Trimmed returns the text with leading and trailing Unicode White_Space
+// removed, as New trims it.
 func (v Value) Trimmed() string { return v.trimmed }
 
 func parseNum(s string) (float64, bool) {

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/naive"
+	"repro/internal/xpath"
 )
 
 const orderDTD = `
@@ -339,5 +342,67 @@ func TestAppendMatchesZeroAllocs(t *testing.T) {
 	two := append(append([]byte(nil), match...), miss...)
 	if _, err := AppendMatches[int](e, nil, two, nil, TraceRoot); err == nil {
 		t.Error("two documents must be rejected")
+	}
+}
+
+// TestUnicodeWhitespaceMatchesOracle pins the whitespace rule end to end.
+// The byte scanner drops text that bytes.TrimSpace empties, and values are
+// trimmed of Unicode White_Space before they are compared, so NBSP counts as
+// whitespace although XML's own rule has only four space bytes. The engine's
+// byte path and the naive oracle must agree on NBSP-padded and NBSP-only
+// text.
+func TestUnicodeWhitespaceMatchesOracle(t *testing.T) {
+	queries := []string{
+		`/a[. = 5]`,
+		`/a[. = "5"]`,
+		`/a[text() = 5]`,
+		`/a[b = 5]`,
+		`/a[@v = 5]`,
+		`/a[text()]`,
+		`/a[not(text())]`,
+	}
+	const padded, blank = "<a>\u00a05</a>", "<a>\u00a0</a>"
+	docs := []string{
+		"<a>5</a>",
+		padded,
+		"<a>5\u00a0</a>",
+		blank,
+		"<a>\u00a0\u00a0<b>\u00a05</b>\u00a0</a>",
+		"<a>\u20035\u2003</a>",
+		"<a>\u0085</a>",
+		"<a>\v5\f</a>",
+		"<a v=\"\u00a05\">\u00a0</a>",
+	}
+	var filters []*xpath.Filter
+	for _, q := range queries {
+		f, err := xpath.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		filters = append(filters, f)
+	}
+	oracle := naive.NewEngine(filters)
+	e, err := Compile(queries, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, doc := range docs {
+		err := e.FilterBytes([]byte(doc), func(m []int) { got[doc] = fmt.Sprint(m) })
+		if err != nil {
+			t.Fatalf("%q: %v", doc, err)
+		}
+		want, err := oracle.FilterDocument([]byte(doc))
+		if err != nil {
+			t.Fatalf("%q: %v", doc, err)
+		}
+		if got[doc] != fmt.Sprint(want) {
+			t.Errorf("%q: engine %s, oracle %v", doc, got[doc], want)
+		}
+	}
+	// NBSP around a number is trimmed for the comparison; NBSP alone is no
+	// text node at all.
+	if got[padded] != "[0 1 2 5]" || got[blank] != "[6]" {
+		t.Errorf("NBSP-padded %s, NBSP-only %s", got[padded], got[blank])
 	}
 }
