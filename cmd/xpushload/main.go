@@ -119,11 +119,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  churn %d ops, %d reconnect storms\n", ph.ChurnOps, ph.Reconnects)
 		}
 		fmt.Fprintf(stdout, "  pub-ack   p50=%-10v p99=%-10v p99.9=%-10v max=%v\n",
-			ph.PubAck.P50.Round(time.Microsecond), ph.PubAck.P99.Round(time.Microsecond),
-			ph.PubAck.P999.Round(time.Microsecond), ph.PubAck.Max.Round(time.Microsecond))
+			load.Micros(ph.PubAck.P50), load.Micros(ph.PubAck.P99),
+			load.Micros(ph.PubAck.P999), load.Micros(ph.PubAck.Max))
 		fmt.Fprintf(stdout, "  delivery  p50=%-10v p99=%-10v p99.9=%-10v max=%v\n",
-			ph.Delivery.P50.Round(time.Microsecond), ph.Delivery.P99.Round(time.Microsecond),
-			ph.Delivery.P999.Round(time.Microsecond), ph.Delivery.Max.Round(time.Microsecond))
+			load.Micros(ph.Delivery.P50), load.Micros(ph.Delivery.P99),
+			load.Micros(ph.Delivery.P999), load.Micros(ph.Delivery.Max))
 		if ph.MaxSchedLagMs > 0 {
 			fmt.Fprintf(stdout, "  max scheduler lag %.1fms\n", ph.MaxSchedLagMs)
 		}

@@ -13,14 +13,14 @@ import (
 	"testing"
 )
 
-// TestDocCitations keeps DESIGN.md and README.md honest about the code. In
-// their inline code spans, every repo path must exist, and every `X.Y` where X
-// is one of the repo's packages or declared types must name something X
-// declares: a function, method, field, type, const or var. A change that
+// TestDocCitations keeps DESIGN.md, README.md and EXPERIMENTS.md honest about
+// the code. In their inline code spans, every repo path must exist, and every
+// `X.Y` where X is one of the repo's packages or declared types must name
+// something X declares: a function, method, field, type, const or var. A change that
 // deletes or renames code then cannot leave a stale citation behind.
 func TestDocCitations(t *testing.T) {
 	idx := indexDecls(t)
-	for _, doc := range []string{"DESIGN.md", "README.md"} {
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		for _, sp := range codeSpans(t, doc) {
 			for _, problem := range idx.check(sp.text) {
 				t.Errorf("%s:%d: `%s`: %s", doc, sp.line, sp.text, problem)

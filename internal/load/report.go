@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"time"
 )
 
 // BenchPhase is one phase of a run rendered for xpushload's -json report:
@@ -114,15 +115,15 @@ func (r *Result) BenchReport(title, command string) *BenchReport {
 			Reconnects:        ph.Reconnects,
 			Errors:            ph.Errors,
 			MaxSchedLagMs:     ph.MaxSchedLagMs,
-			PubAckP50Us:       us(ph.PubAck.P50),
-			PubAckP99Us:       us(ph.PubAck.P99),
-			PubAckP999Us:      us(ph.PubAck.P999),
-			PubAckMaxUs:       us(ph.PubAck.Max),
-			DeliveryP50Us:     us(ph.Delivery.P50),
-			DeliveryP90Us:     us(ph.Delivery.P90),
-			DeliveryP99Us:     us(ph.Delivery.P99),
-			DeliveryP999Us:    us(ph.Delivery.P999),
-			DeliveryMaxUs:     us(ph.Delivery.Max),
+			PubAckP50Us:       ph.PubAck.P50 * 1e6,
+			PubAckP99Us:       ph.PubAck.P99 * 1e6,
+			PubAckP999Us:      ph.PubAck.P999 * 1e6,
+			PubAckMaxUs:       ph.PubAck.Max * 1e6,
+			DeliveryP50Us:     ph.Delivery.P50 * 1e6,
+			DeliveryP90Us:     ph.Delivery.P90 * 1e6,
+			DeliveryP99Us:     ph.Delivery.P99 * 1e6,
+			DeliveryP999Us:    ph.Delivery.P999 * 1e6,
+			DeliveryMaxUs:     ph.Delivery.Max * 1e6,
 		})
 	}
 	return rep
@@ -135,8 +136,10 @@ func (b *BenchReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(b)
 }
 
-func us(d interface{ Nanoseconds() int64 }) float64 {
-	return float64(d.Nanoseconds()) / 1e3
+// Micros renders a latency in seconds as a Duration rounded to the
+// microsecond, for progress and summary lines.
+func Micros(s float64) time.Duration {
+	return time.Duration(s * 1e9).Round(time.Microsecond)
 }
 
 // cpuModel best-effort reads the CPU model name (Linux /proc/cpuinfo).

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/client"
+	"repro/internal/obs"
 )
 
 // Runner drives a Plan against a live broker. Addr is the broker's TCP
@@ -52,8 +53,9 @@ type PhaseResult struct {
 	// slow broker.
 	MaxSchedLagMs float64 `json:"max_sched_lag_ms"`
 
-	PubAck   LatencySummary `json:"pub_ack"`
-	Delivery LatencySummary `json:"delivery"`
+	// Latencies, in seconds.
+	PubAck   obs.Summary `json:"pub_ack"`
+	Delivery obs.Summary `json:"delivery"`
 }
 
 // Failed reports whether the phase saw any broker or harness errors.
@@ -64,8 +66,8 @@ func (p PhaseResult) Failed() bool { return p.AckErrors+p.Errors > 0 }
 // document published at the end of phase N and delivered during phase N+1
 // still lands in N's histogram.
 type measure struct {
-	pubAck Hist
-	e2e    Hist
+	pubAck obs.Histogram
+	e2e    obs.Histogram
 
 	published         atomic.Uint64
 	ackErrors         atomic.Uint64
@@ -119,8 +121,8 @@ type runState struct {
 
 	// Run-wide histograms double-record every observation so the interval
 	// reporter can window across phase boundaries.
-	allPubAck Hist
-	allE2E    Hist
+	allPubAck obs.Histogram
+	allE2E    obs.Histogram
 
 	intentMu sync.Mutex
 	intents  map[uint64]pubIntent
@@ -315,9 +317,9 @@ func (st *runState) deliverHandler(slot *connSlot) func(client.Delivery) {
 		if d.Durable {
 			m.durableDeliveries.Add(uint64(len(d.Filters)))
 		}
-		lat := now - intended
-		m.e2e.Record(lat)
-		st.allE2E.Record(lat)
+		lat := (now - intended).Seconds()
+		m.e2e.Observe(lat)
+		st.allE2E.Observe(lat)
 	}
 }
 
@@ -336,9 +338,9 @@ func (st *runState) onPubResult(res client.PublishResult) {
 		m.ackErrors.Add(1)
 		return
 	}
-	lat := now - in.intended
-	m.pubAck.Record(lat)
-	st.allPubAck.Record(lat)
+	lat := (now - in.intended).Seconds()
+	m.pubAck.Observe(lat)
+	st.allPubAck.Observe(lat)
 }
 
 // runPhase runs one phase: the open-loop publisher plus churn and
@@ -512,7 +514,7 @@ func (st *runState) reportLoop(done <-chan struct{}) {
 	}
 	ticker := time.NewTicker(iv)
 	defer ticker.Stop()
-	var prevAck, prevE2E HistSnapshot
+	var prevAck, prevE2E obs.Snapshot
 	for {
 		select {
 		case <-done:
@@ -529,10 +531,9 @@ func (st *runState) reportLoop(done <-chan struct{}) {
 			"%7.1fs %-8s pub %6.0f/s ack p50=%-9v p99=%-9v | deliver %7.0f/s e2e p50=%-9v p99=%-9v p99.9=%v\n",
 			time.Since(st.epoch).Seconds(), name,
 			float64(dAck.Count)/iv.Seconds(),
-			dAck.Quantile(0.50).Round(time.Microsecond), dAck.Quantile(0.99).Round(time.Microsecond),
+			Micros(dAck.Quantile(0.50)), Micros(dAck.Quantile(0.99)),
 			float64(dE2E.Count)/iv.Seconds(),
-			dE2E.Quantile(0.50).Round(time.Microsecond), dE2E.Quantile(0.99).Round(time.Microsecond),
-			dE2E.Quantile(0.999).Round(time.Microsecond))
+			Micros(dE2E.Quantile(0.50)), Micros(dE2E.Quantile(0.99)), Micros(dE2E.Quantile(0.999)))
 	}
 }
 

@@ -23,8 +23,8 @@ func TestSnapshotDeltaSince(t *testing.T) {
 		t.Fatalf("delta sum = %g, want ~18e-3", d.Sum)
 	}
 	// Old microsecond observations must not leak into the delta quantiles.
-	if p50 := d.Quantile(0.5); p50 < 1e-3 {
-		t.Fatalf("delta p50 = %g, cumulative history leaked in", p50)
+	if p50 := d.Quantile(0.5); p50 < 5e-3 || p50 > 7e-3 {
+		t.Fatalf("delta p50 = %g, want ~6ms (cumulative history leaked in?)", p50)
 	}
 	// Max advanced during the interval: exact.
 	if d.Max != 7e-3 {
@@ -32,15 +32,19 @@ func TestSnapshotDeltaSince(t *testing.T) {
 	}
 
 	// Interval with only smaller observations: max falls back to the
-	// highest non-empty delta bucket's bound, not the stale cumulative max.
+	// highest non-empty delta bucket's upper edge (1/64 wide), not the stale
+	// cumulative max.
 	prev = h.Snapshot()
 	h.Observe(1e-3)
 	d = h.Snapshot().DeltaSince(prev)
 	if d.Count != 1 {
 		t.Fatalf("count = %d", d.Count)
 	}
-	if d.Max < 1e-3 || d.Max > 3e-3 {
-		t.Fatalf("plateau delta max = %g, want within the ~1-2ms bucket", d.Max)
+	if d.Max < 1e-3 || d.Max > 1e-3*(1+1.0/64) {
+		t.Fatalf("plateau delta max = %g, want within 1ms's bucket", d.Max)
+	}
+	if p := d.Quantile(0.99); p < 1e-3*(1-1.0/64) || p > d.Max {
+		t.Fatalf("plateau delta p99 = %g, want within 1ms's bucket", p)
 	}
 
 	// Empty interval.
@@ -57,41 +61,23 @@ func TestSnapshotDeltaSince(t *testing.T) {
 	}
 }
 
-// TestWindowDeltas drives the Window helper through several intervals.
-func TestWindowDeltas(t *testing.T) {
-	var h Histogram
-	w := NewWindow(&h)
-	h.Observe(1e-3)
-	h.Observe(2e-3)
-	if d := w.Delta(); d.Count != 2 {
-		t.Fatalf("first delta count = %d, want 2 (everything so far)", d.Count)
-	}
-	if d := w.Delta(); d.Count != 0 {
-		t.Fatalf("idle delta count = %d, want 0", d.Count)
-	}
-	h.Observe(3e-3)
-	if d := w.Delta(); d.Count != 1 {
-		t.Fatalf("third delta count = %d, want 1", d.Count)
-	}
-}
-
-// TestCumulativeEncodingUnchanged guards the satellite's "keep cumulative
-// behavior default" half: the Prometheus encoding of a histogram is the
-// cumulative view regardless of any Window tracking it.
+// TestCumulativeEncodingUnchanged pins that the Prometheus encoding of a
+// histogram is the cumulative view, however many interval deltas a reporter
+// takes from it.
 func TestCumulativeEncodingUnchanged(t *testing.T) {
 	r := NewRegistry()
 	var h Histogram
 	r.Histogram("x_latency_seconds", "test", &h)
-	w := NewWindow(&h)
 	h.Observe(1e-3)
-	w.Delta()
+	prev := h.Snapshot()
 	h.Observe(2e-3)
-	w.Delta() // windows consume deltas...
+	if d := h.Snapshot().DeltaSince(prev); d.Count != 1 {
+		t.Fatalf("delta count = %d, want 1", d.Count)
+	}
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	// ...but the scrape still carries the cumulative count of 2.
 	if !strings.Contains(sb.String(), "x_latency_seconds_count 2") {
 		t.Fatalf("scrape lost cumulative behavior:\n%s", sb.String())
 	}

@@ -1,5 +1,5 @@
 // Package obs is a dependency-free runtime-observability toolkit for the
-// filtering engine: atomic counters and gauges, log-bucketed latency
+// filtering engine: atomic counters and gauges, log-linear latency
 // histograms with quantile summaries, a registry that encodes everything in
 // the Prometheus text exposition format, and an optional net/http handler
 // serving /metrics and /healthz.
@@ -11,6 +11,7 @@ package obs
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -39,69 +40,95 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram bucket layout: numBuckets exponential buckets doubling from
-// bucketBase, plus an implicit overflow bucket. With bucketBase = 1µs
-// (observations are in seconds) the highest finite bound is ~33.5s — wide
-// enough for per-document filter latencies from nanoseconds on a warm
-// machine to multi-second cold-start documents.
+// Histogram layout. Observations are held as integer nanoseconds of their
+// unit (1e-9 s for latencies, 1e-9 of a count for sizes) in log-linear
+// buckets: 64 linear sub-buckets per power of two, so a bucket is never
+// wider than 1/64 of its values (a quantile is off by at most ~1.6%).
+//
+// Buckets are (lo, hi]: a value equal to an edge counts in the bucket below
+// it, matching Prometheus's le. Every exposition bound 1µs·2^i is 125·2^(i+3)
+// ns, whose mantissa fits in seven bits, so it is a bucket edge and each
+// cumulative le count is a sum of whole buckets.
 const (
-	numBuckets = 26
-	bucketBase = 1e-6
+	subBits    = 6
+	subCount   = 1 << subBits
+	topBits    = 42 // values from 2^42 ns (~73 min) up share the top bucket
+	maxNanos   = uint64(1) << topBits
+	numBuckets = (topBits - subBits + 1) * subCount
+	numBounds  = 26 // finite exposition bounds: 1µs·2^i, up to ~33.5s
 )
 
-// BucketBounds returns the histogram's finite upper bounds, in observation
-// units (seconds for latency histograms). Bound i is bucketBase * 2^i.
+// BucketBounds returns the exposition's finite le bounds, in observation
+// units (seconds for latency histograms). Bound i is 1e-6 * 2^i.
 func BucketBounds() []float64 {
-	b := make([]float64, numBuckets)
+	b := make([]float64, numBounds)
 	for i := range b {
-		b[i] = bucketBase * float64(uint64(1)<<i)
+		b[i] = 1e-6 * float64(uint64(1)<<i)
 	}
 	return b
 }
 
-// Histogram is a log-bucketed histogram with lock-free observation. The
-// zero value is ready to use.
+// Histogram is a log-linear histogram with lock-free observation. The zero
+// value is ready to use; it takes numBuckets*8 bytes (~19 KB).
 type Histogram struct {
-	buckets [numBuckets + 1]atomic.Uint64 // last bucket is +Inf
+	buckets [numBuckets]atomic.Uint64
 	count   atomic.Uint64
-	sumBits atomic.Uint64 // float64 bits, CAS-updated
-	maxBits atomic.Uint64 // float64 bits, CAS-updated
+	sum     atomic.Uint64 // nanoseconds
+	max     atomic.Uint64 // nanoseconds, CAS-updated
 }
 
-// Observe records one observation (e.g. a latency in seconds).
-func (h *Histogram) Observe(v float64) {
-	if v < 0 || math.IsNaN(v) {
-		v = 0
-	}
-	idx := bucketIndex(v)
-	h.buckets[idx].Add(1)
-	h.count.Add(1)
+// Observe records one observation (e.g. a latency in seconds). It does not
+// allocate.
+func (h *Histogram) Observe(v float64) { h.add(toNanos(v), 1) }
+
+func (h *Histogram) add(ns, n uint64) {
+	h.buckets[bucketIndex(ns)].Add(n)
+	h.count.Add(n)
+	h.sum.Add(ns * n)
 	for {
-		old := h.sumBits.Load()
-		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			break
-		}
-	}
-	for {
-		old := h.maxBits.Load()
-		if v <= math.Float64frombits(old) && old != 0 {
-			break
-		}
-		if h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
+		old := h.max.Load()
+		if ns <= old || h.max.CompareAndSwap(old, ns) {
+			return
 		}
 	}
 }
 
-// bucketIndex maps an observation to its bucket: the smallest i with
-// v <= bucketBase*2^i, or the overflow bucket.
-func bucketIndex(v float64) int {
-	for i := 0; i < numBuckets; i++ {
-		if v <= bucketBase*float64(uint64(1)<<i) {
-			return i
-		}
+// toNanos rounds an observation to integer nanoseconds; negative and NaN
+// values count as 0, huge ones clamp at 2^62.
+func toNanos(v float64) uint64 {
+	switch {
+	case !(v > 0):
+		return 0
+	case v >= 1<<62/1e9:
+		return 1 << 62
 	}
-	return numBuckets
+	return uint64(v*1e9 + 0.5)
+}
+
+// bucketIndex maps a nanosecond value to its bucket in O(1): below 64 each
+// value is its own bucket; above, the bit length picks the power of two and
+// the next six bits the linear sub-bucket.
+func bucketIndex(ns uint64) int {
+	if ns > 0 {
+		ns-- // (lo, hi] buckets
+	}
+	if ns >= maxNanos {
+		ns = maxNanos - 1
+	}
+	if ns < subCount {
+		return int(ns)
+	}
+	exp := uint(bits.Len64(ns)) - subBits - 1
+	return int(uint64(exp)<<subBits + ns>>exp)
+}
+
+// bucketUpper returns bucket i's inclusive upper edge in nanoseconds.
+func bucketUpper(i int) uint64 {
+	if i < subCount {
+		return uint64(i) + 1
+	}
+	exp := uint(i>>subBits) - 1
+	return (uint64(i&(subCount-1)) + subCount + 1) << exp
 }
 
 // Snapshot returns a consistent-enough copy of the histogram for encoding
@@ -109,21 +136,23 @@ func bucketIndex(v float64) int {
 // global lock; concurrent observations may skew a snapshot by a few
 // observations, which is irrelevant for monitoring.)
 func (h *Histogram) Snapshot() Snapshot {
-	var s Snapshot
-	s.Buckets = make([]uint64, numBuckets+1)
-	for i := range h.buckets {
+	top := len(h.buckets)
+	for top > 0 && h.buckets[top-1].Load() == 0 {
+		top--
+	}
+	s := Snapshot{Buckets: make([]uint64, top), Count: h.count.Load()}
+	for i := range s.Buckets {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
-	s.Count = h.count.Load()
-	s.Sum = math.Float64frombits(h.sumBits.Load())
-	s.Max = math.Float64frombits(h.maxBits.Load())
+	s.Sum = float64(h.sum.Load()) / 1e9
+	s.Max = float64(h.max.Load()) / 1e9
 	return s
 }
 
 // Snapshot is a point-in-time copy of a Histogram.
 type Snapshot struct {
-	// Buckets holds per-bucket (not cumulative) counts; the last entry is
-	// the overflow (+Inf) bucket. Bounds are BucketBounds().
+	// Buckets holds per-bucket (not cumulative) counts in the log-linear
+	// layout, up to the highest non-empty bucket.
 	Buckets []uint64
 	Count   uint64
 	Sum     float64
@@ -133,8 +162,7 @@ type Snapshot struct {
 // DeltaSince returns the observations recorded between prev and s — the
 // per-interval view a scraper (or xpushload's progress reporter) computes
 // from two cumulative snapshots, so interval reports and /metrics agree on
-// the same underlying histogram. Cumulative encoding stays the default
-// everywhere; deltas are always derived client-side from two snapshots.
+// the same underlying histogram.
 //
 // Sum and bucket counts subtract exactly (clamped at zero against
 // concurrent-skew artifacts). Max cannot be recovered from cumulative
@@ -164,53 +192,15 @@ func (s Snapshot) DeltaSince(prev Snapshot) Snapshot {
 	switch {
 	case s.Max > prev.Max:
 		d.Max = s.Max
-	case top >= 0 && top < numBuckets:
-		d.Max = bucketBase * float64(uint64(1)<<top)
-	case top == numBuckets:
-		d.Max = s.Max // overflow bucket: cumulative max is the only bound
+	case top >= 0:
+		d.Max = math.Min(float64(bucketUpper(top))/1e9, s.Max)
 	}
 	return d
-}
-
-// Window tracks a histogram's per-interval deltas: each Delta call returns
-// the observations since the previous call (the first call returns
-// everything so far). Not safe for concurrent use — give each reporter its
-// own Window over the shared histogram.
-type Window struct {
-	h    *Histogram
-	prev Snapshot
-}
-
-// NewWindow returns a delta tracker over h.
-func NewWindow(h *Histogram) *Window { return &Window{h: h} }
-
-// Delta returns the observations recorded since the last Delta call.
-func (w *Window) Delta() Snapshot {
-	cur := w.h.Snapshot()
-	d := cur.DeltaSince(w.prev)
-	w.prev = cur
-	return d
-}
-
-// Merge adds another snapshot's observations into s (for aggregating
-// per-worker histograms).
-func (s *Snapshot) Merge(o Snapshot) {
-	if len(s.Buckets) == 0 {
-		s.Buckets = make([]uint64, numBuckets+1)
-	}
-	for i := range o.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
 }
 
 // Quantile estimates the q-th quantile (0 < q <= 1) from the bucket counts,
-// interpolating linearly within the containing bucket. It returns 0 for an
-// empty snapshot.
+// interpolating linearly within the containing bucket (clamped at Max). It
+// returns 0 for an empty snapshot.
 func (s Snapshot) Quantile(q float64) float64 {
 	if s.Count == 0 {
 		return 0
@@ -221,20 +211,13 @@ func (s Snapshot) Quantile(q float64) float64 {
 		if n == 0 {
 			continue
 		}
-		lo := 0.0
-		if i > 0 {
-			lo = bucketBase * float64(uint64(1)<<(i-1))
-		}
-		hi := s.Max
-		if i < numBuckets {
-			hi = bucketBase * float64(uint64(1)<<i)
-		}
-		if hi > s.Max && s.Max > 0 {
-			hi = s.Max
-		}
 		cum += float64(n)
 		if cum >= rank {
-			// Interpolate within [lo, hi].
+			lo := 0.0
+			if i > 0 {
+				lo = float64(bucketUpper(i-1)) / 1e9
+			}
+			hi := math.Min(float64(bucketUpper(i))/1e9, s.Max)
 			frac := 1 - (cum-rank)/float64(n)
 			return lo + frac*(hi-lo)
 		}
@@ -252,13 +235,13 @@ func (s Snapshot) Mean() float64 {
 
 // Summary condenses a snapshot into the quantile set the engine reports.
 type Summary struct {
-	Count              uint64
-	Sum                float64
-	Mean               float64
-	P50, P90, P99, Max float64
+	Count                    uint64
+	Sum                      float64
+	Mean                     float64
+	P50, P90, P99, P999, Max float64
 }
 
-// Summary computes the standard p50/p90/p99/max summary.
+// Summary computes the standard p50/p90/p99/p99.9/max summary.
 func (s Snapshot) Summary() Summary {
 	return Summary{
 		Count: s.Count,
@@ -267,6 +250,7 @@ func (s Snapshot) Summary() Summary {
 		P50:   s.Quantile(0.50),
 		P90:   s.Quantile(0.90),
 		P99:   s.Quantile(0.99),
+		P999:  s.Quantile(0.999),
 		Max:   s.Max,
 	}
 }

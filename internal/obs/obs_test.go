@@ -2,10 +2,13 @@ package obs
 
 import (
 	"math"
+	"math/rand"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -29,10 +32,10 @@ func TestCounterGauge(t *testing.T) {
 func TestHistogramBuckets(t *testing.T) {
 	var h Histogram
 	h.Observe(0)          // bucket 0
-	h.Observe(1e-6)       // bucket 0 (v <= base)
-	h.Observe(3e-6)       // bucket 2 (<= 4µs)
-	h.Observe(1)          // <= 2^20µs ≈ 1.05s
-	h.Observe(1e9)        // overflow
+	h.Observe(1e-9)       // bucket 0: buckets are (lo, hi], 0 and 1ns share it
+	h.Observe(3e-6)       // 3000ns: (2976, 3008]
+	h.Observe(1)          // 1e9ns
+	h.Observe(1e9)        // beyond 2^42ns: the top bucket
 	h.Observe(-1)         // clamped to 0
 	h.Observe(math.NaN()) // clamped to 0
 	s := h.Snapshot()
@@ -42,11 +45,11 @@ func TestHistogramBuckets(t *testing.T) {
 	if s.Buckets[0] != 4 {
 		t.Errorf("bucket 0 = %d", s.Buckets[0])
 	}
-	if s.Buckets[2] != 1 {
-		t.Errorf("bucket 2 = %d", s.Buckets[2])
+	if i := bucketIndex(3000); s.Buckets[i] != 1 || bucketUpper(i) != 3008 || bucketUpper(i-1) != 2976 {
+		t.Errorf("3µs bucket %d = %d, edges (%d, %d]", i, s.Buckets[i], bucketUpper(i-1), bucketUpper(i))
 	}
-	if s.Buckets[len(s.Buckets)-1] != 1 {
-		t.Errorf("overflow = %d", s.Buckets[len(s.Buckets)-1])
+	if len(s.Buckets) != numBuckets || s.Buckets[numBuckets-1] != 1 {
+		t.Errorf("top bucket: len %d", len(s.Buckets))
 	}
 	if s.Max != 1e9 {
 		t.Errorf("max = %v", s.Max)
@@ -60,75 +63,57 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantiles records n observations spread evenly over
+// [1ms, n ms] and holds every quantile, p99.9 included, to 2%.
 func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	// 100 observations spread evenly over [1ms, 100ms].
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) * 1e-3)
-	}
-	s := h.Snapshot()
-	sum := s.Summary()
-	if sum.Count != 100 {
-		t.Fatalf("count = %d", sum.Count)
-	}
-	// Log buckets are coarse; accept a factor-of-2 window around truth.
-	checks := []struct {
-		name      string
-		got, want float64
-	}{
-		{"p50", sum.P50, 0.050},
-		{"p90", sum.P90, 0.090},
-		{"p99", sum.P99, 0.099},
-	}
-	for _, c := range checks {
-		if c.got < c.want/2 || c.got > c.want*2 {
-			t.Errorf("%s = %v, want within 2x of %v", c.name, c.got, c.want)
+	for _, n := range []int{100, 1000} {
+		var h Histogram
+		for i := 1; i <= n; i++ {
+			h.Observe(float64(i) / 1000)
 		}
-	}
-	if sum.Max != 0.1 {
-		t.Errorf("max = %v", sum.Max)
-	}
-	if math.Abs(sum.Mean-0.0505) > 1e-9 {
-		t.Errorf("mean = %v", sum.Mean)
-	}
-}
-
-func TestSnapshotMerge(t *testing.T) {
-	var a, b Histogram
-	a.Observe(1e-3)
-	b.Observe(2e-3)
-	b.Observe(5)
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
-	if s.Count != 3 {
-		t.Fatalf("count = %d", s.Count)
-	}
-	if s.Max != 5 {
-		t.Errorf("max = %v", s.Max)
-	}
-	if math.Abs(s.Sum-5.003) > 1e-9 {
-		t.Errorf("sum = %v", s.Sum)
-	}
-	// Merge into an empty snapshot works too.
-	var empty Snapshot
-	empty.Merge(s)
-	if empty.Count != 3 {
-		t.Errorf("merged-into-empty count = %d", empty.Count)
+		sum := h.Snapshot().Summary()
+		top := float64(n) / 1000
+		if sum.Count != uint64(n) {
+			t.Fatalf("n=%d: count = %d", n, sum.Count)
+		}
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"p50", sum.P50, 0.5 * top},
+			{"p90", sum.P90, 0.9 * top},
+			{"p99", sum.P99, 0.99 * top},
+			{"p99.9", sum.P999, 0.999 * top},
+		} {
+			if math.Abs(c.got-c.want) > 0.02*c.want {
+				t.Errorf("n=%d: %s = %v, want within 2%% of %v", n, c.name, c.got, c.want)
+			}
+		}
+		if sum.Max != top {
+			t.Errorf("n=%d: max = %v", n, sum.Max)
+		}
+		if want := float64(n+1) / 2000; math.Abs(sum.Mean-want) > 1e-9 {
+			t.Errorf("n=%d: mean = %v, want %v", n, sum.Mean, want)
+		}
 	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {
 	var h Histogram
 	var wg sync.WaitGroup
-	const workers, per = 8, 1000
+	const workers, per = 8, 5000
+	var want atomic.Uint64 // nanoseconds
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(seed int64) {
 			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < per; i++ {
-				h.Observe(float64(i%17) * 1e-4)
+				ns := r.Int63n(int64(time.Second))
+				want.Add(uint64(ns))
+				h.Observe(time.Duration(ns).Seconds())
 			}
-		}(w)
+		}(int64(w))
 	}
 	done := make(chan struct{})
 	go func() { // concurrent snapshot reads must be race-free
@@ -139,8 +124,16 @@ func TestHistogramConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if got := h.Snapshot().Count; got != workers*per {
-		t.Fatalf("count = %d, want %d", got, workers*per)
+	s := h.Snapshot()
+	if s.Count != workers*per {
+		t.Fatalf("count = %d, want %d", s.Count, workers*per)
+	}
+	var total uint64
+	for _, n := range s.Buckets {
+		total += n
+	}
+	if total != s.Count || s.Sum != float64(want.Load())/1e9 {
+		t.Fatalf("buckets %d, sum %v; want %d, %v", total, s.Sum, s.Count, float64(want.Load())/1e9)
 	}
 }
 

@@ -50,48 +50,27 @@ func readRuntimeFloat(name string) float64 {
 
 // runtimeHistSnapshot converts a runtime/metrics Float64Histogram into an
 // obs Snapshot by attributing each runtime bucket's count to the obs bucket
-// containing its midpoint. The runtime's bucket layout is finer than ours
-// near zero, so the conversion only coarsens, never misplaces beyond one
-// obs bucket.
+// containing its midpoint (an infinite edge gives way to the finite one).
 func runtimeHistSnapshot(name string) Snapshot {
 	s := []metrics.Sample{{Name: name}}
 	metrics.Read(s)
-	var snap Snapshot
-	snap.Buckets = make([]uint64, numBuckets+1)
-	if s[0].Value.Kind() != metrics.KindFloat64Histogram {
-		return snap
-	}
-	h := s[0].Value.Float64Histogram()
-	if h == nil {
-		return snap
-	}
-	for i, n := range h.Counts {
-		if n == 0 {
-			continue
-		}
-		lo, hi := h.Buckets[i], h.Buckets[i+1]
-		mid := 0.0
-		switch {
-		case math.IsInf(lo, -1) && math.IsInf(hi, 1):
-			mid = 0
-		case math.IsInf(lo, -1):
-			mid = hi
-		case math.IsInf(hi, 1):
-			mid = lo
-		default:
-			mid = (lo + hi) / 2
-		}
-		if mid < 0 {
-			mid = 0
-		}
-		snap.Buckets[bucketIndex(mid)] += n
-		snap.Count += n
-		snap.Sum += float64(n) * mid
-		if mid > snap.Max {
-			snap.Max = mid
+	var h Histogram
+	if s[0].Value.Kind() == metrics.KindFloat64Histogram {
+		rh := s[0].Value.Float64Histogram()
+		for i, n := range rh.Counts {
+			lo, hi := rh.Buckets[i], rh.Buckets[i+1]
+			switch {
+			case n == 0:
+				continue
+			case math.IsInf(lo, -1):
+				lo = hi
+			case math.IsInf(hi, 1):
+				hi = lo
+			}
+			h.add(toNanos((lo+hi)/2), n)
 		}
 	}
-	return snap
+	return h.Snapshot()
 }
 
 // RegisterRuntimeMetrics exports Go runtime health via runtime/metrics:

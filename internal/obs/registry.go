@@ -194,14 +194,18 @@ func (m *metric) write(w io.Writer) error {
 		}
 		return nil
 	case kindHistogram:
+		// Each bound is a bucket edge, so every le count is exact.
 		s := m.snapFn()
 		bounds := BucketBounds()
 		var cum uint64
-		for i, b := range s.Buckets {
-			cum += b
-			le := "+Inf"
-			if i < len(bounds) {
-				le = fmtFloat(bounds[i])
+		k := 0
+		for j := 0; j <= len(bounds); j++ {
+			le, top := "+Inf", len(s.Buckets)-1
+			if j < len(bounds) {
+				le, top = fmtFloat(bounds[j]), bucketIndex(1000<<j)
+			}
+			for ; k <= top && k < len(s.Buckets); k++ {
+				cum += s.Buckets[k]
 			}
 			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", m.name, le, cum); err != nil {
 				return err

@@ -14,12 +14,12 @@ type (
 	Counter = obs.Counter
 	// Gauge is an atomic value that can go up and down.
 	Gauge = obs.Gauge
-	// Histogram is a log-bucketed latency histogram.
+	// Histogram is a log-linear latency histogram (quantiles to ~1.6%).
 	Histogram = obs.Histogram
 	// LatencySnapshot is a point-in-time histogram copy (quantiles,
 	// buckets, sum, count); Stats.FilterLatency is one.
 	LatencySnapshot = obs.Snapshot
-	// LatencySummaryData is the p50/p90/p99/max quantile summary.
+	// LatencySummaryData is the p50/p90/p99/p99.9/max quantile summary.
 	LatencySummaryData = obs.Summary
 )
 

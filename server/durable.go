@@ -46,6 +46,7 @@ type CursorStore interface {
 // committed (see wal.Pending).
 type PendingAppend interface {
 	// Wait blocks for the batch outcome and returns the record's offset.
+	// An error that wraps wal.ErrOffsetStands still names a valid offset.
 	Wait() (uint64, error)
 	// BatchSize is how many records shared the batch, once Wait has
 	// returned.

@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -436,7 +435,7 @@ func (l *standingLog) AppendAsync(doc []byte) server.PendingAppend {
 func (p standingAppend) Wait() (uint64, error) {
 	off, err := p.PendingAppend.Wait()
 	if err == nil && p.fail {
-		err = errors.New("injected fsync failure, offset stands")
+		err = fmt.Errorf("injected fsync failure (%w)", wal.ErrOffsetStands)
 	}
 	return off, err
 }
@@ -444,8 +443,9 @@ func (p standingAppend) Wait() (uint64, error) {
 // TestJournalPumpNeverParksForever covers the two ways a record can stand in
 // the log without a successful publish behind it. A publish rejected beside a
 // standing offset has been filtered, so it is journaled and delivered like
-// any other; a record written into the log from outside the broker is never
-// journaled, and the pump filters it itself once journalWait has passed.
+// any other — offset 0, the first record of a fresh log, included; a record
+// written into the log from outside the broker is never journaled, and the
+// pump filters it itself once journalWait has passed.
 func TestJournalPumpNeverParksForever(t *testing.T) {
 	base := t.TempDir()
 	l, err := wal.Open(wal.Options{Dir: filepath.Join(base, "wal"), Fsync: wal.FsyncNever})
@@ -467,27 +467,30 @@ func TestJournalPumpNeverParksForever(t *testing.T) {
 		t.Fatal(err)
 	}
 	pub := dialDur(t, srv.Addr(), nil)
-	if _, err := pub.Publish(matchDoc(0)); err != nil {
-		t.Fatal(err)
-	}
 
-	// Offset 1: rejected, but standing.
+	// Offsets 0 and 1: rejected, but standing.
 	log.fail.Store(true)
-	var rejected error
-	pipe, err := pub.PublishPipelined(4, func(r client.PublishResult) { rejected = r.Err })
+	var rejected atomic.Int32
+	pipe, err := pub.PublishPipelined(4, func(r client.PublishResult) {
+		if r.Err != nil {
+			rejected.Add(1)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.Publish(matchDoc(1)); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := pipe.Publish(matchDoc(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := pipe.Close(); err == nil || rejected == nil {
-		t.Fatalf("publish beside a standing offset: close = %v, result = %v, want a wal append error", err, rejected)
+	if err := pipe.Close(); err == nil || rejected.Load() != 2 {
+		t.Fatalf("publishes beside standing offsets: close = %v, %d rejected, want 2 wal append errors", err, rejected.Load())
 	}
 	log.fail.Store(false)
-	waitFor(t, "the standing record's delivery", func() bool { return col.count() >= 2 })
+	waitFor(t, "the standing records' deliveries", func() bool { return col.count() >= 2 })
 	if n := misses("timeout"); n != 0 {
-		t.Errorf("the standing record was not journaled: %v timeout misses", n)
+		t.Errorf("a standing record was not journaled: %v timeout misses", n)
 	}
 
 	// Offset 2: written straight into the log; offset 3's publish wakes the pump.

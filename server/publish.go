@@ -4,11 +4,13 @@ package server
 // delivery queues.
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	xpushstream "repro"
 	"repro/internal/trace"
+	"repro/wal"
 )
 
 // publish filters one document on the current workload generation and fans
@@ -57,12 +59,12 @@ func (s *Server) publish(doc []byte, pend PendingAppend, remoteID uint64) (int, 
 		off, aerr := pend.Wait()
 		tc.EndSpan(wspan)
 		tc.SetAttr(wspan, "batch_size", int64(pend.BatchSize()))
-		if aerr == nil || off > 0 {
-			// The record stands in the log — also beside an error, when Wait
-			// still names an offset (wal.Pending.Wait: the batch failed its
-			// fsync and could not be truncated away), and after a filter
-			// error (no keys then). Journal what it matched under the
-			// generation's keyHW (control.go), then wake the pumps.
+		if aerr == nil || errors.Is(aerr, wal.ErrOffsetStands) {
+			// The record stands in the log — also beside an error that says
+			// so (wal.Pending.Wait: the batch failed its fsync and could not
+			// be truncated away), and after a filter error (no keys then).
+			// Journal what it matched under the generation's keyHW
+			// (control.go), then wake the pumps.
 			s.journal.put(off, uint64(e.NumQueries()), keys)
 			defer s.walBroadcast()
 		}

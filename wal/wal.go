@@ -64,6 +64,10 @@ var (
 	// (the segment holding it was deleted by retention). Readers recover by
 	// restarting from FirstOffset.
 	ErrTruncated = errors.New("wal: offset predates the retained log")
+	// ErrOffsetStands is wrapped by an append error whose record is in the
+	// log anyway (see Append): the offset returned beside it is valid, 0
+	// included, and the record will be replayed.
+	ErrOffsetStands = errors.New("wal: the record stands in the log")
 )
 
 // FsyncPolicy selects when appends are flushed to stable storage.
@@ -100,9 +104,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment when it exceeds this size
 	// (<= 0 = 64 MiB).
 	SegmentBytes int64
-	// SegmentAge rotates a non-empty active segment older than this
-	// (0 = size-based rotation only). Evaluated on append.
-	SegmentAge time.Duration
 	// Fsync selects the flush policy ("" = FsyncInterval).
 	Fsync FsyncPolicy
 	// FsyncEvery is the FsyncInterval period (<= 0 = 100ms).
@@ -177,7 +178,6 @@ type segment struct {
 	records    uint64
 	size       int64 // bytes including the header
 	path       string
-	created    time.Time
 	lastAppend time.Time // newest record's write time (RetentionAge basis)
 }
 
@@ -213,11 +213,10 @@ type batch struct {
 	grown      chan struct{}
 	grownFired bool
 	base       uint64 // offset of the batch's first record (valid when err == nil)
-	err        error
-	// offsetsStand marks the fsync-failed-and-cannot-truncate corner: the
-	// records are in the file and will be replayed after a crash, so their
-	// offsets are reported alongside err (see Append's contract).
-	offsetsStand bool
+	// err wraps ErrOffsetStands in the fsync-failed-and-cannot-truncate
+	// corner: the records are in the file and will be replayed after a
+	// crash, so their offsets are reported alongside it.
+	err error
 }
 
 // failure is a latched permanent error (see Log.failed).
@@ -389,17 +388,15 @@ func (l *Log) recover() error {
 				return fmt.Errorf("wal: truncating torn tail of %s: %w", f.path, err)
 			}
 		}
-		info, ierr := os.Stat(f.path)
-		created := time.Now()
-		if ierr == nil {
-			created = info.ModTime()
+		lastAppend := time.Now()
+		if info, err := os.Stat(f.path); err == nil {
+			// ModTime is when the segment was last written, i.e. its newest
+			// record's age — the basis for retention after a restart.
+			lastAppend = info.ModTime()
 		}
-		// ModTime is when the segment was last written, i.e. its newest
-		// record's age — the right basis for both rotation and retention
-		// after a restart.
 		l.segs = append(l.segs, &segment{
 			base: f.base, records: sc.records, size: sc.validSize, path: f.path,
-			created: created, lastAppend: created,
+			lastAppend: lastAppend,
 		})
 		l.next = f.base + sc.records
 		if sc.torn {
@@ -484,8 +481,7 @@ func (l *Log) createSegment(base uint64) error {
 	}
 	syncDir(l.opt.Dir)
 	l.f = wrapSegFile(f)
-	now := time.Now()
-	l.segs = append(l.segs, &segment{base: base, size: headerSize, path: path, created: now, lastAppend: now})
+	l.segs = append(l.segs, &segment{base: base, size: headerSize, path: path, lastAppend: time.Now()})
 	return nil
 }
 
@@ -494,8 +490,9 @@ func (l *Log) createSegment(base uint64) error {
 // assigns no offset and leaves the log consistent — under FsyncAlways a
 // record whose fsync fails is truncated back out, unless that truncation
 // itself fails, in which case the record (and its offset) stand and the
-// error is still returned: the caller sees a rejected append that may
-// nevertheless be replayed, the at-least-once-safe direction.
+// error, wrapping ErrOffsetStands, is still returned: the caller sees a
+// rejected append that may nevertheless be replayed, the at-least-once-safe
+// direction.
 //
 // Concurrent Appends group-commit: their records share one file write and
 // (under FsyncAlways) one fsync, so durable throughput scales with the
@@ -568,7 +565,7 @@ func (p *Pending) Wait() (uint64, error) {
 	} else {
 		<-p.b.done
 	}
-	if p.b.err != nil && !p.b.offsetsStand {
+	if p.b.err != nil && !errors.Is(p.b.err, ErrOffsetStands) {
 		return 0, p.b.err
 	}
 	return p.b.base + uint64(p.idx), p.b.err
@@ -665,8 +662,7 @@ func (l *Log) commit(b *batch) {
 		return
 	}
 	active := l.segs[len(l.segs)-1]
-	if active.size >= l.opt.segmentBytes() ||
-		(l.opt.SegmentAge > 0 && active.records > 0 && time.Since(active.created) >= l.opt.SegmentAge) {
+	if active.size >= l.opt.segmentBytes() {
 		if err := l.rotateLocked(); err != nil {
 			l.appendErrs += int64(n)
 			b.err = err
@@ -701,7 +697,7 @@ func (l *Log) commit(b *batch) {
 			if terr := l.f.Truncate(active.size); terr != nil {
 				l.logf("wal: cannot undo batch after failed fsync (%v); offsets %d-%d stand and may be redelivered",
 					terr, l.next, l.next+uint64(n)-1)
-				b.offsetsStand = true
+				b.err = fmt.Errorf("%w (%w)", serr, ErrOffsetStands)
 				// Fall through: the records are in the file, so the offsets
 				// must advance or the next batch would overwrite them.
 			} else {

@@ -120,7 +120,7 @@ type Stats struct {
 	Bytes int64
 	// FilterLatency is a snapshot of the per-document filter-latency
 	// histogram, in seconds. Use FilterLatency.Summary() for
-	// p50/p90/p99/max, or feed it to an obs.Registry for Prometheus
+	// p50/p90/p99/p99.9/max, or feed it to an obs.Registry for Prometheus
 	// exposition.
 	FilterLatency obs.Snapshot
 	// Windowed counters over the most recent WindowDocuments documents
