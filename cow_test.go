@@ -119,7 +119,7 @@ func TestDerivedEnginesShareStreamTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := []byte(`<m><a>1</a></m>`)
+	doc := []byte(`<m q="1"><a>1</a></m>`) // @q is skipped: no filter names it
 	added, err := base.WithQueries([]string{`//m[b = 2]`})
 	if err != nil {
 		t.Fatal(err)
@@ -143,13 +143,13 @@ func TestDerivedEnginesShareStreamTotals(t *testing.T) {
 		}
 		for j, o := range lineage {
 			st := o.Stats()
-			if st.Bytes != int64((i+1)*len(doc)) || st.FilterLatency.Count != uint64(i+1) {
-				t.Fatalf("after generation %d filtered, generation %d reads %d bytes, %d documents timed; want %d, %d",
-					i, j, st.Bytes, st.FilterLatency.Count, (i+1)*len(doc), i+1)
+			if st.Bytes != int64((i+1)*len(doc)) || st.FilterLatency.Count != uint64(i+1) || st.SkippedElements != int64(i+1) {
+				t.Fatalf("after generation %d filtered, generation %d reads %d bytes, %d documents timed, %d skipped; want %d, %d, %d",
+					i, j, st.Bytes, st.FilterLatency.Count, st.SkippedElements, (i+1)*len(doc), i+1, i+1)
 			}
 		}
 	}
-	if st := apart.Stats(); st.Bytes != 0 || st.FilterLatency.Count != 0 {
+	if st := apart.Stats(); st.Bytes != 0 || st.FilterLatency.Count != 0 || st.SkippedElements != 0 {
 		t.Errorf("an engine compiled apart started with the lineage's totals: %d bytes, %d documents timed", st.Bytes, st.FilterLatency.Count)
 	}
 }

@@ -179,6 +179,20 @@ func (a *AFA) Delta(s int32, in int32, out []int32) []int32 {
 	return out
 }
 
+// FiresOn reports whether some transition of the automaton fires on the
+// input symbol in. When none does, δ and δ⁻¹ over in are empty for every
+// state set.
+func (a *AFA) FiresOn(in int32) bool {
+	for i := range a.states {
+		for _, e := range a.states[i].edges {
+			if a.Syms.Matches(e.sym, in) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // DeltaInv computes δ⁻¹(q, in) = { s' | δ(s', in) ∩ q ≠ ∅ } for a sorted
 // state set q, appending to out. The result is sorted and deduplicated.
 // Back-pointers keep this linear in the number of incoming edges, as the

@@ -36,7 +36,8 @@ type Variant struct {
 	Name  string
 	Opts  core.Options
 	Train bool
-	// ParseOnly measures the parser alone (the "parse" series).
+	// ParseOnly measures the parser alone (the "parse" series): the byte
+	// scanner Machine.Run stands on, delivering to a no-op handler.
 	ParseOnly bool
 	// StdParse measures the heavyweight reference parser (the paper's
 	// Apache series).
@@ -105,13 +106,18 @@ func buildMachine(filters []*xpath.Filter, ds *datagen.Dataset, v Variant) (*cor
 	return m, nil
 }
 
+// nullHandler discards events: a sax.Handler for the reference parser and a
+// sax.BytesHandler for the byte scanner.
 type nullHandler struct{}
 
-func (nullHandler) StartDocument()      {}
-func (nullHandler) StartElement(string) {}
-func (nullHandler) Text(string)         {}
-func (nullHandler) EndElement(string)   {}
-func (nullHandler) EndDocument()        {}
+func (nullHandler) StartDocument()           {}
+func (nullHandler) StartElement(string)      {}
+func (nullHandler) Text(string)              {}
+func (nullHandler) EndElement(string)        {}
+func (nullHandler) StartElementBytes([]byte) {}
+func (nullHandler) TextBytes([]byte)         {}
+func (nullHandler) EndElementBytes([]byte)   {}
+func (nullHandler) EndDocument()             {}
 
 // measure runs one variant over the data and returns a row.
 func measure(v Variant, filters []*xpath.Filter, ds *datagen.Dataset, data []byte) (Row, error) {
@@ -119,7 +125,7 @@ func measure(v Variant, filters []*xpath.Filter, ds *datagen.Dataset, data []byt
 	switch {
 	case v.ParseOnly:
 		start := time.Now()
-		if err := sax.Parse(data, nullHandler{}); err != nil {
+		if err := sax.ParseBytes(data, nullHandler{}); err != nil {
 			return row, err
 		}
 		row.Time = time.Since(start)
@@ -316,7 +322,7 @@ func Abstract(ds *datagen.Dataset, numQueries int, meanPreds float64, dataBytes 
 	}
 	res.WarmLatency = lat.Snapshot().Summary()
 	start = time.Now()
-	if err := sax.Parse(data, nullHandler{}); err != nil {
+	if err := sax.ParseBytes(data, nullHandler{}); err != nil {
 		return res, err
 	}
 	res.ScannerMBPerSec = mbPerSec(len(data), time.Since(start))

@@ -248,6 +248,10 @@ type shared struct {
 	needIsect   bool   // early + descendant: intersect after pops
 	earlyOn     bool
 	trueTermAll []int32
+	// invisible has bit s set for each sentinel symbol s (SymOtherElem,
+	// SymOtherAttr) on which no transition fires: Resolve reports such an
+	// element or attribute invisible. It is 0 under StrictMixedContent.
+	invisible uint8
 
 	// Miss-path scratch: used only while computing a transition, i.e. under
 	// the write lock.
@@ -336,6 +340,11 @@ func New(a *afa.AFA, opts Options) *Machine {
 	m.earlyOn = opts.Early
 	m.needIsect = opts.Early && a.HasDescendant()
 	m.trueTermAll = a.TrueTerminals()
+	for _, sym := range []int32{afa.SymOtherElem, afa.SymOtherAttr} {
+		if !opts.StrictMixedContent && !a.FiresOn(sym) {
+			m.invisible |= 1 << sym
+		}
+	}
 	defer m.exclusive()()
 	m.reset()
 	return m
@@ -607,23 +616,50 @@ func (m *Machine) StartDocument() {
 
 // StartElement implements sax.Handler (the tpush transition).
 func (m *Machine) StartElement(name string) {
-	m.startElement(m.afa.Syms.InputSym(name))
+	m.Start(m.afa.Syms.InputSym(name))
 }
 
 // StartElementBytes implements sax.BytesHandler; the symbol is resolved
 // straight from the borrowed name bytes.
 func (m *Machine) StartElementBytes(name []byte) {
-	m.startElement(m.afa.Syms.InputSymBytes(name))
+	m.Start(m.afa.Syms.InputSymBytes(name))
 }
 
-func (m *Machine) startElement(sym int32) {
+// Resolve maps a start tag's name to the machine's input symbol, for Start
+// or Skip, and reports whether the element or attribute it opens is
+// invisible: its label occurs in no filter and no wildcard edge can fire on
+// it, so its whole subtree ends in q0^b whatever it holds (DESIGN.md
+// "Skipping what no filter can see"). Never true under StrictMixedContent.
+func (m *Machine) Resolve(name []byte) (sym int32, invisible bool) {
+	sym = m.afa.Syms.InputSymBytes(name)
+	return sym, m.invisible>>uint32(sym)&1 != 0 // 0 for sym >= 8
+}
+
+// Skip stands in for the whole subtree of a start tag that Resolve reported
+// invisible: the machine records that an element child occurred (an
+// attribute leaves no trace) and nothing else. The caller delivers no event
+// of the subtree, its close tag included.
+func (m *Machine) Skip(sym int32) {
 	m.pendEvents++
-	isAttr := m.afa.Syms.IsAttr(sym)
-	if !isAttr {
-		if m.cur.sawText {
-			m.mixedContent()
-		}
-		m.cur.sawElemChild = true
+	if sym == afa.SymOtherElem {
+		m.elemChild()
+	}
+}
+
+// elemChild records that the current element has an element child.
+func (m *Machine) elemChild() {
+	if m.cur.sawText {
+		m.mixedContent()
+	}
+	m.cur.sawElemChild = true
+}
+
+// Start processes a start tag that Resolve mapped to sym (the tpush
+// transition).
+func (m *Machine) Start(sym int32) {
+	m.pendEvents++
+	if !m.afa.Syms.IsAttr(sym) {
+		m.elemChild()
 	}
 	m.stack = append(m.stack, frame{qt: m.qt, qb: m.qb, sym: sym, sawText: m.cur.sawText, sawElemChild: m.cur.sawElemChild})
 	m.cur = frame{}

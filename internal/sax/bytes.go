@@ -75,6 +75,12 @@ type ByteScanner struct {
 	attrName []byte // "@" + attribute label scratch
 	attrVal  []byte // entity-decoded attribute value scratch
 
+	// skip is the stack depth of the element being skipped (SkipElement),
+	// 0 when none is. While it is set, h is discard and saved holds the
+	// caller's handler: every check still runs, but no event reaches it.
+	skip  int
+	saved BytesHandler
+
 	// MaxDepth bounds element nesting; 0 selects DefaultMaxDepth.
 	MaxDepth int
 }
@@ -97,10 +103,35 @@ func (s *ByteScanner) Parse(data []byte, h BytesHandler) error {
 	s.stack = s.stack[:0]
 	s.inDoc = false
 	s.textMode = textNone
+	s.skip = 0
 	err := s.run()
-	s.data, s.h = nil, nil
+	s.data, s.h, s.saved = nil, nil, nil
 	return err
 }
+
+// SkipElement skips what the start event being delivered opens: an
+// element's attributes, content and close tag, or an attribute's value and
+// end. The scanner checks the skipped input exactly as it checks any other,
+// so a document's verdict and error do not change, but it delivers none of
+// its events; StartDocument and EndDocument are still delivered. Call it
+// only from the handler's StartElementBytes.
+func (s *ByteScanner) SkipElement() {
+	// A start tag's element is pushed after its attributes are read, so the
+	// element, and an attribute of it, sit one level below the stack.
+	s.saved, s.h, s.skip = s.h, discard{}, len(s.stack)+1
+}
+
+// endSkip hands the events back to the caller's handler.
+func (s *ByteScanner) endSkip() { s.h, s.skip = s.saved, 0 }
+
+// discard is the handler a skipped subtree's events go to.
+type discard struct{}
+
+func (discard) StartDocument()           {}
+func (discard) StartElementBytes([]byte) {}
+func (discard) TextBytes([]byte)         {}
+func (discard) EndElementBytes([]byte)   {}
+func (discard) EndDocument()             {}
 
 func (s *ByteScanner) errf(format string, args ...any) error {
 	return &ParseError{Offset: s.pos, Msg: fmt.Sprintf(format, args...)}
@@ -379,7 +410,7 @@ func (s *ByteScanner) startTag() error {
 				return s.errf("bad '/' in start tag")
 			}
 			// Self-closing element.
-			s.h.EndElementBytes(name)
+			s.endEvent(name, len(s.stack)+1)
 			s.pos = i + 2
 			if len(s.stack) == 0 {
 				s.inDoc = false
@@ -436,9 +467,14 @@ func (s *ByteScanner) startTag() error {
 			val = s.attrVal
 		}
 		i++ // skip closing quote
-		s.h.StartElementBytes(s.attrName)
-		s.h.TextBytes(val)
-		s.h.EndElementBytes(s.attrName)
+		if s.skip == 0 {
+			s.h.StartElementBytes(s.attrName)
+			s.h.TextBytes(val)
+			s.h.EndElementBytes(s.attrName)
+			if s.skip != 0 { // SkipElement on this attribute
+				s.endSkip()
+			}
+		}
 	}
 }
 
@@ -481,14 +517,24 @@ func (s *ByteScanner) endTag() error {
 // scanning at next.
 func (s *ByteScanner) closeElement(name []byte, next int) error {
 	s.flushText()
+	s.endEvent(name, len(s.stack))
 	s.stack = s.stack[:len(s.stack)-1]
-	s.h.EndElementBytes(name)
 	s.pos = next
 	if len(s.stack) == 0 {
 		s.inDoc = false
 		s.h.EndDocument()
 	}
 	return nil
+}
+
+// endEvent delivers the end event of an element at stack depth depth; the
+// end of a skipped element is withheld and closes the skip.
+func (s *ByteScanner) endEvent(name []byte, depth int) {
+	if s.skip != depth {
+		s.h.EndElementBytes(name)
+		return
+	}
+	s.endSkip()
 }
 
 // Byte classes. Each stop bit marks the bytes that end one kind of run;

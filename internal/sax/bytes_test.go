@@ -300,6 +300,91 @@ func TestByteScannerZeroAllocs(t *testing.T) {
 	if warm < 50 {
 		t.Fatalf("warm-up parse delivered %d events; the document is not being scanned", warm)
 	}
+
+	// The same budget holds with subtrees skipped (SkipElement).
+	sk := skipBytes{s: &s}
+	if err := s.Parse(doc, &sk); err != nil {
+		t.Fatal(err)
+	}
+	if sk.skipped == 0 || sk.events >= warm {
+		t.Fatalf("skipping parse: %d skipped, %d of %d events delivered; nothing was skipped", sk.skipped, sk.events, warm)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := s.Parse(doc, &sk); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reused ByteScanner, skipping: %v allocs per document, want 0", allocs)
+	}
+}
+
+// skipName picks the elements and attributes a skipping handler skips: those
+// whose name's FNV-1a hash has bit 16 set.
+func skipName(name []byte) bool {
+	h := uint32(2166136261)
+	for _, c := range name {
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return h&(1<<16) != 0
+}
+
+// skipBytes counts the events it receives and skips every subtree skipName
+// picks.
+type skipBytes struct {
+	s       *ByteScanner
+	events  int
+	skipped int
+}
+
+func (h *skipBytes) StartDocument() { h.events++ }
+func (h *skipBytes) StartElementBytes(name []byte) {
+	h.events++
+	if skipName(name) {
+		h.s.SkipElement()
+		h.skipped++
+	}
+}
+func (h *skipBytes) TextBytes([]byte)       { h.events++ }
+func (h *skipBytes) EndElementBytes([]byte) { h.events++ }
+func (h *skipBytes) EndDocument()           { h.events++ }
+
+// skipCollector is byteCollector with skipName's subtrees skipped.
+type skipCollector struct {
+	byteCollector
+	s *ByteScanner
+}
+
+func (c *skipCollector) StartElementBytes(name []byte) {
+	c.byteCollector.StartElementBytes(name)
+	if skipName(name) {
+		c.s.SkipElement()
+	}
+}
+
+// withoutSkipped is the full event stream minus the subtrees skipName picks:
+// what a skipping handler must receive. A subtree's start event stays, as
+// its handler saw it before asking to skip.
+func withoutSkipped(full []Event) []Event {
+	var out []Event
+	depth := 0 // open elements inside the skipped subtree, 0 outside one
+	for _, e := range full {
+		switch {
+		case depth > 0:
+			switch e.Kind {
+			case StartElement:
+				depth++
+			case EndElement:
+				depth--
+			}
+		case e.Kind == StartElement && skipName([]byte(e.Name)):
+			out = append(out, e)
+			depth = 1
+		default:
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 // TestByteScannerReuse checks that one ByteScanner instance parses multiple
@@ -423,5 +508,68 @@ func FuzzByteScanner(f *testing.F) {
 				t.Fatalf("event %d: %v vs %v", i, sc.Events[i], bc.Events[i])
 			}
 		}
+
+		// Skipping changes what is delivered, never the verdict: the same
+		// error (message and offset) or none, and the full stream minus the
+		// skipped subtrees.
+		var full byteCollector
+		fullErr := ParseBytes([]byte(input), &full)
+		var s ByteScanner
+		sk := skipCollector{s: &s}
+		skipErr := s.Parse([]byte(input), &sk)
+		if fmt.Sprint(fullErr) != fmt.Sprint(skipErr) {
+			t.Fatalf("skipping changed the verdict: full scan err=%v, skipping err=%v", fullErr, skipErr)
+		}
+		want := withoutSkipped(full.Events)
+		if fmt.Sprint(want) != fmt.Sprint(sk.Events) {
+			t.Fatalf("skipping delivered\n %v\nwant the full stream minus skipped subtrees\n %v", sk.Events, want)
+		}
 	})
+}
+
+// skipNamed skips every element or attribute called name.
+type skipNamed struct {
+	byteCollector
+	s    *ByteScanner
+	name string
+}
+
+func (c *skipNamed) StartElementBytes(name []byte) {
+	c.byteCollector.StartElementBytes(name)
+	if string(name) == c.name {
+		c.s.SkipElement()
+	}
+}
+
+// TestSkipElement pins what SkipElement withholds: the skipped element's
+// attributes, content and close tag, or the skipped attribute's value and
+// end; the document boundaries are still delivered, and the skipped input is
+// still checked.
+func TestSkipElement(t *testing.T) {
+	for _, tc := range []struct{ skip, doc, want string }{
+		{"x", `<a><x k="1"><b>2</b>t</x><c/></a>`,
+			"[startDocument startElement(a) startElement(x) startElement(c) endElement(c) endElement(a) endDocument]"},
+		{"x", `<x><b/></x>`, "[startDocument startElement(x) endDocument]"},
+		{"x", `<a><x/>1</a>`, `[startDocument startElement(a) startElement(x) text("1") endElement(a) endDocument]`},
+		{"@k", `<a k="1" j="2">t</a>`,
+			`[startDocument startElement(a) startElement(@k) startElement(@j) text("2") endElement(@j) text("t") endElement(a) endDocument]`},
+	} {
+		var s ByteScanner
+		c := skipNamed{s: &s, name: tc.skip}
+		if err := s.Parse([]byte(tc.doc), &c); err != nil {
+			t.Fatalf("%s: %v", tc.doc, err)
+		}
+		if got := fmt.Sprint(c.Events); got != tc.want {
+			t.Errorf("%s skipping %s:\n got %s\nwant %s", tc.doc, tc.skip, got, tc.want)
+		}
+	}
+	for _, doc := range []string{`<a><x><b></x></a>`, `<a><x k="&bad;"/></a>`, `<a><x>&#xZ;</x></a>`} {
+		var full byteCollector
+		want := ParseBytes([]byte(doc), &full)
+		var s ByteScanner
+		got := s.Parse([]byte(doc), &skipNamed{s: &s, name: "x"})
+		if want == nil || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: skipping err %v, full scan err %v; want the same error", doc, got, want)
+		}
+	}
 }

@@ -48,7 +48,7 @@ func (f StatsFunc) Stats() Stats { return f() }
 //	<p>_documents_total, <p>_events_total, <p>_bytes_total,
 //	<p>_matches_total, <p>_table_lookups_total, <p>_table_hits_total,
 //	<p>_flushes_total, <p>_mixed_content_events_total,
-//	<p>_exclusive_documents_total                       (counters)
+//	<p>_exclusive_documents_total, <p>_skipped_elements_total  (counters)
 //	<p>_states, <p>_topdown_states, <p>_avg_state_size,
 //	<p>_hit_ratio, <p>_window_hit_ratio, <p>_window_states_added (gauges)
 //	<p>_filter_latency_seconds            (summary: p50/p90/p99 quantiles)
@@ -76,6 +76,7 @@ func RegisterMetrics(r *Registry, prefix string, src StatsSource) {
 	counter("table_hits_total", "transition-table hits", func(s Stats) int64 { return s.Hits })
 	counter("flushes_total", "MaxStates cache flushes", func(s Stats) int64 { return s.Flushes })
 	counter("exclusive_documents_total", "documents that took a machine's write lock (table miss or string-function predicate) instead of running on shared tables", func(s Stats) int64 { return s.ExclusiveDocuments })
+	counter("skipped_elements_total", "elements and attributes no filter can see, checked by the scanner but never delivered to the machine", func(s Stats) int64 { return s.SkippedElements })
 	counter("mixed_content_events_total", "mixed element/text content violations", func(s Stats) int64 { return s.MixedContentEvents })
 	gauge("states", "lazily materialised machine states", func(s Stats) float64 { return float64(s.States) })
 	gauge("topdown_states", "top-down (navigation) states", func(s Stats) float64 { return float64(s.TopDownStates) })

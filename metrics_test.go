@@ -69,6 +69,7 @@ func TestRegisterMetricsPrometheusOutput(t *testing.T) {
 		"xpush_bytes_total ",
 		"xpush_hit_ratio ",
 		"xpush_window_hit_ratio ",
+		"xpush_skipped_elements_total 0", // the // step can match any element
 		"# TYPE xpush_filter_latency_seconds summary",
 		`xpush_filter_latency_seconds{quantile="0.5"}`,
 		`xpush_filter_latency_seconds{quantile="0.99"}`,

@@ -118,6 +118,11 @@ type Stats struct {
 	ExclusiveDocuments int64
 	// Bytes counts stream bytes processed.
 	Bytes int64
+	// SkippedElements counts the elements and attributes whose label no
+	// filter of any layer names and no wildcard can match: the scanner
+	// checked each one's subtree but delivered none of its events to the
+	// machines (DESIGN.md "Skipping what no filter can see").
+	SkippedElements int64
 	// FilterLatency is a snapshot of the per-document filter-latency
 	// histogram, in seconds. Use FilterLatency.Summary() for
 	// p50/p90/p99/p99.9/max, or feed it to an obs.Registry for Prometheus
@@ -225,8 +230,9 @@ func (e *Engine) driver() *byteDriver {
 // filter latency. Atomic/lock-free so Stats can be scraped while a stream
 // is being filtered.
 type streamCounters struct {
-	bytes atomic.Int64
-	lat   obs.Histogram
+	bytes   atomic.Int64
+	skipped atomic.Int64
+	lat     obs.Histogram
 }
 
 // Compile parses and compiles a workload of XPath filters. queries[i] gets
@@ -377,6 +383,7 @@ type byteDriver struct {
 	scratch    []int // the current document's matches
 	docs       int   // documents the current call has seen
 	docStart   time.Time
+	skipped    int64 // elements skipped since the last flush to e.ctr
 
 	// Tracing state, non-nil only for sampled documents.
 	// The common untraced case pays exactly one nil check per event method;
@@ -400,17 +407,67 @@ func (d *byteDriver) StartDocument() {
 	}
 }
 
+// StartElementBytes skips the element or attribute the tag opens when every
+// layer finds it invisible (core.Machine.Resolve): each layer then records
+// only the element child (Machine.Skip), and the scanner delivers nothing
+// more of it. A name layer 0 sees is started at once, which in a workload
+// naming every label is every name.
 func (d *byteDriver) StartElementBytes(name []byte) {
-	if d.tc == nil {
-		for _, m := range d.layers {
-			m.StartElementBytes(name)
-		}
+	if d.tc != nil {
+		d.startTraced(name)
 		return
+	}
+	sym, invisible := d.layers[0].Resolve(name)
+	if invisible && d.skip(name, sym) {
+		return
+	}
+	d.layers[0].Start(sym)
+	for _, m := range d.layers[1:] {
+		m.StartElementBytes(name)
+	}
+}
+
+// skip skips a start tag that layer 0 found invisible if every other layer
+// agrees, and reports whether it did. An invisible name resolves to the same
+// sentinel symbol on every layer, so layer 0's symbol serves them all.
+func (d *byteDriver) skip(name []byte, sym int32) bool {
+	for _, m := range d.layers[1:] {
+		if _, invisible := m.Resolve(name); !invisible {
+			return false
+		}
+	}
+	for _, m := range d.layers {
+		m.Skip(sym)
+	}
+	d.scan.SkipElement()
+	d.skipped++
+	return true
+}
+
+// startTraced is StartElementBytes timing each layer's share.
+func (d *byteDriver) startTraced(name []byte) {
+	var sym int32
+	skip := true
+	for li, m := range d.layers {
+		t0 := time.Now()
+		sym, skip = m.Resolve(name)
+		d.layerNS[li] += time.Since(t0).Nanoseconds()
+		if !skip {
+			break
+		}
 	}
 	for li, m := range d.layers {
 		t0 := time.Now()
-		m.StartElementBytes(name)
+		if skip {
+			m.Skip(sym)
+		} else {
+			m.StartElementBytes(name)
+		}
 		d.layerNS[li] += time.Since(t0).Nanoseconds()
+	}
+	if skip {
+		d.scan.SkipElement()
+		d.skipped++
 	}
 }
 
@@ -511,6 +568,10 @@ func (e *Engine) run(data []byte, tc *TraceCtx, parent TraceSpanID, onDocument f
 	d.onDocument, d.tc, d.tcParent, d.docs = onDocument, tc, parent, 0
 	err := d.scan.Parse(data, d)
 	d.onDocument, d.tc = nil, nil
+	if d.skipped != 0 {
+		e.ctr.skipped.Add(d.skipped)
+		d.skipped = 0
+	}
 	for _, m := range d.layers {
 		m.Release() // a parse error ends the stream mid-document
 		if err == nil {
@@ -665,6 +726,7 @@ func (e *Engine) Stats() Stats {
 		}
 	}
 	out.Bytes = e.ctr.bytes.Load()
+	out.SkippedElements = e.ctr.skipped.Load()
 	out.FilterLatency = e.ctr.lat.Snapshot()
 	finishStats(&out, sizeSum)
 	return out
