@@ -11,6 +11,7 @@ package xpushstream
 // states per machine state), hitratio, and MB/s where meaningful.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -221,6 +222,42 @@ func BenchmarkSAXScanner(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var h nullSAX
 			if err := sax.StdParse(data, h); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkFilterStreaming times FilterStreaming, which cuts each document
+// off a reader before filtering it, next to FilterBytes over the same
+// stream held in memory: the gap is the price of the cut.
+func BenchmarkFilterStreaming(b *testing.B) {
+	ds := datagen.ProteinLike()
+	filters := workload.Generate(ds, bench.WorkloadParams(42, 1000, 1.15))
+	queries := make([]string, len(filters))
+	for i, f := range filters {
+		queries[i] = f.Source
+	}
+	e, err := Compile(queries, Config{TopDownPruning: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := datagen.NewGenerator(ds, 3).GenerateBytes(1 << 20)
+	if err := e.FilterBytes(data, func([]int) {}); err != nil { // warm pass
+		b.Fatal(err)
+	}
+	b.Run("filter-bytes", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if err := e.FilterBytes(data, func([]int) {}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("filter-streaming", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if err := e.FilterStreaming(bytes.NewReader(data), func([]int) {}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -46,8 +46,8 @@ type Options struct {
 	// deliveries.
 	OnDeliver func(Delivery)
 	// MaxDocBytes bounds frames in both directions, mirroring the
-	// server's limit and sax.Splitter.MaxDocBytes on the PublishStream
-	// path (0 = 64 MiB).
+	// server's limit, and each document PublishStream cuts from its
+	// reader (0 = 64 MiB).
 	MaxDocBytes int
 	// Timeout bounds each request's wait for its response (0 = none).
 	Timeout time.Duration
@@ -309,8 +309,9 @@ func (c *Client) PublishTraced(doc []byte, traceID uint64) (int, error) {
 	return int(n), err
 }
 
-// PublishStream splits a stream of concatenated XML documents (bounded per
-// document by Options.MaxDocBytes, via sax.Splitter) and publishes each.
+// PublishStream cuts a stream of concatenated XML documents into documents
+// with sax.StreamDocumentsLimit (bounded per document by
+// Options.MaxDocBytes) and publishes each as soon as it is in.
 // It returns the number of documents published.
 func (c *Client) PublishStream(r io.Reader) (int, error) {
 	n := 0

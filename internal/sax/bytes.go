@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/bits"
 	"unicode/utf8"
 )
@@ -21,25 +22,6 @@ type BytesHandler interface {
 	TextBytes(data []byte)
 	EndElementBytes(name []byte)
 	EndDocument()
-}
-
-// handlerShim adapts a string-level Handler to BytesHandler, paying one
-// string allocation per named event (the cost the byte path exists to avoid).
-type handlerShim struct{ h Handler }
-
-func (s handlerShim) StartDocument()                { s.h.StartDocument() }
-func (s handlerShim) StartElementBytes(name []byte) { s.h.StartElement(string(name)) }
-func (s handlerShim) TextBytes(data []byte)         { s.h.Text(string(data)) }
-func (s handlerShim) EndElementBytes(name []byte)   { s.h.EndElement(string(name)) }
-func (s handlerShim) EndDocument()                  { s.h.EndDocument() }
-
-// AsBytesHandler returns h itself when it already implements BytesHandler,
-// and a string-converting shim otherwise.
-func AsBytesHandler(h Handler) BytesHandler {
-	if bh, ok := h.(BytesHandler); ok {
-		return bh
-	}
-	return handlerShim{h}
 }
 
 // span is a byte range into the scanner's input buffer.
@@ -80,6 +62,11 @@ type ByteScanner struct {
 	// caller's handler: every check still runs, but no event reaches it.
 	skip  int
 	saved BytesHandler
+
+	// more is set while more input may follow data (StreamDocuments): input
+	// ending inside a construct fails with io.ErrUnexpectedEOF, leaving pos
+	// at the construct's start, where the scan can resume.
+	more bool
 
 	// MaxDepth bounds element nesting; 0 selects DefaultMaxDepth.
 	MaxDepth int
@@ -137,6 +124,17 @@ func (s *ByteScanner) errf(format string, args ...any) error {
 	return &ParseError{Offset: s.pos, Msg: fmt.Sprintf(format, args...)}
 }
 
+// endf is errf for input that ends inside the construct being read, which
+// more input might complete. It keeps errf's signature: a call's argument
+// spill space is part of the caller's frame, and the scanner's frames sit on
+// every filtering goroutine's stack.
+func (s *ByteScanner) endf(format string, args ...any) error {
+	if s.more {
+		return io.ErrUnexpectedEOF
+	}
+	return s.errf(format, args...)
+}
+
 func (s *ByteScanner) run() error {
 	for s.pos < len(s.data) {
 		c := s.data[s.pos]
@@ -161,14 +159,10 @@ func (s *ByteScanner) run() error {
 	}
 	if len(s.stack) > 0 {
 		top := s.stack[len(s.stack)-1]
-		return s.errf("unexpected end of input: %d unclosed element(s), innermost %q",
+		return s.endf("unexpected end of input: %d unclosed element(s), innermost %q",
 			len(s.stack), s.data[top.start:top.end])
 	}
-	if s.inDoc {
-		s.inDoc = false
-		s.h.EndDocument()
-	}
-	return nil
+	return nil // a closed root delivered EndDocument
 }
 
 // addTextSegment records raw character data [start, end) of the input,
@@ -260,7 +254,7 @@ func (s *ByteScanner) entity() (rune, error) {
 		end++
 	}
 	if end >= len(s.data) {
-		return 0, s.errf("unterminated entity reference")
+		return 0, s.endf("unterminated entity reference")
 	}
 	name := s.data[s.pos+1 : end]
 	s.pos = end + 1
@@ -315,13 +309,13 @@ func (s *ByteScanner) entity() (rune, error) {
 // markup handles everything starting with '<'.
 func (s *ByteScanner) markup() error {
 	if s.pos+1 >= len(s.data) {
-		return s.errf("unexpected end of input after '<'")
+		return s.endf("unexpected end of input after '<'")
 	}
 	switch s.data[s.pos+1] {
 	case '?':
 		end := indexFrom(s.data, s.pos+2, "?>")
 		if end < 0 {
-			return s.errf("unterminated processing instruction")
+			return s.endf("unterminated processing instruction")
 		}
 		s.pos = end + 2
 		return nil
@@ -340,14 +334,14 @@ func (s *ByteScanner) bang() error {
 	case hasPrefix(rest, "<!--"):
 		end := indexFrom(s.data, s.pos+4, "-->")
 		if end < 0 {
-			return s.errf("unterminated comment")
+			return s.endf("unterminated comment")
 		}
 		s.pos = end + 3
 		return nil
 	case hasPrefix(rest, "<![CDATA["):
 		end := indexFrom(s.data, s.pos+9, "]]>")
 		if end < 0 {
-			return s.errf("unterminated CDATA section")
+			return s.endf("unterminated CDATA section")
 		}
 		if !s.inDoc || len(s.stack) == 0 {
 			return s.errf("CDATA outside document element")
@@ -358,24 +352,52 @@ func (s *ByteScanner) bang() error {
 		s.pos = end + 3
 		return nil
 	case hasPrefix(rest, "<!DOCTYPE"):
-		depth := 0
-		for i := s.pos; i < len(s.data); i++ {
-			switch s.data[i] {
-			case '[':
-				depth++
-			case ']':
-				depth--
-			case '>':
-				if depth <= 0 {
-					s.pos = i + 1
-					return nil
-				}
-			}
+		end := doctypeEnd(s.data, s.pos)
+		if end < 0 {
+			return s.endf("unterminated DOCTYPE declaration")
 		}
-		return s.errf("unterminated DOCTYPE declaration")
+		s.pos = end
+		return nil
 	default:
+		if s.more && len(rest) < len("<![CDATA[") {
+			return io.ErrUnexpectedEOF // may yet open one of the three
+		}
 		return s.errf("unsupported markup declaration")
 	}
+}
+
+// doctypeEnd returns the index just past the '>' that closes the DOCTYPE
+// declaration at i, or -1 if b ends first. A '>' closes it only outside the
+// internal subset ('[' … ']'), a quoted literal and a comment.
+func doctypeEnd(b []byte, i int) int {
+	depth := 0
+	for i += len("<!DOCTYPE"); i < len(b); i++ {
+		switch b[i] {
+		case '"', '\'':
+			j := bytes.IndexByte(b[i+1:], b[i])
+			if j < 0 {
+				return -1
+			}
+			i += j + 1
+		case '<':
+			if hasPrefix(b[i:], "<!--") {
+				j := indexFrom(b, i+4, "-->")
+				if j < 0 {
+					return -1
+				}
+				i = j + 2
+			}
+		case '[':
+			depth++
+		case ']':
+			depth--
+		case '>':
+			if depth <= 0 {
+				return i + 1
+			}
+		}
+	}
+	return -1
 }
 
 func (s *ByteScanner) startTag() error {
@@ -398,7 +420,7 @@ func (s *ByteScanner) startTag() error {
 	for {
 		i = skipSpace(s.data, i)
 		if i >= len(s.data) {
-			return s.errf("unterminated start tag <%s", name)
+			return s.endf("unterminated start tag <%s", name)
 		}
 		if s.data[i] == '>' {
 			s.stack = append(s.stack, span{start: nameStart, end: nameStart + len(name)})
@@ -407,6 +429,9 @@ func (s *ByteScanner) startTag() error {
 		}
 		if s.data[i] == '/' {
 			if i+1 >= len(s.data) || s.data[i+1] != '>' {
+				if s.more && i+1 >= len(s.data) {
+					return io.ErrUnexpectedEOF
+				}
 				return s.errf("bad '/' in start tag")
 			}
 			// Self-closing element.
@@ -421,12 +446,18 @@ func (s *ByteScanner) startTag() error {
 		attrStart := i
 		i = stopIndex(s.data, i, stopAttr)
 		if i >= len(s.data) || s.data[i] != '=' {
+			if s.more && i >= len(s.data) {
+				return io.ErrUnexpectedEOF
+			}
 			return s.errf("attribute without value in <%s>", name)
 		}
 		s.attrName = append(s.attrName[:0], '@')
 		s.attrName = append(s.attrName, s.data[attrStart:i]...)
 		i = skipSpace(s.data, i+1) // past '='
 		if i >= len(s.data) || (s.data[i] != '"' && s.data[i] != '\'') {
+			if s.more && i >= len(s.data) {
+				return io.ErrUnexpectedEOF
+			}
 			return s.errf("attribute value must be quoted in <%s>", name)
 		}
 		quote := s.data[i]
@@ -451,6 +482,7 @@ func (s *ByteScanner) startTag() error {
 			s.pos = i
 			r, err := s.entity()
 			if err != nil {
+				s.pos = save
 				return err
 			}
 			i = s.pos
@@ -459,7 +491,7 @@ func (s *ByteScanner) startTag() error {
 			valStart = i
 		}
 		if i >= len(s.data) {
-			return s.errf("unterminated attribute value in <%s>", name)
+			return s.endf("unterminated attribute value in <%s>", name)
 		}
 		val := s.data[valStart:i]
 		if buffered {
@@ -500,6 +532,9 @@ func (s *ByteScanner) endTag() error {
 	name := s.data[nameStart:i]
 	i = skipSpace(s.data, i)
 	if i >= len(s.data) || s.data[i] != '>' {
+		if s.more && i >= len(s.data) {
+			return io.ErrUnexpectedEOF
+		}
 		return s.errf("unterminated end tag </%s", name)
 	}
 	if len(s.stack) == 0 {

@@ -59,8 +59,38 @@ func diffEventStreams(t *testing.T, input string) {
 }
 
 // TestByteScannerMatchesScanner drives both parsers over a corpus covering
-// every syntactic feature and requires identical event streams.
+// every syntactic feature and requires identical event streams. On the
+// DOCTYPE declarations whose literals or comments hold '>', '[' or ']',
+// encoding/xml (StdParse) must agree as well.
 func TestByteScannerMatchesScanner(t *testing.T) {
+	for _, doc := range append(featureCorpus(), runCorpus()...) {
+		diffEventStreams(t, doc)
+	}
+	for _, doc := range doctypeCorpus {
+		var std Collector
+		stdErr := StdParse([]byte(doc), &std)
+		var bc byteCollector
+		byteErr := ParseBytes([]byte(doc), &bc)
+		if stdErr != nil || byteErr != nil || fmt.Sprint(std.Events) != fmt.Sprint(bc.Events) {
+			t.Errorf("%q: StdParse %v, err %v; byte scanner %v, err %v", doc, std.Events, stdErr, bc.Events, byteErr)
+		}
+	}
+}
+
+// doctypeCorpus holds DOCTYPE declarations that close only past a quoted
+// literal or a comment holding markup characters.
+var doctypeCorpus = []string{
+	`<!DOCTYPE a SYSTEM "x>y"><a/>`,
+	`<!DOCTYPE a [<!ENTITY e "]">]><a/>`,
+	`<!DOCTYPE a PUBLIC '-//x>//' "y]>"><a>1</a>`,
+	`<!DOCTYPE a [<!-- ]> --><!ELEMENT a ANY>]><a/>`,
+	`<!DOCTYPE a [<!ENTITY e '">'><!ATTLIST a b CDATA "[">]><a b="1"/>`,
+}
+
+// featureCorpus is the differential corpus but for runCorpus: every
+// syntactic feature, the malformed inputs both scanners must reject,
+// doctypeCorpus and edgeCorpus.
+func featureCorpus() []string {
 	corpus := []string{
 		`<a/>`,
 		`<a></a>`,
@@ -99,12 +129,11 @@ func TestByteScannerMatchesScanner(t *testing.T) {
 		`<![CDATA[ orphan ]]>`,
 		`<a><![CDATA[ unterminated`,
 		strings.Repeat("<a>", 600),
+		`<!DOCTYPE a SYSTEM "x>`,
+		`<!DOCTYPE a [<!-- ]>`,
 	}
-	corpus = append(corpus, edgeCorpus()...)
-	corpus = append(corpus, runCorpus()...)
-	for _, doc := range corpus {
-		diffEventStreams(t, doc)
-	}
+	corpus = append(corpus, doctypeCorpus...)
+	return append(corpus, edgeCorpus()...)
 }
 
 // edgeCorpus holds the hand-written cases for the byte scanner's table and
@@ -416,49 +445,6 @@ func TestByteScannerReuse(t *testing.T) {
 	}
 }
 
-// TestAsBytesHandler checks the Handler compatibility shim (and that a type
-// implementing BytesHandler is passed through unchanged).
-func TestAsBytesHandler(t *testing.T) {
-	var c Collector
-	bh := AsBytesHandler(&c)
-	if err := ParseBytes([]byte(`<a x="1">t</a>`), bh); err != nil {
-		t.Fatal(err)
-	}
-	want := []Event{
-		{Kind: StartDocument},
-		{Kind: StartElement, Name: "a"},
-		{Kind: StartElement, Name: "@x"},
-		{Kind: Text, Data: "1"},
-		{Kind: EndElement, Name: "@x"},
-		{Kind: Text, Data: "t"},
-		{Kind: EndElement, Name: "a"},
-		{Kind: EndDocument},
-	}
-	if len(c.Events) != len(want) {
-		t.Fatalf("events = %v", c.Events)
-	}
-	for i := range want {
-		if c.Events[i] != want[i] {
-			t.Fatalf("event %d = %v, want %v", i, c.Events[i], want[i])
-		}
-	}
-	// A handler that already implements BytesHandler is passed through
-	// unchanged, so it keeps receiving zero-copy callbacks.
-	var both dualCollector
-	if AsBytesHandler(&both) != &both {
-		t.Fatal("AsBytesHandler wrapped a BytesHandler instead of passing it through")
-	}
-}
-
-// dualCollector implements both Handler and BytesHandler.
-type dualCollector struct {
-	Collector
-	byteCollector
-}
-
-func (d *dualCollector) StartDocument() {}
-func (d *dualCollector) EndDocument()   {}
-
 // FuzzByteScanner fuzzes the byte-level scanner differentially against the
 // string scanner: both must accept or reject the same inputs, and on
 // accepted inputs produce identical event streams.
@@ -476,6 +462,7 @@ func FuzzByteScanner(f *testing.F) {
 		"<a>\n  <b> </b>\n</a>",
 		`<a x="1" y="2" z="3">mixed<b/>tail</a>`,
 	}
+	seeds = append(seeds, doctypeCorpus...)
 	seeds = append(seeds, edgeCorpus()...)
 	for _, s := range seeds {
 		f.Add(s)

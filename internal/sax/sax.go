@@ -122,18 +122,23 @@ func (e *ParseError) Error() string {
 // Drive feeds a sequence of events to a handler.
 func Drive(events []Event, h Handler) {
 	for _, e := range events {
-		switch e.Kind {
-		case StartDocument:
-			h.StartDocument()
-		case StartElement:
-			h.StartElement(e.Name)
-		case Text:
-			h.Text(e.Data)
-		case EndElement:
-			h.EndElement(e.Name)
-		case EndDocument:
-			h.EndDocument()
-		}
+		e.drive(h)
+	}
+}
+
+// drive delivers e to h.
+func (e Event) drive(h Handler) {
+	switch e.Kind {
+	case StartDocument:
+		h.StartDocument()
+	case StartElement:
+		h.StartElement(e.Name)
+	case Text:
+		h.Text(e.Data)
+	case EndElement:
+		h.EndElement(e.Name)
+	case EndDocument:
+		h.EndDocument()
 	}
 }
 

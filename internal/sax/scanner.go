@@ -81,18 +81,7 @@ func (s *Scanner) Run(h Handler) error {
 		if err != nil {
 			return err
 		}
-		switch e.Kind {
-		case StartDocument:
-			h.StartDocument()
-		case StartElement:
-			h.StartElement(e.Name)
-		case Text:
-			h.Text(e.Data)
-		case EndElement:
-			h.EndElement(e.Name)
-		case EndDocument:
-			h.EndDocument()
-		}
+		e.drive(h)
 	}
 }
 
@@ -276,29 +265,15 @@ func (s *Scanner) scanBang() error {
 		s.pos = end + 3
 		return nil
 	case hasPrefix(rest, "<!DOCTYPE"):
-		return s.skipDoctype()
+		end := doctypeEnd(s.data, s.pos)
+		if end < 0 {
+			return s.errf("unterminated DOCTYPE declaration")
+		}
+		s.pos = end
+		return nil
 	default:
 		return s.errf("unsupported markup declaration")
 	}
-}
-
-// skipDoctype skips a DOCTYPE declaration, including an internal subset.
-func (s *Scanner) skipDoctype() error {
-	depth := 0
-	for i := s.pos; i < len(s.data); i++ {
-		switch s.data[i] {
-		case '[':
-			depth++
-		case ']':
-			depth--
-		case '>':
-			if depth <= 0 {
-				s.pos = i + 1
-				return nil
-			}
-		}
-	}
-	return s.errf("unterminated DOCTYPE declaration")
 }
 
 func (s *Scanner) scanStartTag() error {

@@ -68,8 +68,8 @@ type Config struct {
 
 	// MaxConns bounds concurrent connections (0 = unlimited).
 	MaxConns int
-	// MaxDocBytes bounds a published document, mirroring
-	// sax.Splitter.MaxDocBytes on the streaming publish path
+	// MaxDocBytes bounds a published document, mirroring the bound
+	// sax.StreamDocumentsLimit puts on the client's streaming publish path
 	// (0 = 64 MiB). It is enforced as the frame payload limit.
 	MaxDocBytes int
 	// ReadTimeout is the per-frame read deadline for connections with no

@@ -361,9 +361,9 @@ func (e *Engine) FilterStreaming(r io.Reader, onDocument func(matches []int)) er
 }
 
 // FilterStreamingLimit is FilterStreaming with an explicit per-document
-// size bound, wired to the stream splitter (sax.Splitter.MaxDocBytes): a
-// document larger than maxDocBytes fails the stream with a clean parse
-// error instead of buffering without bound. 0 selects the 64 MiB default.
+// size bound (sax.StreamDocumentsLimit's): a document larger than
+// maxDocBytes fails the stream with a clean parse error instead of
+// buffering without bound. 0 selects the 64 MiB default.
 func (e *Engine) FilterStreamingLimit(r io.Reader, maxDocBytes int, onDocument func(matches []int)) error {
 	return sax.StreamDocumentsLimit(r, maxDocBytes, func(doc []byte) error {
 		return e.FilterBytes(doc, onDocument)
@@ -700,8 +700,9 @@ func readN(r io.Reader, n uint64) ([]byte, error) {
 }
 
 // Stats returns a snapshot of runtime counters, aggregated over layers
-// (documents and events count the stream once; state and lookup counters
-// sum across layers).
+// (documents, events and mixed-content events count the stream once, as
+// every layer sees the same events; state and lookup counters sum across
+// layers).
 func (e *Engine) Stats() Stats {
 	var out Stats
 	var sizeSum float64
@@ -713,7 +714,6 @@ func (e *Engine) Stats() Stats {
 		out.Lookups += s.Lookups
 		out.Hits += s.Hits
 		out.Matches += s.Matches
-		out.MixedContentEvents += s.MixedContentEvents
 		out.Flushes += s.Flushes
 		out.ExclusiveDocuments += s.ExclusiveDocs
 		out.WindowLookups += s.WindowLookups
@@ -722,6 +722,7 @@ func (e *Engine) Stats() Stats {
 		if li == 0 {
 			out.Documents = s.Docs
 			out.Events = s.Events
+			out.MixedContentEvents = s.MixedContentEvents
 			out.WindowDocuments = s.WindowDocs
 		}
 	}
