@@ -339,11 +339,11 @@ func TestSymbols(t *testing.T) {
 	if s.Intern("a") != a {
 		t.Error("intern not idempotent")
 	}
-	if s.InputSym("a") != a {
-		t.Error("InputSym known")
+	if s.InputSymBytes([]byte("a")) != a {
+		t.Error("InputSymBytes known")
 	}
-	if s.InputSym("zzz") != SymOtherElem || s.InputSym("@zzz") != SymOtherAttr {
-		t.Error("InputSym sentinels")
+	if s.InputSymBytes([]byte("zzz")) != SymOtherElem || s.InputSymBytes([]byte("@zzz")) != SymOtherAttr {
+		t.Error("InputSymBytes sentinels")
 	}
 	if !s.Matches(SymAnyElem, SymOtherElem) || s.Matches(SymAnyElem, SymOtherAttr) {
 		t.Error("wildcard matching on sentinels")

@@ -122,20 +122,9 @@ func (s *Symbols) lookupBytes(label []byte) (int32, bool) {
 	}
 }
 
-// InputSym maps a SAX event label to the symbol the machine should use:
-// known labels map to their interned id; unknown labels collapse to the
-// shared sentinel for their node class.
-func (s *Symbols) InputSym(label string) int32 {
-	if id, ok := s.lookupString(label); ok {
-		return id
-	}
-	if len(label) > 0 && label[0] == '@' {
-		return SymOtherAttr
-	}
-	return SymOtherElem
-}
-
-// InputSymBytes is InputSym for a borrowed byte slice; it never allocates.
+// InputSymBytes maps a SAX event label, borrowed, to the symbol the machine
+// should use: known labels map to their interned id; unknown labels collapse
+// to the shared sentinel for their node class. It never allocates.
 func (s *Symbols) InputSymBytes(label []byte) int32 {
 	if id, ok := s.lookupBytes(label); ok {
 		return id

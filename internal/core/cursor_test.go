@@ -15,10 +15,10 @@ func TestFlushWaitsForDocumentInUpgrade(t *testing.T) {
 	a, b := ForkStack([]*Machine{m})[0], ForkStack([]*Machine{m})[0]
 
 	a.StartDocument()
-	a.StartElement("a")
-	a.StartElement("b")
-	a.Text("1")
-	a.EndElement("b")
+	a.StartElementBytes([]byte("a"))
+	a.StartElementBytes([]byte("b"))
+	a.TextBytes([]byte("1"))
+	a.EndElementBytes([]byte("b"))
 	if _, qb := a.Current(); qb == 0 || len(m.bsets) <= m.opts.MaxStates {
 		t.Fatalf("set-up: A at state %d with %d states interned; want a live id and the cap exceeded", qb, len(m.bsets))
 	}
@@ -40,10 +40,10 @@ func TestFlushWaitsForDocumentInUpgrade(t *testing.T) {
 
 	a.mu.Lock() // A's turn
 	a.st.excl = true
-	a.StartElement("c")
-	a.Text("2")
-	a.EndElement("c")
-	a.EndElement("a")
+	a.StartElementBytes([]byte("c"))
+	a.TextBytes([]byte("2"))
+	a.EndElementBytes([]byte("c"))
+	a.EndElementBytes([]byte("a"))
 	a.EndDocument()
 	if fmt.Sprint(a.Results()) != "[0]" {
 		t.Fatalf("A resumed on stale state: matches %v", a.Results())
@@ -71,14 +71,14 @@ func TestStackSharesOneLock(t *testing.T) {
 		}
 	}
 	each((*Machine).StartDocument)
-	each(func(m *Machine) { m.StartElement("a") })
-	each(func(m *Machine) { m.StartElement("c") })
-	each(func(m *Machine) { m.Text("2") })
+	each(func(m *Machine) { m.StartElementBytes([]byte("a")) })
+	each(func(m *Machine) { m.StartElementBytes([]byte("c")) })
+	each(func(m *Machine) { m.TextBytes([]byte("2")) })
 	if st := cur[0].st; st != cur[1].st || st.in != 2 || !st.excl {
 		t.Fatalf("mid-document: stream %+v, shared %v; want both cursors in, write lock held", st, cur[0].st == cur[1].st)
 	}
-	each(func(m *Machine) { m.EndElement("c") })
-	each(func(m *Machine) { m.EndElement("a") })
+	each(func(m *Machine) { m.EndElementBytes([]byte("c")) })
+	each(func(m *Machine) { m.EndElementBytes([]byte("a")) })
 	cur[0].EndDocument()
 	if base.mu.TryLock() {
 		t.Fatal("the lock was dropped with the tail cursor still inside the document")

@@ -191,10 +191,11 @@ type frame struct {
 }
 
 // Machine is a lazy XPush machine: the warm tables (shared) plus one cursor
-// over them. It implements both sax.Handler and sax.BytesHandler (the byte
-// path avoids a string allocation per event). One Machine value serves one
-// stream at a time; any number of them — New's and the cursors ForkStack
-// makes from it — filter documents concurrently over the same tables.
+// over them. It implements sax.BytesHandler: names and text arrive as
+// borrowed bytes, so the warm path allocates no string per event. One
+// Machine value serves one stream at a time; any number of them — New's and
+// the cursors ForkStack makes from it — filter documents concurrently over
+// the same tables.
 //
 // Locking is per document (DESIGN.md "One machine, many cursors"):
 // StartDocument takes the read lock, and a warm document reads tables and
@@ -580,7 +581,7 @@ func (m *Machine) flushPending() {
 	}
 }
 
-// StartDocument implements sax.Handler.
+// StartDocument implements sax.BytesHandler.
 func (m *Machine) StartDocument() {
 	m.Release() // a stream whose last document failed to parse
 	m.flushPending()
@@ -614,13 +615,8 @@ func (m *Machine) StartDocument() {
 	m.ctr.docs.Add(1)
 }
 
-// StartElement implements sax.Handler (the tpush transition).
-func (m *Machine) StartElement(name string) {
-	m.Start(m.afa.Syms.InputSym(name))
-}
-
-// StartElementBytes implements sax.BytesHandler; the symbol is resolved
-// straight from the borrowed name bytes.
+// StartElementBytes implements sax.BytesHandler (the tpush transition); the
+// symbol is resolved straight from the borrowed name bytes.
 func (m *Machine) StartElementBytes(name []byte) {
 	m.Start(m.afa.Syms.InputSymBytes(name))
 }
@@ -690,13 +686,9 @@ func (m *Machine) pushState(qt, sym int32) int32 {
 	return id
 }
 
-// Text implements sax.Handler (the tvalue transition, merged into q^b).
-func (m *Machine) Text(data string) {
-	m.text(xmlval.New(data))
-}
-
-// TextBytes implements sax.BytesHandler; the Value borrows the scanner's
-// buffer and is consumed before the callback returns.
+// TextBytes implements sax.BytesHandler (the tvalue transition, merged into
+// q^b); the Value borrows the scanner's buffer and is consumed before the
+// callback returns.
 func (m *Machine) TextBytes(data []byte) {
 	m.text(xmlval.NewBytes(data))
 }
@@ -789,13 +781,8 @@ func (m *Machine) recordEarly(oids []int32) {
 	}
 }
 
-// EndElement implements sax.Handler (tpop followed by tbadd/ttadd).
-func (m *Machine) EndElement(name string) {
-	m.endElement(m.afa.Syms.InputSym(name))
-}
-
-// EndElementBytes implements sax.BytesHandler. The name is not looked up a
-// second time: sax.ByteScanner rejects a close tag that does not repeat the
+// EndElementBytes implements sax.BytesHandler (tpop followed by
+// tbadd/ttadd). The name is not looked up a second time: sax.ByteScanner rejects a close tag that does not repeat the
 // open tag's name, so the symbol stacked by StartElementBytes is the one
 // the name would resolve to.
 func (m *Machine) EndElementBytes([]byte) {
@@ -810,7 +797,7 @@ func (m *Machine) endElement(sym int32) {
 	m.pendEvents++
 	if len(m.stack) == 0 {
 		// Malformed event sequence (only possible via Drive on
-		// hand-built events; the scanners guarantee balance).
+		// hand-built events; the scanner guarantees balance).
 		return
 	}
 	qaux := m.popState(m.qb, m.qt, sym)
@@ -923,7 +910,7 @@ func (m *Machine) addStates(qbs, qaux int32) int32 {
 	return id
 }
 
-// EndDocument implements sax.Handler (taccept plus early matches).
+// EndDocument implements sax.BytesHandler (taccept plus early matches).
 func (m *Machine) EndDocument() {
 	m.pendEvents++
 	for _, q := range m.acceptOf(m.qb) {

@@ -49,27 +49,27 @@ func TestFig3Trace(t *testing.T) {
 		}
 	}
 	m.StartDocument()
-	m.StartElement("a") // outer <a>
+	m.StartElementBytes([]byte("a")) // outer <a>
 	check("<a>", "[]")
-	m.StartElement("b")
-	m.Text(" 1 ")
+	m.StartElementBytes([]byte("b"))
+	m.TextBytes([]byte(" 1 "))
 	check("text(1)", "[1 10]") // paper q1 = {4,13}
-	m.EndElement("b")
-	check("</b>", "[2 11]") // paper q3 = {3,12}
-	m.StartElement("a")     // inner <a c="3">
-	m.StartElement("@c")
-	m.Text("3")
+	m.EndElementBytes([]byte("b"))
+	check("</b>", "[2 11]")          // paper q3 = {3,12}
+	m.StartElementBytes([]byte("a")) // inner <a c="3">
+	m.StartElementBytes([]byte("@c"))
+	m.TextBytes([]byte("3"))
 	check("text(3)", "[4 8]") // paper q2 = {7,11}
-	m.EndElement("@c")
+	m.EndElementBytes([]byte("@c"))
 	check("</@c>", "[5 9]") // paper q4 = {6,10}
-	m.StartElement("b")
-	m.Text(" 1 ")
+	m.StartElementBytes([]byte("b"))
+	m.TextBytes([]byte(" 1 "))
 	check("inner text(1)", "[1 10]")
-	m.EndElement("b")
+	m.EndElementBytes([]byte("b"))
 	check("inner </b>", "[2 5 9 11]") // paper q5 = {3,6,10,12}
-	m.EndElement("a")
+	m.EndElementBytes([]byte("a"))
 	check("inner </a>", "[2 3 7 11]") // paper q9 = {3,5,8,12}
-	m.EndElement("a")
+	m.EndElementBytes([]byte("a"))
 	check("outer </a>", "[0 3 7]") // paper q15 = {1,5,8}
 	m.EndDocument()
 	if got := fmt.Sprint(m.Results()); got != "[0 1]" {
@@ -677,12 +677,13 @@ func writeTestElement(r *rand.Rand, sb *strings.Builder, labels []string, depth 
 	fmt.Fprintf(sb, "</%s>", name)
 }
 
-// TestBytePathMatchesHandlerPath: the byte path takes an element's symbol
-// from the machine's stack at the close tag, the string Handler path looks
-// the name up again. On documents full of labels no filter mentions (which
-// collapse to SymOtherElem / SymOtherAttr) both must walk the same states
-// and report what the DOM oracle reports, under all 16 combinations of the
-// four optimisation flags.
+// TestBytePathMatchesHandlerPath is a machine differential between the two
+// parsers: one machine filters each document through its own ByteScanner,
+// the other is fed StdParse's (encoding/xml) events through the bytes
+// methods. On documents full of labels no filter mentions (which collapse to
+// SymOtherElem / SymOtherAttr) both must walk the same states and report
+// what the DOM oracle reports, under all 16 combinations of the four
+// optimisation flags.
 func TestBytePathMatchesHandlerPath(t *testing.T) {
 	labels := append([]string{"u", "unknown", "a1", "zz"}, testLabels...)
 	r := rand.New(rand.NewSource(20))
@@ -714,7 +715,7 @@ func TestBytePathMatchesHandlerPath(t *testing.T) {
 				}
 				return New(a, opts)
 			}
-			byBytes, byStrings := machine(), machine()
+			byBytes, byStd := machine(), machine()
 			for _, doc := range docs {
 				want, err := oracle.FilterDocument(doc)
 				if err != nil {
@@ -724,22 +725,31 @@ func TestBytePathMatchesHandlerPath(t *testing.T) {
 				if err != nil {
 					t.Fatalf("flags %04b: byte path on %s: %v", flags, doc, err)
 				}
-				if err := sax.Parse(doc, byStrings); err != nil {
-					t.Fatalf("flags %04b: handler path on %s: %v", flags, doc, err)
+				if err := sax.StdParse(doc, stdEvents{byStd}); err != nil {
+					t.Fatalf("flags %04b: StdParse on %s: %v", flags, doc, err)
 				}
-				if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(byStrings.Results()) != fmt.Sprint(want) {
-					t.Fatalf("flags %04b on %s (filters %v)\n bytes:   %v\n strings: %v\n oracle:  %v",
-						flags, doc, filters, got, byStrings.Results(), want)
+				if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(byStd.Results()) != fmt.Sprint(want) {
+					t.Fatalf("flags %04b on %s (filters %v)\n bytes:   %v\n std:     %v\n oracle:  %v",
+						flags, doc, filters, got, byStd.Results(), want)
 				}
-				sb, ss := byBytes.Stats(), byStrings.Stats()
+				sb, ss := byBytes.Stats(), byStd.Stats()
 				if sb.BStates != ss.BStates || sb.TStates != ss.TStates || sb.Lookups != ss.Lookups || sb.Hits != ss.Hits {
-					t.Fatalf("flags %04b on %s: the paths walked different machines\n bytes:   %+v\n strings: %+v",
+					t.Fatalf("flags %04b on %s: the paths walked different machines\n bytes:   %+v\n std:     %+v",
 						flags, doc, sb, ss)
 				}
 			}
 		}
 	}
 }
+
+// stdEvents feeds a StdParse event stream to a machine's bytes methods.
+type stdEvents struct{ m *Machine }
+
+func (h stdEvents) StartDocument()           { h.m.StartDocument() }
+func (h stdEvents) StartElement(name string) { h.m.StartElementBytes([]byte(name)) }
+func (h stdEvents) Text(data string)         { h.m.TextBytes([]byte(data)) }
+func (h stdEvents) EndElement(name string)   { h.m.EndElementBytes([]byte(name)) }
+func (h stdEvents) EndDocument()             { h.m.EndDocument() }
 
 func TestApproxMemoryBytes(t *testing.T) {
 	m := runningMachine(t, Options{})

@@ -20,7 +20,7 @@ func TestGenerateParses(t *testing.T) {
 			t.Fatalf("%s: generated only %d bytes", name, len(data))
 		}
 		var c sax.Collector
-		if err := sax.Parse(data, &c); err != nil {
+		if err := sax.ParseBytes(data, &c); err != nil {
 			t.Fatalf("%s: generated XML does not parse: %v", name, err)
 		}
 		docs := 0
@@ -69,7 +69,7 @@ func TestGenerateAgainstStdParser(t *testing.T) {
 		ds, _ := ByName(name)
 		data := NewGenerator(ds, 7).GenerateBytes(100 << 10)
 		var a, b sax.Collector
-		if err := sax.Parse(data, &a); err != nil {
+		if err := sax.ParseBytes(data, &a); err != nil {
 			t.Fatalf("%s scanner: %v", name, err)
 		}
 		if err := sax.StdParse(data, &b); err != nil {
@@ -125,7 +125,7 @@ func TestPoolSampling(t *testing.T) {
 func TestGenerateDocument(t *testing.T) {
 	doc := NewGenerator(ProteinLike(), 3).GenerateDocument()
 	var c sax.Collector
-	if err := sax.Parse(doc, &c); err != nil {
+	if err := sax.ParseBytes(doc, &c); err != nil {
 		t.Fatal(err)
 	}
 	if c.Events[1].Name != "ProteinDatabase" {

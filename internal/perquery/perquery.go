@@ -18,6 +18,8 @@ import (
 type Engine struct {
 	machines []*core.Machine
 	hits     []bool
+	scan     sax.ByteScanner
+	events   sax.Collector
 }
 
 // NewEngine compiles one machine per filter.
@@ -43,16 +45,16 @@ func NewEngine(filters []*xpath.Filter) (*Engine, error) {
 	return e, nil
 }
 
-// FilterDocument parses the document once and drives the events through
-// every machine, returning the sorted oids of matching filters. Sharing the
-// parse is a concession to the baseline: the measured gap to the XPush
-// machine is purely evaluation work.
+// FilterDocument parses the document once, with the XPush machine's own
+// ByteScanner, and drives the events through every machine, returning the
+// sorted oids of matching filters. Sharing the parse is a concession to the
+// baseline: the measured gap to the XPush machine is purely evaluation work.
 func (e *Engine) FilterDocument(data []byte) ([]int32, error) {
-	var c sax.Collector
-	if err := sax.Parse(data, &c); err != nil {
+	e.events.Reset()
+	if err := e.scan.Parse(data, &e.events); err != nil {
 		return nil, err
 	}
-	return e.FilterEvents(c.Events)
+	return e.FilterEvents(e.events.Events)
 }
 
 // FilterEvents drives pre-parsed events (one or more documents) through

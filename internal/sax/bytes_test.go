@@ -7,74 +7,13 @@ import (
 	"testing"
 )
 
-// byteCollector records byte-level events as Events for comparison against
-// the pull scanner's output.
-type byteCollector struct {
-	Events []Event
-}
-
-func (c *byteCollector) StartDocument() {
-	c.Events = append(c.Events, Event{Kind: StartDocument})
-}
-func (c *byteCollector) StartElementBytes(name []byte) {
-	c.Events = append(c.Events, Event{Kind: StartElement, Name: string(name)})
-}
-func (c *byteCollector) TextBytes(data []byte) {
-	c.Events = append(c.Events, Event{Kind: Text, Data: string(data)})
-}
-func (c *byteCollector) EndElementBytes(name []byte) {
-	c.Events = append(c.Events, Event{Kind: EndElement, Name: string(name)})
-}
-func (c *byteCollector) EndDocument() {
-	c.Events = append(c.Events, Event{Kind: EndDocument})
-}
-
-func diffEventStreams(t *testing.T, input string) {
-	t.Helper()
-	var sc Collector
-	strErr := Parse([]byte(input), &sc)
-	var bc byteCollector
-	byteErr := ParseBytes([]byte(input), &bc)
-	if (strErr == nil) != (byteErr == nil) {
-		t.Fatalf("acceptance mismatch on %q: scanner err=%v, byte scanner err=%v",
-			input, strErr, byteErr)
-	}
-	// On errors, the event prefixes up to the shorter stream must agree
-	// (delivery points differ slightly because the pull scanner queues
-	// attribute triples before reporting a later error in the same tag).
-	n := len(sc.Events)
-	if len(bc.Events) < n {
-		n = len(bc.Events)
-	}
-	if strErr == nil && (len(sc.Events) != len(bc.Events)) {
-		t.Fatalf("event count mismatch on %q: scanner %d, byte scanner %d\n%v\n%v",
-			input, len(sc.Events), len(bc.Events), sc.Events, bc.Events)
-	}
-	for i := 0; i < n; i++ {
-		if sc.Events[i] != bc.Events[i] {
-			t.Fatalf("event %d mismatch on %q:\n scanner: %v\n byte:    %v",
-				i, input, sc.Events[i], bc.Events[i])
-		}
-	}
-}
-
-// TestByteScannerMatchesScanner drives both parsers over a corpus covering
-// every syntactic feature and requires identical event streams. On the
-// DOCTYPE declarations whose literals or comments hold '>', '[' or ']',
-// encoding/xml (StdParse) must agree as well.
-func TestByteScannerMatchesScanner(t *testing.T) {
-	for _, doc := range append(featureCorpus(), runCorpus()...) {
-		diffEventStreams(t, doc)
-	}
-	for _, doc := range doctypeCorpus {
-		var std Collector
-		stdErr := StdParse([]byte(doc), &std)
-		var bc byteCollector
-		byteErr := ParseBytes([]byte(doc), &bc)
-		if stdErr != nil || byteErr != nil || fmt.Sprint(std.Events) != fmt.Sprint(bc.Events) {
-			t.Errorf("%q: StdParse %v, err %v; byte scanner %v, err %v", doc, std.Events, stdErr, bc.Events, byteErr)
-		}
-	}
+// differentialCorpus is every input TestDifferentialStd judges: the
+// feature and run corpora, random documents, and the malformed inputs of
+// TestScannerErrors.
+func differentialCorpus() []string {
+	corpus := append(featureCorpus(), runCorpus()...)
+	corpus = append(corpus, randomCorpus()...)
+	return append(corpus, scannerErrors...)
 }
 
 // doctypeCorpus holds DOCTYPE declarations that close only past a quoted
@@ -87,9 +26,9 @@ var doctypeCorpus = []string{
 	`<!DOCTYPE a [<!ENTITY e '">'><!ATTLIST a b CDATA "[">]><a b="1"/>`,
 }
 
-// featureCorpus is the differential corpus but for runCorpus: every
-// syntactic feature, the malformed inputs both scanners must reject,
-// doctypeCorpus and edgeCorpus.
+// featureCorpus is the hand-written part of the differential corpus: every
+// syntactic feature, malformed inputs, doctypeCorpus, eqCorpus, nsCorpus and
+// edgeCorpus.
 func featureCorpus() []string {
 	corpus := []string{
 		`<a/>`,
@@ -129,11 +68,39 @@ func featureCorpus() []string {
 		`<![CDATA[ orphan ]]>`,
 		`<a><![CDATA[ unterminated`,
 		strings.Repeat("<a>", 600),
+		strings.Repeat("<a>", 600) + strings.Repeat("</a>", 600),
 		`<!DOCTYPE a SYSTEM "x>`,
 		`<!DOCTYPE a [<!-- ]>`,
+		// Line ends, which encoding/xml normalises (normalizeLineEnds).
+		"<a x=\"1\r\n2\">3\r4\r\n</a>",
+		"<a>\r<![CDATA[\r\n]]>x</a>",
 	}
 	corpus = append(corpus, doctypeCorpus...)
+	corpus = append(corpus, eqCorpus...)
+	corpus = append(corpus, nsCorpus...)
 	return append(corpus, edgeCorpus()...)
+}
+
+// eqCorpus spells Eq ::= S? '=' S? with space around the '='.
+var eqCorpus = []string{
+	`<a x ="1"/>`,
+	`<a x = '1'/>`,
+	"<a x\n=\n\"1\"/>",
+	"<a x\t\t= \"1\" y\r\n=\r\n'2'>t</a>",
+	`<a x ="1"`,
+	`<a x = >`,
+}
+
+// nsCorpus holds namespace prefixes and declarations, which both parsers
+// report as written.
+var nsCorpus = []string{
+	`<p:a xmlns:p="u" p:x="1"/>`,
+	`<a xmlns="u"><b>1</b></a>`,
+	`<p:a xmlns:p="u"><p:b q:y="2">t</p:b></p:a>`,
+	`<p:a xmlns:p="u"></p:b>`,
+	`<p:a></q:a>`,
+	`<:a :b="1"/>`,
+	`<a: b:="1"></a:>`,
 }
 
 // edgeCorpus holds the hand-written cases for the byte scanner's table and
@@ -232,6 +199,21 @@ func runCorpus() []string {
 		}
 	}
 	return docs
+}
+
+// TestByteScannerMatchesScanner holds ByteScanner to exact agreement with
+// StdParse on doctypeCorpus: no DOCTYPE there is a deviation, so both
+// accept each one, with the same events. TestDifferentialStd judges the
+// rest of the corpus.
+func TestByteScannerMatchesScanner(t *testing.T) {
+	for _, doc := range doctypeCorpus {
+		var std, bc Collector
+		stdErr := StdParse([]byte(doc), &std)
+		byteErr := ParseBytes([]byte(doc), &bc)
+		if stdErr != nil || byteErr != nil || fmt.Sprint(std.Events) != fmt.Sprint(bc.Events) {
+			t.Errorf("%q: StdParse %v, err %v; byte scanner %v, err %v", doc, std.Events, stdErr, bc.Events, byteErr)
+		}
+	}
 }
 
 // TestStopIndex checks the word-at-a-time stop search against a byte loop
@@ -378,14 +360,14 @@ func (h *skipBytes) TextBytes([]byte)       { h.events++ }
 func (h *skipBytes) EndElementBytes([]byte) { h.events++ }
 func (h *skipBytes) EndDocument()           { h.events++ }
 
-// skipCollector is byteCollector with skipName's subtrees skipped.
+// skipCollector is Collector with skipName's subtrees skipped.
 type skipCollector struct {
-	byteCollector
+	Collector
 	s *ByteScanner
 }
 
 func (c *skipCollector) StartElementBytes(name []byte) {
-	c.byteCollector.StartElementBytes(name)
+	c.Collector.StartElementBytes(name)
 	if skipName(name) {
 		c.s.SkipElement()
 	}
@@ -417,37 +399,32 @@ func withoutSkipped(full []Event) []Event {
 }
 
 // TestByteScannerReuse checks that one ByteScanner instance parses multiple
-// buffers correctly (its buffers are recycled between calls).
+// buffers correctly (its buffers are recycled between calls), also after a
+// parse that failed mid-document.
 func TestByteScannerReuse(t *testing.T) {
 	var s ByteScanner
 	docs := []string{
 		`<a b="1">x&amp;y</a>`,
 		`<c><d/></c>`,
+		`<u>t&amp;<v w="`,
 		`<e>plain</e>`,
 	}
 	for _, doc := range docs {
-		var sc Collector
-		if err := Parse([]byte(doc), &sc); err != nil {
-			t.Fatal(err)
-		}
-		var bc byteCollector
-		if err := s.Parse([]byte(doc), &bc); err != nil {
-			t.Fatalf("%q: %v", doc, err)
-		}
-		if len(sc.Events) != len(bc.Events) {
-			t.Fatalf("%q: event count %d vs %d", doc, len(sc.Events), len(bc.Events))
-		}
-		for i := range sc.Events {
-			if sc.Events[i] != bc.Events[i] {
-				t.Fatalf("%q event %d: %v vs %v", doc, i, sc.Events[i], bc.Events[i])
-			}
+		var fresh Collector
+		want := ParseBytes([]byte(doc), &fresh)
+		var reused Collector
+		got := s.Parse([]byte(doc), &reused)
+		if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(reused.Events) != fmt.Sprint(fresh.Events) {
+			t.Fatalf("%q: reused scanner %v, err %v; fresh scanner %v, err %v", doc, reused.Events, got, fresh.Events, want)
 		}
 	}
 }
 
-// FuzzByteScanner fuzzes the byte-level scanner differentially against the
-// string scanner: both must accept or reject the same inputs, and on
-// accepted inputs produce identical event streams.
+// FuzzByteScanner fuzzes ByteScanner against encoding/xml (judge): where
+// both accept, the events must be identical, and every acceptance
+// difference must fall in one named deviation. Every stream ByteScanner
+// accepts, deviations included, must be well-formed, and skipping subtrees
+// must not change the verdict.
 func FuzzByteScanner(f *testing.F) {
 	seeds := []string{
 		`<a c="3"> <b> 4 </b> </a>`,
@@ -464,43 +441,22 @@ func FuzzByteScanner(f *testing.F) {
 	}
 	seeds = append(seeds, doctypeCorpus...)
 	seeds = append(seeds, edgeCorpus()...)
+	seeds = append(seeds, eqCorpus...)
+	seeds = append(seeds, nsCorpus...)
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		var sc Collector
-		strErr := Parse([]byte(input), &sc)
-		var bc byteCollector
-		byteErr := ParseBytes([]byte(input), &bc)
-		if (strErr == nil) != (byteErr == nil) {
-			t.Fatalf("acceptance mismatch: scanner err=%v, byte scanner err=%v", strErr, byteErr)
-		}
-		if strErr != nil {
-			// Compare the common event prefix only: the scanners may
-			// detect the error at slightly different queue/callback
-			// points.
-			n := len(sc.Events)
-			if len(bc.Events) < n {
-				n = len(bc.Events)
-			}
-			sc.Events = sc.Events[:n]
-			bc.Events = bc.Events[:n]
-		}
-		if len(sc.Events) != len(bc.Events) {
-			t.Fatalf("event count mismatch: %d vs %d\n%v\n%v",
-				len(sc.Events), len(bc.Events), sc.Events, bc.Events)
-		}
-		for i := range sc.Events {
-			if sc.Events[i] != bc.Events[i] {
-				t.Fatalf("event %d: %v vs %v", i, sc.Events[i], bc.Events[i])
-			}
+		judge(t, []byte(input))
+		var full Collector
+		fullErr := ParseBytes([]byte(input), &full)
+		if fullErr == nil {
+			checkWellFormed(t, full.Events)
 		}
 
 		// Skipping changes what is delivered, never the verdict: the same
 		// error (message and offset) or none, and the full stream minus the
 		// skipped subtrees.
-		var full byteCollector
-		fullErr := ParseBytes([]byte(input), &full)
 		var s ByteScanner
 		sk := skipCollector{s: &s}
 		skipErr := s.Parse([]byte(input), &sk)
@@ -516,13 +472,13 @@ func FuzzByteScanner(f *testing.F) {
 
 // skipNamed skips every element or attribute called name.
 type skipNamed struct {
-	byteCollector
+	Collector
 	s    *ByteScanner
 	name string
 }
 
 func (c *skipNamed) StartElementBytes(name []byte) {
-	c.byteCollector.StartElementBytes(name)
+	c.Collector.StartElementBytes(name)
 	if string(name) == c.name {
 		c.s.SkipElement()
 	}
@@ -551,7 +507,7 @@ func TestSkipElement(t *testing.T) {
 		}
 	}
 	for _, doc := range []string{`<a><x><b></x></a>`, `<a><x k="&bad;"/></a>`, `<a><x>&#xZ;</x></a>`} {
-		var full byteCollector
+		var full Collector
 		want := ParseBytes([]byte(doc), &full)
 		var s ByteScanner
 		got := s.Parse([]byte(doc), &skipNamed{s: &s, name: "x"})

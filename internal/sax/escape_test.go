@@ -22,7 +22,7 @@ func TestEscapeRoundTripProperty(t *testing.T) {
 		text := string(clean)
 		doc := fmt.Sprintf(`<a x="%s">%s</a>`, EscapeAttr(text), EscapeText(text))
 		var c Collector
-		if err := Parse([]byte(doc), &c); err != nil {
+		if err := ParseBytes([]byte(doc), &c); err != nil {
 			t.Logf("parse failed for %q: %v", text, err)
 			return false
 		}

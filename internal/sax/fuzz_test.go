@@ -1,14 +1,15 @@
 package sax
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// FuzzScanner checks that the hand-written scanner never panics, and that
-// on accepted inputs the event stream is well-formed: documents and elements
-// balance, text only occurs inside elements, and attribute pseudo-elements
-// are properly nested.
+// FuzzScanner checks that ByteScanner never panics, that every stream it
+// accepts is well-formed (checkWellFormed), and that a scanner reused after
+// a parse that failed mid-document, or after one that succeeded, reaches the
+// same verdict and events as a fresh one.
 func FuzzScanner(f *testing.F) {
 	seeds := []string{
 		`<a c="3"> <b> 4 </b> </a>`,
@@ -30,48 +31,63 @@ func FuzzScanner(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		var c Collector
-		if err := Parse([]byte(input), &c); err != nil {
-			return // rejected inputs need no further checks
+		var fresh Collector
+		err := ParseBytes([]byte(input), &fresh)
+		if err == nil {
+			checkWellFormed(t, fresh.Events)
 		}
-		depth := 0
-		inDoc := false
-		var stack []string
-		for i, e := range c.Events {
-			switch e.Kind {
-			case StartDocument:
-				if inDoc {
-					t.Fatalf("event %d: nested StartDocument", i)
-				}
-				inDoc = true
-			case EndDocument:
-				if !inDoc || depth != 0 {
-					t.Fatalf("event %d: bad EndDocument (inDoc=%v depth=%d)", i, inDoc, depth)
-				}
-				inDoc = false
-			case StartElement:
-				if !inDoc {
-					t.Fatalf("event %d: element outside document", i)
-				}
-				stack = append(stack, e.Name)
-				depth++
-			case EndElement:
-				if depth == 0 || stack[len(stack)-1] != e.Name {
-					t.Fatalf("event %d: unbalanced EndElement(%s)", i, e.Name)
-				}
-				stack = stack[:len(stack)-1]
-				depth--
-			case Text:
-				if depth == 0 {
-					t.Fatalf("event %d: text outside elements: %q", i, e.Data)
-				}
-				if strings.TrimSpace(e.Data) == "" && !IsAttr(stack[len(stack)-1]) {
-					t.Fatalf("event %d: whitespace-only text leaked: %q", i, e.Data)
-				}
+		for _, before := range []string{`<u>t&amp;<![CDATA[x]]><v w="`, `<u k="1">t</u>`} {
+			var s ByteScanner
+			_ = s.Parse([]byte(before), &Collector{}) // the first fails mid-document on purpose
+			var reused Collector
+			got := s.Parse([]byte(input), &reused)
+			if fmt.Sprint(got) != fmt.Sprint(err) || fmt.Sprint(reused.Events) != fmt.Sprint(fresh.Events) {
+				t.Fatalf("after %q: reused scanner %v, err %v; fresh scanner %v, err %v",
+					before, reused.Events, got, fresh.Events, err)
 			}
 		}
-		if inDoc || depth != 0 {
-			t.Fatalf("stream ended inside a document (depth=%d)", depth)
-		}
 	})
+}
+
+// checkWellFormed requires an accepted event stream to be well-formed:
+// documents and elements balance, text occurs only inside elements, and no
+// element's text is whitespace only.
+func checkWellFormed(t *testing.T, evs []Event) {
+	t.Helper()
+	inDoc := false
+	var stack []string
+	for i, e := range evs {
+		switch e.Kind {
+		case StartDocument:
+			if inDoc {
+				t.Fatalf("event %d: nested StartDocument", i)
+			}
+			inDoc = true
+		case EndDocument:
+			if !inDoc || len(stack) != 0 {
+				t.Fatalf("event %d: bad EndDocument (inDoc=%v depth=%d)", i, inDoc, len(stack))
+			}
+			inDoc = false
+		case StartElement:
+			if !inDoc {
+				t.Fatalf("event %d: element outside document", i)
+			}
+			stack = append(stack, e.Name)
+		case EndElement:
+			if len(stack) == 0 || stack[len(stack)-1] != e.Name {
+				t.Fatalf("event %d: unbalanced EndElement(%s)", i, e.Name)
+			}
+			stack = stack[:len(stack)-1]
+		case Text:
+			if len(stack) == 0 {
+				t.Fatalf("event %d: text outside elements: %q", i, e.Data)
+			}
+			if strings.TrimSpace(e.Data) == "" && !IsAttr(stack[len(stack)-1]) {
+				t.Fatalf("event %d: whitespace-only text leaked: %q", i, e.Data)
+			}
+		}
+	}
+	if inDoc || len(stack) != 0 {
+		t.Fatalf("stream ended inside a document (depth=%d)", len(stack))
+	}
 }

@@ -1,7 +1,8 @@
 // Package sax provides the modified SAX event model of Sec. 2 of the paper
-// and two streaming XML parsers that produce it: a hand-written Scanner (the
-// paper's "faster parser") and a reference parser built on encoding/xml
-// (standing in for the Apache parser the paper compares against).
+// and two streaming XML parsers that produce it: the hand-written
+// ByteScanner (the paper's "faster parser") and StdParse, built on
+// encoding/xml (standing in for the Apache parser the paper compares
+// against), which judges it in the differential tests.
 //
 // The event model has five event types:
 //
@@ -119,31 +120,31 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("xml: %s at offset %d", e.Msg, e.Offset)
 }
 
-// Drive feeds a sequence of events to a handler.
-func Drive(events []Event, h Handler) {
+// Drive feeds a sequence of events to a handler. Names and text go through
+// one reused buffer, valid only for the callback, as BytesHandler allows.
+func Drive(events []Event, h BytesHandler) {
+	var buf []byte
 	for _, e := range events {
-		e.drive(h)
+		switch e.Kind {
+		case StartDocument:
+			h.StartDocument()
+		case StartElement:
+			buf = append(buf[:0], e.Name...)
+			h.StartElementBytes(buf)
+		case Text:
+			buf = append(buf[:0], e.Data...)
+			h.TextBytes(buf)
+		case EndElement:
+			buf = append(buf[:0], e.Name...)
+			h.EndElementBytes(buf)
+		case EndDocument:
+			h.EndDocument()
+		}
 	}
 }
 
-// drive delivers e to h.
-func (e Event) drive(h Handler) {
-	switch e.Kind {
-	case StartDocument:
-		h.StartDocument()
-	case StartElement:
-		h.StartElement(e.Name)
-	case Text:
-		h.Text(e.Data)
-	case EndElement:
-		h.EndElement(e.Name)
-	case EndDocument:
-		h.EndDocument()
-	}
-}
-
-// Collector is a Handler that records the events it receives, for
-// differential comparison of parsers in tests.
+// Collector records the events it receives, from either parser: it is both
+// a Handler and a BytesHandler.
 type Collector struct {
 	Events []Event
 }
@@ -152,7 +153,7 @@ type Collector struct {
 // documents.
 func (c *Collector) Reset() { c.Events = c.Events[:0] }
 
-// StartDocument implements Handler.
+// StartDocument implements Handler and BytesHandler.
 func (c *Collector) StartDocument() {
 	c.Events = append(c.Events, Event{Kind: StartDocument})
 }
@@ -172,7 +173,16 @@ func (c *Collector) EndElement(name string) {
 	c.Events = append(c.Events, Event{Kind: EndElement, Name: name})
 }
 
-// EndDocument implements Handler.
+// EndDocument implements Handler and BytesHandler.
 func (c *Collector) EndDocument() {
 	c.Events = append(c.Events, Event{Kind: EndDocument})
 }
+
+// StartElementBytes implements BytesHandler.
+func (c *Collector) StartElementBytes(name []byte) { c.StartElement(string(name)) }
+
+// TextBytes implements BytesHandler.
+func (c *Collector) TextBytes(data []byte) { c.Text(string(data)) }
+
+// EndElementBytes implements BytesHandler.
+func (c *Collector) EndElementBytes(name []byte) { c.EndElement(string(name)) }

@@ -56,7 +56,7 @@ func TestSplitterTrickyContent(t *testing.T) {
 	// The split documents must themselves parse.
 	for _, d := range docs {
 		var c Collector
-		if err := Parse([]byte(d), &c); err != nil {
+		if err := ParseBytes([]byte(d), &c); err != nil {
 			t.Errorf("split doc unparsable: %v\n%s", err, d)
 		}
 	}
@@ -181,12 +181,12 @@ func TestSplitterHandlerError(t *testing.T) {
 func TestSplitterAgainstScanner(t *testing.T) {
 	input := `<a c="1"><b>t</b></a><x><!-- c --><y p='2'>v</y></x><z/>`
 	var whole Collector
-	if err := Parse([]byte(input), &whole); err != nil {
+	if err := ParseBytes([]byte(input), &whole); err != nil {
 		t.Fatal(err)
 	}
 	var split Collector
 	err := StreamDocuments(strings.NewReader(input), func(doc []byte) error {
-		return Parse(doc, &split)
+		return ParseBytes(doc, &split)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func readers(input string, seed int) map[string]io.Reader {
 // wholeDocuments parses input with ParseBytes and returns each complete
 // document's events, and the verdict.
 func wholeDocuments(input string) ([][]Event, error) {
-	var c byteCollector
+	var c Collector
 	err := ParseBytes([]byte(input), &c)
 	var docs [][]Event
 	begin := 0
@@ -289,7 +289,7 @@ func checkStream(t *testing.T, input string, rs map[string]io.Reader) {
 	for name, r := range rs {
 		var got [][]Event
 		err := StreamDocuments(r, func(doc []byte) error {
-			var c byteCollector
+			var c Collector
 			if err := ParseBytes(doc, &c); err != nil {
 				return fmt.Errorf("handed-over document %q does not parse: %v", doc, err)
 			}

@@ -120,7 +120,7 @@ func TestTrainingDataParses(t *testing.T) {
 	fs := Generate(ds, Params{Seed: 7, NumQueries: 80, MeanPreds: 5, NestedPredProb: 0.4})
 	data := TrainingData(fs, ds.DTD)
 	var c sax.Collector
-	if err := sax.Parse(data, &c); err != nil {
+	if err := sax.ParseBytes(data, &c); err != nil {
 		t.Fatalf("training data unparsable: %v", err)
 	}
 	docs := 0

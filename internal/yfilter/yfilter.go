@@ -50,6 +50,8 @@ type Engine struct {
 	// Run scratch.
 	active  [][]int32
 	matched []bool
+	scan    sax.ByteScanner
+	events  sax.Collector
 }
 
 // NewEngine builds the shared NFA over the workload's navigation skeletons.
@@ -133,14 +135,15 @@ func (n *node) finish() {
 	}
 }
 
-// FilterDocument runs the engine over one or more documents and returns the
-// sorted oids of filters matching any of them.
+// FilterDocument runs the engine over one or more documents, parsed with
+// the XPush machine's own ByteScanner, and returns the sorted oids of
+// filters matching any of them.
 func (e *Engine) FilterDocument(data []byte) ([]int32, error) {
-	var c sax.Collector
-	if err := sax.Parse(data, &c); err != nil {
+	e.events.Reset()
+	if err := e.scan.Parse(data, &e.events); err != nil {
 		return nil, err
 	}
-	return e.FilterEvents(c.Events)
+	return e.FilterEvents(e.events.Events)
 }
 
 // FilterEvents runs the engine over pre-parsed events.
