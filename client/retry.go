@@ -94,17 +94,10 @@ func (b Backoff) delay(i int) time.Duration {
 // (Options.DialTimeout additionally bounds a single attempt, and is
 // defaulted to 2s here when unset so one hung SYN cannot eat the budget).
 // On give-up the last dial (or probe) error is returned, wrapped with the
-// attempt count.
+// attempt count. A cancellation mid-backoff interrupts the sleep rather than
+// waiting it out, so a supervisor tearing down (the xpushgate connection
+// pool on shutdown, say) never blocks behind a multi-second reconnect delay.
 func DialRetry(ctx context.Context, addr string, opt Options, b Backoff) (*Client, error) {
-	return DialRetryContext(ctx, addr, opt, b)
-}
-
-// DialRetryContext is DialRetry under its context-first name. The context
-// cancels the retry loop *promptly*: a cancellation mid-backoff interrupts
-// the sleep rather than waiting it out, so a supervisor tearing down (the
-// xpushgate connection pool on shutdown, say) never blocks behind a
-// multi-second reconnect delay.
-func DialRetryContext(ctx context.Context, addr string, opt Options, b Backoff) (*Client, error) {
 	if opt.DialTimeout <= 0 {
 		opt.DialTimeout = 2 * time.Second
 	}

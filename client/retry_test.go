@@ -163,7 +163,7 @@ func TestDialRetryContextBounded(t *testing.T) {
 }
 
 // TestDialRetryContextCancelInterruptsBackoff: cancelling the context while
-// DialRetryContext is asleep in a long backoff must interrupt the sleep
+// DialRetry is asleep in a long backoff must interrupt the sleep
 // promptly — the gate's pool shutdown cannot wait out a multi-second
 // reconnect delay.
 func TestDialRetryContextCancelInterruptsBackoff(t *testing.T) {
@@ -179,7 +179,7 @@ func TestDialRetryContextCancelInterruptsBackoff(t *testing.T) {
 	go func() {
 		// Min=30s guarantees the goroutine is parked in the backoff sleep
 		// after the first refused dial, not dialing, when cancel fires.
-		_, err := DialRetryContext(ctx, addr, Options{},
+		_, err := DialRetry(ctx, addr, Options{},
 			Backoff{Min: 30 * time.Second, Max: 30 * time.Second})
 		done <- err
 	}()
@@ -195,7 +195,7 @@ func TestDialRetryContextCancelInterruptsBackoff(t *testing.T) {
 			t.Fatalf("cancellation took %v to interrupt a 30s backoff sleep", elapsed)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("DialRetryContext did not return within 5s of cancellation")
+		t.Fatal("DialRetry did not return within 5s of cancellation")
 	}
 }
 

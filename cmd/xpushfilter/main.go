@@ -190,8 +190,8 @@ func writeStats(w io.Writer, engine *xpushstream.Engine, format string) error {
 		lat := s.LatencySummary()
 		fmt.Fprintf(w, "---\ndocuments=%d events=%d bytes=%d matches=%d\n", s.Documents, s.Events, s.Bytes, s.Matches)
 		fmt.Fprintf(w, "states=%d topdown-states=%d avg-state-size=%.2f\n", s.States, s.TopDownStates, s.AvgStateSize)
-		fmt.Fprintf(w, "table lookups=%d hits=%d hit-ratio=%.4f window-hit-ratio=%.4f flushes=%d\n",
-			s.Lookups, s.Hits, s.HitRatio, s.WindowHitRatio, s.Flushes)
+		fmt.Fprintf(w, "table lookups=%d hits=%d hit-ratio=%.4f flushes=%d\n",
+			s.Lookups, s.Hits, s.HitRatio, s.Flushes)
 		fmt.Fprintf(w, "doc latency p50=%v p90=%v p99=%v max=%v\n",
 			latDur(lat.P50), latDur(lat.P90), latDur(lat.P99), latDur(lat.Max))
 		return nil

@@ -63,7 +63,8 @@ func TestRunTrace(t *testing.T) {
 		}
 	}
 	// The trace file is a Chrome trace_event array with one "document" root
-	// per document and filter/layer child spans.
+	// per document and one filter child span each, which carries the layer
+	// count.
 	raw, err := os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
@@ -74,12 +75,17 @@ func TestRunTrace(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for _, ev := range events {
-		if name, ok := ev["name"].(string); ok {
-			counts[name]++
+		name, _ := ev["name"].(string)
+		if ev["ph"] == "M" { // metadata: the row labels
+			continue
+		}
+		counts[name]++
+		if args, _ := ev["args"].(map[string]any); name == "filter" && args["layers"] != float64(1) {
+			t.Errorf("filter span args %v, want layers 1", args)
 		}
 	}
-	if counts["document"] != 2 || counts["filter"] != 2 || counts["layer0"] == 0 {
-		t.Errorf("span counts = %v, want 2 document, 2 filter, >0 layer0", counts)
+	if counts["document"] != 2 || counts["filter"] != 2 || len(counts) != 2 {
+		t.Errorf("span counts = %v, want 2 document and 2 filter", counts)
 	}
 }
 

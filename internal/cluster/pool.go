@@ -108,7 +108,7 @@ func (p *Pool) manage(node string) {
 	defer p.wg.Done()
 	st := p.states[node]
 	for {
-		c, err := client.DialRetryContext(p.ctx, node, p.opt.Client, p.opt.Backoff)
+		c, err := client.DialRetry(p.ctx, node, p.opt.Client, p.opt.Backoff)
 		if err != nil {
 			return // only a done context escapes an unbounded retry loop
 		}

@@ -140,7 +140,7 @@ func TestPoolProbeAcceleratesDetection(t *testing.T) {
 // TestPoolCloseInterruptsRetry: Close must return promptly even while a
 // node is down and the manage loop is deep in backoff.
 func TestPoolCloseInterruptsRetry(t *testing.T) {
-	// Address with nothing listening: manage loops in DialRetryContext.
+	// Address with nothing listening: manage loops in DialRetry.
 	srv, _ := server.New(server.Config{Addr: "127.0.0.1:0"})
 	addr := srv.Addr()
 	srv.Close()

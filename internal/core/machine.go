@@ -110,33 +110,7 @@ type Stats struct {
 	// miss, a string-function predicate, a flush) and ran alone from there
 	// on; the other Docs ran on shared, read-locked tables throughout.
 	ExclusiveDocs int64
-
-	// Windowed series over the most recent WindowDocs documents (at most
-	// StatsWindow). They expose the machine's warm-up trajectory — the
-	// time-local view of Fig. 8's hit-ratio curve — where the cumulative
-	// counters above average over the whole stream: a long-running broker
-	// watches WindowHitRatio approach 1 as the lazy machine completes.
-	WindowDocs int
-	// WindowLookups and WindowHits are table lookups within the window.
-	WindowLookups, WindowHits int64
-	// WindowStatesAdded counts bottom-up states interned within the
-	// window (clamped at 0 across a cache flush).
-	WindowStatesAdded int64
-	// WindowFlushes counts MaxStates flushes within the window.
-	WindowFlushes int64
 }
-
-// WindowHitRatio returns the hit ratio over the window (0 if no lookups).
-func (s Stats) WindowHitRatio() float64 {
-	if s.WindowLookups == 0 {
-		return 0
-	}
-	return float64(s.WindowHits) / float64(s.WindowLookups)
-}
-
-// StatsWindow is the number of most recent documents covered by the
-// windowed Stats series.
-const StatsWindow = 64
 
 // counters holds the machine's runtime counters. Every cursor adds to them
 // (per document, not per event — see pendEvents) and Stats reads them
@@ -150,12 +124,6 @@ type counters struct {
 	mixed            atomic.Int64
 	flushes          atomic.Int64
 	exclusive        atomic.Int64
-}
-
-// winSample is a snapshot of the cumulative counters taken at a document
-// boundary; the window series are differences against the oldest sample.
-type winSample struct {
-	lookups, hits, bstates, flushes int64
 }
 
 // AvgStateSize returns the mean number of AFA states per XPush state.
@@ -260,13 +228,6 @@ type shared struct {
 	scratch2 []int32
 
 	ctr counters
-
-	// Document-boundary samples for the windowed Stats series, guarded by
-	// winMu (written once per document, read by Stats).
-	winMu   sync.Mutex
-	win     [StatsWindow]winSample
-	winLen  int
-	winHead int // next write position
 }
 
 // stream is the lock state of one document stream, shared by its cursors on
@@ -453,26 +414,27 @@ func (m *Machine) reset() {
 	}
 }
 
-// Counters returns the four counters the tracing layer reads at document
+// Counters returns the three counters the tracing layer reads at document
 // boundaries to compute per-document deltas (span attributes): bottom-up
-// states, table flushes, matches, and events. It reads only atomics —
-// cheap enough to call twice per traced document — and unlike Stats never
-// touches the window lock.
-func (m *Machine) Counters() (bstates, flushes, matches, events int64) {
-	return m.ctr.bstates.Load(), m.ctr.flushes.Load(),
-		m.ctr.matches.Load(), m.ctr.events.Load()
+// states, table flushes and events. It reads three atomics, cheap enough to
+// call twice per traced document.
+func (m *Machine) Counters() (bstates, flushes, events int64) {
+	return m.ctr.bstates.Load(), m.ctr.flushes.Load(), m.ctr.events.Load()
 }
 
 // Stats returns a snapshot of the runtime counters. It is safe to call
 // concurrently with filtering (the snapshot is per-counter consistent, not
-// globally consistent — fine for monitoring).
+// globally consistent — fine for monitoring). Hits are read before Lookups,
+// which flushPending publishes first, so a snapshot never holds more hits
+// than lookups.
 func (m *Machine) Stats() Stats {
-	s := Stats{
+	hits := m.ctr.hits.Load()
+	return Stats{
 		BStates:            int(m.ctr.bstates.Load()),
 		TStates:            int(m.ctr.tstates.Load()),
 		BStateAFASum:       m.ctr.bstateAFASum.Load(),
 		Lookups:            m.ctr.lookups.Load(),
-		Hits:               m.ctr.hits.Load(),
+		Hits:               hits,
 		Docs:               m.ctr.docs.Load(),
 		Events:             m.ctr.events.Load(),
 		Matches:            m.ctr.matches.Load(),
@@ -480,36 +442,6 @@ func (m *Machine) Stats() Stats {
 		Flushes:            m.ctr.flushes.Load(),
 		ExclusiveDocs:      m.ctr.exclusive.Load(),
 	}
-	m.winMu.Lock()
-	if m.winLen > 0 {
-		oldest := m.win[(m.winHead-m.winLen+StatsWindow)%StatsWindow]
-		s.WindowDocs = m.winLen
-		s.WindowLookups = s.Lookups - oldest.lookups
-		s.WindowHits = s.Hits - oldest.hits
-		s.WindowStatesAdded = int64(s.BStates) - oldest.bstates
-		if s.WindowStatesAdded < 0 { // cache flush inside the window
-			s.WindowStatesAdded = 0
-		}
-		s.WindowFlushes = s.Flushes - oldest.flushes
-	}
-	m.winMu.Unlock()
-	return s
-}
-
-// sampleWindow records the cumulative counters at a document boundary.
-func (m *Machine) sampleWindow() {
-	m.winMu.Lock()
-	m.win[m.winHead] = winSample{
-		lookups: m.ctr.lookups.Load(),
-		hits:    m.ctr.hits.Load(),
-		bstates: m.ctr.bstates.Load(),
-		flushes: m.ctr.flushes.Load(),
-	}
-	m.winHead = (m.winHead + 1) % StatsWindow
-	if m.winLen < StatsWindow {
-		m.winLen++
-	}
-	m.winMu.Unlock()
 }
 
 // Err reports the first strict-mode violation encountered, if any.
@@ -600,9 +532,6 @@ func (m *Machine) StartDocument() {
 			}
 		}
 		m.inflight.Add(1)
-	}
-	if !m.training {
-		m.sampleWindow()
 	}
 	m.qt, m.qb = 0, 0
 	m.stack = m.stack[:0]
@@ -1011,9 +940,6 @@ func (m *Machine) Train(data []byte) error {
 	m.ctr.events.Store(0)
 	m.ctr.matches.Store(0)
 	m.ctr.exclusive.Store(0)
-	m.winMu.Lock()
-	m.winLen, m.winHead = 0, 0
-	m.winMu.Unlock()
 	return err
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"unicode"
 	"unicode/utf8"
 )
 
@@ -257,68 +258,69 @@ func (s *ByteScanner) textRun() error {
 }
 
 // entity decodes an entity reference starting at '&' without allocating:
-// the five predefined names compare directly against the input and numeric
-// character references are accumulated by hand (matching
-// strconv.ParseUint's 32-bit range semantics).
+// the five predefined names compare directly against the input, and a
+// character reference ('&#' digits ';' or '&#x' hex digits ';') is
+// accumulated by hand, digits of any length, up to U+10FFFF.
 func (s *ByteScanner) entity() (rune, error) {
-	end := s.pos + 1
-	for end < len(s.data) && s.data[end] != ';' {
-		if end-s.pos > 12 {
-			return 0, s.errf("malformed entity reference")
+	end, r := s.pos+1, rune(-1)
+	if end < len(s.data) && s.data[end] == '#' {
+		base := uint32(10)
+		if end++; end < len(s.data) && s.data[end] == 'x' {
+			base, end = 16, end+1
 		}
-		end++
+		digits, n := end, uint32(0)
+		for ; end < len(s.data) && n <= unicode.MaxRune; end++ {
+			d := digitValue(s.data[end])
+			if d >= base {
+				break
+			}
+			n = n*base + d
+		}
+		if end > digits && n <= unicode.MaxRune {
+			r = rune(n)
+		}
+	} else {
+		for end < len(s.data) && s.data[end] != ';' {
+			if end-s.pos > 12 {
+				return 0, s.errf("malformed entity reference")
+			}
+			end++
+		}
+		if end < len(s.data) {
+			switch string(s.data[s.pos+1 : end]) {
+			case "lt":
+				r = '<'
+			case "gt":
+				r = '>'
+			case "amp":
+				r = '&'
+			case "apos":
+				r = '\''
+			case "quot":
+				r = '"'
+			}
+		}
 	}
 	if end >= len(s.data) {
 		return 0, s.endf("unterminated entity reference")
 	}
-	name := s.data[s.pos+1 : end]
+	if r < 0 || s.data[end] != ';' {
+		return 0, s.errf("bad entity reference %q", s.data[s.pos:end+1])
+	}
 	s.pos = end + 1
-	switch string(name) {
-	case "lt":
-		return '<', nil
-	case "gt":
-		return '>', nil
-	case "amp":
-		return '&', nil
-	case "apos":
-		return '\'', nil
-	case "quot":
-		return '"', nil
+	return r, nil
+}
+
+// digitValue is the value of a decimal or hexadecimal digit, 16 or more for
+// any other byte.
+func digitValue(c byte) uint32 {
+	switch {
+	case c >= '0' && c <= '9':
+		return uint32(c - '0')
+	case c|0x20 >= 'a' && c|0x20 <= 'f':
+		return uint32(c|0x20-'a') + 10
 	}
-	if len(name) > 1 && name[0] == '#' {
-		base, digits := uint64(10), name[1:]
-		if len(digits) > 1 && (digits[0] == 'x' || digits[0] == 'X') {
-			base, digits = 16, digits[1:]
-		}
-		n := uint64(0)
-		ok := len(digits) > 0
-		for _, c := range digits {
-			var d uint64
-			switch {
-			case c >= '0' && c <= '9':
-				d = uint64(c - '0')
-			case base == 16 && c >= 'a' && c <= 'f':
-				d = uint64(c-'a') + 10
-			case base == 16 && c >= 'A' && c <= 'F':
-				d = uint64(c-'A') + 10
-			default:
-				ok = false
-			}
-			if !ok {
-				break
-			}
-			n = n*base + d
-			if n > 1<<32-1 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			return 0, s.errf("bad character reference &%s;", name)
-		}
-		return rune(uint32(n)), nil
-	}
-	return 0, s.errf("unknown entity &%s;", name)
+	return 16
 }
 
 // markup handles everything starting with '<'.

@@ -27,7 +27,7 @@ var frameBudget = map[string]string{
 	"textRun":      "args=0x8 locals=0x78",
 	"markup":       "args=0x8 locals=0x48",
 	"bang":         "args=0x8 locals=0x50",
-	"entity":       "args=0x8 locals=0x60",
+	"entity":       "args=0x8 locals=0x50",
 	"flushText":    "args=0x8 locals=0x40",
 	"startTag":     "args=0x8 locals=0x118",
 	"endTag":       "args=0x8 locals=0xc0",

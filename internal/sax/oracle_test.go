@@ -127,21 +127,6 @@ var deviations = []deviation{
 		},
 	},
 	{
-		name:        "character-reference",
-		byteLenient: true,
-		errs:        []string{"invalid character entity &#"},
-		holds: func(r *rulings) bool {
-			return bytes.Contains(r.in, []byte("&#X")) || slices.ContainsFunc(r.byteEvents, func(e Event) bool {
-				return strings.ContainsRune(e.Data, utf8.RuneError)
-			})
-		},
-	},
-	{
-		name:  "long-character-reference",
-		errs:  []string{"malformed entity reference"},
-		holds: func(r *rulings) bool { off := errOffset(r); return off < len(r.in) && hasPrefix(r.in[off:], "&#") },
-	},
-	{
 		name: "data-outside-root",
 		errs: []string{"character data outside document element", "CDATA outside document element"},
 		holds: func(r *rulings) bool {
@@ -355,8 +340,6 @@ func TestDeviations(t *testing.T) {
 		"lt-in-attribute-value":    {`<a v="<"/>`, `<a v='x<y'/>`},
 		"cdata-end-in-text":        {`<a>x]]>y</a>`},
 		"double-hyphen-in-comment": {`<a><!-- x -- y --></a>`, `<!-- x ---><a/>`},
-		"character-reference":      {`<a>&#X41;</a>`, `<a v="&#x110000;"/>`},
-		"long-character-reference": {`<a>&#0000000000065;</a>`, `<a v="&#x00000000041;"/>`},
 		"data-outside-root":        {`text outside`, `<a/>text`, `<a/><![CDATA[x]]>`, `&amp;<a/>`, "\ufeff<a/>"},
 		"declaration-not-doctype":  {`<!ELEMENT a ANY><a/>`, `<a/><!0>`},
 		"processing-instruction":   {`<?0?><a/>`, `<?xml version="1.1"?><a/>`, `<a><?xml encoding="latin1"?></a>`},

@@ -12,22 +12,33 @@ import (
 // one goroutine or many. They are fast enough for -short and are primarily
 // meant to run under -race (see .github/workflows/ci.yml).
 
-// scrapeWhile calls stats() in a tight loop until done is closed.
-func scrapeWhile(done <-chan struct{}, wg *sync.WaitGroup, stats func() Stats) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-done:
-				return
-			default:
-				s := stats()
-				_ = s.LatencySummary()
-				_ = s.WindowHitRatio
+// scrapeWhile runs two scrapers until done is closed. Each calls stats() and
+// scrapes one registry over it, whose window gauges must read a ratio in
+// [0, 1] and a non-negative state count however the scrapes interleave with
+// each other and with the documents.
+func scrapeWhile(t *testing.T, done <-chan struct{}, wg *sync.WaitGroup, stats func() Stats) {
+	reg := NewRegistry()
+	RegisterMetrics(reg, "", StatsFunc(stats))
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					s := stats()
+					_ = s.LatencySummary()
+					ratio, added, err := windowGauges(reg)
+					if err != nil || ratio < 0 || ratio > 1 || added < 0 {
+						t.Errorf("window gauges: hit ratio %v, states added %v, %v", ratio, added, err)
+						return
+					}
+				}
 			}
-		}
-	}()
+		}()
+	}
 }
 
 func buildStream(n int) string {
@@ -48,7 +59,7 @@ func TestStatsConcurrentWithFilterDocument(t *testing.T) {
 	}
 	done := make(chan struct{})
 	var scrapers sync.WaitGroup
-	scrapeWhile(done, &scrapers, base.Stats)
+	scrapeWhile(t, done, &scrapers, base.Stats)
 	const callers, perCaller = 4, 300
 	doc := []byte("<m><v>1</v><w>4</w></m>")
 	var wg sync.WaitGroup
@@ -90,7 +101,7 @@ func TestEngineStatsConcurrentWithFilterStream(t *testing.T) {
 	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	scrapeWhile(done, &wg, e.Stats)
+	scrapeWhile(t, done, &wg, e.Stats)
 	if err := e.FilterStreaming(strings.NewReader(buildStream(500)), func([]int) {}); err != nil {
 		t.Fatal(err)
 	}

@@ -50,8 +50,9 @@ func probeDoc(i int) []byte { return []byte(fmt.Sprintf("<probe><q>%d</q></probe
 // TestSubscribeNeverWaitsOnCompaction: against 2000 preloaded filters, a
 // subscribe/unsubscribe storm of unique filters keeps the background
 // compaction busy while a pipelined publisher saturates the filter path.
-// Every SUBSCRIBE round trip must stay far below one Consolidated() of the
-// workload (the stall the inline recompile used to put on that path), and
+// Every SUBSCRIBE round trip must stay far below the recompiles the storm
+// ran (the stall the inline recompile used to put on that path), timed by
+// the server's compile phase under the same load, and
 // the broker must stay exact across every swap: each pipelined ack and each
 // delivery on a rider of the preloaded filters equals a fresh-Compile
 // oracle's answer, and each storm filter — including the ones added or
@@ -68,11 +69,6 @@ func TestSubscribeNeverWaitsOnCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0 := time.Now()
-	if _, _, err := oracle.Consolidated(); err != nil {
-		t.Fatal(err)
-	}
-	consolidated := time.Since(t0)
 
 	gen := datagen.NewGenerator(datagen.ProteinLike(), 1900)
 	docs := make([][]byte, 24)
@@ -100,6 +96,7 @@ func TestSubscribeNeverWaitsOnCompaction(t *testing.T) {
 
 	srv := startServer(t, server.Config{
 		DebugAddr:      "127.0.0.1:0",
+		MetricsAddr:    "127.0.0.1:0",
 		Policy:         server.Block,
 		InitialQueries: filters,
 	})
@@ -312,13 +309,19 @@ func TestSubscribeNeverWaitsOnCompaction(t *testing.T) {
 	}
 	riderMu.Unlock()
 
+	// The reference is the mean recompile the storm's compactions ran, on
+	// the same host under the same load as the SUBSCRIBEs.
+	const compile = `xpushserve_consolidation_phase_duration_seconds_%s{phase="compile"} `
+	text := scrape(t, srv.MetricsAddr())
+	compiles := labeledValue(t, text, fmt.Sprintf(compile, "count"))
+	recompile := time.Duration(labeledValue(t, text, fmt.Sprintf(compile, "sum")) / compiles * float64(time.Second))
 	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
 	med, worst := rtts[len(rtts)/2], rtts[len(rtts)-1]
-	t.Logf("%d storm cycles, %d documents, %d compactions; SUBSCRIBE p50 %v max %v; one Consolidated() %v",
-		ops, total, machineSnapshot(t, srv).Consolidations, med, worst, consolidated)
-	if worst > consolidated/2 || med > consolidated/20 {
-		t.Errorf("SUBSCRIBE p50 %v max %v against one Consolidated() of %v: a subscribe waited on a recompile",
-			med, worst, consolidated)
+	t.Logf("%d storm cycles, %d documents, %v compactions; SUBSCRIBE p50 %v max %v; mean recompile %v",
+		ops, total, compiles, med, worst, recompile)
+	if worst > recompile/2 || med > recompile/20 {
+		t.Errorf("SUBSCRIBE p50 %v max %v against a mean recompile of %v: a subscribe waited on a recompile",
+			med, worst, recompile)
 	}
 }
 

@@ -223,12 +223,19 @@ func TestTracedLoopbackEndToEnd(t *testing.T) {
 	if v, ok := fsp.attr("matches"); !ok || v != 1 {
 		t.Errorf("filter span matches attr = %d (present=%v), want 1", v, ok)
 	}
-	if _, ok := fsp.attr("events"); !ok {
-		t.Error("filter span has no events attr")
+	for _, key := range []string{"events", "states_created", "tail_states_created"} {
+		if _, ok := fsp.attr(key); !ok {
+			t.Errorf("filter span has no %s attr", key)
+		}
 	}
-	// Per-layer child spans stack under the filter span.
-	if got.span("layer0") == nil {
-		t.Errorf("no layer0 span; spans: %v", spanNames(got))
+	if v, ok := fsp.attr("layers"); !ok || v < 1 {
+		t.Errorf("filter span layers attr = %d (present=%v), want >= 1", v, ok)
+	}
+	// Layers are counted, not timed: no span hangs under the filter span.
+	for _, sp := range got.Spans {
+		if sp.Parent >= 0 && got.Spans[sp.Parent].Name == "filter" {
+			t.Errorf("span %q hangs under the filter span; spans: %v", sp.Name, spanNames(got))
+		}
 	}
 
 	// The same trace also sits in the slow ring (1ns threshold).

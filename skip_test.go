@@ -222,8 +222,9 @@ func TestSkipDifferential(t *testing.T) {
 	}
 
 	// check filters every document on e, whose layers hold filters (ids in
-	// order), untraced and traced, against the oracle and the skip model.
+	// order), traced and untraced, against the oracle and the skip model.
 	rec := NewTraceRecorder(1, 0)
+	var tailStates int64 // created above the base layer, by traced documents
 	check := func(t *testing.T, e *Engine, filters []*xpath.Filter, strict bool, docs [][]byte) (matches, skipped int) {
 		t.Helper()
 		oracle := naive.NewEngine(filters)
@@ -235,13 +236,16 @@ func TestSkipDifferential(t *testing.T) {
 				t.Fatalf("doc %d: %d trees, %v", di, len(trees), err)
 			}
 			want, _ := oracle.FilterDocument(doc)
-			var tc *TraceCtx
-			if i%2 == 1 {
+			var tc *TraceCtx // the first pass over a document, while it may grow states
+			if i%2 == 0 {
 				tc = rec.Begin("publish")
 			}
 			before := e.Stats()
 			got, err := AppendMatches[int](e, nil, doc, tc, TraceRoot)
 			after := e.Stats()
+			if tc != nil {
+				tailStates += checkFilterSpan(t, tc, e.NumLayers(), int64(after.States-before.States))
+			}
 			tc.Finish()
 			skips := int(after.SkippedElements - before.SkippedElements)
 			if strict && hasMixed(trees[0]) {
@@ -297,6 +301,9 @@ func TestSkipDifferential(t *testing.T) {
 				t.Fatalf("vacuous: %d matches, %d skipped elements", matched, skipped)
 			}
 		})
+	}
+	if tailStates == 0 {
+		t.Error("vacuous: no traced document created a state above the base layer")
 	}
 
 	t.Run("strict", func(t *testing.T) {
@@ -368,4 +375,28 @@ func TestSkipZeroAllocs(t *testing.T) {
 	if _, err := empty.FilterDocument([]byte(`<m><v>1</w></m>`)); err == nil {
 		t.Error("no filters: a malformed document was accepted")
 	}
+}
+
+// checkFilterSpan checks the machine telemetry on a traced document's filter
+// span against the engine it ran on: the layer count, and the states created
+// (all of them, single-threaded here) with their share above the base layer,
+// which it returns.
+func checkFilterSpan(t *testing.T, tc *TraceCtx, layers int, states int64) int64 {
+	t.Helper()
+	attr := func(key string) int64 {
+		_, v, ok := tc.SpanCost("filter", key)
+		if !ok {
+			t.Fatalf("no filter span")
+		}
+		return v
+	}
+	created, tail := attr("states_created"), attr("tail_states_created")
+	if n := attr("layers"); n != int64(layers) {
+		t.Fatalf("filter span: layers %d, the engine runs %d", n, layers)
+	}
+	if created != states || tail < 0 || tail > created || layers == 1 && tail != 0 {
+		t.Fatalf("filter span on %d layers: states_created %d, tail_states_created %d; the engine grew %d states",
+			layers, created, tail, states)
+	}
+	return tail
 }

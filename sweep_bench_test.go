@@ -59,19 +59,10 @@ func BenchmarkFilterCountSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			warmUp(b, e, docs)
 			matches := 0
 			count := func(m []int) { matches += len(m) }
-			// Cold passes until the lazy machine stops growing.
-			for pass, states := 0, -1; pass < 4 && e.Stats().States != states; pass++ {
-				states = e.Stats().States
-				for _, d := range docs {
-					if err := e.FilterBytes(d, count); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
 			before := e.Stats()
-			matches = 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -90,5 +81,58 @@ func BenchmarkFilterCountSweep(b *testing.B) {
 			b.ReportMetric(float64(e.ApproxMemoryBytes())/(1<<20), "approx-MB")
 			b.ReportMetric(float64(matches)/nDocs, "matches/doc")
 		})
+	}
+}
+
+// warmUp makes cold passes over docs until the lazy machine stops growing.
+func warmUp(b *testing.B, e *xpushstream.Engine, docs [][]byte) {
+	for pass, states := 0, -1; pass < 4 && e.Stats().States != states; pass++ {
+		states = e.Stats().States
+		for _, d := range docs {
+			if err := e.FilterBytes(d, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkFilterTraced prices tracing a document: a recorder that samples
+// every document against none, on the sweep's 5000 filters in one machine
+// and split over two layers, warm. ns/op is ns/doc. A traced document runs
+// the same event methods as an untraced one; only its boundaries read the
+// machines' counters and record the filter span, so the two should cost
+// about the same at any layer count (EXPERIMENTS.md "Tracing off the event
+// path").
+func BenchmarkFilterTraced(b *testing.B) {
+	filters, docs := sweepWorkload(b, 5_000)
+	for _, layers := range []int{1, 2} {
+		e, err := xpushstream.Compile(filters[:len(filters)/layers], xpushstream.Config{})
+		if err == nil && layers == 2 {
+			e, err = e.WithQueries(filters[len(filters)/2:])
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if e.NumLayers() != layers {
+			b.Fatalf("%d layers, want %d", e.NumLayers(), layers)
+		}
+		warmUp(b, e, docs)
+		for _, traced := range []bool{false, true} {
+			b.Run(fmt.Sprintf("layers=%d/traced=%v", layers, traced), func(b *testing.B) {
+				var rec *xpushstream.TraceRecorder
+				if traced {
+					rec = xpushstream.NewTraceRecorder(1, 0)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					tc := rec.Begin("document")
+					if err := e.FilterBytesTraced(docs[i%len(docs)], tc, xpushstream.TraceRoot, nil); err != nil {
+						b.Fatal(err)
+					}
+					tc.Finish()
+				}
+			})
+		}
 	}
 }

@@ -32,28 +32,22 @@ func NewTraceRecorder(sampleEvery int, slow time.Duration) *TraceRecorder {
 	return trace.New(sampleEvery, slow)
 }
 
-// layerSpanNames gives small layer counts a constant span name without a
-// per-document allocation; deeper layer stacks share the last name and are
-// distinguished by their `layer` attribute.
-var layerSpanNames = [...]string{
-	"layer0", "layer1", "layer2", "layer3", "layer4", "layer5", "layer6", "layer7",
+// layerCounters are the machine counters a filter span reports deltas of,
+// summed over layers: bottom-up states, those of the layers above the base
+// alone, table flushes and events.
+type layerCounters struct {
+	states, tailStates, flushes, events int64
 }
 
-func layerSpanName(li int) string {
-	if li < len(layerSpanNames) {
-		return layerSpanNames[li]
-	}
-	return "layerN"
-}
-
-// sumCounters adds up the machine-telemetry counters across layers.
-func sumCounters(layers []*core.Machine) (c [4]int64) {
-	for _, m := range layers {
-		b, f, mt, ev := m.Counters()
-		c[0] += b
-		c[1] += f
-		c[2] += mt
-		c[3] += ev
+func sumCounters(layers []*core.Machine) (c layerCounters) {
+	for li, m := range layers {
+		states, flushes, events := m.Counters()
+		c.states += states
+		if li > 0 {
+			c.tailStates += states
+		}
+		c.flushes += flushes
+		c.events += events
 	}
 	return c
 }
@@ -62,34 +56,20 @@ func sumCounters(layers []*core.Machine) (c [4]int64) {
 // machine-counter baselines for the end-of-document deltas.
 func (d *byteDriver) traceStartDocument() {
 	d.tcSpan = d.tc.StartSpan("filter", d.tcParent)
-	if cap(d.layerNS) < len(d.layers) {
-		d.layerNS = make([]int64, len(d.layers))
-	}
-	d.layerNS = d.layerNS[:len(d.layers)]
-	for i := range d.layerNS {
-		d.layerNS[i] = 0
-	}
 	d.ctrBase = sumCounters(d.layers)
 }
 
-// traceEndDocument closes the filter span: machine telemetry deltas become
-// span attributes (the machines' counters are shared, so documents filtered
-// concurrently with this one are in its deltas too), and each layer's accumulated event time becomes a child
-// span (stacked sequentially — layers run in lockstep per event, so the
-// per-layer times are exclusive and sum to the machine portion of the
-// filter span).
+// traceEndDocument closes the filter span with the machine telemetry as
+// attributes. The counters are shared by every cursor on a machine, so
+// documents filtered concurrently with this one are in its deltas too.
 func (d *byteDriver) traceEndDocument(matches int) {
 	tc, sp := d.tc, d.tcSpan
 	now := sumCounters(d.layers)
-	tc.SetAttr(sp, "states_created", now[0]-d.ctrBase[0])
-	tc.SetAttr(sp, "table_flushes", now[1]-d.ctrBase[1])
+	tc.SetAttr(sp, "states_created", now.states-d.ctrBase.states)
+	tc.SetAttr(sp, "table_flushes", now.flushes-d.ctrBase.flushes)
 	tc.SetAttr(sp, "matches", int64(matches))
-	tc.SetAttr(sp, "events", now[3]-d.ctrBase[3])
-	cur := tc.Offset(d.docStart)
-	for li, ns := range d.layerNS {
-		id := tc.AddSpan(layerSpanName(li), sp, cur, cur+ns)
-		tc.SetAttr(id, "layer", int64(li))
-		cur += ns
-	}
+	tc.SetAttr(sp, "events", now.events-d.ctrBase.events)
+	tc.SetAttr(sp, "layers", int64(len(d.layers)))
+	tc.SetAttr(sp, "tail_states_created", now.tailStates-d.ctrBase.tailStates)
 	tc.EndSpan(sp)
 }

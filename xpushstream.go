@@ -128,15 +128,6 @@ type Stats struct {
 	// p50/p90/p99/p99.9/max, or feed it to an obs.Registry for Prometheus
 	// exposition.
 	FilterLatency obs.Snapshot
-	// Windowed counters over the most recent WindowDocuments documents
-	// (at most core.StatsWindow per layer): the time-local view of
-	// Fig. 8's warm-up curve. On a long-running broker WindowHitRatio
-	// climbs toward 1 as the lazy machine completes, while the cumulative
-	// HitRatio above stays depressed by cold-start misses.
-	WindowDocuments           int
-	WindowLookups, WindowHits int64
-	WindowStatesAdded         int64
-	WindowHitRatio            float64
 }
 
 // LatencySummary returns the per-document filter-latency quantile summary
@@ -385,16 +376,13 @@ type byteDriver struct {
 	docStart   time.Time
 	skipped    int64 // elements skipped since the last flush to e.ctr
 
-	// Tracing state, non-nil only for sampled documents.
-	// The common untraced case pays exactly one nil check per event method;
-	// the traced path times each layer's event handling into layerNS and
-	// synthesizes per-layer child spans at the document boundary (see
-	// tracing.go).
+	// Tracing state, non-nil only for sampled documents. A traced document
+	// takes the same event methods as any other; only its boundaries read
+	// the machines' counters (tracing.go).
 	tc       *trace.Ctx
 	tcParent trace.SpanID
 	tcSpan   trace.SpanID
-	layerNS  []int64
-	ctrBase  [4]int64 // bstates, flushes, matches, events at doc start
+	ctrBase  layerCounters // the counters at the document's start
 }
 
 func (d *byteDriver) StartDocument() {
@@ -413,10 +401,6 @@ func (d *byteDriver) StartDocument() {
 // more of it. A name layer 0 sees is started at once, which in a workload
 // naming every label is every name.
 func (d *byteDriver) StartElementBytes(name []byte) {
-	if d.tc != nil {
-		d.startTraced(name)
-		return
-	}
 	sym, invisible := d.layers[0].Resolve(name)
 	if invisible && d.skip(name, sym) {
 		return
@@ -444,58 +428,15 @@ func (d *byteDriver) skip(name []byte, sym int32) bool {
 	return true
 }
 
-// startTraced is StartElementBytes timing each layer's share.
-func (d *byteDriver) startTraced(name []byte) {
-	var sym int32
-	skip := true
-	for li, m := range d.layers {
-		t0 := time.Now()
-		sym, skip = m.Resolve(name)
-		d.layerNS[li] += time.Since(t0).Nanoseconds()
-		if !skip {
-			break
-		}
-	}
-	for li, m := range d.layers {
-		t0 := time.Now()
-		if skip {
-			m.Skip(sym)
-		} else {
-			m.StartElementBytes(name)
-		}
-		d.layerNS[li] += time.Since(t0).Nanoseconds()
-	}
-	if skip {
-		d.scan.SkipElement()
-		d.skipped++
-	}
-}
-
 func (d *byteDriver) TextBytes(data []byte) {
-	if d.tc == nil {
-		for _, m := range d.layers {
-			m.TextBytes(data)
-		}
-		return
-	}
-	for li, m := range d.layers {
-		t0 := time.Now()
+	for _, m := range d.layers {
 		m.TextBytes(data)
-		d.layerNS[li] += time.Since(t0).Nanoseconds()
 	}
 }
 
 func (d *byteDriver) EndElementBytes(name []byte) {
-	if d.tc == nil {
-		for _, m := range d.layers {
-			m.EndElementBytes(name)
-		}
-		return
-	}
-	for li, m := range d.layers {
-		t0 := time.Now()
+	for _, m := range d.layers {
 		m.EndElementBytes(name)
-		d.layerNS[li] += time.Since(t0).Nanoseconds()
 	}
 }
 
@@ -551,8 +492,8 @@ func (e *Engine) FilterBytes(data []byte, onDocument func(matches []int)) error 
 // FilterBytesTraced is FilterBytes with span recording: each document in
 // data gets a "filter" child span of parent on tc, carrying machine
 // telemetry attributes (states created, table flushes, match count, event
-// count) and per-layer child spans. A nil tc records nothing — call sites
-// thread the context unconditionally.
+// count, layer count, states created above the base layer). A nil tc
+// records nothing — call sites thread the context unconditionally.
 func (e *Engine) FilterBytesTraced(data []byte, tc *TraceCtx, parent TraceSpanID, onDocument func(matches []int)) error {
 	d, err := e.run(data, tc, parent, onDocument)
 	e.put(d)
@@ -705,45 +646,33 @@ func readN(r io.Reader, n uint64) ([]byte, error) {
 // layers).
 func (e *Engine) Stats() Stats {
 	var out Stats
-	var sizeSum float64
+	var afaSum int64
 	for li, m := range e.layers {
 		s := m.Stats()
 		out.States += s.BStates
 		out.TopDownStates += s.TStates
-		sizeSum += s.AvgStateSize() * float64(s.BStates)
+		afaSum += s.BStateAFASum
 		out.Lookups += s.Lookups
 		out.Hits += s.Hits
 		out.Matches += s.Matches
 		out.Flushes += s.Flushes
 		out.ExclusiveDocuments += s.ExclusiveDocs
-		out.WindowLookups += s.WindowLookups
-		out.WindowHits += s.WindowHits
-		out.WindowStatesAdded += s.WindowStatesAdded
 		if li == 0 {
 			out.Documents = s.Docs
 			out.Events = s.Events
 			out.MixedContentEvents = s.MixedContentEvents
-			out.WindowDocuments = s.WindowDocs
 		}
 	}
 	out.Bytes = e.ctr.bytes.Load()
 	out.SkippedElements = e.ctr.skipped.Load()
 	out.FilterLatency = e.ctr.lat.Snapshot()
-	finishStats(&out, sizeSum)
+	if out.States > 0 {
+		out.AvgStateSize = float64(afaSum) / float64(out.States)
+	}
+	if out.Lookups > 0 {
+		out.HitRatio = float64(out.Hits) / float64(out.Lookups)
+	}
 	return out
-}
-
-// finishStats computes the derived ratio fields from the summed counters.
-func finishStats(s *Stats, stateSizeSum float64) {
-	if s.States > 0 {
-		s.AvgStateSize = stateSizeSum / float64(s.States)
-	}
-	if s.Lookups > 0 {
-		s.HitRatio = float64(s.Hits) / float64(s.Lookups)
-	}
-	if s.WindowLookups > 0 {
-		s.WindowHitRatio = float64(s.WindowHits) / float64(s.WindowLookups)
-	}
 }
 
 // WorkloadReport summarises the pairwise state relationships of Theorem 6.1
