@@ -202,7 +202,6 @@ func buildConfig(args []string) (server.Config, options, error) {
 	dtdPath := fs.String("dtd", "", "DTD file (enables -order and -train)")
 	strict := fs.Bool("strict", false, "reject mixed element/text content")
 	maxStates := fs.Int("maxstates", 0, "flush lazily built state tables past this count (0 = unlimited)")
-	consolidateRemoved := fs.Int("consolidate-removed", 0, "compact the engine in the background past this many removed query slots (0 = 256, negative disables)")
 	version := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
 		return server.Config{}, options{}, err
@@ -266,7 +265,6 @@ func buildConfig(args []string) (server.Config, options, error) {
 		SnapshotPath:       *snapshot,
 		SnapshotInterval:   *snapshotInterval,
 		AsyncPublishWindow: *publishWindow,
-		ConsolidateRemoved: *consolidateRemoved,
 	}
 	opts := options{drain: *drainTimeout, traceOut: *traceOut}
 	if *walDir != "" {

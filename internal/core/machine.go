@@ -868,16 +868,23 @@ func (m *Machine) acceptOf(qb int32) []int32 {
 			return acc
 		}
 	}
-	m.scratch = intersectSorted(m.bsets[qb], m.afa.Initials(), m.scratch[:0])
+	m.baccept[qb] = m.accepting(m.bsets[qb])
+	return m.baccept[qb]
+}
+
+// accepting computes the sorted oids whose initial AFA state is in the
+// bottom-up state set (never nil, so a cached empty list reads as cached).
+// The caller holds the write lock.
+func (m *Machine) accepting(set []int32) []int32 {
+	m.scratch = intersectSorted(set, m.afa.Initials(), m.scratch[:0])
+	if len(m.scratch) == 0 {
+		return emptyAccept
+	}
 	acc := make([]int32, 0, len(m.scratch))
 	for _, s := range m.scratch {
 		acc = append(acc, m.afa.QueryOf(s))
 	}
 	slices.Sort(acc)
-	if len(acc) == 0 {
-		acc = emptyAccept
-	}
-	m.baccept[qb] = acc
 	return acc
 }
 

@@ -257,6 +257,7 @@ func (m *Machine) ReadSnapshot(r io.Reader) error {
 	for i, s := range bsets {
 		if i > 0 {
 			m.bintern.add(hashIDs(s), int32(i))
+			m.baccept[i] = m.accepting(s)
 		}
 		m.ctr.bstateAFASum.Add(int64(len(s)))
 	}

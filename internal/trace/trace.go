@@ -2,7 +2,7 @@
 // filtering pipeline: each traced document carries a fixed-size array of
 // named spans (PUBLISH receive, WAL append, fsync wait, filter, queue wait,
 // DELIVER write, ...) with integer attributes, completed traces land in a
-// lock-free ring buffer, and exporters render them as JSON
+// ring buffer, and exporters render them as JSON
 // (/debug/traces) or in the Chrome trace_event format for
 // chrome://tracing / Perfetto.
 //
@@ -90,9 +90,10 @@ func (s *Span) Attrs() []Attr { return s.attrs[:s.nattrs] }
 // delivery spans arrive from per-subscriber goroutines — but only for
 // traced documents; untraced documents never touch the lock.
 //
-// After the last reference calls Finish the trace is immutable: readers
-// (the /debug/traces handler, the Chrome exporter) access ring entries
-// without synchronization.
+// After the last reference calls Finish the trace belongs to the recorder:
+// a ring keeps it until newer traces push it out, and then it is reused for
+// a later document. Readers (Traces, SlowTraces, Collect and the exporters
+// behind them) get copies, taken under the recorder's lock.
 type Ctx struct {
 	ID      uint64
 	Kind    string // root span name: "publish", "replay", "document"
@@ -111,6 +112,7 @@ type Ctx struct {
 	rec    *Recorder
 	refs   atomic.Int32
 	tracks atomic.Int32
+	rings  int32 // how many of the recorder's rings hold the trace; under Recorder.mu
 }
 
 // StartSpan opens a child span of parent and returns its id.
@@ -308,10 +310,13 @@ type Recorder struct {
 	seq  atomic.Uint64
 	pool sync.Pool
 
-	ring    [ringSize]atomic.Pointer[Ctx]
-	pos     atomic.Uint64
-	slowST  [slowRingSize]atomic.Pointer[Ctx]
-	slowPos atomic.Uint64
+	// mu guards the rings: a trace goes back to the pool only when it has
+	// left both, and readers copy what the rings hold.
+	mu      sync.Mutex
+	ring    [ringSize]*Ctx
+	pos     uint64
+	slowST  [slowRingSize]*Ctx
+	slowPos uint64
 
 	started atomic.Int64
 	kept    atomic.Int64
@@ -433,77 +438,87 @@ func (c *Ctx) SpanCost(name, attrKey string) (durNS, attrVal int64, ok bool) {
 	return 0, 0, false
 }
 
-// complete publishes a finished trace. Kept traces are inserted into the
-// rings and never recycled (ring readers access them lock-free); traces
-// kept by neither mode return to the pool.
+// complete publishes a finished trace into the rings that keep it. A trace
+// kept by neither mode returns to the pool at once; one a ring pushes out
+// returns once no ring holds it.
 func (r *Recorder) complete(c *Ctx) {
 	c.Slow = r.slow > 0 && c.Total >= r.slow
-	kept := false
-	if c.Slow {
-		r.slowHit.Add(1)
-		slot := (r.slowPos.Add(1) - 1) % slowRingSize
-		r.slowST[slot].Store(c)
-		kept = true
-	}
-	if c.Sampled {
-		slot := (r.pos.Add(1) - 1) % ringSize
-		r.ring[slot].Store(c)
-		kept = true
-	}
-	if kept {
-		r.kept.Add(1)
-	} else {
+	if !c.Slow && !c.Sampled {
 		c.rec = nil
 		r.pool.Put(c)
+		return
+	}
+	r.kept.Add(1)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if c.Slow {
+		r.slowHit.Add(1)
+		r.keep(r.slowST[:], &r.slowPos, c)
+	}
+	if c.Sampled {
+		r.keep(r.ring[:], &r.pos, c)
 	}
 }
 
-// collectRing reads a ring oldest-first.
-func collectRing(ring []atomic.Pointer[Ctx], pos uint64) []*Ctx {
-	n := uint64(len(ring))
-	out := make([]*Ctx, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if c := ring[(pos+i)%n].Load(); c != nil {
-			out = append(out, c)
+// keep stores c in the ring's oldest slot, recycling the trace it replaces
+// if no other ring holds that one. The caller holds r.mu.
+func (r *Recorder) keep(ring []*Ctx, pos *uint64, c *Ctx) {
+	slot := &ring[*pos%uint64(len(ring))]
+	*pos++
+	if old := *slot; old != nil {
+		if old.rings--; old.rings == 0 {
+			old.rec = nil
+			r.pool.Put(old)
+		}
+	}
+	c.rings++
+	*slot = c
+}
+
+// Traces returns copies of the retained head-sampled traces, oldest first.
+func (r *Recorder) Traces() []*Ctx { return r.copies(true, false) }
+
+// SlowTraces returns copies of the retained tail-captured traces, oldest
+// first.
+func (r *Recorder) SlowTraces() []*Ctx { return r.copies(false, true) }
+
+// Collect returns a copy of every retained trace exactly once (traces can
+// sit in both rings), ordered oldest first — the Chrome exporter's input.
+func (r *Recorder) Collect() []*Ctx {
+	out := r.copies(true, true)
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].Wall.Before(out[j-1].Wall); j-- {
+			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
 	return out
 }
 
-// Traces returns the retained head-sampled traces, oldest first.
-func (r *Recorder) Traces() []*Ctx {
+// copies reads the chosen rings oldest first, under r.mu, and returns a copy
+// of each trace they hold, once, that recycling cannot reach.
+func (r *Recorder) copies(sampled, slow bool) []*Ctx {
 	if r == nil {
 		return nil
 	}
-	return collectRing(r.ring[:], r.pos.Load())
-}
-
-// SlowTraces returns the retained tail-captured traces, oldest first.
-func (r *Recorder) SlowTraces() []*Ctx {
-	if r == nil {
-		return nil
-	}
-	return collectRing(r.slowST[:], r.slowPos.Load())
-}
-
-// Collect returns every retained trace exactly once (traces can sit in
-// both rings), ordered oldest first — the Chrome exporter's input.
-func (r *Recorder) Collect() []*Ctx {
-	if r == nil {
-		return nil
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	seen := map[*Ctx]bool{}
 	var out []*Ctx
-	for _, c := range append(r.Traces(), r.SlowTraces()...) {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
+	read := func(ring []*Ctx, pos uint64) {
+		for i := range ring {
+			c := ring[(pos+uint64(i))%uint64(len(ring))]
+			if c != nil && !seen[c] {
+				seen[c] = true
+				out = append(out, &Ctx{ID: c.ID, Kind: c.Kind, Wall: c.Wall, Total: c.Total, Slow: c.Slow,
+					Sampled: c.Sampled, Remote: c.Remote, spans: c.spans, n: c.n, truncated: c.truncated})
+			}
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Wall.Before(out[j-1].Wall); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+	if sampled {
+		read(r.ring[:], r.pos)
+	}
+	if slow {
+		read(r.slowST[:], r.slowPos)
 	}
 	return out
 }

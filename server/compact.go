@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sync"
 	"time"
 
 	xpushstream "repro"
@@ -19,14 +18,15 @@ import (
 //     machine (Engine.Consolidated reads only immutable engine state, so
 //     publishers keep filtering on the pinned generation and subscribers keep
 //     deriving from it meanwhile; every filter keeps its id);
-//  2. warm the new machine on the last published documents until a pass adds
-//     no states, so publishers never meet a cold base;
-//  3. re-apply what changed since the pin — the filters added after it become
+//  2. re-apply what changed since the pin — the filters added after it become
 //     one WithQueries layer, which gives them the ids they already have, and
 //     what was masked is masked again by id — and, under ctl, swap.
 //
-// Ids never move, so nothing that holds one (the registry, the match
-// journal, a publish in flight on an older generation) is touched.
+// The new base starts cold: the lazy machine builds its states on the
+// documents that follow the swap (EXPERIMENTS.md "Compaction without
+// warm-up" measured what training on recent documents saved). Ids never
+// move, so nothing that holds one (the registry, the match journal, a
+// publish in flight on an older generation) is touched.
 
 // compactTailFilters is how many filter slots the layers above the base
 // machine may hold before a compaction folds them into it. It trades
@@ -35,52 +35,12 @@ import (
 // this many new filters; EXPERIMENTS.md has the 16/32/64/128 readings.
 const compactTailFilters = 32
 
-// The recent-document ring's bounds.
-const (
-	ringDocs  = 16
-	ringBytes = 256 << 10
-)
-
-// maxTrainPasses bounds the warm-up when every pass keeps adding states (a
-// MaxStates cap flushing the tables mid-pass).
-const maxTrainPasses = 4
+// compactRemovedSlots is how many removed filter slots the engine may still
+// hold compiled before a compaction reclaims them.
+const compactRemovedSlots = 256
 
 // compactPhases label the phase-duration summary, in Server.phaseLat order.
-var compactPhases = [...]string{"compile", "train", "swap"}
-
-// docRing remembers the most recently published documents by reference: a
-// PUBLISH payload is never written after its frame was read, and holding it
-// costs at most ringBytes beyond what the delivery queues already pin.
-type docRing struct {
-	mu    sync.Mutex // publishers add concurrently
-	docs  [ringDocs][]byte
-	next  int // slot the next document overwrites: the oldest
-	bytes int
-}
-
-func (r *docRing) add(doc []byte) {
-	if len(doc) > ringBytes {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.bytes += len(doc) - len(r.docs[r.next])
-	r.docs[r.next] = doc
-	r.next = (r.next + 1) % ringDocs
-	// Over the byte bound: drop from the oldest on. The newest fits alone,
-	// so this stops before reaching it.
-	for i := r.next; r.bytes > ringBytes; i = (i + 1) % ringDocs {
-		r.bytes -= len(r.docs[i])
-		r.docs[i] = nil
-	}
-}
-
-// held returns a copy of the ring's slots.
-func (r *docRing) held() [ringDocs][]byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.docs
-}
+var compactPhases = [...]string{"compile", "swap"}
 
 // needsCompaction reports whether e has outgrown the bounds the compaction
 // goroutine holds the workload to.
@@ -88,8 +48,7 @@ func (s *Server) needsCompaction(e *xpushstream.Engine) bool {
 	if e.TailQueries() > compactTailFilters {
 		return true
 	}
-	maxRemoved := s.cfg.consolidateRemoved()
-	return maxRemoved > 0 && e.NumMasked() > maxRemoved
+	return s.maxRemoved > 0 && e.NumMasked() > s.maxRemoved
 }
 
 // compactLoop is the compaction goroutine: at most one compaction is ever in
@@ -137,12 +96,6 @@ func (s *Server) compact() bool {
 	if err != nil {
 		return failed("recompile", err)
 	}
-	if s.stopping() {
-		return false
-	}
-	s.warm(e)
-	t2 := time.Now()
-	s.phaseLat[1].Observe(t2.Sub(t1).Seconds())
 
 	// Re-apply what changed since the pin, under ctl so nothing changes
 	// meanwhile: the delta of one recompile is a handful of filters.
@@ -158,33 +111,12 @@ func (s *Server) compact() bool {
 	}
 	s.cur.Store(next)
 	now := time.Now()
-	s.phaseLat[2].Observe(now.Sub(t2).Seconds())
+	s.phaseLat[1].Observe(now.Sub(t1).Seconds())
 	s.consolidateLat.Observe(now.Sub(t0).Seconds())
 	s.consolidations.Add(1)
 	s.logf("compacted workload: %d layers, %d masked -> %d layers, %d masked in %v",
 		cur.NumLayers(), cur.NumMasked(), next.NumLayers(), next.NumMasked(), now.Sub(t0))
 	return true
-}
-
-// warm trains a freshly consolidated engine on the recent-document ring
-// until a pass creates no machine state. A document that fails to parse
-// ends the warm-up early; the machine stays valid, only colder.
-func (s *Server) warm(e *xpushstream.Engine) {
-	var data []byte
-	for _, d := range s.recent.held() {
-		data = append(data, d...)
-	}
-	if len(data) == 0 {
-		return
-	}
-	states := func() int { st := e.Stats(); return st.States + st.TopDownStates }
-	for pass, before := 0, -1; pass < maxTrainPasses && states() != before; pass++ {
-		before = states()
-		if err := e.Train(data); err != nil {
-			s.logf("compaction: warm-up: %v", err)
-			return
-		}
-	}
 }
 
 // caughtUp carries the control-plane changes made since the pin over to

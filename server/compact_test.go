@@ -3,7 +3,9 @@ package server_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -315,6 +317,20 @@ func TestSubscribeNeverWaitsOnCompaction(t *testing.T) {
 	text := scrape(t, srv.MetricsAddr())
 	compiles := labeledValue(t, text, fmt.Sprintf(compile, "count"))
 	recompile := time.Duration(labeledValue(t, text, fmt.Sprintf(compile, "sum")) / compiles * float64(time.Second))
+	// A compaction is a recompile and a swap: those are the only phases.
+	const phases = "xpushserve_consolidation_phase_duration_seconds_count{"
+	var labels []string
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, phases); ok {
+			labels = append(labels, rest[:strings.IndexByte(rest, '}')])
+		}
+	}
+	if want := []string{`phase="compile"`, `phase="swap"`}; !slices.Equal(labels, want) {
+		t.Errorf("compaction phases %v, want %v", labels, want)
+	}
+	if swaps := metricValue(t, text, "xpushserve_consolidations_total"); swaps == 0 {
+		t.Error("xpushserve_consolidations_total counted no swap")
+	}
 	sort.Slice(rtts, func(i, j int) bool { return rtts[i] < rtts[j] })
 	med, worst := rtts[len(rtts)/2], rtts[len(rtts)-1]
 	t.Logf("%d storm cycles, %d documents, %v compactions; SUBSCRIBE p50 %v max %v; mean recompile %v",

@@ -183,7 +183,11 @@ func TestDedupDifferentialMatchSets(t *testing.T) {
 	// A removed-slot bound this low makes the broker compact in the
 	// background mid-churn — the differential check then also covers index
 	// remapping and the re-apply of what changed during a compaction.
-	srv := startServer(t, server.Config{ConsolidateRemoved: 1, DebugAddr: "127.0.0.1:0"})
+	srv, err := server.NewWithMaxRemoved(server.Config{Addr: "127.0.0.1:0", DebugAddr: "127.0.0.1:0"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
 	model := newDiffModel(nsubs)
 	var subs []*client.Client
 	var cols []*diffCollector

@@ -292,8 +292,6 @@ func (cn *conn) pump(name string, start uint64) {
 		}
 		if !hit {
 			// The engine pass, on the current workload, into the same buffer.
-			// (doc sits in the log reader's reused buffer, so unlike a
-			// publish it is not handed to the compaction ring.)
 			if keys, err = xpushstream.AppendMatches(s.cur.Load(), keys[:0], doc, tc, trace.Root); err != nil {
 				// The document is already accepted into the log; a filter
 				// error here (e.g. malformed XML vs a stricter engine config)

@@ -21,7 +21,7 @@ func TestRegistryKeysAreEngineIDs(t *testing.T) {
 	}
 	// No removal threshold: compaction runs only when the test forces it, and
 	// the churn between two forced ones stays under the tail bound.
-	s, err := newServer(Config{InitialQueries: boot, ConsolidateRemoved: -1}, 0)
+	s, err := newServer(Config{InitialQueries: boot}, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

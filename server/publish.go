@@ -49,11 +49,6 @@ func (s *Server) publish(doc []byte, pend PendingAppend, remoteID uint64) (int, 
 	e := s.cur.Load()
 	var buf [8]uint64
 	keys, ferr := xpushstream.AppendMatches(e, buf[:0], doc, tc, trace.Root)
-	if ferr == nil {
-		// The payload is the frame's own and never written again, so the
-		// compaction ring may keep a reference to it.
-		s.recent.add(doc)
-	}
 	if pend != nil {
 		wspan := tc.StartSpan("wal_append", trace.Root)
 		off, aerr := pend.Wait()

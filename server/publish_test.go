@@ -8,7 +8,7 @@ import "testing"
 // matches the filter or not. The matched keys go from the machine into a
 // buffer on publish's stack, with no copy or conversion in between.
 func TestPublishAllocs(t *testing.T) {
-	s, err := newServer(Config{InitialQueries: []string{"//order[total > 1000]"}}, 0)
+	s, err := newServer(Config{InitialQueries: []string{"//order[total > 1000]"}}, 0, compactRemovedSlots)
 	if err != nil {
 		t.Fatal(err)
 	}

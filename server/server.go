@@ -87,14 +87,6 @@ type Config struct {
 	// subscriptions require it alongside WAL.
 	Cursors CursorStore
 
-	// ConsolidateRemoved triggers a background compaction once this many
-	// removed filter slots have accumulated (0 = default 256, negative =
-	// never). Compaction recompiles the live workload into one machine off
-	// the publish and subscribe paths, warms it on recent documents and
-	// swaps it in (compact.go); it also runs, whatever this is set to, when
-	// the layers above the base machine outgrow compactTailFilters.
-	ConsolidateRemoved int
-
 	// SnapshotPath enables warm-start: on boot, if the file exists, the
 	// workload and machine state are restored from it; Checkpoint and
 	// Shutdown write it.
@@ -128,13 +120,6 @@ func (c *Config) asyncPublishWindow() int {
 	return 256
 }
 
-func (c *Config) consolidateRemoved() int {
-	if c.ConsolidateRemoved != 0 {
-		return c.ConsolidateRemoved
-	}
-	return 256
-}
-
 // errDraining rejects work arriving during graceful shutdown.
 var errDraining = errors.New("server: draining")
 
@@ -160,10 +145,10 @@ type Server struct {
 	cur atomic.Pointer[xpushstream.Engine]
 
 	// Background compaction (compact.go): compactKick wakes the one
-	// compaction goroutine, recent holds the documents it warms a new base
-	// machine on.
+	// compaction goroutine; maxRemoved is its removed-slot trigger
+	// (compactRemovedSlots, or a test's; negative = never).
 	compactKick chan struct{}
-	recent      docRing
+	maxRemoved  int
 
 	// subs is the workload dedup registry: canonical filter -> one
 	// compiled machine query + the fan-out set of subscriptions sharing
@@ -227,12 +212,13 @@ type Server struct {
 
 // New compiles (or warm-starts) the workload, starts the listeners, and
 // returns a serving broker.
-func New(cfg Config) (*Server, error) { return newServer(cfg, journalSlots) }
+func New(cfg Config) (*Server, error) { return newServer(cfg, journalSlots, compactRemovedSlots) }
 
-// newServer is New with the match journal's size as a parameter: tests pass
-// 0 to get the engine pass on every replay (the reference side of
-// TestJournalMatchesEnginePass) or a small ring to lap it cheaply.
-func newServer(cfg Config, slots int) (*Server, error) {
+// newServer is New with two sizes as parameters. Tests pass 0 journal slots
+// to get the engine pass on every replay (the reference side of
+// TestJournalMatchesEnginePass) or a small ring to lap it cheaply, and a
+// removed-slot trigger of 1 to compact on every release or -1 for never.
+func newServer(cfg Config, slots, maxRemoved int) (*Server, error) {
 	if cfg.Policy == "" {
 		cfg.Policy = DropNewest
 	}
@@ -253,6 +239,7 @@ func newServer(cfg Config, slots int) (*Server, error) {
 		anDirty:  true,
 
 		compactKick: make(chan struct{}, 1),
+		maxRemoved:  maxRemoved,
 	}
 	if s.tracer.Enabled() {
 		s.prof = newQueryProfiler(profilerMaxQueries)
@@ -425,7 +412,7 @@ func (s *Server) registerMetrics() {
 	s.reg.HistogramFunc("xpushserve_unsubscribe_latency_histogram_seconds",
 		"UNSUBSCRIBE round-trip handling latency (log buckets)", s.unsubLat.Snapshot)
 	s.reg.GaugeFunc("xpushserve_consolidation_in_progress",
-		"1 while the background compaction goroutine is building, warming or swapping a new base machine", func() float64 {
+		"1 while the background compaction goroutine is building or swapping in a new base machine", func() float64 {
 			return float64(s.consolidating.Load())
 		})
 	s.reg.SummaryFunc("xpushserve_consolidation_duration_seconds",
@@ -434,7 +421,7 @@ func (s *Server) registerMetrics() {
 	s.reg.HistogramFunc("xpushserve_consolidation_duration_histogram_seconds",
 		"duration of each background compaction, pin to swap (log buckets)", s.consolidateLat.Snapshot)
 	s.reg.SummaryVecFunc("xpushserve_consolidation_phase_duration_seconds",
-		"background compaction time by phase: compile (recompile off to the side), train (warm on recent documents), swap (re-apply the delta under the control lock)", []float64{0.5, 0.9, 0.99},
+		"background compaction time by phase: compile (recompile off to the side), swap (re-apply the delta under the control lock)", []float64{0.5, 0.9, 0.99},
 		func() []obs.LabeledSnapshot {
 			out := make([]obs.LabeledSnapshot, len(compactPhases))
 			for i, ph := range compactPhases {

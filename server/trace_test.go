@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -536,5 +537,98 @@ func BenchmarkServeLoopbackTraced(b *testing.B) {
 			waitFor(b, "all deliveries flushed", func() bool { return col.count() >= b.N+100 })
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "docs/sec")
 		})
+	}
+}
+
+// TestDebugTracesWhileEveryDocumentTraced scrapes /debug/traces and the
+// Chrome export while two pipelined publishers have every document traced,
+// sampled and slow alike, and keep publishing until the scrapes are done and
+// both rings have lapped: completed traces are recycled once the rings push
+// them out, so a reader must never see one change under it. Run with -race.
+func TestDebugTracesWhileEveryDocumentTraced(t *testing.T) {
+	const publishers, scrapes, minDocs = 2, 10, 600
+	srv := startServer(t, server.Config{
+		DebugAddr:   "127.0.0.1:0",
+		TraceSample: 1,
+		TraceSlow:   time.Nanosecond,
+		Policy:      server.Block,
+	})
+	col := &traceCollector{}
+	subc, err := client.Dial(srv.Addr(), client.Options{Timeout: 5 * time.Second, OnDeliver: col.deliver})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { subc.Close() })
+	if _, err := subc.Subscribe(`//order[total > 1000]`); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	var published atomic.Int64
+	scraped := make(chan struct{})
+	for p := 0; p < publishers; p++ {
+		pub := dialSub(t, srv.Addr(), nil)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pp, err := pub.PublishPipelined(16, func(client.PublishResult) {})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer func() {
+				if err := pp.Close(); err != nil {
+					t.Error(err)
+				}
+			}()
+			for i := 0; ; i++ {
+				select {
+				case <-scraped:
+					if published.Load() >= minDocs {
+						return
+					}
+				default:
+				}
+				if _, err := pp.Publish([]byte(fmt.Sprintf(`<order><total>%d</total></order>`, 2000+i))); err != nil {
+					t.Error(err)
+					return
+				}
+				published.Add(1)
+			}
+		}()
+	}
+
+	check := func(ring string, traces []jsonTrace) {
+		ids := map[uint64]bool{}
+		for i := range traces {
+			tr := &traces[i]
+			if ids[tr.ID] {
+				t.Errorf("%s: trace %d listed twice", ring, tr.ID)
+			}
+			ids[tr.ID] = true
+			if tr.Kind != "publish" || len(tr.Spans) == 0 || tr.Spans[0].Name != tr.Kind || tr.span("filter") == nil {
+				t.Errorf("%s: trace %d kind %q spans %v", ring, tr.ID, tr.Kind, spanNames(tr))
+			}
+		}
+	}
+	base := "http://" + srv.DebugAddr()
+	for i := 0; i < scrapes; i++ {
+		var p tracesPayload
+		getJSON(t, base+"/debug/traces", &p)
+		check("traces", p.Traces)
+		check("slow_traces", p.SlowTraces)
+		var buf bytes.Buffer
+		if err := srv.WriteChromeTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(scraped)
+	wg.Wait()
+	n := int(published.Load())
+	waitFor(t, "every delivery", func() bool { return col.count() == n })
+	for i := 0; i < n; i++ {
+		if col.traceID(i) == 0 {
+			t.Fatalf("delivery %d carried no trace id", i)
+		}
 	}
 }
