@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"time"
@@ -46,8 +47,8 @@ type Options struct {
 	// deliveries.
 	OnDeliver func(Delivery)
 	// MaxDocBytes bounds frames in both directions, mirroring the
-	// server's limit, and each document PublishStream cuts from its
-	// reader (0 = 64 MiB).
+	// server's limit, and each document PublishStreamPipelined cuts from
+	// its reader (0 = 64 MiB).
 	MaxDocBytes int
 	// Timeout bounds each request's wait for its response (0 = none).
 	Timeout time.Duration
@@ -79,6 +80,7 @@ type Client struct {
 
 	pipeMu sync.Mutex
 	pipe   *Pipeline // active pipelined publisher, if any
+	ended  bool      // the read loop is over: no pipeline may start
 
 	closeOnce sync.Once
 }
@@ -107,21 +109,16 @@ func newClient(nc net.Conn, opt Options) *Client {
 // readLoop routes incoming frames: DELIVER to the handler, everything else
 // to the pending request.
 func (c *Client) readLoop() {
-	defer close(c.done)
+	defer c.end()
 	br := bufio.NewReaderSize(c.nc, 64<<10)
 	var acks []server.PubAck // reused across PUBACKS frames
 	for {
 		f, err := server.ReadFrame(br, c.opt.maxDocBytes())
 		if err != nil {
-			c.errMu.Lock()
-			if c.readErr == nil {
-				if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-					c.readErr = io.EOF
-				} else {
-					c.readErr = err
-				}
+			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+				err = io.EOF
 			}
-			c.errMu.Unlock()
+			c.latch(err)
 			return
 		}
 		if f.Type == server.FrameDeliver {
@@ -145,11 +142,7 @@ func (c *Client) readLoop() {
 		if f.Type == server.FrameProtoErr {
 			// The server is about to close the connection; latch its reason
 			// so Err() reports the protocol violation instead of a bare EOF.
-			c.errMu.Lock()
-			if c.readErr == nil {
-				c.readErr = fmt.Errorf("client: protocol error from server: %s", f.Payload)
-			}
-			c.errMu.Unlock()
+			c.latch(fmt.Errorf("client: protocol error from server: %s", f.Payload))
 			continue
 		}
 		if f.Type == server.FramePubAcks {
@@ -171,13 +164,37 @@ func (c *Client) readLoop() {
 	}
 }
 
+// latch records the connection's terminal error; the first one wins.
+func (c *Client) latch(err error) {
+	c.errMu.Lock()
+	if c.readErr == nil {
+		c.readErr = err
+	}
+	c.errMu.Unlock()
+}
+
+// end runs as the read loop exits: it settles the active pipeline's
+// in-flight documents with the connection's error, then closes done.
+func (c *Client) end() {
+	c.pipeMu.Lock()
+	p := c.pipe
+	c.ended = true
+	c.pipeMu.Unlock()
+	if p != nil {
+		p.fail(fmt.Errorf("client: connection closed: %w", c.err()))
+	}
+	close(c.done)
+}
+
 // maxKeptWriteBuf bounds the frame buffer a client keeps between writes; a
 // larger frame's buffer is dropped once it is sent.
 const maxKeptWriteBuf = 1 << 20
 
 // writeFrame sends one frame in a single Write: the header, the 8-byte
 // words (a trace id, a sequence number, an offset or an id) and then body,
-// assembled in the client's reused buffer under wmu.
+// assembled in the client's reused buffer under wmu. A failed write may
+// have sent part of the frame, leaving the stream unframed, so it closes
+// the connection with the write error as the connection's error.
 func (c *Client) writeFrame(typ byte, body []byte, words ...uint64) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -190,8 +207,12 @@ func (c *Client) writeFrame(typ byte, body []byte, words ...uint64) error {
 	if cap(b) <= maxKeptWriteBuf {
 		c.wbuf = b
 	}
-	_, err := c.nc.Write(b)
-	return err
+	if _, err := c.nc.Write(b); err != nil {
+		c.latch(err)
+		c.nc.Close()
+		return err
+	}
+	return nil
 }
 
 // roundTrip sends one request frame (see writeFrame) and waits for its
@@ -309,22 +330,6 @@ func (c *Client) PublishTraced(doc []byte, traceID uint64) (int, error) {
 	return int(n), err
 }
 
-// PublishStream cuts a stream of concatenated XML documents into documents
-// with sax.StreamDocumentsLimit (bounded per document by
-// Options.MaxDocBytes) and publishes each as soon as it is in.
-// It returns the number of documents published.
-func (c *Client) PublishStream(r io.Reader) (int, error) {
-	n := 0
-	err := sax.StreamDocumentsLimit(r, c.opt.MaxDocBytes, func(doc []byte) error {
-		if _, err := c.Publish(doc); err != nil {
-			return err
-		}
-		n++
-		return nil
-	})
-	return n, err
-}
-
 // Ping round-trips a keepalive.
 func (c *Client) Ping() error {
 	f, err := c.roundTrip(server.FramePing, nil)
@@ -345,8 +350,8 @@ func (c *Client) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
 // handed to OnDeliver.
 func (c *Client) Done() <-chan struct{} { return c.done }
 
-// Err returns the terminal read error after Done is closed (io.EOF for a
-// clean remote close).
+// Err returns the connection's terminal error after Done is closed (io.EOF
+// for a clean remote close, the write error if a write failed).
 func (c *Client) Err() error {
 	<-c.done
 	return c.err()
@@ -367,14 +372,16 @@ func (c *Client) Close() error {
 
 // PublishResult is the broker's acknowledgement of one pipelined publish.
 type PublishResult struct {
-	// Seq is the sequence number Pipeline.Publish assigned to the document
+	// Seq is the sequence number the pipeline assigned to the document
 	// (starting at 1, in submission order).
 	Seq uint64
 	// Matches is how many filters matched, when Err is nil.
 	Matches int
 	// Err is the broker-side failure for this document (e.g. the WAL
-	// rejected the append). The pipeline keeps running; use Close's return
-	// to learn whether any publish in the stream failed.
+	// rejected the append), or the connection's error for a document still
+	// in flight when the connection ended. The pipeline keeps running on a
+	// broker-side failure; use Close's return to learn whether any publish
+	// in the stream failed.
 	Err error
 }
 
@@ -384,28 +391,43 @@ type PublishResult struct {
 // Against a fsync=always WAL broker this lets many documents share one
 // group-committed fsync instead of paying one each.
 //
+// The pipeline is the one place that maps an ack to its document: Submit
+// registers the document's completion before its frame is written, and
+// every accepted document is settled exactly once — by its ack, or with the
+// connection's error when the read loop ends.
+//
 // A Pipeline is safe for concurrent use, but documents are sequenced in the
-// order Publish acquires the window. Close drains the window and reports the
+// order Submit acquires the window. Close drains the window and reports the
 // first failed publish.
 type Pipeline struct {
 	c        *Client
-	onResult func(PublishResult) // optional, called from the read loop
+	onResult func(PublishResult) // Publish's completion; may be nil
 
-	tokens chan struct{} // in-flight window; one token per outstanding doc
+	tokens chan struct{} // in-flight window; one token per accepted doc
 
 	mu       sync.Mutex
 	seq      uint64
-	inflight int
+	slots    []inflight // accepted documents, open-addressed by seq
+	inflight int        // accepted documents not yet settled
 	firstErr error
-	closed   bool
+	refuse   error         // set by Close or the connection's end
 	signal   chan struct{} // buffered(1): kicked when inflight hits 0
+}
+
+// inflight is one accepted document awaiting its ack; seq 0 marks a free
+// slot.
+type inflight struct {
+	seq  uint64
+	done func(PublishResult)
 }
 
 // PublishPipelined starts a pipelined publish stream with the given
 // in-flight window (documents written but not yet acked; <=0 means 64).
-// onResult, if non-nil, receives every acknowledgement in order from the
-// read loop — it must not block, or deliveries stall. Only one Pipeline may
-// be active per client; Close it before starting another.
+// onResult, if non-nil, is Publish's completion: it receives each
+// acknowledgement from the read loop, and the connection's error for each
+// document in flight when the connection ends — it must not block, or
+// deliveries stall. Only one Pipeline may be active per client; Close it
+// before starting another.
 func (c *Client) PublishPipelined(window int, onResult func(PublishResult)) (*Pipeline, error) {
 	if window <= 0 {
 		window = 64
@@ -414,96 +436,165 @@ func (c *Client) PublishPipelined(window int, onResult func(PublishResult)) (*Pi
 		c:        c,
 		onResult: onResult,
 		tokens:   make(chan struct{}, window),
-		signal:   make(chan struct{}, 1),
+		// At most window documents are in flight, so a power of two of at
+		// least twice as many slots always has a free one and short probes.
+		slots:  make([]inflight, 1<<bits.Len(uint(2*window-1))),
+		signal: make(chan struct{}, 1),
 	}
 	c.pipeMu.Lock()
 	defer c.pipeMu.Unlock()
 	if c.pipe != nil {
 		return nil, errors.New("client: a pipeline is already active; Close it first")
 	}
-	select {
-	case <-c.done:
+	if c.ended {
 		return nil, fmt.Errorf("client: connection closed: %w", c.err())
-	default:
 	}
 	c.pipe = p
 	return p, nil
 }
 
 // Publish submits one document, blocking only while the in-flight window is
-// full. The returned sequence number matches the eventual PublishResult. A
-// write error tears the pipeline's usefulness down (the connection is
-// broken); it is also latched for Close.
+// full; its acknowledgement goes to the pipeline's onResult. The returned
+// sequence number matches the eventual PublishResult.
 func (p *Pipeline) Publish(doc []byte) (uint64, error) {
-	return p.PublishTraced(doc, 0)
+	return p.Submit(doc, 0, p.onResult)
 }
 
 // PublishTraced is Publish carrying an upstream trace id (see
 // Client.PublishTraced). A zero traceID sends the plain PUBLISH_ASYNC frame.
 func (p *Pipeline) PublishTraced(doc []byte, traceID uint64) (uint64, error) {
+	return p.Submit(doc, traceID, p.onResult)
+}
+
+// Submit sends one document with an optional trace id (0 = untraced) and
+// an optional completion, blocking only while the in-flight window is full.
+// A document Submit accepts (nil error) is settled exactly once: done, if
+// non-nil, runs with its ack on the read loop, or with the connection's
+// error when the read loop ends — a failed write ends it. A document
+// Submit refuses, because the pipeline is closed or the connection is
+// gone, is never passed to done.
+func (p *Pipeline) Submit(doc []byte, traceID uint64, done func(PublishResult)) (uint64, error) {
 	select {
 	case p.tokens <- struct{}{}:
 	case <-p.c.done:
 		return 0, fmt.Errorf("client: connection closed: %w", p.c.err())
 	}
 	p.mu.Lock()
-	if p.closed {
+	if err := p.refuse; err != nil {
 		p.mu.Unlock()
 		<-p.tokens
-		return 0, errors.New("client: pipeline closed")
+		return 0, err
 	}
 	p.seq++
 	seq := p.seq
+	p.put(inflight{seq, done})
 	p.inflight++
 	p.mu.Unlock()
 
-	// A traced frame carries the trace id ahead of the sequence number.
-	var err error
+	// A traced frame carries the trace id ahead of the sequence number. A
+	// write error closes the connection, whose end settles the document
+	// with that error, so it needs no handling here.
 	if traceID != 0 {
-		err = p.c.writeFrame(server.FramePublishAsync|server.FrameTraceFlag, doc, traceID, seq)
+		_ = p.c.writeFrame(server.FramePublishAsync|server.FrameTraceFlag, doc, traceID, seq)
 	} else {
-		err = p.c.writeFrame(server.FramePublishAsync, doc, seq)
-	}
-	if err != nil {
-		p.settle(PublishResult{Seq: seq, Err: err}, false)
-		return seq, err
+		_ = p.c.writeFrame(server.FramePublishAsync, doc, seq)
 	}
 	return seq, nil
 }
 
-// handleAcks runs on the read loop for every PUBACKS frame.
+// put registers an accepted document. The caller holds mu.
+func (p *Pipeline) put(e inflight) {
+	mask := uint64(len(p.slots) - 1)
+	i := e.seq & mask
+	for p.slots[i].seq != 0 {
+		i = (i + 1) & mask
+	}
+	p.slots[i] = e
+}
+
+// take unregisters seq, reporting its completion and whether it was
+// registered. The entries after it in its probe run shift back, so no
+// tombstone lengthens a later probe. The caller holds mu.
+func (p *Pipeline) take(seq uint64) (func(PublishResult), bool) {
+	mask := uint64(len(p.slots) - 1)
+	i := seq & mask
+	for p.slots[i].seq != seq || seq == 0 {
+		if p.slots[i].seq == 0 {
+			return nil, false
+		}
+		i = (i + 1) & mask
+	}
+	done := p.slots[i].done
+	for j := i; ; {
+		j = (j + 1) & mask
+		s := p.slots[j].seq
+		if s == 0 {
+			break
+		}
+		if (j-s)&mask < (j-i)&mask {
+			continue // s's home slot lies after i: it stays reachable
+		}
+		p.slots[i] = p.slots[j]
+		i = j
+	}
+	p.slots[i] = inflight{}
+	return done, true
+}
+
+// handleAcks runs on the read loop for every PUBACKS frame. An ack for a
+// sequence number that is not in flight is ignored.
 func (p *Pipeline) handleAcks(acks []server.PubAck) {
 	for _, a := range acks {
+		p.mu.Lock()
+		done, ok := p.take(a.Seq)
+		p.mu.Unlock()
+		if !ok {
+			continue
+		}
 		r := PublishResult{Seq: a.Seq, Matches: int(a.Matches)}
 		if a.Err != "" {
 			r.Err = fmt.Errorf("client: server error: %s", a.Err)
 		}
-		p.settle(r, true)
+		p.settle(r, done)
 	}
 }
 
-// settle records one document's outcome: releases its window slot, latches
-// the first error, and wakes Close when the window drains. notify gates the
-// onResult callback (write failures already returned the error to the
-// caller directly); it runs before the document leaves the in-flight count,
-// so Close returns only after every callback has.
-func (p *Pipeline) settle(r PublishResult, notify bool) {
-	if notify && p.onResult != nil {
-		p.onResult(r)
+// fail settles every document still in flight with err and refuses new
+// ones.
+func (p *Pipeline) fail(err error) {
+	p.mu.Lock()
+	if p.refuse == nil {
+		p.refuse = err
+	}
+	var lost []inflight
+	for i, e := range p.slots {
+		if e.seq != 0 {
+			lost = append(lost, e)
+			p.slots[i] = inflight{}
+		}
+	}
+	p.mu.Unlock()
+	for _, e := range lost {
+		p.settle(PublishResult{Seq: e.seq, Err: err}, e.done)
+	}
+}
+
+// settle records one unregistered document's outcome: it runs the
+// completion, then releases the window slot, latches the first error, and
+// wakes Close when the window drains — so Close returns only after every
+// completion has.
+func (p *Pipeline) settle(r PublishResult, done func(PublishResult)) {
+	if done != nil {
+		done(r)
 	}
 	p.mu.Lock()
-	if p.inflight > 0 {
-		p.inflight--
-	}
+	p.inflight--
 	if r.Err != nil && p.firstErr == nil {
 		p.firstErr = r.Err
 	}
 	drained := p.inflight == 0
 	p.mu.Unlock()
-	select {
-	case <-p.tokens:
-	default:
-	}
+	<-p.tokens
 	if drained {
 		select {
 		case p.signal <- struct{}{}:
@@ -512,14 +603,16 @@ func (p *Pipeline) settle(r PublishResult, notify bool) {
 	}
 }
 
-// Close waits (bounded by Options.Timeout, if set) for every in-flight
-// publish to be acknowledged, detaches the pipeline from the client, and
-// returns the first error any publish in the stream hit. A timeout or a
-// broken connection surfaces as an error even if no individual publish
-// failed, since un-acked documents have unknown fates.
+// Close refuses further documents and waits (bounded by Options.Timeout,
+// if set) for every in-flight publish to settle, detaches the pipeline from
+// the client, and returns the first error any publish in the stream hit.
+// On a timeout the documents still in flight are settled with the timeout
+// error, since their fates are unknown.
 func (p *Pipeline) Close() error {
 	p.mu.Lock()
-	p.closed = true
+	if p.refuse == nil {
+		p.refuse = errors.New("client: pipeline closed")
+	}
 	p.mu.Unlock()
 
 	var timeout <-chan time.Time
@@ -528,8 +621,6 @@ func (p *Pipeline) Close() error {
 		defer t.Stop()
 		timeout = t.C
 	}
-	var waitErr error
-wait:
 	for {
 		p.mu.Lock()
 		drained := p.inflight == 0
@@ -539,12 +630,9 @@ wait:
 		}
 		select {
 		case <-p.signal:
-		case <-p.c.done:
-			waitErr = fmt.Errorf("client: connection closed with publishes in flight: %w", p.c.err())
-			break wait
 		case <-timeout:
-			waitErr = fmt.Errorf("client: pipeline close timed out after %v with publishes in flight", p.c.opt.Timeout)
-			break wait
+			timeout = nil
+			p.fail(fmt.Errorf("client: pipeline close timed out after %v with publishes in flight", p.c.opt.Timeout))
 		}
 	}
 
@@ -556,16 +644,13 @@ wait:
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.firstErr != nil {
-		return p.firstErr
-	}
-	return waitErr
+	return p.firstErr
 }
 
 // PublishStreamPipelined splits a stream of concatenated XML documents and
 // publishes each through a pipeline with the given window, returning the
-// number of documents submitted and the first error (parse, write, or
-// broker-side reject).
+// number of documents submitted and the first error (parse, broker-side
+// reject, or the connection's end).
 func (c *Client) PublishStreamPipelined(r io.Reader, window int) (int, error) {
 	p, err := c.PublishPipelined(window, nil)
 	if err != nil {

@@ -13,10 +13,10 @@
 // contain any number of concatenated documents. -stats appends a runtime
 // report after the stream: human-readable text (including per-document
 // filter-latency quantiles), a JSON document, or Prometheus text format.
-// -trace records a span trace for every document (per-layer timings plus
-// machine telemetry: states created, table flushes, matches) and writes the
-// most recent ones as a Chrome trace_event file — load it at
-// ui.perfetto.dev or chrome://tracing.
+// -trace records a span trace for every document (a filter span carrying
+// the machine telemetry: layers, states created, tail states created, table
+// flushes, matches and events) and writes the most recent ones as a Chrome
+// trace_event file — load it at ui.perfetto.dev or chrome://tracing.
 package main
 
 import (
@@ -127,9 +127,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if *tracePath != "" {
 		// Traced runs give each document its own trace: a "document" root
-		// with the filter span, per-layer timings, and machine-telemetry
-		// attributes. Sampling 1/1 keeps everything (the recorder ring
-		// retains the most recent documents).
+		// with the filter span, whose attributes are the machine telemetry
+		// (layers, states_created, tail_states_created, table_flushes,
+		// matches, events). Sampling 1/1 keeps everything (the recorder
+		// ring retains the most recent documents).
 		rec := xpushstream.NewTraceRecorder(1, 0)
 		err = sax.StreamDocumentsLimit(in, *maxDocBytes, func(doc []byte) error {
 			tc := rec.Begin("document")

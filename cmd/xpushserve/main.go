@@ -14,7 +14,6 @@
 //	           [-drain-timeout 10s]
 //	           [-wal-dir dir] [-fsync always|interval|never]
 //	           [-fsync-interval 100ms] [-wal-segment-bytes 67108864]
-//	           [-wal-batch-records 0] [-wal-batch-wait 0]
 //	           [-publish-window 0] [-retention 0] [-retention-bytes 0]
 //	           [-trace-sample 0] [-trace-slow 0] [-trace-out trace.json]
 //	           [-topdown] [-order] [-early] [-train] [-dtd schema.dtd]
@@ -28,8 +27,8 @@
 // the log.
 //
 // -trace-sample 1000 traces one of every 1000 published documents end to end
-// (PUBLISH receive, WAL append and fsync wait, filtering with per-layer
-// timings and machine telemetry, per-subscriber queue wait, DELIVER write);
+// (PUBLISH receive, WAL append, filtering with machine telemetry,
+// per-subscriber queue wait, DELIVER write);
 // -trace-slow 50ms additionally captures every document slower than the
 // threshold regardless of sampling. Traces are served at -debug-addr's
 // /debug/traces (next to /debug/machine, /debug/queries and
@@ -192,8 +191,6 @@ func buildConfig(args []string) (server.Config, options, error) {
 	segmentBytes := fs.Int64("wal-segment-bytes", 64<<20, "wal segment rotation size")
 	retention := fs.Duration("retention", 0, "delete sealed wal segments older than this (0 = keep)")
 	retentionBytes := fs.Int64("retention-bytes", 0, "delete oldest sealed wal segments past this total size (0 = keep)")
-	batchRecords := fs.Int("wal-batch-records", 0, "max appends coalesced into one group-committed wal batch (0 = 1024)")
-	batchWait := fs.Duration("wal-batch-wait", 0, "wal batch accumulation window (0 = adaptive from the fsync-latency EWMA under -fsync always; negative = commit immediately)")
 	publishWindow := fs.Int("publish-window", 0, "per-connection PUBLISH_ASYNC in-flight window (0 = 256)")
 	topdown := fs.Bool("topdown", false, "enable top-down pruning")
 	order := fs.Bool("order", false, "enable the order optimization (needs -dtd)")
@@ -272,15 +269,13 @@ func buildConfig(args []string) (server.Config, options, error) {
 			return server.Config{}, options{}, fmt.Errorf("-wal-dir: %w", err)
 		}
 		l, err := wal.Open(wal.Options{
-			Dir:             *walDir,
-			SegmentBytes:    *segmentBytes,
-			Fsync:           fpol,
-			FsyncEvery:      *fsyncInterval,
-			RetentionBytes:  *retentionBytes,
-			RetentionAge:    *retention,
-			MaxRecordBytes:  cfg.MaxDocBytes,
-			BatchMaxRecords: *batchRecords,
-			BatchMaxWait:    *batchWait,
+			Dir:            *walDir,
+			SegmentBytes:   *segmentBytes,
+			Fsync:          fpol,
+			FsyncEvery:     *fsyncInterval,
+			RetentionBytes: *retentionBytes,
+			RetentionAge:   *retention,
+			MaxRecordBytes: cfg.MaxDocBytes,
 		})
 		if err != nil {
 			return server.Config{}, options{}, err

@@ -106,8 +106,13 @@ func TestBuildConfigErrors(t *testing.T) {
 	if _, _, err := buildConfig([]string{"-policy", "bogus"}); err == nil {
 		t.Error("bogus policy accepted")
 	}
-	// The pool backend and its sizing flag are removed, not deprecated.
-	for _, args := range [][]string{{"-backend", "engine"}, {"-workers", "2"}} {
+	// The pool backend and its sizing flag are removed, not deprecated, as
+	// are the WAL's static group-commit knobs (the adaptive window is the
+	// one policy).
+	for _, args := range [][]string{
+		{"-backend", "engine"}, {"-workers", "2"},
+		{"-wal-batch-wait", "1ms"}, {"-wal-batch-records", "16"},
+	} {
 		if _, _, err := buildConfig(args); err == nil {
 			t.Errorf("removed flag %v accepted", args)
 		}

@@ -157,7 +157,7 @@ func New(cfg Config) (*Gate, error) {
 	}
 	for _, n := range ring.Nodes() {
 		g.liveKeys[n] = &atomic.Int64{}
-		g.pubs[n] = newNodePub(n)
+		g.pubs[n] = &nodePub{node: n}
 	}
 	g.registerMetrics()
 	g.pool = NewPool(ring.Nodes(), PoolOptions{
@@ -250,12 +250,11 @@ func (g *Gate) isDown(node string) bool {
 // onNodeUp runs on the pool's manage goroutine with a freshly probed
 // connection: attach the publish pipeline and clear the down mark.
 func (g *Gate) onNodeUp(node string, c *client.Client) {
-	np := g.pubs[node]
-	pipe, err := c.PublishPipelined(g.cfg.publishWindow(), np.onResult)
+	pipe, err := c.PublishPipelined(g.cfg.publishWindow(), nil)
 	if err != nil {
 		return // the connection is already dying; the pool will cycle it
 	}
-	np.attach(c, pipe)
+	g.pubs[node].pipe.Store(pipe)
 	g.mu.Lock()
 	delete(g.down, node)
 	g.mu.Unlock()
@@ -263,8 +262,10 @@ func (g *Gate) onNodeUp(node string, c *client.Client) {
 }
 
 // onNodeDown runs on the pool's manage goroutine after a node's connection
-// died: mark it down, fail the publishes pending on it, and replay its
-// subscriptions onto the ring's next owners.
+// died: mark it down, detach its pipeline so new publishes are refused, and
+// replay its subscriptions onto the ring's next owners. The publishes still
+// in flight on it settle with the connection's error when the pool closes
+// the connection.
 func (g *Gate) onNodeDown(node string, err error) {
 	g.mu.Lock()
 	g.down[node] = true
@@ -274,7 +275,7 @@ func (g *Gate) onNodeDown(node string, err error) {
 		conns = append(conns, cn)
 	}
 	g.mu.Unlock()
-	g.pubs[node].fail(fmt.Errorf("cluster: node %s down: %w", node, errOr(err)))
+	g.pubs[node].pipe.Store(nil)
 	if closed {
 		return
 	}
@@ -288,13 +289,6 @@ func (g *Gate) onNodeDown(node string, err error) {
 			cn.rerouteNode(node, nil)
 		}()
 	}
-}
-
-func errOr(err error) error {
-	if err != nil {
-		return err
-	}
-	return fmt.Errorf("connection closed")
 }
 
 // pubTargets returns the nodes a publish must reach: every node owning at
@@ -394,9 +388,7 @@ func (g *Gate) fanPublish(doc []byte, remoteID uint64) (int, error) {
 				agg.settle(r)
 			}
 		}
-		if err := g.pubs[node].publish(doc, tid, settle); err != nil {
-			settle(client.PublishResult{Err: err})
-		}
+		g.pubs[node].publish(doc, tid, settle)
 	}
 	wait := tc.StartSpan("ack_wait", trace.Root)
 	t := time.NewTimer(g.cfg.publishTimeout())
@@ -427,13 +419,11 @@ type pubAgg struct {
 	done      chan struct{}
 }
 
-// settle records one node's outcome; callable from node read loops.
+// settle records one node's outcome, which each node reports exactly once;
+// callable from node read loops.
 func (a *pubAgg) settle(r client.PublishResult) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.remaining == 0 {
-		return
-	}
 	a.matches += r.Matches
 	if r.Err != nil && a.firstErr == nil {
 		a.firstErr = r.Err
@@ -444,112 +434,31 @@ func (a *pubAgg) settle(r client.PublishResult) {
 	}
 }
 
-// maxOrphanAcks bounds each node's parked-ack map. Orphans normally live
-// microseconds (the window between the read loop seeing an ack and
-// publish registering its callback), so the cap only bites when acks leak
-// — e.g. a node acking sequence numbers the gate never registered. Past
-// the cap an arbitrary parked ack is evicted (and counted): the publisher
-// it belonged to, if any, times out instead of leaking map entries.
-const maxOrphanAcks = 1024
-
-// nodePub is one node's publish plane: the pool connection's pipeline plus
-// the callbacks of publishes awaiting that node's ack. Acks may arrive on
-// the read loop before the publisher registers its callback (the sequence
-// number is only known after Publish returns), so early acks park in
-// orphans until the registration catches up.
+// nodePub is one node's publish plane: the pool connection's pipeline,
+// which maps each node ack to its publish, and the node's ack latency.
 type nodePub struct {
-	node    string
-	hist    obs.Histogram // ack latency, seconds
-	evicted atomic.Int64  // orphaned acks dropped by the cap
-
-	mu      sync.Mutex
-	pipe    *client.Pipeline
-	pending map[uint64]*pubWait
-	orphans map[uint64]client.PublishResult
+	node string
+	hist obs.Histogram // ack latency, seconds
+	pipe atomic.Pointer[client.Pipeline]
 }
 
-type pubWait struct {
-	cb    func(client.PublishResult)
-	start time.Time
-}
-
-func newNodePub(node string) *nodePub {
-	return &nodePub{
-		node:    node,
-		pending: map[uint64]*pubWait{},
-		orphans: map[uint64]client.PublishResult{},
-	}
-}
-
-func (np *nodePub) attach(c *client.Client, pipe *client.Pipeline) {
-	np.mu.Lock()
-	np.pipe = pipe
-	np.mu.Unlock()
-}
-
-// publish submits doc on the node's pipeline and registers cb for its ack.
-// traceID, when non-zero, rides the frame so the node's trace adopts the
-// gate's id (the cross-hop merge key).
-func (np *nodePub) publish(doc []byte, traceID uint64, cb func(client.PublishResult)) error {
-	np.mu.Lock()
-	pipe := np.pipe
-	np.mu.Unlock()
+// publish submits doc on the node's pipeline. cb runs exactly once: with
+// the node's ack, with the connection's error if the node goes away first,
+// or with the refusal of a node that is not connected. traceID, when
+// non-zero, rides the frame so the node's trace adopts the gate's id (the
+// cross-hop merge key).
+func (np *nodePub) publish(doc []byte, traceID uint64, cb func(client.PublishResult)) {
+	pipe := np.pipe.Load()
 	if pipe == nil {
-		return fmt.Errorf("cluster: node %s not connected", np.node)
+		cb(client.PublishResult{Err: fmt.Errorf("cluster: node %s not connected", np.node)})
+		return
 	}
 	start := time.Now()
-	seq, err := pipe.PublishTraced(doc, traceID)
-	if err != nil {
-		return err
-	}
-	np.mu.Lock()
-	if r, ok := np.orphans[seq]; ok {
-		delete(np.orphans, seq)
-		np.mu.Unlock()
+	if _, err := pipe.Submit(doc, traceID, func(r client.PublishResult) {
 		np.hist.Observe(time.Since(start).Seconds())
 		cb(r)
-		return nil
-	}
-	np.pending[seq] = &pubWait{cb: cb, start: start}
-	np.mu.Unlock()
-	return nil
-}
-
-// onResult runs on the node connection's read loop for every ack.
-func (np *nodePub) onResult(r client.PublishResult) {
-	np.mu.Lock()
-	w, ok := np.pending[r.Seq]
-	if ok {
-		delete(np.pending, r.Seq)
-	} else {
-		if len(np.orphans) >= maxOrphanAcks {
-			for seq := range np.orphans {
-				delete(np.orphans, seq)
-				np.evicted.Add(1)
-				break
-			}
-		}
-		np.orphans[r.Seq] = r
-	}
-	np.mu.Unlock()
-	if ok {
-		np.hist.Observe(time.Since(w.start).Seconds())
-		w.cb(r)
-	}
-}
-
-// fail detaches the pipeline and fails every pending publish, so fan-out
-// publishers waiting on a dead node unblock with an error instead of
-// timing out.
-func (np *nodePub) fail(err error) {
-	np.mu.Lock()
-	np.pipe = nil
-	pending := np.pending
-	np.pending = map[uint64]*pubWait{}
-	np.orphans = map[uint64]client.PublishResult{}
-	np.mu.Unlock()
-	for _, w := range pending {
-		w.cb(client.PublishResult{Err: err})
+	}); err != nil {
+		cb(client.PublishResult{Err: err})
 	}
 }
 
@@ -610,25 +519,6 @@ func (g *Gate) registerMetrics() {
 		}
 		return out
 	})
-	r.GaugeVecFunc("xpushgate_orphan_acks", "Per-node acks parked awaiting publisher registration (bounded at 1024; overflow evicts).", func() []obs.Labeled {
-		nodes := g.ring.Nodes()
-		out := make([]obs.Labeled, 0, len(nodes))
-		for _, n := range nodes {
-			np := g.pubs[n]
-			np.mu.Lock()
-			v := float64(len(np.orphans))
-			np.mu.Unlock()
-			out = append(out, obs.Labeled{Labels: fmt.Sprintf("node=%q", n), Value: v})
-		}
-		return out
-	})
-	r.CounterFunc("xpushgate_orphan_acks_evicted_total", "Parked acks dropped because a node's orphan map hit its cap.", func() int64 {
-		var sum int64
-		for _, n := range g.ring.Nodes() {
-			sum += g.pubs[n].evicted.Load()
-		}
-		return sum
-	})
 	r.SummaryFunc("xpushgate_subscribe_latency_seconds", "Subscriber-visible SUBSCRIBE round-trip latency (includes the node hop).", []float64{0.5, 0.9, 0.99}, g.subLat.Snapshot)
 	r.HistogramFunc("xpushgate_subscribe_latency_histogram_seconds", "Subscriber-visible SUBSCRIBE round-trip latency.", g.subLat.Snapshot)
 	r.SummaryFunc("xpushgate_unsubscribe_latency_seconds", "Subscriber-visible UNSUBSCRIBE round-trip latency (includes the node hop).", []float64{0.5, 0.9, 0.99}, g.unsubLat.Snapshot)
@@ -649,21 +539,15 @@ func (g *Gate) debugCluster(w http.ResponseWriter, req *http.Request) {
 	type nodeInfo struct {
 		NodeStatus
 		LiveKeys   int64       `json:"live_keys"`
-		OrphanAcks int         `json:"orphan_acks"`
 		AckLatency obs.Summary `json:"ack_latency_seconds"`
 	}
 	snap := g.pool.Snapshot()
 	nodes := make([]nodeInfo, 0, len(snap))
 	for _, ns := range snap {
-		np := g.pubs[ns.Node]
-		np.mu.Lock()
-		orphans := len(np.orphans)
-		np.mu.Unlock()
 		nodes = append(nodes, nodeInfo{
 			NodeStatus: ns,
 			LiveKeys:   g.liveKeys[ns.Node].Load(),
-			OrphanAcks: orphans,
-			AckLatency: np.hist.Snapshot().Summary(),
+			AckLatency: g.pubs[ns.Node].hist.Snapshot().Summary(),
 		})
 	}
 	out := struct {

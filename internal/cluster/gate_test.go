@@ -615,6 +615,99 @@ func TestGatePipelinedPublish(t *testing.T) {
 	waitUntil(t, "pipelined deliveries", func() bool { return s.tally.count() == docs })
 }
 
+// TestGateConcurrentPublishersAckOnce: many publishers share the one node
+// pipeline, so a node ack can arrive while another publisher is still
+// submitting. Every publish acks exactly once with the direct broker's
+// match count, and the node pipeline settles each fan-out exactly once.
+func TestGateConcurrentPublishersAckOnce(t *testing.T) {
+	filters := []string{"//order", "//order[total>100]", "//sku", "/order/sku"}
+	doc := func(i int) []byte {
+		return []byte(fmt.Sprintf(`<order><total>%d</total><sku>%d</sku></order>`, i%200, i))
+	}
+	const publishers, each = 8, 60
+	subscribe := func(addr string) *client.Client {
+		c, err := client.Dial(addr, client.Options{Timeout: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		for _, f := range filters {
+			if _, err := c.Subscribe(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	direct := startNode(t, server.Config{})
+	dc := subscribe(direct.Addr())
+	want := make([]int, publishers*each)
+	for i := range want {
+		n, err := dc.Publish(doc(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = n
+	}
+
+	node := startNode(t, server.Config{})
+	g := startGate(t, []string{node.Addr()}, nil)
+	subscribe(g.Addr())
+	var wg sync.WaitGroup
+	for w := 0; w < publishers; w++ {
+		c, err := client.Dial(g.Addr(), client.Options{Timeout: 10 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		wg.Add(1)
+		go func(w int, c *client.Client) {
+			defer wg.Done()
+			if w%2 == 0 { // blocking publishes
+				for k := 0; k < each; k++ {
+					i := w*each + k
+					if n, err := c.Publish(doc(i)); err != nil || n != want[i] {
+						t.Errorf("publish %d: %d matches, %v; direct broker %d", i, n, err, want[i])
+					}
+				}
+				return
+			}
+			var mu sync.Mutex
+			acks := map[uint64]int{}
+			p, err := c.PublishPipelined(16, func(r client.PublishResult) {
+				mu.Lock()
+				defer mu.Unlock()
+				acks[r.Seq]++
+				if i := w*each + int(r.Seq) - 1; r.Err != nil || r.Matches != want[i] {
+					t.Errorf("pipelined publish %d: %d matches, %v; direct broker %d", i, r.Matches, r.Err, want[i])
+				}
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for k := 0; k < each; k++ {
+				if _, err := p.Publish(doc(w*each + k)); err != nil {
+					t.Error(err)
+				}
+			}
+			if err := p.Close(); err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for seq := uint64(1); seq <= each; seq++ {
+				if acks[seq] != 1 {
+					t.Errorf("publisher %d seq %d acked %d times", w, seq, acks[seq])
+				}
+			}
+		}(w, c)
+	}
+	wg.Wait()
+	if got := g.pubs[node.Addr()].hist.Snapshot().Count; got != publishers*each {
+		t.Fatalf("node pipeline settled %d fan-outs, want %d", got, publishers*each)
+	}
+}
+
 // TestGateMetricsAndDebug scrapes the gate's observability surface.
 func TestGateMetricsAndDebug(t *testing.T) {
 	n1 := startNode(t, server.Config{})

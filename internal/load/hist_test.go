@@ -18,9 +18,8 @@ func newTestState(phases ...string) *runState {
 		spec.Phases = append(spec.Phases, Phase{Name: name, Duration: time.Second})
 	}
 	st := &runState{
-		r:       &Runner{Plan: &Plan{Spec: spec}},
-		epoch:   time.Now(),
-		intents: make(map[uint64]pubIntent),
+		r:     &Runner{Plan: &Plan{Spec: spec}},
+		epoch: time.Now(),
 	}
 	for range phases {
 		st.measures = append(st.measures, &measure{})
@@ -128,9 +127,6 @@ func TestHistDeltaSince(t *testing.T) {
 func TestHistConcurrent(t *testing.T) {
 	st := newTestState("warmup", "steady")
 	const workers, per = 8, 2000
-	for seq := uint64(0); seq < workers*per; seq++ {
-		st.intents[seq] = pubIntent{phase: int(seq % 2)}
-	}
 	slot := &connSlot{}
 	ackErr := errors.New("rejected")
 	var wg sync.WaitGroup
@@ -146,7 +142,7 @@ func TestHistConcurrent(t *testing.T) {
 				if seq%10 == 0 {
 					err = ackErr
 				}
-				st.onPubResult(client.PublishResult{Seq: seq, Err: err})
+				st.pubResult(st.measures[seq%2], 0, client.PublishResult{Seq: seq, Err: err})
 				doc = appendDocTag(doc[:0], int(seq%2), 0, []byte("<a/>"))
 				deliver(client.Delivery{Filters: []uint64{1, 2}, Doc: append([]byte(nil), doc...)})
 			}
@@ -182,8 +178,5 @@ func TestHistConcurrent(t *testing.T) {
 	}
 	if n := st.allE2E.Snapshot().Count; n != workers*per {
 		t.Fatalf("run-wide deliveries = %d, want %d", n, workers*per)
-	}
-	if len(st.intents) != 0 {
-		t.Fatalf("%d intents left unresolved", len(st.intents))
 	}
 }

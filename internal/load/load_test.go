@@ -2,12 +2,14 @@ package load
 
 import (
 	"context"
+	"net"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/client"
 	"repro/server"
 	"repro/wal"
 )
@@ -298,5 +300,64 @@ func TestRunnerEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(logs.String(), "steady") {
 		t.Fatalf("progress log missing phase name:\n%s", logs.String())
+	}
+}
+
+// TestPublisherConnectionLossCountsAckErrors: a broker that reads a few
+// documents and drops the publisher connection leaves every document then
+// in flight counted as an ack error, none lost from both columns.
+func TestPublisherConnectionLossCountsAckErrors(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		for i := 0; i < 5; i++ {
+			if _, err := server.ReadFrame(nc, 1<<20); err != nil {
+				return
+			}
+		}
+	}()
+
+	spec := DefaultSpec()
+	spec.Subscribers, spec.Filters, spec.DocPool = 4, 4, 4
+	spec.Phases = []Phase{{Name: "steady", Duration: time.Second}}
+	plan, err := BuildPlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &runState{
+		r:        &Runner{Plan: plan},
+		epoch:    time.Now(),
+		measures: []*measure{{}},
+		docs:     plan.newDocPicker(),
+	}
+	pub, err := client.Dial(ln.Addr().String(), client.Options{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	pipe, err := pub.PublishPipelined(16, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	m := st.measures[0]
+	if err := st.publishLoop(ctx, 0, 5000, pipe, m); err == nil {
+		t.Fatal("publish loop outlived its connection")
+	}
+	if err := pipe.Close(); err == nil {
+		t.Fatal("pipeline closed cleanly after losing its connection")
+	}
+	published, ackErrs := m.published.Load(), m.ackErrors.Load()
+	if published < 5 || ackErrs != published {
+		t.Fatalf("published %d, ack errors %d; want every in-flight document (at least 5) counted", published, ackErrs)
 	}
 }

@@ -91,13 +91,6 @@ func (m *measure) noteLag(lag time.Duration) {
 	}
 }
 
-// pubIntent is a registered publish: its intended start (since the run
-// epoch) and owning phase, keyed by pipeline sequence number.
-type pubIntent struct {
-	intended time.Duration
-	phase    int
-}
-
 // connSlot is one subscriber connection. Its mutex serializes structural
 // changes (churn resubscribes, reconnect storms) against each other; the
 // delivery path never takes it (handlers reach the current client through
@@ -124,10 +117,6 @@ type runState struct {
 	allPubAck obs.Histogram
 	allE2E    obs.Histogram
 
-	intentMu sync.Mutex
-	intents  map[uint64]pubIntent
-	nextSeq  uint64
-
 	ephSlots []*connSlot
 	durSlots []*connSlot
 	subSlot  []*connSlot // per subscriber index
@@ -149,8 +138,6 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		r:         r,
 		ctx:       ctx,
 		measures:  make([]*measure, len(plan.Spec.Phases)),
-		intents:   make(map[uint64]pubIntent),
-		nextSeq:   1,
 		subSlot:   make([]*connSlot, len(plan.Subs)),
 		subFilter: make([]int, len(plan.Subs)),
 		docs:      plan.newDocPicker(),
@@ -176,7 +163,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("load: dial publisher: %w", err)
 	}
 	defer pub.Close()
-	pipe, err := pub.PublishPipelined(plan.Spec.Window, st.onPubResult)
+	pipe, err := pub.PublishPipelined(plan.Spec.Window, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -323,22 +310,15 @@ func (st *runState) deliverHandler(slot *connSlot) func(client.Delivery) {
 	}
 }
 
-// onPubResult records publish-ack latency against the registered intent.
-func (st *runState) onPubResult(res client.PublishResult) {
-	now := time.Since(st.epoch)
-	st.intentMu.Lock()
-	in, ok := st.intents[res.Seq]
-	delete(st.intents, res.Seq)
-	st.intentMu.Unlock()
-	if !ok {
-		return
-	}
-	m := st.measures[in.phase]
+// pubResult records one publish's ack latency from its intended start, or
+// an ack error (a broker reject, or the publisher connection lost with the
+// document in flight).
+func (st *runState) pubResult(m *measure, intended time.Duration, res client.PublishResult) {
 	if res.Err != nil {
 		m.ackErrors.Add(1)
 		return
 	}
-	lat := (now - in.intended).Seconds()
+	lat := (time.Since(st.epoch) - intended).Seconds()
 	m.pubAck.Observe(lat)
 	st.allPubAck.Observe(lat)
 }
@@ -409,19 +389,9 @@ func (st *runState) publishLoop(ctx context.Context, phase int, rate float64, pi
 		intended := target.Sub(st.epoch)
 		payload := appendDocTag(nil, phase, intended, doc)
 
-		// Register the intent before the frame can be acked: the pipeline
-		// assigns sequence numbers in submission order starting at 1, and
-		// this loop is the only publisher, so the next seq is ours.
-		st.intentMu.Lock()
-		seq := st.nextSeq
-		st.nextSeq++
-		st.intents[seq] = pubIntent{intended: intended, phase: phase}
-		st.intentMu.Unlock()
-
-		if _, err := pipe.Publish(payload); err != nil {
-			st.intentMu.Lock()
-			delete(st.intents, seq)
-			st.intentMu.Unlock()
+		if _, err := pipe.Submit(payload, 0, func(res client.PublishResult) {
+			st.pubResult(m, intended, res)
+		}); err != nil {
 			return fmt.Errorf("load: publish: %w", err)
 		}
 		m.published.Add(1)

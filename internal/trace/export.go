@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -111,77 +110,14 @@ func (r *Recorder) Handler() http.Handler {
 // ("X" complete events, microsecond timestamps), loadable in
 // chrome://tracing and https://ui.perfetto.dev. Each trace becomes one
 // process (pid = trace id) and each span track one thread, so concurrent
-// delivery spans render as parallel rows.
+// delivery spans render as parallel rows. It is MergeChrome with no node
+// hops.
 func WriteChrome(w io.Writer, traces []*Ctx) error {
-	var base time.Time
-	for _, c := range traces {
-		if base.IsZero() || c.Wall.Before(base) {
-			base = c.Wall
-		}
+	js := make([]JSONTrace, len(traces))
+	for i, c := range traces {
+		js[i] = ToJSON(c)
 	}
-	if _, err := io.WriteString(w, "[\n"); err != nil {
-		return err
-	}
-	first := true
-	for _, c := range traces {
-		off := c.Wall.Sub(base).Nanoseconds()
-		spans := c.Spans()
-		for i := range spans {
-			s := &spans[i]
-			if !first {
-				if _, err := io.WriteString(w, ",\n"); err != nil {
-					return err
-				}
-			}
-			first = false
-			ts := float64(off+s.Start) / 1e3
-			dur := float64(s.Dur().Nanoseconds()) / 1e3
-			args := map[string]any{"trace_id": c.ID}
-			for _, a := range s.Attrs() {
-				args[a.Key] = a.Val
-			}
-			ev := map[string]any{
-				"name": s.Name,
-				"ph":   "X",
-				"ts":   ts,
-				"dur":  dur,
-				"pid":  c.ID,
-				"tid":  s.Track + 1,
-				"args": args,
-			}
-			if s.Name == c.Kind && s.Parent == NoSpan {
-				ev["cat"] = "root"
-			} else {
-				ev["cat"] = "span"
-			}
-			b, err := json.Marshal(ev)
-			if err != nil {
-				return err
-			}
-			if _, err := w.Write(b); err != nil {
-				return err
-			}
-		}
-		// Thread-name metadata so Perfetto labels each trace's rows.
-		if len(spans) > 0 {
-			meta := map[string]any{
-				"name": "process_name", "ph": "M", "pid": c.ID,
-				"args": map[string]any{"name": fmt.Sprintf("%s trace %d", c.Kind, c.ID)},
-			}
-			b, err := json.Marshal(meta)
-			if err != nil {
-				return err
-			}
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
-			if _, err := w.Write(b); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := io.WriteString(w, "\n]\n")
-	return err
+	return MergeChrome(w, js, nil)
 }
 
 // WriteChrome dumps every retained trace in Chrome trace_event format.

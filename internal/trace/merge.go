@@ -27,7 +27,8 @@ type NodeTraces struct {
 //
 // Alignment uses each process's wall clock, so cross-machine skew shifts
 // node rows by the clock offset; span durations are unaffected (they are
-// monotonic on each hop).
+// monotonic on each hop). With no node traces it renders the given traces
+// alone, which is how WriteChrome encodes a process's own traces.
 func MergeChrome(w io.Writer, gate []JSONTrace, nodes []NodeTraces) error {
 	// Index node traces by id, keeping the node ordering deterministic.
 	type hop struct {
@@ -69,16 +70,19 @@ func MergeChrome(w io.Writer, gate []JSONTrace, nodes []NodeTraces) error {
 				return err
 			}
 		}
+		hops := byID[g.ID]
 		if len(g.Spans) > 0 {
 			if err := ew.meta("process_name", g.ID, 0, fmt.Sprintf("%s trace %d", g.Kind, g.ID)); err != nil {
 				return err
 			}
-			if err := ew.meta("thread_name", g.ID, 1, "gate"); err != nil {
-				return err
+			// The gate's row is named only where node rows follow it.
+			if len(hops) > 0 {
+				if err := ew.meta("thread_name", g.ID, 1, "gate"); err != nil {
+					return err
+				}
 			}
 		}
 		tidBase := maxTrack + 1
-		hops := byID[g.ID]
 		sort.SliceStable(hops, func(i, j int) bool { return hops[i].node < hops[j].node })
 		for _, h := range hops {
 			t := h.trace

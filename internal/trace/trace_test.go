@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -390,6 +391,64 @@ func TestWriteChromeFormat(t *testing.T) {
 	}
 	if complete != 2 || meta != 1 {
 		t.Fatalf("complete=%d meta=%d, want 2/1", complete, meta)
+	}
+}
+
+// TestWriteChromeEventFields: a local trace's events carry every field of
+// the Chrome encoding — name, ph, ts, dur, pid, tid, cat and args — and no
+// thread is named, as there are no node rows to tell apart.
+func TestWriteChromeEventFields(t *testing.T) {
+	r := New(1, 0)
+	tc := r.Begin("publish")
+	sp := tc.StartSpan("deliver", Root)
+	tc.SetTrack(sp, tc.NextTrack())
+	tc.SetAttr(sp, "subscribers", 3)
+	tc.EndSpan(sp)
+	id := float64(tc.ID)
+	tc.Finish()
+
+	var buf bytes.Buffer
+	if err := r.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("chrome dump is not a JSON array: %v\n%s", err, buf.String())
+	}
+	want := map[string]struct {
+		tid  float64
+		cat  string
+		args map[string]any
+	}{
+		"publish": {1, "root", map[string]any{"trace_id": id}},
+		"deliver": {2, "span", map[string]any{"trace_id": id, "subscribers": float64(3)}},
+	}
+	for _, ev := range events {
+		if ev["ph"] == "M" {
+			if ev["name"] != "process_name" {
+				t.Errorf("local trace has metadata %v", ev)
+			}
+			continue
+		}
+		w, ok := want[ev["name"].(string)]
+		if !ok {
+			t.Fatalf("unexpected event %v", ev)
+		}
+		delete(want, ev["name"].(string))
+		if len(ev) != 8 || ev["ph"] != "X" || ev["pid"] != id || ev["tid"] != w.tid || ev["cat"] != w.cat {
+			t.Errorf("event %v: want ph X, pid %v, tid %v, cat %s and nothing more", ev, id, w.tid, w.cat)
+		}
+		for _, k := range []string{"ts", "dur"} {
+			if _, ok := ev[k].(float64); !ok {
+				t.Errorf("event %v: %s is not a number", ev, k)
+			}
+		}
+		if !reflect.DeepEqual(ev["args"], w.args) {
+			t.Errorf("event %v: args %v, want %v", ev["name"], ev["args"], w.args)
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("missing events %v", want)
 	}
 }
 

@@ -196,7 +196,7 @@ func TestEngineSnapshot(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := warm.WriteSnapshot(&buf); err != nil {
+	if err := warm.writeSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -204,7 +204,7 @@ func TestEngineSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cold.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := cold.readSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	// Replay a document the warm engine saw (i=3: v=3, w=3): every
@@ -232,12 +232,12 @@ func TestEngineSnapshot(t *testing.T) {
 	// Mismatched layer structure is rejected.
 	layered, _ := Compile(queries[:2], Config{TopDownPruning: true})
 	layered, _ = layered.WithQueries(queries[2:])
-	if err := layered.ReadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := layered.readSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("layer mismatch must be rejected")
 	}
 	// Mismatched workload is rejected.
 	other, _ := Compile([]string{"/x"}, Config{TopDownPruning: true})
-	if err := other.ReadSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := other.readSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Error("workload mismatch must be rejected")
 	}
 }

@@ -100,8 +100,7 @@ if command -v curl >/dev/null; then
   # Presence checks match the always-emitted HELP/TYPE lines; families
   # that are per-connection (durable pumps) may have no samples at
   # scrape time once the load harness has disconnected.
-  for want in xpushgate_subscribe_latency_seconds xpushgate_orphan_acks \
-              xpushgate_traces_started_total; do
+  for want in xpushgate_subscribe_latency_seconds xpushgate_traces_started_total; do
     if ! echo "$metrics" | grep -q "$want"; then
       echo "cluster_smoke: FAIL — gate metrics missing $want" >&2
       echo "$metrics" | grep '^xpushgate_' >&2

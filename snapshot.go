@@ -9,22 +9,20 @@ import (
 	"path/filepath"
 )
 
-// Workload snapshots. Engine.WriteSnapshot/ReadSnapshot persist only the
-// machine state and require the caller to rebuild an engine with the exact
-// same queries, layer structure, and configuration first — fine for a
-// process checkpointing itself, awkward for a broker restarting from disk.
-// A workload snapshot is self-describing: it records the filter texts and
-// ids, the id high-water mark, the layer partition, and the removed mask
-// alongside the machine state, so OpenWorkloadSnapshot can reconstruct the
-// whole engine (warm, every filter under its id) from the file alone plus
-// the Config.
+// Workload snapshots are the engine's one persistence format. The machine
+// state alone (Engine.writeSnapshot) is bound to the exact queries, layer
+// structure and configuration it came from, so a workload snapshot is
+// self-describing: it records the filter texts and ids, the id high-water
+// mark, the layer partition, and the removed mask alongside the machine
+// state, so OpenWorkloadSnapshot can reconstruct the whole engine (warm,
+// every filter under its id) from the file alone plus the Config.
 //
 // Format version 2 (XPWSNAP2), little-endian u64s:
 //
 //	magic, NumQueries, layer count,
 //	per layer: filter count, then per filter: id, text length, text,
 //	one mask byte per filter (1 = masked),
-//	the machine state (Engine.WriteSnapshot).
+//	the machine state (Engine.writeSnapshot).
 //
 // Version 1 (XPWSNAP1) has neither ids nor the high-water mark: a filter's
 // id is its position, and NumQueries is the filter count.
@@ -97,7 +95,7 @@ func (e *Engine) WriteWorkloadSnapshot(w io.Writer) error {
 	if sw.err != nil {
 		return sw.err
 	}
-	return e.WriteSnapshot(w)
+	return e.writeSnapshot(w)
 }
 
 // OpenWorkloadSnapshot reads a snapshot written by WriteWorkloadSnapshot
@@ -201,7 +199,7 @@ func OpenWorkloadSnapshot(r io.Reader, cfg Config) (*Engine, error) {
 			e.masked++
 		}
 	}
-	if err := e.ReadSnapshot(r); err != nil {
+	if err := e.readSnapshot(r); err != nil {
 		return nil, fmt.Errorf("xpushstream: restoring machine state: %w", err)
 	}
 	return e, nil

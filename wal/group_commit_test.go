@@ -121,25 +121,26 @@ func TestGroupCommitConcurrentAppends(t *testing.T) {
 // leader's commit.
 func TestGroupCommitBatchFsyncFailureRejectsAll(t *testing.T) {
 	ff := installFaultFile(t)
-	l := openTest(t, Options{
-		Fsync:           FsyncAlways,
-		BatchMaxRecords: 4,
-		BatchMaxWait:    200 * time.Millisecond,
-	})
+	l := openTest(t, Options{Fsync: FsyncAlways})
 
 	bang := errors.New("injected fsync failure")
 	ff.setFailSync(bang)
 
-	// BatchMaxWait holds the leader until all four join, so they commit —
-	// and fail — as one batch.
+	// All four stage their records before any of them waits, and the
+	// leader commits inside its Wait, so they commit — and fail — as one
+	// batch.
 	const n = 4
 	errs := make(chan error, n)
-	var wg sync.WaitGroup
+	var staged, wg sync.WaitGroup
+	staged.Add(n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := l.Append([]byte(fmt.Sprintf("<doc n='%d'/>", i)))
+			p := l.AppendAsync([]byte(fmt.Sprintf("<doc n='%d'/>", i)))
+			staged.Done()
+			staged.Wait()
+			_, err := p.Wait()
 			errs <- err
 		}(i)
 	}
@@ -212,11 +213,10 @@ func TestIntervalFsyncFailureLatches(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBatchWaitPolicy pins the window-selection rules: an explicit
-// flag always wins (negative disables), the adaptive path needs FsyncAlways
-// plus evidence of concurrency (previous batch ≥ 2 records) plus room to
-// grow (open batch still below the previous batch's size), and the derived
-// window is half the fsync EWMA capped at maxAdaptiveBatchWait.
+// TestAdaptiveBatchWaitPolicy pins the window-selection rules: a wait needs
+// FsyncAlways plus evidence of concurrency (previous batch ≥ 2 records)
+// plus room to grow (open batch still below the previous batch's size),
+// and the window is half the fsync EWMA capped at maxAdaptiveBatchWait.
 func TestAdaptiveBatchWaitPolicy(t *testing.T) {
 	l := openTest(t, Options{Fsync: FsyncAlways})
 	l.mu.Lock()
@@ -249,19 +249,7 @@ func TestAdaptiveBatchWaitPolicy(t *testing.T) {
 		t.Fatalf("adaptive wait = %v, want the %v cap", w, maxAdaptiveBatchWait)
 	}
 
-	// Explicit flag overrides the adaptive path entirely, including the
-	// caught-up skip.
-	l.opt.BatchMaxWait = 7 * time.Millisecond
-	if w := l.batchWaitLocked(3); w != 7*time.Millisecond {
-		t.Fatalf("explicit wait = %v, want 7ms", w)
-	}
-	l.opt.BatchMaxWait = -1
-	if w := l.batchWaitLocked(1); w != 0 {
-		t.Fatalf("negative flag wait = %v, want 0 (disabled)", w)
-	}
-
 	// Without FsyncAlways there is nothing to amortize.
-	l.opt.BatchMaxWait = 0
 	l.opt.Fsync = FsyncInterval
 	if w := l.batchWaitLocked(1); w != 0 {
 		t.Fatalf("FsyncInterval adaptive wait = %v, want 0", w)

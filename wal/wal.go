@@ -118,27 +118,6 @@ type Options struct {
 	// MaxRecordBytes bounds one record's payload (<= 0 = 64 MiB); larger
 	// lengths in a file are treated as corruption during recovery.
 	MaxRecordBytes int
-	// BatchMaxRecords caps how many appends one group-commit batch may
-	// coalesce (<= 0 = 1024). Concurrent appenders share a single file
-	// write and — under FsyncAlways — a single fsync per batch.
-	BatchMaxRecords int
-	// BatchMaxWait stretches the group-commit accumulation window: the
-	// batch leader holds the commit for up to this long (or until the
-	// batch is full) so more appenders can join. The previous batch's
-	// fsync is the natural accumulation window, so usually nothing more
-	// is needed; the knob is an override for unusual disks.
-	//
-	// 0 (the default) is adaptive: under FsyncAlways, once committed
-	// batches show concurrent appenders (the previous batch coalesced two
-	// or more records) and the open batch is still smaller than that —
-	// i.e. there is plausibly still someone to wait for — the leader
-	// waits half the observed fsync-latency EWMA (capped at 5ms). Slow
-	// disks earn wider windows and bigger batches; fast disks stay near
-	// zero; strictly sequential appenders and closed appender loops that
-	// already piled in during the lock handoff never wait at all. A
-	// negative value disables the adaptive window and always commits as
-	// soon as the file lock is acquired.
-	BatchMaxWait time.Duration
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -162,13 +141,6 @@ func (o *Options) maxRecordBytes() int {
 		return o.MaxRecordBytes
 	}
 	return 64 << 20
-}
-
-func (o *Options) batchMaxRecords() int {
-	if o.BatchMaxRecords > 0 {
-		return o.BatchMaxRecords
-	}
-	return 1024
 }
 
 // segment is one on-disk log file. base is the offset of its first record;
@@ -540,7 +512,7 @@ func (l *Log) AppendAsync(doc []byte) *Pending {
 	putU32(rh[:4], uint32(len(doc)))
 	putU32(rh[4:], crc32.Checksum(doc, castagnoli))
 	b.buf = append(append(b.buf, rh[:]...), doc...)
-	if b.count >= l.opt.batchMaxRecords() {
+	if b.count >= maxBatchRecords {
 		l.pending = nil // batch is full: stop accepting joiners
 		close(b.full)
 	}
@@ -580,28 +552,28 @@ func (p *Pending) BatchSize() int {
 	return p.b.count
 }
 
+// maxBatchRecords caps how many appends one group-commit batch coalesces
+// into a single file write and, under FsyncAlways, a single fsync.
+const maxBatchRecords = 1024
+
 // maxAdaptiveBatchWait caps the derived accumulation window so a slow disk
 // (or a cold EWMA polluted by a latency spike) cannot stall commits.
 const maxAdaptiveBatchWait = 5 * time.Millisecond
 
 // batchWaitLocked picks the group-commit accumulation window; staged is how
-// many records the open batch already holds. An explicit BatchMaxWait
-// overrides everything (negative disables waiting). Otherwise the window
-// adapts: when fsync dominates commit cost (FsyncAlways), the previous
-// batch proved concurrent appenders exist (it coalesced ≥2 records), and
-// this batch has not yet caught up to that size — i.e. there is plausibly
-// still someone to wait for — the leader waits half the observed
-// fsync-latency EWMA, long enough to amortize the fsync, short enough not
-// to dominate latency. Sequential workloads see lastBatchN == 1 and never
-// wait; a closed loop of appenders that all staged during the lock handoff
-// sees staged >= lastBatchN and never waits either.
+// many records the open batch already holds. The previous batch's fsync is
+// the natural window (followers pile in while the leader waits for the file
+// lock); on top of it the window adapts: when fsync dominates commit cost
+// (FsyncAlways), the previous batch proved concurrent appenders exist (it
+// coalesced ≥2 records), and this batch has not yet caught up to that size
+// — i.e. there is plausibly still someone to wait for — the leader waits
+// half the observed fsync-latency EWMA, long enough to amortize the fsync,
+// short enough not to dominate latency. Slow disks earn wider windows and
+// bigger batches; fast disks stay near zero. Sequential workloads see
+// lastBatchN == 1 and never wait; a closed loop of appenders that all
+// staged during the lock handoff sees staged >= lastBatchN and never waits
+// either.
 func (l *Log) batchWaitLocked(staged int) time.Duration {
-	if w := l.opt.BatchMaxWait; w != 0 {
-		if w < 0 {
-			return 0
-		}
-		return w
-	}
 	if l.opt.Fsync != FsyncAlways || l.lastBatchN < 2 || staged >= l.lastBatchN {
 		return 0
 	}
@@ -629,21 +601,19 @@ func (l *Log) commit(b *batch) {
 	runtime.Gosched()
 	l.bmu.Lock()
 	wait := l.batchWaitLocked(b.count)
-	var grown chan struct{}
-	if wait > 0 && l.opt.BatchMaxWait == 0 {
-		// Adaptive window: arm an early exit so the wait ends the moment
-		// the batch catches up to the previous batch's size instead of
-		// sleeping out the whole window.
+	if wait > 0 {
+		// Arm an early exit so the wait ends the moment the batch catches
+		// up to the previous batch's size instead of sleeping out the
+		// whole window.
 		b.goal = l.lastBatchN
 		b.grown = make(chan struct{})
-		grown = b.grown
 	}
 	l.bmu.Unlock()
 	if wait > 0 {
 		t := time.NewTimer(wait)
 		select {
 		case <-b.full:
-		case <-grown: // nil under a static window: never fires
+		case <-b.grown:
 		case <-t.C:
 		}
 		t.Stop()

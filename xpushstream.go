@@ -161,9 +161,9 @@ func (d *DTD) MaxDepth(cap int) int { return d.d.MaxDepth(cap) }
 // for concurrent use, on one engine and across engines derived from one
 // another, which share machine layers: each call runs on a cursor of its own
 // over the one set of warm tables, in parallel while the tables answer and
-// one at a time where a document has to fill them. Stats, WriteSnapshot and
-// ApproxMemoryBytes may run beside them; Train, PrecomputeEager and
-// ReadSnapshot are set-up calls, one at a time per engine lineage.
+// one at a time where a document has to fill them. Stats,
+// WriteWorkloadSnapshot and ApproxMemoryBytes may run beside them; Train
+// and PrecomputeEager are set-up calls, one at a time per engine lineage.
 //
 // An Engine's workload never changes. WithQueries, WithoutQuery and
 // Consolidated (cow.go) derive the next engine instead: following the
@@ -577,12 +577,11 @@ func (e *Engine) TrainingData() ([]byte, error) {
 	return workload.TrainingData(e.filters, e.cfg.DTD.d), nil
 }
 
-// WriteSnapshot persists the engine's lazily built (or trained) machine
-// state, so a restarted broker can resume warm instead of re-learning its
-// states from traffic. The snapshot is bound to the exact workload and
-// configuration; load it with ReadSnapshot on an engine compiled from the
-// same queries and Config.
-func (e *Engine) WriteSnapshot(w io.Writer) error {
+// writeSnapshot persists the engine's lazily built (or trained) machine
+// state, the tail of a workload snapshot. It is bound to the exact workload,
+// layer structure and configuration; readSnapshot loads it into an engine
+// rebuilt from the same.
+func (e *Engine) writeSnapshot(w io.Writer) error {
 	sw := &snapWriter{w: w}
 	sw.u64(uint64(len(e.layers)))
 	// Each machine snapshot is length-prefixed: the machine reader buffers
@@ -600,9 +599,9 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 	return sw.err
 }
 
-// ReadSnapshot restores machine state persisted by WriteSnapshot into an
+// readSnapshot restores machine state persisted by writeSnapshot into an
 // engine with the same queries, layer structure, and configuration.
-func (e *Engine) ReadSnapshot(r io.Reader) error {
+func (e *Engine) readSnapshot(r io.Reader) error {
 	if n, err := readU64(r); err != nil {
 		return err
 	} else if n != uint64(len(e.layers)) {
