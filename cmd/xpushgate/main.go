@@ -9,8 +9,7 @@
 // Usage:
 //
 //	xpushgate [-addr :9410] -nodes host1:9310,host2:9310 | -nodes-file hosts
-//	          [-metrics-addr :9411] [-vnodes 256] [-ping-interval 2s]
-//	          [-publish-window 256] [-max-doc-bytes 0]
+//	          [-metrics-addr :9411] [-ping-interval 2s] [-max-doc-bytes 0]
 //	          [-request-timeout 10s] [-dial-timeout 2s]
 //	          [-trace-sample 0] [-trace-slow 0] [-node-debug addrs]
 //	          [-version]
@@ -68,7 +67,7 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	logger.Printf("gating %d nodes on %s (vnodes=%d)", len(cfg.Nodes), g.Addr(), cfg.VirtualNodes)
+	logger.Printf("gating %d nodes on %s", len(cfg.Nodes), g.Addr())
 	if g.MetricsAddr() != "" {
 		logger.Printf("metrics on http://%s/metrics (+ /debug/cluster)", g.MetricsAddr())
 	}
@@ -94,9 +93,7 @@ func buildConfig(args []string) (cluster.Config, options, error) {
 	nodes := fs.String("nodes", "", "comma-separated xpushserve node addresses")
 	nodesFile := fs.String("nodes-file", "", "hosts file: one node address per line, # comments")
 	metricsAddr := fs.String("metrics-addr", ":9411", "metrics listen address: /metrics, /healthz, /debug/cluster (empty disables)")
-	vnodes := fs.Int("vnodes", cluster.DefaultVirtualNodes, "virtual points per node on the hash ring")
 	pingInterval := fs.Duration("ping-interval", cluster.DefaultPingInterval, "node health-check cadence")
-	publishWindow := fs.Int("publish-window", 0, "per-connection and per-node in-flight publish window (0 = 256)")
 	maxDocBytes := fs.Int("max-doc-bytes", 0, "published document size bound in bytes (0 = 64 MiB)")
 	requestTimeout := fs.Duration("request-timeout", 10*time.Second, "per-request node round-trip bound (also bounds a fan-out publish's wait for all node acks)")
 	dialTimeout := fs.Duration("dial-timeout", 2*time.Second, "single node dial attempt bound")
@@ -124,19 +121,17 @@ func buildConfig(args []string) (cluster.Config, options, error) {
 		return cluster.Config{}, options{}, err
 	}
 	cfg := cluster.Config{
-		Addr:         *addr,
-		Nodes:        members,
-		VirtualNodes: *vnodes,
-		MetricsAddr:  *metricsAddr,
+		Addr:        *addr,
+		Nodes:       members,
+		MetricsAddr: *metricsAddr,
 		Client: client.Options{
 			Timeout:     *requestTimeout,
 			DialTimeout: *dialTimeout,
 			MaxDocBytes: *maxDocBytes,
 		},
-		PingInterval:  *pingInterval,
-		PublishWindow: *publishWindow,
-		TraceSample:   *traceSample,
-		TraceSlow:     *traceSlow,
+		PingInterval: *pingInterval,
+		TraceSample:  *traceSample,
+		TraceSlow:    *traceSlow,
 	}
 	if *nodeDebug != "" {
 		dbg, err := cluster.ParseNodes(*nodeDebug)

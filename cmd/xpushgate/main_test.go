@@ -8,7 +8,7 @@ import (
 )
 
 func TestBuildConfigNodesFlag(t *testing.T) {
-	cfg, opts, err := buildConfig([]string{"-nodes", "a:9310, b:9310", "-vnodes", "64", "-request-timeout", "3s"})
+	cfg, opts, err := buildConfig([]string{"-nodes", "a:9310, b:9310", "-request-timeout", "3s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,9 +17,6 @@ func TestBuildConfigNodesFlag(t *testing.T) {
 	}
 	if len(cfg.Nodes) != 2 || cfg.Nodes[0] != "a:9310" || cfg.Nodes[1] != "b:9310" {
 		t.Fatalf("Nodes = %v", cfg.Nodes)
-	}
-	if cfg.VirtualNodes != 64 {
-		t.Fatalf("VirtualNodes = %d", cfg.VirtualNodes)
 	}
 	if cfg.Client.Timeout != 3*time.Second {
 		t.Fatalf("Client.Timeout = %v", cfg.Client.Timeout)
@@ -35,6 +32,17 @@ func TestBuildConfigNodesFile(t *testing.T) {
 	}
 	if len(cfg.Nodes) != 2 {
 		t.Fatalf("Nodes = %v", cfg.Nodes)
+	}
+}
+
+// TestBuildConfigRejectsRemovedFlags: the ring's point count and the
+// publish window are constants (cluster.DefaultVirtualNodes,
+// server.PublishWindow), not flags.
+func TestBuildConfigRejectsRemovedFlags(t *testing.T) {
+	for _, args := range [][]string{{"-vnodes", "64"}, {"-publish-window", "64"}} {
+		if _, _, err := buildConfig(append([]string{"-nodes", "a:9310"}, args...)); err == nil {
+			t.Errorf("removed flag %v accepted", args)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@
 //	           [-drain-timeout 10s]
 //	           [-wal-dir dir] [-fsync always|interval|never]
 //	           [-fsync-interval 100ms] [-wal-segment-bytes 67108864]
-//	           [-publish-window 0] [-retention 0] [-retention-bytes 0]
+//	           [-retention 0] [-retention-bytes 0]
 //	           [-trace-sample 0] [-trace-slow 0] [-trace-out trace.json]
 //	           [-topdown] [-order] [-early] [-train] [-dtd schema.dtd]
 //	           [-strict] [-maxstates 0] [-version]
@@ -191,7 +191,6 @@ func buildConfig(args []string) (server.Config, options, error) {
 	segmentBytes := fs.Int64("wal-segment-bytes", 64<<20, "wal segment rotation size")
 	retention := fs.Duration("retention", 0, "delete sealed wal segments older than this (0 = keep)")
 	retentionBytes := fs.Int64("retention-bytes", 0, "delete oldest sealed wal segments past this total size (0 = keep)")
-	publishWindow := fs.Int("publish-window", 0, "per-connection PUBLISH_ASYNC in-flight window (0 = 256)")
 	topdown := fs.Bool("topdown", false, "enable top-down pruning")
 	order := fs.Bool("order", false, "enable the order optimization (needs -dtd)")
 	early := fs.Bool("early", false, "enable early notification (implies -topdown)")
@@ -245,23 +244,22 @@ func buildConfig(args []string) (server.Config, options, error) {
 		return server.Config{}, options{}, fmt.Errorf("-trace-sample: must be >= 0, got %d", *traceSample)
 	}
 	cfg := server.Config{
-		Addr:               *addr,
-		MetricsAddr:        *metricsAddr,
-		DebugAddr:          *debugAddr,
-		TraceSample:        *traceSample,
-		TraceSlow:          *traceSlow,
-		Engine:             ecfg,
-		InitialQueries:     initial,
-		Policy:             pol,
-		QueueDepth:         *queueDepth,
-		BlockDeadline:      *blockDeadline,
-		MaxConns:           *maxConns,
-		MaxDocBytes:        *maxDocBytes,
-		ReadTimeout:        *readTimeout,
-		WriteTimeout:       *writeTimeout,
-		SnapshotPath:       *snapshot,
-		SnapshotInterval:   *snapshotInterval,
-		AsyncPublishWindow: *publishWindow,
+		Addr:             *addr,
+		MetricsAddr:      *metricsAddr,
+		DebugAddr:        *debugAddr,
+		TraceSample:      *traceSample,
+		TraceSlow:        *traceSlow,
+		Engine:           ecfg,
+		InitialQueries:   initial,
+		Policy:           pol,
+		QueueDepth:       *queueDepth,
+		BlockDeadline:    *blockDeadline,
+		MaxConns:         *maxConns,
+		MaxDocBytes:      *maxDocBytes,
+		ReadTimeout:      *readTimeout,
+		WriteTimeout:     *writeTimeout,
+		SnapshotPath:     *snapshot,
+		SnapshotInterval: *snapshotInterval,
 	}
 	opts := options{drain: *drainTimeout, traceOut: *traceOut}
 	if *walDir != "" {

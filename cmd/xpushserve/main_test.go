@@ -108,10 +108,11 @@ func TestBuildConfigErrors(t *testing.T) {
 	}
 	// The pool backend and its sizing flag are removed, not deprecated, as
 	// are the WAL's static group-commit knobs (the adaptive window is the
-	// one policy).
+	// one policy) and the publish window (server.PublishWindow).
 	for _, args := range [][]string{
 		{"-backend", "engine"}, {"-workers", "2"},
 		{"-wal-batch-wait", "1ms"}, {"-wal-batch-records", "16"},
+		{"-publish-window", "64"},
 	} {
 		if _, _, err := buildConfig(args); err == nil {
 			t.Errorf("removed flag %v accepted", args)

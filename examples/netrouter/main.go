@@ -14,7 +14,7 @@
 // The demo runs the broker, three subscribers, and a producer in one
 // process over real loopback TCP. The broker serves GET /metrics
 // (Prometheus text — filter-latency and delivery-latency quantiles,
-// documents/events/bytes, warm-machine hit ratio, per-policy drop counters)
+// documents/events/bytes, the table hit ratio, the drop counter)
 // and GET /healthz on a second loopback port; the demo scrapes it at the
 // end to show the machine warming up, then shuts the broker down
 // gracefully so every queued delivery is flushed before exit.
@@ -160,7 +160,6 @@ func scrapeMetrics(addr string) []string {
 			strings.HasPrefix(line, "xpush_events_total"),
 			strings.HasPrefix(line, "xpush_bytes_total"),
 			strings.HasPrefix(line, "xpush_hit_ratio"),
-			strings.HasPrefix(line, "xpush_window_hit_ratio"),
 			strings.HasPrefix(line, "xpushserve_publishes_total"),
 			strings.HasPrefix(line, "xpushserve_deliveries_total"),
 			strings.HasPrefix(line, "xpushserve_dropped_total"),

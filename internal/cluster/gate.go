@@ -13,6 +13,7 @@ import (
 	"repro/client"
 	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/server"
 )
 
 // Config configures a Gate.
@@ -21,8 +22,6 @@ type Config struct {
 	Addr string
 	// Nodes is the static cluster membership (xpushserve addresses).
 	Nodes []string
-	// VirtualNodes is the ring's per-node point count (0 = default).
-	VirtualNodes int
 	// MetricsAddr, when non-empty, serves /metrics, /healthz and
 	// /debug/cluster on that address.
 	MetricsAddr string
@@ -34,9 +33,6 @@ type Config struct {
 	Backoff client.Backoff
 	// PingInterval is the pool's health-check cadence (0 = default).
 	PingInterval time.Duration
-	// PublishWindow bounds each subscriber connection's in-flight
-	// PUBLISH_ASYNC documents and each node pipeline's window (0 = 256).
-	PublishWindow int
 	// TraceSample enables the gate's cross-hop trace recorder: one of
 	// every N fan-out publishes gets a trace whose id is propagated to
 	// every node the document reaches (<= 0 disables).
@@ -51,13 +47,6 @@ type Config struct {
 	NodeDebug []string
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
-}
-
-func (c *Config) publishWindow() int {
-	if c.PublishWindow > 0 {
-		return c.PublishWindow
-	}
-	return 256
 }
 
 func (c *Config) publishTimeout() time.Duration {
@@ -122,7 +111,7 @@ type Gate struct {
 // accepting. Node connections come up asynchronously; /healthz reports
 // degraded until every node is connected.
 func New(cfg Config) (*Gate, error) {
-	ring, err := NewRing(cfg.Nodes, cfg.VirtualNodes)
+	ring, err := NewRing(cfg.Nodes, DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +239,7 @@ func (g *Gate) isDown(node string) bool {
 // onNodeUp runs on the pool's manage goroutine with a freshly probed
 // connection: attach the publish pipeline and clear the down mark.
 func (g *Gate) onNodeUp(node string, c *client.Client) {
-	pipe, err := c.PublishPipelined(g.cfg.publishWindow(), nil)
+	pipe, err := c.PublishPipelined(server.PublishWindow, nil)
 	if err != nil {
 		return // the connection is already dying; the pool will cycle it
 	}
@@ -520,9 +509,7 @@ func (g *Gate) registerMetrics() {
 		return out
 	})
 	r.SummaryFunc("xpushgate_subscribe_latency_seconds", "Subscriber-visible SUBSCRIBE round-trip latency (includes the node hop).", []float64{0.5, 0.9, 0.99}, g.subLat.Snapshot)
-	r.HistogramFunc("xpushgate_subscribe_latency_histogram_seconds", "Subscriber-visible SUBSCRIBE round-trip latency.", g.subLat.Snapshot)
 	r.SummaryFunc("xpushgate_unsubscribe_latency_seconds", "Subscriber-visible UNSUBSCRIBE round-trip latency (includes the node hop).", []float64{0.5, 0.9, 0.99}, g.unsubLat.Snapshot)
-	r.HistogramFunc("xpushgate_unsubscribe_latency_histogram_seconds", "Subscriber-visible UNSUBSCRIBE round-trip latency.", g.unsubLat.Snapshot)
 	if g.tracer.Enabled() {
 		r.CounterFunc("xpushgate_traces_started_total", "Fan-out publish traces begun.", func() int64 {
 			return g.tracer.Stats().Started

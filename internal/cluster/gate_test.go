@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -708,11 +709,38 @@ func TestGateConcurrentPublishersAckOnce(t *testing.T) {
 	}
 }
 
+// gateFamilies is the gate's whole metric surface, each family with its
+// TYPE, sorted by name as a scrape serves it (tracing on). A family added or
+// removed shows up here; each fact is exported once, in one form.
+var gateFamilies = []string{
+	"xpushgate_acks_dropped_total counter",
+	"xpushgate_acks_forwarded_total counter",
+	"xpushgate_connections gauge",
+	"xpushgate_deliveries_forwarded_total counter",
+	"xpushgate_failover_dropped_subscriptions_total counter",
+	"xpushgate_failover_resubscribes_total counter",
+	"xpushgate_failovers_total counter",
+	"xpushgate_node_ack_latency_seconds summary",
+	"xpushgate_node_live_keys gauge",
+	"xpushgate_node_up gauge",
+	"xpushgate_publish_errors_total counter",
+	"xpushgate_publish_fanout_nodes histogram",
+	"xpushgate_publishes_total counter",
+	"xpushgate_subscribe_latency_seconds summary",
+	"xpushgate_subscriptions gauge",
+	"xpushgate_traces_kept_total counter",
+	"xpushgate_traces_started_total counter",
+	"xpushgate_unsubscribe_latency_seconds summary",
+}
+
 // TestGateMetricsAndDebug scrapes the gate's observability surface.
 func TestGateMetricsAndDebug(t *testing.T) {
 	n1 := startNode(t, server.Config{})
 	n2 := startNode(t, server.Config{})
-	g := startGate(t, []string{n1.Addr(), n2.Addr()}, func(c *Config) { c.MetricsAddr = "127.0.0.1:0" })
+	g := startGate(t, []string{n1.Addr(), n2.Addr()}, func(c *Config) {
+		c.MetricsAddr = "127.0.0.1:0"
+		c.TraceSample = 1
+	})
 	c, err := client.Dial(g.Addr(), client.Options{Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -726,6 +754,15 @@ func TestGateMetricsAndDebug(t *testing.T) {
 	}
 
 	body := httpGet(t, "http://"+g.MetricsAddr()+"/metrics")
+	var got []string
+	for _, line := range strings.Split(body, "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			got = append(got, f)
+		}
+	}
+	if !slices.Equal(got, gateFamilies) {
+		t.Errorf("gate families (name TYPE, sorted):\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(gateFamilies, "\n"))
+	}
 	for _, want := range []string{
 		fmt.Sprintf("xpushgate_node_up{node=%q} 1", n1.Addr()),
 		fmt.Sprintf("xpushgate_node_up{node=%q} 1", n2.Addr()),

@@ -92,7 +92,7 @@ func newGconn(g *Gate, nc net.Conn) *gconn {
 	}
 	cn.ss = server.NewSession(nc, cn, server.SessionOptions{
 		MaxPayload: maxDoc,
-		Window:     g.cfg.publishWindow(),
+		Window:     server.PublishWindow,
 		SubLat:     &g.subLat,
 		UnsubLat:   &g.unsubLat,
 		ErrPrefix:  "xpushgate",

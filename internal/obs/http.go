@@ -21,23 +21,7 @@ func (r *Registry) MetricsHandler() http.Handler {
 // GET /metrics (Prometheus text) and GET /healthz (always "ok" — the
 // process is healthy if it can answer).
 func (r *Registry) NewMux() *http.ServeMux {
-	return r.NewMuxWithReadiness(nil)
-}
-
-// NewMuxWithReadiness is NewMux with a readiness probe: while ready returns
-// false, GET /healthz answers 503 "draining" so load balancers stop routing
-// to an instance that is shutting down, while /metrics stays scrapeable for
-// the final flush. A nil ready means always ready.
-func (r *Registry) NewMuxWithReadiness(ready func() bool) *http.ServeMux {
-	if ready == nil {
-		return r.NewMuxWithStatus(nil)
-	}
-	return r.NewMuxWithStatus(func() (bool, string) {
-		if !ready() {
-			return false, "draining"
-		}
-		return true, "ok"
-	})
+	return r.NewMuxWithStatus(nil)
 }
 
 // NewMuxWithStatus is NewMux with a full health probe: when status reports
@@ -58,16 +42,6 @@ func (r *Registry) NewMuxWithStatus(status func() (ok bool, msg string)) *http.S
 		}
 		w.Write([]byte("ok\n"))
 	})
-	return mux
-}
-
-// NewDebugMux returns a mux for an opt-in debug listener: everything from
-// NewMux plus the net/http/pprof handlers under /debug/pprof/. The pprof
-// endpoints expose heap contents and CPU samples, so callers should bind
-// the mux to a loopback or otherwise trusted address.
-func (r *Registry) NewDebugMux() *http.ServeMux {
-	mux := r.NewMux()
-	RegisterPprof(mux)
 	return mux
 }
 

@@ -95,14 +95,18 @@ func TestQuantileOverflowBucket(t *testing.T) {
 	}
 }
 
+// TestGaugeVecFunc: a labeled family encodes one line per member, typed
+// gauge through GaugeVecFunc and counter through CounterVecFunc.
 func TestGaugeVecFunc(t *testing.T) {
 	r := NewRegistry()
-	r.GaugeVecFunc("xpush_test_lag", "per-name lag", func() []Labeled {
+	vec := func() []Labeled {
 		return []Labeled{
 			{Labels: `name="a"`, Value: 3},
 			{Labels: `name="b"`, Value: 0},
 		}
-	})
+	}
+	r.GaugeVecFunc("xpush_test_lag", "per-name lag", vec)
+	r.CounterVecFunc("xpush_test_read_total", "per-name reads", vec)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -112,6 +116,9 @@ func TestGaugeVecFunc(t *testing.T) {
 		"# TYPE xpush_test_lag gauge",
 		"xpush_test_lag{name=\"a\"} 3",
 		"xpush_test_lag{name=\"b\"} 0",
+		"# TYPE xpush_test_read_total counter",
+		"xpush_test_read_total{name=\"a\"} 3",
+		"xpush_test_read_total{name=\"b\"} 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)

@@ -227,7 +227,12 @@ func TestHTTPReadiness(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("up_docs", "").Add(3)
 	ready := true
-	srv := httptest.NewServer(r.NewMuxWithReadiness(func() bool { return ready }))
+	srv := httptest.NewServer(r.NewMuxWithStatus(func() (bool, string) {
+		if !ready {
+			return false, "draining"
+		}
+		return true, "ok"
+	}))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {

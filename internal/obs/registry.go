@@ -19,10 +19,12 @@ const (
 	kindSummary
 	kindGaugeVec
 	kindSummaryVec
+	kindCounterVec
 )
 
-// Labeled is one sample of a labeled gauge family: Labels is the rendered
-// label set without braces (`name="orders"`), Value the sample value.
+// Labeled is one sample of a labeled gauge or counter family: Labels is the
+// rendered label set without braces (`name="orders"`), Value the sample
+// value.
 type Labeled struct {
 	Labels string
 	Value  float64
@@ -108,6 +110,13 @@ func (r *Registry) GaugeVecFunc(name, help string, f func() []Labeled) {
 	r.add(&metric{name: name, help: help, kind: kindGaugeVec, vecFn: f})
 }
 
+// CounterVecFunc is GaugeVecFunc for a labeled family whose every member
+// only grows (per-subscriber or per-query totals): the same encoding, typed
+// counter.
+func (r *Registry) CounterVecFunc(name, help string, f func() []Labeled) {
+	r.add(&metric{name: name, help: help, kind: kindCounterVec, vecFn: f})
+}
+
 // Histogram registers an existing histogram, encoded with cumulative
 // le-labelled buckets plus _sum and _count.
 func (r *Registry) Histogram(name, help string, h *Histogram) {
@@ -158,7 +167,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 func (m *metric) write(w io.Writer) error {
-	typ := [...]string{"counter", "gauge", "histogram", "summary", "gauge", "summary"}[m.kind]
+	typ := [...]string{"counter", "gauge", "histogram", "summary", "gauge", "summary", "counter"}[m.kind]
 	if m.help != "" {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.name, strings.ReplaceAll(m.help, "\n", " ")); err != nil {
 			return err
@@ -186,7 +195,7 @@ func (m *metric) write(w io.Writer) error {
 		}
 		_, err := fmt.Fprintf(w, "%s %s\n", m.name, fmtFloat(v))
 		return err
-	case kindGaugeVec:
+	case kindGaugeVec, kindCounterVec:
 		for _, s := range m.vecFn() {
 			if _, err := fmt.Fprintf(w, "%s{%s} %s\n", m.name, s.Labels, fmtFloat(s.Value)); err != nil {
 				return err

@@ -1,10 +1,6 @@
 package xpushstream
 
-import (
-	"sync"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // The observability primitives are re-exported for engine users, so a
 // broker embedding the engine does not import internal packages.
@@ -52,15 +48,14 @@ func (f StatsFunc) Stats() Stats { return f() }
 //	<p>_flushes_total, <p>_mixed_content_events_total,
 //	<p>_exclusive_documents_total, <p>_skipped_elements_total  (counters)
 //	<p>_states, <p>_topdown_states, <p>_avg_state_size,
-//	<p>_hit_ratio, <p>_window_hit_ratio, <p>_window_states_added (gauges)
+//	<p>_hit_ratio                          (gauges)
 //	<p>_filter_latency_seconds            (summary: p50/p90/p99 quantiles)
 //	<p>_filter_latency_seconds_max        (gauge)
-//	<p>_filter_latency_histogram_seconds  (histogram: log buckets)
 //
-// The two window gauges cover the interval since their previous scrape
-// (DESIGN.md "Window gauges"); a second scraper of the same registry splits
-// that interval with the first. Stats() must be safe to call at scrape time;
-// the built-in engines guarantee this even while filtering.
+// <p>_hit_ratio is cumulative since the machine's counters last restarted;
+// the ratio over a window is a query over the two table counters
+// (DESIGN.md "Engine metrics"). Stats() must be safe to call at scrape
+// time; the built-in engines guarantee this even while filtering.
 func RegisterMetrics(r *Registry, prefix string, src StatsSource) {
 	if prefix == "" {
 		prefix = "xpush"
@@ -86,50 +81,7 @@ func RegisterMetrics(r *Registry, prefix string, src StatsSource) {
 	gauge("topdown_states", "top-down (navigation) states", func(s Stats) float64 { return float64(s.TopDownStates) })
 	gauge("avg_state_size", "mean AFA states per machine state", func(s Stats) float64 { return s.AvgStateSize })
 	gauge("hit_ratio", "cumulative transition-table hit ratio (Fig. 8)", func(s Stats) float64 { return s.HitRatio })
-	var w window
-	gauge("window_hit_ratio", "transition-table hit ratio since the previous scrape with a lookup (warm-machine view)", w.hitRatio)
-	gauge("window_states_added", "machine states added since the previous scrape", w.statesAdded)
 	r.SummaryFunc(p+"filter_latency_seconds", "per-document filter latency quantiles",
 		[]float64{0.5, 0.9, 0.99}, func() obs.Snapshot { return src.Stats().FilterLatency })
 	gauge("filter_latency_seconds_max", "maximum per-document filter latency", func(s Stats) float64 { return s.FilterLatency.Max })
-	r.HistogramFunc(p+"filter_latency_histogram_seconds", "per-document filter latency (log buckets)",
-		func() obs.Snapshot { return src.Stats().FilterLatency })
-}
-
-// window turns cumulative counters into the change since the previous
-// scrape. A counter that went down was reset (a swap to a fresh base
-// machine, Train, a MaxStates flush), and by Prometheus's counter-reset rule
-// its whole current value is the change.
-type window struct {
-	mu            sync.Mutex
-	lookups, hits int64
-	ratio         float64 // the last interval's, kept through idle intervals
-	states        int64
-}
-
-func (w *window) hitRatio(s Stats) float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	lookups, hits := s.Lookups-w.lookups, s.Hits-w.hits
-	// Lookups and hits restart together; more hits than lookups is a restart
-	// that counted past the old totals before this scrape.
-	if lookups < 0 || hits < 0 || hits > lookups {
-		lookups, hits = s.Lookups, s.Hits
-	}
-	w.lookups, w.hits = s.Lookups, s.Hits
-	if lookups > 0 {
-		w.ratio = float64(hits) / float64(lookups)
-	}
-	return w.ratio
-}
-
-func (w *window) statesAdded(s Stats) float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	added := int64(s.States) - w.states
-	if added < 0 {
-		added = int64(s.States)
-	}
-	w.states = int64(s.States)
-	return float64(added)
 }

@@ -13,9 +13,9 @@ import (
 // meant to run under -race (see .github/workflows/ci.yml).
 
 // scrapeWhile runs two scrapers until done is closed. Each calls stats() and
-// scrapes one registry over it, whose window gauges must read a ratio in
-// [0, 1] and a non-negative state count however the scrapes interleave with
-// each other and with the documents.
+// scrapes one registry over it, whose table hits must never exceed its
+// table lookups however the scrapes interleave with each other and with the
+// documents.
 func scrapeWhile(t *testing.T, done <-chan struct{}, wg *sync.WaitGroup, stats func() Stats) {
 	reg := NewRegistry()
 	RegisterMetrics(reg, "", StatsFunc(stats))
@@ -30,15 +30,41 @@ func scrapeWhile(t *testing.T, done <-chan struct{}, wg *sync.WaitGroup, stats f
 				default:
 					s := stats()
 					_ = s.LatencySummary()
-					ratio, added, err := windowGauges(reg)
-					if err != nil || ratio < 0 || ratio > 1 || added < 0 {
-						t.Errorf("window gauges: hit ratio %v, states added %v, %v", ratio, added, err)
+					hits, lookups, err := tableCounters(reg)
+					if err != nil || hits > lookups {
+						t.Errorf("table counters: %v hits, %v lookups, %v", hits, lookups, err)
 						return
 					}
 				}
 			}
 		}()
 	}
+}
+
+// tableCounters scrapes a registry holding RegisterMetrics's series under
+// the default prefix and returns the two transition-table counters.
+func tableCounters(reg *Registry) (hits, lookups int64, err error) {
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		return 0, 0, err
+	}
+	found := 0
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "xpush_table_hits_total "); ok {
+			_, err = fmt.Sscan(v, &hits)
+			found++
+		} else if v, ok := strings.CutPrefix(line, "xpush_table_lookups_total "); ok {
+			_, err = fmt.Sscan(v, &lookups)
+			found++
+		}
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+	if found != 2 {
+		return 0, 0, fmt.Errorf("%d of the 2 table counters in the scrape", found)
+	}
+	return hits, lookups, nil
 }
 
 func buildStream(n int) string {

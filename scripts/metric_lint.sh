@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # metric_lint.sh — static lint of the metric namespace: every name
 # registered on an obs.Registry must carry the xpush prefix
-# (xpushserve_/xpushgate_/xpush_...), counters must end in _total,
-# plain gauges must not, and anything measuring time (latency, duration)
-# must end in _seconds. Run standalone or as the tail of
+# (xpushserve_/xpushgate_/xpush_...), counters (labeled or not) must end
+# in _total, gauges must not, anything measuring time (latency, duration)
+# must end in _seconds, and no name ends in _histogram_seconds (a latency
+# is exported once, as a summary). Run standalone or as the tail of
 # cluster_smoke.sh; exits non-zero naming each violation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-pairs=$(grep -rhoE '\.(Counter|CounterFunc|Gauge|GaugeFunc|GaugeVecFunc|HistogramFunc|SummaryFunc|SummaryVecFunc)\("[a-zA-Z0-9_]+"' \
+pairs=$(grep -rhoE '\.(Counter|CounterFunc|CounterVecFunc|Gauge|GaugeFunc|GaugeVecFunc|HistogramFunc|SummaryFunc|SummaryVecFunc)\("[a-zA-Z0-9_]+"' \
     --include='*.go' --exclude='*_test.go' server internal cmd client 2>/dev/null \
   | sed -E 's/^\.([A-Za-z]+)\("([^"]+)"/\1 \2/' | sort -u)
 
@@ -22,19 +23,18 @@ while read -r call name; do
     *) echo "metric_lint: $name (via $call) lacks the xpush namespace prefix" >&2; fail=1 ;;
   esac
   case "$call" in
-    Counter|CounterFunc)
+    Counter|CounterFunc|CounterVecFunc)
       case "$name" in
         *_total) ;;
         *) echo "metric_lint: counter $name must end in _total" >&2; fail=1 ;;
       esac ;;
-    Gauge|GaugeFunc)
-      # GaugeVecFunc is exempt: the repo exports labeled monotonic
-      # counters through it (xpush_durable_pump_docs_scanned_total, the
-      # per-query xpush_query_*_total series), which legitimately end in
-      # _total.
+    Gauge|GaugeFunc|GaugeVecFunc)
       case "$name" in
         *_total) echo "metric_lint: gauge $name must not end in _total" >&2; fail=1 ;;
       esac ;;
+  esac
+  case "$name" in
+    *_histogram_seconds) echo "metric_lint: $name is a histogram twin; export the latency once, as a summary" >&2; fail=1 ;;
   esac
   case "$name" in
     *latency*|*duration*)

@@ -112,7 +112,6 @@ func (s *Server) compact() bool {
 	s.cur.Store(next)
 	now := time.Now()
 	s.phaseLat[1].Observe(now.Sub(t1).Seconds())
-	s.consolidateLat.Observe(now.Sub(t0).Seconds())
 	s.consolidations.Add(1)
 	s.logf("compacted workload: %d layers, %d masked -> %d layers, %d masked in %v",
 		cur.NumLayers(), cur.NumMasked(), next.NumLayers(), next.NumMasked(), now.Sub(t0))

@@ -46,7 +46,7 @@ func (s *Server) newConn(nc net.Conn) *conn {
 	cn := &conn{s: s}
 	cn.ss = NewSession(nc, cn, SessionOptions{
 		MaxPayload:   s.cfg.maxDocBytes(),
-		Window:       s.cfg.asyncPublishWindow(),
+		Window:       PublishWindow,
 		ReadTimeout:  s.cfg.ReadTimeout,
 		WriteTimeout: s.cfg.WriteTimeout,
 		SubLat:       &s.subLat,
@@ -121,7 +121,7 @@ func (cn *conn) ensureQueue() {
 	defer cn.mu.Unlock()
 	if cn.q == nil {
 		s := cn.s
-		cn.q = newQueue(s.cfg.QueueDepth, s.cfg.Policy, s.cfg.blockDeadline(), s.mDropped[s.cfg.Policy])
+		cn.q = newQueue(s.cfg.QueueDepth, s.cfg.Policy, s.cfg.blockDeadline(), s.mDropped)
 		cn.deliverWG.Add(1)
 		go func() {
 			defer cn.deliverWG.Done()

@@ -495,16 +495,16 @@ func (s *Server) registerDurableMetrics() {
 			return out
 		}
 	}
-	s.reg.GaugeVecFunc("xpush_durable_pump_docs_scanned_total",
+	s.reg.CounterVecFunc("xpush_durable_pump_docs_scanned_total",
 		"log records each durable subscriber's replay pump read and routed (from the match journal, or by an engine pass on a journal miss)",
 		pumpVec(func(cn *conn) int64 { return cn.pumpScanned.Load() }))
-	s.reg.GaugeVecFunc("xpush_durable_pump_deliveries_total",
+	s.reg.CounterVecFunc("xpush_durable_pump_deliveries_total",
 		"DELIVERAT frames each durable subscriber's replay pump wrote",
 		pumpVec(func(cn *conn) int64 { return cn.pumpDelivered.Load() }))
 	if j := s.journal; j != nil {
 		s.reg.CounterFunc("xpushserve_durable_journal_hits_total",
 			"replayed log records routed from the publish-time match journal, without an engine pass", j.hits.Load)
-		s.reg.GaugeVecFunc("xpushserve_durable_journal_misses_total",
+		s.reg.CounterVecFunc("xpushserve_durable_journal_misses_total",
 			"replayed log records the match journal could not answer, filtered again by the pump: lapped (the ring has moved past the offset), preboot (logged by an earlier process), new_filter (the subscriber holds a filter newer than the workload the record was filtered on), timeout (no publish journaled the record in time)", func() []obs.Labeled {
 				out := make([]obs.Labeled, len(journalMissReasons))
 				for i, reason := range journalMissReasons {
@@ -560,6 +560,4 @@ func (s *Server) registerDurableMetrics() {
 		"documents per group-commit batch (log buckets)", l.BatchSizes)
 	s.reg.SummaryFunc("xpushserve_wal_fsync_latency_seconds",
 		"log fsync latency quantiles", []float64{0.5, 0.9, 0.99}, l.FsyncLatency)
-	s.reg.HistogramFunc("xpushserve_wal_fsync_latency_histogram_seconds",
-		"log fsync latency (log buckets)", l.FsyncLatency)
 }

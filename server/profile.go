@@ -226,19 +226,19 @@ func (s *Server) registerProfilerMetrics() {
 			return out
 		}
 	}
-	s.reg.GaugeVecFunc("xpush_query_filter_seconds_total",
+	s.reg.CounterVecFunc("xpush_query_filter_seconds_total",
 		"cumulative traced filter time attributed to each matched canonical query (top-K by cost + other)",
 		labeled(func(e *QueryCost) float64 { return e.FilterSeconds }))
-	s.reg.GaugeVecFunc("xpush_query_matches_total",
+	s.reg.CounterVecFunc("xpush_query_matches_total",
 		"traced documents matched per canonical query (top-K by filter cost + other)",
 		labeled(func(e *QueryCost) float64 { return float64(e.Matches) }))
-	s.reg.GaugeVecFunc("xpush_query_fanout_total",
+	s.reg.CounterVecFunc("xpush_query_fanout_total",
 		"subscriber deliveries fanned out per canonical query on traced documents (top-K by filter cost + other)",
 		labeled(func(e *QueryCost) float64 { return float64(e.Fanout) }))
-	s.reg.GaugeVecFunc("xpush_query_states_created_total",
+	s.reg.CounterVecFunc("xpush_query_states_created_total",
 		"machine states created filtering traced documents, attributed per matched canonical query (top-K by filter cost + other)",
 		labeled(func(e *QueryCost) float64 { return float64(e.StatesCreated) }))
-	s.reg.GaugeVecFunc("xpush_query_replay_docs_total",
+	s.reg.CounterVecFunc("xpush_query_replay_docs_total",
 		"durable replay-pump documents matched per canonical query on traced replays (top-K by filter cost + other)",
 		labeled(func(e *QueryCost) float64 { return float64(e.ReplayDocs) }))
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,12 +59,6 @@ type Config struct {
 	// (<= 0 = 1s).
 	BlockDeadline time.Duration
 
-	// AsyncPublishWindow bounds how many PublishAsync frames one connection
-	// may have in flight before its read loop stops consuming new frames
-	// (<= 0 = 256). The window is the server-side backstop; clients window
-	// themselves via Client.PublishPipelined.
-	AsyncPublishWindow int
-
 	// MaxConns bounds concurrent connections (0 = unlimited).
 	MaxConns int
 	// MaxDocBytes bounds a published document, mirroring the bound
@@ -113,12 +106,11 @@ func (c *Config) blockDeadline() time.Duration {
 	return time.Second
 }
 
-func (c *Config) asyncPublishWindow() int {
-	if c.AsyncPublishWindow > 0 {
-		return c.AsyncPublishWindow
-	}
-	return 256
-}
+// PublishWindow bounds how many PUBLISH_ASYNC frames one connection may
+// have in flight before its read loop stops consuming new frames. It is the
+// server-side backstop; clients window themselves via
+// Client.PublishPipelined.
+const PublishWindow = 256
 
 // errDraining rejects work arriving during graceful shutdown.
 var errDraining = errors.New("server: draining")
@@ -199,13 +191,12 @@ type Server struct {
 	mPublishErrs   *obs.Counter
 	mDeliveries    *obs.Counter
 	mConnReject    *obs.Counter
-	mDropped       map[Policy]*obs.Counter
+	mDropped       *obs.Counter
 	mAcks          *obs.Counter
 	mDurDeliver    *obs.Counter
 	deliverLat     obs.Histogram
 	subLat         obs.Histogram // SUBSCRIBE round-trip handling latency
 	unsubLat       obs.Histogram // UNSUBSCRIBE round-trip handling latency
-	consolidateLat obs.Histogram // duration of each compaction, pin to swap
 	phaseLat       [len(compactPhases)]obs.Histogram
 	mCompactFails  *obs.Counter
 }
@@ -313,7 +304,7 @@ func (s *Server) Stats() xpushstream.Stats { return s.cur.Load().Stats() }
 func (s *Server) Registry() *xpushstream.Registry { return s.reg }
 
 // ConnectionsRejected reports how many connections the MaxConns limit has
-// refused since boot (also exported as xpush_conns_rejected_total).
+// refused since boot (also exported as xpushserve_connections_rejected_total).
 func (s *Server) ConnectionsRejected() int64 { return s.mConnReject.Value() }
 
 // NumSubscriptions reports the number of live subscriptions (across all
@@ -338,24 +329,7 @@ func (s *Server) registerMetrics() {
 	s.mPublishErrs = s.reg.Counter("xpushserve_publish_errors_total", "rejected or failed publishes")
 	s.mDeliveries = s.reg.Counter("xpushserve_deliveries_total", "DELIVER frames written to subscribers")
 	s.mConnReject = s.reg.Counter("xpushserve_connections_rejected_total", "connections refused by the max-connections limit")
-	// Short-prefix alias: load harnesses and dashboards watch the xpush_*
-	// namespace, and reconnect-storm scenarios need rejections observable
-	// without knowing the server binary's metric prefix.
-	s.reg.CounterFunc("xpush_conns_rejected_total", "connections refused by the max-connections limit", func() int64 {
-		return s.mConnReject.Value()
-	})
-	s.mDropped = map[Policy]*obs.Counter{}
-	for _, p := range []Policy{DropOldest, DropNewest, Block, Disconnect} {
-		name := "xpushserve_dropped_" + strings.ReplaceAll(string(p), "-", "_") + "_total"
-		s.mDropped[p] = s.reg.Counter(name, "deliveries dropped under the "+string(p)+" backpressure policy")
-	}
-	s.reg.CounterFunc("xpushserve_dropped_total", "deliveries dropped across all backpressure policies", func() int64 {
-		var n int64
-		for _, c := range s.mDropped {
-			n += c.Value()
-		}
-		return n
-	})
+	s.mDropped = s.reg.Counter("xpushserve_dropped_total", "deliveries dropped under the server's backpressure policy")
 	s.reg.GaugeFunc("xpushserve_connections", "open broker connections", func() float64 {
 		s.connMu.Lock()
 		defer s.connMu.Unlock()
@@ -366,9 +340,6 @@ func (s *Server) registerMetrics() {
 	})
 	s.reg.GaugeFunc("xpush_workload_unique_queries", "distinct compiled machine queries in the dedup registry", func() float64 {
 		return float64(s.subs.UniqueQueries())
-	})
-	s.reg.GaugeFunc("xpush_workload_subscriptions", "live subscriptions across the dedup registry's fan-out sets", func() float64 {
-		return float64(s.subs.Subscriptions())
 	})
 	s.reg.CounterFunc("xpush_workload_dedup_hits_total", "subscriptions that reused an already-compiled machine query", func() int64 {
 		return int64(s.subs.Hits())
@@ -395,31 +366,20 @@ func (s *Server) registerMetrics() {
 	s.reg.SummaryFunc("xpushserve_delivery_latency_seconds",
 		"publish-to-DELIVER-write latency quantiles", []float64{0.5, 0.9, 0.99},
 		s.deliverLat.Snapshot)
-	s.reg.HistogramFunc("xpushserve_delivery_latency_histogram_seconds",
-		"publish-to-DELIVER-write latency (log buckets)", s.deliverLat.Snapshot)
 	// Control-plane stall instrumentation: subscribe/unsubscribe round-trip
 	// handling time (frame parse through reply write) plus the compaction
-	// gauge/histograms, so a control-plane stall is attributable from
-	// metrics alone.
+	// gauge and phase summary, so a control-plane stall is attributable
+	// from metrics alone.
 	s.reg.SummaryFunc("xpushserve_subscribe_latency_seconds",
 		"SUBSCRIBE round-trip handling latency quantiles (includes durable subscribes)", []float64{0.5, 0.9, 0.99},
 		s.subLat.Snapshot)
-	s.reg.HistogramFunc("xpushserve_subscribe_latency_histogram_seconds",
-		"SUBSCRIBE round-trip handling latency (log buckets)", s.subLat.Snapshot)
 	s.reg.SummaryFunc("xpushserve_unsubscribe_latency_seconds",
 		"UNSUBSCRIBE round-trip handling latency quantiles", []float64{0.5, 0.9, 0.99},
 		s.unsubLat.Snapshot)
-	s.reg.HistogramFunc("xpushserve_unsubscribe_latency_histogram_seconds",
-		"UNSUBSCRIBE round-trip handling latency (log buckets)", s.unsubLat.Snapshot)
 	s.reg.GaugeFunc("xpushserve_consolidation_in_progress",
 		"1 while the background compaction goroutine is building or swapping in a new base machine", func() float64 {
 			return float64(s.consolidating.Load())
 		})
-	s.reg.SummaryFunc("xpushserve_consolidation_duration_seconds",
-		"duration of each background compaction, pin to swap", []float64{0.5, 0.9, 0.99},
-		s.consolidateLat.Snapshot)
-	s.reg.HistogramFunc("xpushserve_consolidation_duration_histogram_seconds",
-		"duration of each background compaction, pin to swap (log buckets)", s.consolidateLat.Snapshot)
 	s.reg.SummaryVecFunc("xpushserve_consolidation_phase_duration_seconds",
 		"background compaction time by phase: compile (recompile off to the side), swap (re-apply the delta under the control lock)", []float64{0.5, 0.9, 0.99},
 		func() []obs.LabeledSnapshot {

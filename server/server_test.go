@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -209,46 +211,141 @@ func metricValue(t testing.TB, text, name string) float64 {
 	return 0
 }
 
-// TestMetricsAndHealth pins the observability surface: engine metrics,
-// per-policy drop counters, queue-depth gauge, and delivery-latency
-// quantiles are exported; /healthz answers ok while serving.
+// brokerFamilies is the broker's whole metric surface, each family with
+// its TYPE, sorted by name as TestMetricsAndHealth's broker serves it: a
+// WAL, every document traced, a durable and an ephemeral subscriber. A
+// family added or removed shows up here; each fact is exported once, in one
+// form.
+var brokerFamilies = []string{
+	"go_gc_heap_goal_bytes gauge",
+	"go_gc_pauses_seconds histogram",
+	"go_goroutines gauge",
+	"go_heap_objects_bytes gauge",
+	"go_memory_total_bytes gauge",
+	"go_sched_latencies_seconds histogram",
+	"process_start_time_seconds gauge",
+	"process_uptime_seconds gauge",
+	"xpush_avg_state_size gauge",
+	"xpush_bytes_total counter",
+	"xpush_documents_total counter",
+	"xpush_durable_pump_active gauge",
+	"xpush_durable_pump_deliveries_total counter",
+	"xpush_durable_pump_docs_scanned_total counter",
+	"xpush_durable_replay_lag_offsets gauge",
+	"xpush_events_total counter",
+	"xpush_exclusive_documents_total counter",
+	"xpush_filter_latency_seconds summary",
+	"xpush_filter_latency_seconds_max gauge",
+	"xpush_flushes_total counter",
+	"xpush_hit_ratio gauge",
+	"xpush_matches_total counter",
+	"xpush_mixed_content_events_total counter",
+	"xpush_query_fanout_total counter",
+	"xpush_query_filter_seconds_total counter",
+	"xpush_query_matches_total counter",
+	"xpush_query_replay_docs_total counter",
+	"xpush_query_states_created_total counter",
+	"xpush_skipped_elements_total counter",
+	"xpush_states gauge",
+	"xpush_table_hits_total counter",
+	"xpush_table_lookups_total counter",
+	"xpush_topdown_states gauge",
+	"xpush_wal_fsync_errors_total counter",
+	"xpush_workload_dedup_hits_total counter",
+	"xpush_workload_subsumed_pairs gauge",
+	"xpush_workload_unique_queries gauge",
+	"xpushserve_acked_offset_min gauge",
+	"xpushserve_acks_total counter",
+	"xpushserve_connections gauge",
+	"xpushserve_connections_rejected_total counter",
+	"xpushserve_consolidation_failures_total counter",
+	"xpushserve_consolidation_in_progress gauge",
+	"xpushserve_consolidation_phase_duration_seconds summary",
+	"xpushserve_consolidations_total counter",
+	"xpushserve_deliveries_total counter",
+	"xpushserve_delivery_latency_seconds summary",
+	"xpushserve_dropped_total counter",
+	"xpushserve_durable_deliveries_total counter",
+	"xpushserve_durable_journal_hits_total counter",
+	"xpushserve_durable_journal_misses_total counter",
+	"xpushserve_durable_subscribers gauge",
+	"xpushserve_engine_layers gauge",
+	"xpushserve_engine_removed_slots gauge",
+	"xpushserve_publish_errors_total counter",
+	"xpushserve_publishes_total counter",
+	"xpushserve_queue_depth gauge",
+	"xpushserve_replay_lag gauge",
+	"xpushserve_subscribe_latency_seconds summary",
+	"xpushserve_subscriptions gauge",
+	"xpushserve_tier_merges_total counter",
+	"xpushserve_traces_kept_total counter",
+	"xpushserve_traces_slow_total counter",
+	"xpushserve_traces_started_total counter",
+	"xpushserve_unsubscribe_latency_seconds summary",
+	"xpushserve_wal_append_errors_total counter",
+	"xpushserve_wal_appends_total counter",
+	"xpushserve_wal_batch_size_records histogram",
+	"xpushserve_wal_bytes gauge",
+	"xpushserve_wal_first_offset gauge",
+	"xpushserve_wal_fsync_latency_seconds summary",
+	"xpushserve_wal_next_offset gauge",
+	"xpushserve_wal_segments gauge",
+	"xpushserve_wal_syncs_total counter",
+}
+
+// TestMetricsAndHealth pins the observability surface: a broker with a
+// WAL, every document traced, one durable and one ephemeral subscriber and
+// one publish serves exactly brokerFamilies, the delivery counters and
+// quantiles read the publish, and /healthz answers ok while serving.
 func TestMetricsAndHealth(t *testing.T) {
-	srv := startServer(t, server.Config{MetricsAddr: "127.0.0.1:0", Policy: server.Block})
+	base := t.TempDir()
+	srv, _, _ := walServer(t, filepath.Join(base, "wal"), server.Config{
+		MetricsAddr: "127.0.0.1:0",
+		Policy:      server.Block,
+		TraceSample: 1,
+	})
 	col := newCollector()
 	sub := dialSub(t, srv.Addr(), col)
 	if _, err := sub.Subscribe(`//m`); err != nil {
 		t.Fatal(err)
 	}
-	pub := dialSub(t, srv.Addr(), nil)
-	for i := 0; i < 5; i++ {
-		if _, err := pub.Publish([]byte(`<m><v>1</v></m>`)); err != nil {
-			t.Fatal(err)
-		}
+	dur := &durCollector{}
+	dsub := dialDur(t, srv.Addr(), dur)
+	if _, _, err := dsub.SubscribeDurable("audit", `//m`); err != nil {
+		t.Fatal(err)
 	}
-	waitFor(t, "deliveries", func() bool { return col.count() == 5 })
+	pub := dialSub(t, srv.Addr(), nil)
+	if _, err := pub.Publish([]byte(`<m><v>1</v></m>`)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "deliveries", func() bool { return col.count() == 1 && dur.count() == 1 })
 
 	// The broker counts a batch of deliveries after flushing it, so the
-	// client can hold all five documents before the counters say so.
+	// client can hold the document before the counters say so.
 	var text string
 	waitFor(t, "the delivery counters", func() bool {
 		text = scrape(t, srv.MetricsAddr())
-		return strings.Contains(text, "xpushserve_deliveries_total 5") &&
-			strings.Contains(text, "xpushserve_delivery_latency_seconds_count 5")
+		return strings.Contains(text, "xpushserve_deliveries_total 1") &&
+			strings.Contains(text, "xpushserve_delivery_latency_seconds_count 1")
 	})
+	var got []string
+	for _, line := range strings.Split(text, "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			got = append(got, f)
+		}
+	}
+	if !slices.Equal(got, brokerFamilies) {
+		t.Errorf("broker families (name TYPE, sorted):\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(brokerFamilies, "\n"))
+	}
 	for _, want := range []string{
-		"xpush_documents_total 5",
-		"xpushserve_publishes_total 5",
-		"xpushserve_deliveries_total 5",
+		"xpush_documents_total 1",
+		"xpushserve_publishes_total 1",
+		"xpushserve_deliveries_total 1",
 		"xpushserve_dropped_total 0",
-		"xpushserve_dropped_drop_oldest_total 0",
-		"xpushserve_dropped_drop_newest_total 0",
-		"xpushserve_dropped_block_total 0",
-		"xpushserve_dropped_disconnect_total 0",
 		"xpushserve_queue_depth 0",
-		"xpushserve_subscriptions 1",
+		"xpushserve_subscriptions 2",
 		`xpushserve_delivery_latency_seconds{quantile="0.5"}`,
-		"xpushserve_delivery_latency_seconds_count 5",
-		"xpushserve_delivery_latency_histogram_seconds_bucket",
+		"xpushserve_delivery_latency_seconds_count 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("scrape missing %q", want)
@@ -427,12 +524,8 @@ func TestBackpressurePolicies(t *testing.T) {
 		}
 		close(gate)
 		text := scrape(t, srv.MetricsAddr())
-		dropped := metricValue(t, text, "xpushserve_dropped_drop_newest_total")
-		if dropped == 0 {
+		if metricValue(t, text, "xpushserve_dropped_total") == 0 {
 			t.Error("expected drops under drop-newest with a held subscriber")
-		}
-		if total := metricValue(t, text, "xpushserve_dropped_total"); total != dropped {
-			t.Errorf("dropped_total %v != policy counter %v", total, dropped)
 		}
 	})
 	t.Run("disconnect", func(t *testing.T) {
