@@ -6,6 +6,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -24,7 +25,9 @@ type Delivery struct {
 	// Filters holds the server-assigned ids of this client's filters that
 	// matched the document.
 	Filters []uint64
-	// Doc is the document's bytes. The slice is owned by the receiver.
+	// Doc is the document's bytes. Doc and Filters are valid only until
+	// OnDeliver returns: the read loop reads the next frame into the same
+	// memory, so a handler that keeps either copies it.
 	Doc []byte
 	// Durable reports whether this delivery came over a durable
 	// subscription's replay stream; Offset is then the document's log
@@ -43,8 +46,8 @@ type Options struct {
 	// OnDeliver receives matched-document notifications. It is called
 	// synchronously from the read loop: a slow handler delays subsequent
 	// frames (and eventually exerts the server's backpressure policy),
-	// which is often exactly what a subscriber wants. nil discards
-	// deliveries.
+	// which is often exactly what a subscriber wants. The Delivery's slices
+	// are reused once it returns (see Delivery). nil discards deliveries.
 	OnDeliver func(Delivery)
 	// MaxDocBytes bounds frames in both directions, mirroring the
 	// server's limit, and each document PublishStreamPipelined cuts from
@@ -106,14 +109,22 @@ func newClient(nc net.Conn, opt Options) *Client {
 	return c
 }
 
+// maxKeptReadBuf bounds the frame buffer the read loop keeps between
+// frames; a larger frame's buffer is dropped once it is handled.
+const maxKeptReadBuf = 1 << 20
+
 // readLoop routes incoming frames: DELIVER to the handler, everything else
-// to the pending request.
+// to the pending request. Every frame is read into one reused buffer and
+// decoded where it lies, so a delivery allocates nothing; only a reply
+// handed to a waiting request is copied out of it.
 func (c *Client) readLoop() {
 	defer c.end()
 	br := bufio.NewReaderSize(c.nc, 64<<10)
+	var buf []byte           // the frame in hand, reused
+	var ids []uint64         // a delivery's filter ids, reused
 	var acks []server.PubAck // reused across PUBACKS frames
 	for {
-		f, err := server.ReadFrame(br, c.opt.maxDocBytes())
+		f, err := server.ReadFrameInto(br, buf, c.opt.maxDocBytes())
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				err = io.EOF
@@ -121,45 +132,45 @@ func (c *Client) readLoop() {
 			c.latch(err)
 			return
 		}
-		if f.Type == server.FrameDeliver {
+		if cap(f.Payload) <= maxKeptReadBuf {
+			buf = f.Payload
+		}
+		switch f.Type {
+		case server.FrameDeliver:
 			if c.opt.OnDeliver != nil {
-				filters, doc, traceID, err := server.ParseDeliverPayloadTrace(f.Payload)
-				if err == nil {
-					c.opt.OnDeliver(Delivery{Filters: filters, Doc: doc, TraceID: traceID})
+				var doc []byte
+				var traceID uint64
+				if ids, doc, traceID, err = server.AppendDecodeDeliver(ids[:0], f.Payload); err == nil {
+					c.opt.OnDeliver(Delivery{Filters: ids, Doc: doc, TraceID: traceID})
 				}
 			}
-			continue
-		}
-		if f.Type == server.FrameDeliverAt {
+		case server.FrameDeliverAt:
 			if c.opt.OnDeliver != nil {
-				off, filters, doc, traceID, err := server.ParseDeliverAtPayloadTrace(f.Payload)
-				if err == nil {
-					c.opt.OnDeliver(Delivery{Filters: filters, Doc: doc, Durable: true, Offset: off, TraceID: traceID})
+				var off, traceID uint64
+				var doc []byte
+				if off, ids, doc, traceID, err = server.AppendDecodeDeliverAt(ids[:0], f.Payload); err == nil {
+					c.opt.OnDeliver(Delivery{Filters: ids, Doc: doc, Durable: true, Offset: off, TraceID: traceID})
 				}
 			}
-			continue
-		}
-		if f.Type == server.FrameProtoErr {
+		case server.FrameProtoErr:
 			// The server is about to close the connection; latch its reason
 			// so Err() reports the protocol violation instead of a bare EOF.
 			c.latch(fmt.Errorf("client: protocol error from server: %s", f.Payload))
-			continue
-		}
-		if f.Type == server.FramePubAcks {
+		case server.FramePubAcks:
 			c.pipeMu.Lock()
 			p := c.pipe
 			c.pipeMu.Unlock()
 			if p != nil {
-				var err error
 				if acks, err = server.AppendDecodePubAcks(acks[:0], f.Payload); err == nil {
 					p.handleAcks(acks)
 				}
 			}
-			continue
-		}
-		select {
-		case c.resp <- f:
-		default: // unsolicited response; drop rather than stall deliveries
+		default:
+			f.Payload = bytes.Clone(f.Payload)
+			select {
+			case c.resp <- f:
+			default: // unsolicited response; drop rather than stall deliveries
+			}
 		}
 	}
 }

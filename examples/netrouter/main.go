@@ -155,7 +155,7 @@ func scrapeMetrics(addr string) []string {
 		line := sc.Text()
 		switch {
 		case strings.HasPrefix(line, "xpush_filter_latency_seconds{"),
-			strings.HasPrefix(line, "xpush_filter_latency_seconds_max"),
+			strings.HasPrefix(line, "xpush_filter_latency_max_seconds"),
 			strings.HasPrefix(line, "xpush_documents_total"),
 			strings.HasPrefix(line, "xpush_events_total"),
 			strings.HasPrefix(line, "xpush_bytes_total"),

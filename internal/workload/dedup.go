@@ -28,7 +28,7 @@ import (
 // mutex (Register also relies on it to pick its key before it locks):
 // otherwise one goroutine's Unsubscribe can free the entry between another
 // goroutine's Resolve and its Subscribe, which panics on the unknown key.
-// Fanout, OwnerSubs and the read-only accessors may run concurrently with
+// Fanout, AppendOwnerSubs and the read-only accessors may run concurrently with
 // the control plane and with each other; Fanout takes a single read lock so
 // the hot match path never blocks on subscribe churn for long.
 type Dedup[O comparable] struct {
@@ -232,12 +232,13 @@ func (d *Dedup[O]) SubscriptionsOn(keys []uint64) int {
 	return n
 }
 
-// OwnerSubs returns the subscription ids owner holds on the given keys,
-// filtered to durable or ephemeral subscriptions.
-func (d *Dedup[O]) OwnerSubs(keys []uint64, owner O, durable bool) []uint64 {
+// AppendOwnerSubs appends to dst the subscription ids owner holds on the
+// given keys, filtered to durable or ephemeral subscriptions, so a caller
+// resolving document after document can reuse one slice.
+func (d *Dedup[O]) AppendOwnerSubs(dst, keys []uint64, owner O, durable bool) []uint64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	var out []uint64
+	out := dst
 	for _, key := range keys {
 		e := d.byKey[key]
 		if e == nil {

@@ -161,3 +161,26 @@ func TestDedupConcurrentChurn(t *testing.T) {
 		t.Fatalf("subscriptions leaked: %d", d.Subscriptions())
 	}
 }
+
+// TestAppendOwnerSubs: an owner's durable (or ephemeral) subscriptions on
+// the given keys are appended after what dst holds, keys no longer live are
+// skipped, and a reused dst with room takes them without allocating.
+func TestAppendOwnerSubs(t *testing.T) {
+	d := NewDedup[string]()
+	k1, k2 := d.Register("/a", true), d.Register("/b", true)
+	a1, _ := d.Subscribe(k1, "alice", true)
+	d.Subscribe(k1, "alice", false)
+	d.Subscribe(k1, "bob", true)
+	a2, _ := d.Subscribe(k2, "alice", true)
+
+	got := d.AppendOwnerSubs([]uint64{99}, []uint64{k1, k2, 1 << 40}, "alice", true)
+	if len(got) != 3 || got[0] != 99 || got[1] != a1 || got[2] != a2 {
+		t.Fatalf("AppendOwnerSubs = %v, want [99 %d %d]", got, a1, a2)
+	}
+	buf := make([]uint64, 0, 4)
+	if n := testing.AllocsPerRun(100, func() {
+		buf = d.AppendOwnerSubs(buf[:0], []uint64{k1, k2}, "alice", true)
+	}); n != 0 {
+		t.Fatalf("AppendOwnerSubs into a reused slice allocates %v times", n)
+	}
+}

@@ -50,7 +50,7 @@ func (f StatsFunc) Stats() Stats { return f() }
 //	<p>_states, <p>_topdown_states, <p>_avg_state_size,
 //	<p>_hit_ratio                          (gauges)
 //	<p>_filter_latency_seconds            (summary: p50/p90/p99 quantiles)
-//	<p>_filter_latency_seconds_max        (gauge)
+//	<p>_filter_latency_max_seconds        (gauge)
 //
 // <p>_hit_ratio is cumulative since the machine's counters last restarted;
 // the ratio over a window is a query over the two table counters
@@ -83,5 +83,5 @@ func RegisterMetrics(r *Registry, prefix string, src StatsSource) {
 	gauge("hit_ratio", "cumulative transition-table hit ratio (Fig. 8)", func(s Stats) float64 { return s.HitRatio })
 	r.SummaryFunc(p+"filter_latency_seconds", "per-document filter latency quantiles",
 		[]float64{0.5, 0.9, 0.99}, func() obs.Snapshot { return src.Stats().FilterLatency })
-	gauge("filter_latency_seconds_max", "maximum per-document filter latency", func(s Stats) float64 { return s.FilterLatency.Max })
+	gauge("filter_latency_max_seconds", "maximum per-document filter latency", func(s Stats) float64 { return s.FilterLatency.Max })
 }

@@ -58,7 +58,7 @@ func TestRegisterMetricsPrometheusOutput(t *testing.T) {
 		`xpush_filter_latency_seconds{quantile="0.5"}`,
 		`xpush_filter_latency_seconds{quantile="0.99"}`,
 		"xpush_filter_latency_seconds_count 10",
-		"xpush_filter_latency_seconds_max ",
+		"xpush_filter_latency_max_seconds ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q\n%s", want, out)

@@ -4,7 +4,9 @@
 # (xpushserve_/xpushgate_/xpush_...), counters (labeled or not) must end
 # in _total, gauges must not, anything measuring time (latency, duration)
 # must end in _seconds, and no name ends in _histogram_seconds (a latency
-# is exported once, as a summary). Run standalone or as the tail of
+# is exported once, as a summary). The names come from the registration
+# calls under server, internal, cmd and client, and from the engine's
+# RegisterMetrics in metrics.go. Run standalone or as the tail of
 # cluster_smoke.sh; exits non-zero naming each violation.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,6 +14,12 @@ cd "$(dirname "$0")/.."
 pairs=$(grep -rhoE '\.(Counter|CounterFunc|CounterVecFunc|Gauge|GaugeFunc|GaugeVecFunc|HistogramFunc|SummaryFunc|SummaryVecFunc)\("[a-zA-Z0-9_]+"' \
     --include='*.go' --exclude='*_test.go' server internal cmd client 2>/dev/null \
   | sed -E 's/^\.([A-Za-z]+)\("([^"]+)"/\1 \2/' | sort -u)
+# The root package's RegisterMetrics builds its names as p+name (p is
+# "xpush_" by default) through its counter and gauge helpers and one
+# SummaryFunc, so its names are read from those calls.
+engine=$(grep -hoE '(\<counter|\<gauge|\.SummaryFunc)\((p\+)?"[a-zA-Z0-9_]+"' metrics.go \
+  | sed -E 's/^\.?([A-Za-z]+)\((p\+)?"([^"]+)"/\1 xpush_\3/; s/^counter /CounterFunc /; s/^gauge /GaugeFunc /' | sort -u)
+pairs=$(printf '%s\n%s\n' "$pairs" "$engine" | sort -u)
 
 fail=0
 while read -r call name; do
@@ -49,4 +57,4 @@ if [ "$fail" -ne 0 ]; then
   echo "metric_lint: FAIL" >&2
   exit 1
 fi
-echo "metric_lint: OK ($(echo "$pairs" | wc -l) registered series checked)"
+echo "metric_lint: OK ($(echo "$pairs" | wc -l) registered series checked, $(echo "$engine" | wc -l) of them the engine's)"

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -75,22 +76,34 @@ func WrapWAL(l *wal.Log) DocLog {
 	return walDocLog{l}
 }
 
-// walChan returns the channel closed by the next walBroadcast. Pumps grab it
-// BEFORE checking the log tail so an append between the check and the wait
-// cannot be missed.
-func (s *Server) walChan() <-chan struct{} {
+// wakeOnAppend registers a pump's wake channel, which every walBroadcast
+// leaves a token in, and returns it with the call that unregisters it. The
+// channel holds one token, so an append that lands while its pump is busy
+// still wakes the pump's next wait, and a burst of appends wakes it once; a
+// token left from a record the pump has already read costs one look at the
+// log and the journal.
+func (s *Server) wakeOnAppend() (<-chan struct{}, func()) {
+	ch := make(chan struct{}, 1)
 	s.noteMu.Lock()
-	defer s.noteMu.Unlock()
-	return s.walNote
+	s.wakes = append(s.wakes, ch)
+	s.noteMu.Unlock()
+	return ch, func() {
+		s.noteMu.Lock()
+		s.wakes = slices.DeleteFunc(s.wakes, func(c chan struct{}) bool { return c == ch })
+		s.noteMu.Unlock()
+	}
 }
 
-// walBroadcast wakes every pump parked at the log tail (close-and-replace).
+// walBroadcast wakes every pump parked at the log tail or on the journal.
 func (s *Server) walBroadcast() {
 	s.noteMu.Lock()
-	ch := s.walNote
-	s.walNote = make(chan struct{})
+	for _, ch := range s.wakes {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
 	s.noteMu.Unlock()
-	close(ch)
 }
 
 // subscribeDurable registers a durable filter for cn under name and returns
@@ -210,6 +223,9 @@ func (cn *conn) pump(name string, start uint64) {
 		return
 	}
 	defer r.Close()
+	// Registered before the first read, so no append after it goes unseen.
+	wake, unwake := s.wakeOnAppend()
+	defer unwake()
 	// Frames are buffered and flushed when the pump catches up with the log
 	// tail (or every pumpFlushEvery frames mid-replay), so a burst of
 	// replayed documents shares one flush instead of paying one per frame.
@@ -227,8 +243,8 @@ func (cn *conn) pump(name string, start uint64) {
 		return true
 	}
 	var keys []uint64 // the matched keys of the document in hand, reused
+	var ids []uint64  // its subscription ids on this connection, reused
 	for {
-		ch := s.walChan() // before Next: see walChan
 		t0 := time.Now()
 		off, doc, err := r.Next()
 		switch {
@@ -237,7 +253,7 @@ func (cn *conn) pump(name string, start uint64) {
 				return
 			}
 			select {
-			case <-ch:
+			case <-wake:
 				continue
 			case <-cn.pumpStop:
 				return
@@ -270,19 +286,19 @@ func (cn *conn) pump(name string, start uint64) {
 		if next := s.wal.NextOffset(); next > off {
 			tc.SetAttr(trace.Root, "replay_lag", int64(next-(off+1)))
 		}
-		var ids []uint64
+		ids = ids[:0]
 		hit := false
 		if s.journal != nil {
 			jspan := tc.StartSpan("journal", trace.Root)
 			var st journalState
 			var ok bool
-			if keys, st, ok = cn.awaitJournal(off, keys, ch, flush); !ok {
+			if keys, st, ok = cn.awaitJournal(off, keys, wake, flush); !ok {
 				tc.Finish()
 				return
 			}
 			s.journal.count(st)
 			if hit = st == journalHit; hit {
-				ids = s.durableSubs(cn, keys, tc)
+				ids = s.durableSubs(ids, cn, keys, tc)
 				tc.SetAttr(jspan, "keys", int64(len(keys)))
 				tc.SetAttr(jspan, "hit", 1)
 			} else {
@@ -298,7 +314,7 @@ func (cn *conn) pump(name string, start uint64) {
 				// must not wedge the stream.
 				s.logf("durable %q: filter error at offset %d: %v", name, off, err)
 			}
-			ids = s.durableSubs(cn, keys, tc)
+			ids = s.durableSubs(ids, cn, keys, tc)
 		}
 		if len(ids) > 0 {
 			wspan := tc.StartSpan("deliver_write", trace.Root)
@@ -328,11 +344,11 @@ func (cn *conn) pump(name string, start uint64) {
 
 // awaitJournal looks the record at off up in the match journal for cn,
 // parking while the publisher that owns it has not journaled it yet (see
-// pump). ch is a walChan grabbed before the caller read the record; flush
-// sends what the pump has staged before it parks. The keys of a hit are
-// appended to keys[:0]. ok is false when the pump has to exit: it was stopped
-// while parked, or flush failed.
-func (cn *conn) awaitJournal(off uint64, keys []uint64, ch <-chan struct{}, flush func() bool) (_ []uint64, st journalState, ok bool) {
+// pump). wake is the pump's (see wakeOnAppend); flush sends what the pump
+// has staged before it parks. The keys of a hit are appended to keys[:0]. ok
+// is false when the pump has to exit: it was stopped while parked, or flush
+// failed.
+func (cn *conn) awaitJournal(off uint64, keys []uint64, wake <-chan struct{}, flush func() bool) (_ []uint64, st journalState, ok bool) {
 	s := cn.s
 	var deadline time.Time
 	for {
@@ -351,29 +367,29 @@ func (cn *conn) awaitJournal(off uint64, keys []uint64, ch <-chan struct{}, flus
 		}
 		timer := time.NewTimer(wait)
 		select {
-		case <-ch:
+		case <-wake:
 		case <-timer.C:
 		case <-cn.pumpStop:
 			timer.Stop()
 			return keys, st, false
 		}
 		timer.Stop()
-		ch = s.walChan() // before the next look, as before Next in pump
 	}
 }
 
 // durableSubs resolves the registry keys a replayed document matched —
 // journaled at publish, or fresh from the engine pass — to cn's durable
-// subscription ids. Traced replays feed the per-query profiler's replay
-// column: which canonical queries the pump keeps delivering documents for.
-func (s *Server) durableSubs(cn *conn, keys []uint64, tc *trace.Ctx) []uint64 {
+// subscription ids, appended to dst. Traced replays feed the per-query
+// profiler's replay column: which canonical queries the pump keeps
+// delivering documents for.
+func (s *Server) durableSubs(dst []uint64, cn *conn, keys []uint64, tc *trace.Ctx) []uint64 {
 	if len(keys) == 0 {
-		return nil
+		return dst
 	}
 	if tc != nil && s.prof != nil {
 		s.prof.observeReplay(keys, queryText(s.cur.Load()))
 	}
-	return s.subs.OwnerSubs(keys, cn, true)
+	return s.subs.AppendOwnerSubs(dst, keys, cn, true)
 }
 
 // Ack persists an advanced cursor. Acks carry no response frame, so

@@ -135,34 +135,80 @@ func (e *ErrFrameTooLarge) Error() string {
 // ReadFrame reads one frame from r: the length and type in one read, then
 // the payload into a slice of its own. A frame whose payload would exceed
 // maxPayload returns *ErrFrameTooLarge without consuming the payload, so
-// the caller can decide between discarding and closing.
+// the caller can decide between discarding and closing. On a *bufio.Reader
+// the header is read in place, so the payload is the frame's only
+// allocation.
 func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return ReadFrameInto(r, nil, maxPayload)
+}
+
+// ReadFrameInto is ReadFrame reading the payload into buf when it has the
+// capacity, and into a new slice when it has not: the frame's Payload
+// aliases buf or that slice. A reader that is done with every frame before
+// it reads the next passes the last frame's Payload back in as buf, and so
+// reads frame after frame without allocating.
+func ReadFrameInto(r io.Reader, buf []byte, maxPayload int) (Frame, error) {
+	n, typ, err := readFrameHeader(r)
+	if err != nil {
 		return Frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
 	if n == 0 {
 		return Frame{}, fmt.Errorf("server: zero-length frame")
 	}
 	if int64(n-1) > int64(maxPayload) {
 		return Frame{}, &ErrFrameTooLarge{Size: int(n - 1), Limit: maxPayload}
 	}
-	payload := make([]byte, n-1)
+	if uint32(cap(buf)) < n-1 {
+		buf = make([]byte, n-1)
+	}
+	payload := buf[:n-1]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return Frame{}, err
 	}
-	return Frame{Type: hdr[4], Payload: payload}, nil
+	return Frame{Type: typ, Payload: payload}, nil
+}
+
+// readFrameHeader reads a frame's length and type, with io.ReadFull's
+// errors. A *bufio.Reader's header is peeked and discarded where it lies;
+// any other reader's is read into an array that escapes to the heap.
+func readFrameHeader(r io.Reader) (n uint32, typ byte, err error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		var hdr [5]byte
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return 0, 0, err
+		}
+		return binary.BigEndian.Uint32(hdr[:4]), hdr[4], nil
+	}
+	hdr, err := br.Peek(5)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		br.Discard(len(hdr))
+		return 0, 0, err
+	}
+	n, typ = binary.BigEndian.Uint32(hdr[:4]), hdr[4]
+	br.Discard(5)
+	return n, typ, nil
 }
 
 // WriteFrame writes one frame. Callers interleaving writers on a shared
-// connection must serialize WriteFrame calls themselves.
+// connection must serialize WriteFrame calls themselves. On a *bufio.Writer
+// the header is built in the writer's free space, as writeDeliverFrame's is.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	if bw, ok := w.(*bufio.Writer); ok {
+		b := binary.BigEndian.AppendUint32(bw.AvailableBuffer(), uint32(1+len(payload)))
+		if _, err := bw.Write(append(b, typ)); err != nil {
+			return err
+		}
+	} else {
+		var hdr [5]byte
+		binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
+		hdr[4] = typ
+		if _, err := w.Write(hdr[:]); err != nil {
+			return err
+		}
 	}
 	if len(payload) == 0 {
 		return nil
@@ -221,13 +267,15 @@ func AppendDeliverPayloadTrace(dst []byte, filters []uint64, doc []byte, traceID
 // ParseDeliverPayload decodes a Deliver payload, discarding a trace id if
 // present. The returned slices alias p.
 func ParseDeliverPayload(p []byte) (filters []uint64, doc []byte, err error) {
-	filters, doc, _, err = ParseDeliverPayloadTrace(p)
+	filters, doc, _, err = AppendDecodeDeliver(nil, p)
 	return filters, doc, err
 }
 
-// ParseDeliverPayloadTrace decodes a Deliver payload including its optional
-// trace id (0 when the delivery is untraced). The returned slices alias p.
-func ParseDeliverPayloadTrace(p []byte) (filters []uint64, doc []byte, traceID uint64, err error) {
+// AppendDecodeDeliver decodes a Deliver payload including its optional
+// trace id (0 when the delivery is untraced), appending its filter ids to
+// dst, so a reader that decodes frame after frame can reuse one slice. doc
+// aliases p.
+func AppendDecodeDeliver(dst []uint64, p []byte) (filters []uint64, doc []byte, traceID uint64, err error) {
 	if len(p) < 4 {
 		return nil, nil, 0, fmt.Errorf("server: short deliver payload")
 	}
@@ -242,9 +290,9 @@ func ParseDeliverPayloadTrace(p []byte) (filters []uint64, doc []byte, traceID u
 	if int64(len(p)) < need {
 		return nil, nil, 0, fmt.Errorf("server: deliver payload truncated (%d ids declared)", n)
 	}
-	filters = make([]uint64, n)
-	for i := range filters {
-		filters[i] = binary.BigEndian.Uint64(p[i*8:])
+	filters = slices.Grow(dst, int(n))
+	for i := 0; i < int(n); i++ {
+		filters = append(filters, binary.BigEndian.Uint64(p[i*8:]))
 	}
 	p = p[n*8:]
 	if traced {
@@ -294,18 +342,17 @@ func AppendDeliverAtPayloadTrace(dst []byte, offset uint64, filters []uint64, do
 // ParseDeliverAtPayload decodes a DeliverAt payload, discarding a trace id
 // if present. The returned slices alias p.
 func ParseDeliverAtPayload(p []byte) (offset uint64, filters []uint64, doc []byte, err error) {
-	offset, filters, doc, _, err = ParseDeliverAtPayloadTrace(p)
+	offset, filters, doc, _, err = AppendDecodeDeliverAt(nil, p)
 	return offset, filters, doc, err
 }
 
-// ParseDeliverAtPayloadTrace decodes a DeliverAt payload including its
-// optional trace id. The returned slices alias p.
-func ParseDeliverAtPayloadTrace(p []byte) (offset uint64, filters []uint64, doc []byte, traceID uint64, err error) {
+// AppendDecodeDeliverAt is AppendDecodeDeliver for a DeliverAt payload.
+func AppendDecodeDeliverAt(dst []uint64, p []byte) (offset uint64, filters []uint64, doc []byte, traceID uint64, err error) {
 	if len(p) < 8 {
 		return 0, nil, nil, 0, fmt.Errorf("server: short deliver-at payload")
 	}
 	offset = binary.BigEndian.Uint64(p[:8])
-	filters, doc, traceID, err = ParseDeliverPayloadTrace(p[8:])
+	filters, doc, traceID, err = AppendDecodeDeliver(dst, p[8:])
 	return offset, filters, doc, traceID, err
 }
 

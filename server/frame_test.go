@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 )
 
@@ -117,7 +119,7 @@ func TestDeliverPayloadTraceCodec(t *testing.T) {
 	}
 
 	p := AppendDeliverPayloadTrace(nil, filters, doc, 0xDEADBEEF)
-	gotFilters, gotDoc, traceID, err := ParseDeliverPayloadTrace(p)
+	gotFilters, gotDoc, traceID, err := AppendDecodeDeliver(nil, p)
 	if err != nil || traceID != 0xDEADBEEF {
 		t.Fatalf("traceID = %#x, %v", traceID, err)
 	}
@@ -130,13 +132,13 @@ func TestDeliverPayloadTraceCodec(t *testing.T) {
 	}
 	// A traced payload too short for its trace id fails cleanly.
 	short := AppendDeliverPayloadTrace(nil, filters, nil, 7)
-	if _, _, _, err := ParseDeliverPayloadTrace(short[:len(short)-4]); err == nil {
+	if _, _, _, err := AppendDecodeDeliver(nil, short[:len(short)-4]); err == nil {
 		t.Error("truncated traced payload parsed")
 	}
 
 	// DeliverAt carries the same optional trace id after its offset.
 	ap := AppendDeliverAtPayloadTrace(nil, 99, filters, doc, 7)
-	off, fs, d2, tid, err := ParseDeliverAtPayloadTrace(ap)
+	off, fs, d2, tid, err := AppendDecodeDeliverAt(nil, ap)
 	if err != nil || off != 99 || tid != 7 || len(fs) != 2 || !bytes.Equal(d2, doc) {
 		t.Fatalf("deliver-at round-trip = (%d, %v, %q, %d, %v)", off, fs, d2, tid, err)
 	}
@@ -229,6 +231,64 @@ func TestPubAcksPayloadCodec(t *testing.T) {
 	for _, bad := range bads {
 		if _, err := ParsePubAcksPayload(bad); err == nil {
 			t.Errorf("ParsePubAcksPayload(%x) succeeded", bad)
+		}
+	}
+}
+
+// TestAppendDecodeDeliver: the ids are appended to a reused slice without
+// allocating, the document aliases the payload, and DeliverAt decodes the
+// same way after its offset.
+func TestAppendDecodeDeliver(t *testing.T) {
+	doc := []byte(`<m/>`)
+	p := AppendDeliverPayloadTrace(nil, []uint64{5, 6, 7}, doc, 9)
+	ids := make([]uint64, 0, 8)
+	var err error
+	var got []byte
+	var traceID uint64
+	if n := testing.AllocsPerRun(100, func() {
+		ids, got, traceID, err = AppendDecodeDeliver(ids[:0], p)
+	}); n != 0 {
+		t.Errorf("AppendDecodeDeliver into a reused slice allocates %v times", n)
+	}
+	if err != nil || len(ids) != 3 || ids[2] != 7 || traceID != 9 || !bytes.Equal(got, doc) || &got[0] != &p[len(p)-len(doc)] {
+		t.Fatalf("AppendDecodeDeliver = (%v, %q, %d, %v)", ids, got, traceID, err)
+	}
+	off, ids, got, _, err := AppendDecodeDeliverAt(ids[:1], AppendDeliverAtPayload(nil, 42, []uint64{8}, doc))
+	if err != nil || off != 42 || len(ids) != 2 || ids[0] != 5 || ids[1] != 8 || !bytes.Equal(got, doc) {
+		t.Fatalf("AppendDecodeDeliverAt = (%d, %v, %q, %v)", off, ids, got, err)
+	}
+}
+
+// TestReadFrameInto: frames read into one buffer reuse it while it has the
+// capacity, a larger frame gets a slice of its own, and a frame cut short in
+// its header or payload reports io.ErrUnexpectedEOF, as ReadFrame always did.
+func TestReadFrameInto(t *testing.T) {
+	var wire bytes.Buffer
+	bw := bufio.NewWriter(&wire)
+	for _, p := range []string{"abc", "de", "fghijklmnop"} {
+		if err := WriteFrame(bw, FramePublish, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bw.Flush()
+	br := bufio.NewReader(&wire)
+	buf := make([]byte, 0, 4)
+	for _, want := range []string{"abc", "de", "fghijklmnop"} {
+		f, err := ReadFrameInto(br, buf, 64)
+		if err != nil || f.Type != FramePublish || string(f.Payload) != want {
+			t.Fatalf("ReadFrameInto = (%+v, %v), want %q", f, err, want)
+		}
+		if fits := len(want) <= cap(buf); fits != (&f.Payload[0] == &buf[:1][0]) {
+			t.Fatalf("frame %q: payload in the buffer = %v, want %v", want, !fits, fits)
+		}
+	}
+	if _, err := ReadFrameInto(br, buf, 64); err != io.EOF {
+		t.Fatalf("ReadFrameInto at the end = %v, want io.EOF", err)
+	}
+	whole := []byte{0, 0, 0, 4, FramePublish, 'a', 'b', 'c'}
+	for _, cut := range []int{2, 6} {
+		if _, err := ReadFrameInto(bufio.NewReader(bytes.NewReader(whole[:cut])), nil, 64); err != io.ErrUnexpectedEOF {
+			t.Errorf("frame cut at %d bytes: %v, want io.ErrUnexpectedEOF", cut, err)
 		}
 	}
 }

@@ -184,23 +184,22 @@ func (p *queryProfiler) snapshot() (entries []QueryCost, other QueryCost, overfl
 	return entries, other, overflow
 }
 
-// profilerTop returns the top-K ranked entries plus the other bucket, the
-// labeled-metrics view of the table.
+// profilerTop returns the top-K ranked entries and the totals over every
+// key, the labeled-metrics view of the table. The totals take in the whole
+// table and the other bucket, so they only ever rise: a bucket of what
+// ranks below the top K would drop whenever a key climbed out of it, and
+// the exported families are counters.
 func (s *Server) profilerTop() ([]QueryCost, QueryCost) {
-	entries, other, _ := s.prof.snapshot()
-	if len(entries) > profilerTopK {
-		// Everything past the top K folds into the exported other bucket so
-		// the label cardinality stays bounded no matter the workload.
-		for _, e := range entries[profilerTopK:] {
-			other.FilterSeconds += e.FilterSeconds
-			other.StatesCreated += e.StatesCreated
-			other.Matches += e.Matches
-			other.Fanout += e.Fanout
-			other.ReplayDocs += e.ReplayDocs
-		}
-		entries = entries[:profilerTopK]
+	entries, all, _ := s.prof.snapshot()
+	all.Query = "all"
+	for _, e := range entries {
+		all.FilterSeconds += e.FilterSeconds
+		all.StatesCreated += e.StatesCreated
+		all.Matches += e.Matches
+		all.Fanout += e.Fanout
+		all.ReplayDocs += e.ReplayDocs
 	}
-	return entries, other
+	return entries[:min(len(entries), profilerTopK)], all
 }
 
 func profilerLabel(e *QueryCost) string {
@@ -217,28 +216,28 @@ func profilerLabel(e *QueryCost) string {
 func (s *Server) registerProfilerMetrics() {
 	labeled := func(pick func(*QueryCost) float64) func() []obs.Labeled {
 		return func() []obs.Labeled {
-			entries, other := s.profilerTop()
+			entries, all := s.profilerTop()
 			out := make([]obs.Labeled, 0, len(entries)+1)
 			for i := range entries {
 				out = append(out, obs.Labeled{Labels: profilerLabel(&entries[i]), Value: pick(&entries[i])})
 			}
-			out = append(out, obs.Labeled{Labels: `key="other"`, Value: pick(&other)})
+			out = append(out, obs.Labeled{Labels: `key="all"`, Value: pick(&all)})
 			return out
 		}
 	}
 	s.reg.CounterVecFunc("xpush_query_filter_seconds_total",
-		"cumulative traced filter time attributed to each matched canonical query (top-K by cost + other)",
+		"cumulative traced filter time attributed to each matched canonical query (the top K by filter cost, and the total over every query as key all)",
 		labeled(func(e *QueryCost) float64 { return e.FilterSeconds }))
 	s.reg.CounterVecFunc("xpush_query_matches_total",
-		"traced documents matched per canonical query (top-K by filter cost + other)",
+		"traced documents matched per canonical query (the top K by filter cost, and the total over every query as key all)",
 		labeled(func(e *QueryCost) float64 { return float64(e.Matches) }))
 	s.reg.CounterVecFunc("xpush_query_fanout_total",
-		"subscriber deliveries fanned out per canonical query on traced documents (top-K by filter cost + other)",
+		"subscriber deliveries fanned out per canonical query on traced documents (the top K by filter cost, and the total over every query as key all)",
 		labeled(func(e *QueryCost) float64 { return float64(e.Fanout) }))
 	s.reg.CounterVecFunc("xpush_query_states_created_total",
-		"machine states created filtering traced documents, attributed per matched canonical query (top-K by filter cost + other)",
+		"machine states created filtering traced documents, attributed per matched canonical query (the top K by filter cost, and the total over every query as key all)",
 		labeled(func(e *QueryCost) float64 { return float64(e.StatesCreated) }))
 	s.reg.CounterVecFunc("xpush_query_replay_docs_total",
-		"durable replay-pump documents matched per canonical query on traced replays (top-K by filter cost + other)",
+		"durable replay-pump documents matched per canonical query on traced replays (the top K by filter cost, and the total over every query as key all)",
 		labeled(func(e *QueryCost) float64 { return float64(e.ReplayDocs) }))
 }

@@ -1,8 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -117,5 +122,70 @@ func TestTracedPayloadRoundTrip(t *testing.T) {
 	}
 	if _, _, err := SplitTracedPayload([]byte("short")); err == nil {
 		t.Fatal("short traced payload accepted")
+	}
+}
+
+// TestProfilerSeriesMonotone drives a query from below the exported top K
+// into it and scrapes the five counter families before and after every
+// step: no series may go down, or a scraper reads a counter reset.
+func TestProfilerSeriesMonotone(t *testing.T) {
+	s := &Server{prof: newQueryProfiler(0), reg: obs.NewRegistry()}
+	s.registerProfilerMetrics()
+	scrape := func() map[string]float64 {
+		var buf bytes.Buffer
+		if err := s.reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if !strings.HasPrefix(line, "xpush_query_") {
+				continue
+			}
+			i := strings.LastIndexByte(line, ' ')
+			v, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("series %q: %v", line, err)
+			}
+			out[line[:i]] = v
+		}
+		return out
+	}
+	canon := func(key uint64) string { return fmt.Sprintf("//q%d", key) }
+	climber := uint64(profilerTopK + 1)
+	for key := uint64(1); key <= climber; key++ {
+		cost := int64(1000)
+		if key == climber {
+			cost = 1 // the cheapest: ranked below the top K
+		}
+		s.prof.observeFilter([]uint64{key}, canon, cost, 1)
+		s.prof.observeFanout(key, 2)
+		s.prof.observeReplay([]uint64{key}, canon)
+	}
+	exported := func(m map[string]float64) bool {
+		_, ok := m[fmt.Sprintf(`xpush_query_matches_total{key="%d",query="//q%d"}`, climber, climber)]
+		return ok
+	}
+	prev := scrape()
+	if exported(prev) {
+		t.Fatal("the cheapest query is exported before it climbs")
+	}
+	steps := 0
+	for ; steps < 5 && !exported(prev); steps++ {
+		// Each step is one more matched document, so the climber leaves
+		// more behind below the top K than the query it displaces brings.
+		s.prof.observeFilter([]uint64{climber}, canon, 300, 1)
+		cur := scrape()
+		for series, v := range prev {
+			if w, ok := cur[series]; ok && w < v {
+				t.Errorf("step %d: %s went down from %v to %v", steps, series, v, w)
+			}
+		}
+		prev = cur
+	}
+	if !exported(prev) {
+		t.Fatal("the climbing query never entered the top K")
+	}
+	if got, want := prev[`xpush_query_matches_total{key="all"}`], float64(int(climber)+steps); got != want {
+		t.Fatalf(`key="all" matches = %v, want %v: every observation`, got, want)
 	}
 }

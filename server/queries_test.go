@@ -91,7 +91,7 @@ func TestDebugQueriesRanking(t *testing.T) {
 	for _, want := range []string{
 		"xpush_query_filter_seconds_total{",
 		"xpush_query_matches_total{",
-		`key="other"`,
+		`key="all"`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q", want)
@@ -99,7 +99,7 @@ func TestDebugQueriesRanking(t *testing.T) {
 	}
 	got := -1.0
 	for _, line := range strings.Split(body, "\n") {
-		if strings.HasPrefix(line, `xpush_query_matches_total{key="`) && !strings.Contains(line, `key="other"`) {
+		if strings.HasPrefix(line, `xpush_query_matches_total{key="`) && !strings.Contains(line, `key="all"`) {
 			if i := strings.LastIndexByte(line, ' '); i >= 0 {
 				fmt.Sscanf(line[i+1:], "%g", &got)
 			}

@@ -164,8 +164,8 @@ type Server struct {
 	durMu    sync.Mutex
 	durables map[string]*conn // durable name -> owning connection
 	noteMu   sync.Mutex
-	walNote  chan struct{} // closed-and-replaced on every append
-	journal  *journal      // publish-time matches by log offset (journal.go)
+	wakes    []chan struct{} // guarded by noteMu: the running pumps' (see wakeOnAppend)
+	journal  *journal        // publish-time matches by log offset (journal.go)
 
 	connMu sync.Mutex
 	conns  map[*conn]struct{}
@@ -225,7 +225,6 @@ func newServer(cfg Config, slots, maxRemoved int) (*Server, error) {
 		wal:      cfg.WAL,
 		cursors:  cfg.Cursors,
 		durables: map[string]*conn{},
-		walNote:  make(chan struct{}),
 		subs:     workload.NewDedup[*conn](),
 		anDirty:  true,
 

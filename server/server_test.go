@@ -234,8 +234,8 @@ var brokerFamilies = []string{
 	"xpush_durable_replay_lag_offsets gauge",
 	"xpush_events_total counter",
 	"xpush_exclusive_documents_total counter",
+	"xpush_filter_latency_max_seconds gauge",
 	"xpush_filter_latency_seconds summary",
-	"xpush_filter_latency_seconds_max gauge",
 	"xpush_flushes_total counter",
 	"xpush_hit_ratio gauge",
 	"xpush_matches_total counter",

@@ -209,6 +209,10 @@ type Log struct {
 	// its fsync under mu, the next batch accumulates under bmu.
 	bmu     sync.Mutex
 	pending *batch
+	// spare is the buffer of the last committed batch, emptied, which the
+	// next batch to open appends into instead of growing its own from nil
+	// (guarded by bmu; see maxKeptBatchBuf).
+	spare []byte
 
 	mu     sync.Mutex
 	segs   []*segment
@@ -503,7 +507,8 @@ func (l *Log) AppendAsync(doc []byte) *Pending {
 	l.bmu.Lock()
 	b := l.pending
 	if b == nil {
-		b = &batch{full: make(chan struct{}), done: make(chan struct{})}
+		b = &batch{buf: l.spare, full: make(chan struct{}), done: make(chan struct{})}
+		l.spare = nil
 		l.pending = b
 	}
 	idx := b.count
@@ -555,6 +560,10 @@ func (p *Pending) BatchSize() int {
 // maxBatchRecords caps how many appends one group-commit batch coalesces
 // into a single file write and, under FsyncAlways, a single fsync.
 const maxBatchRecords = 1024
+
+// maxKeptBatchBuf bounds the batch buffer the log keeps for the next batch;
+// a larger one is dropped once its batch is written.
+const maxKeptBatchBuf = 1 << 20
 
 // maxAdaptiveBatchWait caps the derived accumulation window so a slow disk
 // (or a cold EWMA polluted by a latency spike) cannot stall commits.
@@ -641,6 +650,8 @@ func (l *Log) commit(b *batch) {
 		active = l.segs[len(l.segs)-1]
 	}
 	wn, err := l.f.Write(b.buf)
+	size := int64(len(b.buf))
+	l.recycle(b)
 	if err != nil {
 		l.appendErrs += int64(n)
 		if wn > 0 {
@@ -676,7 +687,7 @@ func (l *Log) commit(b *batch) {
 			}
 		}
 	}
-	active.size += int64(len(b.buf))
+	active.size += size
 	active.records += uint64(n)
 	active.lastAppend = time.Now()
 	b.base = l.next
@@ -686,6 +697,20 @@ func (l *Log) commit(b *batch) {
 	if l.opt.Fsync == FsyncInterval {
 		l.dirty = true
 	}
+}
+
+// recycle hands a written batch's buffer to the next batch to open. Nothing
+// reads a batch's records once they are written: its waiters read only its
+// outcome.
+func (l *Log) recycle(b *batch) {
+	buf := b.buf[:0]
+	b.buf = nil
+	if cap(buf) > maxKeptBatchBuf {
+		return
+	}
+	l.bmu.Lock()
+	l.spare = buf
+	l.bmu.Unlock()
 }
 
 // rotateLocked seals the active segment (fsync + close) and opens the next.

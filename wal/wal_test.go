@@ -193,7 +193,19 @@ func TestRecoveryDropsUnreachableSegments(t *testing.T) {
 func TestRotationAndRetention(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir, SegmentBytes: 128, RetentionBytes: 256})
-	appendN(t, l, 40)
+	// A reader that has read records retention then deletes.
+	live, err := l.OpenReader(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	appendN(t, l, 2)
+	for i := 0; i < 2; i++ {
+		if _, _, err := live.Next(); err != nil {
+			t.Fatalf("Next %d: %v", i, err)
+		}
+	}
+	appendN(t, l, 38)
 	st := l.Stats()
 	if st.Rotations == 0 || st.RetiredSegments == 0 {
 		t.Fatalf("expected rotation and retention, got %+v", st)
@@ -201,7 +213,11 @@ func TestRotationAndRetention(t *testing.T) {
 	if st.FirstOffset == 0 {
 		t.Fatal("retention did not advance FirstOffset")
 	}
-	// Reading below the retained range must fail with ErrTruncated...
+	// Reading below the retained range must fail with ErrTruncated, from a
+	// fresh reader or a live one...
+	if _, _, err := live.Next(); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("Next past retention from a live reader = %v, want ErrTruncated", err)
+	}
 	r, err := l.OpenReader(0)
 	if err != nil {
 		t.Fatalf("OpenReader: %v", err)
