@@ -73,9 +73,15 @@ type Client struct {
 	opt Options
 
 	reqMu sync.Mutex // serializes request/response round-trips
-	wmu   sync.Mutex
-	wbuf  []byte // guarded by wmu: the frame being written (see writeFrame)
 	resp  chan server.Frame
+
+	// The writer, guarded by wmu. wbuf holds the active pipeline's held
+	// PUBLISH_ASYNC frames, then the frame being written (see writeFrame).
+	// sent counts the pipeline's frames written and not yet acked, held its
+	// frames waiting in wbuf (see Pipeline.Submit).
+	wmu        sync.Mutex
+	wbuf       []byte
+	sent, held int
 
 	done    chan struct{} // closed when the read loop exits
 	errMu   sync.Mutex
@@ -162,6 +168,7 @@ func (c *Client) readLoop() {
 			c.pipeMu.Unlock()
 			if p != nil {
 				if acks, err = server.AppendDecodePubAcks(acks[:0], f.Payload); err == nil {
+					p.acked(len(acks))
 					p.handleAcks(acks)
 				}
 			}
@@ -198,26 +205,43 @@ func (c *Client) end() {
 }
 
 // maxKeptWriteBuf bounds the frame buffer a client keeps between writes; a
-// larger frame's buffer is dropped once it is sent.
+// larger buffer is dropped once it is sent. Held frames never grow it past
+// this bound: the frame that reaches it is written with them.
 const maxKeptWriteBuf = 1 << 20
 
-// writeFrame sends one frame in a single Write: the header, the 8-byte
-// words (a trace id, a sequence number, an offset or an id) and then body,
-// assembled in the client's reused buffer under wmu. A failed write may
-// have sent part of the frame, leaving the stream unframed, so it closes
-// the connection with the write error as the connection's error.
+// writeFrame sends one frame (see appendFrame) in a single Write, behind the
+// pipeline's held frames, so frame order on the wire is the order of the
+// calls.
 func (c *Client) writeFrame(typ byte, body []byte, words ...uint64) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	b := binary.BigEndian.AppendUint32(c.wbuf[:0], uint32(1+8*len(words)+len(body)))
+	c.wbuf = appendFrame(c.wbuf, typ, body, words...)
+	return c.writeLocked()
+}
+
+// appendFrame appends one frame to b: the header, the 8-byte words (a trace
+// id, a sequence number, an offset or an id) and then body.
+func appendFrame(b []byte, typ byte, body []byte, words ...uint64) []byte {
+	b = binary.BigEndian.AppendUint32(b, uint32(1+8*len(words)+len(body)))
 	b = append(b, typ)
 	for _, w := range words {
 		b = binary.BigEndian.AppendUint64(b, w)
 	}
-	b = append(b, body...)
-	if cap(b) <= maxKeptWriteBuf {
-		c.wbuf = b
+	return append(b, body...)
+}
+
+// writeLocked writes everything in wbuf in one Write; the held frames in it
+// count as sent from here on. A failed write may have sent part of a frame,
+// leaving the stream unframed, so it closes the connection with the write
+// error as the connection's error. The caller holds wmu.
+func (c *Client) writeLocked() error {
+	b := c.wbuf
+	c.wbuf = b[:0]
+	if cap(b) > maxKeptWriteBuf {
+		c.wbuf = nil
 	}
+	c.sent += c.held
+	c.held = 0
 	if _, err := c.nc.Write(b); err != nil {
 		c.latch(err)
 		c.nc.Close()
@@ -397,10 +421,21 @@ type PublishResult struct {
 }
 
 // Pipeline streams publishes without a per-document round trip: Publish
-// writes a PUBLISH_ASYNC frame and returns as soon as the in-flight window
+// queues a PUBLISH_ASYNC frame and returns as soon as the in-flight window
 // has room, while the broker's batched acks flow back on the read loop.
 // Against a fsync=always WAL broker this lets many documents share one
 // group-committed fsync instead of paying one each.
+//
+// The broker's acks clock the writes. A frame goes out at once while fewer
+// than half the window are written and unacked; past that it is held in the
+// client's write buffer until the held frames are as many as the written
+// ones, or until a PUBACKS frame brings the written ones back under half the
+// window. So a stream that keeps the window full writes its frames in
+// bursts, and a light one writes each frame as it comes. Holding cannot
+// stall: a frame is held only while half a window is written and unacked,
+// the broker acks every publish once the publishes running beside it end,
+// and each PUBACKS re-checks the rule. Any other frame the client writes,
+// and Close, sends the held frames first.
 //
 // The pipeline is the one place that maps an ack to its document: Submit
 // registers the document's completion before its frame is written, and
@@ -461,12 +496,18 @@ func (c *Client) PublishPipelined(window int, onResult func(PublishResult)) (*Pi
 		return nil, fmt.Errorf("client: connection closed: %w", c.err())
 	}
 	c.pipe = p
+	// The ack clock starts over: a timed-out predecessor's frames may never
+	// be acked.
+	c.wmu.Lock()
+	c.sent = 0
+	c.wmu.Unlock()
 	return p, nil
 }
 
-// Publish submits one document, blocking only while the in-flight window is
-// full; its acknowledgement goes to the pipeline's onResult. The returned
-// sequence number matches the eventual PublishResult.
+// Publish submits one document (see Submit), blocking only while the
+// in-flight window is full; its acknowledgement goes to the pipeline's
+// onResult. The returned sequence number matches the eventual
+// PublishResult.
 func (p *Pipeline) Publish(doc []byte) (uint64, error) {
 	return p.Submit(doc, 0, p.onResult)
 }
@@ -479,11 +520,14 @@ func (p *Pipeline) PublishTraced(doc []byte, traceID uint64) (uint64, error) {
 
 // Submit sends one document with an optional trace id (0 = untraced) and
 // an optional completion, blocking only while the in-flight window is full.
-// A document Submit accepts (nil error) is settled exactly once: done, if
-// non-nil, runs with its ack on the read loop, or with the connection's
-// error when the read loop ends — a failed write ends it. A document
-// Submit refuses, because the pipeline is closed or the connection is
-// gone, is never passed to done.
+// Its PUBLISH_ASYNC frame is written before Submit returns unless half the
+// window is already written and unacked and fewer frames are held than
+// written; then it is held, and goes out with a later frame or after a
+// PUBACKS (see Pipeline). A document Submit accepts (nil error) is settled
+// exactly once: done, if non-nil, runs with its ack on the read loop, or
+// with the connection's error when the read loop ends — a failed write ends
+// it. A document Submit refuses, because the pipeline is closed or the
+// connection is gone, is never passed to done.
 func (p *Pipeline) Submit(doc []byte, traceID uint64, done func(PublishResult)) (uint64, error) {
 	select {
 	case p.tokens <- struct{}{}:
@@ -505,12 +549,39 @@ func (p *Pipeline) Submit(doc []byte, traceID uint64, done func(PublishResult)) 
 	// A traced frame carries the trace id ahead of the sequence number. A
 	// write error closes the connection, whose end settles the document
 	// with that error, so it needs no handling here.
+	c := p.c
+	c.wmu.Lock()
 	if traceID != 0 {
-		_ = p.c.writeFrame(server.FramePublishAsync|server.FrameTraceFlag, doc, traceID, seq)
+		c.wbuf = appendFrame(c.wbuf, server.FramePublishAsync|server.FrameTraceFlag, doc, traceID, seq)
 	} else {
-		_ = p.c.writeFrame(server.FramePublishAsync, doc, seq)
+		c.wbuf = appendFrame(c.wbuf, server.FramePublishAsync, doc, seq)
 	}
+	c.held++
+	p.writeHeld()
+	c.wmu.Unlock()
 	return seq, nil
+}
+
+// writeHeld writes the held frames if the ack clock lets them go: while
+// fewer than half the window are written and unacked, once the held frames
+// are as many as the written ones, or when they fill the kept write buffer.
+// The caller holds c.wmu.
+func (p *Pipeline) writeHeld() {
+	c := p.c
+	if c.held > 0 && (2*c.sent < cap(p.tokens) || c.held >= c.sent || len(c.wbuf) >= maxKeptWriteBuf) {
+		_ = c.writeLocked()
+	}
+}
+
+// acked runs on the read loop for every PUBACKS frame, before its acks
+// settle: n written frames are no longer in flight, which may release the
+// held ones.
+func (p *Pipeline) acked(n int) {
+	c := p.c
+	c.wmu.Lock()
+	c.sent -= n
+	p.writeHeld()
+	c.wmu.Unlock()
 }
 
 // put registers an accepted document. The caller holds mu.
@@ -625,6 +696,11 @@ func (p *Pipeline) Close() error {
 		p.refuse = errors.New("client: pipeline closed")
 	}
 	p.mu.Unlock()
+	p.c.wmu.Lock()
+	if p.c.held > 0 {
+		_ = p.c.writeLocked()
+	}
+	p.c.wmu.Unlock()
 
 	var timeout <-chan time.Time
 	if d := p.c.opt.Timeout; d > 0 {

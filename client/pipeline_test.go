@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"strings"
@@ -282,5 +283,236 @@ func TestPublishStreamPipelined(t *testing.T) {
 	stream := strings.Repeat("<a/>", 50)
 	if n, err := dropped.PublishStreamPipelined(strings.NewReader(stream), 64); err == nil {
 		t.Fatalf("dropped connection: %d documents and no error", n)
+	}
+}
+
+// heldFrames reports how many pipelined frames the client is holding.
+func heldFrames(c *Client) int {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.held
+}
+
+// TestPipelineWindowsSettleOnce: against the real broker, with windows small
+// enough that no frame is held (1 and 2), one that holds one frame at a time
+// (3) and the default (64), every accepted document settles exactly once,
+// with its own match count, and before Close: the frames still held when
+// the last Submit returns go out on the acks of the written ones.
+func TestPipelineWindowsSettleOnce(t *testing.T) {
+	const n = 1500
+	srv, err := server.New(server.Config{Policy: server.Block})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	sub, err := Dial(srv.Addr(), Options{Timeout: 10 * time.Second, OnDeliver: func(Delivery) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if _, err := sub.Subscribe("/a[b > 5]"); err != nil {
+		t.Fatal(err)
+	}
+	for _, window := range []int{1, 2, 3, 64} {
+		t.Run(fmt.Sprint("window", window), func(t *testing.T) {
+			c, err := Dial(srv.Addr(), Options{Timeout: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			onResult, done := newSettled(), newSettled()
+			var all sync.WaitGroup
+			all.Add(n)
+			p, err := c.PublishPipelined(window, func(r PublishResult) { onResult.note(r); all.Done() })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				doc := []byte(fmt.Sprintf("<a><b>%d</b></a>", i%10))
+				if i%2 == 0 {
+					_, err = p.Publish(doc)
+				} else {
+					_, err = p.Submit(doc, 0, func(r PublishResult) { done.note(r); all.Done() })
+				}
+				if err != nil {
+					t.Fatalf("document %d: %v", i, err)
+				}
+			}
+			settled := make(chan struct{})
+			go func() { all.Wait(); close(settled) }()
+			select {
+			case <-settled:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("documents left unsettled with the pipeline open: %d frames held", heldFrames(c))
+			}
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for seq := uint64(1); seq <= n; seq++ {
+				got, other := onResult, done
+				if seq%2 == 0 {
+					got, other = done, onResult
+				}
+				want := 0
+				if (seq-1)%10 > 5 {
+					want = 1
+				}
+				if got.runs[seq] != 1 || other.runs[seq] != 0 || got.errs[seq] != nil || got.hits[seq] != want {
+					t.Fatalf("seq %d: %d settles (%d on the other completion), err %v, %d matches; want 1, 0, nil, %d",
+						seq, got.runs[seq], other.runs[seq], got.errs[seq], got.hits[seq], want)
+				}
+			}
+		})
+	}
+}
+
+// TestPipelineCloseFlushesHeld: a frame held behind half a window of unacked
+// ones goes out when the pipeline closes, and its ack settles it.
+func TestPipelineCloseFlushesHeld(t *testing.T) {
+	const window = 4
+	addr := fakeBroker(t, func(nc net.Conn) {
+		seqs, err := readPublishes(nc, 3)
+		if err != nil {
+			return
+		}
+		var acks []server.PubAck
+		for _, s := range seqs {
+			acks = append(acks, server.PubAck{Seq: s, Matches: s})
+		}
+		server.WriteFrame(nc, server.FramePubAcks, server.AppendPubAcksPayload(nil, acks))
+		server.ReadFrame(nc, 1<<20) // wait for the client to leave
+	})
+	c, err := Dial(addr, Options{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p, err := c.PublishPipelined(window, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := newSettled()
+	for i := 0; i < 3; i++ {
+		if _, err := p.Submit([]byte("<a/>"), 0, got.note); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h := heldFrames(c); h != 1 {
+		t.Fatalf("%d frames held with 2 of window %d unacked, want 1", h, window)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		if got.runs[seq] != 1 || got.errs[seq] != nil || got.hits[seq] != int(seq) {
+			t.Errorf("seq %d: %d settles, err %v, %d matches; want 1, nil, %d", seq, got.runs[seq], got.errs[seq], got.hits[seq], seq)
+		}
+	}
+}
+
+// TestPipelineSettlesHeldOnConnectionLoss: when the connection ends while
+// frames are held, the held documents settle exactly once with the
+// connection's error, like the written ones.
+func TestPipelineSettlesHeldOnConnectionLoss(t *testing.T) {
+	const window, written, n = 8, 4, 6
+	drop := make(chan struct{})
+	addr := fakeBroker(t, func(nc net.Conn) {
+		readPublishes(nc, written)
+		<-drop
+	})
+	c, err := Dial(addr, Options{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p, err := c.PublishPipelined(window, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := newSettled()
+	for i := 0; i < n; i++ {
+		if _, err := p.Submit([]byte("<a/>"), 0, got.note); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h := heldFrames(c); h != n-written {
+		t.Fatalf("%d frames held with %d of window %d unacked, want %d", h, written, window, n-written)
+	}
+	close(drop)
+	closeErr := p.Close()
+	if closeErr == nil || !strings.Contains(closeErr.Error(), "connection closed") {
+		t.Fatalf("Close = %v, want the connection's error", closeErr)
+	}
+	for seq := uint64(1); seq <= n; seq++ {
+		if got.runs[seq] != 1 || got.errs[seq] == nil {
+			t.Errorf("seq %d settled %d times with %v, want once with the connection's error", seq, got.runs[seq], got.errs[seq])
+		}
+	}
+}
+
+// TestPipelineHeldFramesPrecedeOthers: an ACK or a SUBSCRIBE written while
+// publishes are held reaches the wire after them, so frame order is call
+// order.
+func TestPipelineHeldFramesPrecedeOthers(t *testing.T) {
+	const window = 4
+	frames := make(chan []string, 1)
+	addr := fakeBroker(t, func(nc net.Conn) {
+		var seen []string
+		var acks []server.PubAck
+		defer func() { frames <- seen }()
+		for {
+			f, err := server.ReadFrame(nc, 1<<20)
+			if err != nil {
+				return
+			}
+			switch f.Type {
+			case server.FramePublishAsync:
+				seq, _, _ := server.ParsePublishAsyncPayload(f.Payload)
+				seen = append(seen, fmt.Sprint("P", seq))
+				acks = append(acks, server.PubAck{Seq: seq})
+			case server.FrameAck:
+				off, _ := server.ParseUint64(f.Payload)
+				seen = append(seen, fmt.Sprint("A", off))
+			case server.FrameSubscribe:
+				seen = append(seen, "S")
+				server.WriteFrame(nc, server.FrameOK, server.AppendUint64(nil, 1))
+				server.WriteFrame(nc, server.FramePubAcks, server.AppendPubAcksPayload(nil, acks))
+			}
+		}
+	})
+	c, err := Dial(addr, Options{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.PublishPipelined(window, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(held int) {
+		t.Helper()
+		if _, err := p.Publish([]byte("<a/>")); err != nil {
+			t.Fatal(err)
+		}
+		if h := heldFrames(c); h != held {
+			t.Fatalf("%d frames held, want %d", h, held)
+		}
+	}
+	submit(0)
+	submit(0)
+	submit(1) // two of four unacked: held
+	if err := c.Ack(7); err != nil {
+		t.Fatal(err)
+	}
+	submit(1) // three unacked, one held
+	if _, err := c.Subscribe("/a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	want := "[P1 P2 P3 A7 P4 S]"
+	if got := fmt.Sprint(<-frames); got != want {
+		t.Fatalf("the broker read %s, want %s", got, want)
 	}
 }

@@ -281,6 +281,10 @@ type AbstractResult struct {
 	// histogram summary (seconds) — the operational view behind the MB/s
 	// numbers: a broker sizing its queues cares about p99, not the mean.
 	WarmLatency obs.Summary
+	// ColdStats and WarmStats are the machine's counters after the cold
+	// pass and after the warm one. The warm pass runs on the states the
+	// cold pass built, so it adds none.
+	ColdStats, WarmStats core.Stats
 }
 
 // Abstract runs the abstract-claim measurement.
@@ -301,12 +305,14 @@ func Abstract(ds *datagen.Dataset, numQueries int, meanPreds float64, dataBytes 
 		return res, err
 	}
 	res.ColdMBPerSec = mbPerSec(len(data), time.Since(start))
+	res.ColdStats = m.Stats()
 	// Second pass over the same data: the "completed" machine.
 	start = time.Now()
 	if err := m.Run(data); err != nil {
 		return res, err
 	}
 	res.WarmMBPerSec = mbPerSec(len(data), time.Since(start))
+	res.WarmStats = m.Stats()
 	// Third pass, timed per document, for the warm latency distribution.
 	var lat obs.Histogram
 	err = sax.StreamDocuments(bytes.NewReader(data), func(doc []byte) error {

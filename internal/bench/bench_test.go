@@ -147,12 +147,17 @@ func TestAbstractMeasurement(t *testing.T) {
 	if res.WarmMBPerSec <= 0 || res.ColdMBPerSec <= 0 {
 		t.Errorf("throughput not measured: %+v", res)
 	}
-	// The warm pass skips lazy state construction and should be at least
-	// as fast; allow scheduler-noise slack so the check is not flaky
-	// under load.
-	if res.WarmMBPerSec < 0.5*res.ColdMBPerSec {
-		t.Errorf("warm pass much slower than cold: warm %.2f vs cold %.2f",
-			res.WarmMBPerSec, res.ColdMBPerSec)
+	// The warm pass skips lazy state construction: it runs on the states
+	// the cold pass built and adds none. (Its speed against the cold pass
+	// is the figure's to report; timed inside a parallel test run it says
+	// more about the other packages' tests than about the machine.)
+	cold, warm := res.ColdStats, res.WarmStats
+	if warm.BStates != cold.BStates || warm.TStates != cold.TStates || warm.Flushes != cold.Flushes {
+		t.Errorf("warm pass built states: bottom-up %d -> %d, top-down %d -> %d, flushes %d -> %d",
+			cold.BStates, warm.BStates, cold.TStates, warm.TStates, cold.Flushes, warm.Flushes)
+	}
+	if warm.Docs <= cold.Docs {
+		t.Errorf("warm pass ran no documents: %d after the cold pass, %d after the warm one", cold.Docs, warm.Docs)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -87,11 +88,14 @@ type Session struct {
 	// hands staged publishes to the parked workers (unbuffered: a send
 	// succeeds at once only if a worker is idle); workers counts them (read
 	// loop only). acks carries publish outcomes to the one ack-writer
-	// goroutine.
+	// goroutine. running counts the staged publishes whose outcome is not
+	// yet queued: the read loop adds one as it stages, the worker takes it
+	// off before it queues the ack.
 	sem     chan struct{}
 	jobs    chan asyncJob
 	workers int
 	acks    chan PubAck
+	running atomic.Int64
 	wg      sync.WaitGroup // the publish workers
 	ackWG   sync.WaitGroup // the ack-writer goroutine
 
@@ -332,6 +336,7 @@ func (ss *Session) publishAsync(seq uint64, doc []byte, traceID uint64) {
 		ss.acks <- PubAck{Seq: seq, Err: err.Error()}
 		return
 	}
+	ss.running.Add(1)
 	j := asyncJob{seq: seq, doc: doc, traceID: traceID, staged: staged}
 	select {
 	case ss.jobs <- j:
@@ -360,42 +365,58 @@ func (ss *Session) worker(j asyncJob) {
 		if err != nil {
 			ack.Err = err.Error()
 		}
+		ss.running.Add(-1)
 		ss.acks <- ack
 		<-ss.sem
 	}
 }
 
-// ackLoop is the per-connection ack writer: it blocks for one outcome, then
-// drains everything else already queued and writes a single PubAcks frame.
-// On a write error the connection is closed but the loop keeps draining so
-// publish workers never block on the acks channel.
+// ackLoop is the per-connection ack writer. It collects publish outcomes
+// and writes them as one PubAcks frame once they are at least as many as
+// the publishes still running, or maxPubAckBatch of them, or the channel
+// closes. A publisher that keeps its window full gets its acks in a few
+// frames per window, which is what lets it write its frames in bursts too
+// (see client.Pipeline); a lone publish is acked as soon as it ends. The
+// running count drains without anything more from the peer, so no outcome
+// is held past the publishes running beside it. On a write error the
+// connection is closed but the loop keeps draining so publish workers
+// never block on the acks channel.
 func (ss *Session) ackLoop() {
 	defer ss.ackWG.Done()
 	var batch []PubAck
 	var buf []byte
 	dead := false
-	for ack := range ss.acks {
-		batch = append(batch[:0], ack)
+	for open := true; open; {
+		var ack PubAck
+		if ack, open = <-ss.acks; open {
+			batch = append(batch, ack)
+		}
 	fill:
-		for len(batch) < maxPubAckBatch {
+		for open && len(batch) < maxPubAckBatch {
 			select {
-			case more, ok := <-ss.acks:
-				if !ok {
-					break fill
+			case ack, open = <-ss.acks:
+				if open {
+					batch = append(batch, ack)
 				}
-				batch = append(batch, more)
 			default:
 				break fill
 			}
 		}
-		if dead {
+		// Hold the batch while more publishes are running than it holds. A
+		// worker takes its publish off running before it queues the
+		// outcome, so every outcome received here is already off it, and
+		// each one still running will wake this loop.
+		if open && len(batch) < maxPubAckBatch && int64(len(batch)) < ss.running.Load() {
 			continue
 		}
-		buf = AppendPubAcksPayload(buf[:0], batch)
-		if ss.writeFrame(FramePubAcks, buf) != nil {
-			dead = true
-			ss.Close()
+		if len(batch) > 0 && !dead {
+			buf = AppendPubAcksPayload(buf[:0], batch)
+			if ss.writeFrame(FramePubAcks, buf) != nil {
+				dead = true
+				ss.Close()
+			}
 		}
+		batch = batch[:0]
 	}
 }
 

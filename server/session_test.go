@@ -379,3 +379,59 @@ func TestSessionIdleReadDeadline(t *testing.T) {
 		within(t, "the connection to be dropped once it holds no subscription", served)
 	})
 }
+
+// TestSessionAcksHeldPublishesOutOfOrder: the ack writer holds outcomes
+// while more publishes are running than are waiting to be acked, so it must
+// still ack every publish when they finish out of order and with delays,
+// some fail to stage, and the peer, like a client holding its next frames,
+// sends nothing more until the acks of what it sent are back. Bursts of
+// every size from one to three windows, each waited out, are each acked in
+// full, once per sequence number.
+func TestSessionAcksHeldPublishesOutOfOrder(t *testing.T) {
+	const window = 8
+	h := stageRejecter{&fakeHandler{publish: func(doc []byte) (int, error) {
+		i, _ := strconv.Atoi(string(doc))
+		// The first publishes of a burst are often the slowest, so the
+		// others end before them.
+		time.Sleep(time.Duration((i*7919)%11) * 100 * time.Microsecond)
+		return i, nil
+	}}}
+	_, peer, _ := pipeSession(t, h, server.SessionOptions{Window: window})
+	seq := 0
+	for burst := 1; burst <= 3*window; burst++ {
+		var buf bytes.Buffer
+		for i := seq; i < seq+burst; i++ {
+			server.WriteFrame(&buf, server.FramePublishAsync, server.AppendPublishAsyncPayload(nil, uint64(i), []byte(strconv.Itoa(i))))
+		}
+		go peer.Write(buf.Bytes())
+		peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+		acks := readAcks(t, peer, burst)
+		seen := map[uint64]bool{}
+		for _, a := range acks {
+			want := pubAckFor(a.Seq)
+			if seen[a.Seq] || a.Seq < uint64(seq) || a.Seq >= uint64(seq+burst) || a != want {
+				t.Fatalf("burst of %d from seq %d: ack %+v repeated, outside the burst or not %+v", burst, seq, a, want)
+			}
+			seen[a.Seq] = true
+		}
+		seq += burst
+	}
+}
+
+// stageRejecter fails to stage every ninth document.
+type stageRejecter struct{ *fakeHandler }
+
+func (h stageRejecter) StagePublish(doc []byte) (server.PendingAppend, error) {
+	if i, _ := strconv.Atoi(string(doc)); i%9 == 4 {
+		return nil, fmt.Errorf("staging %d", i)
+	}
+	return h.fakeHandler.StagePublish(doc)
+}
+
+// pubAckFor is the ack a stageRejecter session owes document seq.
+func pubAckFor(seq uint64) server.PubAck {
+	if seq%9 == 4 {
+		return server.PubAck{Seq: seq, Err: fmt.Sprintf("staging %d", seq)}
+	}
+	return server.PubAck{Seq: seq, Matches: seq}
+}
