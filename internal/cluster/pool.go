@@ -61,7 +61,6 @@ type Pool struct {
 }
 
 type nodeState struct {
-	c          *client.Client // nil while down
 	up         bool
 	reconnects uint64
 	since      time.Time
@@ -116,14 +115,14 @@ func (p *Pool) manage(node string) {
 			p.opt.OnUp(node, c)
 		}
 		p.mu.Lock()
-		st.c, st.up, st.since, st.lastErr = c, true, time.Now(), nil
+		st.up, st.since, st.lastErr = true, time.Now(), nil
 		st.reconnects++
 		p.mu.Unlock()
 
 		err = p.watch(c, st)
 
 		p.mu.Lock()
-		st.c, st.up, st.since, st.lastErr = nil, false, time.Now(), err
+		st.up, st.since, st.lastErr = false, time.Now(), err
 		p.mu.Unlock()
 		if p.opt.OnDown != nil {
 			p.opt.OnDown(node, err)
@@ -182,19 +181,6 @@ func (p *Pool) Up(node string) bool {
 	defer p.mu.Unlock()
 	st := p.states[node]
 	return st != nil && st.up
-}
-
-// Get returns node's current connection, or false while it is down. The
-// connection may die at any moment; callers must treat errors as "node
-// down" and let OnDown/reroute handle it.
-func (p *Pool) Get(node string) (*client.Client, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	st := p.states[node]
-	if st == nil || !st.up {
-		return nil, false
-	}
-	return st.c, true
 }
 
 // Snapshot returns every node's health, in configuration order.

@@ -3,8 +3,8 @@
 # xpushserve nodes and an xpushgate in front of them, drive
 # workloads/smoke.props through the gate (zipfian popularity, 20% durable,
 # churn + reconnect-storm phase, ~8s), and assert the run finished with
-# zero errors, non-zero deliveries, and filters actually partitioned across
-# both nodes.
+# zero errors and non-zero deliveries, that both nodes served publishes,
+# and that both hold the same subscriptions.
 #
 # Usage: scripts/cluster_smoke.sh [json-out]
 #
@@ -75,15 +75,15 @@ if [ "$churn" -eq 0 ]; then
   exit 1
 fi
 
-# The point of the gate is partitioning: both nodes must have seen real
-# publish fan-out, visible in the gate's per-node ack-latency counters.
+# The gate splits the documents: both nodes must have served publishes,
+# visible in the gate's per-node ack-latency counters.
 if command -v curl >/dev/null; then
   metrics=$(curl -fsS "http://127.0.0.1:$METRICS_PORT/metrics")
   for port in "$N1_PORT" "$N2_PORT"; do
     count=$(echo "$metrics" | awk -v n="node=\"127.0.0.1:$port\"" \
       '$0 ~ /^xpushgate_node_ack_latency_seconds_count/ && index($0, n) { print $2; exit }')
     if [ -z "${count:-}" ] || [ "$count" -eq 0 ]; then
-      echo "cluster_smoke: FAIL — node 127.0.0.1:$port acked no publishes (no partitioned fan-out?)" >&2
+      echo "cluster_smoke: FAIL — node 127.0.0.1:$port acked no publishes" >&2
       echo "$metrics" | grep '^xpushgate_' >&2
       exit 1
     fi
@@ -107,6 +107,7 @@ if command -v curl >/dev/null; then
       exit 1
     fi
   done
+  node_subs=()
   for mport in "$N1_METRICS" "$N2_METRICS"; do
     nm=$(curl -fsS "http://127.0.0.1:$mport/metrics")
     for want in xpushserve_subscribe_latency_seconds xpushserve_consolidation_in_progress \
@@ -122,7 +123,15 @@ if command -v curl >/dev/null; then
       echo "cluster_smoke: FAIL — node :$mport observed no subscribe round trips" >&2
       exit 1
     fi
+    node_subs+=("$subs")
   done
+  # Every subscription goes to every node, so with both nodes up for the
+  # whole run they served the same subscribe round trips.
+  if [ "${node_subs[0]}" -ne "${node_subs[1]}" ]; then
+    echo "cluster_smoke: FAIL — nodes served ${node_subs[0]} and ${node_subs[1]} subscribes; each should hold every subscription" >&2
+    exit 1
+  fi
+  echo "cluster_smoke: both nodes served ${node_subs[0]} subscribes"
   echo "cluster_smoke: stall + per-query series present on gate and both nodes"
 
   # One sampled publish is enough for the merged cross-hop trace to carry
