@@ -80,8 +80,8 @@ func TestRunTrace(t *testing.T) {
 			continue
 		}
 		counts[name]++
-		if args, _ := ev["args"].(map[string]any); name == "filter" && args["layers"] != float64(1) {
-			t.Errorf("filter span args %v, want layers 1", args)
+		if args, _ := ev["args"].(map[string]any); name == "filter" && (args["events"] == nil || args["states_created"] == nil) {
+			t.Errorf("filter span args %v, want the machine's events and states_created", args)
 		}
 	}
 	if counts["document"] != 2 || counts["filter"] != 2 || len(counts) != 2 {

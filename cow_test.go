@@ -3,9 +3,9 @@ package xpushstream
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -229,20 +229,25 @@ func TestWorkloadSnapshotRejectsGarbage(t *testing.T) {
 // TestCOWRandomizedDifferential walks a seeded random sequence of
 // WithQueries / WithoutQuery / Consolidated derivations and, after every
 // step, checks the derived engine's match sets on generated documents
-// against a fresh Compile of the live filter set and against the DOM
-// oracle. It covers what the fixed cases above cannot: long derivation
-// chains, removals spread over many layers, and ids carried across repeated
+// against a fresh Compile of the live filter set — the spliced machine
+// against one compiled from the concatenated workload — and against the
+// DOM oracle. It covers what the fixed cases above cannot: long chains of
+// splices into one warm machine, removals, and ids carried across repeated
 // consolidations. It also holds the engine to its invariants after every
-// step: depth stays within the tier rule's logarithmic bound, NumQueries
-// never decreases, Consolidated keeps every live id (its mapping is the
-// identity on them), and no surviving filter's id, text or mask bit moves.
+// step: one machine, NumQueries never decreases, Consolidated keeps every
+// live id (its mapping is the identity on them), and no surviving filter's
+// id, text or mask bit moves.
 //
-// All 16 combinations of the four machine flags walk the chain, and every
-// step has a concurrent arm: before the new generation has seen a document,
-// two to four goroutines filter the step's documents at once, on it and on
-// the generation it was derived from, which shares its layers — cold layers
-// filling under one document while another reads, and two generations
-// overlapping as a broker's publishes do across a swap.
+// All 16 combinations of the four machine flags walk the chain. Every
+// fifth step also derives a sibling from the step's receiver, whose filter
+// lands in the same machine: the sibling must report it and the chain must
+// not. And every step has a concurrent arm: before the new generation has
+// seen a document, two to four goroutines filter the step's documents at
+// once, on it and on the generation it was derived from, while one more
+// splices a filter no generation of the chain holds — cold rows filling
+// under one document while another reads, two generations overlapping as a
+// broker's publishes do across a swap, and documents in flight across a
+// splice that must report only their own generation's ids.
 func TestCOWRandomizedDifferential(t *testing.T) {
 	ds := datagen.ProteinLike()
 	pool := workload.Generate(ds, workload.Params{
@@ -285,7 +290,37 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 			// byID[id] is the pool filter behind filter id, -1 once removed;
 			// live lists the ids still >= 0.
 			var byID, live []int
-			matched, deepest, merges := 0, 0, 0
+			matched, splices, siblings := 0, 0, 0
+			// wantsFor compiles texts apart and returns its match sets on the
+			// step's documents, renumbered by ids (one per text).
+			wantsFor := func(step int, op string, texts []string, filters []*xpath.Filter, ids []int) []string {
+				fresh, err := Compile(texts, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle := naive.NewEngine(filters)
+				wants := make([]string, len(docs))
+				for di, doc := range docs {
+					fm, err := fresh.FilterDocument(doc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					om, err := oracle.FilterDocument(doc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fmt.Sprint(fm) != fmt.Sprint(om) {
+						t.Fatalf("step %d (%s) doc %d: fresh %v, oracle %v", step, op, di, fm, om)
+					}
+					// fresh and oracle number the filters densely.
+					want := make([]int, len(fm))
+					for i, m := range fm {
+						want[i] = ids[m]
+					}
+					wants[di] = fmt.Sprint(want)
+				}
+				return wants
+			}
 			for step := 0; step < steps; step++ {
 				op := "add"
 				prev := e
@@ -323,30 +358,19 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 						qs = append(qs, pool[p].String())
 						byID = append(byID, p)
 					}
-					before := e.NumLayers()
 					if e, err = e.WithQueries(qs); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
-					if e.NumLayers() <= before {
-						merges++
+					if e.m != prev.m {
+						t.Fatalf("step %d: WithQueries built a new machine", step)
 					}
+					splices++
 				}
-				if n := len(e.filters); n > 0 {
-					bound := int(math.Ceil(math.Log(float64(n))/math.Log(tierFanout))) + 2
-					if e.NumLayers() > bound {
-						t.Fatalf("step %d (%s): %d layers over %d filters, bound %d", step, op, e.NumLayers(), n, bound)
-					}
+				if e.NumLayers() != 1 {
+					t.Fatalf("step %d (%s): %d layers", step, op, e.NumLayers())
 				}
 				if e.NumQueries() != len(byID) || e.NumQueries() < prev.NumQueries() {
 					t.Fatalf("step %d (%s): NumQueries %d after %d, want %d", step, op, e.NumQueries(), prev.NumQueries(), len(byID))
-				}
-				// EndDocument concatenates the layers' results without
-				// sorting: that needs offsets that never decrease (an
-				// empty base layer shares its offset with the next).
-				for li := 1; li < len(e.layerOff); li++ {
-					if e.layerOff[li] < e.layerOff[li-1] {
-						t.Fatalf("step %d (%s): layer offsets %v decrease", step, op, e.layerOff)
-					}
 				}
 				// Every id keeps its filter: the engine reports exactly the
 				// ids still live, each with its text. Pool texts repeat, so
@@ -374,36 +398,44 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 					texts = append(texts, pool[byID[id]].String())
 					filters = append(filters, pool[byID[id]])
 				}
-				if e.NumLayers() > deepest {
-					deepest = e.NumLayers()
-				}
-				fresh, err := Compile(texts, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				oracle := naive.NewEngine(filters)
-				wants := make([]string, len(docs))
-				for di, doc := range docs {
-					fm, err := fresh.FilterDocument(doc)
+				wants := wantsFor(step, op, texts, filters, live)
+
+				if step%5 == 0 && prevWants != nil {
+					// A sibling of e: prev plus one filter, spliced into the
+					// machine e runs on too.
+					p := r.Intn(len(pool))
+					sib, err := prev.WithQueries([]string{pool[p].String()})
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("step %d: sibling: %v", step, err)
 					}
-					om, err := oracle.FilterDocument(doc)
-					if err != nil {
-						t.Fatal(err)
+					sibIDs := append(prev.IDs(), prev.NumQueries())
+					var sibTexts []string
+					var sibFilters []*xpath.Filter
+					for _, id := range sibIDs[:len(sibIDs)-1] {
+						sibTexts = append(sibTexts, prev.Query(id))
+						sibFilters = append(sibFilters, pool[slices.IndexFunc(pool, func(f *xpath.Filter) bool { return f.String() == prev.Query(id) })])
 					}
-					if fmt.Sprint(fm) != fmt.Sprint(om) {
-						t.Fatalf("step %d (%s) doc %d: fresh %v, oracle %v", step, op, di, fm, om)
+					sibTexts = append(sibTexts, pool[p].String())
+					sibFilters = append(sibFilters, pool[p])
+					sibWants := wantsFor(step, "sibling", sibTexts, sibFilters, sibIDs)
+					for di, doc := range docs {
+						if got, err := sib.FilterDocument(doc); err != nil || fmt.Sprint(got) != sibWants[di] {
+							t.Fatalf("step %d: sibling on doc %d: %v, err %v; want %s", step, di, got, err, sibWants[di])
+						}
 					}
-					// fresh and oracle number the live filters densely.
-					want := make([]int, len(fm))
-					for i, m := range fm {
-						want[i] = live[m]
-					}
-					wants[di] = fmt.Sprint(want)
+					siblings++
 				}
 
 				var wg sync.WaitGroup
+				wg.Add(1)
+				go func(p int) {
+					// A splice no generation of the chain holds, landing
+					// while the goroutines below filter.
+					defer wg.Done()
+					if _, err := e.WithQueries([]string{pool[p].String()}); err != nil {
+						t.Errorf("step %d: splicing beside the documents: %v", step, err)
+					}
+				}(r.Intn(len(pool)))
 				for g := 0; g < 2+step%3; g++ {
 					on, onWant := e, wants
 					if g%2 == 1 && prevWants != nil {
@@ -416,8 +448,8 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 							di := (i + g) % len(docs)
 							got, err := on.FilterDocument(docs[di])
 							if err != nil || fmt.Sprint(got) != onWant[di] {
-								t.Errorf("step %d (%s) goroutine %d, doc %d on the %d-layer generation (current: %v): %v, err %v; want %s",
-									step, op, g, di, on.NumLayers(), on == e, got, err, onWant[di])
+								t.Errorf("step %d (%s) goroutine %d, doc %d on the %s generation: %v, err %v; want %s",
+									step, op, g, di, map[bool]string{true: "current", false: "previous"}[on == e], got, err, onWant[di])
 							}
 						}
 					}(g)
@@ -434,33 +466,23 @@ func TestCOWRandomizedDifferential(t *testing.T) {
 					}
 					matched += len(got)
 					if !sort.IntsAreSorted(got) || fmt.Sprint(got) != wants[di] {
-						t.Fatalf("step %d (%s, %d layers, %d live of %d) doc %d:\n derived %v\n want    %s",
-							step, op, e.NumLayers(), len(live), len(byID), di, got, wants[di])
+						t.Fatalf("step %d (%s, %d live of %d) doc %d:\n derived %v\n want    %s",
+							step, op, len(live), len(byID), di, got, wants[di])
 					}
 				}
 			}
-			if matched == 0 || deepest < 3 || merges == 0 {
-				t.Fatalf("vacuous walk: %d matches compared, deepest chain %d layers, %d tier merges", matched, deepest, merges)
+			if matched == 0 || splices < 10 || siblings == 0 {
+				t.Fatalf("vacuous walk: %d matches compared, %d splices, %d siblings", matched, splices, siblings)
 			}
 		})
 	}
 }
 
-// layerSizes is the engine's layer partition as filter counts.
-func layerSizes(e *Engine) []int {
-	sizes := make([]int, len(e.layers))
-	for li := range sizes {
-		lo, hi := e.layerSlots(li)
-		sizes[li] = hi - lo
-	}
-	return sizes
-}
-
 // TestTieredWorkloadSnapshotRoundTrip: an engine grown one filter at a time
-// (so its tail is whatever partition the tier rule left) with masked filters
-// in several layers round-trips through the workload snapshot with the same
-// partition, state count and match sets. OpenWorkloadSnapshot must rebuild
-// the recorded partition, not re-tier it: the machine state is per layer.
+// (every filter spliced into the warm machine) with masked filters
+// round-trips through the workload snapshot with the same state count and
+// match sets: the spliced machine is the one Compile builds from the
+// concatenated workload, so its state loads into the reopened engine.
 func TestTieredWorkloadSnapshotRoundTrip(t *testing.T) {
 	ds := datagen.ProteinLike()
 	pool := workload.Generate(ds, workload.Params{Seed: 19, NumQueries: 48, MeanPreds: 2, DescendantProb: 0.2})
@@ -483,9 +505,6 @@ func TestTieredWorkloadSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if e.NumLayers() < 3 {
-		t.Fatalf("tiered engine has %d layers, want a multi-layer tail", e.NumLayers())
-	}
 	want := make([]string, len(docs))
 	for i, doc := range docs {
 		m, err := e.FilterDocument(doc)
@@ -501,9 +520,6 @@ func TestTieredWorkloadSnapshotRoundTrip(t *testing.T) {
 	restored, err := OpenWorkloadSnapshot(&buf, Config{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got, want := fmt.Sprint(layerSizes(restored)), fmt.Sprint(layerSizes(e)); got != want {
-		t.Fatalf("restored partition %s, want %s", got, want)
 	}
 	if fmt.Sprint(restored.MaskedIDs()) != fmt.Sprint(e.MaskedIDs()) || fmt.Sprint(restored.IDs()) != fmt.Sprint(e.IDs()) {
 		t.Fatal("restored ids or mask differ")
@@ -525,10 +541,11 @@ func TestTieredWorkloadSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOpenParentThreeLayerSnapshot: a snapshot written before the tier rule
-// existed — layers of 2, 1 and 1 filters, which WithQueries would now merge —
-// still opens with its recorded partition and warm state. The file was
-// written by the PR 18 tree: Compile of two filters, two single-filter
+// TestOpenParentThreeLayerSnapshot: a snapshot written when WithQueries
+// stacked a machine per tail layer — layers of 2, 1 and 1 filters — still
+// opens, as one machine holding the four filters under their ids; the three
+// machine states, which no single machine can take, are skipped. The file
+// was written by an older tree: Compile of two filters, two single-filter
 // WithQueries, filter 1 masked, ten documents filtered.
 func TestOpenParentThreeLayerSnapshot(t *testing.T) {
 	f, err := os.Open("testdata/pr18_three_layers.xpw")
@@ -540,14 +557,11 @@ func TestOpenParentThreeLayerSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprint(layerSizes(e)); got != "[2 1 1]" {
-		t.Fatalf("partition %s, want [2 1 1]", got)
+	if e.NumLayers() != 1 {
+		t.Fatalf("%d layers, want 1", e.NumLayers())
 	}
 	if got, masked := fmt.Sprint(e.IDs()), fmt.Sprint(e.MaskedIDs()); got != "[0 2 3]" || masked != "[1]" || e.NumQueries() != 4 {
 		t.Fatalf("ids %s, masked %s, %d ids handed out; want [0 2 3], [1], 4", got, masked, e.NumQueries())
-	}
-	if got := e.Stats().States; got != 13 {
-		t.Errorf("restored %d states, want the 13 the file was written with", got)
 	}
 	if m, err := e.FilterDocument([]byte(`<m><v>3</v><w>7</w></m>`)); err != nil || fmt.Sprint(m) != "[0 3]" {
 		t.Fatalf("matches = %v err=%v, want [0 3]", m, err)

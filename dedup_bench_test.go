@@ -121,9 +121,9 @@ func runZipfianFilter(b *testing.B, e *Engine, reg *workload.Dedup[int], keys []
 //
 // All sides report docs/sec including per-subscription delivery accounting.
 // When WithQueries added one layer per call, naive crossed 50k machines per
-// document (~21 docs/sec against ~2.8k deduped). With the size-tiered merge
-// it crosses seven, and one machine shares the states of identical
-// filters, so the three arms filter at the same speed (EXPERIMENTS.md has
+// document (~21 docs/sec against ~2.8k deduped). Spliced into one machine,
+// which shares the states of identical filters, the three arms filter at
+// the same speed (EXPERIMENTS.md has
 // the table). What deduplication still buys is everything proportional to
 // the number of compiled queries — BenchmarkZipfianCompaction.
 func BenchmarkZipfianSubscribers(b *testing.B) {
@@ -135,8 +135,8 @@ func BenchmarkZipfianSubscribers(b *testing.B) {
 	texts := zipfWorkload(subscribers, distinct)
 	docs := zipfDocs(ndocs, distinct)
 
-	// layered replays the broker's subscribe path: one WithQueries per
-	// compiled query.
+	// layered replays the broker's subscribe path: one WithQueries (one
+	// splice) per compiled query.
 	layered := func(qs []string) *Engine {
 		e, err := Compile(qs[:1], Config{})
 		if err != nil {

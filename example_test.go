@@ -45,9 +45,9 @@ func ExampleEngine_FilterBytes() {
 	// 1
 }
 
-// Inserting subscriptions without discarding the engine's warm state (the
-// paper's layered-machine update path): the derived engine shares the
-// receiver's machine and adds one small layer.
+// Inserting subscriptions without discarding the engine's warm state: the
+// new filter is spliced into the receiver's machine, which both engines run,
+// each reporting only its own filters.
 func ExampleEngine_WithQueries() {
 	engine, err := xpushstream.Compile([]string{`/m[v=1]`}, xpushstream.Config{})
 	if err != nil {
@@ -59,7 +59,7 @@ func ExampleEngine_WithQueries() {
 	}
 	matches, _ := next.FilterDocument([]byte(`<m><v>2</v></m>`))
 	fmt.Println(matches, next.NumLayers(), engine.NumLayers())
-	// Output: [1] 2 1
+	// Output: [1] 1 1
 }
 
 // Using a DTD to enable the order optimization and synthetic training.

@@ -4,8 +4,8 @@
 // connection: subscribers register XPath filters over the framed protocol,
 // a producer publishes XML packets, and the broker forwards each packet to
 // every subscriber whose filter matches. Subscriptions land while traffic
-// flows: the broker inserts them as copy-on-write machine layers (the
-// paper's layered-machine update path) without discarding warm state.
+// flows: the broker splices them into its running machine and swaps in the
+// next workload generation, without discarding warm state.
 //
 // Slow subscribers are handled by the broker's backpressure policy instead
 // of a silent drop: this demo runs the lossless "block" policy, and the

@@ -182,8 +182,11 @@ func (a *AFA) Delta(s int32, in int32, out []int32) []int32 {
 // FiresOn reports whether some transition of the automaton fires on the
 // input symbol in. When none does, δ and δ⁻¹ over in are empty for every
 // state set.
-func (a *AFA) FiresOn(in int32) bool {
-	for i := range a.states {
+func (a *AFA) FiresOn(in int32) bool { return a.FiresOnFrom(0, in) }
+
+// FiresOnFrom is FiresOn over the states from `from` on.
+func (a *AFA) FiresOnFrom(from, in int32) bool {
+	for i := from; i < int32(len(a.states)); i++ {
 		for _, e := range a.states[i].edges {
 			if a.Syms.Matches(e.sym, in) {
 				return true
@@ -191,6 +194,14 @@ func (a *AFA) FiresOn(in int32) bool {
 		}
 	}
 	return false
+}
+
+// BackSyms returns the labels of the transitions into state s.
+func (a *AFA) BackSyms(s int32, out []int32) []int32 {
+	for _, e := range a.states[s].back {
+		out = append(out, e.sym)
+	}
+	return out
 }
 
 // DeltaInv computes δ⁻¹(q, in) = { s' | δ(s', in) ∩ q ≠ ∅ } for a sorted
@@ -238,9 +249,23 @@ type Evaluator struct {
 	out   []int32
 }
 
-// NewEvaluator returns an Evaluator for the AFA.
+// NewEvaluator returns an Evaluator for the AFA. It follows the automaton
+// through Extend: the marks grow with the states on the next call.
 func (a *AFA) NewEvaluator() *Evaluator {
 	return &Evaluator{a: a, mark: make([]uint32, len(a.states))}
+}
+
+// next starts a new evaluation: a fresh epoch, marks for every state.
+func (ev *Evaluator) next() {
+	if n := len(ev.a.states); len(ev.mark) < n {
+		ev.mark = append(ev.mark, make([]uint32, n-len(ev.mark))...)
+	}
+	ev.epoch++
+	if ev.epoch == 0 { // epoch wrapped: clear marks
+		clear(ev.mark)
+		ev.epoch = 1
+	}
+	ev.out = ev.out[:0]
 }
 
 func (ev *Evaluator) has(s int32) bool { return ev.mark[s] == ev.epoch }
@@ -259,14 +284,7 @@ func (ev *Evaluator) add(s int32) bool {
 // injection.
 func (ev *Evaluator) Eval(q []int32, extra []int32) []int32 {
 	a := ev.a
-	ev.epoch++
-	if ev.epoch == 0 { // epoch wrapped: clear marks
-		for i := range ev.mark {
-			ev.mark[i] = 0
-		}
-		ev.epoch = 1
-	}
-	ev.out = ev.out[:0]
+	ev.next()
 	for _, s := range q {
 		ev.add(s)
 	}
@@ -297,14 +315,7 @@ func (ev *Evaluator) Eval(q []int32, extra []int32) []int32 {
 // returned slice is valid until the next Eval/CloseEps call.
 func (ev *Evaluator) CloseEps(q []int32) []int32 {
 	a := ev.a
-	ev.epoch++
-	if ev.epoch == 0 {
-		for i := range ev.mark {
-			ev.mark[i] = 0
-		}
-		ev.epoch = 1
-	}
-	ev.out = ev.out[:0]
+	ev.next()
 	for _, s := range q {
 		ev.add(s)
 	}

@@ -2,7 +2,7 @@ package afa
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/xmlval"
 	"repro/internal/xpath"
@@ -22,22 +22,42 @@ func (e *CompileError) Error() string {
 // Compile translates a workload of parsed XPath filters into the union AFA,
 // one automaton per filter over a shared symbol table (Sec. 3.2, step 1).
 func Compile(filters []*xpath.Filter) (*AFA, error) {
-	b := &builder{
-		a: &AFA{Syms: NewSymbols()},
+	a := &AFA{Syms: NewSymbols()}
+	if _, err := a.Extend(filters); err != nil {
+		return nil, err
 	}
+	return a, nil
+}
+
+// Extend compiles filters into the automaton after the ones it holds: their
+// states are numbered from the returned first new state on, their filter
+// indexes from len(a.Queries) on, and their labels are interned after the
+// existing ones, so an automaton extended filter by filter is the one Compile
+// builds from the concatenated workload. No existing state changes: every
+// edge of a new state leads to a new state. On error the automaton is left
+// as it was.
+func (a *AFA) Extend(filters []*xpath.Filter) (from int32, err error) {
+	from = int32(len(a.states))
+	nq, nsyms, leaves := len(a.Queries), a.Syms.Len(), a.leafCount
+	b := &builder{a: a, base: int32(nq)}
 	for i, f := range filters {
-		init, err := b.compileFilter(f, int32(i))
+		init, err := b.compileFilter(f, int32(nq+i))
 		if err != nil {
-			return nil, err
+			clear(a.states[from:])
+			a.states = a.states[:from]
+			a.Queries = a.Queries[:nq]
+			a.Syms.truncate(nsyms)
+			a.leafCount = leaves
+			return 0, err
 		}
-		b.a.Queries = append(b.a.Queries, QueryInfo{
+		a.Queries = append(a.Queries, QueryInfo{
 			Initial:       init,
 			HasDescendant: f.HasDescendant(),
 			Source:        f.Source,
 		})
 	}
-	b.finalize()
-	return b.a, nil
+	b.finalize(from, nq)
+	return from, nil
 }
 
 // MustCompile panics on error; for statically known workloads.
@@ -51,6 +71,7 @@ func MustCompile(filters ...*xpath.Filter) *AFA {
 
 type builder struct {
 	a     *AFA
+	base  int32 // the first filter index of this batch: errors count from it
 	query int32
 	src   string
 }
@@ -86,7 +107,7 @@ func (b *builder) addEps(from, to int32) {
 }
 
 func (b *builder) errf(format string, args ...any) error {
-	return &CompileError{Query: int(b.query), Source: b.src, Msg: fmt.Sprintf(format, args...)}
+	return &CompileError{Query: int(b.query - b.base), Source: b.src, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (b *builder) compileFilter(f *xpath.Filter, q int32) (int32, error) {
@@ -317,35 +338,35 @@ func flattenOr(e xpath.Expr, out []xpath.Expr) []xpath.Expr {
 	return append(out, e)
 }
 
-// finalize builds derived structures: back edges, ε-parents, NOT ranks,
-// terminal lists, initial set, and per-query early states.
-func (b *builder) finalize() {
+// finalize builds the derived structures of the states from `from` on and
+// of the filters from nq on: back edges, ε-parents, NOT ranks, terminal
+// lists, the initial set, and per-filter early states. Edges never leave a
+// filter, so nothing of an earlier state changes.
+func (b *builder) finalize(from int32, nq int) {
 	a := b.a
-	for i := range a.states {
-		from := int32(i)
+	for i := from; i < int32(len(a.states)); i++ {
 		for _, e := range a.states[i].edges {
-			a.states[e.to].back = append(a.states[e.to].back, edge{sym: e.sym, to: from})
+			a.states[e.to].back = append(a.states[e.to].back, edge{sym: e.sym, to: i})
 		}
 		for _, t := range a.states[i].eps {
-			a.states[t].epsParents = append(a.states[t].epsParents, from)
+			a.states[t].epsParents = append(a.states[t].epsParents, i)
 		}
-		switch a.states[i].terminal {
-		case TrueTerminal:
-			a.trueTerminals = append(a.trueTerminals, from)
+		if a.states[i].terminal == TrueTerminal {
+			a.trueTerminals = append(a.trueTerminals, i) // ascending: ids only grow
 		}
 	}
-	sort.Slice(a.trueTerminals, func(i, j int) bool { return a.trueTerminals[i] < a.trueTerminals[j] })
 
 	// NOT ranks via memoized DFS (self-loops excluded, so the graph is
 	// acyclic for ranking purposes).
-	ranks := make([]int16, len(a.states))
-	done := make([]bool, len(a.states))
+	n := int32(len(a.states)) - from
+	ranks := make([]int16, n)
+	done := make([]bool, n)
 	var rank func(int32) int16
 	rank = func(s int32) int16 {
-		if done[s] {
-			return ranks[s]
+		if done[s-from] {
+			return ranks[s-from]
 		}
-		done[s] = true // self-loop guard; final value set below
+		done[s-from] = true // self-loop guard; final value set below
 		var r int16
 		for _, t := range a.states[s].eps {
 			if rr := rank(t); rr > r {
@@ -363,62 +384,59 @@ func (b *builder) finalize() {
 		if a.states[s].kind == NOT {
 			r++
 		}
-		ranks[s] = r
+		ranks[s-from] = r
 		return r
 	}
-	for i := range a.states {
-		rank(int32(i))
+	for s := from; s < from+n; s++ {
+		r := rank(s)
+		a.states[s].notRank = r
+		a.maxNotRank = max(a.maxNotRank, r)
 	}
-	for i := range a.states {
-		a.states[i].notRank = ranks[i]
-		if ranks[i] > a.maxNotRank {
-			a.maxNotRank = ranks[i]
-		}
+	for len(a.notsByRank) <= int(a.maxNotRank) {
+		a.notsByRank = append(a.notsByRank, nil)
 	}
-	a.notsByRank = make([][]int32, a.maxNotRank+1)
-	for i := range a.states {
-		if a.states[i].kind == NOT {
-			r := ranks[i]
-			a.notsByRank[r] = append(a.notsByRank[r], int32(i))
+	for s := from; s < from+n; s++ {
+		if a.states[s].kind == NOT {
+			a.notsByRank[ranks[s-from]] = append(a.notsByRank[ranks[s-from]], s)
 		}
 	}
 
-	gated := a.computeGated()
-	for qi := range a.Queries {
+	gated := a.computeGated(from)
+	for qi := nq; qi < len(a.Queries); qi++ {
 		early := a.earlyState(a.Queries[qi].Initial)
 		// Early notification is sound only for "gated" states: ones
 		// whose firing implies the query's navigation prefix matched.
 		// NOT states (and states whose truth can arrive purely through
 		// NOT branches) fire at arbitrary nodes, so queries whose
 		// first branching state is ungated opt out (Early = -1).
-		if !gated[early] {
+		if !gated[early-from] {
 			early = -1
 		}
 		a.Queries[qi].Early = early
-		a.initials = append(a.initials, a.Queries[qi].Initial)
+		a.initials = append(a.initials, a.Queries[qi].Initial) // ascending
 		if a.Queries[qi].HasDescendant {
 			a.anyDescends = true
 		}
 	}
-	sort.Slice(a.initials, func(i, j int) bool { return a.initials[i] < a.initials[j] })
 }
 
-// computeGated classifies states by whether their firing is "navigation
-// gated": a gated state can only appear in a bottom-up computation at a node
-// reached through the query's actual navigation prefix (terminal states are
-// gated because tvalue and the TrueTerminal injection are filtered by the
-// top-down state; AND states are gated when at least one conjunct is; OR
-// states need all alternatives gated; NOT states are never gated — they fire
-// on absence, anywhere).
-func (a *AFA) computeGated() []bool {
-	gated := make([]bool, len(a.states))
-	visited := make([]bool, len(a.states))
+// computeGated classifies the states from `from` on by whether their firing
+// is "navigation gated" (indexed by state minus from): a gated state can only
+// appear in a bottom-up computation at a node reached through the query's
+// actual navigation prefix (terminal states are gated because tvalue and the
+// TrueTerminal injection are filtered by the top-down state; AND states are
+// gated when at least one conjunct is; OR states need all alternatives gated;
+// NOT states are never gated — they fire on absence, anywhere).
+func (a *AFA) computeGated(from int32) []bool {
+	n := int32(len(a.states)) - from
+	gated := make([]bool, n)
+	visited := make([]bool, n)
 	var rec func(int32) bool
 	rec = func(s int32) bool {
-		if visited[s] {
-			return gated[s]
+		if visited[s-from] {
+			return gated[s-from]
 		}
-		visited[s] = true // self-loop guard: defaults to false while open
+		visited[s-from] = true // self-loop guard: defaults to false while open
 		st := &a.states[s]
 		var g bool
 		switch {
@@ -450,11 +468,11 @@ func (a *AFA) computeGated() []bool {
 				}
 			}
 		}
-		gated[s] = g
+		gated[s-from] = g
 		return g
 	}
-	for i := range a.states {
-		rec(int32(i))
+	for s := from; s < from+n; s++ {
+		rec(s)
 	}
 	return gated
 }
@@ -490,10 +508,17 @@ func (a *AFA) earlyState(init int32) int32 {
 // order; a state with a wildcard or self-loop transition is incomparable
 // (Sec. 5). Calling ApplyOrder replaces any previous prec assignment.
 func (a *AFA) ApplyOrder(order interface{ Precedes(x, y string) bool }) {
-	for i := range a.states {
+	a.ApplyOrderFrom(0, order)
+}
+
+// ApplyOrderFrom is ApplyOrder for the states from `from` on, the ones an
+// Extend added: an AND state and its ε-children belong to one filter, so the
+// earlier states' prec lists stay as they are.
+func (a *AFA) ApplyOrderFrom(from int32, order interface{ Precedes(x, y string) bool }) {
+	for i := from; i < int32(len(a.states)); i++ {
 		a.states[i].prec = nil
 	}
-	for i := range a.states {
+	for i := from; i < int32(len(a.states)); i++ {
 		if a.states[i].kind != AND {
 			continue
 		}
@@ -510,9 +535,8 @@ func (a *AFA) ApplyOrder(order interface{ Precedes(x, y string) bool }) {
 			}
 		}
 	}
-	for i := range a.states {
-		p := a.states[i].prec
-		sort.Slice(p, func(x, y int) bool { return p[x] < p[y] })
+	for i := from; i < int32(len(a.states)); i++ {
+		slices.Sort(a.states[i].prec)
 	}
 }
 

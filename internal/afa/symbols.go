@@ -151,6 +151,18 @@ func (s *Symbols) Intern(label string) int32 {
 	return id
 }
 
+// truncate forgets every label interned after the first n.
+func (s *Symbols) truncate(n int) {
+	if n == len(s.names) {
+		return
+	}
+	s.names, s.isAttr = s.names[:n], s.isAttr[:n]
+	s.slots = newSlots(len(s.slots))
+	for id, name := range s.names {
+		s.insert(hashLabelString(name), int32(id))
+	}
+}
+
 // Lookup returns the id for a label without creating it; ok is false for
 // unknown labels.
 func (s *Symbols) Lookup(label string) (int32, bool) {

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -47,43 +45,6 @@ func gateWorkload(tb testing.TB, n int) (filters []string, docs [][]byte) {
 	return nil, nil
 }
 
-// metricLine reports whether a node's metrics carry line.
-func metricLine(n *server.Server, line string) bool {
-	var buf bytes.Buffer
-	n.Registry().WritePrometheus(&buf)
-	return strings.Contains(buf.String(), "\n"+line+"\n")
-}
-
-// compactAll leaves every node running its workload on one machine. A node
-// compacts once more than 32 filters sit in layers above its base machine,
-// and the subscriptions that arrive while it compacts land in such a layer;
-// so each node gets filters on a label no document carries, subscribed on
-// a connection of its own one at a time, each after the node's compaction
-// has finished, until it has no layer left above its base. The returned
-// connections hold those filters.
-func compactAll(b *testing.B, nodes []*server.Server) []*client.Client {
-	var pads []*client.Client
-	for _, n := range nodes {
-		c, err := client.Dial(n.Addr(), client.Options{Timeout: 10 * time.Second})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pads = append(pads, c)
-		for i := 0; !metricLine(n, "xpushserve_engine_layers 1"); i++ {
-			if i > 1000 {
-				b.Fatal("the node never compacted its workload")
-			}
-			if _, err := c.Subscribe(fmt.Sprintf("/pad%d", i)); err != nil {
-				b.Fatal(err)
-			}
-			for time.Sleep(time.Millisecond); !metricLine(n, "xpushserve_consolidation_in_progress 0"); {
-				time.Sleep(time.Millisecond)
-			}
-		}
-	}
-	return pads
-}
-
 // settle publishes the document pool through the gate until a whole pass
 // sends no node's machine off its shared tables, so that the clock runs on
 // warm engines.
@@ -124,8 +85,7 @@ func cpuTime() time.Duration {
 }
 
 // gatePipelines boots n nodes and a gate over them, subscribes filters
-// through the gate on one subscriber connection, compacts and warms the
-// nodes, and returns pubs publish pipelines through the gate, each on a
+// through the gate on one subscriber connection, warms the nodes, and returns pubs publish pipelines through the gate, each on a
 // connection of its own, and the function that closes it all.
 func gatePipelines(b *testing.B, n, pubs int, filters []string, docs [][]byte) ([]*client.Pipeline, func()) {
 	var nodes []*server.Server
@@ -156,7 +116,6 @@ func gatePipelines(b *testing.B, n, pubs int, filters []string, docs [][]byte) (
 		}
 		ps = append(ps, p)
 	}
-	conns = append(conns, compactAll(b, nodes)...)
 	settle(b, conns[1], docs, nodes)
 	return ps, func() {
 		for _, c := range conns {

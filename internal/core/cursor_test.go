@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/xpath"
 )
 
 // TestFlushWaitsForDocumentInUpgrade replays, step by step on one goroutine,
@@ -12,7 +14,7 @@ import (
 // state ids — and the flush must happen at the first boundary after A.
 func TestFlushWaitsForDocumentInUpgrade(t *testing.T) {
 	m := New(compileWorkload(t, "//a[b=1 and c=2]"), Options{MaxStates: 2})
-	a, b := ForkStack([]*Machine{m})[0], ForkStack([]*Machine{m})[0]
+	a, b := m.Fork(), m.Fork()
 
 	a.StartDocument()
 	a.StartElementBytes([]byte("a"))
@@ -22,11 +24,11 @@ func TestFlushWaitsForDocumentInUpgrade(t *testing.T) {
 	if _, qb := a.Current(); qb == 0 || len(m.bsets) <= m.opts.MaxStates {
 		t.Fatalf("set-up: A at state %d with %d states interned; want a live id and the cap exceeded", qb, len(m.bsets))
 	}
-	if !a.st.excl {
+	if !a.excl {
 		t.Fatal("set-up: A filled tables without the write lock")
 	}
 	// Put A where upgrade() is between its RUnlock and its Lock.
-	a.st.excl = false
+	a.excl = false
 	a.mu.Unlock()
 
 	flushes := m.Stats().Flushes
@@ -39,7 +41,7 @@ func TestFlushWaitsForDocumentInUpgrade(t *testing.T) {
 	}
 
 	a.mu.Lock() // A's turn
-	a.st.excl = true
+	a.excl = true
 	a.StartElementBytes([]byte("c"))
 	a.TextBytes([]byte("2"))
 	a.EndElementBytes([]byte("c"))
@@ -57,41 +59,48 @@ func TestFlushWaitsForDocumentInUpgrade(t *testing.T) {
 	}
 }
 
-// TestStackSharesOneLock: the cursors ForkStack makes for a base and a layer
-// stacked on it take the base's lock once per document, whichever layer
-// misses, and give it back when the last of them leaves the document.
-func TestStackSharesOneLock(t *testing.T) {
-	base := New(compileWorkload(t, "//a[b=1]"), Options{})
-	tail := New(compileWorkload(t, "//a[c=2]"), Options{})
-	tail.StackOn(base)
-	cur := ForkStack([]*Machine{base, tail})
-	each := func(f func(m *Machine)) {
-		for _, m := range cur {
-			f(m)
-		}
+// TestSpliceAcrossUpgrade replays a splice that lands while a document is
+// between its read lock and the write lock it upgrades to: the document
+// resumes on the grown workload, its cursor grows with it, its old filter
+// still answers right, and it may report the new filter (whoever drives the
+// cursor drops oids it does not hold). The next document sees both.
+func TestSpliceAcrossUpgrade(t *testing.T) {
+	m := New(compileWorkload(t, "//a[b=1]"), Options{})
+	a := m.Fork()
+	a.StartDocument()
+	a.StartElementBytes([]byte("a"))
+	a.StartElementBytes([]byte("b"))
+	a.TextBytes([]byte("1"))
+	a.EndElementBytes([]byte("b"))
+	if !a.excl {
+		t.Fatal("set-up: A filled tables without the write lock")
 	}
-	each((*Machine).StartDocument)
-	each(func(m *Machine) { m.StartElementBytes([]byte("a")) })
-	each(func(m *Machine) { m.StartElementBytes([]byte("c")) })
-	each(func(m *Machine) { m.TextBytes([]byte("2")) })
-	if st := cur[0].st; st != cur[1].st || st.in != 2 || !st.excl {
-		t.Fatalf("mid-document: stream %+v, shared %v; want both cursors in, write lock held", st, cur[0].st == cur[1].st)
+	a.excl = false // A is now inside upgrade(), between RUnlock and Lock
+	a.mu.Unlock()
+
+	oid, err := m.Splice([]*xpath.Filter{xpath.MustParse("//a[c=2]")})
+	if err != nil || oid != 1 {
+		t.Fatalf("Splice: oid %d, err %v", oid, err)
 	}
-	each(func(m *Machine) { m.EndElementBytes([]byte("c")) })
-	each(func(m *Machine) { m.EndElementBytes([]byte("a")) })
-	cur[0].EndDocument()
-	if base.mu.TryLock() {
-		t.Fatal("the lock was dropped with the tail cursor still inside the document")
+
+	a.mu.Lock() // A's turn
+	a.excl = true
+	a.fit()
+	a.StartElementBytes([]byte("c"))
+	a.TextBytes([]byte("2"))
+	a.EndElementBytes([]byte("c"))
+	a.EndElementBytes([]byte("a"))
+	a.EndDocument()
+	if fmt.Sprint(a.Results()) != "[0 1]" || len(a.matched) != 2 {
+		t.Fatalf("A across the splice: matches %v over %d marks, want [0 1] over 2", a.Results(), len(a.matched))
 	}
-	cur[1].EndDocument()
-	if !base.mu.TryLock() {
+	if a.mu.TryLock() {
+		a.mu.Unlock()
+	} else {
 		t.Fatal("the lock outlived the document")
 	}
-	base.mu.Unlock()
-	if fmt.Sprint(cur[0].Results(), cur[1].Results()) != "[] [0]" {
-		t.Fatalf("matches %v %v", cur[0].Results(), cur[1].Results())
-	}
-	if base.Stats().ExclusiveDocs+tail.Stats().ExclusiveDocs != 1 {
-		t.Fatalf("one document went exclusive, counted %d + %d times", base.Stats().ExclusiveDocs, tail.Stats().ExclusiveDocs)
+	got, err := m.Fork().FilterDocument([]byte("<a><b>1</b><c>2</c></a>"))
+	if err != nil || fmt.Sprint(got) != "[0 1]" {
+		t.Fatalf("after the splice: %v, %v", got, err)
 	}
 }

@@ -173,11 +173,16 @@ func TestTabEMatchesMap(t *testing.T) {
 			key = packValue(int32(r.Intn(20)), int64(r.Intn(50))<<32|int64(r.Intn(8)))
 		}
 		rk := refKey{key.lo, key.hi}
-		switch r.Intn(3) {
+		switch r.Intn(4) {
 		case 0:
 			e := entry{state: int32(r.Intn(1 << 20)), early: randEarly()}
 			tab.put(key, e)
 			ref[rk] = e
+		case 1:
+			if i%3 == 0 { // fewer deletes than puts: the table still grows
+				tab.del(key)
+				delete(ref, rk)
+			}
 		default:
 			got, ok := tab.get(key)
 			want, wok := ref[rk]

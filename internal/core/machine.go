@@ -162,8 +162,8 @@ type frame struct {
 // over them. It implements sax.BytesHandler: names and text arrive as
 // borrowed bytes, so the warm path allocates no string per event. One
 // Machine value serves one stream at a time; any number of them — New's and
-// the cursors ForkStack makes from it — filter documents concurrently over
-// the same tables.
+// the cursors Fork makes from it — filter documents concurrently over the
+// same tables.
 //
 // Locking is per document (DESIGN.md "One machine, many cursors"):
 // StartDocument takes the read lock, and a warm document reads tables and
@@ -171,7 +171,9 @@ type frame struct {
 // for the write lock (upgrade) and the rest of that document runs alone;
 // EndDocument releases whichever is held. State ids index the append-only
 // bsets/tsets, so a cursor's ids stay valid while it waits for the write
-// lock; only a MaxStates flush invalidates them (Options.MaxStates).
+// lock; only a MaxStates flush invalidates them (Options.MaxStates). Splice
+// adds filters under the write lock too, so a document sees the workload
+// change only between documents or across its upgrade.
 type Machine struct {
 	*shared
 	cursor
@@ -180,11 +182,8 @@ type Machine struct {
 // shared is what every cursor over one machine reads, and writes only under
 // mu's write lock.
 type shared struct {
-	// mu guards every field below down to scratch2. A layer stacked on a
-	// base machine (StackOn) uses the base's lock: with a lock per layer, two
-	// documents upgrading on different layers would wait on each other's
-	// read locks.
-	mu *sync.RWMutex
+	// mu guards every field below down to scratch2, the automaton included.
+	mu sync.RWMutex
 	// inflight counts the documents that may hold state ids, for the flush;
 	// kept only under a MaxStates cap.
 	inflight atomic.Int32
@@ -212,6 +211,11 @@ type shared struct {
 	addTab   tab64 // packAdd(qbs, qaux) -> qb'
 	valueTab tabE  // packValue(qt, interval) -> entry
 	sectTab  tab64 // packAdd(qaux, qt) -> qb'
+	// pointRows lists the value rows under each point interval of the
+	// numeric (0) and string (1) domain, so a splice that changes one
+	// point's satisfied set deletes its rows without a scan. A listed row
+	// may be gone already.
+	pointRows [2]map[int32][]key128
 
 	isEarly     []bool // per AFA state
 	needIsect   bool   // early + descendant: intersect after pops
@@ -230,24 +234,16 @@ type shared struct {
 	ctr counters
 }
 
-// stream is the lock state of one document stream, shared by its cursors on
-// the layers of a stack: the lock is taken when the first of them enters a
-// document and dropped when the last one leaves.
-type stream struct {
-	in   int  // cursors inside a document
-	excl bool // the write lock is held (the read lock otherwise, while in > 0)
-}
-
 // cursor is one stream's position in the machine: everything the event loop
 // writes on a table hit.
 type cursor struct {
-	st      *stream
 	qt, qb  int32
 	stack   []frame
-	cur     frame // flags of the current element
-	matched []bool
+	cur     frame  // flags of the current element
+	matched []bool // per filter; fit grows it as Splice adds filters
 	results []int32
-	inDoc   bool // between StartDocument and Release: counted in st.in
+	inDoc   bool // between StartDocument and Release: holds the lock
+	excl    bool // the lock held is the write lock
 	err     error
 
 	training bool
@@ -279,12 +275,10 @@ func New(a *afa.AFA, opts Options) *Machine {
 		opts.TopDown = true // required for correctness (Sec. 5)
 	}
 	m := &Machine{shared: &shared{
-		mu:   new(sync.RWMutex),
 		afa:  a,
 		opts: opts,
 		ev:   a.NewEvaluator(),
 	}}
-	m.cursor = newCursor(m.shared, new(stream))
 	b := predindex.NewBuilder()
 	a.EachLeafTerminal(func(s int32, op xmlval.Op, c xmlval.Const) {
 		b.Add(s, op, c)
@@ -312,55 +306,52 @@ func New(a *afa.AFA, opts Options) *Machine {
 	return m
 }
 
-func newCursor(sh *shared, st *stream) cursor {
-	return cursor{st: st, matched: make([]bool, len(sh.afa.Queries))}
+// Fork returns a fresh cursor over the machine's tables, for one more
+// concurrent stream.
+func (m *Machine) Fork() *Machine {
+	return &Machine{shared: m.shared}
 }
 
-// ForkStack returns a fresh cursor over each of the given machines — a base
-// and the layers stacked on it (StackOn), or a single machine — for one more
-// concurrent stream. The cursors share one lock state: drive them in
-// lockstep, every event to each in order.
-func ForkStack(layers []*Machine) []*Machine {
-	st := new(stream)
-	out := make([]*Machine, len(layers))
-	for i, m := range layers {
-		out[i] = &Machine{shared: m.shared, cursor: newCursor(m.shared, st)}
+// fit grows the cursor's per-filter marks to the workload, which Splice may
+// have grown while the cursor held no lock. Callers hold the lock.
+func (m *Machine) fit() {
+	if n := len(m.afa.Queries); len(m.matched) < n {
+		m.matched = append(m.matched, make([]bool, n-len(m.matched))...)
 	}
-	return out
 }
-
-// StackOn makes m a layer over base: from here on m's tables are guarded by
-// base's lock, and m must only run in a stack that base is part of. Call it
-// before m is shared.
-func (m *Machine) StackOn(base *Machine) { m.mu = base.mu }
 
 // upgrade is called after a table probe missed, before the transition is
-// computed and stored. Unless the stream holds the write lock already, it
+// computed and stored. Unless the cursor holds the write lock already, it
 // trades its read lock for it and reports true: another document may have
-// stored the entry meanwhile, so the caller probes once more.
+// stored the entry meanwhile, or a splice may have changed the workload, so
+// the caller probes once more.
 func (m *Machine) upgrade() bool {
-	if m.st.excl {
+	if m.excl {
 		return false
 	}
 	m.mu.RUnlock()
 	m.mu.Lock()
-	m.st.excl = true
-	m.ctr.exclusive.Add(1)
+	m.excl = true
+	if !m.training {
+		m.ctr.exclusive.Add(1)
+	}
+	m.fit()
 	return true
 }
 
 // exclusive takes the write lock for filling tables outside any document
-// (the machine's own stream must not be inside one) and returns the unlock.
+// (the machine's own cursor must not be inside one) and returns the unlock.
 func (m *Machine) exclusive() (unlock func()) {
 	m.mu.Lock()
-	m.st.excl = true
-	return func() { m.st.excl = false; m.mu.Unlock() }
+	m.excl = true
+	m.fit()
+	return func() { m.excl = false; m.mu.Unlock() }
 }
 
-// Release leaves the current document, dropping the stream's lock with its
-// last cursor. EndDocument calls it; whoever drives the machine calls it
-// after a parse that failed, which ends a stream mid-document with the lock
-// still held. Outside a document it does nothing.
+// Release leaves the current document, dropping the cursor's lock.
+// EndDocument calls it; whoever drives the machine calls it after a parse
+// that failed, which ends a stream mid-document with the lock still held.
+// Outside a document it does nothing.
 func (m *Machine) Release() {
 	if !m.inDoc {
 		return
@@ -369,11 +360,8 @@ func (m *Machine) Release() {
 	if m.opts.MaxStates > 0 {
 		m.inflight.Add(-1)
 	}
-	if m.st.in--; m.st.in > 0 {
-		return
-	}
-	if m.st.excl {
-		m.st.excl = false
+	if m.excl {
+		m.excl = false
 		m.mu.Unlock()
 	} else {
 		m.mu.RUnlock()
@@ -399,7 +387,7 @@ func (m *Machine) reset() {
 	m.pushTab = tab64{}
 	m.popTab = tabE{}
 	m.addTab = tab64{}
-	m.valueTab = tabE{}
+	m.clearValueRows()
 	m.sectTab = tab64{}
 	m.ctr.bstates.Store(1)
 	m.ctr.tstates.Store(1)
@@ -450,8 +438,13 @@ func (m *Machine) Err() error { return m.err }
 // Results returns the match oids of the most recently completed document.
 func (m *Machine) Results() []int32 { return m.results }
 
-// NumQueries returns the workload size.
-func (m *Machine) NumQueries() int { return len(m.afa.Queries) }
+// NumQueries returns the workload size: the filters New compiled and Splice
+// added.
+func (m *Machine) NumQueries() int {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	return len(m.afa.Queries)
+}
 
 // internB interns a sorted AFA-state set as a bottom-up state.
 func (m *Machine) internB(set []int32) int32 {
@@ -497,8 +490,13 @@ func (m *Machine) internT(set []int32) int32 {
 
 // flushPending publishes the batched per-event counters to the atomics.
 // Called at document boundaries and after every parse, so concurrent
-// Stats() readers lag by at most the in-flight document.
+// Stats() readers lag by at most the in-flight document. Training documents
+// count nothing.
 func (m *Machine) flushPending() {
+	if m.training {
+		m.pendEvents, m.pendLookups, m.pendHits = 0, 0, 0
+		return
+	}
 	if m.pendEvents != 0 {
 		m.ctr.events.Add(m.pendEvents)
 		m.pendEvents = 0
@@ -517,11 +515,9 @@ func (m *Machine) flushPending() {
 func (m *Machine) StartDocument() {
 	m.Release() // a stream whose last document failed to parse
 	m.flushPending()
-	if m.st.in == 0 {
-		m.mu.RLock()
-	}
-	m.st.in++
+	m.mu.RLock()
 	m.inDoc = true
+	m.fit()
 	if m.opts.MaxStates > 0 {
 		if len(m.bsets) > m.opts.MaxStates {
 			// Under the write lock no other document is reading; one parked
@@ -536,12 +532,12 @@ func (m *Machine) StartDocument() {
 	m.qt, m.qb = 0, 0
 	m.stack = m.stack[:0]
 	m.cur = frame{}
-	for i := range m.matched {
-		m.matched[i] = false
-	}
+	clear(m.matched)
 	m.results = m.results[:0]
 	m.pendEvents++
-	m.ctr.docs.Add(1)
+	if !m.training {
+		m.ctr.docs.Add(1)
+	}
 }
 
 // StartElementBytes implements sax.BytesHandler (the tpush transition); the
@@ -670,7 +666,7 @@ func (m *Machine) valueState(qt int32, v xmlval.Value) int32 {
 		e.state = m.internB(ids)
 	}
 	if cacheable {
-		m.valueTab.put(key, e)
+		m.putValueRow(key, e)
 	}
 	m.recordEarly(e.early)
 	return e.state
@@ -849,7 +845,9 @@ func (m *Machine) EndDocument() {
 		}
 	}
 	slices.Sort(m.results)
-	m.ctr.matches.Add(int64(len(m.results)))
+	if !m.training {
+		m.ctr.matches.Add(int64(len(m.results)))
+	}
 	m.flushPending()
 	m.Release()
 	if m.OnDocument != nil && !m.training {
@@ -938,15 +936,23 @@ func (m *Machine) FilterDocument(data []byte) ([]int32, error) {
 // machine. The training documents lock like any others, so cursors may keep
 // filtering meanwhile; what they count up to the reset is dropped with it.
 func (m *Machine) Train(data []byte) error {
-	m.training = true
-	err := m.parse(data)
-	m.training = false
+	err := m.Warm(data)
 	m.ctr.lookups.Store(0)
 	m.ctr.hits.Store(0)
 	m.ctr.docs.Store(0)
 	m.ctr.events.Store(0)
 	m.ctr.matches.Store(0)
 	m.ctr.exclusive.Store(0)
+	return err
+}
+
+// Warm runs training data through the machine like Train, keeping the states
+// it builds, but leaves the counters alone: what it runs counts nothing, and
+// what other cursors counted stays.
+func (m *Machine) Warm(data []byte) error {
+	m.training = true
+	err := m.parse(data)
+	m.training = false
 	return err
 }
 

@@ -96,81 +96,84 @@ func allOptionCombos() map[string]Options {
 	}
 }
 
+// matrixCases are single-filter workloads, each with a document and whether
+// the filter matches it; they cover the whole fragment.
+var matrixCases = []struct {
+	query string
+	doc   string
+	want  bool
+}{
+	{"/a", "<a/>", true},
+	{"/a", "<b/>", false},
+	{"/a/b", "<a><b/></a>", true},
+	{"/a/b", "<a><c><b/></c></a>", false},
+	{"//b", "<a><c><b/></c></a>", true},
+	{"/a//b", "<a><b/></a>", true},
+	{"/a//b", "<b><a/></b>", false},
+	{"/*", "<z/>", true},
+	{"/a/*", "<a><x/></a>", true},
+	{"/a/*", "<a>text</a>", false},
+	{"/a/@c", `<a c="1"/>`, true},
+	{"/a/@c", `<a d="1"/>`, false},
+	{"/a/@*", `<a d="1"/>`, true},
+	{"/a/@*", `<a/>`, false},
+	{"/a/text()", "<a>x</a>", true},
+	{"/a/text()", "<a><b/></a>", false},
+	{"/a[b]", "<a><b/></a>", true},
+	{"/a[b]", "<a><c/></a>", false},
+	{"/a[b=1]", "<a><b>1</b></a>", true},
+	{"/a[b=1]", "<a><b>2</b></a>", false},
+	{"/a[b=1]", "<a><b>2</b><b>1</b></a>", true},
+	{"/a[b!=1]", "<a><b>2</b></a>", true},
+	{"/a[b!=1]", "<a><b>1</b></a>", false},
+	{"/a[b<5 and b>2]", "<a><b>3</b></a>", true},
+	{"/a[b<5 and b>2]", "<a><b>7</b></a>", false},
+	{"/a[b<3 and b>4]", "<a><b>2</b><b>5</b></a>", true},
+	{"/a[b=1 or c=2]", "<a><c>2</c></a>", true},
+	{"/a[b=1 or c=2]", "<a><c>3</c></a>", false},
+	{"/a[not(b=1)]", "<a><b>2</b></a>", true},
+	{"/a[not(b=1)]", "<a><b>1</b></a>", false},
+	{"/a[not(b=1)]", "<a/>", true},
+	{"/a[not(not(b=1))]", "<a><b>1</b></a>", true},
+	{"/a[not(not(b=1))]", "<a/>", false},
+	{"/a[.=5]", "<a>5</a>", true},
+	{"/a[.=5]", "<a>6</a>", false},
+	{"/a[text()=5]", "<a>5</a>", true},
+	{"/a[@c>2]", `<a c="3"/>`, true},
+	{"/a[@c>2]", `<a c="2"/>`, false},
+	{"/a[@c>2 and text()=1]", `<a c="3">1</a>`, true},
+	{"/a[@c=2 and .=1]", `<a c="2">1</a>`, true},
+	{"//a[b/text()=1 and .//a[@c>2]]", `<a><b>1</b><a c="3"><b>1</b></a></a>`, true},
+	{"//a[b/text()=1 and .//a[@c>2]]", `<a><b>1</b></a>`, false},
+	{"/a[b[c=1]]", "<a><b><c>1</c></b></a>", true},
+	{"/a[b[c=1]]", "<a><b><c>2</c></b></a>", false},
+	{"/a[.//x=9]", "<a><p><q><x>9</x></q></p></a>", true},
+	{"/a/b[c=1]/d", "<a><b><c>1</c><d/></b></a>", true},
+	{"/a/b[c=1]/d", "<a><b><c>2</c><d/></b></a>", false},
+	{"/a/b[c=1]/d", "<a><b><c>1</c></b><b><d/></b></a>", false},
+	{"/a[b='x y']", "<a><b>x y</b></a>", true},
+	{"/a[b>'m']", "<a><b>z</b></a>", true},
+	{"/a[b>'m']", "<a><b>a</b></a>", false},
+	{"/a[contains(b, 'ell')]", "<a><b>hello</b></a>", true},
+	{"/a[starts-with(b, 'he')]", "<a><b>hello</b></a>", true},
+	{"/a[starts-with(b, 'el')]", "<a><b>hello</b></a>", false},
+	{"/a[.//text()='x']", "<a><p><q>x</q></p></a>", true},
+	{"/a[b][c]", "<a><b/><c/></a>", true},
+	{"/a[b][c]", "<a><b/></a>", false},
+	{"//x[y=1]", "<r><s><x><y>1</y></x></s></r>", true},
+	{"//x[y=1]", "<r><s><x><y>2</y></x></s></r>", false},
+	{"/a[not(b) and c]", "<a><c/></a>", true},
+	{"/a[not(b) and c]", "<a><b/><c/></a>", false},
+	{"/a[not(b or c)]", "<a><d/></a>", true},
+	{"/a[not(b or c)]", "<a><c/></a>", false},
+}
+
 // TestMatrixAllCombos runs the naive-oracle matrix through every
 // optimization combination.
 func TestMatrixAllCombos(t *testing.T) {
-	cases := []struct {
-		query string
-		doc   string
-		want  bool
-	}{
-		{"/a", "<a/>", true},
-		{"/a", "<b/>", false},
-		{"/a/b", "<a><b/></a>", true},
-		{"/a/b", "<a><c><b/></c></a>", false},
-		{"//b", "<a><c><b/></c></a>", true},
-		{"/a//b", "<a><b/></a>", true},
-		{"/a//b", "<b><a/></b>", false},
-		{"/*", "<z/>", true},
-		{"/a/*", "<a><x/></a>", true},
-		{"/a/*", "<a>text</a>", false},
-		{"/a/@c", `<a c="1"/>`, true},
-		{"/a/@c", `<a d="1"/>`, false},
-		{"/a/@*", `<a d="1"/>`, true},
-		{"/a/@*", `<a/>`, false},
-		{"/a/text()", "<a>x</a>", true},
-		{"/a/text()", "<a><b/></a>", false},
-		{"/a[b]", "<a><b/></a>", true},
-		{"/a[b]", "<a><c/></a>", false},
-		{"/a[b=1]", "<a><b>1</b></a>", true},
-		{"/a[b=1]", "<a><b>2</b></a>", false},
-		{"/a[b=1]", "<a><b>2</b><b>1</b></a>", true},
-		{"/a[b!=1]", "<a><b>2</b></a>", true},
-		{"/a[b!=1]", "<a><b>1</b></a>", false},
-		{"/a[b<5 and b>2]", "<a><b>3</b></a>", true},
-		{"/a[b<5 and b>2]", "<a><b>7</b></a>", false},
-		{"/a[b<3 and b>4]", "<a><b>2</b><b>5</b></a>", true},
-		{"/a[b=1 or c=2]", "<a><c>2</c></a>", true},
-		{"/a[b=1 or c=2]", "<a><c>3</c></a>", false},
-		{"/a[not(b=1)]", "<a><b>2</b></a>", true},
-		{"/a[not(b=1)]", "<a><b>1</b></a>", false},
-		{"/a[not(b=1)]", "<a/>", true},
-		{"/a[not(not(b=1))]", "<a><b>1</b></a>", true},
-		{"/a[not(not(b=1))]", "<a/>", false},
-		{"/a[.=5]", "<a>5</a>", true},
-		{"/a[.=5]", "<a>6</a>", false},
-		{"/a[text()=5]", "<a>5</a>", true},
-		{"/a[@c>2]", `<a c="3"/>`, true},
-		{"/a[@c>2]", `<a c="2"/>`, false},
-		{"/a[@c>2 and text()=1]", `<a c="3">1</a>`, true},
-		{"/a[@c=2 and .=1]", `<a c="2">1</a>`, true},
-		{"//a[b/text()=1 and .//a[@c>2]]", `<a><b>1</b><a c="3"><b>1</b></a></a>`, true},
-		{"//a[b/text()=1 and .//a[@c>2]]", `<a><b>1</b></a>`, false},
-		{"/a[b[c=1]]", "<a><b><c>1</c></b></a>", true},
-		{"/a[b[c=1]]", "<a><b><c>2</c></b></a>", false},
-		{"/a[.//x=9]", "<a><p><q><x>9</x></q></p></a>", true},
-		{"/a/b[c=1]/d", "<a><b><c>1</c><d/></b></a>", true},
-		{"/a/b[c=1]/d", "<a><b><c>2</c><d/></b></a>", false},
-		{"/a/b[c=1]/d", "<a><b><c>1</c></b><b><d/></b></a>", false},
-		{"/a[b='x y']", "<a><b>x y</b></a>", true},
-		{"/a[b>'m']", "<a><b>z</b></a>", true},
-		{"/a[b>'m']", "<a><b>a</b></a>", false},
-		{"/a[contains(b, 'ell')]", "<a><b>hello</b></a>", true},
-		{"/a[starts-with(b, 'he')]", "<a><b>hello</b></a>", true},
-		{"/a[starts-with(b, 'el')]", "<a><b>hello</b></a>", false},
-		{"/a[.//text()='x']", "<a><p><q>x</q></p></a>", true},
-		{"/a[b][c]", "<a><b/><c/></a>", true},
-		{"/a[b][c]", "<a><b/></a>", false},
-		{"//x[y=1]", "<r><s><x><y>1</y></x></s></r>", true},
-		{"//x[y=1]", "<r><s><x><y>2</y></x></s></r>", false},
-		{"/a[not(b) and c]", "<a><c/></a>", true},
-		{"/a[not(b) and c]", "<a><b/><c/></a>", false},
-		{"/a[not(b or c)]", "<a><d/></a>", true},
-		{"/a[not(b or c)]", "<a><c/></a>", false},
-	}
 	for name, opts := range allOptionCombos() {
 		t.Run(name, func(t *testing.T) {
-			for _, tc := range cases {
+			for _, tc := range matrixCases {
 				m := New(compileWorkload(t, tc.query), opts)
 				got, err := m.FilterDocument([]byte(tc.doc))
 				if err != nil {

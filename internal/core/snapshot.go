@@ -15,7 +15,12 @@ import (
 // and option set via a fingerprint; loading into a machine built from a
 // different workload is rejected.
 
-const snapshotMagic uint64 = 0x5850555348534e31 // "XPUSHSN1"
+// The snapshot magics; version 1 numbered the predicate index's intervals by
+// position, so its value rows are dropped on load and rebuilt lazily.
+const (
+	snapshotMagicV1 uint64 = 0x5850555348534e31 // "XPUSHSN1"
+	snapshotMagic   uint64 = 0x5850555348534e32 // "XPUSHSN2"
+)
 
 // Fingerprint identifies the (workload, options) pair a snapshot belongs
 // to.
@@ -179,7 +184,8 @@ func (m *Machine) ReadSnapshot(r io.Reader) error {
 		return fmt.Errorf("xpush: cannot load a snapshot mid-document")
 	}
 	sr := &snapReader{r: bufio.NewReader(r)}
-	if sr.u64() != snapshotMagic {
+	magic := sr.u64()
+	if magic != snapshotMagic && magic != snapshotMagicV1 {
 		return fmt.Errorf("xpush: not a machine snapshot")
 	}
 	if fp := sr.u64(); fp != m.Fingerprint() {
@@ -234,7 +240,9 @@ func (m *Machine) ReadSnapshot(r io.Reader) error {
 	for i, n := uint64(0), sr.u64(); i < n && sr.err == nil; i++ {
 		qt, interval := sr.i32(), sr.u64()
 		inRange(nT, qt)
-		valueTab.put(packValue(qt, int64(interval)), entryOf())
+		if e := entryOf(); magic == snapshotMagic {
+			valueTab.put(packValue(qt, int64(interval)), e)
+		}
 	}
 	for i, n := uint64(0), sr.u64(); i < n && sr.err == nil; i++ {
 		qaux, qt, to := sr.i32(), sr.i32(), sr.i32()
@@ -276,8 +284,19 @@ func (m *Machine) ReadSnapshot(r io.Reader) error {
 		// TrueTerminal.
 		m.ttOf[0] = m.trueTermAll
 	}
-	m.pushTab, m.popTab, m.addTab, m.valueTab, m.sectTab = pushTab, popTab, addTab, valueTab, sectTab
+	m.pushTab, m.popTab, m.addTab, m.sectTab = pushTab, popTab, addTab, sectTab
+	m.clearValueRows()
+	valueTab.each(m.putValueRow)
 	m.qt, m.qb = 0, 0
 	m.stack = m.stack[:0]
+	if magic == snapshotMagicV1 && m.opts.PrecomputeValues && !m.opts.TopDown {
+		m.excl = true
+		m.fit()
+		for _, v := range m.index.Representatives() {
+			m.valueState(0, v)
+		}
+		m.flushPending()
+		m.excl = false
+	}
 	return nil
 }

@@ -116,6 +116,26 @@ func (t *tab64) each(f func(key uint64, val int32)) {
 
 func (t *tab64) len() int { return t.n }
 
+// deleteIf removes the entries drop selects, rehashing the rest in place of
+// tombstones.
+func (t *tab64) deleteIf(drop func(key uint64, val int32) bool) {
+	old, n := t.slots, 0
+	for _, s := range old {
+		if s.key != emptyKey64 && drop(s.key, s.val) {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	t.init(len(old))
+	for _, s := range old {
+		if s.key != emptyKey64 && !drop(s.key, s.val) {
+			t.set(s.key, s.val)
+		}
+	}
+}
+
 func (t *tab64) memBytes() int64 { return int64(len(t.slots)) * 16 }
 
 // key128 is a two-word key for the transitions whose inputs exceed 64 bits
@@ -232,6 +252,63 @@ func (t *tabE) each(f func(key key128, e entry)) {
 }
 
 func (t *tabE) len() int { return t.n }
+
+// del removes key, if present, without a tombstone: the entries after it in
+// its probe run that may sit in its slot move back (Knuth's Algorithm R for
+// linear probing). The early list of the entry stays behind until the table
+// is reset.
+func (t *tabE) del(key key128) {
+	if t.n == 0 {
+		return
+	}
+	mask := uint64(len(t.slots) - 1)
+	i := key.hash() & mask
+	for ; t.slots[i].key != key; i = (i + 1) & mask {
+		if t.slots[i].key.lo == emptyKey64 {
+			return
+		}
+	}
+	for j := i; ; {
+		j = (j + 1) & mask
+		s := t.slots[j]
+		if s.key.lo == emptyKey64 {
+			break
+		}
+		// The entry at j may fill the hole at i unless its home slot lies
+		// cyclically in (i, j].
+		home := s.key.hash() & mask
+		stays := i < home && home <= j
+		if j < i {
+			stays = home > i || home <= j
+		}
+		if !stays {
+			t.slots[i] = s
+			i = j
+		}
+	}
+	t.slots[i].key.lo = emptyKey64
+	t.n--
+}
+
+// deleteIf removes the entries drop selects, rehashing the rest; the early
+// lists of the dropped ones stay behind until the table is reset.
+func (t *tabE) deleteIf(drop func(key key128) bool) {
+	old, n := t.slots, 0
+	for i := range old {
+		if old[i].key.lo != emptyKey64 && drop(old[i].key) {
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	t.init(len(old))
+	for _, s := range old {
+		if s.key.lo != emptyKey64 && !drop(s.key) {
+			*t.slot(s.key) = s
+		}
+	}
+}
 
 func (t *tabE) memBytes() int64 {
 	b := int64(len(t.slots)) * 24 // 16B key + 4B state + 4B list index

@@ -1,5 +1,7 @@
 package predindex
 
+import "slices"
+
 // Aho–Corasick dictionary automaton for the contains(·) predicate extension,
 // and a plain prefix trie for starts-with(·), per the paper's pointer to
 // Aho and Corasick's dictionary search tree (Sec. 2).
@@ -9,7 +11,8 @@ package predindex
 type acNode struct {
 	children map[byte]int32
 	fail     int32
-	out      []int32 // predicate ids of patterns ending here
+	own      []int32 // predicate ids of patterns ending here
+	out      []int32 // own plus the outputs along the failure links
 }
 
 type acAutomaton struct {
@@ -33,14 +36,18 @@ func (a *acAutomaton) add(pattern string, id int32) {
 		}
 		cur = next
 	}
-	a.nodes[cur].out = append(a.nodes[cur].out, id)
+	a.nodes[cur].own = append(a.nodes[cur].own, id)
 	a.n++
 }
 
-// build computes failure links (BFS) and merges output sets along them.
+// build computes failure links (BFS) and merges output sets along them. It
+// may run again after more patterns were added.
 func (a *acAutomaton) build() {
 	if a.nodes == nil {
 		return
+	}
+	for i := range a.nodes {
+		a.nodes[i].out = a.nodes[i].own
 	}
 	queue := make([]int32, 0, len(a.nodes))
 	for _, next := range a.nodes[0].children {
@@ -64,7 +71,7 @@ func (a *acAutomaton) build() {
 				}
 				f = a.nodes[f].fail
 			}
-			a.nodes[v].out = append(a.nodes[v].out, a.nodes[a.nodes[v].fail].out...)
+			a.nodes[v].out = slices.Concat(a.nodes[v].own, a.nodes[a.nodes[v].fail].out)
 		}
 	}
 	a.built = true

@@ -420,3 +420,84 @@ func TestMergeSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestExtendKeepsKeys grows a built index by Extend and holds it to three
+// things: Match is direct evaluation over every predicate, each value's
+// IntervalKey is the one Build gives over the concatenated predicates, and a
+// key Extend does not report stale keeps the satisfied set it had before.
+func TestExtendKeepsKeys(t *testing.T) {
+	r := rand.New(rand.NewSource(54))
+	ops := []xmlval.Op{xmlval.OpEq, xmlval.OpNe, xmlval.OpLt, xmlval.OpLe, xmlval.OpGt, xmlval.OpGe}
+	words := []string{"", "a", "ab", "abc", "b", "hello", "m", "zz"}
+	probe := func() xmlval.Value {
+		switch r.Intn(4) {
+		case 0:
+			return xmlval.FromNumber(float64(r.Intn(14)-7) / 2)
+		case 1:
+			return xmlval.New(words[r.Intn(len(words))])
+		case 2:
+			return xmlval.New(words[r.Intn(len(words))] + "q")
+		default:
+			return xmlval.New(" " + strconv.Itoa(r.Intn(10)-5))
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		var preds []testPred
+		for i := 0; i < 2+r.Intn(30); i++ {
+			p := testPred{id: int32(i), op: ops[r.Intn(len(ops))]}
+			switch k := r.Intn(10); {
+			case k == 0:
+				p.op = xmlval.OpExists
+			case k == 1:
+				p.op, p.c = xmlval.OpContains, xmlval.StringConst(words[1+r.Intn(len(words)-1)])
+			case k < 4 || trial%2 == 0 && p.op > xmlval.OpNe:
+				// Half the trials add only = and != strings: points stay apart.
+				p.op, p.c = ops[r.Intn(2)], xmlval.StringConst(words[r.Intn(len(words))])
+			case k < 6:
+				p.c = xmlval.StringConst(words[r.Intn(len(words))])
+			default:
+				p.c = xmlval.NumberConst(float64(r.Intn(10) - 5))
+			}
+			preds = append(preds, p)
+		}
+		cut := r.Intn(len(preds))
+		head, tail, all := NewBuilder(), NewBuilder(), NewBuilder()
+		for i, p := range preds {
+			if i < cut {
+				head.Add(p.id, p.op, p.c)
+			} else {
+				tail.Add(p.id, p.op, p.c)
+			}
+			all.Add(p.id, p.op, p.c)
+		}
+		ix, whole := head.Build(), all.Build()
+		before := map[int64]string{}
+		var values []xmlval.Value
+		for i := 0; i < 40; i++ {
+			v := probe()
+			values = append(values, v)
+			before[ix.IntervalKey(v)] = fmt.Sprint(ix.matchRelational(v))
+		}
+		stale := ix.Extend(tail)
+		nums, strs := stale.Points()
+		changed := func(key int64) bool {
+			return stale.Everything() || slices.Contains(nums, int(key>>32)-1) || slices.Contains(strs, int(uint32(key)))
+		}
+		for i := 0; i < 40; i++ {
+			values = append(values, probe())
+		}
+		for _, v := range values {
+			if got, want := ix.Match(v), bruteForce(preds, v); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d: extended Match(%q) = %v, want %v (preds %v, cut %d)", trial, v.Text, got, want, preds, cut)
+			}
+			key := ix.IntervalKey(v)
+			if want := whole.IntervalKey(v); key != want {
+				t.Fatalf("trial %d: %q has key %#x extended, %#x built (preds %v, cut %d)", trial, v.Text, key, want, preds, cut)
+			}
+			if set, ok := before[key]; ok && !changed(key) && set != fmt.Sprint(ix.matchRelational(v)) {
+				t.Fatalf("trial %d: key %#x of %q changed from %s to %v but is not stale (preds %v, cut %d)",
+					trial, key, v.Text, set, ix.matchRelational(v), preds, cut)
+			}
+		}
+	}
+}

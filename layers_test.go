@@ -21,7 +21,7 @@ func TestWithQueriesKeepsWarmBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.NumQueries() != 3 || e.NumLayers() != 2 {
+	if e.NumQueries() != 3 || e.NumLayers() != 1 {
 		t.Fatalf("queries=%d layers=%d", e.NumQueries(), e.NumLayers())
 	}
 	got, err := e.FilterDocument([]byte("<m><v>2</v><w>3</w></m>"))
@@ -126,10 +126,8 @@ func TestConsolidate(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("removed filter still fires: %v", got)
 	}
-	// The receiver keeps its layers (base + one tail layer: the two-filter
-	// insertion absorbed the one-filter layer before it), its ids and
-	// its mask.
-	if e.NumLayers() != 2 || e.NumQueries() != 4 {
+	// The receiver keeps its machine, its ids and its mask.
+	if e.NumLayers() != 1 || e.NumQueries() != 4 {
 		t.Fatalf("receiver changed: layers=%d queries=%d", e.NumLayers(), e.NumQueries())
 	}
 	got, _ = e.FilterDocument([]byte("<m><v>3</v></m>"))
@@ -229,11 +227,15 @@ func TestEngineSnapshot(t *testing.T) {
 		t.Errorf("matches = %v", got)
 	}
 
-	// Mismatched layer structure is rejected.
-	layered, _ := Compile(queries[:2], Config{TopDownPruning: true})
-	layered, _ = layered.WithQueries(queries[2:])
-	if err := layered.readSnapshot(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("layer mismatch must be rejected")
+	// A machine grown by splicing is the one Compile builds from the
+	// concatenated workload: it takes the snapshot.
+	spliced, _ := Compile(queries[:2], Config{TopDownPruning: true})
+	spliced, _ = spliced.WithQueries(queries[2:])
+	if err := spliced.readSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("spliced engine rejected the compiled engine's snapshot: %v", err)
+	}
+	if got, err := spliced.FilterDocument([]byte("<m><v>3</v><w>3</w></m>")); err != nil || fmt.Sprint(got) != "[2]" {
+		t.Errorf("spliced engine on the restored tables: %v, %v", got, err)
 	}
 	// Mismatched workload is rejected.
 	other, _ := Compile([]string{"/x"}, Config{TopDownPruning: true})

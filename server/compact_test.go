@@ -200,7 +200,7 @@ func TestSubscribeNeverWaitsOnCompaction(t *testing.T) {
 			t.Fatalf("after %d storm cycles: %d compactions, %d adds and %d releases overlapping one",
 				ops, snap.Consolidations, addedInFlight, releasedInFlight)
 		}
-		checkDepthBound(t, snap)
+		checkOneMachine(t, snap)
 		checkTotalsMonotone()
 		i := ops
 		ops++
@@ -354,15 +354,20 @@ func TestShutdownDuringCompaction(t *testing.T) {
 	}
 	srv := startServer(t, cfg)
 	cn := dialSub(t, srv.Addr(), newCollector())
-	// Keep everything subscribed: the tail outgrows its bound and the
-	// compaction recompiles 800+ filters, long enough to catch in flight.
+	// Subscribe and release unique filters: the removed slots outgrow
+	// their bound and the compaction recompiles 800+ filters, long enough to
+	// catch in flight.
 	n := 0
 	for !machineSnapshot(t, srv).Compacting {
-		if _, err := cn.Subscribe(fmt.Sprintf("/probe[q=%d]", n)); err != nil {
+		id, err := cn.Subscribe(fmt.Sprintf("/probe[q=%d]", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cn.Unsubscribe(id); err != nil {
 			t.Fatal(err)
 		}
 		if n++; n > 2000 {
-			t.Fatal("no compaction after 2000 unique subscribes")
+			t.Fatal("no compaction after 2000 unique subscribe/release cycles")
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

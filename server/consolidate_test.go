@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"testing"
 	"time"
@@ -14,7 +13,6 @@ import (
 type stormSnapshot struct {
 	Queries        int   `json:"queries"`
 	Layers         int   `json:"layers"`
-	TailFilters    int   `json:"tail_filters"`
 	RemovedSlots   int   `json:"removed_slots"`
 	Consolidations int64 `json:"consolidations"`
 	Compacting     bool  `json:"compaction_in_progress"`
@@ -28,13 +26,12 @@ func machineSnapshot(t testing.TB, srv *server.Server) stormSnapshot {
 	return snap
 }
 
-// checkDepthBound holds one snapshot to the tier rule's invariant: adjacent
-// tail layers differ in size by more than 2x, so a tail of n filters has at
-// most log2(n)+1 layers, plus the base.
-func checkDepthBound(t testing.TB, snap stormSnapshot) {
+// checkOneMachine holds one snapshot to the workload's shape: however many
+// filters were subscribed, every event runs one machine.
+func checkOneMachine(t testing.TB, snap stormSnapshot) {
 	t.Helper()
-	if bound := 1 + bits.Len(uint(snap.TailFilters)); snap.Layers > bound {
-		t.Errorf("%d layers over a tail of %d filters, bound %d", snap.Layers, snap.TailFilters, bound)
+	if snap.Layers != 1 {
+		t.Errorf("%d layers, want 1", snap.Layers)
 	}
 }
 
@@ -57,13 +54,12 @@ func medianPublishLatency(t *testing.T, pub interface {
 	return lats[len(lats)/2]
 }
 
-// TestConsolidationStormKeepsMachineFlat is the regression test for layer
-// accumulation: a long subscribe/unsubscribe storm of unique filters adds a
-// tail slot per subscribe and a removed slot per unsubscribe. With no knob
-// set, the tier rule must keep the depth logarithmic in the tail at every
-// sample, and the background compaction must keep the tail, the removed
-// slots, memory and median publish latency in the same regime at the end of
-// the storm as a third of the way in.
+// TestConsolidationStormKeepsMachineFlat is the regression test for slot
+// accumulation: a long subscribe/unsubscribe storm of unique filters splices
+// a slot per subscribe and masks one per unsubscribe. With no knob set,
+// every sample must show one machine, and the background compaction must
+// keep the slots, the removed slots, memory and median publish latency in
+// the same regime at the end of the storm as a third of the way in.
 func TestConsolidationStormKeepsMachineFlat(t *testing.T) {
 	srv := startServer(t, server.Config{DebugAddr: "127.0.0.1:0"})
 	cn := dialSub(t, srv.Addr(), newCollector())
@@ -86,11 +82,11 @@ func TestConsolidationStormKeepsMachineFlat(t *testing.T) {
 		}
 	}
 	// The storm: 600 unique-filter subscribe/unsubscribe cycles. Unshared
-	// filters defeat dedup on purpose — every cycle costs a real tail slot
-	// plus a removed slot, so only compaction keeps the machine small. The
-	// bounds leave room for what a storm at full speed adds while one
-	// compaction is in flight; a machine that is not compacted blows through
-	// them by the middle of the storm.
+	// filters defeat dedup on purpose — every cycle costs a real slot plus a
+	// removed slot, so only compaction keeps the machine small. The bounds
+	// leave room for what a storm at full speed adds while one compaction is
+	// in flight; a machine that is not compacted blows through them by the
+	// middle of the storm.
 	const storm, slack = 600, 192
 	var early time.Duration
 	var slotMem, lateMem int64
@@ -100,7 +96,7 @@ func TestConsolidationStormKeepsMachineFlat(t *testing.T) {
 			continue
 		}
 		snap := machineSnapshot(t, srv)
-		checkDepthBound(t, snap)
+		checkOneMachine(t, snap)
 		if snap.Queries > slack || snap.RemovedSlots > slack {
 			t.Fatalf("cycle %d: %d slots, %d removed; the storm is outrunning compaction", i, snap.Queries, snap.RemovedSlots)
 		}
@@ -127,7 +123,7 @@ func TestConsolidationStormKeepsMachineFlat(t *testing.T) {
 		t.Errorf("peak memory %d bytes late in the storm exceeds %d slots at %d bytes each; not flat", lateMem, slack, slotMem)
 	}
 	// Latency flat: generous factor — loopback noise is real — but far below
-	// what 400 more layers would cost.
+	// what an uncompacted machine of 600 filters would cost.
 	if late > 25*early {
 		t.Errorf("median publish latency grew %v -> %v across the storm; not flat", early, late)
 	}

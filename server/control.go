@@ -116,7 +116,6 @@ func (s *Server) subscribe(cn *conn, query string, durable bool) (uint64, error)
 	if err != nil {
 		return 0, err
 	}
-	s.tierMerges.Add(int64(cur.NumLayers() + 1 - next.NumLayers()))
 	key := s.subs.RegisterKey(uint64(cur.NumQueries()), canon, true)
 	subID, _ := s.subs.Subscribe(key, cn, durable)
 	cn.noteSubscribed(key, durable)

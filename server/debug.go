@@ -84,7 +84,6 @@ type machineSnapshot struct {
 	DedupHits      uint64 `json:"dedup_hits"`
 	SubsumedPairs  int    `json:"subsumed_pairs"` // -1 = workload too large to analyze
 	Layers         int    `json:"layers"`
-	TailFilters    int    `json:"tail_filters"` // slots in the layers above the base machine
 	RemovedSlots   int    `json:"removed_slots"`
 	Consolidations int64  `json:"consolidations"`
 	Compacting     bool   `json:"compaction_in_progress"`
@@ -133,7 +132,6 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
 		DedupHits:      s.subs.Hits(),
 		SubsumedPairs:  int(s.subsumedPairs()),
 		Layers:         e.NumLayers(),
-		TailFilters:    e.TailQueries(),
 		RemovedSlots:   e.NumMasked(),
 		Consolidations: s.consolidations.Load(),
 		Compacting:     s.consolidating.Load() != 0,

@@ -242,7 +242,7 @@ func TestDedupDifferentialMatchSets(t *testing.T) {
 				active[i] = append(active[i], subscribe(i, g[r.Intn(len(g))]))
 			}
 		}
-		checkDepthBound(t, machineSnapshot(t, srv))
+		checkOneMachine(t, machineSnapshot(t, srv))
 		for d := 0; d < docs; d++ {
 			doc := randomDiffDoc(r)
 			got, err := pub.Publish(doc)

@@ -19,8 +19,7 @@ func TestRegistryKeysAreEngineIDs(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		boot = append(boot, fmt.Sprintf("/boot[q=%d]", i))
 	}
-	// No removal threshold: compaction runs only when the test forces it, and
-	// the churn between two forced ones stays under the tail bound.
+	// No removal threshold: compaction runs only when the test forces it.
 	s, err := newServer(Config{InitialQueries: boot}, 0, -1)
 	if err != nil {
 		t.Fatal(err)

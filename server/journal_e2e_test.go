@@ -306,15 +306,21 @@ func runJournalScript(t *testing.T, slots int) map[string]int {
 	r.sync(alpha2)
 
 	// Phase 3: a churn burst deep enough to trigger a background compaction
-	// swap, with publishes on both sides of it.
+	// swap, with publishes on both sides of it: a sliding window of 20
+	// subscriptions releases 40 filters, past the removed-slot bound.
 	churn := r.dial("") // nothing waits for its deliveries, so they are not compared
 	var churned []uint64
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 60; i++ {
 		id, err := churn.c.Subscribe(fmt.Sprintf(`//order[total > %d]`, 5000+i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		churned = append(churned, id)
+		if i >= 20 {
+			if err := churn.c.Unsubscribe(churned[i-20]); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if i%4 == 0 {
 			r.publish(2, 0)
 		}
@@ -323,7 +329,7 @@ func runJournalScript(t *testing.T, slots int) map[string]int {
 		return metricValue(t, scrape(t, r.srv.MetricsAddr()), "xpushserve_consolidations_total") >= 1
 	})
 	r.publish(10, 0)
-	for _, id := range churned[:20] {
+	for _, id := range churned[40:50] {
 		if err := churn.c.Unsubscribe(id); err != nil {
 			t.Fatal(err)
 		}

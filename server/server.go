@@ -185,7 +185,6 @@ type Server struct {
 	// Metrics.
 	consolidations atomic.Int64 // background compactions swapped in
 	consolidating  atomic.Int64 // 1 while a compaction is in flight (in-progress gauge)
-	tierMerges     atomic.Int64 // tail layers absorbed by WithQueries' tier rule on subscribe
 	pumpsActive    atomic.Int64 // running durable pump goroutines
 	mPublishes     *obs.Counter
 	mPublishErrs   *obs.Counter
@@ -344,12 +343,8 @@ func (s *Server) registerMetrics() {
 		return int64(s.subs.Hits())
 	})
 	s.reg.GaugeFunc("xpush_workload_subsumed_pairs", "filter pairs the Theorem 6.1 analysis proves subsumed among unique queries (-1 = workload too large to analyze)", s.subsumedPairs)
-	s.reg.CounterFunc("xpushserve_consolidations_total", "background compactions swapped in (tail layers and removed slots folded into a new base machine)", s.consolidations.Load)
-	s.mCompactFails = s.reg.Counter("xpushserve_consolidation_failures_total", "background compactions abandoned on a compile or re-apply error (the current workload generation is kept)")
-	s.reg.CounterFunc("xpushserve_tier_merges_total", "tail layers absorbed into a larger one by the size-tiered merge on subscribe", s.tierMerges.Load)
-	s.reg.GaugeFunc("xpushserve_engine_layers", "machines the current workload generation runs per SAX event (base plus tail layers)", func() float64 {
-		return float64(s.cur.Load().NumLayers())
-	})
+	s.reg.CounterFunc("xpushserve_consolidations_total", "background compactions swapped in (removed slots reclaimed by recompiling the live filters into a new machine)", s.consolidations.Load)
+	s.mCompactFails = s.reg.Counter("xpushserve_consolidation_failures_total", "background compactions abandoned on a compile or catch-up error (the current workload generation is kept)")
 	s.reg.GaugeFunc("xpushserve_engine_removed_slots", "released filter slots still compiled into the current workload generation", func() float64 {
 		return float64(s.cur.Load().NumMasked())
 	})
@@ -376,7 +371,7 @@ func (s *Server) registerMetrics() {
 		"UNSUBSCRIBE round-trip handling latency quantiles", []float64{0.5, 0.9, 0.99},
 		s.unsubLat.Snapshot)
 	s.reg.GaugeFunc("xpushserve_consolidation_in_progress",
-		"1 while the background compaction goroutine is building or swapping in a new base machine", func() float64 {
+		"1 while the background compaction goroutine is building or swapping in a new machine", func() float64 {
 			return float64(s.consolidating.Load())
 		})
 	s.reg.SummaryVecFunc("xpushserve_consolidation_phase_duration_seconds",

@@ -269,7 +269,6 @@ var brokerFamilies = []string{
 	"xpushserve_durable_journal_hits_total counter",
 	"xpushserve_durable_journal_misses_total counter",
 	"xpushserve_durable_subscribers gauge",
-	"xpushserve_engine_layers gauge",
 	"xpushserve_engine_removed_slots gauge",
 	"xpushserve_publish_errors_total counter",
 	"xpushserve_publishes_total counter",
@@ -277,7 +276,6 @@ var brokerFamilies = []string{
 	"xpushserve_replay_lag gauge",
 	"xpushserve_subscribe_latency_seconds summary",
 	"xpushserve_subscriptions gauge",
-	"xpushserve_tier_merges_total counter",
 	"xpushserve_traces_kept_total counter",
 	"xpushserve_traces_slow_total counter",
 	"xpushserve_traces_started_total counter",

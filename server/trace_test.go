@@ -224,15 +224,12 @@ func TestTracedLoopbackEndToEnd(t *testing.T) {
 	if v, ok := fsp.attr("matches"); !ok || v != 1 {
 		t.Errorf("filter span matches attr = %d (present=%v), want 1", v, ok)
 	}
-	for _, key := range []string{"events", "states_created", "tail_states_created"} {
+	for _, key := range []string{"events", "states_created", "table_flushes"} {
 		if _, ok := fsp.attr(key); !ok {
 			t.Errorf("filter span has no %s attr", key)
 		}
 	}
-	if v, ok := fsp.attr("layers"); !ok || v < 1 {
-		t.Errorf("filter span layers attr = %d (present=%v), want >= 1", v, ok)
-	}
-	// Layers are counted, not timed: no span hangs under the filter span.
+	// The machine is counted, not timed: no span hangs under the filter span.
 	for _, sp := range got.Spans {
 		if sp.Parent >= 0 && got.Spans[sp.Parent].Name == "filter" {
 			t.Errorf("span %q hangs under the filter span; spans: %v", sp.Name, spanNames(got))

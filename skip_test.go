@@ -12,7 +12,7 @@ import (
 	"repro/internal/xpath"
 )
 
-// skipModel is what the filters of an engine's layers allow to be skipped
+// skipModel is what the filters of an engine allow to be skipped
 // (DESIGN.md "Skipping what no filter can see"): the labels they name, and
 // whether a // or * step (@* step) lets a transition fire on an element
 // (attribute) no filter names.
@@ -174,14 +174,14 @@ func foreignDoc(r *rand.Rand, doc []byte, mixed bool) []byte {
 // TestSkipDifferential checks label-based subtree skipping against the naive
 // oracle under all 16 flag combinations: on workloads without * or //, on
 // documents full of elements and attributes no filter names (and mixed
-// content), across layers where a new layer names a label the base does not,
-// and with a // layer, which turns element skipping off. Each document's skip
+// content), across splices of filters that name a label the compiled ones do
+// not, and of a // filter, which turns element skipping off. Each document's skip
 // count must equal what the filters allow, so the test fails if skipping
 // never fires as well as when it fires wrongly. StrictMixedContent skips
 // nothing and reports mixed content wherever it is, skipped labels included.
 func TestSkipDifferential(t *testing.T) {
 	ds := datagen.ProteinLike()
-	// Base filters avoid the labels the second layer brings in.
+	// Base filters avoid the labels the first splice brings in.
 	var base []*xpath.Filter
 	for _, f := range workload.Generate(ds, workload.Params{
 		Seed: 44, NumQueries: 240, MeanPreds: 2, NestedPredProb: 0.3, OrProb: 0.2, NotProb: 0.1,
@@ -199,7 +199,7 @@ func TestSkipDifferential(t *testing.T) {
 	} {
 		base = append(base, xpath.MustParse(q))
 	}
-	layered := []*xpath.Filter{
+	spliced := []*xpath.Filter{
 		xpath.MustParse(`/ProteinDatabase/ProteinEntry[keywords/keyword = "transport"]`),
 		xpath.MustParse(`/ProteinDatabase/ProteinEntry/genetics[introns > 10]`),
 	}
@@ -221,10 +221,10 @@ func TestSkipDifferential(t *testing.T) {
 		mixedDocs = append(mixedDocs, foreignDoc(r, doc, true))
 	}
 
-	// check filters every document on e, whose layers hold filters (ids in
+	// check filters every document on e, which holds filters (ids in
 	// order), traced and untraced, against the oracle and the skip model.
 	rec := NewTraceRecorder(1, 0)
-	var tailStates int64 // created above the base layer, by traced documents
+	var splicedStates int64 // created after a splice, by traced documents
 	check := func(t *testing.T, e *Engine, filters []*xpath.Filter, strict bool, docs [][]byte) (matches, skipped int) {
 		t.Helper()
 		oracle := naive.NewEngine(filters)
@@ -243,8 +243,8 @@ func TestSkipDifferential(t *testing.T) {
 			before := e.Stats()
 			got, err := AppendMatches[int](e, nil, doc, tc, TraceRoot)
 			after := e.Stats()
-			if tc != nil {
-				tailStates += checkFilterSpan(t, tc, e.NumLayers(), int64(after.States-before.States))
+			if created := checkFilterSpan(t, tc, int64(after.States-before.States)); e.NumQueries() > len(base) {
+				splicedStates += created
 			}
 			tc.Finish()
 			skips := int(after.SkippedElements - before.SkippedElements)
@@ -253,14 +253,13 @@ func TestSkipDifferential(t *testing.T) {
 					t.Fatalf("doc %d: strict mode accepted mixed content", di)
 				}
 			} else if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("doc %d (%d layers): got %v, err %v; oracle %v", di, e.NumLayers(), got, err, want)
+				t.Fatalf("doc %d (%d filters): got %v, err %v; oracle %v", di, e.NumQueries(), got, err, want)
 			}
 			if w := model.skips(trees[0]); skips != w {
-				t.Fatalf("doc %d (%d layers): %d elements skipped, the filters allow %d", di, e.NumLayers(), skips, w)
+				t.Fatalf("doc %d (%d filters): %d elements skipped, the filters allow %d", di, e.NumQueries(), skips, w)
 			}
-			// Every layer sees the same events; Stats counts them once.
 			if n, w := after.MixedContentEvents-before.MixedContentEvents, int64(model.mixed(trees[0])); n != w {
-				t.Fatalf("doc %d (%d layers): %d mixed-content events, want %d", di, e.NumLayers(), n, w)
+				t.Fatalf("doc %d (%d filters): %d mixed-content events, want %d", di, e.NumQueries(), n, w)
 			}
 			matches += len(got)
 			skipped += skips
@@ -282,14 +281,14 @@ func TestSkipDifferential(t *testing.T) {
 			}
 			filters := base
 			matched, skipped := 0, 0
-			for step, add := range [][]*xpath.Filter{nil, layered, {descendant}} {
+			for step, add := range [][]*xpath.Filter{nil, spliced, {descendant}} {
 				if add != nil {
 					if e, err = e.WithQueries(texts(add)); err != nil {
 						t.Fatal(err)
 					}
 					filters = append(filters[:len(filters):len(filters)], add...)
 				}
-				if (step > 0) != (e.NumLayers() > 1) {
+				if e.NumLayers() != 1 {
 					t.Fatalf("step %d: %d layers", step, e.NumLayers())
 				}
 				for _, set := range [][][]byte{docs, mixedDocs} {
@@ -302,8 +301,8 @@ func TestSkipDifferential(t *testing.T) {
 			}
 		})
 	}
-	if tailStates == 0 {
-		t.Error("vacuous: no traced document created a state above the base layer")
+	if splicedStates == 0 {
+		t.Error("vacuous: no traced document created a state after a splice")
 	}
 
 	t.Run("strict", func(t *testing.T) {
@@ -312,10 +311,10 @@ func TestSkipDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e, err = e.WithQueries(texts(layered)); err != nil {
+		if e, err = e.WithQueries(texts(spliced)); err != nil {
 			t.Fatal(err)
 		}
-		filters := append(base[:len(base):len(base)], layered...)
+		filters := append(base[:len(base):len(base)], spliced...)
 		if m, _ := check(t, e, filters, true, docs); m == 0 {
 			t.Fatal("vacuous: no matches")
 		}
@@ -378,25 +377,16 @@ func TestSkipZeroAllocs(t *testing.T) {
 }
 
 // checkFilterSpan checks the machine telemetry on a traced document's filter
-// span against the engine it ran on: the layer count, and the states created
-// (all of them, single-threaded here) with their share above the base layer,
-// which it returns.
-func checkFilterSpan(t *testing.T, tc *TraceCtx, layers int, states int64) int64 {
+// span, if the document was traced, against the states the engine grew (all
+// of them, single-threaded here), and returns the states it created.
+func checkFilterSpan(t *testing.T, tc *TraceCtx, states int64) int64 {
 	t.Helper()
-	attr := func(key string) int64 {
-		_, v, ok := tc.SpanCost("filter", key)
-		if !ok {
-			t.Fatalf("no filter span")
-		}
-		return v
+	if tc == nil {
+		return 0
 	}
-	created, tail := attr("states_created"), attr("tail_states_created")
-	if n := attr("layers"); n != int64(layers) {
-		t.Fatalf("filter span: layers %d, the engine runs %d", n, layers)
+	_, created, ok := tc.SpanCost("filter", "states_created")
+	if !ok || created != states {
+		t.Fatalf("filter span: states_created %d (present %v); the engine grew %d states", created, ok, states)
 	}
-	if created != states || tail < 0 || tail > created || layers == 1 && tail != 0 {
-		t.Fatalf("filter span on %d layers: states_created %d, tail_states_created %d; the engine grew %d states",
-			layers, created, tail, states)
-	}
-	return tail
+	return created
 }

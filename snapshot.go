@@ -10,22 +10,25 @@ import (
 )
 
 // Workload snapshots are the engine's one persistence format. The machine
-// state alone (Engine.writeSnapshot) is bound to the exact queries, layer
-// structure and configuration it came from, so a workload snapshot is
-// self-describing: it records the filter texts and ids, the id high-water
-// mark, the layer partition, and the removed mask alongside the machine
-// state, so OpenWorkloadSnapshot can reconstruct the whole engine (warm,
-// every filter under its id) from the file alone plus the Config.
+// state alone (Engine.writeSnapshot) is bound to the exact queries and
+// configuration it came from, so a workload snapshot is self-describing: it
+// records the filter texts and ids, the id high-water mark and the removed
+// mask alongside the machine state, so OpenWorkloadSnapshot can reconstruct
+// the whole engine (warm, every filter under its id) from the file alone
+// plus the Config.
 //
 // Format version 2 (XPWSNAP2), little-endian u64s:
 //
-//	magic, NumQueries, layer count,
+//	magic, NumQueries, layer count (1),
 //	per layer: filter count, then per filter: id, text length, text,
 //	one mask byte per filter (1 = masked),
 //	the machine state (Engine.writeSnapshot).
 //
-// Version 1 (XPWSNAP1) has neither ids nor the high-water mark: a filter's
-// id is its position, and NumQueries is the filter count.
+// Files written when engines ran a machine per tail layer hold several
+// layers; their filters are read in order as one workload, and their
+// machine states, which no single machine can take, are skipped. Version 1
+// (XPWSNAP1) has neither ids nor the high-water mark: a filter's id is its
+// position, and NumQueries is the filter count.
 
 // The workload snapshot magics; the trailing byte is the format version.
 var (
@@ -67,23 +70,20 @@ func readU64(r io.Reader) (uint64, error) {
 	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
-// WriteWorkloadSnapshot persists the engine's queries and ids, layer
-// structure, removed mask, and lazily built (or trained) machine state.
-// Restore with OpenWorkloadSnapshot under the same Config. The engine must
-// not be filtering while the snapshot is written.
+// WriteWorkloadSnapshot persists the engine's queries and ids, removed
+// mask, and lazily built (or trained) machine state. Restore with
+// OpenWorkloadSnapshot under the same Config. The engine must not be
+// filtering while the snapshot is written.
 func (e *Engine) WriteWorkloadSnapshot(w io.Writer) error {
 	sw := &snapWriter{w: w}
 	sw.write(workloadSnapshotMagic[:])
 	sw.u64(uint64(e.nextID))
-	sw.u64(uint64(len(e.layers)))
-	for li := range e.layers {
-		lo, hi := e.layerSlots(li)
-		sw.u64(uint64(hi - lo))
-		for s := lo; s < hi; s++ {
-			sw.u64(uint64(e.ids[s]))
-			sw.u64(uint64(len(e.queries[s])))
-			sw.write([]byte(e.queries[s]))
-		}
+	sw.u64(1)
+	sw.u64(uint64(len(e.ids)))
+	for s, id := range e.ids {
+		sw.u64(uint64(id))
+		sw.u64(uint64(len(e.queries[s])))
+		sw.write([]byte(e.queries[s]))
 	}
 	mask := make([]byte, len(e.removed))
 	for s, r := range e.removed {
@@ -99,13 +99,11 @@ func (e *Engine) WriteWorkloadSnapshot(w io.Writer) error {
 }
 
 // OpenWorkloadSnapshot reads a snapshot written by WriteWorkloadSnapshot
-// and returns a warm engine: the recorded workload is recompiled layer by
-// layer under its recorded ids (Compile for the base, then one machine per
-// recorded tail layer with the tier rule off, so the partition matches the
-// snapshot exactly whatever rule produced it) under cfg, and the persisted
-// machine state is restored into it. cfg must equal the configuration the
-// snapshot was taken under. A corrupt file is an error, and memory grows
-// only with the bytes the file actually holds.
+// and returns a warm engine: the recorded workload is compiled under its
+// recorded ids and cfg, and the persisted machine state is restored into
+// it. cfg must equal the configuration the snapshot was taken under. A
+// corrupt file is an error, and memory grows only with the bytes the file
+// actually holds.
 func OpenWorkloadSnapshot(r io.Reader, cfg Config) (*Engine, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
@@ -132,11 +130,8 @@ func OpenWorkloadSnapshot(r io.Reader, cfg Config) (*Engine, error) {
 	if nLayers == 0 || nLayers > maxSnapshotQueries {
 		return nil, fmt.Errorf("xpushstream: snapshot has implausible layer count %d", nLayers)
 	}
-	type layer struct {
-		queries []string
-		ids     []int
-	}
-	var layers []layer
+	var queries []string
+	var ids []int
 	total, next := 0, uint64(0) // next: the least id the next filter may have
 	for ; nLayers > 0; nLayers-- {
 		n, err := readU64(r)
@@ -146,7 +141,6 @@ func OpenWorkloadSnapshot(r io.Reader, cfg Config) (*Engine, error) {
 		if n > maxSnapshotQueries-uint64(total) {
 			return nil, fmt.Errorf("xpushstream: snapshot has implausible query count")
 		}
-		var l layer
 		for ; n > 0; n-- {
 			id := next
 			if v2 {
@@ -168,12 +162,11 @@ func OpenWorkloadSnapshot(r io.Reader, cfg Config) (*Engine, error) {
 			if err != nil {
 				return nil, err
 			}
-			l.queries = append(l.queries, string(text))
-			l.ids = append(l.ids, int(id))
+			queries = append(queries, string(text))
+			ids = append(ids, int(id))
 			next = id + 1
 			total++
 		}
-		layers = append(layers, l)
 	}
 	if !v2 {
 		hw = next
@@ -182,16 +175,11 @@ func OpenWorkloadSnapshot(r io.Reader, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := Compile(layers[0].queries, cfg)
+	e, err := Compile(queries, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("xpushstream: recompiling snapshot workload: %w", err)
 	}
-	e.ids = layers[0].ids
-	for _, l := range layers[1:] {
-		if e, err = e.withQueries(l.queries, l.ids, false); err != nil {
-			return nil, fmt.Errorf("xpushstream: recompiling snapshot layer: %w", err)
-		}
-	}
+	e.ids = ids
 	e.nextID = int(hw)
 	for s, m := range mask {
 		if m != 0 {

@@ -139,28 +139,29 @@ func TestRestoredEngineSharesTables(t *testing.T) {
 }
 
 // BenchmarkFilterTraced prices tracing a document: a recorder that samples
-// every document against none, on the sweep's 5000 filters in one machine
-// and split over two layers, warm. ns/op is ns/doc. A traced document runs
-// the same event methods as an untraced one; only its boundaries read the
-// machines' counters and record the filter span, so the two should cost
-// about the same at any layer count (EXPERIMENTS.md "Tracing off the event
+// every document against none, on the sweep's 5000 filters compiled into
+// one machine and with half of them spliced in, warm. ns/op is ns/doc. A
+// traced document runs the same event methods as an untraced one; only its
+// boundaries read the machine's counters and record the filter span, so the
+// two should cost about the same (EXPERIMENTS.md "Tracing off the event
 // path").
 func BenchmarkFilterTraced(b *testing.B) {
 	filters, docs := sweepWorkload(b, 5_000)
-	for _, layers := range []int{1, 2} {
-		e, err := xpushstream.Compile(filters[:len(filters)/layers], xpushstream.Config{})
-		if err == nil && layers == 2 {
+	for _, spliced := range []bool{false, true} {
+		compiled := filters
+		if spliced {
+			compiled = filters[:len(filters)/2]
+		}
+		e, err := xpushstream.Compile(compiled, xpushstream.Config{})
+		if err == nil && spliced {
 			e, err = e.WithQueries(filters[len(filters)/2:])
 		}
 		if err != nil {
 			b.Fatal(err)
 		}
-		if e.NumLayers() != layers {
-			b.Fatalf("%d layers, want %d", e.NumLayers(), layers)
-		}
 		warmUp(b, e, docs)
 		for _, traced := range []bool{false, true} {
-			b.Run(fmt.Sprintf("layers=%d/traced=%v", layers, traced), func(b *testing.B) {
+			b.Run(fmt.Sprintf("spliced=%v/traced=%v", spliced, traced), func(b *testing.B) {
 				var rec *xpushstream.TraceRecorder
 				if traced {
 					rec = xpushstream.NewTraceRecorder(1, 0)
@@ -184,5 +185,59 @@ func BenchmarkFilterTraced(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkSubscribeMiss prices the engine's step on the SUBSCRIBE path: one
+// filter no engine holds yet, added to a warm engine with WithQueries; ns/op
+// is one call. The chain cases add each filter to the engine the previous
+// call returned, as the broker's control plane does, starting from a machine
+// compiled from N filters and warmed on the document pool; every 64 calls
+// the chain restarts from a fresh warm engine, off the clock, so the
+// workload stays near N. The fork case derives every call from the same warm
+// 5 000-filter engine, as the benchmark's engine-filter subscribe phase
+// does, with the same restart. Run it with -benchtime=640x or so: each
+// restart compiles the workload.
+func BenchmarkSubscribeMiss(b *testing.B) {
+	const restart = 64
+	for _, c := range []struct {
+		n    int
+		fork bool
+	}{{2_000, false}, {20_000, false}, {5_000, true}} {
+		name := fmt.Sprintf("chain/filters=%d", c.n)
+		if c.fork {
+			name = fmt.Sprintf("fork/filters=%d", c.n)
+		}
+		b.Run(name, func(b *testing.B) {
+			filters, docs := sweepWorkload(b, c.n+restart)
+			fresh := func() *xpushstream.Engine {
+				e, err := xpushstream.Compile(filters[:c.n], xpushstream.Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				warmUp(b, e, docs)
+				return e
+			}
+			root := fresh()
+			e := root
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%restart == 0 {
+					b.StopTimer()
+					root = fresh()
+					e = root
+					b.StartTimer()
+				}
+				from := e
+				if c.fork {
+					from = root
+				}
+				next, err := from.WithQueries([]string{filters[c.n+i%restart]})
+				if err != nil {
+					b.Fatal(err)
+				}
+				e = next
+			}
+		})
 	}
 }

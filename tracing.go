@@ -32,23 +32,14 @@ func NewTraceRecorder(sampleEvery int, slow time.Duration) *TraceRecorder {
 	return trace.New(sampleEvery, slow)
 }
 
-// layerCounters are the machine counters a filter span reports deltas of,
-// summed over layers: bottom-up states, those of the layers above the base
-// alone, table flushes and events.
-type layerCounters struct {
-	states, tailStates, flushes, events int64
+// machineCounters are the machine counters a filter span reports deltas
+// of: bottom-up states, table flushes and events.
+type machineCounters struct {
+	states, flushes, events int64
 }
 
-func sumCounters(layers []*core.Machine) (c layerCounters) {
-	for li, m := range layers {
-		states, flushes, events := m.Counters()
-		c.states += states
-		if li > 0 {
-			c.tailStates += states
-		}
-		c.flushes += flushes
-		c.events += events
-	}
+func countersOf(m *core.Machine) (c machineCounters) {
+	c.states, c.flushes, c.events = m.Counters()
 	return c
 }
 
@@ -56,7 +47,7 @@ func sumCounters(layers []*core.Machine) (c layerCounters) {
 // machine-counter baselines for the end-of-document deltas.
 func (d *byteDriver) traceStartDocument() {
 	d.tcSpan = d.tc.StartSpan("filter", d.tcParent)
-	d.ctrBase = sumCounters(d.layers)
+	d.ctrBase = countersOf(d.m)
 }
 
 // traceEndDocument closes the filter span with the machine telemetry as
@@ -64,12 +55,10 @@ func (d *byteDriver) traceStartDocument() {
 // documents filtered concurrently with this one are in its deltas too.
 func (d *byteDriver) traceEndDocument(matches int) {
 	tc, sp := d.tc, d.tcSpan
-	now := sumCounters(d.layers)
+	now := countersOf(d.m)
 	tc.SetAttr(sp, "states_created", now.states-d.ctrBase.states)
 	tc.SetAttr(sp, "table_flushes", now.flushes-d.ctrBase.flushes)
 	tc.SetAttr(sp, "matches", int64(matches))
 	tc.SetAttr(sp, "events", now.events-d.ctrBase.events)
-	tc.SetAttr(sp, "layers", int64(len(d.layers)))
-	tc.SetAttr(sp, "tail_states_created", now.tailStates-d.ctrBase.tailStates)
 	tc.EndSpan(sp)
 }

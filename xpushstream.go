@@ -159,39 +159,32 @@ func (d *DTD) MaxDepth(cap int) int { return d.d.MaxDepth(cap) }
 // Engine is a compiled filter workload. The filtering calls (FilterBytes,
 // FilterDocument, AppendMatches, FilterStreaming and their variants) are safe
 // for concurrent use, on one engine and across engines derived from one
-// another, which share machine layers: each call runs on a cursor of its own
+// another, which share the machine: each call runs on a cursor of its own
 // over the one set of warm tables, in parallel while the tables answer and
 // one at a time where a document has to fill them. Stats,
 // WriteWorkloadSnapshot and ApproxMemoryBytes may run beside them; Train
 // and PrecomputeEager are set-up calls, one at a time per engine lineage.
 //
 // An Engine's workload never changes. WithQueries, WithoutQuery and
-// Consolidated (cow.go) derive the next engine instead: following the
-// layering approach sketched in the paper's conclusion, new filters form a
-// small additional machine run in lockstep with the base machine, so the
-// warmed-up base is not discarded. WithQueries merges those small machines
-// among themselves size-tiered, so there are O(log n) of them, and
-// Consolidated merges all layers back into one machine.
+// Consolidated (cow.go) derive the next engine instead: WithQueries splices
+// the new filters into the lineage's one machine, the lazy machine's own
+// update path (only the table rows the new filters can change are rebuilt),
+// so the warm machine is not discarded; Consolidated compiles the live
+// filters into a fresh machine.
 //
 // Every filter has an id, the oid of the paper's accept sets. Compile numbers
 // its filters 0..n-1 and WithQueries continues from NumQueries; an id never
 // changes and is never handed out again, across WithoutQuery and
 // Consolidated too, so a caller may key its own tables by it.
 type Engine struct {
-	// One slot per compiled filter, in id order: slot s holds filter ids[s],
-	// masked when removed[s]. ids ascend, so an id's slot is a binary search
-	// away.
-	queries []string
-	filters []*xpath.Filter
-	ids     []int
+	// One slot per compiled filter, in id order (columns, cow.go), masked
+	// when removed[s].
+	columns
 	removed []bool
 	masked  int // slots with removed set
 	nextID  int // the id the next added filter gets: the lineage's high-water mark
 	cfg     Config
-	// layers[i] filters report oids offset by layerOff[i]: oid o of layer i
-	// is slot layerOff[i]+o. Layer 0 is the base machine.
-	layers   []*core.Machine
-	layerOff []int
+	m       *core.Machine // the lineage's machine
 
 	// Runtime observability, shared by pointer with every engine derived
 	// from this one (cow.go): the counters follow the workload across
@@ -214,7 +207,7 @@ func (e *Engine) driver() *byteDriver {
 		e.free = e.free[:n-1]
 		return d
 	}
-	return &byteDriver{e: e, layers: core.ForkStack(e.layers)}
+	return &byteDriver{e: e, m: e.m.Fork()}
 }
 
 // streamCounters are an engine lineage's stream bytes and per-document
@@ -233,14 +226,10 @@ func Compile(queries []string, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{queries: append([]string(nil), queries...), filters: filters, ids: idRange(0, len(queries)),
-		removed: make([]bool, len(filters)), nextID: len(queries), cfg: cfg, ctr: new(streamCounters)}
-	m, err := e.buildMachine(filters)
-	if err != nil {
+	e := &Engine{nextID: len(queries), cfg: cfg, ctr: new(streamCounters)}
+	if err := e.build(queries, filters, idRange(0, len(queries))); err != nil {
 		return nil, err
 	}
-	e.layers = []*core.Machine{m}
-	e.layerOff = []int{0}
 	return e, nil
 }
 
@@ -251,6 +240,15 @@ func idRange(lo, n int) []int {
 		ids[i] = lo + i
 	}
 	return ids
+}
+
+// oidRange returns the oids lo, lo+1, ..., lo+n-1.
+func oidRange(lo int32, n int) []int32 {
+	oids := make([]int32, n)
+	for i := range oids {
+		oids[i] = lo + int32(i)
+	}
+	return oids
 }
 
 func parseQueries(queries []string, base int) ([]*xpath.Filter, error) {
@@ -265,8 +263,18 @@ func parseQueries(queries []string, base int) ([]*xpath.Filter, error) {
 	return filters, nil
 }
 
-// buildMachine compiles a filter slice into one machine under the engine's
-// configuration.
+// build compiles filters into a new machine under the engine's
+// configuration and makes them the engine's slots, unmasked, under ids.
+func (e *Engine) build(queries []string, filters []*xpath.Filter, ids []int) error {
+	m, err := e.buildMachine(filters)
+	if err != nil {
+		return err
+	}
+	e.m, e.removed = m, make([]bool, len(ids))
+	e.columns = columns{}.appended(queries, filters, ids, oidRange(0, len(ids)))
+	return nil
+}
+
 func (e *Engine) buildMachine(filters []*xpath.Filter) (*core.Machine, error) {
 	a, err := afa.Compile(filters)
 	if err != nil {
@@ -298,8 +306,9 @@ func (e *Engine) buildMachine(filters []*xpath.Filter) (*core.Machine, error) {
 	return m, nil
 }
 
-// NumLayers reports how many machines the engine currently runs per event.
-func (e *Engine) NumLayers() int { return len(e.layers) }
+// NumLayers reports how many machines the engine runs per event: always one,
+// however the workload grew.
+func (e *Engine) NumLayers() int { return 1 }
 
 // NumQueries returns the id high-water mark: how many ids the engine and its
 // ancestors have handed out, which is the workload size until WithoutQuery
@@ -362,14 +371,14 @@ func (e *Engine) FilterStreamingLimit(r io.Reader, maxDocBytes int, onDocument f
 }
 
 // byteDriver is what one filtering call needs to itself: a byte scanner and
-// a cursor on every machine layer. It fans the scanner's events to the
-// cursors and emits the combined match set at each document boundary; names
-// flow from the input buffer to the machines' symbol interner without a
+// a cursor on the engine's machine. It hands the scanner's events to the
+// cursor and emits the engine's matches at each document boundary; names
+// flow from the input buffer to the machine's symbol interner without a
 // string allocation per event.
 type byteDriver struct {
 	e          *Engine
 	scan       sax.ByteScanner
-	layers     []*core.Machine // cursors, one per e.layers
+	m          *core.Machine // this driver's cursor on e.m
 	onDocument func(matches []int)
 	scratch    []int // the current document's matches
 	docs       int   // documents the current call has seen
@@ -378,11 +387,11 @@ type byteDriver struct {
 
 	// Tracing state, non-nil only for sampled documents. A traced document
 	// takes the same event methods as any other; only its boundaries read
-	// the machines' counters (tracing.go).
+	// the machine's counters (tracing.go).
 	tc       *trace.Ctx
 	tcParent trace.SpanID
 	tcSpan   trace.SpanID
-	ctrBase  layerCounters // the counters at the document's start
+	ctrBase  machineCounters // the counters at the document's start
 }
 
 func (d *byteDriver) StartDocument() {
@@ -390,88 +399,32 @@ func (d *byteDriver) StartDocument() {
 	if d.tc != nil {
 		d.traceStartDocument()
 	}
-	for _, m := range d.layers {
-		m.StartDocument()
-	}
+	d.m.StartDocument()
 }
 
-// StartElementBytes skips the element or attribute the tag opens when every
-// layer finds it invisible (core.Machine.Resolve): each layer then records
-// only the element child (Machine.Skip), and the scanner delivers nothing
-// more of it. A name layer 0 sees is started at once, which in a workload
-// naming every label is every name.
+// StartElementBytes skips the element or attribute the tag opens when the
+// machine finds it invisible (core.Machine.Resolve): the machine then
+// records only the element child (Machine.Skip), and the scanner delivers
+// nothing more of it.
 func (d *byteDriver) StartElementBytes(name []byte) {
-	sym, invisible := d.layers[0].Resolve(name)
-	if invisible && d.skip(name, sym) {
+	sym, invisible := d.m.Resolve(name)
+	if invisible {
+		d.m.Skip(sym)
+		d.scan.SkipElement()
+		d.skipped++
 		return
 	}
-	d.layers[0].Start(sym)
-	for _, m := range d.layers[1:] {
-		m.StartElementBytes(name)
-	}
+	d.m.Start(sym)
 }
 
-// skip skips a start tag that layer 0 found invisible if every other layer
-// agrees, and reports whether it did. An invisible name resolves to the same
-// sentinel symbol on every layer, so layer 0's symbol serves them all.
-func (d *byteDriver) skip(name []byte, sym int32) bool {
-	for _, m := range d.layers[1:] {
-		if _, invisible := m.Resolve(name); !invisible {
-			return false
-		}
-	}
-	for _, m := range d.layers {
-		m.Skip(sym)
-	}
-	d.scan.SkipElement()
-	d.skipped++
-	return true
-}
+func (d *byteDriver) TextBytes(data []byte) { d.m.TextBytes(data) }
 
-func (d *byteDriver) TextBytes(data []byte) {
-	for _, m := range d.layers {
-		m.TextBytes(data)
-	}
-}
-
-func (d *byteDriver) EndElementBytes(name []byte) {
-	for _, m := range d.layers {
-		m.EndElementBytes(name)
-	}
-}
+func (d *byteDriver) EndElementBytes(name []byte) { d.m.EndElementBytes(name) }
 
 func (d *byteDriver) EndDocument() {
-	for _, m := range d.layers {
-		m.EndDocument()
-	}
+	d.m.EndDocument()
 	d.e.ctr.lat.Observe(time.Since(d.docStart).Seconds())
-	// Each machine reports sorted oids, layerOff never decreases from one
-	// layer to the next and ids ascend over slots, so the concatenation is
-	// already sorted.
-	d.scratch = d.scratch[:0]
-	e := d.e
-	for li, m := range d.layers {
-		res := m.Results()
-		if len(res) == 0 {
-			continue
-		}
-		// A layer whose first and last ids are as far apart as its slots
-		// holds consecutive ids (they ascend): a match's id is its slot plus
-		// a constant, with no load from the id column per match. Only a
-		// consolidated base with holes takes the column.
-		lo, hi := e.layerSlots(li)
-		delta := e.ids[lo] - lo
-		dense := e.ids[hi-1] == hi-1+delta
-		for _, o := range res {
-			switch s := lo + int(o); {
-			case e.removed[s]:
-			case dense:
-				d.scratch = append(d.scratch, s+delta)
-			default:
-				d.scratch = append(d.scratch, e.ids[s])
-			}
-		}
-	}
+	d.scratch = d.e.appendOwned(d.scratch[:0], d.m.Results())
 	if d.tc != nil {
 		d.traceEndDocument(len(d.scratch))
 	}
@@ -483,8 +436,7 @@ func (d *byteDriver) EndDocument() {
 
 // FilterBytes processes a byte slice of concatenated XML documents, invoking
 // onDocument with the matching filter ids after each document. The matches
-// slice is reused between calls; copy it to retain it. All layers run in
-// lockstep off a single parse of the stream.
+// slice is reused between calls; copy it to retain it.
 func (e *Engine) FilterBytes(data []byte, onDocument func(matches []int)) error {
 	return e.FilterBytesTraced(data, nil, TraceRoot, onDocument)
 }
@@ -492,8 +444,8 @@ func (e *Engine) FilterBytes(data []byte, onDocument func(matches []int)) error 
 // FilterBytesTraced is FilterBytes with span recording: each document in
 // data gets a "filter" child span of parent on tc, carrying machine
 // telemetry attributes (states created, table flushes, match count, event
-// count, layer count, states created above the base layer). A nil tc
-// records nothing — call sites thread the context unconditionally.
+// count). A nil tc records nothing — call sites thread the context
+// unconditionally.
 func (e *Engine) FilterBytesTraced(data []byte, tc *TraceCtx, parent TraceSpanID, onDocument func(matches []int)) error {
 	d, err := e.run(data, tc, parent, onDocument)
 	e.put(d)
@@ -513,22 +465,18 @@ func (e *Engine) run(data []byte, tc *TraceCtx, parent TraceSpanID, onDocument f
 		e.ctr.skipped.Add(d.skipped)
 		d.skipped = 0
 	}
-	for _, m := range d.layers {
-		m.Release() // a parse error ends the stream mid-document
-		if err == nil {
-			err = m.Err()
-		}
+	d.m.Release() // a parse error ends the stream mid-document
+	if err == nil {
+		err = d.m.Err()
 	}
 	return d, err
 }
 
 // put returns a driver to the free list, unless a strict-mode error stuck to
-// one of its cursors: that one is dropped.
+// its cursor: that one is dropped.
 func (e *Engine) put(d *byteDriver) {
-	for _, m := range d.layers {
-		if m.Err() != nil {
-			return
-		}
+	if d.m.Err() != nil {
+		return
 	}
 	e.freeMu.Lock()
 	e.free = append(e.free, d)
@@ -544,29 +492,14 @@ func (e *Engine) put(d *byteDriver) {
 // leaves the engine valid, partially warmed. Requires the basic machine
 // (no TopDownPruning/EarlyNotification).
 func (e *Engine) PrecomputeEager(maxStates int) (states int, err error) {
-	total := 0
-	for _, m := range e.layers {
-		n, err := m.PrecomputeEager(maxStates)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+	return e.m.PrecomputeEager(maxStates)
 }
 
-// Train runs all layers over warm-up data: states created are kept, and
+// Train runs the machine over warm-up data: states created are kept, and
 // runtime counters are reset afterwards (Sec. 5, "Training the XPush
 // Machine"). Use it with recorded traffic, or rely on Config.Training for
 // synthetic training data.
-func (e *Engine) Train(data []byte) error {
-	for _, m := range e.layers {
-		if err := m.Train(data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (e *Engine) Train(data []byte) error { return e.m.Train(data) }
 
 // TrainingData generates the synthetic training documents for this
 // workload (requires a DTD in the configuration).
@@ -578,49 +511,57 @@ func (e *Engine) TrainingData() ([]byte, error) {
 }
 
 // writeSnapshot persists the engine's lazily built (or trained) machine
-// state, the tail of a workload snapshot. It is bound to the exact workload,
-// layer structure and configuration; readSnapshot loads it into an engine
-// rebuilt from the same.
+// state, the tail of a workload snapshot: a machine count, then each
+// machine's snapshot, length-prefixed (the machine reader buffers and would
+// otherwise consume what follows). The state is bound to the exact workload
+// and configuration; readSnapshot loads it into an engine rebuilt from the
+// same. A machine that holds filters the engine does not — spliced by
+// another generation — matches no rebuilt engine: its state is left out
+// (count 0) and the reopened engine starts cold.
 func (e *Engine) writeSnapshot(w io.Writer) error {
 	sw := &snapWriter{w: w}
-	sw.u64(uint64(len(e.layers)))
-	// Each machine snapshot is length-prefixed: the machine reader buffers
-	// internally and would otherwise consume bytes belonging to the next
-	// layer.
-	var buf bytes.Buffer
-	for _, m := range e.layers {
-		buf.Reset()
-		if err := m.WriteSnapshot(&buf); err != nil {
-			return err
-		}
-		sw.u64(uint64(buf.Len()))
-		sw.write(buf.Bytes())
+	if e.m.NumQueries() != len(e.oids) {
+		sw.u64(0)
+		return sw.err
 	}
+	var buf bytes.Buffer
+	if err := e.m.WriteSnapshot(&buf); err != nil {
+		return err
+	}
+	sw.u64(1)
+	sw.u64(uint64(buf.Len()))
+	sw.write(buf.Bytes())
 	return sw.err
 }
 
 // readSnapshot restores machine state persisted by writeSnapshot into an
-// engine with the same queries, layer structure, and configuration.
+// engine with the same queries and configuration. A snapshot of several
+// machines, written when the engine ran one per tail layer, cannot be loaded
+// into one: it is read past, and the engine stays cold.
 func (e *Engine) readSnapshot(r io.Reader) error {
-	if n, err := readU64(r); err != nil {
+	n, err := readU64(r)
+	if err != nil {
 		return err
-	} else if n != uint64(len(e.layers)) {
-		return fmt.Errorf("xpushstream: snapshot has %d layers, engine has %d (snapshot a Consolidated engine, or use WriteWorkloadSnapshot/OpenWorkloadSnapshot, which record and rebuild the layer partition)", n, len(e.layers))
 	}
-	for _, m := range e.layers {
-		n, err := readU64(r)
+	if n > maxSnapshotQueries {
+		return fmt.Errorf("xpushstream: corrupt snapshot (%d machines)", n)
+	}
+	for i := uint64(0); i < n; i++ {
+		size, err := readU64(r)
 		if err != nil {
 			return err
 		}
-		if n > 1<<33 {
-			return fmt.Errorf("xpushstream: corrupt snapshot (layer of %d bytes)", n)
+		if size > 1<<33 {
+			return fmt.Errorf("xpushstream: corrupt snapshot (machine of %d bytes)", size)
 		}
-		data, err := readN(r, n)
+		data, err := readN(r, size)
 		if err != nil {
 			return err
 		}
-		if err := m.ReadSnapshot(bytes.NewReader(data)); err != nil {
-			return err
+		if n == 1 {
+			if err := e.m.ReadSnapshot(bytes.NewReader(data)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -639,29 +580,20 @@ func readN(r io.Reader, n uint64) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Stats returns a snapshot of runtime counters, aggregated over layers
-// (documents, events and mixed-content events count the stream once, as
-// every layer sees the same events; state and lookup counters sum across
-// layers).
+// Stats returns a snapshot of runtime counters. The machine's counters are
+// the lineage's since its Compile or Consolidated: every generation that
+// shares the machine reads the same ones, and Matches counts the machine's
+// matches, masked filters and other generations' included.
 func (e *Engine) Stats() Stats {
-	var out Stats
-	var afaSum int64
-	for li, m := range e.layers {
-		s := m.Stats()
-		out.States += s.BStates
-		out.TopDownStates += s.TStates
-		afaSum += s.BStateAFASum
-		out.Lookups += s.Lookups
-		out.Hits += s.Hits
-		out.Matches += s.Matches
-		out.Flushes += s.Flushes
-		out.ExclusiveDocuments += s.ExclusiveDocs
-		if li == 0 {
-			out.Documents = s.Docs
-			out.Events = s.Events
-			out.MixedContentEvents = s.MixedContentEvents
-		}
+	s := e.m.Stats()
+	out := Stats{
+		States: s.BStates, TopDownStates: s.TStates,
+		Lookups: s.Lookups, Hits: s.Hits,
+		Documents: s.Docs, Events: s.Events, Matches: s.Matches,
+		MixedContentEvents: s.MixedContentEvents, Flushes: s.Flushes,
+		ExclusiveDocuments: s.ExclusiveDocs,
 	}
+	afaSum := s.BStateAFASum
 	out.Bytes = e.ctr.bytes.Load()
 	out.SkippedElements = e.ctr.skipped.Load()
 	out.FilterLatency = e.ctr.lat.Snapshot()
