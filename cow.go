@@ -36,6 +36,12 @@ import (
 // (DESIGN.md "Splicing a filter into the live machine"). The receiver keeps
 // serving its current workload. The new filters' ids start at the
 // receiver's NumQueries, and no existing id moves.
+//
+// The machine is the whole lineage's: every generation runs the filters
+// spliced into it until a Consolidated, including those of engines that are
+// dropped — the receiver's siblings, or a result that fails Config.Training
+// (the splice has landed by then, so the error leaves the filters
+// compiled). NumOrphaned counts them.
 func (e *Engine) WithQueries(queries []string) (*Engine, error) {
 	filters, err := parseQueries(queries, e.nextID)
 	if err != nil {
@@ -181,6 +187,13 @@ func (e *Engine) MaskedIDs() []int { return e.idsWhere(true) }
 
 // NumMasked reports how many masked filters are still compiled in.
 func (e *Engine) NumMasked() int { return e.masked }
+
+// NumOrphaned reports how many filters are compiled into the engine's
+// machine without a slot in it: spliced by another engine of the lineage (a
+// sibling, a later generation, or a WithQueries whose training failed).
+// Every document runs them, and only Consolidated drops them; a workload
+// snapshot of an engine with orphans leaves the machine state out.
+func (e *Engine) NumOrphaned() int { return e.m.NumQueries() - len(e.oids) }
 
 func (e *Engine) idsWhere(masked bool) []int {
 	var out []int

@@ -36,6 +36,7 @@ import (
 	"repro/internal/predindex"
 	"repro/internal/sax"
 	"repro/internal/xmlval"
+	"repro/internal/xpath"
 )
 
 // Order is the sibling partial order consumed by the order optimization
@@ -171,9 +172,10 @@ type frame struct {
 // for the write lock (upgrade) and the rest of that document runs alone;
 // EndDocument releases whichever is held. State ids index the append-only
 // bsets/tsets, so a cursor's ids stay valid while it waits for the write
-// lock; only a MaxStates flush invalidates them (Options.MaxStates). Splice
-// adds filters under the write lock too, so a document sees the workload
-// change only between documents or across its upgrade.
+// lock; only a MaxStates flush invalidates them (Options.MaxStates). The
+// filters Splice adds are installed under the write lock too, by whoever
+// holds it next, so a document sees the workload change only between
+// documents or across its upgrade.
 type Machine struct {
 	*shared
 	cursor
@@ -182,16 +184,24 @@ type Machine struct {
 // shared is what every cursor over one machine reads, and writes only under
 // mu's write lock.
 type shared struct {
+	// queueMu guards queue, the filters Splice has compiled aside for the
+	// next holder of the write lock to install; queued is its length, for a
+	// lock-free look, and reserved counts every filter handed an oid,
+	// installed or queued.
+	queueMu  sync.Mutex
+	queue    []*xpath.Filter
+	queued   atomic.Int32
+	reserved atomic.Int32
+
 	// mu guards every field below down to scratch2, the automaton included.
 	mu sync.RWMutex
 	// inflight counts the documents that may hold state ids, for the flush;
 	// kept only under a MaxStates cap.
 	inflight atomic.Int32
-
-	afa   *afa.AFA
-	opts  Options
-	ev    *afa.Evaluator
-	index *predindex.Index
+	afa      *afa.AFA
+	opts     Options
+	ev       *afa.Evaluator
+	index    *predindex.Index
 
 	// Interned states. Id 0 is the empty bottom-up state q0^b and the
 	// initial top-down state q0^t respectively. The intern indexes are
@@ -301,6 +311,7 @@ func New(a *afa.AFA, opts Options) *Machine {
 			m.invisible |= 1 << sym
 		}
 	}
+	m.reserved.Store(int32(len(a.Queries)))
 	defer m.exclusive()()
 	m.reset()
 	return m
@@ -322,9 +333,9 @@ func (m *Machine) fit() {
 
 // upgrade is called after a table probe missed, before the transition is
 // computed and stored. Unless the cursor holds the write lock already, it
-// trades its read lock for it and reports true: another document may have
-// stored the entry meanwhile, or a splice may have changed the workload, so
-// the caller probes once more.
+// trades its read lock for it, installs what Splice queued meanwhile, and
+// reports true: another document may have stored the entry, or a splice
+// may have changed the workload, so the caller probes once more.
 func (m *Machine) upgrade() bool {
 	if m.excl {
 		return false
@@ -335,6 +346,7 @@ func (m *Machine) upgrade() bool {
 	if !m.training {
 		m.ctr.exclusive.Add(1)
 	}
+	m.install()
 	m.fit()
 	return true
 }
@@ -344,6 +356,7 @@ func (m *Machine) upgrade() bool {
 func (m *Machine) exclusive() (unlock func()) {
 	m.mu.Lock()
 	m.excl = true
+	m.install()
 	m.fit()
 	return func() { m.excl = false; m.mu.Unlock() }
 }
@@ -439,12 +452,8 @@ func (m *Machine) Err() error { return m.err }
 func (m *Machine) Results() []int32 { return m.results }
 
 // NumQueries returns the workload size: the filters New compiled and Splice
-// added.
-func (m *Machine) NumQueries() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.afa.Queries)
-}
+// added, the oids handed out.
+func (m *Machine) NumQueries() int { return int(m.reserved.Load()) }
 
 // internB interns a sorted AFA-state set as a bottom-up state.
 func (m *Machine) internB(set []int32) int32 {
@@ -515,6 +524,7 @@ func (m *Machine) flushPending() {
 func (m *Machine) StartDocument() {
 	m.Release() // a stream whose last document failed to parse
 	m.flushPending()
+	m.settle()
 	m.mu.RLock()
 	m.inDoc = true
 	m.fit()

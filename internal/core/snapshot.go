@@ -121,10 +121,18 @@ func (sr *snapReader) sets() [][]int32 {
 }
 
 // WriteSnapshot serialises the machine's interned states and transition
-// tables.
-func (m *Machine) WriteSnapshot(w io.Writer) error {
+// tables if the machine holds exactly the given number of filters, and
+// reports whether it did. The count is checked under the lock the state is
+// read under, so a splice cannot land between the two: a snapshot always
+// matches the workload its fingerprint names. Queued splices are installed
+// first.
+func (m *Machine) WriteSnapshot(w io.Writer, queries int) (bool, error) {
+	m.settle()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	if len(m.afa.Queries) != queries {
+		return false, nil
+	}
 	sw := &snapWriter{w: bufio.NewWriter(w)}
 	sw.u64(snapshotMagic)
 	sw.u64(m.Fingerprint())
@@ -171,9 +179,9 @@ func (m *Machine) WriteSnapshot(w io.Writer) error {
 		sw.i32(v)
 	})
 	if sw.err != nil {
-		return sw.err
+		return false, sw.err
 	}
-	return sw.w.Flush()
+	return true, sw.w.Flush()
 }
 
 // ReadSnapshot restores a snapshot into a machine built from the same

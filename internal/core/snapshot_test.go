@@ -8,6 +8,7 @@ import (
 	"repro/internal/afa"
 	"repro/internal/datagen"
 	"repro/internal/workload"
+	"repro/internal/xpath"
 )
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -20,8 +21,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 			warmStates := warm.Stats().BStates
 			var buf bytes.Buffer
-			if err := warm.WriteSnapshot(&buf); err != nil {
-				t.Fatal(err)
+			if ok, err := warm.WriteSnapshot(&buf, warm.NumQueries()); !ok || err != nil {
+				t.Fatal(ok, err)
 			}
 
 			cold := runningMachine(t, opts)
@@ -52,14 +53,37 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotChecksWorkloadSize: a machine asked for the snapshot of a
+// workload it no longer holds — a splice has landed since the caller
+// counted — writes nothing and says so.
+func TestSnapshotChecksWorkloadSize(t *testing.T) {
+	m := New(compileWorkload(t, "/a[b=1]"), Options{})
+	if _, err := m.FilterDocument([]byte("<a><b>1</b></a>")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Splice([]*xpath.Filter{xpath.MustParse("/a[c=2]")}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if ok, err := m.WriteSnapshot(&buf, 1); ok || err != nil || buf.Len() != 0 {
+		t.Fatalf("snapshot for 1 filter of a 2-filter machine: ok %v, err %v, %d bytes", ok, err, buf.Len())
+	}
+	if ok, err := m.WriteSnapshot(&buf, 2); !ok || err != nil {
+		t.Fatalf("snapshot for 2 filters: ok %v, err %v", ok, err)
+	}
+	if err := New(compileWorkload(t, "/a[b=1]", "/a[c=2]"), Options{}).ReadSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSnapshotFingerprintMismatch(t *testing.T) {
 	warm := runningMachine(t, Options{})
 	if _, err := warm.FilterDocument([]byte(`<a><b>1</b></a>`)); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := warm.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
+	if ok, err := warm.WriteSnapshot(&buf, warm.NumQueries()); !ok || err != nil {
+		t.Fatal(ok, err)
 	}
 	// Different workload.
 	other := New(compileWorkload(t, "/different[q=1]"), Options{})
@@ -79,8 +103,8 @@ func TestSnapshotCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := warm.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
+	if ok, err := warm.WriteSnapshot(&buf, warm.NumQueries()); !ok || err != nil {
+		t.Fatal(ok, err)
 	}
 	data := buf.Bytes()
 	// Truncations and bit flips must be rejected, never panic.
@@ -129,8 +153,8 @@ func TestSnapshotTrainedMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := trained.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
+	if ok, err := trained.WriteSnapshot(&buf, trained.NumQueries()); !ok || err != nil {
+		t.Fatal(ok, err)
 	}
 
 	restored := build()

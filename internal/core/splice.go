@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/afa"
@@ -9,32 +10,76 @@ import (
 	"repro/internal/xpath"
 )
 
-// Splice compiles filters into the live machine (DESIGN.md "Splicing a
-// filter into the live machine") and returns the oid of the first one; the
-// rest follow it. Under the write lock it appends their AFA states after
-// the existing ones, extends the symbols, the early marks and the predicate
-// index, and deletes only the table rows the new filters can change: a
-// bottom-up set of old states gains a new state only through a value row, a
-// TrueTerminal injected on pop, or a NOT that Eval adds because its child is
-// absent. Interned states and every other row stay warm, so the documents
-// that follow run on hits wherever the new filters do not reach.
+// Splice adds filters to the live machine (DESIGN.md "Splicing a filter
+// into the live machine") and returns the oid of the first one; the rest
+// follow it. It compiles them aside first, so a filter outside the fragment
+// fails here and changes nothing, then queues them, and installs the queue
+// at once if the write lock is free. Otherwise whoever takes the write lock
+// next installs it — a document that missed a table, or the next document
+// to start, which waits for nothing it would not wait for anyway — so the
+// caller never queues for the write lock behind documents that hold it.
 //
-// Oids are append-only: a document in flight across the splice (one that
-// upgrades after it) may report the new filters too, which its caller, who
-// knows which oids it holds, drops. On error the machine is unchanged.
+// Oids are append-only and handed out here, in queue order: a document
+// running when the splice lands (one that upgrades after it) may report the
+// new filters too, which its caller, who knows which oids it holds, drops.
+// Every document that starts after Splice returns runs with them.
 func (m *Machine) Splice(filters []*xpath.Filter) (int32, error) {
-	defer m.exclusive()()
+	if _, err := afa.Compile(filters); err != nil {
+		return 0, err
+	}
+	m.queueMu.Lock()
+	oid := m.reserved.Add(int32(len(filters))) - int32(len(filters))
+	m.queue = append(m.queue, filters...)
+	m.queued.Store(int32(len(m.queue)))
+	m.queueMu.Unlock()
+	if m.mu.TryLock() {
+		m.install()
+		m.mu.Unlock()
+	}
+	return oid, nil
+}
+
+// settle installs the queued filters, taking the write lock if any are
+// queued. The caller holds no lock.
+func (m *shared) settle() {
+	if m.queued.Load() > 0 {
+		m.mu.Lock()
+		m.install()
+		m.mu.Unlock()
+	}
+}
+
+// install compiles the queued filters into the machine. The caller holds the
+// write lock. It appends their AFA states after the existing ones, extends
+// the symbols, the early marks and the predicate index, and deletes only the
+// table rows the new filters can change: a bottom-up set of old states gains
+// a new state only through a value row, a TrueTerminal injected on pop, or a
+// NOT that Eval adds because its child is absent. Interned states and every
+// other row stay warm, so the documents that follow run on hits wherever the
+// new filters do not reach. It writes no cursor's fields, so any cursor
+// holding the lock may call it, mid-document too: state ids stay valid.
+func (m *shared) install() {
+	m.queueMu.Lock()
+	filters := m.queue
+	m.queue = nil
+	m.queued.Store(0)
+	m.queueMu.Unlock()
+	if len(filters) == 0 {
+		return
+	}
 	a := m.afa
-	oid, syms := int32(len(a.Queries)), int32(a.Syms.Len())
+	syms := int32(a.Syms.Len())
 	from, err := a.Extend(filters)
 	if err != nil {
-		return 0, err
+		// Splice compiled these filters on their own: the automaton they
+		// join cannot make one fail.
+		panic(fmt.Sprintf("core: a filter that compiled alone failed to splice: %v", err))
 	}
 	if m.opts.Order != nil {
 		a.ApplyOrderFrom(from, m.opts.Order)
 	}
 	m.isEarly = append(m.isEarly, make([]bool, a.NumStates()-len(m.isEarly))...)
-	for _, q := range a.Queries[oid:] {
+	for _, q := range a.Queries[len(a.Queries)-len(filters):] {
 		if q.Early >= 0 {
 			m.isEarly[q.Early] = true
 		}
@@ -46,7 +91,6 @@ func (m *Machine) Splice(filters []*xpath.Filter) (int32, error) {
 			m.invisible &^= 1 << sym
 		}
 	}
-	m.fit()
 
 	// Value rows: those of the intervals whose satisfied set grew.
 	b := predindex.NewBuilder()
@@ -120,16 +164,17 @@ func (m *Machine) Splice(filters []*xpath.Filter) (int32, error) {
 	}
 
 	if m.opts.PrecomputeValues && !m.opts.TopDown {
+		// A cursor of its own, already holding the write lock.
+		p := &Machine{shared: m, cursor: cursor{excl: true}}
 		for _, v := range points {
-			m.valueState(0, v)
+			p.valueState(0, v)
 		}
-		m.flushPending()
+		p.flushPending()
 	}
-	return oid, nil
 }
 
 // putValueRow stores a value row and lists it under its point intervals.
-func (m *Machine) putValueRow(k key128, e entry) {
+func (m *shared) putValueRow(k key128, e entry) {
 	m.valueTab.put(k, e)
 	for d, iv := range [2]int32{int32(k.hi>>32) - 1, int32(uint32(k.hi))} {
 		if iv%2 == 1 { // a point: -1 (no number) and gaps are even
@@ -143,7 +188,7 @@ func (m *Machine) putValueRow(k key128, e entry) {
 
 // deleteValueRows deletes the value rows under the given point intervals of
 // domain d.
-func (m *Machine) deleteValueRows(d int, points []int) {
+func (m *shared) deleteValueRows(d int, points []int) {
 	for _, iv := range points {
 		for _, k := range m.pointRows[d][int32(iv)] {
 			m.valueTab.del(k)
@@ -153,7 +198,7 @@ func (m *Machine) deleteValueRows(d int, points []int) {
 }
 
 // clearValueRows deletes every value row.
-func (m *Machine) clearValueRows() {
+func (m *shared) clearValueRows() {
 	m.valueTab = tabE{}
 	m.pointRows = [2]map[int32][]key128{}
 }

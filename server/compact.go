@@ -37,10 +37,12 @@ const compactRemovedSlots = 32
 // compactPhases label the phase-duration summary, in Server.phaseLat order.
 var compactPhases = [...]string{"compile", "swap"}
 
-// needsCompaction reports whether e holds more removed slots than the
+// needsCompaction reports whether e's machine holds more dead filters —
+// removed slots, and filters spliced in by no generation that still has
+// them (Engine.NumOrphaned: a failed training leaves one) — than the
 // compaction goroutine lets it keep.
 func (s *Server) needsCompaction(e *xpushstream.Engine) bool {
-	return s.maxRemoved > 0 && e.NumMasked() > s.maxRemoved
+	return s.maxRemoved > 0 && e.NumMasked()+e.NumOrphaned() > s.maxRemoved
 }
 
 // compactLoop is the compaction goroutine: at most one compaction is ever in

@@ -78,19 +78,23 @@ type machineSnapshot struct {
 	// ones); UniqueQueries the live compiled machine queries in the dedup
 	// registry; Subscriptions the subscriber fan-out riding on them. With
 	// deduplication, Subscriptions >> UniqueQueries on zipfian workloads.
-	Queries        int    `json:"queries"`
-	UniqueQueries  int    `json:"unique_queries"`
-	Subscriptions  int    `json:"subscriptions"`
-	DedupHits      uint64 `json:"dedup_hits"`
-	SubsumedPairs  int    `json:"subsumed_pairs"` // -1 = workload too large to analyze
-	Layers         int    `json:"layers"`
-	RemovedSlots   int    `json:"removed_slots"`
-	Consolidations int64  `json:"consolidations"`
-	Compacting     bool   `json:"compaction_in_progress"`
-	MemoryBytes    int64  `json:"memory_bytes"`
-	Connections    int    `json:"connections"`
-	ConnsRejected  int64  `json:"conns_rejected"`
-	QueueDepth     int    `json:"queue_depth"`
+	Queries       int    `json:"queries"`
+	UniqueQueries int    `json:"unique_queries"`
+	Subscriptions int    `json:"subscriptions"`
+	DedupHits     uint64 `json:"dedup_hits"`
+	SubsumedPairs int    `json:"subsumed_pairs"` // -1 = workload too large to analyze
+	Layers        int    `json:"layers"`
+	RemovedSlots  int    `json:"removed_slots"`
+	// OrphanFilters are compiled into the machine with no slot in the
+	// current generation (Engine.NumOrphaned); compaction reclaims them
+	// with the removed slots.
+	OrphanFilters  int   `json:"orphan_filters"`
+	Consolidations int64 `json:"consolidations"`
+	Compacting     bool  `json:"compaction_in_progress"`
+	MemoryBytes    int64 `json:"memory_bytes"`
+	Connections    int   `json:"connections"`
+	ConnsRejected  int64 `json:"conns_rejected"`
+	QueueDepth     int   `json:"queue_depth"`
 
 	States        int     `json:"states"`
 	TopDownStates int     `json:"top_down_states"`
@@ -133,6 +137,7 @@ func (s *Server) handleMachine(w http.ResponseWriter, r *http.Request) {
 		SubsumedPairs:  int(s.subsumedPairs()),
 		Layers:         e.NumLayers(),
 		RemovedSlots:   e.NumMasked(),
+		OrphanFilters:  e.NumOrphaned(),
 		Consolidations: s.consolidations.Load(),
 		Compacting:     s.consolidating.Load() != 0,
 		MemoryBytes:    e.ApproxMemoryBytes(),

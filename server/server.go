@@ -449,15 +449,32 @@ func (s *Server) healthStatus() (bool, string) {
 }
 
 // Checkpoint writes a workload snapshot so the next boot starts with a warm
-// machine. The machines are read (under their read locks, beside publishes)
-// into an in-memory buffer; disk I/O holds no lock.
+// machine. The machine is read (under its read lock, beside publishes) into
+// an in-memory buffer; disk I/O holds no lock. A subscribe that splices into
+// the machine while the generation it replaces is written leaves the
+// machine state out of that write (Engine.NumOrphaned), so the snapshot is
+// written again with ctl held, which keeps the workload still.
 func (s *Server) Checkpoint() error {
 	if s.cfg.SnapshotPath == "" {
 		return fmt.Errorf("server: no SnapshotPath configured")
 	}
 	var buf bytes.Buffer
-	if err := s.cur.Load().WriteWorkloadSnapshot(&buf); err != nil {
+	e := s.cur.Load()
+	if err := e.WriteWorkloadSnapshot(&buf); err != nil {
 		return err
+	}
+	if e.NumOrphaned() > 0 {
+		s.ctl.Lock()
+		e = s.cur.Load()
+		buf.Reset()
+		err := e.WriteWorkloadSnapshot(&buf)
+		s.ctl.Unlock()
+		if err != nil {
+			return err
+		}
+		if n := e.NumOrphaned(); n > 0 {
+			s.logf("checkpoint: the machine holds %d filters the workload does not; its state is left out and the next boot starts cold", n)
+		}
 	}
 	return xpushstream.WriteFileAtomic(s.cfg.SnapshotPath, func(w io.Writer) error {
 		_, err := w.Write(buf.Bytes())

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	xpushstream "repro"
 	"repro/client"
 	"repro/server"
 )
@@ -698,6 +699,72 @@ func TestSnapshotWarmStart(t *testing.T) {
 	srv3.Close()
 	if after := route(startServer(t, cfg)); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Fatalf("restarted broker routes\n %v\nwant\n %v", after, before)
+	}
+}
+
+// TestCheckpointDuringSubscribeStorm: every checkpoint taken while
+// subscribes splice new filters into the live machine writes a file that
+// reopens, warm: it holds more states than its workload compiled cold.
+func TestCheckpointDuringSubscribeStorm(t *testing.T) {
+	cfg := server.Config{SnapshotPath: filepath.Join(t.TempDir(), "state.xpw"), InitialQueries: []string{"/m[v=1]"}}
+	srv := startServer(t, cfg)
+	if _, err := dialSub(t, srv.Addr(), nil).Publish([]byte("<m><v>1</v><w/><x/></m>")); err != nil {
+		t.Fatal(err)
+	}
+	// Two subscribers keep a subscribe between its splice and its swap
+	// much of the time.
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for g := range 2 {
+		sub := dialSub(t, srv.Addr(), nil)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := sub.Subscribe(fmt.Sprintf("/m[v=%d and w!=%d]", i, g)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for n := range 10 {
+		if err := srv.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(cfg.SnapshotPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := xpushstream.OpenWorkloadSnapshot(bufio.NewReader(f), cfg.Engine)
+		f.Close()
+		if err != nil {
+			t.Fatalf("checkpoint %d does not reopen: %v", n, err)
+		}
+		var queries []string
+		for _, id := range e.IDs() {
+			queries = append(queries, e.Query(id))
+		}
+		cold, err := xpushstream.Compile(queries, cfg.Engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, min := e.Stats().States, cold.Stats().States; got <= min {
+			t.Fatalf("checkpoint %d of %d filters reopened cold: %d states, %d compiled", n, len(queries), got, min)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
 	}
 }
 

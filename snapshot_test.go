@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -77,6 +78,76 @@ func TestWorkloadSnapshotKeepsIDs(t *testing.T) {
 	if got := fmt.Sprint(next.IDs()); got != "[0 2 3 5 6]" {
 		t.Errorf("after restore WithQueries gave ids %s, want [0 2 3 5 6]", got)
 	}
+}
+
+// TestSnapshotWhileSplicing: a workload snapshot of the current
+// generation, written while a writer splices the next ones into the shared
+// machine, always reopens, and the reopened engine reports what the
+// generation it was written from reports. Once the writer is done, the
+// tip's snapshot reopens warm.
+func TestSnapshotWhileSplicing(t *testing.T) {
+	doc := func(i int) []byte { return fmt.Appendf(nil, "<a><b>%d</b><c>%d</c></a>", i%97, i%5) }
+	query := func(i int) string { return fmt.Sprintf("/a[b=%d and c!=%d]", i, i%3) }
+	var qs []string
+	for i := range 60 {
+		qs = append(qs, query(i))
+	}
+	e, err := Compile(qs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tip atomic.Pointer[Engine]
+	tip.Store(e)
+	done := make(chan error, 1)
+	go func() {
+		for i := 60; i < 400; i++ {
+			n, err := tip.Load().WithQueries([]string{query(i)})
+			if err == nil {
+				_, err = n.FilterDocument(doc(i))
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+			tip.Store(n)
+		}
+		done <- nil
+	}()
+	check := func(g *Engine) *Engine {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := g.WriteWorkloadSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenWorkloadSnapshot(&buf, Config{})
+		if err != nil {
+			t.Fatalf("snapshot of a %d-filter generation does not reopen: %v", g.NumQueries(), err)
+		}
+		for i := range 5 {
+			got, err1 := r.FilterDocument(doc(i))
+			want, err2 := g.FilterDocument(doc(i))
+			if err1 != nil || err2 != nil || !slices.Equal(got, want) {
+				t.Fatalf("document %d: reopened %v (%v), written %v (%v)", i, got, err1, want, err2)
+			}
+		}
+		return r
+	}
+	writes := 0
+	for running := true; running; writes++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		check(tip.Load())
+	}
+	if r := check(tip.Load()); r.Stats().States <= 1 {
+		t.Errorf("the tip's snapshot reopened cold (%d states) with no splice in flight", r.Stats().States)
+	}
+	t.Logf("%d snapshots written during the splices", writes)
 }
 
 // le encodes little-endian u64s.

@@ -515,18 +515,20 @@ func (e *Engine) TrainingData() ([]byte, error) {
 // machine's snapshot, length-prefixed (the machine reader buffers and would
 // otherwise consume what follows). The state is bound to the exact workload
 // and configuration; readSnapshot loads it into an engine rebuilt from the
-// same. A machine that holds filters the engine does not — spliced by
-// another generation — matches no rebuilt engine: its state is left out
-// (count 0) and the reopened engine starts cold.
+// same. A machine that holds filters the engine does not (NumOrphaned) —
+// spliced by another generation, even while this one is written — matches
+// no rebuilt engine: its state is left out (count 0) and the reopened
+// engine starts cold.
 func (e *Engine) writeSnapshot(w io.Writer) error {
 	sw := &snapWriter{w: w}
-	if e.m.NumQueries() != len(e.oids) {
+	var buf bytes.Buffer
+	ok, err := e.m.WriteSnapshot(&buf, len(e.oids))
+	if err != nil {
+		return err
+	}
+	if !ok {
 		sw.u64(0)
 		return sw.err
-	}
-	var buf bytes.Buffer
-	if err := e.m.WriteSnapshot(&buf); err != nil {
-		return err
 	}
 	sw.u64(1)
 	sw.u64(uint64(buf.Len()))
